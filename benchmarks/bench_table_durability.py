@@ -128,7 +128,7 @@ def test_fleet_matches_event_controller_losses(benchmark, seed):
                 replacement_delay=1.0,
             ),
         )
-        fleet = FleetSimulator(
+        simulator = FleetSimulator(
             FleetOptions(
                 devices=devices,
                 blocks=blocks,
@@ -140,7 +140,8 @@ def test_fleet_matches_event_controller_losses(benchmark, seed):
                 strategy="striping",
             ),
             bins=bins,
-        ).run(crash_epochs(schedule, device_ids))
+        )
+        fleet = simulator.run(crash_epochs(schedule, simulator.device_ids))
         return controller, fleet
 
     controller, fleet = benchmark.pedantic(experiment, rounds=1, iterations=1)

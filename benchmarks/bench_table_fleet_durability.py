@@ -154,7 +154,7 @@ def run_matched(seed=5):
         strategy="striping",
     )
     simulator = FleetSimulator(fleet_options, bins=bins)
-    scheduled = crash_epochs(schedule, [spec.bin_id for spec in bins])
+    scheduled = crash_epochs(schedule, simulator.device_ids)
     start = time.perf_counter()
     fleet_report = simulator.run(scheduled)
     fleet_seconds = time.perf_counter() - start

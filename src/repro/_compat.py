@@ -6,15 +6,22 @@ vectorized code path imports this single guard instead of try/excepting
 ``numpy`` itself, so the decision — and the test hook to force the pure
 Python fallback — lives in exactly one place.
 
-Usage::
+Usage — a *decider* asks per call and owns both legs::
 
     from .._compat import get_numpy
 
     np = get_numpy()
     if np is None:
-        ...  # pure-Python fallback, identical results
+        ...  # the scalar loop: place() per address, choose() per request
     else:
-        ...  # vectorized fast path
+        ...  # hand ``np`` to the vectorized engine
+
+There are few deciders (the placement batch driver, ``choose_many``, the
+fleet engine, the workload samplers).  What they call on the NumPy leg
+— engine hooks, :mod:`repro.placement.kernels`, the array primitives in
+:mod:`repro.hashing.primitives` — is NumPy-only: it takes ``np`` as a
+parameter or binds it once at import, and has no list-based twin.  The
+scalar loop is the fallback *and* the oracle.
 
 Setting the environment variable ``REPRO_PURE_PYTHON=1`` (before import)
 disables NumPy even when it is installed — used by the equivalence tests
@@ -45,9 +52,9 @@ HAVE_NUMPY: bool = np is not None
 def get_numpy() -> Optional[Any]:
     """Return the numpy module, or None to request the pure-Python path.
 
-    Always consulted at *call* time (never cached by callers), so
-    monkeypatching :data:`repro._compat.np` switches every vectorized
-    module at once.
+    Deciders consult it at *call* time (never cached), so monkeypatching
+    :data:`repro._compat.np` to None switches every batch entry point to
+    its scalar loop at once.
     """
     return np
 

@@ -335,6 +335,13 @@ class FleetSimulator:
         """The run configuration."""
         return self._options
 
+    @property
+    def device_ids(self) -> List[str]:
+        """Device ids in the order :meth:`run` numbers devices — the
+        strategy's rank order, which differs from the bin list for
+        capacity-ordered strategies.  Pass this to :func:`crash_epochs`."""
+        return self._strategy.rank_ids
+
     def run(
         self, crash_schedule: Optional[Mapping[int, Sequence[int]]] = None
     ) -> FleetReport:
@@ -637,7 +644,8 @@ def crash_epochs(
 ) -> Dict[int, List[int]]:
     """Map a :class:`FaultSchedule` onto fleet crash epochs.
 
-    One controller time unit corresponds to one fleet epoch; crash times
+    ``device_ids`` must be the simulator's own numbering,
+    :attr:`FleetSimulator.device_ids`.  One controller time unit corresponds to one fleet epoch; crash times
     are rounded to the nearest epoch (minimum 1).  Only pure-crash
     schedules can be cross-checked — the fleet engine has no notion of
     outage/flaky windows or shrinks.

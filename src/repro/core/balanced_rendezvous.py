@@ -35,12 +35,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-from .. import obs
-from .._compat import get_numpy
 from ..capacity.clipping import clip_capacities
-from ..hashing.primitives import as_u64_array, derive_base, unit_from_base_open
+from ..hashing.primitives import derive_base, unit_from_base_open
 from ..placement import kernels, precompute
-from ..placement.base import BatchPlacement, ReplicationStrategy, record_batch
+from ..placement.base import ReplicationStrategy
 from ..types import BinSpec, Placement, sort_bins_by_capacity
 
 #: Fair demands within this distance of 1 are treated as saturated.
@@ -71,6 +69,7 @@ class BalancedRendezvous(ReplicationStrategy):
 
     name = "balanced-rendezvous"
     kernel = "hrw-topk"
+    _has_engine = True
 
     def __init__(
         self,
@@ -132,10 +131,6 @@ class BalancedRendezvous(ReplicationStrategy):
             self._calibrate(
                 calibration_samples, calibration_iterations, calibration_rate
             )
-        self._rank_ids = [spec.bin_id for spec in self._bins]
-        self._rank_index = {
-            bin_id: rank for rank, bin_id in enumerate(self._rank_ids)
-        }
         self._epoch = precompute.current_epoch()
         self._vector: Optional[_RaceBundle] = None
 
@@ -233,7 +228,7 @@ class BalancedRendezvous(ReplicationStrategy):
         self._vector = bundle
         return bundle
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def _fill_ranks(self, np, keys, columns):
         """Vectorized top-k race: one blocked score matrix per batch.
 
         The pinned prefix is constant by construction; the remaining
@@ -242,24 +237,17 @@ class BalancedRendezvous(ReplicationStrategy):
         the expression the scalar :meth:`_race` sorts by.  Rows where any
         draw was decided inside :data:`~repro.placement.kernels.TIE_GUARD`
         (which includes every exact score tie, where the scalar sort
-        breaks ties by bin id instead of column order) are re-derived by
-        :meth:`place`, keeping the batch element-wise identical to the
-        scalar loop.  Without NumPy the generic scalar loop runs.
+        breaks ties by bin id instead of column order) are returned for
+        the driver to settle through :meth:`place`.
         """
-        np = get_numpy()
-        if np is None:
-            return super()._place_many_serial(addresses)
         bundle = self._ensure_vector_state(np)
-        addr = as_u64_array(addresses)
-        count = addr.shape[0]
-        columns = np.empty((self._copies, count), dtype=np.int64)
         for position, rank in enumerate(bundle.pinned_ranks):
             columns[position, :] = rank
         offset = len(bundle.pinned_ranks)
-        unsafe_indices: List[int] = []
+        refused: List[int] = []
         if self._race_copies > 0:
-            for start, stop in kernels.blocks(count):
-                mixed = kernels.premix(addr[start:stop])
+            for start, stop in kernels.blocks(keys.shape[0]):
+                mixed = kernels.premix(keys[start:stop])
                 uniforms = kernels.open_draw_matrix(bundle.bases, mixed)
                 scores = kernels.hrw_score_matrix(bundle.weights, uniforms)
                 winners, unsafe = kernels.topk_with_guard(
@@ -269,19 +257,8 @@ class BalancedRendezvous(ReplicationStrategy):
                     columns[offset + draw, start:stop] = bundle.race_ranks[
                         draw_winners
                     ]
-                unsafe_indices.extend(start + np.flatnonzero(unsafe))
-        for index in unsafe_indices:
-            # Near-tie: the scalar sort is the authority on this address.
-            placement = self.place(int(addresses[index]))
-            for position, bin_id in enumerate(placement):
-                columns[position, index] = self._rank_index[bin_id]
-        kernels.record_tie_recomputes(self.kernel, len(unsafe_indices))
-        sink = obs.sink()
-        if sink.enabled:
-            record_batch(
-                sink, self.name, self._copies, count, kernel=self.kernel
-            )
-        return BatchPlacement(self._rank_ids, list(columns))
+                refused.extend(start + np.flatnonzero(unsafe))
+        return refused
 
     def expected_shares(self) -> Dict[str, float]:
         """Fair targets (the calibration objective; residual error is

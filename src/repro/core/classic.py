@@ -116,7 +116,7 @@ class ClassicLinMirror(ReplicationStrategy):
         self._ordered = sort_bins_by_capacity(self._bins)
         raw = [float(spec.capacity) for spec in self._ordered]
         self._capacities = clip_capacities(raw, 2)
-        self._rank_ids = [spec.bin_id for spec in self._ordered]
+        self._scan_ids = [spec.bin_id for spec in self._ordered]
         self._rounds = [
             min(1.0, value)
             for value in round_probabilities(self._capacities, 2)
@@ -127,7 +127,7 @@ class ClassicLinMirror(ReplicationStrategy):
         self._placers: Dict[int, Optional[WeightedPlacer]] = {}
         self._primary_bases = [
             derive_base(self._namespace, "primary", bin_id)
-            for bin_id in self._rank_ids
+            for bin_id in self._scan_ids
         ]
 
     @property
@@ -148,7 +148,7 @@ class ClassicLinMirror(ReplicationStrategy):
         """
         if primary_rank in self._placers:
             return self._placers[primary_rank]
-        ids = self._rank_ids[primary_rank + 1 :]
+        ids = self._scan_ids[primary_rank + 1 :]
         weights = list(self._capacities[primary_rank + 1 :])
         placer: Optional[WeightedPlacer]
         if len(ids) == 1:
@@ -181,10 +181,10 @@ class ClassicLinMirror(ReplicationStrategy):
                 break
         placer = self._secondary_placer(primary_rank)
         if placer is None:
-            secondary = self._rank_ids[primary_rank + 1]
+            secondary = self._scan_ids[primary_rank + 1]
         else:
             secondary = placer.place(address)
-        return (self._rank_ids[primary_rank], secondary)
+        return (self._scan_ids[primary_rank], secondary)
 
     def expected_shares(self) -> Dict[str, float]:
         """Fair target shares (b̂-proportional); exact for the rendezvous
@@ -192,5 +192,5 @@ class ClassicLinMirror(ReplicationStrategy):
         total = sum(self._capacities)
         return {
             bin_id: capacity / total
-            for bin_id, capacity in zip(self._rank_ids, self._capacities)
+            for bin_id, capacity in zip(self._scan_ids, self._capacities)
         }

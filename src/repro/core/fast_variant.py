@@ -24,17 +24,14 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import obs
-from .._compat import get_numpy
 from ..hashing.alias import CumulativeTable
 from ..hashing.primitives import (
-    as_u64_array,
     derive_base,
     unit_from_base,
     unit_from_base_open,
 )
 from ..placement import kernels
-from ..placement.base import BatchPlacement, ReplicationStrategy, record_batch
+from ..placement.base import ReplicationStrategy
 from ..types import BinSpec, Placement
 from ..placement import precompute
 from .redundant_share import RedundantShare
@@ -119,6 +116,10 @@ class FastRedundantShare(ReplicationStrategy):
             )
         super().__init__(bins, copies, namespace)
         self._state_selector = state_selector
+        # The "rendezvous" and "share" selectors score candidates through
+        # per-state hash races that the scalar path owns; they keep the
+        # generic loop.
+        self._has_engine = state_selector == "cdf"
         self._epoch = precompute.current_epoch()
         self._precompute: Optional[_StateBundle] = None
         self._share_states: Dict[Tuple[int, int], object] = {}
@@ -127,10 +128,7 @@ class FastRedundantShare(ReplicationStrategy):
         self._scan = RedundantShare(
             bins, copies=copies, namespace=namespace, clip=clip
         )
-        self._rank_ids = [spec.bin_id for spec in self._scan.ordered_bins]
-        self._rank_index = {
-            bin_id: rank for rank, bin_id in enumerate(self._rank_ids)
-        }
+        self.rank_ids = self._scan.rank_ids
         self._tables: Dict[Tuple[int, int], Optional[CumulativeTable]] = {}
         self._state_bases: Dict[Tuple[int, int], int] = {}
         self._rendezvous_bases: Dict[Tuple[int, int], list] = {}
@@ -337,33 +335,28 @@ class FastRedundantShare(ReplicationStrategy):
             ),
         )
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def place_many(self, addresses, *, workers=None):
+        """Batch lookup; ``"cdf"`` instances first attach to the shared
+        precompute bundle, so the scalar tables are reused across
+        instances on both legs."""
+        if self._has_engine:
+            self._ensure_precompute()
+        return super().place_many(addresses, workers=workers)
+
+    def _fill_ranks(self, np, keys, columns):
         """Batch lookup through the precomputed state tables.
 
-        With NumPy and the default ``"cdf"`` selector the whole batch runs
-        as one SplitMix64 pass plus a ``searchsorted`` gather per visited
+        One SplitMix64 pass plus a ``searchsorted`` gather per visited
         state — the Section 3.3 O(k) bound per address, element-wise
         identical to :meth:`place` because both paths compare the very
-        same :class:`CumulativeTable` boundaries.  The ``"rendezvous"``
-        and ``"share"`` selectors score candidates through per-state hash
-        races that the scalar path owns; they keep the generic loop.
+        same :class:`CumulativeTable` boundaries, so no row is ever
+        refused.
         """
-        if self._state_selector == "cdf":
-            self._ensure_precompute()
-            np = get_numpy()
-            if np is not None:
-                return self._place_many_np(np, addresses)
-        return super()._place_many_serial(addresses)
-
-    def _place_many_np(self, np, addresses: Sequence[int]) -> BatchPlacement:
-        """The NumPy engine: per copy, gather draws grouped by state."""
-        addr = as_u64_array(addresses)
-        count = addr.shape[0]
-        mixed = kernels.premix(addr)
-        columns = np.empty((self._copies, count), dtype=np.int64)
+        count = keys.shape[0]
+        mixed = kernels.premix(keys)
         previous = np.full(count, -1, dtype=np.int64)
         for copy in range(self._copies):
-            out = np.empty(count, dtype=np.int64)
+            out = columns[copy]
             for prev in np.unique(previous):
                 prev_rank = int(prev)
                 chosen = np.flatnonzero(previous == prev)
@@ -375,14 +368,8 @@ class FastRedundantShare(ReplicationStrategy):
                     out[chosen] = prev_rank + 1 + kernels.cdf_gather(
                         cumulative, draws
                     )
-            columns[copy] = out
             previous = out
-        sink = obs.sink()
-        if sink.enabled:
-            record_batch(
-                sink, self.name, self._copies, count, kernel=self.kernel
-            )
-        return BatchPlacement(self._rank_ids, list(columns))
+        return ()
 
     def _np_state(self, np, copy: int, previous_rank: int) -> tuple:
         """NumPy mirror of one state: forced rank or (base, boundaries).

@@ -23,19 +23,14 @@ essence of the adaptivity bound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .. import obs
-from .._compat import get_numpy
 from ..capacity.clipping import clip_capacities, is_capacity_efficient
 from ..exceptions import InfeasibleReplicationError
-from ..hashing.primitives import (
-    as_u64_array,
-    derive_base,
-    unit_from_base,
-)
+from ..hashing.primitives import derive_base, unit_from_base
 from ..placement import kernels
-from ..placement.base import BatchPlacement, ReplicationStrategy, record_batch
+from ..placement.base import ReplicationStrategy
 from ..types import BinSpec, Placement, sort_bins_by_capacity
 from .preprocess import HazardTable, compute_hazards
 
@@ -50,6 +45,7 @@ class RedundantShare(ReplicationStrategy):
 
     name = "redundant-share"
     kernel = "hazard-scan"
+    _has_engine = True
 
     def __init__(
         self,
@@ -84,7 +80,7 @@ class RedundantShare(ReplicationStrategy):
                 )
             effective = raw
         self._table = compute_hazards(effective, copies)
-        self._rank_ids = [spec.bin_id for spec in self._ordered]
+        self.rank_ids = [spec.bin_id for spec in self._ordered]
         # Per-(copy, rank) salt bases: lookups then mix integers only.
         self._draw_bases = [
             [
@@ -199,78 +195,25 @@ class RedundantShare(ReplicationStrategy):
     # Batch placement
     # ------------------------------------------------------------------
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def _fill_ranks(self, np, keys, columns):
         """Vectorized Algorithm 2/4 over a whole address batch.
 
-        With NumPy installed the hazard scan runs as a masked selection
-        over the rank axis — per (copy, rank) one SplitMix64 evaluation of
-        exactly the addresses whose scan is at that rank — instead of a
-        Python while-loop per address; element-wise identical to
-        :meth:`place` (the property tests pin this).  Without NumPy it
-        falls back to the scalar scan per address.
+        The hazard scan runs as a masked selection over the rank axis —
+        per (copy, rank) one SplitMix64 evaluation of exactly the
+        addresses whose scan is at that rank — instead of a Python
+        while-loop per address; element-wise identical to :meth:`place`
+        (the property tests pin this), so no row is ever refused.
         """
-        np = get_numpy()
-        if np is None:
-            sink = obs.sink()
-            depth_counts: Optional[Dict[int, int]] = (
-                {} if sink.enabled else None
-            )
-            columns: List[List[int]] = [[] for _ in range(self._copies)]
-            for address in addresses:
-                ranks = self._walk_ranks(address, self._copies)
-                for position, rank in enumerate(ranks):
-                    columns[position].append(rank)
-                if depth_counts is not None:
-                    depth = ranks[-1] + 1
-                    depth_counts[depth] = depth_counts.get(depth, 0) + 1
-            if depth_counts is not None:
-                self._record_scan(sink, len(columns[0]), depth_counts)
-            return BatchPlacement(self._rank_ids, columns)
-        return self._place_many_np(np, addresses)
-
-    def _record_scan(
-        self, sink, batch_size: int, depth_counts: Dict[int, int]
-    ) -> None:
-        """Record one batch hazard scan on an enabled sink.
-
-        ``depth_counts`` maps scan depth (ranks visited until the last
-        copy was placed) to the number of addresses with that depth; both
-        engines reduce to this same aggregate, so traces and histograms
-        are identical between the NumPy and pure-Python legs.
-        """
-        record_batch(
-            sink, self.name, self._copies, batch_size, kernel=self.kernel
-        )
-        if not depth_counts:
-            return
-        histogram = obs.metrics().histogram("placement.scan_depth")
-        depth_sum = 0
-        for depth in sorted(depth_counts):
-            count = depth_counts[depth]
-            histogram.observe(depth, count)
-            depth_sum += depth * count
-        sink.emit(
-            "placement.scan",
-            strategy=self.name,
-            addresses=batch_size,
-            depth_sum=depth_sum,
-            depth_max=max(depth_counts),
-        )
-
-    def _place_many_np(self, np, addresses: Sequence[int]) -> BatchPlacement:
-        """The NumPy engine behind :meth:`place_many`."""
         bases = self._np_bases
         if bases is None:
             bases = self._np_bases = np.asarray(
                 self._draw_bases, dtype=np.uint64
             )
-        addr = as_u64_array(addresses)
-        count = addr.shape[0]
+        count = keys.shape[0]
         # The per-address premix is shared by every draw of the batch:
         # u64_from_base(base, a) == sm64(sm64(base ^ sm64(a))).
-        mixed = kernels.premix(addr)
+        mixed = kernels.premix(keys)
         position = np.zeros(count, dtype=np.int64)
-        columns = np.empty((self._copies, count), dtype=np.int64)
         bin_count = len(self._rank_ids)
         for copy in range(self._copies):
             hazards = self._table.hazards[copy]
@@ -294,17 +237,34 @@ class RedundantShare(ReplicationStrategy):
                 undecided[taken] = False
                 if not undecided.any():
                     break
-        sink = obs.sink()
-        if sink.enabled:
-            # After the last copy, position[j] is exactly the scan depth
-            # (last selected rank + 1) of address j.
-            depth_counts = {
-                int(depth): int(tally)
-                for depth, tally in enumerate(np.bincount(position))
-                if tally
-            }
-            self._record_scan(sink, count, depth_counts)
-        return BatchPlacement(self._rank_ids, list(columns))
+        return ()
+
+    def _record_engine_events(self, sink, columns) -> None:
+        """Record one batch hazard scan: the ``placement.scan`` event and
+        the ``placement.scan_depth`` histogram.
+
+        The scan depth of an address (ranks visited until the last copy
+        was placed) is the rank of its last copy plus one, so both legs
+        reduce the last rank column to the same aggregate and traces are
+        identical between them.
+        """
+        by_rank = kernels.class_histogram(columns[-1], len(self._rank_ids))
+        histogram = obs.metrics().histogram("placement.scan_depth")
+        depth_sum = depth_max = addresses = 0
+        for rank, count in enumerate(by_rank):
+            if count:
+                depth_max = rank + 1
+                histogram.observe(depth_max, count)
+                depth_sum += depth_max * count
+                addresses += count
+        if addresses:
+            sink.emit(
+                "placement.scan",
+                strategy=self.name,
+                addresses=addresses,
+                depth_sum=depth_sum,
+                depth_max=depth_max,
+            )
 
     def primary(self, address: int) -> str:
         """Convenience accessor for the primary copy's bin."""

@@ -42,22 +42,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import obs
-from .._compat import get_numpy
 from ..capacity.clipping import max_balls
 from ..exceptions import CapacityExceededError, ConfigurationError
-from ..hashing.primitives import (
-    as_u64_array,
-    derive_base,
-    unit_from_base_open,
-)
+from ..hashing.primitives import derive_base, unit_from_base_open
 from ..metrics.stats import fair_copy_shares
 from ..placement import kernels
-from ..placement.base import (
-    BatchPlacement,
-    ReplicationStrategy,
-    record_batch,
-)
+from ..placement.base import ReplicationStrategy
 from ..placement.rendezvous import rendezvous_score
 from ..types import Placement
 
@@ -89,6 +79,7 @@ class SequentialChecking(ReplicationStrategy):
 
     name = "sequential-checking"
     kernel = "masked-hrw"
+    _has_engine = True
 
     def __init__(
         self,
@@ -128,10 +119,6 @@ class SequentialChecking(ReplicationStrategy):
             )
         self._boundaries = [epoch.stop for epoch in self._epochs]
         self._capacity_limit = self._boundaries[-1]
-        self._rank_ids = [spec.bin_id for spec in self._bins]
-        self._rank_index = {
-            bin_id: rank for rank, bin_id in enumerate(self._rank_ids)
-        }
 
     def _resolve_generations(
         self, generations: Optional[Sequence[int]]
@@ -275,82 +262,47 @@ class SequentialChecking(ReplicationStrategy):
             taken.add(best_id)
         return tuple(chosen)
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def _fill_ranks(self, np, keys, columns):
         """Vectorized epoch placement: group by epoch, race per group.
 
         Addresses are bucketed by epoch with one ``searchsorted`` over
-        the watermark boundaries; each bucket then runs the proven
-        masked-hrw race of the trivial engine, restricted to the
-        epoch's device prefix and residual weights.  Winner ranks within
-        a prefix are global ranks (prefixes are list-order), so columns
-        assemble directly.  Element-wise identical to :meth:`place`;
-        near-ties are settled by the scalar path (see
-        :data:`~repro.placement.kernels.TIE_GUARD`).  Without NumPy the
-        generic scalar loop runs.
+        the watermark boundaries; each bucket then runs the masked-hrw
+        race of the trivial engine, restricted to the epoch's device
+        prefix and residual weights.  Winner ranks within a prefix are
+        global ranks (prefixes are list-order), so columns assemble
+        directly.  Rows decided within
+        :data:`~repro.placement.kernels.TIE_GUARD` are returned for the
+        driver to settle through :meth:`place`.
         """
-        np = get_numpy()
-        if np is None:
-            return super()._place_many_serial(addresses)
-        addr = as_u64_array(addresses)
-        count = addr.shape[0]
         limit = np.uint64(self._capacity_limit)
         if self._overflow == "error":
-            over = addr >= limit
+            over = keys >= limit
             if over.any():
                 index = int(np.flatnonzero(over)[0])
                 raise CapacityExceededError(
-                    f"address {int(addr[index])} beyond capacity limit "
+                    f"address {int(keys[index])} beyond capacity limit "
                     f"{self._capacity_limit}"
                 )
-            folded = addr
+            folded = keys
         else:
-            folded = addr % limit
+            folded = keys % limit
         stops = np.asarray(self._boundaries, dtype=np.uint64)
         epoch_of = np.searchsorted(stops, folded, side="right")
-        columns = np.empty((self._copies, count), dtype=np.int64)
-        unsafe_indices: List[int] = []
+        refused: List[int] = []
         for epoch_index, epoch in enumerate(self._epochs):
             selected = np.flatnonzero(epoch_of == epoch_index)
             if selected.size == 0:
                 continue
-            weights = list(epoch.weights)
-            all_bases = [
-                np.asarray(
-                    [base for _, _, base in epoch.draw_entries[draw]],
-                    dtype=np.uint64,
-                )
-                for draw in range(self._copies)
+            draw_bases = [
+                np.asarray([base for _, _, base in entries], dtype=np.uint64)
+                for entries in epoch.draw_entries
             ]
-            sub_addr = addr[selected]
+            sub_keys = keys[selected]
             for start, stop in kernels.blocks(selected.size):
-                mixed = kernels.premix(sub_addr[start:stop])
-                block = stop - start
-                taken = np.zeros((block, epoch.prefix), dtype=bool)
-                unsafe = np.zeros(block, dtype=bool)
-                rows = np.arange(block)
                 target = selected[start:stop]
-                for draw in range(self._copies):
-                    uniforms = kernels.open_draw_matrix(
-                        all_bases[draw], mixed
-                    )
-                    scores = kernels.hrw_score_matrix(weights, uniforms)
-                    scores[taken] = -np.inf
-                    winner, draw_unsafe = kernels.argmax_with_guard(scores)
-                    unsafe |= draw_unsafe
-                    columns[draw, target] = winner
-                    taken[rows, winner] = True
-                unsafe_indices.extend(
-                    int(i) for i in target[np.flatnonzero(unsafe)]
+                columns[:, target], unsafe = kernels.masked_hrw_race(
+                    epoch.weights, draw_bases,
+                    kernels.premix(sub_keys[start:stop]),
                 )
-        for index in unsafe_indices:
-            # Near-tie: the scalar loop is the authority on this address.
-            placement = self.place(int(addresses[index]))
-            for position, bin_id in enumerate(placement):
-                columns[position, index] = self._rank_index[bin_id]
-        kernels.record_tie_recomputes(self.kernel, len(unsafe_indices))
-        sink = obs.sink()
-        if sink.enabled:
-            record_batch(
-                sink, self.name, self._copies, count, kernel=self.kernel
-            )
-        return BatchPlacement(self._rank_ids, list(columns))
+                refused.extend(target[np.flatnonzero(unsafe)])
+        return refused

@@ -22,9 +22,9 @@ for the simulation scales used in the paper's evaluation (millions of balls).
 
 For *batch* placement the same pipeline is additionally exposed in array
 form (:func:`splitmix64_array`, :func:`u64s_from_base`,
-:func:`units_from_base`): with NumPy installed these evaluate whole address
-vectors per call, bit-for-bit identical to the scalar functions; without
-NumPy they fall back to the scalar loop and return plain lists.
+:func:`units_from_base`): NumPy-only functions that evaluate whole address
+vectors per call, bit-for-bit identical to the scalar functions.  Without
+NumPy their callers run the scalar functions in a loop instead.
 """
 
 from __future__ import annotations
@@ -151,8 +151,12 @@ def hash_sequence(seed: int, count: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# Vectorized pipeline (NumPy fast path, scalar fallback)
+# Vectorized pipeline (NumPy only)
 # ----------------------------------------------------------------------
+
+#: Bound once: the array functions below are called only from code that
+#: already chose its NumPy leg through :func:`repro._compat.get_numpy`.
+np = get_numpy()
 
 #: SplitMix64 stream increment and finalizer multipliers, named so the
 #: scalar and array implementations visibly share the same constants.
@@ -165,12 +169,8 @@ def as_u64_array(values: Sequence[int]):
     """Coerce an address sequence to a ``uint64`` NumPy array (mod 2^64).
 
     Accepts any integer sequence or array; negative values wrap exactly
-    like the scalar functions' ``& _MASK64``.  Returns None when NumPy is
-    unavailable — callers then take their scalar fallback.
+    like the scalar functions' ``& _MASK64``.
     """
-    np = get_numpy()
-    if np is None:
-        return None
     arr = np.asarray(values)
     if arr.dtype == np.uint64:
         return arr
@@ -185,15 +185,8 @@ def as_u64_array(values: Sequence[int]):
 
 
 def splitmix64_array(values: Sequence[int]):
-    """Vectorized :func:`splitmix64` over a sequence of integers.
-
-    With NumPy installed, returns a ``uint64`` array; otherwise a list of
-    Python ints.  Either way the elements equal
-    ``[splitmix64(v & 2**64-1) for v in values]`` exactly.
-    """
-    np = get_numpy()
-    if np is None:
-        return [splitmix64(value & _MASK64) for value in values]
+    """Vectorized :func:`splitmix64`: a ``uint64`` array whose elements
+    equal ``[splitmix64(v & 2**64-1) for v in values]`` exactly."""
     value = as_u64_array(values) + np.uint64(_SM64_GOLDEN)
     value = (value ^ (value >> np.uint64(30))) * np.uint64(_SM64_MULT1)
     value = (value ^ (value >> np.uint64(27))) * np.uint64(_SM64_MULT2)
@@ -201,14 +194,9 @@ def splitmix64_array(values: Sequence[int]):
 
 
 def u64s_from_base(base: int, values: Sequence[int]):
-    """Vectorized :func:`u64_from_base` for one per-draw integer each.
-
-    Equals ``[u64_from_base(base, v) for v in values]`` element-wise; a
-    ``uint64`` array with NumPy, a list of ints without.
-    """
-    np = get_numpy()
-    if np is None:
-        return [u64_from_base(base, value) for value in values]
+    """Vectorized :func:`u64_from_base` for one per-draw integer each: a
+    ``uint64`` array equal to ``[u64_from_base(base, v) for v in values]``
+    element-wise."""
     mixed = splitmix64_array(values)
     return splitmix64_array(splitmix64_array(np.uint64(base & _MASK64) ^ mixed))
 
@@ -216,13 +204,10 @@ def u64s_from_base(base: int, values: Sequence[int]):
 def units_from_base(base: int, values: Sequence[int]):
     """Vectorized :func:`unit_from_base`: one ``[0, 1)`` draw per value.
 
-    Bit-for-bit identical to ``[unit_from_base(base, v) for v in values]``
-    (the uint64 → float64 conversion rounds the same way in both paths); a
-    ``float64`` array with NumPy, a list of floats without.
+    A ``float64`` array bit-for-bit identical to
+    ``[unit_from_base(base, v) for v in values]`` (the uint64 → float64
+    conversion rounds the same way in both paths).
     """
-    np = get_numpy()
-    if np is None:
-        return [unit_from_base(base, value) for value in values]
     return u64s_from_base(base, values).astype(np.float64) * _INV_2_64
 
 

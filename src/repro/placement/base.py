@@ -27,6 +27,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .. import obs
 from .._compat import env_place_workers, get_numpy
 from ..exceptions import ConfigurationError
+from ..hashing.primitives import as_u64_array
 from ..types import BinSpec, Placement, validate_bins
 
 #: Minimum batch size before ``REPRO_PLACE_WORKERS`` engages the process
@@ -45,8 +46,8 @@ def record_batch(
 ) -> None:
     """Record one ``place_many`` invocation on an *enabled* sink.
 
-    Shared by the default loop and the strategies' vectorized overrides so
-    the ``placement.batch`` event schema stays identical across engines
+    Called by the batch driver and the sharded merge only, so the
+    ``placement.batch`` event schema is the same whichever engine ran
     (the pure-Python/NumPy equivalence tests compare traces byte-wise).
     ``kernel`` is the strategy's :attr:`ReplicationStrategy.kernel` family
     name; it describes the *logical* engine, so both legs record the same
@@ -70,6 +71,20 @@ def record_batch(
         copies=copies,
         addresses=batch_size,
     )
+
+
+def record_tie_recomputes(kernel: str, count: int) -> None:
+    """Count scalar re-derivations forced by the tie guard.
+
+    Only recorded when ``count > 0``: guard trips are astronomically rare
+    (sub-ulp margins), and recording zero would create the counter on the
+    NumPy leg only, breaking the byte-wise trace equivalence the obs
+    layer guarantees between legs.
+    """
+    if count:
+        obs.metrics().counter(
+            f"placement.kernel.{kernel}.tie_recomputes"
+        ).add(count)
 
 
 class BatchPlacement:
@@ -240,8 +255,14 @@ class ReplicationStrategy(abc.ABC):
     #: built on (see :mod:`repro.placement.kernels`), or None for the
     #: generic per-address loop.  Used for the per-kernel obs counters
     #: and reported by the throughput bench; it labels the *logical*
-    #: engine, so it stays set even when the pure-Python leg runs.
+    #: engine, so it stays set even when the scalar loop runs.
     kernel: Optional[str] = None
+
+    #: Whether :meth:`_fill_ranks` handles this configuration.  Engine
+    #: classes set it True; an instance whose configuration the engine
+    #: does not cover (a hierarchical crush map, a non-``cdf`` state
+    #: selector) sets it back to False and keeps the scalar loop.
+    _has_engine: bool = False
 
     def __init__(
         self, bins: Sequence[BinSpec], copies: int, namespace: str = ""
@@ -256,6 +277,21 @@ class ReplicationStrategy(abc.ABC):
         self._bins: List[BinSpec] = list(bins)
         self._copies = copies
         self._namespace = namespace or self.name
+        self.rank_ids = [spec.bin_id for spec in self._bins]
+
+    @property
+    def rank_ids(self) -> List[str]:
+        """Bin ids in rank order: what the rank columns of
+        :meth:`place_many` index into.  Bins order unless the strategy
+        assigns its own (the hazard-scan family ranks by capacity)."""
+        return list(self._rank_ids)
+
+    @rank_ids.setter
+    def rank_ids(self, ids: Sequence[str]) -> None:
+        self._rank_ids = list(ids)
+        self._rank_index = {
+            bin_id: rank for rank, bin_id in enumerate(self._rank_ids)
+        }
 
     @property
     def bins(self) -> List[BinSpec]:
@@ -288,9 +324,9 @@ class ReplicationStrategy(abc.ABC):
         :meth:`BatchPlacement.tuples`), but returned as ``k`` bin-rank
         columns so throughput-oriented consumers (fairness histograms,
         movement comparisons, rebalancing backlogs) can stay in array
-        land.  Strategies with a vectorized engine override
-        :meth:`_place_many_serial` with an element-wise identical fast
-        path; the default loops over :meth:`place`.
+        land.  Strategies with a vectorized engine implement
+        :meth:`_fill_ranks`, an element-wise identical fast path; the
+        default loops over :meth:`place`.
 
         Args:
             addresses: The ball addresses to place.
@@ -322,31 +358,68 @@ class ReplicationStrategy(abc.ABC):
         return min(requested, count)
 
     def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
-        """Single-process batch engine: the scalar loop by default.
+        """The single-process batch driver, shared by every strategy.
 
-        Subclasses with a vectorized pipeline override this (not
-        :meth:`place_many`, which owns the sharding decision).
+        Without NumPy, or when the strategy has no engine for this
+        configuration, the batch is ``place()`` per address.  Otherwise
+        the strategy's :meth:`_fill_ranks` fills a ``(k, n)`` rank matrix
+        and names the rows it refuses to decide; exactly those rows are
+        settled by ``place()``, so the scalar loop stays the authority
+        and the batch element-wise identical to it (see "The TIE_GUARD
+        contract" in :mod:`repro.placement.kernels`).
         """
-        rank_ids = [spec.bin_id for spec in self._bins]
-        index = {bin_id: rank for rank, bin_id in enumerate(rank_ids)}
-        columns: List[List[int]] = [[] for _ in range(self._copies)]
+        np = get_numpy()
+        count = len(addresses)
+        index = self._rank_index
         place = self.place
-        for address in addresses:
-            for position, bin_id in enumerate(place(address)):
-                columns[position].append(index[bin_id])
+        refused: Sequence[int] = ()
+        if np is None or not self._has_engine:
+            columns: Sequence = [[] for _ in range(self._copies)]
+            # Plain ints: scalar hash chains mask with Python constants,
+            # which NumPy integer scalars overflow on.
+            for address in map(int, addresses):
+                for position, bin_id in enumerate(place(address)):
+                    columns[position].append(index[bin_id])
+            if np is not None:
+                columns = [
+                    np.asarray(column, dtype=np.int64) for column in columns
+                ]
+        else:
+            columns = np.empty((self._copies, count), dtype=np.int64)
+            if count:
+                refused = self._fill_ranks(
+                    np, self._engine_keys(np, addresses), columns
+                )
+            for row in refused:
+                for position, bin_id in enumerate(place(int(addresses[row]))):
+                    columns[position, row] = index[bin_id]
+            columns = list(columns)
         sink = obs.sink()
         if sink.enabled:
+            record_tie_recomputes(self.kernel, len(refused))
             record_batch(
-                sink, self.name, self._copies, len(columns[0]),
-                kernel=self.kernel,
+                sink, self.name, self._copies, count, kernel=self.kernel
             )
-        np = get_numpy()
-        if np is not None:
-            return BatchPlacement(
-                rank_ids,
-                [np.asarray(column, dtype=np.int64) for column in columns],
-            )
-        return BatchPlacement(rank_ids, columns)
+            self._record_engine_events(sink, columns)
+        return BatchPlacement(self._rank_ids, columns)
+
+    def _engine_keys(self, np, addresses: Sequence[int]):
+        """What :meth:`_fill_ranks` consumes per address: the address
+        mod 2^64 as a ``uint64`` vector (hash input) by default."""
+        return as_u64_array(addresses)
+
+    def _fill_ranks(self, np, keys, columns) -> Sequence[int]:
+        """Engine hook: fill ``columns[c, j]`` with the rank of copy ``c``
+        of the j-th address (``keys`` from :meth:`_engine_keys`, never
+        empty) and return the row indices left undecided — near-ties
+        inside the guard, retry exhaustion — for the driver to settle
+        through :meth:`place`.  Only called with NumPy (``np``) and
+        :attr:`_has_engine` set."""
+        raise NotImplementedError
+
+    def _record_engine_events(self, sink, columns) -> None:
+        """Engine-specific events of one batch, after ``placement.batch``
+        (``columns``: the ``k`` rank columns, lists without NumPy)."""
 
     def _place_many_sharded(
         self, addresses: Sequence[int], workers: int
@@ -393,7 +466,6 @@ class ReplicationStrategy(abc.ABC):
                 ]
                 results = [future.result() for future in futures]
             results.sort(key=lambda item: item[0])
-            rank_ids = results[0][3]
             if np is not None:
                 view = np.ndarray(
                     (self._copies, count), dtype=np.int64, buffer=shm.buf
@@ -401,7 +473,7 @@ class ReplicationStrategy(abc.ABC):
                 columns = [np.array(view[c], copy=True) for c in range(self._copies)]
             else:
                 columns = [
-                    [rank for _, _, _, _, cols in results for rank in cols[c]]
+                    [rank for _, _, _, cols in results for rank in cols[c]]
                     for c in range(self._copies)
                 ]
         finally:
@@ -416,7 +488,7 @@ class ReplicationStrategy(abc.ABC):
             registry = obs.metrics()
             registry.counter("placement.shards").add(len(results))
             histogram = registry.histogram("placement.shard_ms")
-            for shard, (offset, size, elapsed, _, _) in enumerate(results):
+            for shard, (offset, size, elapsed, _) in enumerate(results):
                 histogram.observe(elapsed * 1000.0)
                 sink.emit(
                     "placement.shard",
@@ -425,7 +497,7 @@ class ReplicationStrategy(abc.ABC):
                     addresses=size,
                     seconds=round(elapsed, 6),
                 )
-        return BatchPlacement(rank_ids, columns)
+        return BatchPlacement(self._rank_ids, columns)
 
     def place_copy(self, address: int, position: int) -> str:
         """Return only the bin of copy ``position`` (0-based).
@@ -501,9 +573,9 @@ def _place_shard(
                 )
         finally:
             shm.close()
-        return (offset, len(batch), elapsed, batch.rank_ids, None)
+        return (offset, len(batch), elapsed, None)
     columns = [[int(rank) for rank in column] for column in batch.columns]
-    return (offset, len(batch), elapsed, batch.rank_ids, columns)
+    return (offset, len(batch), elapsed, columns)
 
 
 def check_placement(placement: Placement, copies: int) -> None:

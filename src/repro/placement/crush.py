@@ -29,13 +29,11 @@ import abc
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .. import obs
-from .._compat import get_numpy
 from ..exceptions import ConfigurationError, PlacementError
-from ..hashing.primitives import as_u64_array, derive_base, unit_from_base_open
+from ..hashing.primitives import derive_base, unit_from_base_open
 from ..types import BinSpec, Placement
 from . import kernels, precompute
-from .base import BatchPlacement, ReplicationStrategy, record_batch
+from .base import ReplicationStrategy
 
 #: Maximum collision retries per replica before giving up.
 MAX_ATTEMPTS = 64
@@ -287,14 +285,10 @@ class CrushStrategy(ReplicationStrategy):
                 f"extra={sorted(leaf_ids - bin_ids)}"
             )
         self._root = root
-        self._rank_ids = [spec.bin_id for spec in self._bins]
-        self._rank_index = {
-            bin_id: rank for rank, bin_id in enumerate(self._rank_ids)
-        }
         # The batch engine handles the common flat map — a single straw2
         # bucket over the devices (the implicit default).  Hierarchies and
         # other bucket types keep the generic scalar loop.
-        self._flat_straw2 = isinstance(root, Straw2Bucket) and all(
+        self._has_engine = isinstance(root, Straw2Bucket) and all(
             isinstance(item, str) for item in root.items
         )
         self._epoch = precompute.current_epoch()
@@ -370,7 +364,7 @@ class CrushStrategy(ReplicationStrategy):
         self._vector = bundle
         return bundle
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
+    def _fill_ranks(self, np, keys, columns):
         """Vectorized flat straw2 descent with masked retry tail.
 
         Per replica the whole block shares one folded hash state (the
@@ -380,22 +374,15 @@ class CrushStrategy(ReplicationStrategy):
         with the per-attempt work shrinking to the collision tail.  Rows
         where any straw race was decided inside
         :data:`~repro.placement.kernels.TIE_GUARD`, and rows that exhaust
-        :data:`MAX_ATTEMPTS` (where the scalar loop raises), are settled
-        by :meth:`place` so the batch stays element-wise identical —
-        including the :class:`PlacementError`.  Hierarchical maps,
-        non-straw2 roots and the no-NumPy leg use the generic loop.
+        :data:`MAX_ATTEMPTS`, are returned for the driver to settle
+        through :meth:`place` — which raises :class:`PlacementError`
+        exactly where the scalar loop would.
         """
-        np = get_numpy()
-        if np is None or not self._flat_straw2:
-            return super()._place_many_serial(addresses)
         bundle = self._ensure_vector_state(np)
-        addr = as_u64_array(addresses)
-        count = addr.shape[0]
         items = bundle.bases.shape[0]
-        columns = np.empty((self._copies, count), dtype=np.int64)
-        unsafe_indices: List[int] = []
-        for start, stop in kernels.blocks(count):
-            mixed = kernels.premix(addr[start:stop])
+        refused: List[int] = []
+        for start, stop in kernels.blocks(keys.shape[0]):
+            mixed = kernels.premix(keys[start:stop])
             block = stop - start
             premixed = kernels.state_matrix(bundle.bases, mixed)
             taken = np.zeros((block, items), dtype=bool)
@@ -423,24 +410,11 @@ class CrushStrategy(ReplicationStrategy):
                     taken[accepted, winners[~collided]] = True
                     pending = pending[collided]
                 if pending.size:
-                    # Exhausted retries: the scalar loop raises here, so
-                    # route these rows through it below.
+                    # Exhausted retries: the scalar loop raises here.
                     unsafe[pending] = True
                 columns[replica, start:stop] = bundle.item_ranks[out]
-            unsafe_indices.extend(start + np.flatnonzero(unsafe))
-        for index in unsafe_indices:
-            # Near-tie or exhaustion: the scalar walk is the authority
-            # (and raises PlacementError exactly where it would).
-            placement = self.place(int(addresses[index]))
-            for position, bin_id in enumerate(placement):
-                columns[position, index] = self._rank_index[bin_id]
-        kernels.record_tie_recomputes(self.kernel, len(unsafe_indices))
-        sink = obs.sink()
-        if sink.enabled:
-            record_batch(
-                sink, self.name, self._copies, count, kernel=self.kernel
-            )
-        return BatchPlacement(self._rank_ids, list(columns))
+            refused.extend(start + np.flatnonzero(unsafe))
+        return refused
 
 
 def _collect_leaves(node: Item) -> List[str]:

@@ -46,31 +46,40 @@ scalar path before publishing the batch.
 Legs
 ----
 
-Every kernel has a NumPy leg and a pure-Python leg, switched on
-:func:`repro._compat.get_numpy` exactly like
-:mod:`repro.hashing.primitives` (so ``REPRO_PURE_PYTHON=1`` flips both
-at once).  The pure legs return plain lists with element-wise identical
-values; strategies normally bypass them (their pure fallback is the
-scalar ``place()`` loop), but the kernel tests pin the equivalence so
-either leg can serve as the oracle for the other.
+There is one: NumPy.  The matrix kernels below run only on the NumPy
+leg — the batch driver
+(:meth:`repro.placement.base.ReplicationStrategy._place_many_serial`)
+and ``ReadScheduler.choose_many`` consult
+:func:`repro._compat.get_numpy` per call and never enter an engine
+without it — so this module binds ``np`` once at import, and
+``REPRO_PURE_PYTHON=1`` means *the scalar loop*, not a list-based twin
+of these functions.  Each kernel's oracle is the scalar expression it
+vectorizes (``unit_from_base_open``, ``-w / log(u)``,
+``CumulativeTable.select``, ...), pinned by the kernel tests.  The two
+helpers at the bottom that the no-NumPy platform path also reaches
+(:func:`bernoulli_indices` for the fleet engine,
+:func:`class_histogram` for the scan-depth record) keep a list branch
+and decide per call.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Tuple
 
-from .. import obs
 from .._compat import get_numpy
 from ..hashing.primitives import (
     _INV_2_64,
     _MASK64,
-    as_u64_array,
     splitmix64,
     splitmix64_array,
+    u64s_from_base,
     unit_from_base,
     units_from_base,
 )
+
+#: Bound once: everything down to :func:`cumcount` is NumPy-only (see
+#: "Legs" above).
+np = get_numpy()
 
 #: Relative score margin below which a vectorized race defers to the
 #: scalar loop (see "The TIE_GUARD contract" above).
@@ -89,17 +98,14 @@ def blocks(count: int, block: int = BLOCK) -> Iterator[Tuple[int, int]]:
         yield start, min(start + block, count)
 
 
-def premix(addresses: Sequence[int]):
-    """SplitMix64-mix an address vector once, for reuse by every draw.
+def premix(addr):
+    """SplitMix64-mix a ``uint64`` address vector once, for reuse by
+    every draw.
 
-    Returns a ``uint64`` array (NumPy leg) or a list of ints (pure leg);
-    either way element ``i`` equals ``splitmix64(addresses[i] & 2**64-1)``
-    — the inner mix of ``u64_from_base``, shared across all bases.
+    Element ``i`` equals ``splitmix64(a_i)`` — the inner mix of
+    ``u64_from_base``, shared across all bases.
     """
-    np = get_numpy()
-    if np is None:
-        return [splitmix64(address & _MASK64) for address in addresses]
-    return splitmix64_array(as_u64_array(addresses))
+    return splitmix64_array(addr)
 
 
 def draws_from_premixed(base: int, mixed):
@@ -110,12 +116,6 @@ def draws_from_premixed(base: int, mixed):
     is ``premix([a_i, ...])[i]``; used by the hazard-scan and CDF-gather
     engines, which consume plain (non-open) uniforms.
     """
-    np = get_numpy()
-    if np is None:
-        return [
-            splitmix64(splitmix64(base ^ value)) * _INV_2_64
-            for value in mixed
-        ]
     state = splitmix64_array(splitmix64_array(np.uint64(base) ^ mixed))
     return state.astype(np.float64) * _INV_2_64
 
@@ -130,11 +130,6 @@ def state_matrix(bases, mixed):
     :func:`open_draws_from_state`; single-value draws can go straight to
     the finisher (that composition is :func:`open_draw_matrix`).
     """
-    np = get_numpy()
-    if np is None:
-        return [
-            [splitmix64(base ^ value) for base in bases] for value in mixed
-        ]
     return splitmix64_array(
         np.asarray(bases, dtype=np.uint64)[None, :] ^ mixed[:, None]
     )
@@ -143,21 +138,11 @@ def state_matrix(bases, mixed):
 def fold_salt(states, salt: int):
     """Fold one scalar draw value into running ``u64_from_base`` states.
 
-    Element-wise ``sm64(state ^ sm64(salt))`` over an array (or nested
-    list) of states — one step of the ``u64_from_base`` chain with the
-    same ``salt`` for the whole batch, e.g. CRUSH's replica index or
-    retry attempt.
+    Element-wise ``sm64(state ^ sm64(salt))`` — one step of the
+    ``u64_from_base`` chain with the same ``salt`` for the whole batch,
+    e.g. CRUSH's replica index or retry attempt.
     """
-    np = get_numpy()
-    mixed_salt = splitmix64(salt & _MASK64)
-    if np is None:
-        def _fold(item):
-            if isinstance(item, list):
-                return [_fold(entry) for entry in item]
-            return splitmix64(item ^ mixed_salt)
-
-        return _fold(states)
-    return splitmix64_array(states ^ np.uint64(mixed_salt))
+    return splitmix64_array(states ^ np.uint64(splitmix64(salt & _MASK64)))
 
 
 def open_draws_from_state(states):
@@ -166,14 +151,6 @@ def open_draws_from_state(states):
     Element-wise ``(sm64(state) | 1) * 2**-64`` — the final mix plus the
     open-interval mapping of ``unit_from_base_open``, bit-for-bit.
     """
-    np = get_numpy()
-    if np is None:
-        def _draw(item):
-            if isinstance(item, list):
-                return [_draw(entry) for entry in item]
-            return (splitmix64(item) | 1) * _INV_2_64
-
-        return _draw(states)
     state = splitmix64_array(states)
     return (state | np.uint64(1)).astype(np.float64) * _INV_2_64
 
@@ -182,8 +159,7 @@ def open_draw_matrix(bases, mixed):
     """Open-interval ``(0, 1)`` draw matrix: rows = addresses, cols = bases.
 
     Entry ``(i, j)`` equals ``unit_from_base_open(bases[j], a_i)`` — the
-    draw the scalar rendezvous/straw races consume.  NumPy leg returns a
-    float64 matrix; pure leg a list of per-address lists.
+    draw the scalar rendezvous/straw races consume.
     """
     return open_draws_from_state(state_matrix(bases, mixed))
 
@@ -195,67 +171,35 @@ def hrw_score_matrix(weights, uniforms):
     (unary minus on the weight, then one division) so clear-margin rows
     agree with the scalar race bit-for-bit.
     """
-    np = get_numpy()
-    if np is None:
-        return [
-            [-weight / math.log(uniform) for weight, uniform in zip(weights, row)]
-            for row in uniforms
-        ]
     return (-np.asarray(weights, dtype=np.float64))[None, :] / np.log(uniforms)
 
 
 def straw2_score_matrix(weights, uniforms):
     """CRUSH straw2 scores ``ln(u) / w`` (negative; closest to 0 wins)."""
-    np = get_numpy()
-    if np is None:
-        return [
-            [math.log(uniform) / weight for weight, uniform in zip(weights, row)]
-            for row in uniforms
-        ]
     return np.log(uniforms) / np.asarray(weights, dtype=np.float64)[None, :]
 
 
-def argmax_with_guard(scores, guard: float = TIE_GUARD):
+def argmax_with_guard(scores):
     """Row-wise argmax plus the mask of rows the guard refuses to decide.
 
     Returns ``(winners, unsafe)``: for each row the index of its maximum
     entry (first index on exact ties, like the scalar ``>`` races), and
     True where the margin over the runner-up is at most
-    ``abs(best) * guard`` — those rows must be settled by the caller's
-    scalar path.  **Consumes the winning entries**: on the NumPy leg the
-    per-row maxima are left at ``-inf`` so repeated calls implement a
-    without-replacement race (this is what the proven trivial-replication
-    engine does between draws); copy the matrix first if it must survive.
+    ``abs(best) * TIE_GUARD`` — those rows must be settled by the scalar
+    path.  **Consumes the winning entries**: the per-row maxima are left
+    at ``-inf`` so repeated calls implement a without-replacement race;
+    copy the matrix first if it must survive.
     """
-    np = get_numpy()
-    if np is None:
-        winners: List[int] = []
-        unsafe: List[bool] = []
-        for row in scores:
-            best = -math.inf
-            runner = -math.inf
-            winner = 0
-            for index, score in enumerate(row):
-                if score > best:
-                    runner = best
-                    best = score
-                    winner = index
-                elif score > runner:
-                    runner = score
-            winners.append(winner)
-            unsafe.append((best - runner) <= abs(best) * guard)
-            row[winner] = -math.inf
-        return winners, unsafe
     rows = np.arange(scores.shape[0])
     winners = np.argmax(scores, axis=1)
     best = scores[rows, winners]
     scores[rows, winners] = -np.inf
     runner = np.max(scores, axis=1) if scores.shape[1] else best
-    unsafe = (best - runner) <= np.abs(best) * guard
+    unsafe = (best - runner) <= np.abs(best) * TIE_GUARD
     return winners, unsafe
 
 
-def topk_with_guard(scores, count: int, guard: float = TIE_GUARD):
+def topk_with_guard(scores, count: int):
     """Top-``count`` without-replacement race over a score matrix.
 
     Returns ``(winners, unsafe)`` where ``winners[d]`` holds the d-th
@@ -263,20 +207,37 @@ def topk_with_guard(scores, count: int, guard: float = TIE_GUARD):
     sort) and ``unsafe`` flags rows where *any* draw was decided within
     the guard.  Consumes ``scores`` (winners are masked to ``-inf``).
     """
-    np = get_numpy()
     winners = []
-    if np is None:
-        unsafe = [False] * len(scores)
-        for _ in range(count):
-            draw_winners, draw_unsafe = argmax_with_guard(scores, guard)
-            winners.append(draw_winners)
-            unsafe = [a or b for a, b in zip(unsafe, draw_unsafe)]
-        return winners, unsafe
     unsafe = np.zeros(scores.shape[0], dtype=bool)
     for _ in range(count):
-        draw_winners, draw_unsafe = argmax_with_guard(scores, guard)
+        draw_winners, draw_unsafe = argmax_with_guard(scores)
         winners.append(draw_winners)
         unsafe |= draw_unsafe
+    return winners, unsafe
+
+
+def masked_hrw_race(weights, draw_bases, mixed):
+    """One weighted-rendezvous race per draw, without replacement.
+
+    Definition 2.3 for a block of premixed addresses: draw ``d`` scores
+    every bin with ``-w / ln(u)`` from its own salt bases
+    (``draw_bases[d]``), bins that already won an earlier draw of the
+    same address are masked out, and the best remaining score wins —
+    exactly the scalar skip-and-compare loop.  Returns ``(winners,
+    unsafe)``: a ``(draws, block)`` matrix of winning bin indices and the
+    rows where any draw was decided within the guard.
+    """
+    block = mixed.shape[0]
+    winners = np.empty((len(draw_bases), block), dtype=np.int64)
+    taken = np.zeros((block, len(weights)), dtype=bool)
+    unsafe = np.zeros(block, dtype=bool)
+    rows = np.arange(block)
+    for draw, bases in enumerate(draw_bases):
+        scores = hrw_score_matrix(weights, open_draw_matrix(bases, mixed))
+        scores[taken] = -np.inf
+        winners[draw], draw_unsafe = argmax_with_guard(scores)
+        unsafe |= draw_unsafe
+        taken[rows, winners[draw]] = True
     return winners, unsafe
 
 
@@ -287,28 +248,47 @@ def cdf_gather(boundaries, draws):
     the exact floats the scalar binary search compares against is what
     makes the ``searchsorted`` gather bit-identical to it.
     """
-    np = get_numpy()
-    if np is None:
-        import bisect
-
-        return [bisect.bisect_right(boundaries, draw) for draw in draws]
     return np.searchsorted(
         np.asarray(boundaries, dtype=np.float64), draws, side="right"
     )
 
 
-def record_tie_recomputes(kernel: str, count: int) -> None:
-    """Count scalar re-derivations forced by the tie guard.
+def draw_column(base: int, start: int, count: int):
+    """Seeded ``uint64`` draws for sequence numbers ``[start, start+count)``.
 
-    Only recorded when ``count > 0``: guard trips are astronomically rare
-    (sub-ulp margins), and recording zero would create the counter on the
-    NumPy leg only, breaking the byte-wise trace equivalence the obs
-    layer guarantees between legs.
+    Element ``i`` equals ``u64_from_base(base, start + i)`` — the draw a
+    scheduler's scalar ``choose()`` computes for its ``(start + i)``-th
+    request, so sequential policies consume precomputed integers instead
+    of re-hashing per request.
     """
-    if count and obs.sink().enabled:
-        obs.metrics().counter(
-            f"placement.kernel.{kernel}.tie_recomputes"
-        ).add(count)
+    return u64s_from_base(
+        base, np.arange(start, start + count, dtype=np.uint64)
+    )
+
+
+def cumcount(arr):
+    """Occurrence index of each element among its equals, in stream order.
+
+    ``cumcount([7, 3, 7, 7, 3]) == [0, 0, 1, 2, 1]`` over an ``int64``
+    vector — the per-address counter value round-robin would have seen
+    at each request, assuming counters start at zero — via a stable
+    argsort instead of a dict walk.
+    """
+    size = len(arr)
+    if size == 0:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    is_start = np.empty(size, dtype=bool)
+    is_start[0] = True
+    is_start[1:] = ordered[1:] != ordered[:-1]
+    group_start = np.maximum.accumulate(
+        np.where(is_start, np.arange(size, dtype=np.int64), 0)
+    )
+    occurrence = np.arange(size, dtype=np.int64) - group_start
+    result = np.empty(size, dtype=np.int64)
+    result[order] = occurrence
+    return result
 
 
 def bernoulli_indices(base: int, count: int, probability: float):

@@ -73,13 +73,11 @@ class StrategyEntry:
     #: Replication degree baked into the algorithm (LinMirror is k = 2 by
     #: definition); ``None`` means the ``copies`` argument is honoured.
     fixed_copies: Optional[int] = None
-    #: True when ``place_many`` runs a NumPy engine rather than the
-    #: generic per-address loop (given NumPy is importable).
-    vectorized: bool = False
     #: Shared-kernel family the batch engine is built on (see
     #: :mod:`repro.placement.kernels`); mirrors
     #: :attr:`ReplicationStrategy.kernel` so reports need not build an
-    #: instance to label the engine.
+    #: instance to label the engine.  ``None``: the generic per-address
+    #: loop.
     kernel: Optional[str] = None
     aliases: Tuple[str, ...] = field(default=())
     #: Typed schema of the strategy's extra constructor parameters;
@@ -103,6 +101,12 @@ class StrategyEntry:
                 f"movement_class must be one of {MOVEMENT_CLASSES}, "
                 f"got {self.movement_class!r}"
             )
+
+    @property
+    def vectorized(self) -> bool:
+        """True when ``place_many`` runs a NumPy engine rather than the
+        generic per-address loop (given NumPy is importable)."""
+        return self.kernel is not None
 
     def build(
         self,
@@ -143,7 +147,6 @@ def _build_registry() -> Dict[str, StrategyEntry]:
         StrategyEntry(
             "redundant-share",
             lambda bins, copies, opts: RedundantShare(bins, copies=copies),
-            vectorized=True,
             kernel=RedundantShare.kernel,
             movement_class="bounded",
         ),
@@ -151,7 +154,6 @@ def _build_registry() -> Dict[str, StrategyEntry]:
             "lin-mirror",
             lambda bins, copies, opts: LinMirror(bins),
             fixed_copies=2,
-            vectorized=True,
             kernel=LinMirror.kernel,
             movement_class="bounded",
         ),
@@ -160,7 +162,6 @@ def _build_registry() -> Dict[str, StrategyEntry]:
             lambda bins, copies, opts: FastRedundantShare(
                 bins, copies=copies
             ),
-            vectorized=True,
             kernel=FastRedundantShare.kernel,
             aliases=("fast",),
             movement_class="bounded",
@@ -170,7 +171,6 @@ def _build_registry() -> Dict[str, StrategyEntry]:
             lambda bins, copies, opts: TrivialReplication(
                 bins, copies=copies
             ),
-            vectorized=True,
             kernel=TrivialReplication.kernel,
             movement_class="proportional",
             heterogeneity_aware=False,
@@ -184,7 +184,6 @@ def _build_registry() -> Dict[str, StrategyEntry]:
         StrategyEntry(
             "crush",
             lambda bins, copies, opts: CrushStrategy(bins, copies=copies),
-            vectorized=True,
             kernel=CrushStrategy.kernel,
             movement_class="proportional",
         ),
@@ -193,7 +192,6 @@ def _build_registry() -> Dict[str, StrategyEntry]:
             lambda bins, copies, opts: WeightedStripingStrategy(
                 bins, copies=copies, resolution=opts["resolution"]
             ),
-            vectorized=True,
             kernel=WeightedStripingStrategy.kernel,
             aliases=("striping",),
             options=(
@@ -214,7 +212,6 @@ def _build_registry() -> Dict[str, StrategyEntry]:
             lambda bins, copies, opts: BalancedRendezvous(
                 bins, copies=copies
             ),
-            vectorized=True,
             kernel=BalancedRendezvous.kernel,
             movement_class="proportional",
         ),
@@ -226,7 +223,6 @@ def _build_registry() -> Dict[str, StrategyEntry]:
                 generations=opts["generations"],
                 overflow=opts["overflow"],
             ),
-            vectorized=True,
             kernel=SequentialChecking.kernel,
             aliases=("seq-check",),
             options=(
@@ -258,7 +254,6 @@ def _build_registry() -> Dict[str, StrategyEntry]:
                 service_rates=opts["service_rates"],
                 clip_rates=opts["clip_rates"],
             ),
-            vectorized=True,
             kernel=ResidualPerformancePlacement.kernel,
             aliases=("residual-performance",),
             options=(

@@ -19,9 +19,8 @@ fits that idea into the repo's strategy model:
   being asked to hold more than one copy of a ball — the same
   redundancy argument the capacity-side strategies obey.
 
-The scalar/vectorized equivalence, tie-guard contract and pure-Python
-leg are all inherited from the trivial engine; only the weight vector
-differs.  :func:`utilization` is the load metric the trade-off bench's
+The scalar/vectorized equivalence and tie-guard contract are inherited
+from the trivial engine; only the weight vector differs.  :func:`utilization` is the load metric the trade-off bench's
 heterogeneity gate checks: RPDP's peak utilisation must not exceed a
 capacity-only placement's on a skewed-rate fleet.
 """

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from .. import obs
-from .._compat import get_numpy
 from ..exceptions import ConfigurationError
 from ..types import BinSpec, Placement
 from . import precompute
-from .base import BatchPlacement, ReplicationStrategy, record_batch
+from .base import ReplicationStrategy
 
 
 class StripingStrategy(ReplicationStrategy):
@@ -62,6 +60,7 @@ class WeightedStripingStrategy(ReplicationStrategy):
 
     name = "weighted-striping"
     kernel = "stripe-table"
+    _has_engine = True
 
     def __init__(
         self,
@@ -100,10 +99,6 @@ class WeightedStripingStrategy(ReplicationStrategy):
             credits[winner] -= 1.0
             pattern.append(winner)
         self._pattern = pattern
-        self._rank_ids = [spec.bin_id for spec in self._bins]
-        self._rank_index = {
-            bin_id: rank for rank, bin_id in enumerate(self._rank_ids)
-        }
         self._resolution = resolution
         self._epoch = precompute.current_epoch()
         self._table = None
@@ -187,8 +182,9 @@ class WeightedStripingStrategy(ReplicationStrategy):
         self._table = table
         return table
 
-    def _start_slots(self, np, addresses):
-        """Exact ``(a · k) mod L`` per address, as an int64 vector.
+    def _engine_keys(self, np, addresses):
+        """Exact start slot ``(a · k) mod L`` per address, as an int64
+        vector — not the address mod 2^64, which loses the sign.
 
         Must match Python's big-int arithmetic for *any* int the scalar
         loop accepts: signed vectors use NumPy's floored ``%`` (same as
@@ -213,31 +209,19 @@ class WeightedStripingStrategy(ReplicationStrategy):
             )
         return ((addr % length) * copies) % length
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
-        """Vectorized striping: reduce to start slots, gather the table.
+    def _fill_ranks(self, np, keys, columns):
+        """Vectorized striping: gather the start-slot table.
 
         Exact integer arithmetic end to end, so the result is identical
-        to the scalar :meth:`place` loop with no tie guard needed.
-        Without NumPy the generic scalar loop runs.
+        to the scalar :meth:`place` loop and no row is ever refused.
         """
-        np = get_numpy()
-        if np is None:
-            return super()._place_many_serial(addresses)
-        starts = self._start_slots(np, addresses)
-        if starts.size:
-            table = self._ensure_start_table(np)
-            columns = [table[copy][starts] for copy in range(self._copies)]
-        else:
-            # Nothing to place: match the scalar loop, which never probes
-            # the pattern (and so never raises) on an empty batch.
-            columns = [starts.copy() for _ in range(self._copies)]
-        sink = obs.sink()
-        if sink.enabled:
-            record_batch(
-                sink, self.name, self._copies, len(starts),
-                kernel=self.kernel,
-            )
-        return BatchPlacement(self._rank_ids, columns)
+        # The keys are residues mod the pattern length, so "clip" never
+        # clips; it only lets take() write into ``columns`` unbuffered.
+        np.take(
+            self._ensure_start_table(np), keys, axis=1, out=columns,
+            mode="clip",
+        )
+        return ()
 
     def expected_shares(self) -> Dict[str, float]:
         """Share of pattern slots per disk (the design target)."""

@@ -25,22 +25,11 @@ import itertools
 import math
 from typing import Dict, List, Sequence
 
-from .. import obs
-from .._compat import get_numpy
-from ..hashing.primitives import (
-    as_u64_array,
-    derive_base,
-    unit_from_base_open,
-)
+from ..hashing.primitives import derive_base, unit_from_base_open
 from ..types import BinSpec, Placement
 from . import kernels
-from .base import BatchPlacement, ReplicationStrategy, record_batch
+from .base import ReplicationStrategy
 from .rendezvous import rendezvous_score
-
-#: Historical home of the sub-ulp tie guard; the contract (and the
-#: value) now lives in :data:`repro.placement.kernels.TIE_GUARD`,
-#: shared by every strategy ported onto the kernel library.
-_TIE_GUARD = kernels.TIE_GUARD
 
 
 class TrivialReplication(ReplicationStrategy):
@@ -54,6 +43,7 @@ class TrivialReplication(ReplicationStrategy):
 
     name = "trivial"
     kernel = "masked-hrw"
+    _has_engine = True
 
     def __init__(self, bins, copies=2, namespace=""):
         """Precompute per-(draw, bin) salt bases on top of the base init."""
@@ -66,10 +56,6 @@ class TrivialReplication(ReplicationStrategy):
             ]
             for draw in range(self._copies)
         ]
-        self._rank_ids = [spec.bin_id for spec in self._bins]
-        self._rank_index = {
-            bin_id: rank for rank, bin_id in enumerate(self._rank_ids)
-        }
 
     def place(self, address: int) -> Placement:
         chosen: List[str] = []
@@ -90,61 +76,28 @@ class TrivialReplication(ReplicationStrategy):
             taken.add(best_id)
         return tuple(chosen)
 
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
-        """Vectorized Definition 2.3: k masked rendezvous races per batch.
+    def _fill_ranks(self, np, keys, columns):
+        """Vectorized Definition 2.3: k masked rendezvous races per block.
 
         Each draw evaluates every (bin, address) score in one SplitMix64
         pass plus one ``log`` through the shared kernel library; bins
         already holding a copy of an address are masked out before the
-        per-address argmax, exactly mirroring the scalar skip.
-        Element-wise identical to :meth:`place` — see
-        :data:`~repro.placement.kernels.TIE_GUARD` for how sub-ulp log
-        disagreements are kept out of the result.  Without NumPy the
-        generic scalar loop runs.
+        per-address argmax, exactly mirroring the scalar skip.  Rows
+        decided within :data:`~repro.placement.kernels.TIE_GUARD` are
+        returned for the driver to settle through :meth:`place`.
         """
-        np = get_numpy()
-        if np is None:
-            return super()._place_many_serial(addresses)
-        addr = as_u64_array(addresses)
-        count = addr.shape[0]
-        bin_count = len(self._bins)
         weights = [weight for _, weight, _ in self._draw_entries[0]]
-        all_bases = [
-            np.asarray(
-                [base for _, _, base in self._draw_entries[draw]],
-                dtype=np.uint64,
-            )
-            for draw in range(self._copies)
+        draw_bases = [
+            np.asarray([base for _, _, base in entries], dtype=np.uint64)
+            for entries in self._draw_entries
         ]
-        columns = np.empty((self._copies, count), dtype=np.int64)
-        unsafe_indices = []
-        for start, stop in kernels.blocks(count):
-            mixed = kernels.premix(addr[start:stop])
-            block = stop - start
-            taken = np.zeros((block, bin_count), dtype=bool)
-            unsafe = np.zeros(block, dtype=bool)
-            rows = np.arange(block)
-            for draw in range(self._copies):
-                uniforms = kernels.open_draw_matrix(all_bases[draw], mixed)
-                scores = kernels.hrw_score_matrix(weights, uniforms)
-                scores[taken] = -np.inf
-                winner, draw_unsafe = kernels.argmax_with_guard(scores)
-                unsafe |= draw_unsafe
-                columns[draw, start:stop] = winner
-                taken[rows, winner] = True
-            unsafe_indices.extend(start + np.flatnonzero(unsafe))
-        for index in unsafe_indices:
-            # Near-tie: the scalar loop is the authority on this address.
-            placement = self.place(int(addresses[index]))
-            for position, bin_id in enumerate(placement):
-                columns[position, index] = self._rank_index[bin_id]
-        kernels.record_tie_recomputes(self.kernel, len(unsafe_indices))
-        sink = obs.sink()
-        if sink.enabled:
-            record_batch(
-                sink, self.name, self._copies, count, kernel=self.kernel
+        refused = []
+        for start, stop in kernels.blocks(keys.shape[0]):
+            columns[:, start:stop], unsafe = kernels.masked_hrw_race(
+                weights, draw_bases, kernels.premix(keys[start:stop])
             )
-        return BatchPlacement(self._rank_ids, list(columns))
+            refused.extend(start + np.flatnonzero(unsafe))
+        return refused
 
     def expected_shares(self) -> Dict[str, float]:
         """Exact per-bin share of all copies under sequential fair draws.

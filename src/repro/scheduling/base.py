@@ -35,7 +35,6 @@ from ..exceptions import DeviceUnavailableError
 from ..hashing.primitives import derive_base
 from ..placement.base import BatchPlacement
 from .cache import LruCacheModel
-from . import kernels
 
 
 def record_schedule_batch(
@@ -43,8 +42,8 @@ def record_schedule_batch(
 ) -> None:
     """Record one ``choose_many`` invocation on an *enabled* sink.
 
-    Shared by the default loop and the policies' batch overrides so the
-    ``sched.batch`` event schema stays identical across engines (the
+    Called by :meth:`ReadScheduler.choose_many` only, so the
+    ``sched.batch`` event schema is the same whichever engine ran (the
     leg-equivalence tests compare traces byte-wise).
     """
     registry = obs.metrics()
@@ -268,21 +267,29 @@ class ReadScheduler(abc.ABC):
         counter, rotation counter and cache transition — is bit-for-bit
         identical to calling :meth:`choose` per request in stream order.
         """
-        count = len(addresses)
-        positions = self._choose_many(addresses, placements)
+        np = get_numpy()
+        if np is None:
+            positions = self._choose_many(addresses, placements)
+        else:
+            positions = self._choose_many_np(np, addresses, placements)
         sink = obs.sink()
         if sink.enabled:
-            record_schedule_batch(sink, self.name, count)
+            record_schedule_batch(sink, self.name, len(addresses))
         return positions
 
     def _choose_many(self, addresses, placements) -> List[int]:
-        """Default batch engine: the scalar loop.  Policies with a
-        vectorized engine override this (not :meth:`choose_many`, which
-        owns the obs record)."""
+        """Batch engine of the no-NumPy leg: the scalar loop (offline
+        baselines override it with their whole-stream algorithm)."""
         return [
             self.choose(address, placement)
             for address, placement in zip(addresses, self._rows(placements))
         ]
+
+    def _choose_many_np(self, np, addresses, placements) -> List[int]:
+        """Batch engine of the NumPy leg.  Policies with a columnar
+        engine override this (not :meth:`choose_many`, which owns the
+        leg decision and the obs record)."""
+        return self._choose_many(addresses, placements)
 
     # -- batch helpers shared by the policy engines ------------------------
 
@@ -293,45 +300,40 @@ class ReadScheduler(abc.ABC):
             return placements.tuples()
         return placements
 
-    def _rank_columns(self, placements) -> Tuple[list, int]:
+    def _rank_columns(self, np, placements) -> Tuple[list, int]:
         """Columnar scheduler-rank view of either placement input form.
 
         Returns ``(columns, k)`` where ``columns[c][i]`` is the scheduler
-        rank of copy ``c``'s device for request ``i`` — NumPy ``int64``
-        columns on the fast leg, plain lists on the pure leg.
+        rank of copy ``c``'s device for request ``i``, as ``int64``
+        vectors.
         """
-        np = get_numpy()
         if isinstance(placements, BatchPlacement):
-            table = [self.rank_of(device_id) for device_id in placements.rank_ids]
-            if np is not None:
-                lookup = np.asarray(table, dtype=np.int64)
-                columns = [
-                    lookup[np.asarray(column, dtype=np.int64)]
-                    for column in placements.columns
-                ]
-            else:
-                columns = [
-                    [table[int(rank)] for rank in column]
-                    for column in placements.columns
-                ]
+            lookup = np.asarray(
+                [self.rank_of(device_id) for device_id in placements.rank_ids],
+                dtype=np.int64,
+            )
+            columns = [
+                lookup[np.asarray(column, dtype=np.int64)]
+                for column in placements.columns
+            ]
             return columns, placements.copies
         rows = list(placements)
         if not rows:
             return [], 0
         copies = len(rows[0])
         columns = [
-            [self.rank_of(row[position]) for row in rows]
+            np.asarray(
+                [self.rank_of(row[position]) for row in rows], dtype=np.int64
+            )
             for position in range(copies)
         ]
-        if np is not None:
-            columns = [np.asarray(column, dtype=np.int64) for column in columns]
         return columns, copies
 
     def _has_offline(self) -> bool:
         """True when any known device is excluded from choices."""
         return self._offline_count > 0
 
-    def _bulk_commit(self, addresses, columns, positions) -> None:
+    def _bulk_commit(self, np, addresses, columns, positions) -> None:
         """Account a whole batch of choices.
 
         With no cache model the per-device totals update via one
@@ -339,9 +341,11 @@ class ReadScheduler(abc.ABC):
         per-request loop); with a cache the per-request loop runs because
         each cost depends on residency order.
         """
-        chosen = kernels.gather_chosen(columns, positions)
+        chosen = np.stack(columns)[
+            positions, np.arange(len(positions), dtype=np.int64)
+        ]
         if self._cache is None:
-            totals = kernels.bincount_ranks(chosen, len(self._ids))
+            totals = np.bincount(chosen, minlength=len(self._ids)).tolist()
             for rank, total in enumerate(totals):
                 if total:
                     self._loads[rank] += float(total)

@@ -17,7 +17,7 @@ Five policies, in increasing order of load awareness:
 Batch engines: ``random``, ``round-robin`` and ``primary`` choices do
 not depend on load feedback, so with NumPy installed (and every copy
 device online) they vectorize outright via the
-:mod:`repro.scheduling.kernels` draw/occurrence kernels, with bulk load
+:mod:`repro.placement.kernels` draw/occurrence kernels, with bulk load
 accounting.  ``least-loaded`` and ``power-of-two`` are sequential by
 nature — each choice changes the loads the next one reads — so their
 batch engines precompute the per-request hash draws vectorized and run
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .._compat import get_numpy
 from ..exceptions import DeviceUnavailableError
 from ..hashing.primitives import derive_base, u64_from_base, u64s_from_base
+from ..placement import kernels
 from .base import ReadScheduler
 from .cache import LruCacheModel
-from . import kernels
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,15 +48,14 @@ class PrimaryScheduler(ReadScheduler):
     def _pick(self, address, ranks, available):
         return available[0]
 
-    def _choose_many(self, addresses, placements):
-        np = get_numpy()
-        if np is None or self._has_offline():
-            return super()._choose_many(addresses, placements)
-        columns, copies = self._rank_columns(placements)
+    def _choose_many_np(self, np, addresses, placements):
+        if self._has_offline():
+            return self._choose_many(addresses, placements)
+        columns, copies = self._rank_columns(np, placements)
         if not copies:
             return []
         positions = np.zeros(len(addresses), dtype=np.int64)
-        self._bulk_commit(addresses, columns, positions)
+        self._bulk_commit(np, addresses, columns, positions)
         return [0] * len(addresses)
 
 
@@ -70,18 +68,15 @@ class RandomScheduler(ReadScheduler):
         draw = u64_from_base(self._draw_base, self._sequence)
         return available[draw % len(available)]
 
-    def _choose_many(self, addresses, placements):
-        np = get_numpy()
-        if np is None:
-            return super()._choose_many(addresses, placements)
+    def _choose_many_np(self, np, addresses, placements):
         count = len(addresses)
-        columns, copies = self._rank_columns(placements)
+        columns, copies = self._rank_columns(np, placements)
         if not copies:
             return []
         draws = kernels.draw_column(self._draw_base, self._sequence, count)
         if not self._has_offline():
-            positions = kernels.mod_positions(draws, copies)
-            self._bulk_commit(addresses, columns, positions)
+            positions = (draws % np.uint64(copies)).astype(np.int64)
+            self._bulk_commit(np, addresses, columns, positions)
             return [int(position) for position in positions]
         # Offline devices shrink the candidate set per request; mirror the
         # scalar walk with the draws precomputed.
@@ -144,12 +139,10 @@ class RoundRobinScheduler(ReadScheduler):
         super().reset()
         self._rotation.clear()
 
-    def _choose_many(self, addresses, placements):
-        np = get_numpy()
-        if np is None or self._has_offline():
-            return super()._choose_many(addresses, placements)
-        count = len(addresses)
-        columns, copies = self._rank_columns(placements)
+    def _choose_many_np(self, np, addresses, placements):
+        if self._has_offline():
+            return self._choose_many(addresses, placements)
+        columns, copies = self._rank_columns(np, placements)
         if not copies:
             return []
         arr = np.asarray(addresses, dtype=np.int64)
@@ -172,7 +165,7 @@ class RoundRobinScheduler(ReadScheduler):
         positions = (counters % np.uint64(copies)).astype(np.int64)
         for address, prior, extra in zip(unique, prior_unique, per_unique):
             rotation[int(address)] = int(prior) + int(extra)
-        self._bulk_commit(addresses, columns, positions)
+        self._bulk_commit(np, addresses, columns, positions)
         return [int(position) for position in positions]
 
 
@@ -196,11 +189,8 @@ class LeastLoadedScheduler(ReadScheduler):
                 best_position = position
         return best_position
 
-    def _choose_many(self, addresses, placements):
-        np = get_numpy()
-        if np is None:
-            return super()._choose_many(addresses, placements)
-        columns, copies = self._rank_columns(placements)
+    def _choose_many_np(self, np, addresses, placements):
+        columns, copies = self._rank_columns(np, placements)
         if not copies:
             return []
         # The load feedback loop is inherently sequential; run it over
@@ -275,12 +265,9 @@ class PowerOfTwoScheduler(ReadScheduler):
             return first
         return first if first < second else second
 
-    def _choose_many(self, addresses, placements):
-        np = get_numpy()
-        if np is None:
-            return super()._choose_many(addresses, placements)
+    def _choose_many_np(self, np, addresses, placements):
         count = len(addresses)
-        columns, copies = self._rank_columns(placements)
+        columns, copies = self._rank_columns(np, placements)
         if not copies:
             return []
         first_draws = kernels.draw_column(

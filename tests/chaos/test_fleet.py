@@ -173,7 +173,7 @@ class TestControllerCrossCheck:
             ),
         )
 
-        fleet = FleetSimulator(
+        simulator = FleetSimulator(
             small_options(
                 devices=devices,
                 blocks=blocks,
@@ -182,13 +182,42 @@ class TestControllerCrossCheck:
                 repair_rate=float(blocks),
             ),
             bins=bins,
-        ).run(crash_epochs(schedule, device_ids))
+        )
+        fleet = simulator.run(crash_epochs(schedule, simulator.device_ids))
 
         assert {loss.address for loss in controller.loss_events} == set(
             fleet.lost_addresses
         )
         assert victim in set(fleet.lost_addresses)
         assert controller.faults.get("crash", 0) == fleet.device_failures
+
+    def test_scheduled_crash_hits_the_named_device(self):
+        # Twelve equal devices: a capacity-ordered strategy ranks dev-10
+        # before dev-2, so numbering devices by the bin list would crash
+        # the wrong one.  With one copy per block and no repair, crashing
+        # dev-2 must lose exactly the blocks placed on dev-2.
+        blocks = 300
+        bins = bins_from_capacities([40] * 12, prefix="dev")
+        strategy = create("redundant-share", bins, copies=1)
+        simulator = FleetSimulator(
+            small_options(
+                devices=12,
+                blocks=blocks,
+                copies=1,
+                epochs=3,
+                failure_rate=0.0,
+                repair_rate=0.0,
+                strategy="redundant-share",
+            ),
+            bins=bins,
+        )
+        assert simulator.device_ids == strategy.rank_ids
+        assert simulator.device_ids != [spec.bin_id for spec in bins]
+        schedule = FaultSchedule([FaultEvent(1.0, FaultKind.CRASH, "dev-2")])
+        report = simulator.run(crash_epochs(schedule, simulator.device_ids))
+        on_dev_2 = [a for a in range(blocks) if strategy.place(a) == ("dev-2",)]
+        assert on_dev_2
+        assert sorted(report.lost_addresses) == on_dev_2
 
     def test_crash_epochs_rejects_non_crash_kinds(self):
         schedule = FaultSchedule(

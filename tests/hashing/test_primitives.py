@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro._compat import HAVE_NUMPY
 from repro.hashing import primitives
 
 
@@ -125,6 +126,7 @@ class TestHashStream:
         assert a.next_u64() != b.next_u64()
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the array pipeline is NumPy-only")
 class TestBatchPrimitives:
     """The vectorized pipeline must match the scalars bit for bit."""
 
@@ -160,16 +162,3 @@ class TestBatchPrimitives:
         assert list(primitives.splitmix64_array([])) == []
         assert list(primitives.u64s_from_base(5, [])) == []
         assert list(primitives.units_from_base(5, [])) == []
-
-    def test_fallback_matches_numpy_path(self, monkeypatch):
-        from repro import _compat
-
-        base = primitives.derive_base("batch", "fallback")
-        values = list(range(300)) + self.VALUES
-        with_numpy = [float(v) for v in primitives.units_from_base(base, values)]
-        monkeypatch.setattr(_compat, "np", None)
-        assert primitives.splitmix64_array(values) == [
-            primitives.splitmix64(value & (2**64 - 1)) for value in values
-        ]
-        assert primitives.units_from_base(base, values) == with_numpy
-        assert primitives.as_u64_array(values) is None

@@ -6,22 +6,40 @@ across random capacity vectors, replication degrees and namespaces.
 """
 
 import collections
+import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro._compat as compat
-from repro.core import FastRedundantShare, LinMirror, RedundantShare
-from repro.exceptions import PlacementError
+from repro import obs
+from repro.core import (
+    BalancedRendezvous,
+    ClassicLinMirror,
+    FastRedundantShare,
+    LinMirror,
+    RedundantShare,
+    SequentialChecking,
+)
+from repro.exceptions import ConfigurationError, PlacementError
 from repro.placement import (
     BatchPlacement,
     ConsistentHashingPlacer,
     CrushStrategy,
     RendezvousPlacer,
+    ResidualPerformancePlacement,
     TrivialReplication,
+    WeightedStripingStrategy,
+    kernels,
 )
+from repro.placement.registry import create, strategy_names
 from repro.types import bins_from_capacities
+
+try:  # array inputs are accepted on both legs, whenever NumPy is importable
+    import numpy
+except ImportError:  # pragma: no cover
+    numpy = None
 
 REPLICATED_FACTORIES = {
     "redundant-share": lambda bins, copies, ns: RedundantShare(
@@ -35,6 +53,21 @@ REPLICATED_FACTORIES = {
         bins, copies=copies, namespace=ns
     ),
     "crush": lambda bins, copies, ns: CrushStrategy(
+        bins, copies=copies, namespace=ns
+    ),
+    "classic-lin-mirror": lambda bins, copies, ns: ClassicLinMirror(
+        bins, namespace=ns
+    ),
+    "weighted-striping": lambda bins, copies, ns: WeightedStripingStrategy(
+        bins, copies=copies, namespace=ns
+    ),
+    "balanced-rendezvous": lambda bins, copies, ns: BalancedRendezvous(
+        bins, copies=copies, namespace=ns, calibration_samples=200
+    ),
+    "sequential-checking": lambda bins, copies, ns: SequentialChecking(
+        bins, copies=copies, namespace=ns
+    ),
+    "rpdp": lambda bins, copies, ns: ResidualPerformancePlacement(
         bins, copies=copies, namespace=ns
     ),
 }
@@ -62,6 +95,31 @@ def scalar_rows(strategy, addresses):
     return [tuple(strategy.place(address)) for address in addresses]
 
 
+def input_forms(addresses):
+    """The same batch as a list, a ``range`` and — where the values fit —
+    ``int64`` / ``uint64`` arrays."""
+    start = addresses[0] % 2**32
+    forms = [addresses, range(start, start + 9)]
+    if numpy is not None:
+        forms.append(
+            numpy.asarray(
+                [a for a in addresses if -(2**63) <= a < 2**63] or [-1],
+                dtype=numpy.int64,
+            )
+        )
+        forms.append(
+            numpy.asarray(
+                [a for a in addresses if a >= 0] or [2**64 - 1],
+                dtype=numpy.uint64,
+            )
+        )
+    return forms
+
+
+def test_factory_table_covers_the_registry():
+    assert sorted(REPLICATED_FACTORIES) == sorted(strategy_names())
+
+
 @pytest.mark.parametrize("name", sorted(REPLICATED_FACTORIES))
 @settings(max_examples=25, deadline=None)
 @given(
@@ -73,18 +131,48 @@ def scalar_rows(strategy, addresses):
 def test_place_many_matches_scalar_loop(
     name, capacities, copies, namespace, addresses
 ):
-    strategy = REPLICATED_FACTORIES[name](
-        bins_from_capacities(capacities), copies, namespace
-    )
+    forms = input_forms(addresses)
     try:
-        expected = scalar_rows(strategy, addresses)
-    except PlacementError:
-        # CRUSH's bounded retry can fail on pathological weight vectors;
-        # that is a property of the strategy, not of the batch engine.
+        strategy = REPLICATED_FACTORIES[name](
+            bins_from_capacities(capacities), copies, namespace
+        )
+        expected = [
+            scalar_rows(strategy, [int(a) for a in form]) for form in forms
+        ]
+    except (PlacementError, ConfigurationError):
+        # CRUSH's bounded retry can fail on pathological weight vectors,
+        # a striping pattern can lack k distinct disks, a fleet can be
+        # too small for one ball; those are properties of the strategy,
+        # not of the batch engine.
         assume(False)
-    batch = strategy.place_many(addresses)
-    assert len(batch) == len(addresses)
-    assert [tuple(row) for row in batch.tuples()] == expected
+    for form, rows in zip(forms, expected):
+        batch = strategy.place_many(form)
+        assert len(batch) == len(form)
+        assert [tuple(row) for row in batch.tuples()] == rows
+
+
+@pytest.mark.skipif(not compat.HAVE_NUMPY, reason="the guard is NumPy-only")
+@pytest.mark.parametrize(
+    "name",
+    ["trivial", "rpdp", "crush", "balanced-rendezvous", "sequential-checking"],
+)
+def test_refused_rows_are_settled_by_the_scalar_loop(name, monkeypatch):
+    """With an infinite guard every race is "too close to call": the
+    engine refuses every row, the driver must re-derive each through
+    ``place()``, and the batch must still equal the scalar loop."""
+    monkeypatch.setattr(kernels, "TIE_GUARD", math.inf)
+    strategy = create(
+        name, bins_from_capacities([90, 70, 50, 30, 20, 10]), copies=3
+    )
+    addresses = list(range(-3, 200))
+    with obs.capture():
+        batch = strategy.place_many(addresses)
+        counters = obs.metrics().snapshot()["counters"]
+    obs.reset_metrics()
+    assert batch.tuples() == scalar_rows(strategy, addresses)
+    assert counters[
+        f"placement.kernel.{strategy.kernel}.tie_recomputes"
+    ] == len(addresses)
 
 
 @pytest.mark.parametrize("name", sorted(SINGLE_COPY_FACTORIES))

@@ -141,7 +141,7 @@ class TestBatchEquivalence:
         bins = bins_from_capacities([90, 70, 50, 30, 20, 10])
         root, flat = two_level_map({"r1": bins[:3], "r2": bins[3:]})
         strategy = CrushStrategy(flat, copies=2, root=root)
-        assert not strategy._flat_straw2
+        assert not strategy._has_engine
         addresses = list(range(300))
         assert [tuple(row) for row in strategy.place_many(addresses)] == (
             scalar_rows(strategy, addresses)
@@ -153,7 +153,7 @@ class TestBatchEquivalence:
                 bins_from_capacities([9, 7, 5, 3]), copies=2,
                 bucket_type=bucket_type,
             )
-            assert not strategy._flat_straw2
+            assert not strategy._has_engine
             addresses = list(range(200))
             assert [
                 tuple(row) for row in strategy.place_many(addresses)

@@ -3,14 +3,14 @@
 Every kernel in :mod:`repro.placement.kernels` promises element-wise
 equality with a scalar reference (the ``u64_from_base`` hash chain, the
 ``-w / ln(u)`` and ``ln(u) / w`` score expressions, the strict-``>``
-races, :meth:`CumulativeTable.select`) and agreement between its NumPy
-and pure-Python legs.  These tests pin both promises directly, plus the
-edge cases every porting strategy leans on: empty batches, single-column
-matrices, full-width (k == n) top-k races, and the guard's behaviour on
-exact and sub-ulp ties.  The hash pipeline is bit-exact on both legs;
-the *score* matrices are only pinned exactly on the pure leg — NumPy's
-SIMD ``log`` may differ from ``math.log`` by 1 ulp, which is precisely
-what :data:`~repro.placement.kernels.TIE_GUARD` exists to absorb.
+races, :meth:`CumulativeTable.select`).  These tests pin that promise
+directly — the scalar expression is the only oracle; the kernels are
+NumPy-only — plus the edge cases every porting strategy leans on: empty
+batches, single-column matrices, full-width (k == n) top-k races, and
+the guard's behaviour on exact and sub-ulp ties.  The hash pipeline is
+bit-exact; the *score* matrices are pinned to 1e-12 — NumPy's SIMD
+``log`` may differ from ``math.log`` by 1 ulp, which is precisely what
+:data:`~repro.placement.kernels.TIE_GUARD` exists to absorb.
 """
 
 import math
@@ -19,10 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro._compat as compat
+from repro._compat import HAVE_NUMPY, get_numpy
 from repro.hashing.alias import CumulativeTable
 from repro.hashing.primitives import unit_from_base, unit_from_base_open
 from repro.placement import kernels
+from repro.placement.rendezvous import rendezvous_score
+
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="the matrix kernels are NumPy-only"
+)
 
 addresses_lists = st.lists(
     st.integers(min_value=-(2**63), max_value=2**64 - 1),
@@ -35,33 +40,18 @@ bases_lists = st.lists(
 salts = st.integers(min_value=0, max_value=2**32)
 
 
-def both_legs(call):
-    """Run ``call()`` on the current leg and again with NumPy nulled."""
-    reference = call()
-    saved = compat.np
-    compat.np = None
-    try:
-        pure = call()
-    finally:
-        compat.np = saved
-    return reference, pure
-
-
 def as_rows(matrix):
     """Normalise an (m × n) kernel result to nested Python lists."""
-    if isinstance(matrix, list):
-        return [list(row) for row in matrix]
     return [list(row) for row in matrix.tolist()]
 
 
 def leg_matrix(rows):
-    """Rows as the current leg's matrix type."""
-    np = compat.get_numpy()
-    if np is None:
-        return [list(row) for row in rows]
+    """Rows as a float64 matrix."""
+    np = get_numpy()
     return np.asarray(rows, dtype=np.float64)
 
 
+@needs_numpy
 class TestHashPipeline:
     @given(addresses=addresses_lists, bases=bases_lists)
     @settings(max_examples=50, deadline=None)
@@ -109,17 +99,8 @@ class TestHashPipeline:
             for address in addresses
         ]
 
-    @given(addresses=addresses_lists, bases=bases_lists)
-    @settings(max_examples=25, deadline=None)
-    def test_draw_legs_agree(self, addresses, bases):
-        def run():
-            mixed = kernels.premix(addresses)
-            return as_rows(kernels.open_draw_matrix(bases, mixed))
 
-        reference, pure = both_legs(run)
-        assert reference == pure
-
-
+@needs_numpy
 class TestScoreMatrices:
     WEIGHTS = [3.0, 1.0, 0.25]
     UNIFORMS = [[0.5, 0.9, 0.1], [0.999, 0.001, 0.42]]
@@ -150,31 +131,8 @@ class TestScoreMatrices:
                 rel=1e-12,
             )
 
-    def test_pure_leg_scores_are_bit_exact(self):
-        # The pure leg *is* the scalar expression — no ulp slack there.
-        saved = compat.np
-        compat.np = None
-        try:
-            hrw = kernels.hrw_score_matrix(self.WEIGHTS, self.UNIFORMS)
-            straw = kernels.straw2_score_matrix(self.WEIGHTS, self.UNIFORMS)
-        finally:
-            compat.np = saved
-        assert hrw == [
-            [
-                -weight / math.log(uniform)
-                for weight, uniform in zip(self.WEIGHTS, uniforms)
-            ]
-            for uniforms in self.UNIFORMS
-        ]
-        assert straw == [
-            [
-                math.log(uniform) / weight
-                for weight, uniform in zip(self.WEIGHTS, uniforms)
-            ]
-            for uniforms in self.UNIFORMS
-        ]
 
-
+@needs_numpy
 class TestGuardedSelection:
     def test_argmax_first_index_and_consumption(self):
         scores = leg_matrix([[1.0, 5.0, 3.0], [9.0, 2.0, 8.0]])
@@ -214,8 +172,7 @@ class TestGuardedSelection:
         assert list(unsafe) == [False, False]
 
     def test_empty_batch(self):
-        np = compat.get_numpy()
-        scores = [] if np is None else np.empty((0, 3), dtype=np.float64)
+        scores = get_numpy().empty((0, 3), dtype=float)
         winners, unsafe = kernels.argmax_with_guard(scores)
         assert list(winners) == []
         assert list(unsafe) == []
@@ -227,17 +184,47 @@ class TestGuardedSelection:
         assert [list(draw) for draw in winners] == [[1], [2], [0]]
         assert list(unsafe) == [False]
 
-    def test_topk_legs_agree(self):
-        rows = [[1.0, 3.0, 2.0, 0.5], [4.0, 4.0, 1.0, 2.0]]
+    @given(
+        addresses=addresses_lists,
+        weights=st.lists(
+            st.floats(min_value=0.01, max_value=100.0), min_size=2, max_size=6
+        ),
+        draws=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_masked_race_matches_scalar_skip_loop(
+        self, addresses, weights, draws
+    ):
+        # Definition 2.3 as the trivial strategy's place() spells it:
+        # per draw, the best rendezvous score among bins not yet taken.
+        np = get_numpy()
+        draw_bases = [
+            [1_000_003 * (draw + 1) + 7919 * bin_ for bin_ in range(len(weights))]
+            for draw in range(draws)
+        ]
+        winners, unsafe = kernels.masked_hrw_race(
+            weights,
+            [np.asarray(bases, dtype=np.uint64) for bases in draw_bases],
+            kernels.premix(addresses),
+        )
+        assert winners.shape == (draws, len(addresses))
+        for row, address in enumerate(addresses):
+            if unsafe[row]:
+                continue  # the driver settles these through place()
+            taken = set()
+            for draw in range(draws):
+                best = max(
+                    (bin_ for bin_ in range(len(weights)) if bin_ not in taken),
+                    key=lambda bin_: rendezvous_score(
+                        weights[bin_],
+                        unit_from_base_open(draw_bases[draw][bin_], address),
+                    ),
+                )
+                assert winners[draw, row] == best
+                taken.add(best)
 
-        def run():
-            winners, unsafe = kernels.topk_with_guard(leg_matrix(rows), 2)
-            return [list(draw) for draw in winners], list(unsafe)
 
-        reference, pure = both_legs(run)
-        assert reference == pure
-
-
+@needs_numpy
 class TestCdfGather:
     @given(
         masses=st.lists(
@@ -260,6 +247,35 @@ class TestCdfGather:
     def test_empty_batch(self):
         table = CumulativeTable([1.0, 2.0])
         assert list(kernels.cdf_gather(table.boundaries(), [])) == []
+
+
+@needs_numpy
+class TestSequenceKernels:
+    """The two kernels the read schedulers' batch engines draw on."""
+
+    def test_draw_column_matches_scalar_draws(self):
+        from repro.hashing.primitives import u64_from_base
+
+        column = kernels.draw_column(12345, 7, 50)
+        assert [int(draw) for draw in column] == [
+            u64_from_base(12345, index) for index in range(7, 57)
+        ]
+
+    @given(
+        values=st.lists(
+            st.integers(min_value=-5, max_value=5), min_size=0, max_size=40
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_cumcount_matches_dict_walk(self, values):
+        np = get_numpy()
+        seen = {}
+        expected = []
+        for value in values:
+            expected.append(seen.get(value, 0))
+            seen[value] = expected[-1] + 1
+        got = kernels.cumcount(np.asarray(values, dtype=np.int64))
+        assert got.tolist() == expected
 
 
 class TestBlocks:

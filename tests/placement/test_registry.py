@@ -161,17 +161,16 @@ def test_every_entry_builds_and_places():
 
 
 def test_vectorized_flags_match_reality():
-    # Entries flagged vectorized must override the serial engine rather
-    # than inherit the generic loop (the bench's speedup gate keys on it).
+    # Entries flagged vectorized must implement the batch driver's engine
+    # hook rather than inherit the generic loop (the bench's speedup gate
+    # keys on it).
     from repro.placement.base import ReplicationStrategy
 
-    generic = ReplicationStrategy._place_many_serial
+    generic = ReplicationStrategy._fill_ranks
     for entry in registered_strategies():
         strategy = entry.build(BINS, 3)
-        overrides = (
-            type(strategy)._place_many_serial is not generic
-        )
-        assert overrides == entry.vectorized, entry.name
+        has_engine = type(strategy)._fill_ranks is not generic
+        assert has_engine == strategy._has_engine == entry.vectorized, entry.name
 
 
 def test_build_strategy_shim_is_gone():

@@ -8,7 +8,7 @@ work.  Now the masked-rendezvous engine must beat the scalar loop on a
 stays cheap.
 
 Also pins the near-tie guard: addresses whose winning margin is below
-``_TIE_GUARD`` are re-derived by the scalar loop, keeping the batch
+``kernels.TIE_GUARD`` are re-derived by the scalar loop, keeping the batch
 bit-identical even where NumPy's SIMD ``log`` differs from ``math.log``
 by an ulp.
 """
