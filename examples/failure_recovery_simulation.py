@@ -1,26 +1,26 @@
 #!/usr/bin/env python3
 """Timeline simulation: disks fail and rebuild while the system serves reads.
 
-Uses the discrete-event engine to interleave random device failures with
-finite-duration rebuilds on a mirrored (k=2) Redundant Share cluster, and
-tracks whether any block ever becomes unreadable.  With mean-time-to-repair
-much smaller than mean-time-to-failure, no data is ever lost — the point of
-pairing a fair placement with redundancy.
+Plays a seeded fault schedule — several permanent crashes spread over the
+horizon — against a mirrored (k=2) Redundant Share cluster through the
+chaos controller: each victim's blank replacement arrives after a
+finite rebuild delay and its shares are re-replicated by the rate-limited
+repair worker.  With mean-time-to-repair much smaller than
+mean-time-to-failure, no data is ever lost — the point of pairing a fair
+placement with redundancy.
 
 Run:  python examples/failure_recovery_simulation.py
 """
 
+from repro.chaos import ChaosOptions, RepairPolicy, generate_schedule, run_chaos
 from repro.cluster import Cluster
 from repro.core import RedundantShare
-from repro.exceptions import DecodingError
-from repro.hashing.primitives import stable_u64
-from repro.simulation import Simulator
 from repro.types import bins_from_capacities
 
-FAIL_INTERVAL = 100.0  # one failure per 100 time units on average
-REBUILD_TIME = 10.0
+CRASHES = 4
+REBUILD_TIME = 10.0  # crash -> blank replacement online
 HORIZON = 1000.0
-SEED = 7
+SEED = 6  # crashes land >= 78 time units apart: every rebuild finishes first
 
 
 def main() -> None:
@@ -32,56 +32,34 @@ def main() -> None:
     for address in range(blocks):
         cluster.write(address, f"block-{address}".encode())
 
-    simulator = Simulator()
-    timeline = []
+    schedule = generate_schedule(
+        cluster.device_ids(), seed=SEED, duration=HORIZON, crashes=CRASHES
+    )
+    report = run_chaos(
+        cluster,
+        schedule,
+        ChaosOptions(
+            replacement_delay=REBUILD_TIME,
+            sample_interval=10.0,
+            # 100 shares per time unit: a ~1000-share disk is back to
+            # full redundancy long before the next crash.
+            policy=RepairPolicy(rate=100.0, timeout=HORIZON),
+        ),
+    )
 
-    def readable_blocks() -> int:
-        readable = 0
-        for address in cluster.addresses():
-            try:
-                cluster.read(address)
-                readable += 1
-            except DecodingError:
-                pass
-        return readable
+    print(f"simulated {report.horizon:.0f} time units\n")
+    for event in schedule:
+        print(f"  t={event.time:7.1f}  FAIL    {event.device_id}")
+        print(f"  t={event.time + REBUILD_TIME:7.1f}  REPLACE {event.device_id}")
+    print()
+    print(report.summary())
 
-    def schedule_next_failure(round_number: int) -> None:
-        jitter = stable_u64("fail-at", SEED, round_number) % 100 / 100.0
-        delay = FAIL_INTERVAL * (0.5 + jitter)
-        simulator.schedule(delay, lambda: inject_failure(round_number))
-
-    def inject_failure(round_number: int) -> None:
-        active = [
-            device_id
-            for device_id in cluster.device_ids()
-            if cluster.device(device_id).is_active
-        ]
-        if len(active) > 2:
-            victim = active[
-                stable_u64("victim", SEED, round_number) % len(active)
-            ]
-            cluster.fail_device(victim)
-            timeline.append((simulator.now, f"FAIL    {victim}"))
-            simulator.schedule(REBUILD_TIME, lambda: finish_rebuild(victim))
-        schedule_next_failure(round_number + 1)
-
-    def finish_rebuild(device_id: str) -> None:
-        rebuilt = cluster.repair_device(device_id)
-        timeline.append(
-            (simulator.now, f"REBUILT {device_id} ({rebuilt} shares)")
-        )
-
-    schedule_next_failure(0)
-    simulator.run(until=HORIZON)
-
-    print(f"simulated {HORIZON:.0f} time units, "
-          f"{simulator.processed_events} events\n")
-    for when, what in timeline:
-        print(f"  t={when:7.1f}  {what}")
-
-    readable = readable_blocks()
+    readable = sum(
+        cluster.read(address) == f"block-{address}".encode()
+        for address in range(blocks)
+    )
     print(f"\nreadable blocks at end: {readable}/{blocks}")
-    assert readable == blocks, "data was lost!"
+    assert readable == blocks and not report.data_loss, "data was lost!"
     print("no data lost: every failure was covered by the surviving mirror")
 
 

@@ -42,6 +42,7 @@ from ..cluster.cluster import Cluster
 from ..exceptions import (
     ConfigurationError,
     DecodingError,
+    DeviceNotFoundError,
     DeviceUnavailableError,
     InfeasibleRedundancyError,
     RepairTimeoutError,
@@ -549,7 +550,7 @@ class ChaosController:
                 continue
             try:
                 device = self._cluster.device(device_id)
-            except Exception:
+            except DeviceNotFoundError:
                 continue
             if device.is_active and device.holds((address, position)):
                 readable += 1

@@ -26,7 +26,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster
-from ..exceptions import ConfigurationError, DeviceUnavailableError
+from ..exceptions import (
+    ConfigurationError,
+    DeviceNotFoundError,
+    DeviceUnavailableError,
+)
 from .health import HealthLedger
 
 
@@ -208,7 +212,7 @@ def gather_shares(
         for device_id in candidates:
             try:
                 device = cluster.device(device_id)
-            except Exception:  # device left the configuration
+            except DeviceNotFoundError:  # device left the configuration
                 continue
             if not ledger.available(device_id) or not device.is_active:
                 continue
@@ -276,5 +280,4 @@ def rebuild_share(
             f"cannot rebuild share ({task.address}, {task.position}): "
             f"only {len(shares)}/{need} survivors reachable"
         )
-    block = cluster.code.decode(shares)
-    return cluster.code.encode(block)[task.position]
+    return cluster.rebuild_share(shares, task.position)

@@ -196,11 +196,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     Runs a seeded placement sample through the chi-square and
     max-deviation acceptance tests (the Lemma 2.4 machinery), exercises a
-    small cluster through an add-device rebalance and a failure round
+    small cluster through an add-device rebalance and a one-crash chaos run
     with the event bus enabled, and renders the captured counters,
     histograms and trace-event summary.
     """
-    from .cluster import Cluster, FailureInjector, Rebalancer
+    from .chaos import ChaosOptions, generate_schedule, run_chaos
+    from .cluster import Cluster, Rebalancer
     from .metrics.stats import (
         chi_square_fairness,
         fair_copy_shares,
@@ -209,7 +210,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
     from .obs import JsonlSink, MemorySink, TeeSink, metrics, reset_metrics, use_sink
     from .obs.report import render_report
-    from .simulation import Simulator
     from .types import BinSpec
 
     capacities = _parse_capacities(args.capacities)
@@ -252,18 +252,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
             )
             for address in range(args.blocks):
                 cluster.write(address, b"x" * 16)
-            simulator = Simulator()
             spec = BinSpec(f"{args.prefix}-new", max(capacities) * scale)
-            simulator.schedule(
-                1.0, lambda: cluster.add_device(spec, rebalance=False)
+            cluster.add_device(spec, rebalance=False)
+            Rebalancer(cluster).run_to_completion(step_size=64)
+            run_chaos(
+                cluster,
+                generate_schedule(cluster.device_ids(), seed=args.seed),
+                ChaosOptions(replacement_delay=0.0),
             )
-            simulator.schedule(
-                2.0, lambda: Rebalancer(cluster).run_to_completion(step_size=64)
-            )
-            simulator.schedule(
-                3.0, lambda: FailureInjector(seed=args.seed).crash(cluster, 1)
-            )
-            simulator.run()
         sink.close()
     print(render_report(metrics(), memory, verdicts))
     if args.strict and not all(verdict.accepted for verdict in verdicts):

@@ -4,7 +4,6 @@ from .blockmap import BlockMap
 from .cluster import Cluster, ClusterStats, MigrationReport
 from .device import DeviceState, StorageDevice
 from .events import Event, EventLog
-from .failures import FailureInjector, FailureReport
 from .policies import PolicyStore, StoragePolicy
 from .rebalancer import RebalanceProgress, Rebalancer
 from .scrub import ChecksumIndex, ScrubReport, Scrubber, corrupt_share
@@ -23,8 +22,6 @@ __all__ = [
     "DeviceState",
     "Event",
     "EventLog",
-    "FailureInjector",
-    "FailureReport",
     "MigrationReport",
     "PolicyStore",
     "RebalanceProgress",

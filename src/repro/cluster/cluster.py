@@ -19,7 +19,7 @@ The interesting operations are the reconfigurations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..placement import precompute
@@ -125,27 +125,11 @@ class Cluster:
                 f"code produces {self._code.total_shares} shares but the "
                 f"strategy places {self._strategy.copies} copies"
             )
-        if shared_devices is None:
-            self._devices = {
-                spec.bin_id: StorageDevice(spec.bin_id, spec.capacity)
-                for spec in devices
-            }
-            self._shared_pool = False
-        else:
-            missing = [
-                spec.bin_id
-                for spec in devices
-                if spec.bin_id not in shared_devices
-            ]
-            if missing:
-                raise ConfigurationError(
-                    f"shared pool lacks devices: {missing}"
-                )
-            self._devices = {
-                spec.bin_id: shared_devices[spec.bin_id] for spec in devices
-            }
-            self._shared_pool = True
-        self._specs: Dict[str, BinSpec] = {spec.bin_id: spec for spec in devices}
+        self._pool = shared_devices
+        self._devices: Dict[str, StorageDevice] = {}
+        self._specs: Dict[str, BinSpec] = {}
+        for spec in devices:
+            self._attach(spec)
         self._map = BlockMap()
         self._log = EventLog()
         self._block_sizes: Dict[int, int] = {}
@@ -187,6 +171,19 @@ class Cluster:
         return self._factory(
             [self._specs[device_id] for device_id in sorted(self._specs)]
         )
+
+    def _attach(self, spec: BinSpec) -> None:
+        """Register a device: a fresh one, or the shared pool's object."""
+        if self._pool is None:
+            device = StorageDevice(spec.bin_id, spec.capacity)
+        elif spec.bin_id in self._pool:
+            device = self._pool[spec.bin_id]
+        else:
+            raise ConfigurationError(
+                f"shared pool lacks device {spec.bin_id!r}"
+            )
+        self._devices[spec.bin_id] = device
+        self._specs[spec.bin_id] = spec
 
     @property
     def code(self) -> ErasureCode:
@@ -303,15 +300,7 @@ class Cluster:
             BlockNotFoundError: if the block was never written.
             DecodingError: if too few shares survive.
         """
-        placement = self._map.lookup(address)
-        shares: Dict[int, bytes] = {}
-        for position, device_id in enumerate(placement):
-            device = self._devices.get(device_id)
-            if device is None or not device.is_active:
-                continue
-            if device.holds((address, position)):
-                shares[position] = device.fetch((address, position))
-        payload = self._code.decode(shares)
+        payload = self._code.decode(self._collect_shares(address))
         return payload[: self._block_sizes[address]]
 
     def delete(self, address: int) -> None:
@@ -349,8 +338,7 @@ class Cluster:
         """
         if spec.bin_id in self._devices:
             raise ConfigurationError(f"device {spec.bin_id!r} already exists")
-        self._devices[spec.bin_id] = StorageDevice(spec.bin_id, spec.capacity)
-        self._specs[spec.bin_id] = spec
+        self._attach(spec)
         if rebalance:
             report = self._rebalance("add", spec.bin_id)
         else:
@@ -412,32 +400,9 @@ class Cluster:
         Raises:
             BlockNotFoundError: if the block was never written.
         """
-        old_placement = self._map.lookup(address)
         if new_placement is None:
             new_placement = self._strategy.place(address)
-        else:
-            new_placement = tuple(new_placement)
-        if old_placement == new_placement:
-            return 0
-        shares = self._collect_shares(address, old_placement)
-        moved = 0
-        for position, (old_id, new_id) in enumerate(
-            zip(old_placement, new_placement)
-        ):
-            if old_id == new_id:
-                continue
-            if position in shares:
-                payload = shares[position]
-            else:
-                payload = self._rebuild_share(address, shares, position)
-            old_device = self._devices.get(old_id)
-            if old_device is not None and old_device.is_active:
-                old_device.discard((address, position))
-            target = self._devices[new_id]
-            if target.is_active:
-                target.store((address, position), payload)
-            moved += 1
-        self._map.record(address, new_placement)
+        moved, _ = self._move_block(address, tuple(new_placement))
         if moved and obs.sink().enabled:
             obs.metrics().counter("cluster.moved_shares").add(moved)
         return moved
@@ -474,40 +439,19 @@ class Cluster:
     def _rebalance(
         self, trigger: str, affected: str, used_override: Optional[int] = None
     ) -> MigrationReport:
-        """Rebuild the strategy and migrate shares whose placement changed."""
-        new_strategy = self._new_strategy()
+        """Swap in a fresh strategy and move every out-of-place block."""
+        self._strategy = self._new_strategy()
         moved = 0
         rebuilt = 0
-        total = 0
         addresses = list(self._map.addresses())
         # One vectorized batch placement for the whole population; the
-        # per-block loop below only runs for blocks that actually move.
-        new_placements = new_strategy.place_many(addresses).tuples()
-        for address, new_placement in zip(addresses, new_placements):
-            old_placement = self._map.lookup(address)
-            total += len(new_placement)
-            if old_placement == new_placement:
-                continue
-            shares = self._collect_shares(address, old_placement)
-            for position, (old_id, new_id) in enumerate(
-                zip(old_placement, new_placement)
-            ):
-                if old_id == new_id:
-                    continue
-                moved += 1
-                if position in shares:
-                    payload = shares[position]
-                else:
-                    payload = self._rebuild_share(address, shares, position)
-                    rebuilt += 1
-                old_device = self._devices.get(old_id)
-                if old_device is not None and old_device.is_active:
-                    old_device.discard((address, position))
-                target = self._devices[new_id]
-                if target.is_active:
-                    target.store((address, position), payload)
-            self._map.record(address, new_placement)
-        self._strategy = new_strategy
+        # mover only does per-share work for blocks that actually move.
+        targets = self._strategy.place_many(addresses).tuples()
+        for address, target in zip(addresses, targets):
+            block_moved, block_rebuilt = self._move_block(address, target)
+            moved += block_moved
+            rebuilt += block_rebuilt
+        total = len(addresses) * self._strategy.copies
         used = (
             used_override
             if used_override is not None
@@ -536,9 +480,45 @@ class Cluster:
             used_on_affected=used,
         )
 
-    def _collect_shares(self, address, placement) -> Dict[int, bytes]:
+    def _move_block(
+        self, address: int, new_placement: "tuple"
+    ) -> Tuple[int, int]:
+        """Move a block's shares from its recorded placement to a new one.
+
+        The one share-mover behind eager rebalances and lazy migration:
+        shares whose source is gone (failed or removed device) are rebuilt
+        from the survivors.  Returns ``(moved, rebuilt)`` share counts.
+        """
+        old_placement = self._map.lookup(address)
+        if old_placement == new_placement:
+            return 0, 0
+        shares = self._collect_shares(address)
+        moved = 0
+        rebuilt = 0
+        for position, (old_id, new_id) in enumerate(
+            zip(old_placement, new_placement)
+        ):
+            if old_id == new_id:
+                continue
+            moved += 1
+            if position in shares:
+                payload = shares[position]
+            else:
+                payload = self.rebuild_share(shares, position)
+                rebuilt += 1
+            old_device = self._devices.get(old_id)
+            if old_device is not None and old_device.is_active:
+                old_device.discard((address, position))
+            target = self._devices[new_id]
+            if target.is_active:
+                target.store((address, position), payload)
+        self._map.record(address, new_placement)
+        return moved, rebuilt
+
+    def _collect_shares(self, address: int) -> Dict[int, bytes]:
+        """Every share of a block its recorded devices can serve now."""
         shares: Dict[int, bytes] = {}
-        for position, device_id in enumerate(placement):
+        for position, device_id in enumerate(self._map.lookup(address)):
             device = self._devices.get(device_id)
             if device is None or not device.is_active:
                 continue
@@ -546,11 +526,13 @@ class Cluster:
                 shares[position] = device.fetch((address, position))
         return shares
 
-    def _rebuild_share(
-        self, address: int, shares: Dict[int, bytes], position: int
-    ) -> bytes:
-        block = self._code.decode(shares)
-        return self._code.encode(block)[position]
+    def rebuild_share(self, shares: Dict[int, bytes], position: int) -> bytes:
+        """Reconstruct one share of a block from its surviving shares.
+
+        Raises:
+            DecodingError: if ``shares`` are too few to decode the block.
+        """
+        return self._code.encode(self._code.decode(shares))[position]
 
     # ------------------------------------------------------------------
     # Failures
@@ -579,17 +561,8 @@ class Cluster:
             DeviceNotFoundError: for unknown ids.
             DecodingError: if some block lost too many shares to rebuild.
         """
-        device = self.device(device_id)
-        device.replace()
-        rebuilt = 0
-        for address, position in self._map.shares_on(device_id):
-            placement = self._map.lookup(address)
-            shares = self._collect_shares(address, placement)
-            if position in shares:
-                continue  # already present (e.g. repaired twice)
-            payload = self._rebuild_share(address, shares, position)
-            device.store((address, position), payload)
-            rebuilt += 1
+        self.device(device_id).replace()
+        rebuilt = self.rebuild_device(device_id)
         self._log.record("device-repaired", device=device_id, rebuilt=rebuilt)
         sink = obs.sink()
         if sink.enabled:
@@ -597,6 +570,32 @@ class Cluster:
             registry.counter("cluster.devices_repaired").add(1)
             registry.counter("cluster.rebuilt_shares").add(rebuilt)
             sink.emit("device.repaired", device=device_id, rebuilt=rebuilt)
+        return rebuilt
+
+    def rebuild_device(self, device_id: str) -> int:
+        """Rebuild every share the map assigns to a device but it lacks.
+
+        The rebuild half of :meth:`repair_device`, without the blank
+        replacement — a pool shared by several clusters is replaced once
+        and then rebuilt by each of them.
+
+        Returns:
+            Number of shares reconstructed.
+
+        Raises:
+            DeviceNotFoundError: for unknown ids.
+            DecodingError: if some block lost too many shares to rebuild.
+        """
+        device = self.device(device_id)
+        rebuilt = 0
+        for address, position in self._map.shares_on(device_id):
+            shares = self._collect_shares(address)
+            if position in shares:
+                continue  # already present (e.g. repaired twice)
+            device.store(
+                (address, position), self.rebuild_share(shares, position)
+            )
+            rebuilt += 1
         return rebuilt
 
     # ------------------------------------------------------------------
@@ -624,7 +623,7 @@ class Cluster:
                     assert device.holds((address, position)), (
                         f"share ({address},{position}) missing on {device_id}"
                     )
-        if self._shared_pool:
+        if self._pool is not None:
             return  # other policies' shares live on the same devices
         mapped = {
             key

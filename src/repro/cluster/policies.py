@@ -66,7 +66,6 @@ class PolicyStore:
             spec.bin_id: StorageDevice(spec.bin_id, spec.capacity)
             for spec in devices
         }
-        self._specs = list(devices)
         self._clusters: Dict[str, Cluster] = {}
         self._policy_index: Dict[str, int] = {}
         for index, policy in enumerate(policies):
@@ -156,16 +155,10 @@ class PolicyStore:
         if spec.bin_id in self._pool:
             raise ConfigurationError(f"device {spec.bin_id!r} already exists")
         self._pool[spec.bin_id] = StorageDevice(spec.bin_id, spec.capacity)
-        self._specs.append(spec)
-        moved = {}
-        for name, cluster in self._clusters.items():
-            # Hand the shared object to the policy cluster before its own
-            # add_device bookkeeping runs.
-            cluster._devices[spec.bin_id] = self._pool[spec.bin_id]
-            cluster._specs[spec.bin_id] = spec
-            report = cluster._rebalance("add", spec.bin_id)
-            moved[name] = report.moved_shares
-        return moved
+        return {
+            name: cluster.add_device(spec).moved_shares
+            for name, cluster in self._clusters.items()
+        }
 
     def fail_device(self, device_id: str) -> None:
         """Crash a pool device (affects every policy)."""
@@ -178,19 +171,10 @@ class PolicyStore:
             Shares rebuilt per policy.
         """
         self.device(device_id).replace()
-        rebuilt = {}
-        for name, cluster in self._clusters.items():
-            count = 0
-            for address, position in cluster._map.shares_on(device_id):
-                placement = cluster.placement_of(address)
-                shares = cluster._collect_shares(address, placement)
-                if position in shares:
-                    continue
-                payload = cluster._rebuild_share(address, shares, position)
-                self._pool[device_id].store((address, position), payload)
-                count += 1
-            rebuilt[name] = count
-        return rebuilt
+        return {
+            name: cluster.rebuild_device(device_id)
+            for name, cluster in self._clusters.items()
+        }
 
     def verify(self) -> None:
         """Structural invariants across all policies, including that every
@@ -199,7 +183,7 @@ class PolicyStore:
         for cluster in self._clusters.values():
             cluster.verify()
             for device_id in cluster.device_ids():
-                mapped.update(cluster._map.shares_on(device_id))
+                mapped.update(cluster.shares_on(device_id))
         for device_id, device in self._pool.items():
             if not device.is_active:
                 continue

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .. import obs
+from ..exceptions import BlockNotFoundError
 from .cluster import Cluster
 
 
@@ -92,7 +93,7 @@ class Rebalancer:
         for address, target in zip(reversed(chunk), reversed(targets)):
             try:
                 moved = self._cluster.migrate_block(address, target)
-            except Exception:
+            except BlockNotFoundError:
                 # Deleted while queued: nothing to migrate.
                 self._progress.migrated_blocks += 1
                 continue

@@ -119,7 +119,6 @@ class Scrubber:
         """
         report = ScrubReport()
         cluster = self._cluster
-        code = cluster.code
         for device_id in cluster.device_ids():
             device = cluster.device(device_id)
             if not device.is_active:
@@ -161,11 +160,10 @@ class Scrubber:
                     if trusted:
                         survivors[other_position] = candidate
                 try:
-                    block = code.decode(survivors)
+                    rebuilt = cluster.rebuild_share(survivors, position)
                 except Exception:
                     report.unrepairable += 1
                     continue
-                rebuilt = code.encode(block)[position]
                 device.store(key, rebuilt)
                 self._index.update(key, rebuilt)
                 report.repaired += 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chaos import (
+    ChaosController,
     ChaosOptions,
     FaultEvent,
     FaultKind,
@@ -13,7 +14,7 @@ from repro.chaos import (
 )
 from repro.cluster import Cluster
 from repro.core import RedundantShare
-from repro.exceptions import InfeasibleRedundancyError
+from repro.exceptions import DeviceNotFoundError, InfeasibleRedundancyError
 from repro.types import bins_from_capacities
 
 CAPACITIES = [60, 60, 60, 60, 60, 60]
@@ -42,6 +43,25 @@ def mixed_schedule(cluster, seed=7):
 
 def final_map(cluster):
     return {a: cluster.placement_of(a) for a in cluster.addresses()}
+
+
+class TestReadableShares:
+    """The survivor count skips unknown devices, and nothing else."""
+
+    def test_unknown_device_counts_as_unreadable(self, break_device):
+        cluster = make_cluster()
+        controller = ChaosController(cluster, FaultSchedule([]))
+        gone = cluster.placement_of(5)[0]
+        break_device(cluster, gone, DeviceNotFoundError(gone))
+        assert controller._readable_shares(5) == 2
+
+    def test_other_device_errors_propagate(self, break_device):
+        cluster = make_cluster()
+        controller = ChaosController(cluster, FaultSchedule([]))
+        broken = cluster.placement_of(5)[0]
+        break_device(cluster, broken, RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            controller._readable_shares(5)
 
 
 class TestDeterminism:

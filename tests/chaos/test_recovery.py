@@ -8,11 +8,16 @@ from repro.chaos import (
     RepairQueue,
     RepairTask,
     degraded_read,
+    gather_shares,
     rebuild_share,
 )
 from repro.cluster import Cluster
 from repro.core import RedundantShare
-from repro.exceptions import ConfigurationError, DeviceUnavailableError
+from repro.exceptions import (
+    ConfigurationError,
+    DeviceNotFoundError,
+    DeviceUnavailableError,
+)
 from repro.types import bins_from_capacities
 
 
@@ -128,6 +133,24 @@ class TestDegradedRead:
         ledger.mark_online(placement[-1])
         result = degraded_read(cluster, 5, ledger)
         assert result.payload == b"payload-5"
+
+
+class TestGatherShares:
+    def test_routes_around_a_device_that_left_the_configuration(
+        self, break_device
+    ):
+        cluster = make_cluster()
+        gone = cluster.placement_of(5)[0]
+        break_device(cluster, gone, DeviceNotFoundError(gone))
+        shares, _ = gather_shares(cluster, 5, HealthLedger())
+        assert sorted(shares) == [1, 2]
+
+    def test_other_device_errors_propagate(self, break_device):
+        cluster = make_cluster()
+        broken = cluster.placement_of(5)[0]
+        break_device(cluster, broken, RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            gather_shares(cluster, 5, HealthLedger())
 
 
 class TestRebuildShare:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster import Cluster, FailureInjector
+from repro.chaos import ChaosOptions, generate_schedule, run_chaos
+from repro.cluster import Cluster
 from repro.core import RedundantShare
 from repro.erasure import MirrorCode, ReedSolomonCode
 from repro.exceptions import (
@@ -146,19 +147,25 @@ class TestFailures:
             assert cluster.read(address) == f"payload-{address}".encode()
 
     def test_injector_round_trip(self):
+        # One seeded crash injected through the chaos controller, the
+        # blank replacement arriving at once.
         cluster = make_cluster()
         fill(cluster, 150)
-        injector = FailureInjector(seed=42)
-        report = injector.crash(cluster, 1, repair=True)
-        assert report.lost_blocks == 0
-        assert report.readable_blocks == 150
-        assert report.rebuilt_shares > 0
+        schedule = generate_schedule(cluster.device_ids(), seed=42)
+        report = run_chaos(
+            cluster, schedule, ChaosOptions(replacement_delay=0.0)
+        )
+        assert report.faults == {"crash": 1}
+        assert not report.loss_events
+        assert report.completed > 0
         cluster.verify()
+        for address in range(150):
+            assert cluster.read(address) == f"payload-{address}".encode()
 
     def test_injector_victim_count_validated(self):
         cluster = make_cluster()
-        with pytest.raises(ValueError):
-            FailureInjector().choose_victims(cluster, 10)
+        with pytest.raises(ConfigurationError):
+            generate_schedule(cluster.device_ids(), crashes=10)
 
     def test_degraded_write_then_repair(self):
         """Writes during a failure skip the dead device; repair backfills.

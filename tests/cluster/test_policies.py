@@ -104,6 +104,34 @@ class TestPoolManagement:
         assert sum(rebuilt.values()) > 0
         store.verify()
 
+    def test_each_policy_rebuilds_and_moves_its_own_shares(self):
+        store = make_store()
+        fill(store, 60)
+        clusters = {
+            name: store.cluster_for(name) for name in store.policy_names()
+        }
+        mapped = {
+            name: len(cluster.shares_on("bin-2"))
+            for name, cluster in clusters.items()
+        }
+        before = store.device_usage()
+        store.fail_device("bin-2")
+        # One blank replacement, then every policy rebuilds exactly the
+        # shares its own map assigns to the device.
+        assert store.repair_device("bin-2") == mapped
+        assert store.device_usage() == before
+
+        moved = store.add_device(BinSpec("bin-new", 3000))
+        for name, cluster in clusters.items():
+            assert "bin-new" in cluster.device_ids()
+            assert cluster.device("bin-new") is store.device("bin-new")
+            assert 0 < len(cluster.shares_on("bin-new")) <= moved[name]
+            assert cluster.out_of_place() == []
+        assert store.device("bin-new").used == sum(
+            len(cluster.shares_on("bin-new")) for cluster in clusters.values()
+        )
+        store.verify()
+
     def test_unknown_device(self):
         with pytest.raises(DeviceNotFoundError):
             make_store().fail_device("ghost")

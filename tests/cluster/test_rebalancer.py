@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, Rebalancer
 from repro.core import RedundantShare
+from repro.exceptions import DecodingError
 from repro.types import BinSpec, bins_from_capacities
 
 
@@ -100,6 +101,18 @@ class TestRebalancer:
             cluster.delete(address)
         progress = rebalancer.run_to_completion()
         assert progress.done
+
+    def test_unrecoverable_backlog_block_raises(self):
+        """Only a deleted block is skipped; a lost one is not "drained"."""
+        cluster = make_cluster()
+        cluster.add_device(BinSpec("bin-new", 1500), rebalance=False)
+        rebalancer = Rebalancer(cluster)
+        doomed = cluster.out_of_place()[-1]  # first block the step pops
+        for device_id in cluster.placement_of(doomed):
+            cluster.fail_device(device_id)
+        with pytest.raises(DecodingError):
+            rebalancer.step(max_blocks=1)
+        assert rebalancer.progress.migrated_blocks == 0
 
     def test_empty_backlog_progress(self):
         cluster = make_cluster()

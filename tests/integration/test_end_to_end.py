@@ -8,7 +8,8 @@ map consistency) holds throughout.
 
 import pytest
 
-from repro.cluster import Cluster, FailureInjector
+from repro.chaos import ChaosOptions, RepairPolicy, generate_schedule, run_chaos
+from repro.cluster import Cluster
 from repro.core import FastRedundantShare, RedundantShare, VirtualVolume
 from repro.erasure import EvenOddCode, ReedSolomonCode, RowDiagonalParityCode
 from repro.metrics import jain_index
@@ -45,11 +46,19 @@ class TestMirroredLifecycle:
         cluster.remove_device("gen0-3")
         cluster.verify()
 
-        # Crash-and-rebuild two rounds.
-        injector = FailureInjector(seed=5)
-        for _ in range(2):
-            report = injector.crash(cluster, 1, repair=True)
-            assert report.lost_blocks == 0
+        # Crash-and-rebuild two devices, one after the other: the repair
+        # worker is fast enough to finish the first rebuild before the
+        # second crash (k=2 tolerates one concurrent failure).
+        schedule = generate_schedule(cluster.device_ids(), seed=5, crashes=2)
+        report = run_chaos(
+            cluster,
+            schedule,
+            ChaosOptions(
+                replacement_delay=0.0, policy=RepairPolicy(rate=1000.0)
+            ),
+        )
+        assert not report.loss_events
+        assert report.completed > 0
         cluster.verify()
 
         # All data still intact, byte for byte.

@@ -1,14 +1,15 @@
 """Instrumented hot paths: events flow when enabled, nothing when not.
 
 Covers the tentpole's instrumentation points: batch placement and the
-hazard-scan depth, rebalancer drains, cluster device transitions, failure
-rounds and the simulator's per-tick queue depth.
+hazard-scan depth, rebalancer drains, cluster device transitions, chaos
+crash rounds and the simulator's per-tick queue depth.
 """
 
 import pytest
 
 from repro import obs
-from repro.cluster import Cluster, FailureInjector, Rebalancer
+from repro.chaos import ChaosOptions, generate_schedule, run_chaos
+from repro.cluster import Cluster, Rebalancer
 from repro.core import LinMirror, RedundantShare
 from repro.placement import TrivialReplication
 from repro.simulation import Simulator
@@ -141,17 +142,31 @@ class TestClusterInstrumentation:
         assert counters["cluster.devices_repaired"] == 1
 
     def test_failure_round_event(self):
+        # One seeded crash round through the chaos controller.
         cluster = small_cluster()
         for address in range(12):
             cluster.write(address, b"zz")
+        schedule = generate_schedule(cluster.device_ids(), seed=3)
+        (crash,) = schedule.events
         with obs.capture() as trace:
-            report = FailureInjector(seed=3).crash(cluster, 1)
-        event = trace.of_kind("failure.round")[0].fields
-        assert event["victims"] == report.failed
-        assert event["readable"] == report.readable_blocks
-        assert event["lost"] == report.lost_blocks
-        assert event["rebuilt"] == report.rebuilt_shares
-        assert obs.metrics().counters()["failure.rounds"] == 1
+            report = run_chaos(
+                cluster, schedule, ChaosOptions(replacement_delay=0.0)
+            )
+        fault = trace.of_kind("chaos.fault")[0].fields
+        assert (fault["fault"], fault["device"]) == ("crash", crash.device_id)
+        assert trace.of_kind("device.failed")[0].fields["device"] == crash.device_id
+        replacement = trace.of_kind("chaos.replacement")[0].fields
+        assert replacement["queued"] == report.completed > 0
+        assert [
+            (event.fields["address"], event.fields["position"])
+            for event in trace.of_kind("chaos.repair")
+        ] == report.repair_order
+        finished = trace.of_kind("chaos.finished")[0].fields
+        assert finished["completed"] == report.completed
+        assert finished["lost"] == len(report.loss_events) == 0
+        counters = obs.metrics().counters()
+        assert counters["chaos.faults"] == counters["chaos.crash"] == 1
+        assert counters["chaos.repair.completed"] == report.completed
 
 
 class TestRebalancerInstrumentation:

@@ -13,7 +13,8 @@ import pytest
 
 import repro._compat as compat
 from repro import obs
-from repro.cluster import Cluster, FailureInjector, Rebalancer
+from repro.chaos import ChaosOptions, generate_schedule, run_chaos
+from repro.cluster import Cluster, Rebalancer
 from repro.core import LinMirror, RedundantShare
 from repro.placement import TrivialReplication
 from repro.simulation import Simulator
@@ -51,7 +52,13 @@ def run_observed_scenario():
         cluster.add_device(BinSpec("dev-new", 45), rebalance=False)
         Rebalancer(cluster).run_to_completion(step_size=7)
         cluster.remove_device("dev-3")
-        FailureInjector(seed=5).crash(cluster, 1)
+        cluster.fail_device("dev-0")
+        cluster.repair_device("dev-0")
+        run_chaos(
+            cluster,
+            generate_schedule(cluster.device_ids(), seed=5),
+            ChaosOptions(replacement_delay=0.0),
+        )
 
         # Simulator ticks.
         simulator = Simulator()
@@ -87,7 +94,10 @@ class TestLegEquivalence:
             "rebalance.start",
             "rebalance.step",
             "rebalance.done",
-            "failure.round",
+            "chaos.fault",
+            "chaos.replacement",
+            "chaos.repair",
+            "chaos.finished",
             "sim.run",
         } <= kinds
         counters = snapshot["counters"]
@@ -96,7 +106,8 @@ class TestLegEquivalence:
             "placement.walk_cache.misses",
             "rebalance.moved_shares",
             "cluster.moved_shares",
-            "failure.rounds",
+            "chaos.faults",
+            "chaos.repair.completed",
             "sim.events",
         ):
             assert name in counters, name

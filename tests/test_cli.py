@@ -97,7 +97,8 @@ class TestCli:
         kinds = {record["kind"] for record in read_jsonl(path)}
         assert "placement.batch" in kinds
         assert "rebalance.done" in kinds
-        assert "failure.round" in kinds
+        assert "chaos.fault" in kinds
+        assert "chaos.finished" in kinds
 
 
 class TestChaosCli:
