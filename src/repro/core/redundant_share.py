@@ -94,9 +94,10 @@ class RedundantShare(ReplicationStrategy):
         self._deadlines = [
             len(self._ordered) - copies + c for c in range(copies)
         ]
-        # Lazily built vectorized draw state (uint64 base matrix) and the
-        # bounded walk memo shared by place_copy/primary/secondary.
-        self._np_bases = None
+        # Lazily built rank-major (n, k) base and hazard tables of the
+        # batch engine, and the bounded walk memo shared by
+        # place_copy/primary/secondary.
+        self._scan_tables = None
         self._walk_cache: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
@@ -196,47 +197,53 @@ class RedundantShare(ReplicationStrategy):
     # ------------------------------------------------------------------
 
     def _fill_ranks(self, np, keys, columns):
-        """Vectorized Algorithm 2/4 over a whole address batch.
+        """Vectorized Algorithm 2/4 over a whole address batch: one pass
+        over the bins, whatever ``k`` is.
 
-        The hazard scan runs as a masked selection over the rank axis —
-        per (copy, rank) one SplitMix64 evaluation of exactly the
-        addresses whose scan is at that rank — instead of a Python
-        while-loop per address; element-wise identical to :meth:`place`
-        (the property tests pin this), so no row is ever refused.
+        The scalar walk advances exactly one rank per step whether or
+        not a copy is taken there, so at step ``r`` *every* unfinished
+        address stands at rank ``r`` and its only state is the index of
+        the copy it is looking for.  One iteration per rank therefore
+        gathers each live address's salt base and hazard for (its copy,
+        ``r``), evaluates a single SplitMix64 draw over all of them,
+        records ``r`` where the draw beats the hazard, and drops the
+        addresses whose last copy just landed.  Forced selections
+        (deadline rank, ``hazard >= 1``) are a hazard no draw reaches in
+        the scan tables, not a branch.  Element-wise identical to
+        :meth:`place` (the property tests pin this), so no row is ever
+        refused.
         """
-        bases = self._np_bases
-        if bases is None:
-            bases = self._np_bases = np.asarray(
-                self._draw_bases, dtype=np.uint64
+        tables = self._scan_tables
+        if tables is None:
+            # Rank-major (n, k), so one step reads one contiguous row; a
+            # forced selection is a hazard of 2.0, above every draw.
+            hazards = np.array(self._table.hazards, dtype=np.float64).T.copy()
+            for copy, deadline in enumerate(self._deadlines):
+                hazards[deadline:, copy] = 2.0
+            hazards[hazards >= 1.0] = 2.0
+            tables = self._scan_tables = (
+                np.array(self._draw_bases, dtype=np.uint64).T.copy(),
+                hazards,
             )
-        count = keys.shape[0]
         # The per-address premix is shared by every draw of the batch:
         # u64_from_base(base, a) == sm64(sm64(base ^ sm64(a))).
         mixed = kernels.premix(keys)
-        position = np.zeros(count, dtype=np.int64)
-        bin_count = len(self._rank_ids)
-        for copy in range(self._copies):
-            hazards = self._table.hazards[copy]
-            deadline = self._deadlines[copy]
-            copy_bases = bases[copy]
-            undecided = np.ones(count, dtype=bool)
-            for rank in range(bin_count):
-                at_rank = np.flatnonzero(undecided & (position == rank))
-                if at_rank.size == 0:
-                    continue
-                hazard = hazards[rank]
-                if rank >= deadline or hazard >= 1.0:
-                    taken = at_rank
-                else:
-                    draws = kernels.draws_from_premixed(
-                        int(copy_bases[rank]), mixed[at_rank]
-                    )
-                    taken = at_rank[draws < hazard]
-                position[at_rank] = rank + 1
-                columns[copy, taken] = rank
-                undecided[taken] = False
-                if not undecided.any():
+        live = np.arange(keys.shape[0])
+        copy = np.zeros(keys.shape[0], dtype=np.int64)
+        last = self._copies - 1
+        for rank, (bases, hazards) in enumerate(zip(*tables)):
+            draws = kernels.draws_from_premixed(bases.take(copy), mixed)
+            taken = (draws < hazards.take(copy)).nonzero()[0]
+            taken_copy = copy.take(taken)
+            columns[taken_copy, live.take(taken)] = rank
+            copy[taken] = taken_copy + 1
+            if (taken_copy == last).any():
+                unfinished = (copy <= last).nonzero()[0]
+                if unfinished.size == 0:
                     break
+                live = live.take(unfinished)
+                copy = copy.take(unfinished)
+                mixed = mixed.take(unfinished)
         return ()
 
     def _record_engine_events(self, sink, columns) -> None:

@@ -158,11 +158,18 @@ def hash_sequence(seed: int, count: int) -> list:
 #: already chose its NumPy leg through :func:`repro._compat.get_numpy`.
 np = get_numpy()
 
-#: SplitMix64 stream increment and finalizer multipliers, named so the
-#: scalar and array implementations visibly share the same constants.
-_SM64_GOLDEN = 0x9E3779B97F4A7C15
-_SM64_MULT1 = 0xBF58476D1CE4E5B9
-_SM64_MULT2 = 0x94D049BB133111EB
+#: SplitMix64 stream increment, finalizer multipliers and shifts (the
+#: constants of :func:`splitmix64`), built once and as 0-d ``uint64``
+#: arrays rather than NumPy scalars: a ufunc re-wraps a scalar operand
+#: on every call, which shows at small batch sizes.
+if np is not None:
+    _SM64_GOLDEN, _SM64_MULT1, _SM64_MULT2, _SHIFT30, _SHIFT27, _SHIFT31 = (
+        np.array(constant, dtype=np.uint64)
+        for constant in (
+            0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+            30, 27, 31,
+        )
+    )
 
 
 def as_u64_array(values: Sequence[int]):
@@ -184,21 +191,30 @@ def as_u64_array(values: Sequence[int]):
     )
 
 
-def splitmix64_array(values: Sequence[int]):
+def splitmix64_array(values: Sequence[int], out=None):
     """Vectorized :func:`splitmix64`: a ``uint64`` array whose elements
-    equal ``[splitmix64(v & 2**64-1) for v in values]`` exactly."""
-    value = as_u64_array(values) + np.uint64(_SM64_GOLDEN)
-    value = (value ^ (value >> np.uint64(30))) * np.uint64(_SM64_MULT1)
-    value = (value ^ (value >> np.uint64(27))) * np.uint64(_SM64_MULT2)
-    return value ^ (value >> np.uint64(31))
+    equal ``[splitmix64(v & 2**64-1) for v in values]`` exactly.
+
+    ``out`` (a ``uint64`` array of the same shape, ``values`` itself
+    included) receives the result instead of a fresh array, so a chain
+    of mixes over a buffer the caller owns allocates only the shifts.
+    """
+    state = np.add(as_u64_array(values), _SM64_GOLDEN, out=out)
+    state ^= state >> _SHIFT30
+    state *= _SM64_MULT1
+    state ^= state >> _SHIFT27
+    state *= _SM64_MULT2
+    state ^= state >> _SHIFT31
+    return state
 
 
 def u64s_from_base(base: int, values: Sequence[int]):
     """Vectorized :func:`u64_from_base` for one per-draw integer each: a
     ``uint64`` array equal to ``[u64_from_base(base, v) for v in values]``
     element-wise."""
-    mixed = splitmix64_array(values)
-    return splitmix64_array(splitmix64_array(np.uint64(base & _MASK64) ^ mixed))
+    state = splitmix64_array(values)
+    state ^= np.uint64(base & _MASK64)
+    return splitmix64_array(splitmix64_array(state, out=state), out=state)
 
 
 def units_from_base(base: int, values: Sequence[int]):

@@ -108,16 +108,21 @@ def premix(addr):
     return splitmix64_array(addr)
 
 
-def draws_from_premixed(base: int, mixed):
-    """Closed-interval ``[0, 1)`` draws for one salt base over premixed
-    addresses.
+def draws_from_premixed(base, mixed):
+    """Closed-interval ``[0, 1)`` draws over premixed addresses, for one
+    salt base (an ``int``) or one base per address (a ``uint64`` vector).
 
-    Element ``i`` equals ``unit_from_base(base, a_i)`` where ``mixed[i]``
-    is ``premix([a_i, ...])[i]``; used by the hazard-scan and CDF-gather
-    engines, which consume plain (non-open) uniforms.
+    Element ``i`` equals ``unit_from_base(base_i, a_i)`` where
+    ``mixed[i]`` is ``premix([a_i, ...])[i]``; used by the hazard-scan
+    and CDF-gather engines, which consume plain (non-open) uniforms.
+    Only the state and the float result are allocated: both mixes and
+    the scaling run in place.
     """
-    state = splitmix64_array(splitmix64_array(np.uint64(base) ^ mixed))
-    return state.astype(np.float64) * _INV_2_64
+    state = np.bitwise_xor(np.asarray(base, dtype=np.uint64), mixed)
+    splitmix64_array(splitmix64_array(state, out=state), out=state)
+    draws = state.astype(np.float64)
+    draws *= _INV_2_64
+    return draws
 
 
 def state_matrix(bases, mixed):

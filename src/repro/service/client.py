@@ -196,7 +196,7 @@ class ServiceClient:
         result = await self._call_metastore(
             "where_are", addresses=list(addresses)
         )
-        return [list(devices) for devices in result["placements"]]
+        return result["placements"]
 
     # -- data path ---------------------------------------------------------
 

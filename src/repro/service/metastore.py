@@ -96,9 +96,8 @@ class MetastoreServer(RpcServer):
         batch = self.strategy.place_many(addresses)
         self.registry.counter("metastore.lookups").add(len(addresses))
         self.registry.histogram("metastore.batch_size").observe(len(addresses))
-        return {
-            "placements": [list(placement) for placement in batch.tuples()]
-        }
+        # Rows stay tuples: the frame codec writes them as JSON arrays.
+        return {"placements": batch.tuples()}
 
     async def _op_config(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {

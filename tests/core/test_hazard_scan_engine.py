@@ -1,0 +1,122 @@
+"""Deterministic pins of the rank-major hazard-scan batch engine.
+
+The hypothesis suite in ``tests/placement/test_batch.py`` draws at most
+64 addresses on 5-12 bins; these cases run 20 000 addresses (with
+duplicates) through the shapes that stress the engine — the benchmark
+fleet, a wide fleet, forced ranks, one copy, clipping — and count the
+engine's work exactly, so a per-copy pass over the bins cannot creep
+back unnoticed.
+"""
+
+import collections
+import random
+
+import pytest
+
+import repro._compat as compat
+from repro.core import LinMirror, RedundantShare
+from repro.placement import kernels
+from repro.types import bins_from_capacities
+
+try:  # array inputs are accepted on both legs, whenever NumPy is importable
+    import numpy
+except ImportError:  # pragma: no cover
+    numpy = None
+
+BENCH_FLEET = list(range(500, 2001, 100))  # benchmarks/e2e: 16 devices
+WIDE_FLEET = [1000 + index % 7 for index in range(200)]
+OVERSIZED = [1000, 1, 1]  # clips to [2, 1, 1]: copy 0 is forced at rank 0
+
+#: id -> (class, capacities, constructor keywords)
+CASES = {
+    "rs-bench-fleet-k3": (RedundantShare, BENCH_FLEET, {"copies": 3}),
+    "rs-wide-fleet-k3": (RedundantShare, WIDE_FLEET, {"copies": 3}),
+    "rs-k-equals-n": (RedundantShare, [50, 40, 30, 20, 10], {"copies": 5}),
+    "rs-single-copy": (RedundantShare, BENCH_FLEET, {"copies": 1}),
+    "rs-clipped": (RedundantShare, OVERSIZED, {"copies": 2}),
+    "rs-unclipped": (RedundantShare, BENCH_FLEET, {"copies": 3, "clip": False}),
+    "lm-bench-fleet": (LinMirror, BENCH_FLEET, {}),
+    "lm-wide-fleet": (LinMirror, WIDE_FLEET, {}),
+    "lm-k-equals-n": (LinMirror, [30, 20], {}),
+    "lm-clipped": (LinMirror, OVERSIZED, {}),
+    "lm-unclipped": (LinMirror, BENCH_FLEET, {"clip": False}),
+}
+
+
+def build(case):
+    cls, capacities, keywords = CASES[case]
+    return cls(bins_from_capacities(capacities), **keywords)
+
+
+def batch_addresses(count=20_000, distinct=2_500, seed=14):
+    """``count`` draws from ``distinct`` addresses spread over the whole
+    signed/unsigned 64-bit range, so the batch repeats addresses."""
+    rng = random.Random(seed)
+    pool = [rng.randrange(-(2**63), 2**64) for _ in range(distinct)]
+    return [rng.choice(pool) for _ in range(count)]
+
+
+def scalar_rows(strategy, addresses):
+    memo = {}
+    for address in addresses:
+        if address not in memo:
+            memo[address] = strategy.place(address)
+    return [memo[address] for address in addresses]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_large_batch_equals_scalar_place(case):
+    strategy = build(case)
+    addresses = batch_addresses()
+    expected = scalar_rows(strategy, addresses)
+    batch = strategy.place_many(addresses)
+    assert batch.tuples() == expected
+    assert batch.counts() == dict(
+        collections.Counter(bin_id for row in expected for bin_id in row)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_single_address_and_array_inputs(case):
+    strategy = build(case)
+    forms = [[-5], [2**64 - 1]]
+    if numpy is not None:
+        signed = numpy.arange(-300, 300, dtype=numpy.int64) * 2**53
+        forms += [signed, signed.view(numpy.uint64), signed[:1]]
+    for form in forms:
+        assert strategy.place_many(form).tuples() == [
+            strategy.place(int(address)) for address in form
+        ]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_numpy_and_pure_python_legs_agree(case, monkeypatch):
+    strategy = build(case)
+    addresses = batch_addresses(count=3_000, distinct=1_000)
+    reference = strategy.place_many(addresses)
+    monkeypatch.setattr(compat, "np", None)
+    fallback = strategy.place_many(addresses)
+    assert fallback.tuples() == reference.tuples()
+    assert fallback.counts() == reference.counts()
+
+
+@pytest.mark.skipif(not compat.HAVE_NUMPY, reason="counts the NumPy engine")
+@pytest.mark.parametrize("copies", [2, 3, 4])
+@pytest.mark.parametrize("capacities", [BENCH_FLEET, WIDE_FLEET[:40]])
+def test_one_pass_over_the_bins_whatever_k(copies, capacities, monkeypatch):
+    """One ``place_many`` calls the draw kernel at most once per bin and
+    hashes at most one element per visited (address, rank)."""
+    calls = []
+    draw = kernels.draws_from_premixed
+
+    def counting(base, mixed):
+        calls.append(mixed.size)
+        return draw(base, mixed)
+
+    monkeypatch.setattr(kernels, "draws_from_premixed", counting)
+    strategy = RedundantShare(bins_from_capacities(capacities), copies=copies)
+    batch = strategy.place_many(batch_addresses(count=5_000))
+    # The scan of an address visits every rank up to its last copy's.
+    visited = int((batch.columns[-1] + 1).sum())
+    assert 0 < len(calls) <= len(capacities)
+    assert sum(calls) <= visited

@@ -9,6 +9,10 @@ real environment variable, where both legs collapse to pure Python and
 the assertions still hold.
 """
 
+import io
+import json
+import random
+
 import pytest
 
 import repro._compat as compat
@@ -69,6 +73,49 @@ def run_observed_scenario():
         snapshot = obs.metrics().snapshot()
     obs.reset_metrics()
     return events, snapshot
+
+
+def traced_scan_batch():
+    """One 5 000-address hazard-scan batch on the 16-device benchmark
+    fleet: (JSONL trace text, metrics snapshot, strategy, addresses)."""
+    strategy = RedundantShare(
+        bins_from_capacities(range(500, 2001, 100)), copies=3
+    )
+    rng = random.Random(5)
+    addresses = [rng.randrange(-(2**63), 2**64) for _ in range(5_000)]
+    stream = io.StringIO()
+    obs.reset_metrics()
+    with obs.use_sink(obs.JsonlSink(stream)):
+        strategy.place_many(addresses)
+        snapshot = obs.metrics().snapshot()
+    obs.reset_metrics()
+    return stream.getvalue(), snapshot, strategy, addresses
+
+
+class TestScanDepthAcrossLegs:
+    """The rank-major engine has no per-copy structure to read the scan
+    depth from; ``_record_engine_events`` takes it off the last rank
+    column on both legs, so the records cannot tell the legs apart."""
+
+    def test_large_batch_trace_is_byte_identical(self, monkeypatch):
+        reference_trace, reference_snapshot, _, _ = traced_scan_batch()
+        monkeypatch.setattr(compat, "np", None)
+        fallback_trace, fallback_snapshot, _, _ = traced_scan_batch()
+        assert fallback_trace == reference_trace
+        assert fallback_snapshot == reference_snapshot
+
+    def test_scan_depth_is_the_last_copys_rank_plus_one(self):
+        trace, snapshot, strategy, addresses = traced_scan_batch()
+        rank = {bin_id: r for r, bin_id in enumerate(strategy.rank_ids)}
+        depths = [rank[strategy.place(a)[-1]] + 1 for a in addresses]
+        records = [json.loads(line) for line in trace.splitlines()]
+        (scan,) = [r for r in records if r["kind"] == "placement.scan"]
+        assert scan["depth_sum"] == sum(depths)
+        assert scan["depth_max"] == max(depths)
+        assert scan["addresses"] == len(addresses)
+        histogram = snapshot["histograms"]["placement.scan_depth"]
+        assert histogram["count"] == len(addresses)
+        assert histogram["sum"] == sum(depths)
 
 
 class TestLegEquivalence:

@@ -9,12 +9,16 @@ registered strategy.  Hypothesis drives address batches (including
 against the hash pipeline) through one long-lived server per strategy.
 """
 
+import asyncio
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.placement.registry import create, registered_strategies
-from repro.service import MetastoreServer, RpcConnection
+from repro.service import MetastoreServer, RpcConnection, encode_frame
+from repro.service.protocol import HEADER
 from repro.types import bins_from_capacities
 
 from .harness import LoopThread
@@ -22,6 +26,12 @@ from .harness import LoopThread
 COPIES = 3
 CAPACITIES = [500, 600, 700, 800, 900, 1000, 1100, 1200]
 BINS = bins_from_capacities(CAPACITIES, prefix="dev")
+
+#: SHA-256 of the answer to the fixed request of
+#: ``test_where_are_frame_bytes_are_pinned``, taken at the parent commit.
+WHERE_ARE_FRAME_SHA256 = (
+    "7ee9260f5dba6ecd9825c7f5bf8f34e088c6b2c988a8a2a92c6536ba450ea84c"
+)
 
 addresses_lists = st.lists(
     st.integers(min_value=0, max_value=2 ** 62), min_size=0, max_size=40
@@ -61,6 +71,25 @@ class ServedStrategies:
         connection = self.connections[name]
         result = self.loop.run(connection.call("where_is", address=address))
         return tuple(result["devices"])
+
+    def raw_exchange(self, name: str, request) -> bytes:
+        """Send one request on a fresh socket; the answer's frame bytes."""
+        server = self.servers[name]
+
+        async def exchange() -> bytes:
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                writer.write(encode_frame(request))
+                header = await reader.readexactly(HEADER.size)
+                (length,) = HEADER.unpack(header)
+                return header + await reader.readexactly(length)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        return self.loop.run(exchange())
 
     def close(self) -> None:
         for connection in self.connections.values():
@@ -113,3 +142,24 @@ class TestServedEquivalence:
             expected = entry.effective_copies(COPIES)
             placements = served.where_are(entry.name, [0, 1, 2])
             assert all(len(devices) == expected for devices in placements)
+
+    def test_where_are_frame_bytes_are_pinned(self, served):
+        """The handler hands the codec tuples, not per-row list copies;
+        the bytes on the wire are the ones a list-of-lists answer gives
+        (and gave before that copy was dropped)."""
+        addresses = [0, 1, 2**40 + 7, 2**62, 123456789] * 3
+        local = served.local["redundant-share"]
+        frame = served.raw_exchange(
+            "redundant-share",
+            {"op": "where_are", "id": 41, "addresses": addresses},
+        )
+        assert frame == encode_frame(
+            {
+                "id": 41,
+                "ok": True,
+                "result": {
+                    "placements": [list(local.place(a)) for a in addresses]
+                },
+            }
+        )
+        assert hashlib.sha256(frame).hexdigest() == WHERE_ARE_FRAME_SHA256
