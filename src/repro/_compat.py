@@ -58,19 +58,3 @@ def get_numpy() -> Optional[Any]:
     """
     return np
 
-
-def env_place_workers() -> int:
-    """Worker count requested via ``REPRO_PLACE_WORKERS`` (0 = serial).
-
-    Read at call time so operational tooling (and tests) can flip the
-    knob without re-importing; unset, empty or non-integer values mean
-    "no sharding", negative values are clamped to 0.
-    """
-    raw = os.environ.get("REPRO_PLACE_WORKERS", "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return max(value, 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..exceptions import DeviceNotFoundError
+from ..exceptions import DecodingError, DeviceNotFoundError
 from ..hashing.primitives import stable_u64
 from .cluster import Cluster
 
@@ -161,7 +161,7 @@ class Scrubber:
                         survivors[other_position] = candidate
                 try:
                     rebuilt = cluster.rebuild_share(survivors, position)
-                except Exception:
+                except DecodingError:
                     report.unrepairable += 1
                     continue
                 device.store(key, rebuilt)

@@ -129,8 +129,6 @@ class FastRedundantShare(ReplicationStrategy):
             bins, copies=copies, namespace=namespace, clip=clip
         )
         self.rank_ids = self._scan.rank_ids
-        self._tables: Dict[Tuple[int, int], Optional[CumulativeTable]] = {}
-        self._state_bases: Dict[Tuple[int, int], int] = {}
         self._rendezvous_bases: Dict[Tuple[int, int], list] = {}
         if eager:
             for copy in range(copies):
@@ -154,8 +152,9 @@ class FastRedundantShare(ReplicationStrategy):
         forced (exactly one positive outcome).
         """
         key = (copy, previous_rank)
-        if key in self._tables:
-            return self._tables[key]
+        tables = (self._precompute or self._attach()).tables
+        if key in tables:
+            return tables[key]
         distribution = self._scan.table.conditional_distribution(
             copy + 1, previous_rank
         )
@@ -166,7 +165,7 @@ class FastRedundantShare(ReplicationStrategy):
             table = None
         else:
             table = CumulativeTable(tail)
-        self._tables[key] = table
+        tables[key] = table
         return table
 
     def _select(self, copy: int, previous_rank: int, address: int) -> int:
@@ -187,14 +186,15 @@ class FastRedundantShare(ReplicationStrategy):
     ) -> int:
         """Salt base for the (copy, previous rank) state draw (memoised)."""
         key = (copy, previous_rank)
-        base = self._state_bases.get(key)
+        bases = (self._precompute or self._attach()).bases
+        base = bases.get(key)
         if base is None:
             if anchor is None:
                 anchor = (
                     "root" if previous_rank < 0
                     else self._rank_ids[previous_rank]
                 )
-            base = self._state_bases[key] = derive_base(
+            base = bases[key] = derive_base(
                 self._namespace, "state", copy, anchor
             )
         return base
@@ -294,31 +294,20 @@ class FastRedundantShare(ReplicationStrategy):
             ranks.append(previous)
         return tuple(self._rank_ids[rank] for rank in ranks)
 
-    # ------------------------------------------------------------------
-    # Batch placement
-    # ------------------------------------------------------------------
-
-    def _ensure_precompute(self) -> _StateBundle:
+    def _attach(self) -> _StateBundle:
         """Attach this instance to its epoch-keyed precompute bundle.
 
-        Consulted once per instance on the first batch call; a hit reuses
-        another instance's state tables for the identical configuration
-        (same fingerprint *and* same placement epoch).  The instance's own
-        lazily-built tables are merged in, and from here on the scalar and
-        batch paths share one table store.
+        Runs once per instance, on the first lookup of either kind that
+        needs a state table; a hit reuses another instance's tables for
+        the identical configuration (same fingerprint *and* same
+        placement epoch), so the scalar and batch paths of every such
+        instance share one table store.
         """
-        bundle = self._precompute
-        if bundle is not None:
-            return bundle
         cache = precompute.shared_cache()
         fingerprint = self._fingerprint()
         bundle = cache.get(fingerprint, self._epoch)
         if bundle is None:
             bundle = cache.put(fingerprint, self._epoch, _StateBundle())
-        bundle.tables.update(self._tables)
-        bundle.bases.update(self._state_bases)
-        self._tables = bundle.tables
-        self._state_bases = bundle.bases
         self._precompute = bundle
         return bundle
 
@@ -335,13 +324,9 @@ class FastRedundantShare(ReplicationStrategy):
             ),
         )
 
-    def place_many(self, addresses, *, workers=None):
-        """Batch lookup; ``"cdf"`` instances first attach to the shared
-        precompute bundle, so the scalar tables are reused across
-        instances on both legs."""
-        if self._has_engine:
-            self._ensure_precompute()
-        return super().place_many(addresses, workers=workers)
+    # ------------------------------------------------------------------
+    # Batch placement
+    # ------------------------------------------------------------------
 
     def _fill_ranks(self, np, keys, columns):
         """Batch lookup through the precomputed state tables.
@@ -379,7 +364,7 @@ class FastRedundantShare(ReplicationStrategy):
         instance over the same configuration and epoch gathers from the
         same arrays.
         """
-        bundle = self._precompute
+        bundle = self._precompute or self._attach()
         key = (copy, previous_rank)
         state = bundle.np_states.get(key)
         if state is None:
@@ -400,7 +385,7 @@ class FastRedundantShare(ReplicationStrategy):
         """Occupancy of the per-state precompute (scalar + vector)."""
         bundle = self._precompute
         return {
-            "state_tables": len(self._tables),
+            "state_tables": self.state_count(),
             "vector_states": len(bundle.np_states) if bundle else 0,
             "precomputed": int(bundle is not None),
             "epoch": self._epoch,
@@ -409,4 +394,5 @@ class FastRedundantShare(ReplicationStrategy):
     def state_count(self) -> int:
         """Number of state tables materialised so far (for the memory
         accounting in the time-efficiency bench)."""
-        return len(self._tables)
+        bundle = self._precompute
+        return len(bundle.tables) if bundle else 0

@@ -21,12 +21,25 @@ The contract:
 * :func:`parse_option_text` turns the CLI's ``key=value`` strings into
   typed values using the same schema, so ``--strategy-opt`` needs no
   per-strategy parsing code.
+
+:class:`Registry` is the name-keyed table both registries are instances
+of: alias-aware lookup, the duplicate-free names sweep and the option
+resolution of an entry are spelled here once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .exceptions import ConfigurationError
 
@@ -266,3 +279,75 @@ def parse_option_text(
             )
         parsed[key] = spec.parse_text(text, owner)
     return parsed
+
+
+class Registry:
+    """Name-keyed table of entries that declare an option schema.
+
+    An entry is any object with ``name``, ``aliases`` and ``options``
+    (a tuple of :class:`OptionSpec`); what else it carries — factories,
+    capability flags — is the owning module's business.  ``noun`` names
+    an entry in "unknown ..." errors (``"scheduling policy"``), ``owner``
+    in option errors (``"policy"`` gives ``"policy 'random'"``), and
+    ``load`` returns the entries in registration order; it runs on first
+    use, so a table may name classes its module cannot import at
+    package-import time.
+    """
+
+    def __init__(
+        self, noun: str, owner: str, load: Callable[[], Sequence[Any]]
+    ) -> None:
+        self._noun = noun
+        self._owner = owner
+        self._load = load
+        self._entries: Optional[Tuple[Any, ...]] = None
+
+    def entries(self) -> Tuple[Any, ...]:
+        """All entries, in registration order."""
+        if self._entries is None:
+            self._entries = tuple(self._load())
+        return self._entries
+
+    def names(
+        self,
+        include_aliases: bool = False,
+        only: Optional[Callable[[Any], bool]] = None,
+    ) -> List[str]:
+        """Accepted names in registration order, each canonical name
+        followed by its aliases if asked; ``only`` keeps the entries it
+        returns true for."""
+        names: List[str] = []
+        for entry in self.entries():
+            if only is None or only(entry):
+                names.append(entry.name)
+                if include_aliases:
+                    names.extend(entry.aliases)
+        return names
+
+    def lookup(self, name: str) -> Any:
+        """Resolve a canonical name or, failing that, an alias.
+
+        Raises:
+            ConfigurationError: when unknown, listing the canonical names
+                (each once — aliases resolve but are not advertised as
+                distinct entries).
+        """
+        for entry in self.entries():
+            if name == entry.name:
+                return entry
+        for entry in self.entries():
+            if name in entry.aliases:
+                return entry
+        raise ConfigurationError(
+            f"unknown {self._noun} {name!r}; choose from "
+            f"{sorted(self.names())}"
+        )
+
+    def resolve(
+        self, entry: Any, options: Optional[Mapping[str, Any]]
+    ) -> Dict[str, Any]:
+        """``options`` validated against ``entry``'s schema, defaults
+        filled; see :func:`resolve_options` for the error contract."""
+        return resolve_options(
+            entry.options, options, f"{self._owner} {entry.name!r}"
+        )

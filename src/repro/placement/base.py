@@ -21,20 +21,13 @@ metrics are defined.
 from __future__ import annotations
 
 import abc
-import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .. import obs
-from .._compat import env_place_workers, get_numpy
+from .._compat import get_numpy
 from ..exceptions import ConfigurationError
 from ..hashing.primitives import as_u64_array
 from ..types import BinSpec, Placement, validate_bins
-
-#: Minimum batch size before ``REPRO_PLACE_WORKERS`` engages the process
-#: pool; below this the fork/pickle overhead dwarfs the placement work.
-#: An explicit ``workers=`` argument bypasses the floor (tests rely on
-#: exercising the sharded path with small batches).
-SHARD_MIN_ADDRESSES = 4096
 
 
 def record_batch(
@@ -46,9 +39,9 @@ def record_batch(
 ) -> None:
     """Record one ``place_many`` invocation on an *enabled* sink.
 
-    Called by the batch driver and the sharded merge only, so the
-    ``placement.batch`` event schema is the same whichever engine ran
-    (the pure-Python/NumPy equivalence tests compare traces byte-wise).
+    Called by the batch driver only, so the ``placement.batch`` event
+    schema is the same whichever engine ran (the pure-Python/NumPy
+    equivalence tests compare traces byte-wise).
     ``kernel`` is the strategy's :attr:`ReplicationStrategy.kernel` family
     name; it describes the *logical* engine, so both legs record the same
     per-kernel counters whichever one actually ran.
@@ -184,30 +177,13 @@ class SingleCopyPlacer(abc.ABC):
     def place(self, address: int) -> str:
         """Return the bin id storing ball ``address``."""
 
-    def place_many(
-        self,
-        addresses: Sequence[int],
-        *,
-        workers: Optional[int] = None,
-    ) -> List[str]:
+    def place_many(self, addresses: Sequence[int]) -> List[str]:
         """Batch lookup: ``[place(a) for a in addresses]``.
 
-        Accepts the same keyword signature as
-        :meth:`ReplicationStrategy.place_many` so callers can treat every
+        Same one-argument signature as
+        :meth:`ReplicationStrategy.place_many`, so callers can treat every
         registered strategy — single-copy placers included — uniformly.
-        Single-copy batches are cheap enough that sharding never pays for
-        the fork overhead, so ``workers`` is accepted for signature parity
-        and the engine always runs the serial loop.
-
-        The default simply loops; placers with a vectorized pipeline
-        override :meth:`_place_many_serial` with an equivalent
-        (element-wise identical) fast path.
         """
-        del workers  # accepted for API parity; single-copy runs serial
-        return self._place_many_serial(addresses)
-
-    def _place_many_serial(self, addresses: Sequence[int]) -> List[str]:
-        """Single-process batch engine: the scalar loop by default."""
         place = self.place
         return [place(address) for address in addresses]
 
@@ -312,53 +288,17 @@ class ReplicationStrategy(abc.ABC):
     def place(self, address: int) -> Placement:
         """Return the ordered bin ids of all ``k`` copies of ``address``."""
 
-    def place_many(
-        self,
-        addresses: Sequence[int],
-        *,
-        workers: Optional[int] = None,
-    ) -> BatchPlacement:
+    def place_many(self, addresses: Sequence[int]) -> BatchPlacement:
         """Batch lookup: the placements of many addresses, column-wise.
 
         Semantically equivalent to ``[place(a) for a in addresses]`` (see
         :meth:`BatchPlacement.tuples`), but returned as ``k`` bin-rank
         columns so throughput-oriented consumers (fairness histograms,
         movement comparisons, rebalancing backlogs) can stay in array
-        land.  Strategies with a vectorized engine implement
-        :meth:`_fill_ranks`, an element-wise identical fast path; the
-        default loops over :meth:`place`.
-
-        Args:
-            addresses: The ball addresses to place.
-            workers: Shard the address vector across ``workers`` OS
-                processes and merge the columns deterministically (the
-                result is identical to the serial call — placement is a
-                pure function per address).  ``None`` (default) consults
-                the ``REPRO_PLACE_WORKERS`` environment variable, which
-                only engages for batches of at least
-                ``SHARD_MIN_ADDRESSES``; ``0``/``1`` force the serial
-                path.
-        """
-        count = len(addresses)
-        shard_workers = self._effective_workers(workers, count)
-        if shard_workers > 1:
-            return self._place_many_sharded(addresses, shard_workers)
-        return self._place_many_serial(addresses)
-
-    def _effective_workers(self, workers: Optional[int], count: int) -> int:
-        """Resolve the worker count for one ``place_many`` call."""
-        if workers is None:
-            requested = env_place_workers()
-            if requested > 1 and count < SHARD_MIN_ADDRESSES:
-                return 0
-        else:
-            requested = max(int(workers), 0)
-        if requested <= 1 or count < 2:
-            return 0
-        return min(requested, count)
-
-    def _place_many_serial(self, addresses: Sequence[int]) -> BatchPlacement:
-        """The single-process batch driver, shared by every strategy.
+        land.  This is the one batch driver, shared by every strategy,
+        and it runs in the calling process: placement is a pure function
+        per address, so a caller that wants parallelism splits the
+        address vector and calls it from its own pool.
 
         Without NumPy, or when the strategy has no engine for this
         configuration, the batch is ``place()`` per address.  Otherwise
@@ -421,84 +361,6 @@ class ReplicationStrategy(abc.ABC):
         """Engine-specific events of one batch, after ``placement.batch``
         (``columns``: the ``k`` rank columns, lists without NumPy)."""
 
-    def _place_many_sharded(
-        self, addresses: Sequence[int], workers: int
-    ) -> BatchPlacement:
-        """Fan the batch out over a process pool; merge deterministically.
-
-        Contiguous shards of the address vector are placed by worker
-        processes; with NumPy installed each worker writes its rank
-        columns straight into a shared-memory result matrix at its shard
-        offset, so nothing but per-shard timings travels back through the
-        pickle channel.  The merged :class:`BatchPlacement` is identical
-        to the serial result by construction.  Instrumented per shard
-        (``placement.shard`` events, ``placement.shard_ms`` histogram) on
-        top of the usual ``placement.batch`` record.
-        """
-        import concurrent.futures
-
-        np = get_numpy()
-        count = len(addresses)
-        bounds = _shard_bounds(count, workers)
-        shm = None
-        shm_name = None
-        if np is not None:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(8 * self._copies * count, 8)
-            )
-            shm_name = shm.name
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _place_shard,
-                        self,
-                        addresses[lo:hi],
-                        lo,
-                        shm_name,
-                        count,
-                    )
-                    for lo, hi in bounds
-                ]
-                results = [future.result() for future in futures]
-            results.sort(key=lambda item: item[0])
-            if np is not None:
-                view = np.ndarray(
-                    (self._copies, count), dtype=np.int64, buffer=shm.buf
-                )
-                columns = [np.array(view[c], copy=True) for c in range(self._copies)]
-            else:
-                columns = [
-                    [rank for _, _, _, cols in results for rank in cols[c]]
-                    for c in range(self._copies)
-                ]
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
-        sink = obs.sink()
-        if sink.enabled:
-            record_batch(
-                sink, self.name, self._copies, count, kernel=self.kernel
-            )
-            registry = obs.metrics()
-            registry.counter("placement.shards").add(len(results))
-            histogram = registry.histogram("placement.shard_ms")
-            for shard, (offset, size, elapsed, _) in enumerate(results):
-                histogram.observe(elapsed * 1000.0)
-                sink.emit(
-                    "placement.shard",
-                    strategy=self.name,
-                    shard=shard,
-                    addresses=size,
-                    seconds=round(elapsed, 6),
-                )
-        return BatchPlacement(self._rank_ids, columns)
-
     def place_copy(self, address: int, position: int) -> str:
         """Return only the bin of copy ``position`` (0-based).
 
@@ -524,58 +386,6 @@ class ReplicationStrategy(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.describe()}>"
-
-
-def _shard_bounds(count: int, workers: int) -> List[Tuple[int, int]]:
-    """Split ``count`` items into ``workers`` contiguous balanced slices."""
-    base, extra = divmod(count, workers)
-    bounds: List[Tuple[int, int]] = []
-    lo = 0
-    for shard in range(workers):
-        hi = lo + base + (1 if shard < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def _place_shard(
-    strategy: "ReplicationStrategy",
-    addresses: Sequence[int],
-    offset: int,
-    shm_name: Optional[str],
-    total: int,
-):
-    """Worker-process body of :meth:`ReplicationStrategy._place_many_sharded`.
-
-    Places one contiguous shard serially and publishes the rank columns —
-    into the shared-memory result matrix at ``offset`` when NumPy is
-    available, otherwise back through the return value.  Observability is
-    disabled in the worker (the parent records the batch and the per-shard
-    timings); the wall-clock spent placing is measured here so the parent's
-    numbers exclude pool scheduling overhead.
-    """
-    obs.set_sink(obs.NULL_SINK)
-    start = time.perf_counter()
-    batch = strategy.place_many(addresses, workers=0)
-    elapsed = time.perf_counter() - start
-    np = get_numpy()
-    if shm_name is not None and np is not None:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=shm_name)
-        try:
-            view = np.ndarray(
-                (batch.copies, total), dtype=np.int64, buffer=shm.buf
-            )
-            for position, column in enumerate(batch.columns):
-                view[position, offset : offset + len(batch)] = np.asarray(
-                    column, dtype=np.int64
-                )
-        finally:
-            shm.close()
-        return (offset, len(batch), elapsed, None)
-    columns = [[int(rank) for rank in column] for column in batch.columns]
-    return (offset, len(batch), elapsed, columns)
 
 
 def check_placement(placement: Placement, copies: int) -> None:

@@ -48,7 +48,7 @@ Legs
 
 There is one: NumPy.  The matrix kernels below run only on the NumPy
 leg — the batch driver
-(:meth:`repro.placement.base.ReplicationStrategy._place_many_serial`)
+(:meth:`repro.placement.base.ReplicationStrategy.place_many`)
 and ``ReadScheduler.choose_many`` consult
 :func:`repro._compat.get_numpy` per call and never enter an engine
 without it — so this module binds ``np`` once at import, and

@@ -35,19 +35,9 @@ validation behave identically everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
-from ..exceptions import ConfigurationError
-from ..options import OptionSpec, resolve_options
+from ..options import OptionSpec, Registry
 from ..types import BinSpec
 from .base import ReplicationStrategy
 
@@ -120,9 +110,7 @@ class StrategyEntry:
         filled) before the factory runs; see
         :func:`repro.options.resolve_options` for the error contract.
         """
-        resolved = resolve_options(
-            self.options, options, f"strategy {self.name!r}"
-        )
+        resolved = _REGISTRY.resolve(self, options)
         return self.factory(bins, self.effective_copies(copies), resolved)
 
     def effective_copies(self, copies: int) -> int:
@@ -130,7 +118,7 @@ class StrategyEntry:
         return self.fixed_copies if self.fixed_copies is not None else copies
 
 
-def _build_registry() -> Dict[str, StrategyEntry]:
+def _entries() -> List[StrategyEntry]:
     # Imported lazily so ``repro.placement`` does not pull in ``repro.core``
     # at package-import time (core imports placement, not vice versa).
     from ..core.balanced_rendezvous import BalancedRendezvous
@@ -143,7 +131,7 @@ def _build_registry() -> Dict[str, StrategyEntry]:
     from .striping import WeightedStripingStrategy
     from .trivial import TrivialReplication
 
-    entries = [
+    return [
         StrategyEntry(
             "redundant-share",
             lambda bins, copies, opts: RedundantShare(bins, copies=copies),
@@ -275,23 +263,14 @@ def _build_registry() -> Dict[str, StrategyEntry]:
             movement_class="proportional",
         ),
     ]
-    return {entry.name: entry for entry in entries}
 
 
-_REGISTRY: Optional[Dict[str, StrategyEntry]] = None
-
-
-def registry() -> Dict[str, StrategyEntry]:
-    """The canonical-name → entry table (built on first use, then cached)."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    return _REGISTRY
+_REGISTRY = Registry("strategy", "strategy", _entries)
 
 
 def registered_strategies() -> List[StrategyEntry]:
     """All entries in registration order."""
-    return list(registry().values())
+    return list(_REGISTRY.entries())
 
 
 def strategy_names(include_aliases: bool = False) -> List[str]:
@@ -301,31 +280,16 @@ def strategy_names(include_aliases: bool = False) -> List[str]:
     alias-free form: every canonical name appears exactly once, so no
     strategy is run twice under two spellings.
     """
-    names: List[str] = []
-    for entry in registered_strategies():
-        names.append(entry.name)
-        if include_aliases:
-            names.extend(entry.aliases)
-    return names
+    return _REGISTRY.names(include_aliases)
 
 
 def lookup(name: str) -> StrategyEntry:
-    """Resolve a canonical name or alias.
+    """The entry for a canonical name or alias.
 
     Raises:
-        ConfigurationError: when unknown, listing the canonical names
-            (each once — aliases resolve but are not advertised as
-            distinct strategies).
+        ConfigurationError: when unknown, listing the canonical names.
     """
-    table = registry()
-    if name in table:
-        return table[name]
-    for entry in table.values():
-        if name in entry.aliases:
-            return entry
-    raise ConfigurationError(
-        f"unknown strategy {name!r}; choose from {sorted(strategy_names())}"
-    )
+    return _REGISTRY.lookup(name)
 
 
 def create(

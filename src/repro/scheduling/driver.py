@@ -62,10 +62,7 @@ class ScheduleOutcome:
 
 
 def _expanded_placements(
-    strategy: ReplicationStrategy,
-    addresses,
-    *,
-    workers: Optional[int] = None,
+    strategy: ReplicationStrategy, addresses
 ) -> Tuple[Sequence[int], object]:
     """Place distinct addresses once; expand to the request stream.
 
@@ -79,9 +76,7 @@ def _expanded_placements(
         if len(stream) == 0:
             return stream, []
         unique, inverse = np.unique(stream, return_inverse=True)
-        batch = strategy.place_many(
-            [int(address) for address in unique], workers=workers
-        )
+        batch = strategy.place_many([int(address) for address in unique])
         columns = [
             np.asarray(column, dtype=np.int64)[inverse]
             for column in batch.columns
@@ -92,7 +87,7 @@ def _expanded_placements(
         return stream, []
     unique = sorted(set(stream))
     index = {address: i for i, address in enumerate(unique)}
-    rows = strategy.place_many(unique, workers=workers).tuples()
+    rows = strategy.place_many(unique).tuples()
     return stream, [rows[index[address]] for address in stream]
 
 
@@ -100,8 +95,6 @@ def run_reads(
     strategy: ReplicationStrategy,
     scheduler: ReadScheduler,
     addresses,
-    *,
-    workers: Optional[int] = None,
 ) -> ScheduleOutcome:
     """Schedule a whole read stream; report per-device deltas.
 
@@ -113,9 +106,7 @@ def run_reads(
     cache = scheduler.cache
     before_hits = cache.hits if cache is not None else 0
     before_misses = cache.misses if cache is not None else 0
-    stream, placements = _expanded_placements(
-        strategy, addresses, workers=workers
-    )
+    stream, placements = _expanded_placements(strategy, addresses)
     positions = scheduler.choose_many(stream, placements) if len(stream) else []
     device_counts = {
         device: count - before_counts.get(device, 0)
@@ -167,7 +158,6 @@ def fractional_lower_bound(
     addresses,
     *,
     offline: Sequence[str] = (),
-    workers: Optional[int] = None,
 ) -> Optional[float]:
     """Water-filling fractional optimum of the stream's peak load.
 
@@ -190,7 +180,7 @@ def fractional_lower_bound(
     if not demands:
         return 0.0
     blocks = sorted(demands)
-    batch = strategy.place_many(blocks, workers=workers)
+    batch = strategy.place_many(blocks)
     masks: List[int] = []
     for block, row in zip(blocks, batch.tuples()):
         mask = 0

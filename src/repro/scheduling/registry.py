@@ -5,7 +5,8 @@ player, the service client, the benches — resolves it here, so policy
 names stay consistent across layers and ablations can sweep
 ``scheduler_names()`` without hard-coding a list.
 
-The surface deliberately matches the placement registry's: ``lookup``
+Like the placement registry this is an instance of
+:class:`repro.options.Registry`, so the surface matches: ``lookup``
 raises :class:`~repro.exceptions.ConfigurationError` listing canonical
 names (aliases resolve but are not advertised as distinct policies),
 ``create(name, ..., **options)`` validates keyword options against each
@@ -22,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..exceptions import ConfigurationError
-from ..options import OptionSpec, resolve_options
+from ..options import OptionSpec, Registry
 from .base import ReadScheduler
 from .cache import LruCacheModel
 from .policies import (
@@ -71,9 +71,7 @@ class SchedulerEntry:
         filled) before the factory runs; see
         :func:`repro.options.resolve_options` for the error contract.
         """
-        resolved = resolve_options(
-            self.options, options, f"policy {self.name!r}"
-        )
+        resolved = _REGISTRY.resolve(self, options)
         return self.factory(device_ids, seed=seed, cache=cache, **resolved)
 
 
@@ -119,28 +117,16 @@ _ENTRIES: Tuple[SchedulerEntry, ...] = (
     ),
 )
 
-_BY_NAME: Dict[str, SchedulerEntry] = {}
-for _entry in _ENTRIES:
-    _BY_NAME[_entry.name] = _entry
-    for _alias in _entry.aliases:
-        _BY_NAME[_alias] = _entry
+_REGISTRY = Registry("scheduling policy", "policy", lambda: _ENTRIES)
 
 
 def lookup(name: str) -> SchedulerEntry:
-    """The registry entry for ``name`` (canonical or alias).
+    """The entry for a canonical name or alias.
 
     Raises:
-        ConfigurationError: for an unregistered name, listing the
-            canonical policy names (each once — aliases resolve but are
-            not advertised as distinct policies).
+        ConfigurationError: when unknown, listing the canonical names.
     """
-    entry = _BY_NAME.get(name)
-    if entry is None:
-        raise ConfigurationError(
-            f"unknown scheduling policy {name!r}; choose from "
-            f"{sorted(scheduler_names())}"
-        )
-    return entry
+    return _REGISTRY.lookup(name)
 
 
 def create(
@@ -172,16 +158,13 @@ def scheduler_names(
     name appears exactly once, so no policy runs twice under two
     spellings.
     """
-    names = []
-    for entry in _ENTRIES:
-        if online_only and not entry.online:
-            continue
-        names.append(entry.name)
-        if include_aliases:
-            names.extend(entry.aliases)
-    return tuple(names)
+    return tuple(
+        _REGISTRY.names(
+            include_aliases, lambda entry: entry.online or not online_only
+        )
+    )
 
 
 def registered_schedulers() -> Tuple[SchedulerEntry, ...]:
     """All registry entries, in registration order."""
-    return _ENTRIES
+    return _REGISTRY.entries()

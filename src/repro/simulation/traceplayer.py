@@ -18,7 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from ..exceptions import ConfigurationError, DeviceUnavailableError
+from ..exceptions import (
+    BlockNotFoundError,
+    ConfigurationError,
+    DeviceUnavailableError,
+)
 from ..scheduling import registry as sched_registry
 from ..scheduling.cache import LruCacheModel
 from ..workloads.traces import Op, Request
@@ -193,7 +197,7 @@ class TracePlayer:
                 report.reads += 1
                 try:
                     placement = cluster.placement_of(address)
-                except Exception:
+                except BlockNotFoundError:
                     cluster.write(address, request.payload(payload_size))
                     placement = cluster.placement_of(address)
                 copy = self._pick_read_copy(address, placement)
@@ -201,7 +205,7 @@ class TracePlayer:
                 device = cluster.device(device_id)
                 if not device.is_active:
                     # Fail over to the first live copy.
-                    for candidate_position, candidate in enumerate(placement):
+                    for candidate in placement:
                         if cluster.device(candidate).is_active:
                             device_id = candidate
                             break

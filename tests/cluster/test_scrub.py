@@ -125,6 +125,27 @@ class TestScrubber:
         assert report.repaired == 2
         assert cluster.read(11) == b"data-11" * 2
 
+    def test_only_undecodable_blocks_count_as_unrepairable(self, monkeypatch):
+        cluster = make_cluster()
+        fill(cluster, 20)
+        index = ChecksumIndex()
+        index.capture(cluster)
+        placement = cluster.placement_of(4)
+        for position, device_id in enumerate(placement):
+            corrupt_share(cluster, device_id, (4, position))
+        # No verified survivor: the one legitimate "unrepairable".
+        report = Scrubber(cluster, index).scrub()
+        assert (report.corrupt, report.unrepairable) == (2, 2)
+        # Any other failure of the rebuild is a bug and must surface.
+        corrupt_share(cluster, cluster.placement_of(5)[0], (5, 0))
+
+        def broken_encode(block):
+            raise RuntimeError("encoder bug")
+
+        monkeypatch.setattr(cluster.code, "encode", broken_encode)
+        with pytest.raises(RuntimeError, match="encoder bug"):
+            Scrubber(cluster, index).scrub()
+
     def test_writes_after_capture_are_ignored(self):
         cluster = make_cluster()
         fill(cluster, 10)

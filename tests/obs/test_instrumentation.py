@@ -7,6 +7,7 @@ crash rounds and the simulator's per-tick queue depth.
 
 import pytest
 
+import repro._compat as compat
 from repro import obs
 from repro.chaos import ChaosOptions, generate_schedule, run_chaos
 from repro.cluster import Cluster, Rebalancer
@@ -63,6 +64,26 @@ class TestPlacementInstrumentation:
         assert counters["placement.addresses"] == 700
         histogram = obs.metrics().histogram("placement.batch_size")
         assert histogram.count == 2
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["default", "pure"])
+    def test_one_call_is_one_batch_record_at_any_size(self, monkeypatch, pure):
+        # The batch driver has one path: a large batch is still a single
+        # ``placement.batch`` record, and the retired worker-count
+        # variable selects nothing.
+        if pure:
+            monkeypatch.setattr(compat, "np", None)
+        monkeypatch.setenv("REPRO_PLACE_WORKERS", "2")
+        strategy = RedundantShare(
+            bins_from_capacities([5, 4, 3, 2]), copies=3
+        )
+        with obs.capture() as trace:
+            strategy.place_many(range(5000))
+        assert trace.kinds() == {"placement.batch": 1, "placement.scan": 1}
+        assert trace.of_kind("placement.batch")[0].fields["addresses"] == 5000
+        counters = obs.metrics().counters()
+        assert counters["placement.batches"] == 1
+        assert counters["placement.addresses"] == 5000
+        assert not [name for name in counters if "shard" in name]
 
     def test_scan_depth_histogram_matches_scalar_walks(self):
         strategy = RedundantShare(

@@ -133,19 +133,42 @@ def test_option_schemas_expose_defaults_and_docs():
 
 
 def test_single_copy_and_replication_share_the_batch_signature():
-    # Every registered strategy accepts the unified keyword signature;
-    # single-copy placers expose the same shape (serial fallback).
+    # Every registered strategy takes the one-argument batch call;
+    # single-copy placers expose the same shape.
     from repro.placement import RendezvousPlacer
 
     for entry in registered_strategies():
         strategy = entry.build(BINS, 3)
-        batch = strategy.place_many(range(8), workers=None)
+        batch = strategy.place_many(range(8))
         assert batch.tuples() == [strategy.place(a) for a in range(8)]
     placer = RendezvousPlacer(BINS)
-    assert placer.place_many(range(8), workers=None) == [
-        placer.place(a) for a in range(8)
+    assert placer.place_many(range(8)) == [placer.place(a) for a in range(8)]
+
+
+def test_place_many_has_one_path_and_no_knob():
+    # The batch entry point is ``(self, addresses)`` everywhere — no
+    # worker count, no keyword that selects a second path — and no
+    # replication strategy overrides the base class's driver.
+    import inspect
+
+    import repro.placement as placement
+    from repro.placement.base import ReplicationStrategy, SingleCopyPlacer
+
+    classes = [type(entry.build(BINS, 3)) for entry in registered_strategies()]
+    assert len(classes) == len(strategy_names())
+    for cls in classes:
+        assert cls.place_many is ReplicationStrategy.place_many, cls
+    classes += [
+        cls
+        for cls in (getattr(placement, name) for name in placement.__all__)
+        if inspect.isclass(cls) and issubclass(cls, SingleCopyPlacer)
     ]
-    assert placer.place_many(range(8), workers=4) == placer.place_many(range(8))
+    assert SingleCopyPlacer in classes
+    for cls in classes:
+        parameters = list(inspect.signature(cls.place_many).parameters)
+        assert parameters == ["self", "addresses"], cls
+    with pytest.raises(TypeError):
+        create("redundant-share", BINS).place_many([1], workers=2)
 
 
 def test_every_entry_builds_and_places():

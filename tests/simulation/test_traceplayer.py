@@ -58,6 +58,18 @@ class TestPlayback:
         assert cluster.block_count == 1
         assert report.reads == 1
 
+    def test_only_a_missing_block_is_auto_written(self, monkeypatch):
+        cluster = make_cluster()
+        player = TracePlayer(cluster)
+
+        def broken_lookup(address):
+            raise RuntimeError("block map bug")
+
+        monkeypatch.setattr(cluster, "placement_of", broken_lookup)
+        with pytest.raises(RuntimeError, match="block map bug"):
+            player.play([Request(Op.READ, 42)])
+        assert cluster.block_count == 0
+
     def test_operation_shares_track_capacity(self):
         """Fairness of requests, not just data (the paper's definition)."""
         cluster = make_cluster()
