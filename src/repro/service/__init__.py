@@ -8,8 +8,9 @@ the canonical registry factory and the columnar ``place_many`` engine, N
 on read failure — the wire twin of
 :func:`repro.chaos.recovery.degraded_read`.
 
-Everything speaks the length-prefixed JSON protocol in
-:mod:`~repro.service.protocol`; malformed frames raise the typed errors
+Everything speaks the length-prefixed protocol in
+:mod:`~repro.service.protocol` — JSON frames, and a columnar frame that
+carries ``where_are``'s rank matrix raw; malformed frames raise the typed errors
 exported from :mod:`repro.exceptions` (:class:`~repro.exceptions.BadFrameError`
 and friends).  Each server exports its request counters and latency
 histograms — plus the process-wide :mod:`repro.obs` snapshot — through a

@@ -22,6 +22,11 @@ as the in-process recovery layer
   position is exhausted does the read raise
   :class:`~repro.exceptions.ServiceUnavailableError`.
 
+Every metastore reply names the placement epoch it was computed under;
+when that differs from the epoch of the ``config`` this client holds
+(the metastore was restarted with another strategy or fleet), the client
+re-fetches ``config`` before handing the reply back.
+
 Checksums are verified end-to-end: the client re-hashes every fetched
 payload against the server-reported digest, so a corrupt frame or shard
 can never silently satisfy a read.
@@ -115,6 +120,7 @@ class ServiceClient:
         self._scheduler = None
         self.copies = 0
         self.strategy_name = ""
+        self.epoch: Optional[str] = None
 
     @classmethod
     async def connect(
@@ -152,7 +158,10 @@ class ServiceClient:
         read scheduler — the probe-on-failure path re-discovers any that
         are still down.
         """
-        config = await self._call_metastore("config")
+        if self._metastore is None:
+            raise ServiceError("client is not connected; use connect()")
+        config = await self._metastore.call("config")
+        self.epoch = config.get("epoch")
         self.copies = int(config.get("copies", 0))
         self.strategy_name = str(config.get("strategy", ""))
         endpoints = config.get("blockstores", {})
@@ -165,9 +174,14 @@ class ServiceClient:
                 self._scheduler.mark_online(device_id)
 
     async def _call_metastore(self, op: str, **params):
+        """One metastore RPC; a reply computed under another epoch than
+        the config this client holds refreshes that config first."""
         if self._metastore is None:
             raise ServiceError("client is not connected; use connect()")
-        return await self._metastore.call(op, **params)
+        result = await self._metastore.call(op, **params)
+        if self._metastore.epoch != self.epoch:
+            await self.refresh_config()
+        return result
 
     async def _blockstore(self, device_id: str) -> RpcConnection:
         """A (cached) connection to the blockstore backing ``device_id``."""

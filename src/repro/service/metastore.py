@@ -11,22 +11,36 @@ registered strategy.
 
 Ops::
 
-    where_is  {address}              -> {devices: [id, ...]}          # k ids
-    where_are {addresses}            -> {placements: [[id, ...], ...]}
-    config    {}                     -> {strategy, copies, bins, blockstores}
+    where_is  {address}    -> {devices: [id, ...]}             # k ids
+    where_are {addresses}  -> {placements: [[id, ...], ...]}   # columnar frame
+    config    {}           -> {strategy, strategy_options, copies, bins,
+                               epoch, blockstores}
 
-plus the base ``ping``/``metrics``.  ``config`` is how a client
-bootstraps: it learns the replication degree and each device's
-blockstore endpoint in one round trip.
+plus the base ``ping``/``metrics``.  ``where_are`` hands the codec the
+:class:`~repro.placement.base.BatchPlacement` itself, so its answer
+crosses the wire as a rank matrix (see :mod:`~repro.service.protocol`)
+and reads as the rows above.  ``config`` is how a client bootstraps: it
+learns the replication degree and each device's blockstore endpoint in
+one round trip.
+
+Every response envelope, errors included, carries ``epoch`` beside
+``id``/``ok``: a digest of what decides a placement — canonical strategy
+name, its options, the effective copies and the ordered ``(bin_id,
+capacity)`` list.  Two metastores answer alike exactly when their epochs
+are equal, so a client holding one epoch's ``config`` notices from any
+reply that it has gone stale.  It is a fingerprint, not a counter: this
+metastore has no op that changes its fleet.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import hashlib
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import BadFrameError
 from ..placement.registry import create, lookup
 from ..types import BinSpec
+from .protocol import encode_frame
 from .rpc import RpcServer, require
 
 #: Ceiling on one ``where_are`` batch; far above any sane request while
@@ -61,6 +75,19 @@ class MetastoreServer(RpcServer):
         self.strategy = create(
             entry.name, self._bins, copies=copies, **self.strategy_options
         )
+        self._placement_config = {
+            "strategy": self.strategy_name,
+            "strategy_options": {
+                key: list(value) if isinstance(value, tuple) else value
+                for key, value in sorted(self.strategy_options.items())
+            },
+            "copies": self.copies,
+            "bins": [[spec.bin_id, spec.capacity] for spec in self._bins],
+        }
+        # The codec's canonical bytes: equal configs digest alike anywhere.
+        self.epoch = hashlib.sha256(
+            encode_frame(self._placement_config)
+        ).hexdigest()[:16]
         self._blockstores: Dict[str, Tuple[str, int]] = {
             device: (endpoint[0], int(endpoint[1]))
             for device, endpoint in (blockstores or {}).items()
@@ -92,29 +119,26 @@ class MetastoreServer(RpcServer):
                 f"where_are batch of {len(raw)} addresses exceeds the "
                 f"{MAX_BATCH_ADDRESSES}-address maximum"
             )
-        addresses = [self._parse_address(value) for value in raw]
-        batch = self.strategy.place_many(addresses)
-        self.registry.counter("metastore.lookups").add(len(addresses))
-        self.registry.histogram("metastore.batch_size").observe(len(addresses))
-        # Rows stay tuples: the frame codec writes them as JSON arrays.
-        return {"placements": batch.tuples()}
+        # One pass in C settles a well-formed batch; only a batch that
+        # fails it is walked, for the first offender's message.
+        if not (set(map(type, raw)) <= {int} and min(raw, default=0) >= 0):
+            for value in raw:
+                self._parse_address(value)
+        batch = self.strategy.place_many(raw)
+        self.registry.counter("metastore.lookups").add(len(raw))
+        self.registry.histogram("metastore.batch_size").observe(len(raw))
+        # The batch itself: the frame codec packs its rank matrix.
+        return {"placements": batch}
 
     async def _op_config(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "strategy": self.strategy_name,
-            "strategy_options": {
-                key: list(value) if isinstance(value, tuple) else value
-                for key, value in sorted(self.strategy_options.items())
-            },
-            "copies": self.copies,
-            "bins": [
-                [spec.bin_id, spec.capacity] for spec in self._bins
-            ],
-            "blockstores": {
+        return dict(
+            self._placement_config,
+            epoch=self.epoch,
+            blockstores={
                 device: [host, port]
                 for device, (host, port) in sorted(self._blockstores.items())
             },
-        }
+        )
 
     @staticmethod
     def _parse_address(value: Any) -> int:

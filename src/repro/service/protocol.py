@@ -1,28 +1,53 @@
-"""Length-prefixed JSON wire protocol for the placement service.
+"""Length-prefixed wire protocol for the placement service: two frame kinds.
 
-One frame on the wire is::
+Every frame is a 4-byte big-endian length and a body of exactly that many
+bytes; the body's first byte tells the two kinds apart.
+
+A **JSON frame** carries any JSON value (servers additionally require a
+dict envelope, but the codec itself is payload-agnostic)::
 
     +----------------+----------------------------------------+
     | 4-byte big-    | UTF-8 JSON body, exactly ``length``    |
     | endian length  | bytes                                  |
     +----------------+----------------------------------------+
 
-The body is any JSON value (servers additionally require a dict
-envelope, but the codec itself is payload-agnostic).  JSON is rendered
-compactly with sorted keys, so equal payloads encode to byte-equal
-frames on any machine — the property the protocol tests pin.
+A **columnar frame** carries a JSON value with one rank matrix in it — a
+:class:`~repro.placement.base.BatchPlacement`, the answer to
+``where_are`` — without rendering a device id per copy::
+
+    +----------------+------+----------------+-------------+--------------+
+    | 4-byte big-    | 0xFF | 4-byte big-    | UTF-8 JSON  | rank matrix, |
+    | endian length  |      | endian header  | header      | n*k*itemsize |
+    |                |      | length         |             | bytes        |
+    +----------------+------+----------------+-------------+--------------+
+
+``0xFF`` occurs in no UTF-8 text, so no JSON body starts with it.  The
+header is the payload itself with ``{"$ranks": {"dtype": code,
+"rank_ids": [id, ...], "shape": [n, k]}}`` standing where the matrix
+goes; the matrix follows as ``n`` rows of ``k`` little-endian unsigned
+ranks into ``rank_ids``, in the smallest of ``u1``/``u2``/``u4`` that
+indexes the table.  Decoding puts the rows back as ``n`` lists of ``k``
+id strings, so a reader of either kind sees plain JSON values: there is
+one answer format per op and nothing to negotiate.
+
+JSON is rendered compactly with sorted keys and the matrix has one
+layout, so equal payloads encode to byte-equal frames on any machine,
+with or without NumPy — the property the protocol tests pin.
 
 Three failure modes get typed errors (all subclasses of
-:class:`~repro.exceptions.BadFrameError`):
+:class:`~repro.exceptions.BadFrameError`), for both kinds alike:
 
 * :class:`~repro.exceptions.TruncatedFrameError` — the buffer or stream
   ended before the declared length was satisfied (peer died mid-frame).
 * :class:`~repro.exceptions.OversizedFrameError` — the header declared a
-  body larger than ``max_frame_bytes``.  The guard fires on the header
-  alone, before any body bytes are buffered.
+  body larger than ``max_frame_bytes``.  The guard fires on the length
+  prefix alone, before any body bytes are buffered.
 * :class:`~repro.exceptions.BadFrameError` — everything else: a zero
-  length prefix, a body that is not valid JSON, or trailing bytes after
-  a complete frame.
+  length prefix, a body that is not valid JSON, trailing bytes after a
+  complete frame; and in a columnar body a header length that overruns
+  the body, a header that is not JSON or names no (or a second, or a
+  malformed) rank matrix, a matrix segment that is not exactly
+  ``n*k*itemsize`` bytes, or a rank outside the table.
 
 The async helpers :func:`read_frame`/:func:`write_frame` adapt the codec
 to :mod:`asyncio` streams; a clean EOF *between* frames reads as
@@ -34,46 +59,98 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Optional, Tuple
+import sys
+from array import array
+from typing import Any, Dict, List, Optional, Tuple
 
+from .._compat import get_numpy
 from ..exceptions import (
     BadFrameError,
     OversizedFrameError,
     TruncatedFrameError,
 )
+from ..placement.base import BatchPlacement
 
 #: Frame header: one unsigned 32-bit big-endian body length.
 HEADER = struct.Struct("!I")
 
 #: Default ceiling on one frame's body.  Generous for placement batches
-#: (a 100k-address ``where_are`` answer is ~2 MB) while keeping a corrupt
-#: or hostile length prefix from forcing a multi-gigabyte allocation.
+#: (a 100k-address ``where_are`` answer is ~0.3 MB, its request ~1.5 MB)
+#: while keeping a corrupt or hostile length prefix from forcing a
+#: multi-gigabyte allocation.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: First body byte of a columnar frame; no UTF-8 text contains it.
+COLUMNAR = b"\xff"
+
+#: Sole key of the header object standing where the rank matrix goes.
+RANKS_KEY = "$ranks"
+
+#: Rank dtype code -> :mod:`array` typecode; a code's digit is its itemsize.
+RANK_DTYPES = {"u1": "B", "u2": "H", "u4": "I"}
 
 
 def encode_frame(payload: Any, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Serialise one payload to its wire frame.
 
     Args:
-        payload: Any JSON-serialisable value.
+        payload: Any JSON-serialisable value, in which one
+            :class:`~repro.placement.base.BatchPlacement` may stand for
+            its rows; the frame is then columnar.
         max_frame_bytes: Refuse to build frames whose body exceeds this.
 
     Raises:
         BadFrameError: when the payload is not JSON-serialisable.
         OversizedFrameError: when the encoded body exceeds the maximum.
     """
+    matrices: List[bytes] = []
+
+    def pack(value: Any) -> Dict[str, Any]:
+        # json asks about whatever it cannot render; one matrix is ours.
+        if not isinstance(value, BatchPlacement) or matrices:
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON "
+                f"serializable"
+            )
+        meta, matrix = _pack_ranks(value)
+        matrices.append(matrix)
+        return {RANKS_KEY: meta}
+
     try:
         body = json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
+            payload, default=pack, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
     except (TypeError, ValueError) as error:
         raise BadFrameError(f"payload is not JSON-serialisable: {error}") from None
+    if matrices:
+        body = b"".join((COLUMNAR, HEADER.pack(len(body)), body, matrices[0]))
     if len(body) > max_frame_bytes:
         raise OversizedFrameError(
             f"frame body is {len(body)} bytes, above the "
             f"{max_frame_bytes}-byte maximum"
         )
     return HEADER.pack(len(body)) + body
+
+
+def _pack_ranks(batch: BatchPlacement) -> Tuple[Dict[str, Any], bytes]:
+    """A batch's header entry and its ``(n, k)`` row-major rank bytes."""
+    count, copies = len(batch), batch.copies
+    table = len(batch.rank_ids)
+    code = "u1" if table <= 1 << 8 else "u2" if table <= 1 << 16 else "u4"
+    np = get_numpy()
+    if np is not None:
+        matrix = np.empty((count, copies), dtype="<" + code)
+        for position, column in enumerate(batch.columns):
+            matrix[:, position] = column
+    else:
+        flat = [0] * (count * copies)
+        for position, column in enumerate(batch.columns):
+            flat[position::copies] = column
+        matrix = array(RANK_DTYPES[code], flat)
+        if sys.byteorder == "big":
+            matrix.byteswap()
+    meta = {"dtype": code, "rank_ids": batch.rank_ids, "shape": [count, copies]}
+    return meta, matrix.tobytes()
 
 
 def decode_header(
@@ -102,15 +179,100 @@ def decode_header(
 
 
 def decode_body(body: bytes) -> Any:
-    """Parse one frame body.
+    """Parse one frame body of either kind.
 
     Raises:
-        BadFrameError: when the body is not valid UTF-8 JSON.
+        BadFrameError: when the body is not valid UTF-8 JSON, or is a
+            malformed columnar body (see the module docstring).
     """
+    if body[:1] == COLUMNAR:
+        return _decode_columnar(body)
+    return _loads(body)
+
+
+def _loads(text: bytes, object_hook: Any = None) -> Any:
     try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        return json.loads(text.decode("utf-8"), object_hook=object_hook)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise BadFrameError(f"frame body is not valid JSON: {error}") from None
+
+
+def _decode_columnar(body: bytes) -> Any:
+    """Parse a columnar body: the header, with the matrix's rows put back."""
+    start = len(COLUMNAR) + HEADER.size
+    if len(body) < start:
+        raise BadFrameError("columnar frame ends inside its header length")
+    (length,) = HEADER.unpack_from(body, len(COLUMNAR))
+    end = start + length
+    if end > len(body):
+        raise BadFrameError(
+            f"columnar frame declares a {length}-byte header but only "
+            f"{len(body) - start} bytes follow"
+        )
+    matrix = memoryview(body)[end:]
+    unpacked: List[bool] = []
+
+    def unpack(value: Dict[str, Any]) -> Any:
+        if value.keys() != {RANKS_KEY}:
+            return value
+        if unpacked:
+            raise BadFrameError("columnar frame names a second rank matrix")
+        unpacked.append(True)
+        return _unpack_ranks(value[RANKS_KEY], matrix)
+
+    payload = _loads(body[start:end], unpack)
+    if not unpacked:
+        raise BadFrameError("columnar frame names no rank matrix")
+    return payload
+
+
+def _unpack_ranks(meta: Any, matrix: memoryview) -> List[List[str]]:
+    """The rows of one rank matrix: ``n`` lists of ``k`` id strings."""
+    try:
+        (count, copies), code, rank_ids = (
+            meta["shape"], meta["dtype"], meta["rank_ids"]
+        )
+        typecode = RANK_DTYPES[code]
+    except (KeyError, TypeError, ValueError):
+        raise BadFrameError(
+            "rank matrix header needs shape [n, k], a dtype of "
+            f"{sorted(RANK_DTYPES)} and rank_ids"
+        ) from None
+    # n rows of no copies would cost memory the frame ceiling never saw.
+    if not (
+        type(count) is int and type(copies) is int
+        and count >= 0 and copies >= 0 and (copies or not count)
+    ):
+        raise BadFrameError(f"rank matrix shape [{count!r}, {copies!r}] is invalid")
+    if not (
+        isinstance(rank_ids, list)
+        and all(type(bin_id) is str for bin_id in rank_ids)
+    ):
+        raise BadFrameError("rank_ids must be a list of strings")
+    size = count * copies * int(code[1])
+    if len(matrix) != size:
+        raise BadFrameError(
+            f"a [{count}, {copies}] {code} rank matrix is {size} bytes, "
+            f"{len(matrix)} follow the header"
+        )
+    if not count:
+        return []
+    np = get_numpy()
+    try:
+        if np is not None:
+            ranks = np.frombuffer(matrix, dtype="<" + code)
+            table = np.array(rank_ids, dtype=object)
+            return table[ranks.reshape(count, copies)].tolist()
+        ranks = array(typecode)
+        ranks.frombytes(matrix)
+        if sys.byteorder == "big":
+            ranks.byteswap()
+        ids = [rank_ids[rank] for rank in ranks]
+    except IndexError:
+        raise BadFrameError(
+            f"a rank is outside the {len(rank_ids)}-entry rank_ids table"
+        ) from None
+    return [ids[row * copies : (row + 1) * copies] for row in range(count)]
 
 
 def decode_frame(

@@ -7,6 +7,11 @@ Requests and responses are dict envelopes over the
     <- {"ok": true,  "id": 7, "result": {"devices": ["store-2", ...]}}
     <- {"ok": false, "id": 7, "error": "BlockNotFoundError", "message": "..."}
 
+A server whose answers depend on state a client may hold a stale view of
+(the metastore's strategy and fleet) adds ``"epoch"``, a fingerprint of
+that state, to every response envelope; :attr:`RpcConnection.epoch` is
+the latest one seen.
+
 Error envelopes carry the exception's *class name*; the client re-raises
 the matching class from :mod:`repro.exceptions` (or a plain
 :class:`~repro.exceptions.ServiceError` for names it does not know), so a
@@ -36,7 +41,7 @@ from ..exceptions import (
     ServiceUnavailableError,
 )
 from ..obs.metrics import MetricsRegistry
-from .protocol import MAX_FRAME_BYTES, read_frame, write_frame
+from .protocol import MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
 
 Handler = Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
 
@@ -74,6 +79,10 @@ class RpcServer:
     """
 
     kind = "rpc"
+
+    #: Fingerprint of the state this server's answers depend on, sent in
+    #: every response envelope; None (no such state) sends nothing.
+    epoch: Optional[str] = None
 
     def __init__(
         self,
@@ -165,14 +174,7 @@ class RpcServer:
                     # typed error once and hang up.
                     self.registry.counter(f"{self.kind}.bad_frames").add(1)
                     try:
-                        await write_frame(
-                            writer,
-                            {
-                                "ok": False,
-                                "error": type(error).__name__,
-                                "message": str(error),
-                            },
-                        )
+                        await write_frame(writer, self._failure(None, error))
                     except (ConnectionError, OSError):
                         pass
                     return
@@ -180,11 +182,19 @@ class RpcServer:
                     return
                 response = await self._dispatch(request)
                 try:
-                    await write_frame(
-                        writer,
-                        response,
-                        max_frame_bytes=self._max_frame_bytes,
+                    frame = encode_frame(
+                        response, max_frame_bytes=self._max_frame_bytes
                     )
+                except BadFrameError as error:
+                    # The answer does not fit a frame (or is not JSON):
+                    # the request fails, the stream stays frame-aligned.
+                    self.registry.counter(f"{self.kind}.errors").add(1)
+                    frame = encode_frame(
+                        self._failure(response.get("id"), error)
+                    )
+                try:
+                    writer.write(frame)
+                    await writer.drain()
                 except (ConnectionError, OSError):
                     return
         finally:
@@ -195,10 +205,24 @@ class RpcServer:
             except (ConnectionError, OSError):  # pragma: no cover - platform
                 pass
 
+    def _envelope(self, request_id: Any) -> Dict[str, Any]:
+        """The fields every response carries, before ``ok`` is known."""
+        envelope: Dict[str, Any] = {"id": request_id}
+        if self.epoch is not None:
+            envelope["epoch"] = self.epoch
+        return envelope
+
+    def _failure(self, request_id: Any, error: Exception) -> Dict[str, Any]:
+        """The error envelope naming ``error``'s class."""
+        return dict(
+            self._envelope(request_id),
+            ok=False, error=type(error).__name__, message=str(error),
+        )
+
     async def _dispatch(self, request: Any) -> Dict[str, Any]:
         """Route one request envelope; never raises."""
         request_id = request.get("id") if isinstance(request, dict) else None
-        envelope: Dict[str, Any] = {"id": request_id}
+        envelope = self._envelope(request_id)
         started = time.perf_counter()
         op = request.get("op") if isinstance(request, dict) else None
         try:
@@ -215,14 +239,12 @@ class RpcServer:
             result = await handler(request)
             envelope.update(ok=True, result=result)
         except ReproError as error:
-            envelope.update(
-                ok=False, error=type(error).__name__, message=str(error)
-            )
+            envelope = self._failure(request_id, error)
             self.registry.counter(f"{self.kind}.errors").add(1)
         except Exception as error:  # invariant breakage, not a client fault
-            envelope.update(
-                ok=False, error="ServiceError",
-                message=f"internal error: {type(error).__name__}: {error}",
+            envelope = self._failure(
+                request_id,
+                ServiceError(f"internal error: {type(error).__name__}: {error}"),
             )
             self.registry.counter(f"{self.kind}.errors").add(1)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -274,6 +296,9 @@ class RpcConnection:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._next_id = 0
         self._lock = asyncio.Lock()
+        #: The ``epoch`` of the latest response envelope (None when the
+        #: server sends none): what its answer was computed under.
+        self.epoch: Optional[str] = None
 
     @classmethod
     async def open(
@@ -335,6 +360,7 @@ class RpcConnection:
                 )
         if not isinstance(response, dict):
             raise BadFrameError("response envelope must be an object")
+        self.epoch = response.get("epoch")
         if response.get("ok"):
             result = response.get("result")
             return result if isinstance(result, dict) else {}

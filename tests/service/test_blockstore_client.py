@@ -15,10 +15,13 @@ from repro.exceptions import (
     BadFrameError,
     BlockNotFoundError,
     ChecksumMismatchError,
+    OversizedFrameError,
     ServiceUnavailableError,
 )
+from repro.placement.registry import create
 from repro.service import (
     BlockstoreServer,
+    MetastoreServer,
     RpcConnection,
     ServiceClient,
     ServiceCluster,
@@ -27,6 +30,7 @@ from repro.service import (
     encode_payload,
 )
 from repro.service.protocol import HEADER, read_frame
+from repro.types import bins_from_capacities
 
 
 def run(coro):
@@ -187,6 +191,53 @@ class TestWireErrors:
         response = run(scenario())
         assert response["ok"] is False
         assert response["error"] == "BadFrameError"
+
+    def test_answer_above_the_ceiling_is_a_typed_error_not_a_hang_up(self):
+        # 2 bytes of request per address, 3 of answer: the request fits
+        # under the ceiling and its answer does not.
+        async def scenario():
+            server = MetastoreServer(
+                bins_from_capacities([300, 200, 100]), max_frame_bytes=5000
+            )
+            await server.start()
+            connection = await RpcConnection.open(server.host, server.port)
+            try:
+                with pytest.raises(OversizedFrameError):
+                    await connection.call(
+                        "where_are", addresses=list(range(10)) * 200
+                    )
+                pong = await connection.call("ping")
+                small = await connection.call("where_are", addresses=[1, 2])
+                counters = server.registry.snapshot()["counters"]
+            finally:
+                await connection.close()
+                await server.stop()
+            return pong, small, counters
+
+        pong, small, counters = run(scenario())
+        assert pong["pong"] is True
+        assert len(small["placements"]) == 2
+        assert counters["metastore.connections"] == 1
+        assert counters["metastore.errors"] == 1
+
+    def test_quarter_million_addresses_fit_the_default_ceiling(self):
+        bins = bins_from_capacities([500, 400, 300, 200, 100])
+        addresses = list(range(260_000))
+
+        async def scenario():
+            server = await MetastoreServer(bins).start()
+            connection = await RpcConnection.open(server.host, server.port)
+            try:
+                return await connection.call("where_are", addresses=addresses)
+            finally:
+                await connection.close()
+                await server.stop()
+
+        rows = run(scenario())["placements"]
+        local = create("redundant-share", bins, copies=3)
+        assert len(rows) == len(addresses)
+        for address in (0, 1, 131_072, 259_999):
+            assert tuple(rows[address]) == local.place(address)
 
     def test_connection_refused_is_service_unavailable(self):
         async def scenario():
@@ -350,6 +401,81 @@ class TestServiceClient:
         assert degraded.position_used == 1
         assert healthy.position_used == 0
         assert healthy.payload == b"payload-71"
+
+    def test_restarted_metastore_with_another_fleet_is_noticed(self):
+        async def scenario():
+            first = await MetastoreServer(
+                bins_from_capacities([400, 300, 200]), copies=3
+            ).start()
+            port = first.port
+            client = await ServiceClient.connect(first.host, port)
+            before = (client.epoch, client.copies, await client.where_is(5))
+            await first.stop()
+            second = await MetastoreServer(
+                bins_from_capacities([100, 200, 300, 400]), copies=2, port=port
+            ).start()
+            try:
+                # The old socket died with the old server ...
+                with pytest.raises(ServiceUnavailableError):
+                    await client.ping()
+                # ... and the first reply of the new one is under its epoch.
+                devices = await client.where_is(5)
+                after = (client.epoch, client.copies, devices)
+                counters = second.registry.snapshot()["counters"]
+            finally:
+                await client.close()
+                await second.stop()
+            return before, after, first.epoch, second.epoch, counters
+
+        before, after, first_epoch, second_epoch, counters = run(scenario())
+        assert first_epoch != second_epoch
+        assert before[:2] == (first_epoch, 3) and len(before[2]) == 3
+        assert after[:2] == (second_epoch, 2) and len(after[2]) == 2
+        assert counters["metastore.requests.config"] == 1
+
+    def test_epoch_rides_every_metastore_envelope_beside_the_result(self):
+        bins = bins_from_capacities([400, 300, 200])
+
+        async def scenario():
+            server = MetastoreServer(bins, copies=2)
+            ok = await server._dispatch({"op": "where_is", "id": 1, "address": 3})
+            config = await server._dispatch({"op": "config", "id": 2})
+            failed = await server._dispatch({"op": "where_is", "id": 3})
+            store = await BlockstoreServer("dev-0")._dispatch({"op": "ping"})
+            return server.epoch, ok, config, failed, store
+
+        epoch, ok, config, failed, store = run(scenario())
+        assert ok == {
+            "id": 1, "epoch": epoch, "ok": True,
+            "result": {"devices": list(create("redundant-share", bins, copies=2).place(3))},
+        }
+        assert config["epoch"] == config["result"]["epoch"] == epoch
+        assert failed["ok"] is False and failed["epoch"] == epoch
+        assert "epoch" not in store
+
+    def test_epoch_is_a_digest_of_what_decides_a_placement(self):
+        def epoch(capacities=(400, 300, 200), **kwargs):
+            return MetastoreServer(bins_from_capacities(capacities), **kwargs).epoch
+
+        assert epoch() == epoch(strategy="redundant-share", copies=3)
+        assert epoch() == epoch(port=1234, blockstores={"bin-0": ("h", 1)})
+        assert len({
+            epoch(),
+            epoch(copies=2),
+            epoch(strategy="crush"),
+            epoch(capacities=(400, 300, 201)),
+            epoch(capacities=(300, 400, 200)),
+            epoch(capacities=(400, 300, 200, 100)),
+        }) == 6
+        # Canonical name and effective copies: an alias, or a degree the
+        # strategy overrides (lin-mirror is k = 2), is the same epoch.
+        assert epoch(strategy="striping") == epoch(strategy="weighted-striping")
+        assert epoch(strategy="lin-mirror", copies=3) == epoch(
+            strategy="lin-mirror", copies=2
+        )
+        assert epoch(strategy="striping") != epoch(
+            strategy="striping", strategy_options={"resolution": 32}
+        )
 
     def test_metrics_rpc_exports_service_and_process_views(self):
         async def scenario():

@@ -7,6 +7,9 @@ placement *exactly* — same devices, same copy order, for every
 registered strategy.  Hypothesis drives address batches (including
 >2**32 addresses, which exercise JSON's arbitrary-precision integers
 against the hash pipeline) through one long-lived server per strategy.
+The answer crosses the wire as a columnar frame (a rank matrix, see
+:mod:`repro.service.protocol`); its bytes are pinned below and must be
+the same with and without NumPy.
 """
 
 import asyncio
@@ -17,7 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.placement.registry import create, registered_strategies
-from repro.service import MetastoreServer, RpcConnection, encode_frame
+from repro.service import (
+    MetastoreServer,
+    RpcConnection,
+    decode_frame,
+    encode_frame,
+)
 from repro.service.protocol import HEADER
 from repro.types import bins_from_capacities
 
@@ -27,10 +35,19 @@ COPIES = 3
 CAPACITIES = [500, 600, 700, 800, 900, 1000, 1100, 1200]
 BINS = bins_from_capacities(CAPACITIES, prefix="dev")
 
-#: SHA-256 of the answer to the fixed request of
-#: ``test_where_are_frame_bytes_are_pinned``, taken at the parent commit.
+#: The answer to the fixed request of
+#: ``test_where_are_frame_bytes_are_pinned``: header, then 15 rows of 3
+#: one-byte ranks into ``rank_ids`` (redundant-share ranks by capacity).
+WHERE_ARE_HEADER = (
+    b'{"epoch":"6db7d73fd71a1cdc","id":41,"ok":true,"result":{"placements":'
+    b'{"$ranks":{"dtype":"u1","rank_ids":["dev-7","dev-6","dev-5","dev-4",'
+    b'"dev-3","dev-2","dev-1","dev-0"],"shape":[15,3]}}}}'
+)
+WHERE_ARE_RANKS = bytes(
+    [0, 1, 6, 0, 1, 5, 0, 1, 4, 2, 3, 4, 2, 3, 5] * 3
+)
 WHERE_ARE_FRAME_SHA256 = (
-    "7ee9260f5dba6ecd9825c7f5bf8f34e088c6b2c988a8a2a92c6536ba450ea84c"
+    "fb0c98e344e6ac19a678e7275ed169e3a7956cd5a44a2e74d26a9d3351e53eb9"
 )
 
 addresses_lists = st.lists(
@@ -74,8 +91,9 @@ class ServedStrategies:
 
     def raw_exchange(self, name: str, request) -> bytes:
         """Send one request on a fresh socket; the answer's frame bytes."""
-        server = self.servers[name]
+        return self.exchange_with(self.servers[name], request)
 
+    def exchange_with(self, server: MetastoreServer, request) -> bytes:
         async def exchange() -> bytes:
             reader, writer = await asyncio.open_connection(
                 server.host, server.port
@@ -144,22 +162,63 @@ class TestServedEquivalence:
             assert all(len(devices) == expected for devices in placements)
 
     def test_where_are_frame_bytes_are_pinned(self, served):
-        """The handler hands the codec tuples, not per-row list copies;
-        the bytes on the wire are the ones a list-of-lists answer gives
-        (and gave before that copy was dropped)."""
+        """The answer is one columnar frame whose bytes do not depend on
+        the machine or on NumPy, and which reads as the oracle's rows."""
         addresses = [0, 1, 2**40 + 7, 2**62, 123456789] * 3
         local = served.local["redundant-share"]
         frame = served.raw_exchange(
             "redundant-share",
             {"op": "where_are", "id": 41, "addresses": addresses},
         )
-        assert frame == encode_frame(
-            {
-                "id": 41,
-                "ok": True,
-                "result": {
-                    "placements": [list(local.place(a)) for a in addresses]
-                },
-            }
+        body = (
+            b"\xff"
+            + HEADER.pack(len(WHERE_ARE_HEADER))
+            + WHERE_ARE_HEADER
+            + WHERE_ARE_RANKS
         )
+        assert frame == HEADER.pack(len(body)) + body
         assert hashlib.sha256(frame).hexdigest() == WHERE_ARE_FRAME_SHA256
+        assert decode_frame(frame) == {
+            "epoch": "6db7d73fd71a1cdc",
+            "id": 41,
+            "ok": True,
+            "result": {
+                "placements": [list(local.place(a)) for a in addresses]
+            },
+        }
+
+    def test_empty_batch(self, served):
+        for entry in registered_strategies():
+            assert served.where_are(entry.name, []) == []
+
+    def test_lin_mirror_rows_have_its_two_copies(self, served):
+        # k = 2 whatever was requested: the matrix is (n, 2), not (n, 3).
+        frame = served.raw_exchange(
+            "lin-mirror", {"op": "where_are", "id": 1, "addresses": [5, 6, 7]}
+        )
+        assert b'"shape":[3,2]' in frame
+        rows = decode_frame(frame)["result"]["placements"]
+        assert [tuple(row) for row in rows] == [
+            served.local["lin-mirror"].place(a) for a in (5, 6, 7)
+        ]
+
+    def test_fleet_above_256_devices_uses_two_byte_ranks(self, served):
+        bins = bins_from_capacities(
+            [1000 + 7 * (i % 13) for i in range(300)], prefix="dev"
+        )
+        addresses = list(range(0, 4000, 7))
+        server = served.loop.run(
+            MetastoreServer(bins, strategy="redundant-share", copies=COPIES).start()
+        )
+        try:
+            frame = served.exchange_with(
+                server, {"op": "where_are", "id": 1, "addresses": addresses}
+            )
+        finally:
+            served.loop.run(server.stop())
+        assert b'"dtype":"u2"' in frame
+        rows = decode_frame(frame)["result"]["placements"]
+        local = create("redundant-share", bins, copies=COPIES)
+        assert [tuple(row) for row in rows] == local.place_many(addresses).tuples()
+        # Ranks above 255 are really in play, not just representable.
+        assert len({bin_id for row in rows for bin_id in row}) > 256

@@ -1,6 +1,7 @@
-"""Property tests pinning the length-prefixed JSON wire codec.
+"""Property tests pinning the length-prefixed wire codec, both frame kinds.
 
-The contract under test:
+The contract under test, for JSON frames and (``TestColumnar*``) for
+columnar frames, whose payload holds one rank matrix:
 
 * ``decode_frame(encode_frame(x)) == x`` for every JSON-representable
   payload (round-trip identity), and equal payloads encode to byte-equal
@@ -12,9 +13,12 @@ The contract under test:
   :class:`OversizedFrameError` from the header alone.
 * Structural garbage (zero-length body, invalid JSON, trailing bytes)
   raises :class:`BadFrameError`.
+* Whatever bytes arrive, nothing but :class:`BadFrameError` and its
+  subclasses escapes ``decode_frame``/``read_frame``.
 """
 
 import asyncio
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +29,13 @@ from repro.exceptions import (
     OversizedFrameError,
     TruncatedFrameError,
 )
+from repro._compat import get_numpy
+from repro.placement.base import BatchPlacement
 from repro.service.protocol import (
+    COLUMNAR,
     HEADER,
     MAX_FRAME_BYTES,
+    RANKS_KEY,
     decode_frame,
     decode_frame_prefix,
     decode_header,
@@ -224,3 +232,335 @@ class TestStreamHelpers:
         received, reply = asyncio.run(scenario())
         assert received == [{"n": 2 ** 62}]
         assert reply == {"echo": {"n": 2 ** 62}}
+
+
+# -- the columnar kind --------------------------------------------------------
+
+#: Table sizes on both sides of each rank width (u1 <= 256 < u2 <= 65536 < u4).
+TABLE_SIZES = (1, 2, 7, 255, 256, 257, 300, 65536, 65537)
+
+
+@st.composite
+def batches(draw):
+    """A BatchPlacement with plain-list columns, and its rows."""
+    size = draw(st.sampled_from(TABLE_SIZES))
+    rank_ids = [f"dev-{rank}" for rank in range(size)]
+    copies = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=0, max_value=12))
+    # The top rank is drawn often: it is the one the dtype choice is about.
+    ranks = st.integers(min_value=0, max_value=size - 1) | st.just(size - 1)
+    columns = [
+        draw(st.lists(ranks, min_size=count, max_size=count))
+        for _ in range(copies)
+    ]
+    rows = [[rank_ids[column[row]] for column in columns] for row in range(count)]
+    return BatchPlacement(rank_ids, columns), rows
+
+
+def envelope(placements, extra=None):
+    return {"id": 7, "ok": True, "result": {"placements": placements}, "extra": extra}
+
+
+def columnar_frame(header, matrix: bytes, header_length=None) -> bytes:
+    """A columnar frame assembled by hand, for mutations the encoder
+    never produces."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    length = len(text) if header_length is None else header_length
+    body = COLUMNAR + HEADER.pack(length) + text + matrix
+    return HEADER.pack(len(body)) + body
+
+
+def ranks_header(shape, dtype, rank_ids):
+    return envelope({RANKS_KEY: {"shape": shape, "dtype": dtype, "rank_ids": rank_ids}})
+
+
+def decode_or_bad_frame(frame: bytes):
+    """The decoded payload, or the class of the BadFrameError raised;
+    any other exception propagates and fails the test."""
+    try:
+        return decode_frame(frame)
+    except BadFrameError as error:
+        return type(error)
+
+
+def refused(outcome) -> bool:
+    return isinstance(outcome, type) and issubclass(outcome, BadFrameError)
+
+
+def read_or_bad_frame(frame: bytes):
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(frame)
+        reader.feed_eof()
+        try:
+            return await read_frame(reader)
+        except BadFrameError as error:
+            return type(error)
+
+    return asyncio.run(scenario())
+
+
+class TestColumnarRoundTrip:
+    @given(batch_rows=batches(), extra=json_values)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_gives_the_rows(self, batch_rows, extra):
+        batch, rows = batch_rows
+        frame = encode_frame(envelope(batch, extra))
+        assert frame[HEADER.size : HEADER.size + 1] == COLUMNAR
+        decoded = decode_frame(frame)
+        assert decoded == envelope(rows, extra)
+        placements = decoded["result"]["placements"]
+        assert type(placements) is list
+        assert all(type(row) is list for row in placements)
+        assert all(type(bin_id) is str for row in placements for bin_id in row)
+
+    @given(batch_rows=batches())
+    @settings(max_examples=50, deadline=None)
+    def test_canonical_encoding(self, batch_rows):
+        batch, _ = batch_rows
+        frame = encode_frame(envelope(batch))
+        assert encode_frame(envelope(batch)) == frame
+        np = get_numpy()
+        if np is not None:
+            # What place_many returns with NumPy packs to the same bytes.
+            arrays = [np.asarray(c, dtype=np.int64) for c in batch.columns]
+            assert encode_frame(
+                envelope(BatchPlacement(batch.rank_ids, arrays))
+            ) == frame
+
+    @given(batch_rows=batches())
+    @settings(max_examples=50, deadline=None)
+    def test_rank_width_is_the_smallest_that_indexes_the_table(self, batch_rows):
+        batch, _ = batch_rows
+        size = len(batch.rank_ids)
+        code = "u1" if size <= 256 else "u2" if size <= 65536 else "u4"
+        frame = encode_frame(envelope(batch))
+        assert f'"dtype":"{code}"'.encode() in frame
+        assert frame.endswith(
+            b"".join(
+                column[row].to_bytes(int(code[1]), "little")
+                for row in range(len(batch))
+                for column in batch.columns
+            )
+        )
+
+    @given(batch_rows=batches())
+    @settings(max_examples=50, deadline=None)
+    def test_prefix_decoder_reports_consumed(self, batch_rows):
+        batch, rows = batch_rows
+        frame = encode_frame(envelope(batch))
+        decoded, consumed = decode_frame_prefix(frame + b"extra")
+        assert decoded == envelope(rows)
+        assert consumed == len(frame)
+
+    def test_no_columns_at_all(self):
+        frame = encode_frame(envelope(BatchPlacement(["a"], [])))
+        assert decode_frame(frame) == envelope([])
+
+    def test_one_matrix_per_frame(self):
+        batch = BatchPlacement(["a"], [[0]])
+        with pytest.raises(BadFrameError):
+            encode_frame([batch, batch])
+
+    def test_encode_refuses_oversized_body(self):
+        batch = BatchPlacement(["a", "b"], [[0, 1] * 64])
+        with pytest.raises(OversizedFrameError):
+            encode_frame(envelope(batch), max_frame_bytes=128)
+
+    def test_read_frame_decodes_both_kinds_back_to_back(self):
+        batch = BatchPlacement(["a", "b"], [[0, 1], [1, 0]])
+        stream = (
+            encode_frame(envelope(batch))
+            + encode_frame({"op": "ping"})
+            + encode_frame(envelope(batch))
+        )
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(stream)
+            reader.feed_eof()
+            return [await read_frame(reader) for _ in range(4)]
+
+        rows = envelope([["a", "b"], ["b", "a"]])
+        assert asyncio.run(scenario()) == [rows, {"op": "ping"}, rows, None]
+
+
+class TestColumnarTruncation:
+    @given(batch_rows=batches(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_proper_prefix_is_truncated(self, batch_rows, data):
+        frame = encode_frame(envelope(batch_rows[0]))
+        cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+        assert decode_or_bad_frame(frame[:cut]) is TruncatedFrameError
+        # On a stream, no bytes at all is the clean EOF between frames.
+        assert read_or_bad_frame(frame[:cut]) is (
+            TruncatedFrameError if cut else None
+        )
+
+    @given(batch_rows=batches(), junk=st.binary(min_size=1, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_trailing_bytes_rejected(self, batch_rows, junk):
+        with pytest.raises(BadFrameError):
+            decode_frame(encode_frame(envelope(batch_rows[0])) + junk)
+
+
+class TestColumnarGarbage:
+    """A valid frame with one field changed: always BadFrameError."""
+
+    RANK_IDS = ["a", "b", "c"]
+    MATRIX = bytes([0, 1, 2, 2, 1, 0])  # shape [2, 3], u1
+
+    def frame(self, shape=(2, 3), dtype="u1", rank_ids=None, matrix=None, **kw):
+        return columnar_frame(
+            ranks_header(
+                list(shape), dtype,
+                self.RANK_IDS if rank_ids is None else rank_ids,
+            ),
+            self.MATRIX if matrix is None else matrix,
+            **kw,
+        )
+
+    def test_the_unmutated_frame_is_valid(self):
+        assert decode_frame(self.frame()) == envelope(
+            [["a", "b", "c"], ["c", "b", "a"]]
+        )
+        # Row-major: the same bytes under the transposed shape.
+        assert decode_frame(self.frame(shape=(3, 2))) == envelope(
+            [["a", "b"], ["c", "c"], ["b", "a"]]
+        )
+
+    @pytest.mark.parametrize("copies", [0, 3, 10 ** 30])
+    def test_no_rows_whatever_their_width(self, copies):
+        frame = self.frame(shape=(0, copies), matrix=b"")
+        assert decode_frame(frame) == envelope([])
+
+    @pytest.mark.parametrize("length", [0, 1, 2 ** 16, 2 ** 32 - 1])
+    def test_header_length_wrong(self, length):
+        with pytest.raises(BadFrameError):
+            decode_frame(self.frame(header_length=length))
+
+    def test_body_ends_inside_the_header_length(self):
+        for body in (COLUMNAR, COLUMNAR + b"\x00\x00"):
+            with pytest.raises(BadFrameError):
+                decode_frame(HEADER.pack(len(body)) + body)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (2, 4), (3, 3), (0, 3), (2,), (2, 3, 1), (-2, -3), (2.0, 3.0),
+            (True, 6), ("2", "3"), (None, None), (10 ** 30, 0), (6, 0),
+        ],
+    )
+    def test_shape_wrong(self, shape):
+        with pytest.raises(BadFrameError):
+            decode_frame(self.frame(shape=shape))
+
+    @pytest.mark.parametrize("dtype", ["u2", "u4", "u8", "i1", "", 1, None, ["u1"]])
+    def test_dtype_code_wrong(self, dtype):
+        with pytest.raises(BadFrameError):
+            decode_frame(self.frame(dtype=dtype))
+
+    @pytest.mark.parametrize("dtype, width", [("u1", 1), ("u2", 2), ("u4", 4)])
+    def test_rank_outside_the_table(self, dtype, width):
+        for rank in (3, 2 ** (8 * width) - 1):
+            matrix = b"".join(
+                value.to_bytes(width, "little") for value in (0, 1, 2, 2, 1, rank)
+            )
+            with pytest.raises(BadFrameError):
+                decode_frame(self.frame(dtype=dtype, matrix=matrix))
+
+    @pytest.mark.parametrize("matrix", [b"", MATRIX[:-1], MATRIX + b"\x00"])
+    def test_segment_short_or_long(self, matrix):
+        with pytest.raises(BadFrameError):
+            decode_frame(self.frame(matrix=matrix))
+
+    @pytest.mark.parametrize(
+        "rank_ids", [None, "abc", [1, 2, 3], ["a", "b", None], {"a": 0}, []]
+    )
+    def test_rank_ids_wrong(self, rank_ids):
+        header = ranks_header([2, 3], "u1", rank_ids)
+        with pytest.raises(BadFrameError):
+            decode_frame(columnar_frame(header, self.MATRIX))
+
+    def test_no_matrix_named(self):
+        with pytest.raises(BadFrameError):
+            decode_frame(columnar_frame(envelope([]), b""))
+
+    def test_two_matrices_named(self):
+        meta = {RANKS_KEY: {"shape": [2, 3], "dtype": "u1", "rank_ids": self.RANK_IDS}}
+        with pytest.raises(BadFrameError):
+            decode_frame(columnar_frame([meta, meta], self.MATRIX))
+
+    def test_missing_field(self):
+        for field in ("shape", "dtype", "rank_ids"):
+            meta = {"shape": [2, 3], "dtype": "u1", "rank_ids": self.RANK_IDS}
+            del meta[field]
+            with pytest.raises(BadFrameError):
+                decode_frame(columnar_frame(envelope({RANKS_KEY: meta}), self.MATRIX))
+
+    def test_header_is_not_json(self):
+        for text in (b"not json", b"\xff\xfe", b""):
+            with pytest.raises(BadFrameError):
+                decode_frame(columnar_frame(text, self.MATRIX))
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_nesting_beyond_the_recursion_limit(self, columnar):
+        text = b"[" * 100_000
+        frame = (
+            columnar_frame(text, b"") if columnar
+            else HEADER.pack(len(text)) + text
+        )
+        with pytest.raises(BadFrameError):
+            decode_frame(frame)
+
+
+class TestColumnarFuzz:
+    """Nothing but BadFrameError escapes, whatever follows the marker."""
+
+    @given(junk=st.binary(max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_after_the_marker(self, junk):
+        body = COLUMNAR + junk
+        frame = HEADER.pack(len(body)) + body
+        assert refused(decode_or_bad_frame(frame))
+        assert refused(read_or_bad_frame(frame))
+
+    @given(
+        header_length=st.integers(min_value=0, max_value=80),
+        header=st.binary(max_size=40),
+        matrix=st.binary(max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_header_length_over_arbitrary_bytes(
+        self, header_length, header, matrix
+    ):
+        frame = columnar_frame(header, matrix, header_length=header_length)
+        assert refused(decode_or_bad_frame(frame))
+
+    @given(
+        shape=json_values, dtype=json_values | st.sampled_from(["u1", "u2", "u4"]),
+        rank_ids=json_values | st.lists(st.text(max_size=3), max_size=4),
+        matrix=st.binary(max_size=24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_fields_in_a_well_formed_header(
+        self, shape, dtype, rank_ids, matrix
+    ):
+        frame = columnar_frame(ranks_header(shape, dtype, rank_ids), matrix)
+        decoded = decode_or_bad_frame(frame)
+        assert decoded == read_or_bad_frame(frame)
+        if not refused(decoded):
+            rows = decoded["result"]["placements"]
+            assert all(bin_id in rank_ids for row in rows for bin_id in row)
+
+    @given(batch_rows=batches(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_byte_of_a_valid_frame_changed(self, batch_rows, data):
+        frame = bytearray(encode_frame(envelope(batch_rows[0])))
+        # Past the outer length: that prefix has its own properties above.
+        position = data.draw(
+            st.integers(min_value=HEADER.size, max_value=len(frame) - 1)
+        )
+        frame[position] ^= data.draw(st.integers(min_value=1, max_value=255))
+        decoded = decode_or_bad_frame(bytes(frame))
+        assert decoded == read_or_bad_frame(bytes(frame))
