@@ -1,6 +1,6 @@
 """Fleet-scale chaos throughput and mean-field durability (anchor table).
 
-Three measurements, one pinned-schema record:
+Three measurements:
 
 * **Matched scenario** — the event-driven :class:`ChaosController` and
   the columnar :class:`FleetSimulator` replay the *same* crash-only
@@ -24,20 +24,17 @@ Three measurements, one pinned-schema record:
 
 ``REPRO_BENCH_FLEET_BLOCKS`` scales the block population down for smoke
 runs (CI uses 20000); the 50x and tolerance gates are asserted at full
-scale, with looser always-on floors.  The machine-readable result goes
-to ``BENCH_fleet_durability.json`` and a timestamped record is appended
-to ``BENCH_history.jsonl``.
+scale, with looser always-on floors.  Nothing is written: the tables are
+printed and the gates asserted (the e2e ``fleet-sim`` workload is where
+fleet throughput is tracked).
 """
 
-import json
 import os
-import pathlib
 import sys
 import time
 import warnings
 
 from _tables import emit
-from repro._compat import HAVE_NUMPY
 from repro.chaos import (
     ChaosOptions,
     FaultEvent,
@@ -69,30 +66,6 @@ MATCHED_EPOCHS = 20
 SPEEDUP_TARGET = 50.0 if FULL_SCALE else 10.0
 #: Pinned total-variation tolerance for the stressed mean-field fit.
 TV_TOLERANCE = 0.06 if FULL_SCALE else 0.20
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUTPUT = ROOT / "BENCH_fleet_durability.json"
-HISTORY = ROOT / "BENCH_history.jsonl"
-
-#: Pinned record schema — downstream tooling greps BENCH_history.jsonl
-#: for these keys, so adding is fine but renaming/removing is a break.
-PAYLOAD_KEYS = {"benchmark", "numpy", "full_scale", "matched", "fleet", "stressed", "phase"}
-MATCHED_KEYS = {
-    "devices", "blocks", "copies", "epochs",
-    "controller_seconds", "controller_block_epochs_per_sec",
-    "fleet_seconds", "fleet_block_epochs_per_sec",
-    "controller_losses", "fleet_losses", "losses_agree",
-}
-FLEET_KEYS = {
-    "devices", "blocks", "copies", "years", "epochs", "seconds",
-    "block_epochs_per_sec", "device_failures", "repairs", "losses",
-    "tv_distance", "speedup_vs_controller",
-}
-STRESSED_KEYS = {
-    "devices", "blocks", "copies", "years", "failure_rate", "repair_rate",
-    "losses", "steady_state", "mean_field", "tv_distance",
-}
-PHASE_KEYS = {"repair_rate", "lost_fraction", "mean_copies", "tv_distance"}
 
 
 def seeded_crash_schedule(device_ids, strategy, blocks, seed):
@@ -262,7 +235,7 @@ def run_stressed():
 
 
 def test_fleet_durability_table(benchmark):
-    """Regenerates BENCH_fleet_durability.json and asserts the gates."""
+    """Prints the fleet tables and asserts the gates."""
 
     def experiment():
         matched = run_matched()
@@ -317,25 +290,6 @@ def test_fleet_durability_table(benchmark):
             for point in phase
         ],
     )
-
-    payload = {
-        "benchmark": "bench_table_fleet_durability",
-        "numpy": HAVE_NUMPY,
-        "full_scale": FULL_SCALE,
-        "matched": matched,
-        "fleet": fleet,
-        "stressed": stressed,
-        "phase": phase,
-    }
-    assert set(payload) == PAYLOAD_KEYS
-    assert set(matched) == MATCHED_KEYS
-    assert set(fleet) == FLEET_KEYS
-    assert set(stressed) == STRESSED_KEYS
-    assert all(set(point) == PHASE_KEYS for point in phase)
-    OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    record = dict(payload, timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
-    with HISTORY.open("a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     benchmark.extra_info["fleet_rate"] = fleet["block_epochs_per_sec"]
     benchmark.extra_info["speedup"] = fleet["speedup_vs_controller"]

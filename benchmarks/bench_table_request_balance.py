@@ -15,17 +15,15 @@ the paper leaves open and the scheduling subsystem addresses:
   policy × several placement strategies at ``REPRO_BENCH_REQUESTS``
   requests (default one million) through the columnar batch engine,
   with the water-filling fractional optimum as the floor.  The table
-  goes to ``BENCH_sched.json`` and a timestamped record is appended to
-  ``BENCH_history.jsonl``; CI smoke gates assert power-of-two-choices
-  and least-loaded never lose to random on peak load, and that no
-  online policy beats the offline optimum (which would be a bug, not a
-  triumph).
+  goes to ``BENCH_sched.json``; CI smoke gates assert
+  power-of-two-choices and least-loaded never lose to random on peak
+  load, and that no online policy beats the offline optimum (which
+  would be a bug, not a triumph).
 """
 
 import json
 import os
 import pathlib
-import time
 
 import pytest
 
@@ -55,7 +53,7 @@ CURVE_ALPHAS = (0.8, 1.1, 1.4)
 CURVE_CAPACITIES = [3000, 3000, 2000, 2000, 1500, 1500, 1000, 1000]
 
 #: Pinned output schema (the regression test in tests/scheduling checks
-#: these, so downstream BENCH_history.jsonl consumers can rely on them).
+#: these, so readers of BENCH_sched.json can rely on them).
 PAYLOAD_KEYS = ("benchmark", "copies", "curve", "numpy", "requests", "universe")
 CURVE_KEYS = (
     "alpha",
@@ -69,7 +67,6 @@ CURVE_KEYS = (
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "BENCH_sched.json"
-HISTORY = ROOT / "BENCH_history.jsonl"
 
 
 def run_uniform_balance():
@@ -211,9 +208,6 @@ def test_scheduler_skew_curve(benchmark):
     }
     assert tuple(sorted(payload)) == PAYLOAD_KEYS
     OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    record = dict(payload, timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
-    with HISTORY.open("a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     by_combo = {}
     for row in rows:

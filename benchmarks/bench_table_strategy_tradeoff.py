@@ -1,7 +1,8 @@
-"""Full-zoo trade-off table: movement vs fairness vs throughput.
+"""Full-zoo trade-off table: movement vs fairness.
 
-One row per registered placement strategy, three axes the paper's
-Table 1 trades against each other:
+One row per registered placement strategy, the two axes the paper's
+Table 1 trades against each other (throughput is the e2e harness's
+``place-local`` workload, ``benchmarks/e2e/README.md``):
 
 * **movement** — copies whose whole replica set changes when one device
   joins the fleet (via :func:`repro.metrics.compare_scale_out`), as a
@@ -11,8 +12,6 @@ Table 1 trades against each other:
   full reshuffle, and only ``"full"`` strategies may approach 1.
 * **fairness** — Pearson chi-square and max share deviation of realised
   copy counts against the Lemma 2.2 fair shares of the fleet.
-* **throughput** — ``place_many`` addresses/second on the same
-  population (the batch engine, whatever leg is available).
 
 Two headline gates anchor the new strategies:
 
@@ -23,16 +22,15 @@ Two headline gates anchor the new strategies:
   rate share) no worse than the capacity-only trivial placement on the
   same fleet — the residual-performance claim.
 
-Results go to ``BENCH_tradeoff.json`` (latest run) plus a timestamped
-``BENCH_history.jsonl`` record.  ``REPRO_BENCH_TRADEOFF_ADDRESSES``
-scales the population for smoke runs (CI uses 4000).  The payload key
-sets are pinned by ``tests/placement/test_bench_tradeoff_schema.py``.
+Results go to ``BENCH_tradeoff.json`` (latest run).
+``REPRO_BENCH_TRADEOFF_ADDRESSES`` scales the population for smoke runs
+(CI uses 4000).  The payload key sets are pinned by
+``tests/placement/test_bench_tradeoff_schema.py``.
 """
 
 import json
 import os
 import pathlib
-import time
 
 from _tables import emit
 from repro._compat import HAVE_NUMPY
@@ -50,9 +48,9 @@ from repro.placement.registry import create, registered_strategies
 from repro.simulation import heterogeneous_bins
 from repro.types import bins_from_capacities
 
-#: Address population for the fairness and throughput columns; the
-#: movement column additionally clamps to the smaller fleet's Lemma 2.2
-#: capacity so sequential-checking's guarantee is exercised in-range.
+#: Address population for the fairness columns; the movement column
+#: additionally clamps to the smaller fleet's Lemma 2.2 capacity so
+#: sequential-checking's guarantee is exercised in-range.
 ADDRESSES = int(os.environ.get("REPRO_BENCH_TRADEOFF_ADDRESSES", "") or 50_000)
 #: Replication degree for strategies that honour ``copies``.
 COPIES = 3
@@ -66,7 +64,6 @@ SKEWED_RATES = (1.0, 2.0, 4.0, 8.0)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "BENCH_tradeoff.json"
-HISTORY = ROOT / "BENCH_history.jsonl"
 
 #: Pinned output schema (see tests/placement/test_bench_tradeoff_schema.py).
 PAYLOAD_KEYS = (
@@ -79,7 +76,6 @@ PAYLOAD_KEYS = (
     "strategies",
 )
 ROW_KEYS = (
-    "batch_per_sec",
     "chi_square",
     "kernel",
     "max_share_deviation",
@@ -98,7 +94,7 @@ def _movement_population(before_bins, copies):
 
 
 def measure(entry, before_bins, after_bins):
-    """One table row: movement, fairness and throughput for one entry."""
+    """One table row: movement and fairness for one entry."""
     copies = entry.effective_copies(COPIES)
     population = _movement_population(before_bins, copies)
     report = compare_scale_out(
@@ -107,13 +103,7 @@ def measure(entry, before_bins, after_bins):
     stored_copies = len(population) * copies
 
     strategy = create(entry.name, after_bins, copies=COPIES)
-    addresses = list(range(ADDRESSES))
-    strategy.place_many(addresses[:64])  # warm lazy vector tables
-    start = time.perf_counter()
-    batch = strategy.place_many(addresses)
-    batch_seconds = time.perf_counter() - start
-
-    counts = count_copies(batch)
+    counts = count_copies(strategy.place_many(list(range(ADDRESSES))))
     capacities = {spec.bin_id: float(spec.capacity) for spec in after_bins}
     expected = fair_copy_shares(capacities, copies)
     return {
@@ -127,7 +117,6 @@ def measure(entry, before_bins, after_bins):
         "max_share_deviation": round(
             max_share_deviation(usage_shares(counts), expected), 4
         ),
-        "batch_per_sec": round(ADDRESSES / batch_seconds),
     }
 
 
@@ -185,12 +174,9 @@ def test_strategy_tradeoff_table(benchmark):
     results, gates = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
     emit(
-        "Strategy trade-off (movement vs fairness vs throughput, "
+        "Strategy trade-off (movement vs fairness, "
         f"{FLEET_SIZE}→{FLEET_SIZE + 1} disks, k={COPIES})",
-        [
-            "strategy", "movement", "moved", "moved%",
-            "chi²", "max dev", "batch/s",
-        ],
+        ["strategy", "movement", "moved", "moved%", "chi²", "max dev"],
         [
             [
                 name,
@@ -199,7 +185,6 @@ def test_strategy_tradeoff_table(benchmark):
                 f"{100 * row['moved_fraction']:.1f}%",
                 row["chi_square"],
                 f"{row['max_share_deviation']:.4f}",
-                row["batch_per_sec"],
             ]
             for name, row in results.items()
         ],
@@ -219,9 +204,6 @@ def test_strategy_tradeoff_table(benchmark):
         assert tuple(sorted(row)) == ROW_KEYS
     assert tuple(sorted(gates)) == GATE_KEYS
     OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    record = dict(payload, timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
-    with HISTORY.open("a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     benchmark.extra_info["numpy"] = HAVE_NUMPY
     for name, row in results.items():

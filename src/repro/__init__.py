@@ -6,7 +6,7 @@ The library implements the paper's **Redundant Share** placement strategies
 (LinMirror for mirroring, k-replication for arbitrary replication degrees,
 and the O(k) precomputed variant), the capacity-efficiency theory behind
 them, the baselines they are compared against (trivial replication,
-consistent hashing, Share, RUSH, CRUSH, RAID striping), erasure-coding
+consistent hashing, Share, CRUSH, RAID striping), erasure-coding
 consumers, and a storage-cluster simulator that regenerates the paper's
 evaluation figures.
 

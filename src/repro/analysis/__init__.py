@@ -1,12 +1,5 @@
-"""Analytical models: durability (MTTDL), mean-field replication and
-concentration bounds."""
+"""Analytical models: durability (MTTDL) and mean-field replication."""
 
-from .concentration import (
-    deviation_probability,
-    fairness_tolerances,
-    required_copies,
-    tolerance_for,
-)
 from .durability import (
     DurabilityModel,
     annual_loss_probability,
@@ -25,15 +18,11 @@ from .mean_field import (
 __all__ = [
     "DurabilityModel",
     "annual_loss_probability",
-    "deviation_probability",
-    "fairness_tolerances",
     "mean_field_distribution",
     "mean_field_step",
     "mean_field_trajectory",
     "mttdl",
     "mttdl_mirror",
     "observed_model",
-    "required_copies",
     "simulate_mttdl",
-    "tolerance_for",
 ]

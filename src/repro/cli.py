@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from typing import List, Sequence
 
 from .capacity import clip_capacities, is_capacity_efficient, max_balls
 from .core import RedundantShare
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, PlacementError, ReproError
+from .metrics import (
+    count_copies,
+    fair_copy_shares,
+    max_share_deviation,
+    usage_shares,
+)
 from .options import parse_option_text
 from .placement import (
     create,
@@ -40,30 +45,29 @@ def _parse_capacities(raw: str) -> List[int]:
     return capacities
 
 
+def _check_balls(balls: int) -> None:
+    if balls < 1:
+        raise SystemExit(f"--balls must be >= 1, got {balls}")
+
+
 def _strategy_options(name: str, option_pairs: Sequence[str]):
     """Resolve ``--strategy-opt key=value`` pairs to typed options.
 
     Returns ``(canonical_name, options_dict)``; unknown strategies,
-    unknown option keys and malformed values exit with the registry's
-    ``ConfigurationError`` message.
+    unknown option keys and malformed values raise the registry's
+    ``ConfigurationError`` (a one-line exit in :func:`main`).
     """
-    try:
-        entry = lookup(name)
-        options = parse_option_text(
-            entry.options, option_pairs or (), f"strategy {entry.name!r}"
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error))
+    entry = lookup(name)
+    options = parse_option_text(
+        entry.options, option_pairs or (), f"strategy {entry.name!r}"
+    )
     return entry.name, options
 
 
 def _strategy_for(name: str, bins, copies: int, option_pairs=()):
     """Resolve a strategy name through the canonical registry factory."""
     canonical, options = _strategy_options(name, option_pairs)
-    try:
-        return create(canonical, bins, copies=copies, **options)
-    except ConfigurationError as error:
-        raise SystemExit(str(error))
+    return create(canonical, bins, copies=copies, **options)
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
@@ -99,13 +103,12 @@ def cmd_place(args: argparse.Namespace) -> int:
 def cmd_fairness(args: argparse.Namespace) -> int:
     """Empirical shares vs fair targets for one configuration."""
     capacities = _parse_capacities(args.capacities)
+    _check_balls(args.balls)
     bins = bins_from_capacities(capacities, prefix=args.prefix)
     strategy = _strategy_for(
         args.strategy, bins, args.copies, args.strategy_opt
     )
-    counts = Counter()
-    for address in range(args.balls):
-        counts.update(strategy.place(address))
+    counts = count_copies(strategy.place_many(range(args.balls)))
     total = sum(counts.values())
     expected = strategy.expected_shares() or {}
     print(f"{'bin':<10}{'copies':>10}{'observed':>12}{'expected':>12}")
@@ -123,25 +126,25 @@ def cmd_fairness(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Fairness deviation of all strategies on one configuration."""
     capacities = _parse_capacities(args.capacities)
+    _check_balls(args.balls)
     bins = bins_from_capacities(capacities, prefix=args.prefix)
-    total = sum(capacities)
-    fair = {
-        spec.bin_id: min(1.0, args.copies * spec.capacity / total) / args.copies
-        for spec in bins
-    }
-    print(f"{'strategy':<18}{'max deviation from fair share':>32}")
+    fair_capacities = {spec.bin_id: float(spec.capacity) for spec in bins}
+    print(f"{'strategy':<22}{'max deviation from fair share':>32}")
     # Canonical names only: an aliased entry must not be swept twice.
     for name in strategy_names():
-        strategy = _strategy_for(name, bins, args.copies)
-        counts = Counter()
-        for address in range(args.balls):
-            counts.update(strategy.place(address))
-        total_copies = sum(counts.values())
-        deviation = max(
-            abs(counts.get(bin_id, 0) / total_copies - share)
-            for bin_id, share in fair.items()
-        )
-        print(f"{name:<18}{deviation:>31.3%}")
+        strategy = create(name, bins, copies=args.copies)
+        try:
+            counts = count_copies(strategy.place_many(range(args.balls)))
+        except PlacementError:
+            # e.g. crush on 100,6,1: retries exhausted on a vector it
+            # cannot spread k distinct copies over.
+            print(f"{name:<22}{'n/a':>32}")
+            continue
+        # Lemma 2.2 clipped shares at the degree this strategy places
+        # (the mirror-only entries ignore --copies).
+        fair = fair_copy_shares(fair_capacities, strategy.copies)
+        deviation = max_share_deviation(usage_shares(counts), fair)
+        print(f"{name:<22}{deviation:>31.3%}")
     return 0
 
 
@@ -213,6 +216,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .types import BinSpec
 
     capacities = _parse_capacities(args.capacities)
+    _check_balls(args.balls)
     bins = bins_from_capacities(capacities, prefix=args.prefix)
     strategy = _strategy_for(
         args.strategy, bins, args.copies, args.strategy_opt
@@ -286,7 +290,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     from .chaos.recovery import RepairPolicy
     from .cluster import Cluster
-    from .exceptions import ConfigurationError, InfeasibleRedundancyError
+    from .exceptions import InfeasibleRedundancyError
     from .obs import JsonlSink, MemorySink, TeeSink, metrics, reset_metrics, use_sink
     from .obs.report import render_report
 
@@ -318,19 +322,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         except (OSError, ConfigurationError) as error:
             raise SystemExit(f"cannot load schedule {args.schedule!r}: {error}")
     else:
-        try:
-            schedule = generate_schedule(
-                cluster.device_ids(),
-                seed=seed,
-                duration=args.duration,
-                crashes=args.crashes,
-                outages=args.outages,
-                flaky=args.flaky,
-                error_rate=args.error_rate,
-                latency=args.latency,
-            )
-        except ConfigurationError as error:
-            raise SystemExit(str(error))
+        schedule = generate_schedule(
+            cluster.device_ids(),
+            seed=seed,
+            duration=args.duration,
+            crashes=args.crashes,
+            outages=args.outages,
+            flaky=args.flaky,
+            error_rate=args.error_rate,
+            latency=args.latency,
+        )
 
     options = ChaosOptions(
         seed=seed,
@@ -404,31 +405,27 @@ def _cmd_chaos_fleet(args: argparse.Namespace, seed: int) -> int:
     ``--phase``) a durability-vs-repair-rate phase diagram.
     """
     from .chaos import FleetOptions, FleetSimulator, durability_phase_diagram
-    from .exceptions import ConfigurationError
     from .obs import JsonlSink, MemorySink, TeeSink, metrics, reset_metrics, use_sink
     from .obs.report import render_report
 
     fleet_strategy, strategy_options = _strategy_options(
         args.strategy or "striping", args.strategy_opt
     )
-    try:
-        options = FleetOptions(
-            devices=args.devices,
-            blocks=1_000_000 if args.blocks is None else args.blocks,
-            copies=args.copies,
-            years=args.years,
-            epochs_per_year=args.epochs_per_year,
-            failure_rate=args.failure_rate,
-            repair_rate=args.repair_rate,
-            seed=seed,
-            strategy=fleet_strategy,
-            strategy_options=strategy_options,
-            device_capacity=args.device_capacity,
-            sample_every=args.sample_every,
-        )
-        simulator = FleetSimulator(options)
-    except ConfigurationError as error:
-        raise SystemExit(str(error))
+    options = FleetOptions(
+        devices=args.devices,
+        blocks=1_000_000 if args.blocks is None else args.blocks,
+        copies=args.copies,
+        years=args.years,
+        epochs_per_year=args.epochs_per_year,
+        failure_rate=args.failure_rate,
+        repair_rate=args.repair_rate,
+        seed=seed,
+        strategy=fleet_strategy,
+        strategy_options=strategy_options,
+        device_capacity=args.device_capacity,
+        sample_every=args.sample_every,
+    )
+    simulator = FleetSimulator(options)
 
     reset_metrics()
     memory = MemorySink()
@@ -498,7 +495,6 @@ def cmd_sched(args: argparse.Namespace) -> int:
     device share alongside the water-filling fractional optimum — the
     load-balance twin of ``repro fairness``.
     """
-    from .exceptions import ConfigurationError
     from .scheduling import (
         LruCacheModel,
         create as sched_create,
@@ -546,12 +542,9 @@ def cmd_sched(args: argparse.Namespace) -> int:
             if args.cache
             else None
         )
-        try:
-            scheduler = sched_create(
-                name, device_ids, seed=args.seed, cache=cache
-            )
-        except ConfigurationError as error:
-            raise SystemExit(str(error))
+        scheduler = sched_create(
+            name, device_ids, seed=args.seed, cache=cache
+        )
         outcome = run_reads(strategy, scheduler, addresses)
         hit_text = (
             f"{cache.hit_rate():>11.1%}" if cache is not None else f"{'-':>12}"
@@ -676,7 +669,6 @@ def cmd_client(args: argparse.Namespace) -> int:
     import asyncio
     import json as _json
 
-    from .exceptions import ReproError
     from .service import ServiceClient
 
     host, port = _parse_endpoint(args.connect)
@@ -1068,7 +1060,12 @@ def main(argv: Sequence[str] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        # One line on stderr, status 1: bad configurations and placements
+        # a strategy cannot complete are user errors, not tracebacks.
+        raise SystemExit(str(error))
 
 
 if __name__ == "__main__":

@@ -20,15 +20,12 @@ from .primitives import (
     units_from_base,
 )
 from .rings import HashRing
-from .universal import CarterWegmanHash, TabulationHash
 
 __all__ = [
     "AliasTable",
-    "CarterWegmanHash",
     "CumulativeTable",
     "HashRing",
     "HashStream",
-    "TabulationHash",
     "as_u64_array",
     "build_selector",
     "hash_sequence",

@@ -230,10 +230,10 @@ def units_from_base(base: int, values: Sequence[int]):
 class HashStream:
     """An unbounded stream of independent hash draws for one key.
 
-    ``Sieve`` and the trivial replication strategy need "the t-th draw for
-    ball a"; this class packages the salt bookkeeping::
+    Rejection-sampling placers need "the t-th draw for ball a"; this
+    class packages the salt bookkeeping::
 
-        stream = HashStream("sieve", address)
+        stream = HashStream("placer", address)
         first = stream.next_unit()
         second = stream.next_unit()
     """

@@ -3,8 +3,9 @@
 The placement/cluster/simulation hot paths are instrumented against this
 package.  By default the installed sink is a :class:`~repro.obs.trace.NullSink`
 whose ``enabled`` flag is False, so every instrumentation site reduces to
-one attribute check — the batch-throughput bench pins the disabled
-overhead below 3%.  Enabling observability is one call::
+one attribute check (what an *enabled* sink costs is the end-to-end
+benchmark's ``obs.enabled_overhead_pct``).  Enabling observability is
+one call::
 
     from repro import obs
 

@@ -5,7 +5,7 @@ JSON-compatible fields) from instrumented hot paths.  Three backends:
 
 * :class:`NullSink` — the default; ``enabled`` is False so every
   instrumentation site skips its work entirely (zero overhead when
-  observability is off, which the throughput bench enforces).
+  observability is off).
 * :class:`MemorySink` — appends events to a list; what tests and the
   ``repro stats`` report consume.
 * :class:`JsonlSink` — streams one JSON object per event to a file, the

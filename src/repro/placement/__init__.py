@@ -6,18 +6,13 @@ Single-copy placers (the ``placeonecopy`` role):
 * :class:`~repro.placement.consistent_hashing.ConsistentHashingPlacer` —
   Karger et al., approximately fair, O(log n).
 * :class:`~repro.placement.share.SharePlacer` — Share (SPAA 2002).
-* :class:`~repro.placement.sieve.SievePlacer` — Sieve (SPAA 2002).
-* :class:`~repro.placement.distance.LinearDistancePlacer` /
-  :class:`~repro.placement.distance.LogDistancePlacer` — weighted DHTs
-  (SPAA 2005).
 * :class:`~repro.placement.alias_placer.AliasPlacer` — exactly fair, O(1),
   non-adaptive.
 
 Replication strategies are populated by :mod:`repro.placement.trivial`,
-:mod:`repro.placement.rush`, :mod:`repro.placement.crush`,
-:mod:`repro.placement.striping` and :mod:`repro.placement.rpdp`; the
-paper's own strategy (and the reallocation-free Sequential Checking)
-lives in :mod:`repro.core`.
+:mod:`repro.placement.crush`, :mod:`repro.placement.striping` and
+:mod:`repro.placement.rpdp`; the paper's own strategy (and the
+reallocation-free Sequential Checking) lives in :mod:`repro.core`.
 """
 
 from .alias_placer import AliasPlacer, AliasWeightedPlacer, make_alias
@@ -33,7 +28,6 @@ from .consistent_hashing import (
     RingWeightedPlacer,
     make_ring_placer,
 )
-from .distance import LinearDistancePlacer, LogDistancePlacer
 from .crush import (
     Bucket,
     ChooseleafCrush,
@@ -54,10 +48,8 @@ from .registry import (
 )
 from .rendezvous import RendezvousPlacer, WeightedRendezvous, make_rendezvous
 from .rpdp import ResidualPerformancePlacement, utilization
-from .rush import RushStrategy, SubCluster, rush_from_capacities, rush_tree
 from .share import SharePlacer, default_stretch
 from .share_weighted import ShareWeightedPlacer, make_share
-from .sieve import SievePlacer
 from .striping import StripingStrategy, WeightedStripingStrategy
 from .trivial import (
     TrivialReplication,
@@ -75,23 +67,18 @@ __all__ = [
     "CrushStrategy",
     "ListBucket",
     "ResidualPerformancePlacement",
-    "RushStrategy",
     "StrategyEntry",
     "Straw2Bucket",
     "StripingStrategy",
     "TreeBucket",
-    "SubCluster",
     "TrivialReplication",
     "UniformBucket",
     "WeightedStripingStrategy",
-    "LinearDistancePlacer",
-    "LogDistancePlacer",
     "RendezvousPlacer",
     "ReplicationStrategy",
     "RingWeightedPlacer",
     "SharePlacer",
     "ShareWeightedPlacer",
-    "SievePlacer",
     "SingleCopyPlacer",
     "WeightedPlacer",
     "WeightedRendezvous",
@@ -105,8 +92,6 @@ __all__ = [
     "make_share",
     "make_ring_placer",
     "registered_strategies",
-    "rush_from_capacities",
-    "rush_tree",
     "strategy_names",
     "trivial_miss_probability",
     "trivial_wasted_fraction",

@@ -5,12 +5,12 @@ Two abstractions:
 * :class:`SingleCopyPlacer` — the paper's ``placeonecopy`` role: map a ball
   address to *one* bin, fairly with respect to a weight vector.  Redundant
   Share composes these; they are also strategies in their own right
-  (consistent hashing, rendezvous, Share, Sieve, ...).
+  (consistent hashing, rendezvous, Share, ...).
 
 * :class:`ReplicationStrategy` — map a ball address to an *ordered* tuple of
   ``k`` distinct bins (position ``i`` holds the i-th copy).  Implementations
-  include the paper's Redundant Share, the trivial baseline, RUSH, CRUSH and
-  RAID striping.
+  include the paper's Redundant Share, the trivial baseline, CRUSH and RAID
+  striping.
 
 Both are *pure functions of the configuration*: instances are immutable
 snapshots, and dynamics (adding/removing devices) are modelled by building a
@@ -230,7 +230,7 @@ class ReplicationStrategy(abc.ABC):
     #: Name of the shared-kernel family the strategy's batch engine is
     #: built on (see :mod:`repro.placement.kernels`), or None for the
     #: generic per-address loop.  Used for the per-kernel obs counters
-    #: and reported by the throughput bench; it labels the *logical*
+    #: and reported by the trade-off bench; it labels the *logical*
     #: engine, so it stays set even when the scalar loop runs.
     kernel: Optional[str] = None
 

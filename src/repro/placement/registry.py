@@ -1,12 +1,11 @@
 """Name-keyed registry of the batch-placeable replication strategies.
 
 One place that knows how to build every strategy from a name, a flat bin
-list and a replication degree — the CLI, the throughput bench and the
-perf smoke job all iterate the same table instead of each keeping a
-private (and inevitably diverging) list.  Strategies whose constructors
-need extra topology (RUSH wants sub-clusters, the hierarchical variant
-wants racks) are deliberately absent: they cannot be built from a flat
-bin list.
+list and a replication degree — the CLI, the benches and the e2e
+harness all iterate the same table instead of each keeping a private
+(and inevitably diverging) list.  Strategies whose constructors need
+extra topology (the hierarchical variant wants racks) are deliberately
+absent: they cannot be built from a flat bin list.
 
 Two things make the table expressive enough for the full zoo:
 

@@ -1,7 +1,7 @@
 """One-process service topology: a metastore plus its blockstore shards.
 
 :class:`ServiceCluster` wires the pieces together for ``repro serve``,
-the integration tests and the throughput bench: one
+the integration tests and the end-to-end benchmark: one
 :class:`~repro.service.blockstore.BlockstoreServer` per placement device
 and one :class:`~repro.service.metastore.MetastoreServer` that knows
 every shard's endpoint.  Everything runs on the current event loop —

@@ -7,21 +7,13 @@ import pytest
 from repro.placement import (
     AliasPlacer,
     ConsistentHashingPlacer,
-    LinearDistancePlacer,
-    LogDistancePlacer,
     RendezvousPlacer,
     SharePlacer,
-    SievePlacer,
 )
 from repro.types import bins_from_capacities
 
-EXACT_PLACERS = [RendezvousPlacer, AliasPlacer, SievePlacer]
-APPROXIMATE_PLACERS = [
-    ConsistentHashingPlacer,
-    SharePlacer,
-    LogDistancePlacer,
-    LinearDistancePlacer,
-]
+EXACT_PLACERS = [RendezvousPlacer, AliasPlacer]
+APPROXIMATE_PLACERS = [ConsistentHashingPlacer, SharePlacer]
 ALL_PLACERS = EXACT_PLACERS + APPROXIMATE_PLACERS
 
 
@@ -168,23 +160,3 @@ class TestShareSpecifics:
         for address in range(200):
             assert placer.place(address) in {"bin-0", "bin-1", "bin-2"}
 
-
-class TestSieveSpecifics:
-    def test_expected_rounds(self):
-        placer = SievePlacer(bins_from_capacities([10, 10]))
-        assert placer.expected_rounds() == pytest.approx(1.0)
-        skewed = SievePlacer(bins_from_capacities([30, 10, 10, 10]))
-        assert skewed.expected_rounds() == pytest.approx(2.0)
-
-
-class TestDistanceSpecifics:
-    def test_points_per_bin_validated(self):
-        with pytest.raises(ValueError):
-            LinearDistancePlacer(bins_from_capacities([5]), points_per_bin=0)
-
-    def test_log_method_close_to_proportional(self):
-        placer = LogDistancePlacer(
-            bins_from_capacities([100, 300, 600]), points_per_bin=32
-        )
-        observed = empirical_shares(placer, 20_000)
-        assert observed.get("bin-2", 0.0) == pytest.approx(0.6, abs=0.08)

@@ -1,8 +1,8 @@
 """Regression pin of the request-balance bench's output schema.
 
-``BENCH_sched.json`` / ``BENCH_history.jsonl`` records are consumed
-downstream, so the key sets are pinned here as literals — changing the
-bench payload shape must break this test first.
+``BENCH_sched.json`` is the committed table OPERATIONS.md cites, so the
+key sets are pinned here as literals — changing the bench payload shape
+must break this test first.
 """
 
 import importlib

@@ -84,66 +84,6 @@ class TestSimulationCrossCheck:
         assert first == second
 
 
-class TestConcentration:
-    def test_validation(self):
-        from repro.analysis import (
-            deviation_probability,
-            required_copies,
-            tolerance_for,
-        )
-
-        with pytest.raises(ValueError):
-            deviation_probability(0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            deviation_probability(10, 1.5, 0.1)
-        with pytest.raises(ValueError):
-            deviation_probability(10, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            tolerance_for(10, 0.5, confidence=1.5)
-        with pytest.raises(ValueError):
-            required_copies(0.5, 0.0)
-
-    def test_bound_shrinks_with_samples(self):
-        from repro.analysis import deviation_probability
-
-        assert deviation_probability(100_000, 0.3, 0.01) < (
-            deviation_probability(1_000, 0.3, 0.01)
-        )
-
-    def test_tolerance_inverts_probability(self):
-        from repro.analysis import deviation_probability, tolerance_for
-
-        eps = tolerance_for(50_000, 0.25, confidence=0.999)
-        assert deviation_probability(50_000, 0.25, eps) <= 0.0011
-
-    def test_required_copies_round_trip(self):
-        from repro.analysis import required_copies, tolerance_for
-
-        n = required_copies(0.4, 0.01, confidence=0.99)
-        assert tolerance_for(n, 0.4, confidence=0.99) <= 0.0101
-
-    def test_empirical_deviation_within_tolerance(self):
-        """A perfectly fair strategy stays inside the Chernoff envelope."""
-        import collections
-
-        from repro.analysis import fairness_tolerances
-        from repro.core import RedundantShare
-        from repro.types import bins_from_capacities
-
-        strategy = RedundantShare(
-            bins_from_capacities([900, 700, 400]), copies=2
-        )
-        balls = 20_000
-        counts = collections.Counter()
-        for address in range(balls):
-            counts.update(strategy.place(address))
-        expected = strategy.expected_shares()
-        tolerances = fairness_tolerances(expected, 2 * balls, confidence=0.9999)
-        for bin_id, share in expected.items():
-            deviation = abs(counts[bin_id] / (2 * balls) - share)
-            assert deviation <= tolerances[bin_id], bin_id
-
-
 class TestObservedModel:
     """Edge cases for fitting a durability model to a chaos run."""
 

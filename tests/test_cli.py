@@ -1,8 +1,17 @@
 """Smoke tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+
+
+def compare_rows(capsys):
+    """``repro compare`` output as ``{strategy: deviation text}``."""
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return dict(line.split() for line in lines)
 
 
 class TestCli:
@@ -30,6 +39,57 @@ class TestCli:
         out = capsys.readouterr().out
         assert "redundant-share" in out
         assert "trivial" in out
+
+    def test_compare_measures_against_clipped_fair_shares(self, capsys):
+        # 1000 of 1300 at k=2 violates Lemma 2.1: the fair target is the
+        # clipped 50 %, not min(1, k*c/B)/k.
+        assert main(
+            ["compare", "--capacities", "1000,100,100,100", "--copies", "2",
+             "--balls", "20000"]
+        ) == 0
+        rows = compare_rows(capsys)
+        assert float(rows["redundant-share"].rstrip("%")) < 2.0
+
+    def test_compare_marks_a_strategy_that_cannot_place(self, capsys):
+        # crush runs out of retries on 100,6,1; the sweep must go on.
+        assert main(
+            ["compare", "--capacities", "100,6,1", "--copies", "2",
+             "--balls", "2000"]
+        ) == 0
+        rows = compare_rows(capsys)
+        assert rows["crush"] == "n/a"
+        assert rows["redundant-share"].endswith("%")
+        assert rows["rpdp"].endswith("%")  # the row after crush still ran
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["fairness", "--capacities", "100,6,1", "--copies", "2",
+                 "--strategy", "crush", "--balls", "2000"],
+                "crush could not find a distinct device",
+            ),
+            (
+                ["capacity", "--capacities", "5,4", "--copies", "0"],
+                "replication degree must be >= 1",
+            ),
+            (
+                ["fairness", "--capacities", "5,4", "--balls", "0"],
+                "--balls must be >= 1",
+            ),
+        ],
+        ids=["crush-cannot-place", "copies-zero", "balls-zero"],
+    )
+    def test_user_errors_exit_one_with_one_line(self, argv, message):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        assert message in result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
 
     def test_adaptivity(self, capsys):
         assert main(

@@ -2,12 +2,15 @@
 
 Walks the whole package, importing every module, and asserts that modules,
 public classes, public functions and public methods are documented — the
-deliverable contract for the library's API surface.
+deliverable contract for the library's API surface.  Also checks that the
+source files the prose documents name still exist.
 """
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -68,3 +71,19 @@ def test_every_public_method_documented():
                         f"{module.__name__}.{class_name}.{method_name}"
                     )
     assert not missing, f"undocumented public methods: {missing}"
+
+
+DOCUMENTS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md"]
+SOURCE_PATH = re.compile(r"\b(repro|benchmarks)/[\w/.-]*\.py\b")
+
+
+def test_every_source_path_named_in_the_documents_exists():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    missing = []
+    for pattern in DOCUMENTS:
+        for document in sorted(root.glob(pattern)):
+            for match in SOURCE_PATH.finditer(document.read_text()):
+                base = root / "src" if match.group(1) == "repro" else root
+                if not (base / match.group(0)).exists():
+                    missing.append(f"{document.name}: {match.group(0)}")
+    assert not missing, f"documents name files that do not exist: {missing}"
