@@ -17,6 +17,12 @@ Both classes are perfectly fair with identical marginals; they differ in
 the joint distribution (which bin pairs co-occur) and in how much data
 moves under reconfiguration, which is precisely what the ablation bench
 measures for the different ``placeonecopy`` backends.
+
+``place_many`` has a batch engine for the default rendezvous backend
+(:meth:`ClassicLinMirror._fill_ranks`, assembled from
+:mod:`repro.placement.kernels`); :meth:`ClassicLinMirror.place` is its
+oracle.  The generic per-address loop is what runs without NumPy and for
+the ring/alias backends.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from ..capacity.weights import (
 )
 from ..exceptions import PlacementError
 from ..hashing.primitives import derive_base, unit_from_base
+from ..placement import kernels
 from ..placement.base import ReplicationStrategy, WeightedPlacer
 from ..placement.rendezvous import make_rendezvous
 from ..types import BinSpec, Placement, sort_bins_by_capacity
@@ -92,6 +99,8 @@ class ClassicLinMirror(ReplicationStrategy):
     """The verbatim Algorithm 2, parameterised by ``placeonecopy``."""
 
     name = "classic-lin-mirror"
+    kernel = "scan-hrw"
+    _has_engine = True
 
     def __init__(
         self,
@@ -107,7 +116,9 @@ class ClassicLinMirror(ReplicationStrategy):
             namespace: Hash salt prefix.
             placer_factory: Fair single-copy backend used for the secondary
                 copy (rendezvous by default; consistent hashing and alias
-                backends live in :mod:`repro.placement`).
+                backends live in :mod:`repro.placement`).  The batch
+                engine reproduces the rendezvous race only; any other
+                backend keeps ``place()`` per address.
             apply_boost: Apply the ``b̃`` boundary adjustment (default).
                 Disabling it reproduces the small unfairness the paper
                 describes in Section 3.1 — used by the ablation bench.
@@ -124,7 +135,13 @@ class ClassicLinMirror(ReplicationStrategy):
         self._saturated = first_saturated_index(self._rounds)
         self._boost = boundary_boost(self._capacities) if apply_boost else None
         self._placer_factory = placer_factory
+        # The engine reproduces the rendezvous race; ring and alias
+        # backends select through structures the scalar path owns and
+        # keep the generic loop.
+        self._has_engine = placer_factory is make_rendezvous
         self._placers: Dict[int, Optional[WeightedPlacer]] = {}
+        # Per primary rank, the secondary race as vectors (batch engine).
+        self._race_vectors: Dict[int, tuple] = {}
         self._primary_bases = [
             derive_base(self._namespace, "primary", bin_id)
             for bin_id in self._scan_ids
@@ -185,6 +202,71 @@ class ClassicLinMirror(ReplicationStrategy):
         else:
             secondary = placer.place(address)
         return (self._scan_ids[primary_rank], secondary)
+
+    def _secondary_race(self, np, primary_rank: int) -> tuple:
+        """``(ranks, weights, bases)`` vectors of the secondary race for
+        primaries at ``primary_rank`` (cached); a single rank and no
+        weights when the secondary is forced."""
+        race = self._race_vectors.get(primary_rank)
+        if race is None:
+            placer = self._secondary_placer(primary_rank)
+            if placer is None:
+                ids = [self._scan_ids[primary_rank + 1]]
+                weights = bases = ()
+            else:
+                ids, weights, bases = placer.race_columns()
+            race = self._race_vectors[primary_rank] = (
+                np.asarray([self._rank_index[bin_id] for bin_id in ids]),
+                np.asarray(weights, dtype=np.float64),
+                np.asarray(bases, dtype=np.uint64),
+            )
+        return race
+
+    def _fill_ranks(self, np, keys, columns):
+        """Vectorized Algorithm 2: a rank-major primary scan, then one
+        rendezvous race per primary rank.
+
+        Per block the addresses are premixed once.  The while loop of
+        :meth:`place` becomes one draw per rank over the addresses still
+        looking for a primary; those the draw selects are exactly the
+        group whose secondary comes from that rank's ``placeonecopy``
+        tail, so each group is settled by a single guarded argmax over
+        the ``-w / ln(u)`` scores the scalar
+        :class:`~repro.placement.rendezvous.WeightedRendezvous` compares
+        (a forced secondary is a constant).  Rows decided within
+        :data:`~repro.placement.kernels.TIE_GUARD` are returned for the
+        driver to settle through :meth:`place`.
+        """
+        primary_ranks = [self._rank_index[bin_id] for bin_id in self._scan_ids]
+        # zip stops at the boundary: ranks past it never draw a primary.
+        scan = list(zip(self._primary_bases, self._rounds[: self._saturated]))
+        refused: List[int] = []
+        for start, stop in kernels.blocks(keys.shape[0]):
+            mixed = kernels.premix(keys[start:stop])
+            live = np.arange(start, stop)
+            groups = []
+            for base, chance in scan:
+                taken = kernels.draws_from_premixed(base, mixed) < chance
+                groups.append((live[taken], mixed[taken]))
+                passed = ~taken
+                live, mixed = live[passed], mixed[passed]
+            groups.append((live, mixed))
+            for rank, (rows, group) in enumerate(groups):
+                if rows.size == 0:
+                    continue
+                columns[0, rows] = primary_ranks[rank]
+                ranks, weights, bases = self._secondary_race(np, rank)
+                if ranks.size == 1:
+                    columns[1, rows] = ranks[0]
+                    continue
+                winners, unsafe = kernels.argmax_with_guard(
+                    kernels.hrw_score_matrix(
+                        weights, kernels.open_draw_matrix(bases, group)
+                    )
+                )
+                columns[1, rows] = ranks[winners]
+                refused.extend(rows[unsafe])
+        return refused
 
     def expected_shares(self) -> Dict[str, float]:
         """Fair target shares (b̂-proportional); exact for the rendezvous

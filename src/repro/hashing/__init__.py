@@ -8,7 +8,6 @@ alias tables) the placement strategies are made of.
 
 from .alias import AliasTable, CumulativeTable, build_selector
 from .primitives import (
-    HashStream,
     as_u64_array,
     hash_sequence,
     splitmix64,
@@ -25,7 +24,6 @@ __all__ = [
     "AliasTable",
     "CumulativeTable",
     "HashRing",
-    "HashStream",
     "as_u64_array",
     "build_selector",
     "hash_sequence",

@@ -226,33 +226,3 @@ def units_from_base(base: int, values: Sequence[int]):
     """
     return u64s_from_base(base, values).astype(np.float64) * _INV_2_64
 
-
-class HashStream:
-    """An unbounded stream of independent hash draws for one key.
-
-    Rejection-sampling placers need "the t-th draw for ball a"; this
-    class packages the salt bookkeeping::
-
-        stream = HashStream("placer", address)
-        first = stream.next_unit()
-        second = stream.next_unit()
-    """
-
-    def __init__(self, *parts: HashablePart) -> None:
-        self._base = stable_u64(*parts)
-        self._index = 0
-
-    def next_u64(self) -> int:
-        """Return the next 64-bit draw."""
-        value = stable_u64(self._base, self._index)
-        self._index += 1
-        return value
-
-    def next_unit(self) -> float:
-        """Return the next draw mapped to ``[0, 1)``."""
-        return self.next_u64() * _INV_2_64
-
-    @property
-    def draws_made(self) -> int:
-        """Number of draws taken from the stream so far."""
-        return self._index

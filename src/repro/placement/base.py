@@ -228,16 +228,18 @@ class ReplicationStrategy(abc.ABC):
     name: str = "replication"
 
     #: Name of the shared-kernel family the strategy's batch engine is
-    #: built on (see :mod:`repro.placement.kernels`), or None for the
-    #: generic per-address loop.  Used for the per-kernel obs counters
-    #: and reported by the trade-off bench; it labels the *logical*
-    #: engine, so it stays set even when the scalar loop runs.
+    #: built on (see :mod:`repro.placement.kernels`), or None for a
+    #: strategy without an engine, whose batches are the generic
+    #: per-address loop on every leg.  Used for the per-kernel obs
+    #: counters and reported by the trade-off bench; it labels the
+    #: *logical* engine, so it stays set even when the scalar loop runs.
     kernel: Optional[str] = None
 
     #: Whether :meth:`_fill_ranks` handles this configuration.  Engine
     #: classes set it True; an instance whose configuration the engine
     #: does not cover (a hierarchical crush map, a non-``cdf`` state
-    #: selector) sets it back to False and keeps the scalar loop.
+    #: selector, a non-rendezvous ``placeonecopy`` backend) sets it back
+    #: to False and keeps the scalar loop.
     _has_engine: bool = False
 
     def __init__(

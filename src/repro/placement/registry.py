@@ -65,8 +65,8 @@ class StrategyEntry:
     #: Shared-kernel family the batch engine is built on (see
     #: :mod:`repro.placement.kernels`); mirrors
     #: :attr:`ReplicationStrategy.kernel` so reports need not build an
-    #: instance to label the engine.  ``None``: the generic per-address
-    #: loop.
+    #: instance to label the engine.  ``None``: no engine, the generic
+    #: per-address loop even with NumPy.
     kernel: Optional[str] = None
     aliases: Tuple[str, ...] = field(default=())
     #: Typed schema of the strategy's extra constructor parameters;
@@ -93,8 +93,10 @@ class StrategyEntry:
 
     @property
     def vectorized(self) -> bool:
-        """True when ``place_many`` runs a NumPy engine rather than the
-        generic per-address loop (given NumPy is importable)."""
+        """True when ``place_many`` runs a NumPy engine (given NumPy is
+        importable); the generic per-address loop is then what runs
+        without NumPy and for configurations the engine does not cover,
+        which the factories below never build."""
         return self.kernel is not None
 
     def build(
@@ -166,6 +168,7 @@ def _entries() -> List[StrategyEntry]:
             "classic-lin-mirror",
             lambda bins, copies, opts: ClassicLinMirror(bins),
             fixed_copies=2,
+            kernel=ClassicLinMirror.kernel,
             movement_class="bounded",
         ),
         StrategyEntry(

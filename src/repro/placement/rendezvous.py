@@ -23,7 +23,7 @@ Lookup is O(n); the O(1) alternative (at the cost of adaptivity) is
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..hashing.primitives import derive_base, unit_from_base_open
 from ..types import BinSpec
@@ -58,6 +58,17 @@ class WeightedRendezvous(WeightedPlacer):
             for bin_id, weight in zip(self._ids, self._weights)
             if weight > 0
         ]
+
+    def race_columns(
+        self,
+    ) -> Tuple[Tuple[str, ...], Tuple[float, ...], Tuple[int, ...]]:
+        """The race as read-only ``(ids, weights, bases)`` columns.
+
+        One entry per positive-weight id, in the order :meth:`place`
+        compares them (first wins an exact tie) — everything a batch
+        engine needs to reproduce this selector over an address vector.
+        """
+        return tuple(zip(*self._entries))
 
     def place(self, address: int) -> str:
         best_id = None

@@ -1,10 +1,13 @@
 """Tests for the open-problem exploration: balanced top-k rendezvous."""
 
 import collections
+import math
 
 import pytest
 
-from repro.core import BalancedRendezvous
+import repro._compat as compat
+from repro.core import BalancedRendezvous, balanced_rendezvous
+from repro.placement import kernels
 from repro.types import BinSpec, bins_from_capacities
 
 
@@ -14,6 +17,21 @@ class TestConstruction:
             BalancedRendezvous(
                 bins_from_capacities([5, 4]), copies=2, calibration_rate=0.0
             )
+
+    @pytest.mark.parametrize(
+        "option", ["calibration_samples", "calibration_iterations"]
+    )
+    def test_negative_calibration_sizes_rejected(self, option):
+        """-1 used to mean "uncalibrated" silently; 0 is the documented
+        ablation switch and the only one."""
+        bins = bins_from_capacities([5, 4, 3])
+        with pytest.raises(ValueError, match="calibration"):
+            BalancedRendezvous(bins, copies=2, **{option: -1})
+        raw = BalancedRendezvous(bins, copies=2, **{option: 0})
+        assert raw.weights == {
+            bin_id: share * 2
+            for bin_id, share in raw.expected_shares().items()
+        }
 
     def test_pinning_of_saturated_bins(self):
         # [2, 1, 1], k=2: the big bin's clipped demand is exactly 1.
@@ -106,3 +124,73 @@ class TestBehaviour:
         # Calibration re-fitting adds some churn beyond the pure-rendezvous
         # optimum; it must stay a small multiple.
         assert moved_set / used < 2.0
+
+
+#: ``(capacities, copies)``: the 16-device fleet of ``benchmarks/e2e``, a
+#: fleet with a pinned bin, and one whose bins are given out of capacity
+#: order.
+CALIBRATION_FLEETS = [
+    (list(range(500, 2001, 100)), 3),
+    ([1000, 100, 100, 100, 50], 2),
+    ([100] * 8 + [37, 900], 4),
+]
+
+
+def scalar_weights(monkeypatch, capacities, copies, **options):
+    """The weights the scalar calibration (the oracle) fits."""
+    with monkeypatch.context() as patch:
+        patch.setattr(compat, "np", None)
+        return BalancedRendezvous(
+            bins_from_capacities(capacities), copies=copies, **options
+        ).weights
+
+
+class TestCalibrationLegs:
+    """The NumPy-leg calibration counts the same winners as the scalar
+    one, so the fitted weights are equal as floats, not approximately.
+    Under ``REPRO_PURE_PYTHON=1`` both builds are the scalar leg."""
+
+    @pytest.mark.parametrize("capacities, copies", CALIBRATION_FLEETS)
+    def test_weights_equal_the_scalar_calibration(
+        self, monkeypatch, capacities, copies
+    ):
+        strategy = BalancedRendezvous(
+            bins_from_capacities(capacities), copies=copies
+        )
+        assert strategy.weights == scalar_weights(
+            monkeypatch, capacities, copies
+        )
+
+    @pytest.mark.parametrize("capacities, copies", CALIBRATION_FLEETS)
+    def test_refused_samples_are_counted_by_the_scalar_race(
+        self, monkeypatch, capacities, copies
+    ):
+        """An infinite guard refuses every sample: the counts all come
+        from ``_race`` and the weights must not move."""
+        options = dict(calibration_samples=1_500, calibration_iterations=5)
+        expected = scalar_weights(monkeypatch, capacities, copies, **options)
+        monkeypatch.setattr(kernels, "TIE_GUARD", math.inf)
+        strategy = BalancedRendezvous(
+            bins_from_capacities(capacities), copies=copies, **options
+        )
+        assert strategy.weights == expected
+
+    @pytest.mark.skipif(
+        not compat.HAVE_NUMPY, reason="the batch counter is NumPy-only"
+    )
+    def test_no_scalar_draws_when_nothing_is_refused(self, monkeypatch):
+        draws = []
+        original = balanced_rendezvous.unit_from_base_open
+        monkeypatch.setattr(
+            balanced_rendezvous,
+            "unit_from_base_open",
+            lambda base, address: draws.append(address)
+            or original(base, address),
+        )
+        capacities, copies = CALIBRATION_FLEETS[0]
+        strategy = BalancedRendezvous(
+            bins_from_capacities(capacities), copies=copies
+        )
+        assert draws == []
+        strategy.place(0)
+        assert len(draws) == len(capacities)

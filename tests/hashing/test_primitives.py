@@ -95,37 +95,6 @@ class TestHashSequence:
         assert primitives.hash_sequence(1, 0) == []
 
 
-class TestHashStream:
-    def test_draws_are_deterministic(self):
-        first = primitives.HashStream("s", 1)
-        second = primitives.HashStream("s", 1)
-        assert [first.next_u64() for _ in range(5)] == [
-            second.next_u64() for _ in range(5)
-        ]
-
-    def test_draws_differ_within_stream(self):
-        stream = primitives.HashStream("s", 2)
-        draws = [stream.next_u64() for _ in range(100)]
-        assert len(set(draws)) == 100
-
-    def test_unit_draws_in_range(self):
-        stream = primitives.HashStream("s", 3)
-        for _ in range(50):
-            assert 0.0 <= stream.next_unit() < 1.0
-
-    def test_draw_counter(self):
-        stream = primitives.HashStream("s", 4)
-        assert stream.draws_made == 0
-        stream.next_unit()
-        stream.next_u64()
-        assert stream.draws_made == 2
-
-    def test_streams_with_different_keys_differ(self):
-        a = primitives.HashStream("k", 1)
-        b = primitives.HashStream("k", 2)
-        assert a.next_u64() != b.next_u64()
-
-
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the array pipeline is NumPy-only")
 class TestBatchPrimitives:
     """The vectorized pipeline must match the scalars bit for bit."""

@@ -154,7 +154,14 @@ def test_place_many_matches_scalar_loop(
 @pytest.mark.skipif(not compat.HAVE_NUMPY, reason="the guard is NumPy-only")
 @pytest.mark.parametrize(
     "name",
-    ["trivial", "rpdp", "crush", "balanced-rendezvous", "sequential-checking"],
+    [
+        "trivial",
+        "rpdp",
+        "crush",
+        "balanced-rendezvous",
+        "sequential-checking",
+        "classic-lin-mirror",
+    ],
 )
 def test_refused_rows_are_settled_by_the_scalar_loop(name, monkeypatch):
     """With an infinite guard every race is "too close to call": the
