@@ -177,16 +177,17 @@ def gather_shares(
     order of a :class:`repro.scheduling.base.ReadScheduler` when one is
     passed (its availability mask is first synced from the ledger, so a
     freshly-crashed device stops being chosen on the very next read) —
-    resolving each through the current strategy's ``place_copy`` and
-    falling back to the recorded placement when the map disagrees (a
-    lazy rebalance in flight).  Stops early once ``need`` shares are
-    gathered.
+    resolving each through the current strategy's placement of the
+    address (computed once, whatever ``need`` is) and falling back to the
+    recorded placement when the map disagrees (a lazy rebalance in
+    flight).  Stops early once ``need`` shares are gathered.
 
     Returns:
         ``(shares, skipped)``: payloads by position, and the positions
         whose device was unavailable.
     """
     placement = cluster.placement_of(address)
+    current = cluster.strategy.place(address)
     shares: Dict[int, bytes] = {}
     skipped: List[int] = []
     positions = range(len(placement))
@@ -205,7 +206,7 @@ def gather_shares(
     for position in positions:
         if need is not None and len(shares) >= need:
             break
-        candidates = [cluster.strategy.place_copy(address, position)]
+        candidates = [current[position]]
         if placement[position] not in candidates:
             candidates.append(placement[position])
         found = False

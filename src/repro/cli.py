@@ -234,7 +234,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         # achieves, and e.g. the trivial strategy would trivially accept
         # its own Lemma 2.4 waste.
         expected = fair_copy_shares(
-            {spec.bin_id: float(spec.capacity) for spec in bins}, args.copies
+            {spec.bin_id: float(spec.capacity) for spec in bins},
+            strategy.copies,
         )
         verdicts = [
             chi_square_fairness(counts, expected, alpha=args.alpha),
@@ -296,7 +297,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
+        raw = os.environ.get("REPRO_CHAOS_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise SystemExit(
+                f"REPRO_CHAOS_SEED must be an integer, got {raw!r}"
+            )
 
     if args.fleet:
         return _cmd_chaos_fleet(args, seed)
@@ -472,7 +479,7 @@ def _cmd_chaos_fleet(args: argparse.Namespace, seed: int) -> int:
             )
     print()
     # Scope the report to the fleet's namespace: placement-kernel
-    # metrics (precompute cache etc.) exist only on the NumPy leg, and
+    # metrics (``tie_recomputes`` etc.) exist only on the NumPy leg, and
     # CLI output must stay byte-identical across legs.
     fleet_trace = MemorySink()
     for event in memory.events:

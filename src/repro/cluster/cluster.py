@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..placement import precompute
 from ..erasure.base import ErasureCode
 from ..erasure.mirror import MirrorCode
 from ..exceptions import (
@@ -117,7 +116,6 @@ class Cluster:
                 missing for some spec.
         """
         self._factory = strategy_factory
-        self._epoch = precompute.bump_epoch()
         self._strategy = strategy_factory(list(devices))
         self._code = code or MirrorCode(self._strategy.copies)
         if self._code.total_shares != self._strategy.copies:
@@ -147,24 +145,8 @@ class Cluster:
         """The current placement strategy snapshot."""
         return self._strategy
 
-    @property
-    def epoch(self) -> int:
-        """Placement epoch the current strategy snapshot was built under.
-
-        Advances on every strategy swap (construction, add/remove device,
-        rebalance, capacity change) and keys the shared precompute cache —
-        see :mod:`repro.placement.precompute`.  State cached for an earlier
-        epoch can never leak into the snapshot built after a swap.
-        """
-        return self._epoch
-
     def _new_strategy(self) -> ReplicationStrategy:
-        """Build a fresh-epoch strategy snapshot for the current specs.
-
-        The epoch is bumped *before* the factory runs so the instance it
-        builds — and anything it precomputes — belongs to the new epoch.
-        """
-        self._epoch = precompute.bump_epoch()
+        """Build a fresh strategy snapshot for the current specs."""
         sink = obs.sink()
         if sink.enabled:
             obs.metrics().counter("cluster.strategy_swaps").add(1)

@@ -38,31 +38,12 @@ from typing import Dict, List, Optional, Sequence
 from .._compat import get_numpy
 from ..capacity.clipping import clip_capacities
 from ..hashing.primitives import derive_base, unit_from_base_open
-from ..placement import kernels, precompute
+from ..placement import kernels
 from ..placement.base import ReplicationStrategy
 from ..types import BinSpec, Placement, sort_bins_by_capacity
 
 #: Fair demands within this distance of 1 are treated as saturated.
 _PIN_EPS = 1e-9
-
-
-class _RaceBundle:
-    """Shareable vector mirror of one calibrated race configuration.
-
-    Holds the pinned rank prefix plus the salt-base / calibrated-weight /
-    rank vectors the batch engine races over.  Calibration is
-    deterministic per configuration, so instances with the same
-    fingerprint built under the same placement epoch share one bundle via
-    :func:`repro.placement.precompute.shared_cache`.
-    """
-
-    __slots__ = ("pinned_ranks", "bases", "weights", "race_ranks")
-
-    def __init__(self, pinned_ranks, bases, weights, race_ranks) -> None:
-        self.pinned_ranks = pinned_ranks
-        self.bases = bases
-        self.weights = weights
-        self.race_ranks = race_ranks
 
 
 class BalancedRendezvous(ReplicationStrategy):
@@ -129,15 +110,11 @@ class BalancedRendezvous(ReplicationStrategy):
             bin_id: max(target, 1e-12)
             for bin_id, target in self._race_targets.items()
         }
-        self._calibration = (
-            calibration_samples, calibration_iterations, calibration_rate
-        )
         if self._race_copies > 0 and calibration_samples > 0:
             self._calibrate(
                 calibration_samples, calibration_iterations, calibration_rate
             )
-        self._epoch = precompute.current_epoch()
-        self._vector: Optional[_RaceBundle] = None
+        self._vector: Optional[tuple] = None
 
     @property
     def pinned_bins(self) -> List[str]:
@@ -248,50 +225,29 @@ class BalancedRendezvous(ReplicationStrategy):
     # Batch placement
     # ------------------------------------------------------------------
 
-    def _fingerprint(self) -> tuple:
-        """Everything the calibrated race state depends on."""
-        return (
-            "balanced-rendezvous",
-            self._namespace,
-            self._copies,
-            self._calibration,
-            tuple((spec.bin_id, spec.capacity) for spec in self._bins),
-        )
-
-    def _ensure_vector_state(self, np) -> _RaceBundle:
-        """Attach this instance to its epoch-keyed race bundle (see
-        :class:`_RaceBundle`); consulted once, on the first batch call."""
-        bundle = self._vector
-        if bundle is not None:
-            return bundle
-        cache = precompute.shared_cache()
-        fingerprint = self._fingerprint()
-        bundle = cache.get(fingerprint, self._epoch)
-        if bundle is None:
+    def _ensure_vector_state(self, np) -> tuple:
+        """``(pinned_ranks, bases, weights, race_ranks)`` for the batch
+        engine: the pinned rank prefix plus the salt-base / calibrated
+        weight / rank vectors it races over.  Built on the first batch
+        call and kept on the instance."""
+        if self._vector is None:
             race_ids = list(self._weights)
-            bundle = cache.put(
-                fingerprint,
-                self._epoch,
-                _RaceBundle(
-                    pinned_ranks=[
-                        self._rank_index[bin_id] for bin_id in self._pinned
-                    ],
-                    bases=np.asarray(
-                        [self._bases[bin_id] for bin_id in race_ids],
-                        dtype=np.uint64,
-                    ),
-                    weights=np.asarray(
-                        [self._weights[bin_id] for bin_id in race_ids],
-                        dtype=np.float64,
-                    ),
-                    race_ranks=np.asarray(
-                        [self._rank_index[bin_id] for bin_id in race_ids],
-                        dtype=np.int64,
-                    ),
+            self._vector = (
+                [self._rank_index[bin_id] for bin_id in self._pinned],
+                np.asarray(
+                    [self._bases[bin_id] for bin_id in race_ids],
+                    dtype=np.uint64,
+                ),
+                np.asarray(
+                    [self._weights[bin_id] for bin_id in race_ids],
+                    dtype=np.float64,
+                ),
+                np.asarray(
+                    [self._rank_index[bin_id] for bin_id in race_ids],
+                    dtype=np.int64,
                 ),
             )
-        self._vector = bundle
-        return bundle
+        return self._vector
 
     def _fill_ranks(self, np, keys, columns):
         """Vectorized top-k race: one blocked score matrix per batch.
@@ -305,23 +261,21 @@ class BalancedRendezvous(ReplicationStrategy):
         breaks ties by bin id instead of column order) are returned for
         the driver to settle through :meth:`place`.
         """
-        bundle = self._ensure_vector_state(np)
-        for position, rank in enumerate(bundle.pinned_ranks):
+        pinned_ranks, bases, weights, race_ranks = self._ensure_vector_state(np)
+        for position, rank in enumerate(pinned_ranks):
             columns[position, :] = rank
-        offset = len(bundle.pinned_ranks)
+        offset = len(pinned_ranks)
         refused: List[int] = []
         if self._race_copies > 0:
             for start, stop in kernels.blocks(keys.shape[0]):
                 mixed = kernels.premix(keys[start:stop])
-                uniforms = kernels.open_draw_matrix(bundle.bases, mixed)
-                scores = kernels.hrw_score_matrix(bundle.weights, uniforms)
+                uniforms = kernels.open_draw_matrix(bases, mixed)
+                scores = kernels.hrw_score_matrix(weights, uniforms)
                 winners, unsafe = kernels.topk_with_guard(
                     scores, self._race_copies
                 )
                 for draw, draw_winners in enumerate(winners):
-                    columns[offset + draw, start:stop] = bundle.race_ranks[
-                        draw_winners
-                    ]
+                    columns[offset + draw, start:stop] = race_ranks[draw_winners]
                 refused.extend(start + np.flatnonzero(unsafe))
         return refused
 

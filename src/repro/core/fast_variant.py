@@ -33,34 +33,7 @@ from ..hashing.primitives import (
 from ..placement import kernels
 from ..placement.base import ReplicationStrategy
 from ..types import BinSpec, Placement
-from ..placement import precompute
 from .redundant_share import RedundantShare
-
-
-class _StateBundle:
-    """Shareable precomputed state for one (configuration, epoch) pair.
-
-    Holds the per-(copy, previous rank) conditional tables and salt bases
-    the scalar ``place`` consults, plus the NumPy mirrors the batch engine
-    gathers from.  Bundles live in the epoch-keyed
-    :func:`repro.placement.precompute.shared_cache`, so rebuilding a strategy
-    over an unchanged configuration (benchmark scalar/batch pairs, cold
-    test clones) reuses the tables instead of re-solving them — while a
-    cluster reconfiguration, which advances the epoch, always starts
-    clean.
-    """
-
-    __slots__ = ("tables", "bases", "np_states")
-
-    def __init__(self) -> None:
-        self.tables: Dict[Tuple[int, int], Optional[CumulativeTable]] = {}
-        self.bases: Dict[Tuple[int, int], int] = {}
-        #: (copy, prev) -> (forced_rank, base, cumulative) where a forced
-        #: state has ``forced_rank >= 0`` and no table, and a sampled
-        #: state has ``forced_rank == -1`` plus the uint64 base and the
-        #: float64 boundary array shared bit-for-bit with the scalar
-        #: :class:`CumulativeTable`.
-        self.np_states: Dict[Tuple[int, int], tuple] = {}
 
 
 class FastRedundantShare(ReplicationStrategy):
@@ -120,8 +93,15 @@ class FastRedundantShare(ReplicationStrategy):
         # per-state hash races that the scalar path owns; they keep the
         # generic loop.
         self._has_engine = state_selector == "cdf"
-        self._epoch = precompute.current_epoch()
-        self._precompute: Optional[_StateBundle] = None
+        # Lazy per-(copy, previous rank) state, built as lookups visit it:
+        # the conditional tables and salt bases ``place`` consults, and
+        # the batch engine's NumPy mirrors ``(forced_rank, base,
+        # cumulative)`` — a forced state has ``forced_rank >= 0`` and no
+        # table, a sampled one ``forced_rank == -1`` plus the uint64 base
+        # and the float64 boundaries of the scalar :class:`CumulativeTable`.
+        self._tables: Dict[Tuple[int, int], Optional[CumulativeTable]] = {}
+        self._bases: Dict[Tuple[int, int], int] = {}
+        self._np_states: Dict[Tuple[int, int], tuple] = {}
         self._share_states: Dict[Tuple[int, int], object] = {}
         # Reuse the scan variant's preprocessing (ordering, clipping,
         # hazard solve); this also guarantees both variants agree.
@@ -152,9 +132,8 @@ class FastRedundantShare(ReplicationStrategy):
         forced (exactly one positive outcome).
         """
         key = (copy, previous_rank)
-        tables = (self._precompute or self._attach()).tables
-        if key in tables:
-            return tables[key]
+        if key in self._tables:
+            return self._tables[key]
         distribution = self._scan.table.conditional_distribution(
             copy + 1, previous_rank
         )
@@ -165,7 +144,7 @@ class FastRedundantShare(ReplicationStrategy):
             table = None
         else:
             table = CumulativeTable(tail)
-        tables[key] = table
+        self._tables[key] = table
         return table
 
     def _select(self, copy: int, previous_rank: int, address: int) -> int:
@@ -186,15 +165,14 @@ class FastRedundantShare(ReplicationStrategy):
     ) -> int:
         """Salt base for the (copy, previous rank) state draw (memoised)."""
         key = (copy, previous_rank)
-        bases = (self._precompute or self._attach()).bases
-        base = bases.get(key)
+        base = self._bases.get(key)
         if base is None:
             if anchor is None:
                 anchor = (
                     "root" if previous_rank < 0
                     else self._rank_ids[previous_rank]
                 )
-            base = bases[key] = derive_base(
+            base = self._bases[key] = derive_base(
                 self._namespace, "state", copy, anchor
             )
         return base
@@ -294,36 +272,6 @@ class FastRedundantShare(ReplicationStrategy):
             ranks.append(previous)
         return tuple(self._rank_ids[rank] for rank in ranks)
 
-    def _attach(self) -> _StateBundle:
-        """Attach this instance to its epoch-keyed precompute bundle.
-
-        Runs once per instance, on the first lookup of either kind that
-        needs a state table; a hit reuses another instance's tables for
-        the identical configuration (same fingerprint *and* same
-        placement epoch), so the scalar and batch paths of every such
-        instance share one table store.
-        """
-        cache = precompute.shared_cache()
-        fingerprint = self._fingerprint()
-        bundle = cache.get(fingerprint, self._epoch)
-        if bundle is None:
-            bundle = cache.put(fingerprint, self._epoch, _StateBundle())
-        self._precompute = bundle
-        return bundle
-
-    def _fingerprint(self) -> tuple:
-        """Everything the state tables depend on, as a hashable key."""
-        return (
-            "fast-redundant-share",
-            self._namespace,
-            self._copies,
-            self._state_selector,
-            tuple(
-                (spec.bin_id, spec.capacity)
-                for spec in self._scan.ordered_bins
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Batch placement
     # ------------------------------------------------------------------
@@ -360,13 +308,10 @@ class FastRedundantShare(ReplicationStrategy):
         """NumPy mirror of one state: forced rank or (base, boundaries).
 
         Built lazily per state actually visited by a batch (mirroring the
-        scalar laziness) and memoised in the shared bundle, so every
-        instance over the same configuration and epoch gathers from the
-        same arrays.
+        scalar laziness) and kept on the instance.
         """
-        bundle = self._precompute or self._attach()
         key = (copy, previous_rank)
-        state = bundle.np_states.get(key)
+        state = self._np_states.get(key)
         if state is None:
             table = self._state_table(copy, previous_rank)
             if table is None:
@@ -378,21 +323,10 @@ class FastRedundantShare(ReplicationStrategy):
                     np.uint64(base),
                     np.asarray(table.boundaries(), dtype=np.float64),
                 )
-            bundle.np_states[key] = state
+            self._np_states[key] = state
         return state
-
-    def cache_info(self) -> Dict[str, int]:
-        """Occupancy of the per-state precompute (scalar + vector)."""
-        bundle = self._precompute
-        return {
-            "state_tables": self.state_count(),
-            "vector_states": len(bundle.np_states) if bundle else 0,
-            "precomputed": int(bundle is not None),
-            "epoch": self._epoch,
-        }
 
     def state_count(self) -> int:
         """Number of state tables materialised so far (for the memory
         accounting in the time-efficiency bench)."""
-        bundle = self._precompute
-        return len(bundle.tables) if bundle else 0
+        return len(self._tables)

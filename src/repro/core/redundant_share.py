@@ -34,12 +34,6 @@ from ..placement.base import ReplicationStrategy
 from ..types import BinSpec, Placement, sort_bins_by_capacity
 from .preprocess import HazardTable, compute_hazards
 
-#: Bounded size of the per-instance walk cache backing :meth:`place_copy`
-#: (FIFO eviction; sized for the read-path pattern of consulting a few
-#: positions of the same hot addresses repeatedly).
-_WALK_CACHE_SIZE = 1024
-
-
 class RedundantShare(ReplicationStrategy):
     """k-fold replicated placement with fairness and redundancy."""
 
@@ -95,10 +89,8 @@ class RedundantShare(ReplicationStrategy):
             len(self._ordered) - copies + c for c in range(copies)
         ]
         # Lazily built rank-major (n, k) base and hazard tables of the
-        # batch engine, and the bounded walk memo shared by
-        # place_copy/primary/secondary.
+        # batch engine.
         self._scan_tables = None
-        self._walk_cache: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -138,32 +130,6 @@ class RedundantShare(ReplicationStrategy):
     def place(self, address: int) -> Placement:
         """Return the ordered bin ids of all ``k`` copies of ``address``."""
         return tuple(self._walk(address, self._copies))
-
-    def place_copy(self, address: int, position: int) -> str:
-        """Bin of copy ``position`` (0-based) via the shared walk cache.
-
-        The full k-copy scan is computed once per address and memoised
-        (bounded FIFO), so ``primary()``/``secondary()``/``place_copy``
-        sequences over the same address cost one scan instead of
-        re-running Algorithm 2/4 from rank 0 for every position.
-        """
-        if not 0 <= position < self._copies:
-            raise IndexError(f"copy position {position} out of range")
-        return self._rank_ids[self._cached_ranks(address)[position]]
-
-    def _cached_ranks(self, address: int) -> List[int]:
-        """Full scan result for ``address``, memoised with FIFO eviction."""
-        ranks = self._walk_cache.get(address)
-        if ranks is None:
-            ranks = self._walk_ranks(address, self._copies)
-            if len(self._walk_cache) >= _WALK_CACHE_SIZE:
-                self._walk_cache.pop(next(iter(self._walk_cache)))
-            self._walk_cache[address] = ranks
-            if obs.sink().enabled:
-                obs.metrics().counter("placement.walk_cache.misses").add(1)
-        elif obs.sink().enabled:
-            obs.metrics().counter("placement.walk_cache.hits").add(1)
-        return ranks
 
     def _walk(self, address: int, copies_wanted: int) -> List[str]:
         """The scalar Algorithm 2/4 scan, mapped to bin ids."""
@@ -276,29 +242,6 @@ class RedundantShare(ReplicationStrategy):
     def primary(self, address: int) -> str:
         """Convenience accessor for the primary copy's bin."""
         return self.place_copy(address, 0)
-
-    # ------------------------------------------------------------------
-    # Cache management
-    # ------------------------------------------------------------------
-    #
-    # Strategy instances are immutable configuration snapshots, so the
-    # walk cache can never go stale *within* an instance; reconfiguration
-    # safety relies on callers (``Cluster._rebalance``/``add_device``)
-    # building a fresh instance, which starts with empty caches.  The
-    # regression tests in ``tests/cluster/test_walk_cache_invalidation``
-    # pin that contract; these helpers exist so operational tooling can
-    # audit and (defensively) drop the memo.
-
-    def cache_info(self) -> Dict[str, int]:
-        """Size and bound of the ``place_copy`` walk memo."""
-        return {
-            "entries": len(self._walk_cache),
-            "capacity": _WALK_CACHE_SIZE,
-        }
-
-    def clear_walk_cache(self) -> None:
-        """Drop every memoised walk (placements are recomputed on demand)."""
-        self._walk_cache.clear()
 
 
 class LinMirror(RedundantShare):

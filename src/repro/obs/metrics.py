@@ -206,8 +206,8 @@ class MetricsRegistry:
         The view shares the live counter/histogram instances — it is a
         scoped window for rendering, not a copy.  Used to keep reports
         to one subsystem's namespace (accelerator-internal metrics such
-        as the placement precompute cache only exist on the NumPy leg,
-        so a leg-stable report must exclude them).
+        as the placement engines' ``tie_recomputes`` only exist on the
+        NumPy leg, so a leg-stable report must exclude them).
         """
         view = MetricsRegistry()
         for name, counter in self._counters.items():

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..exceptions import ConfigurationError, PlacementError
 from ..hashing.primitives import derive_base, unit_from_base_open
 from ..types import BinSpec, Placement
-from . import kernels, precompute
+from . import kernels
 from .base import ReplicationStrategy
 
 #: Maximum collision retries per replica before giving up.
@@ -225,23 +225,6 @@ def make_bucket(
     return bucket_cls(name, items, weights)
 
 
-class _StrawBundle:
-    """Shareable vector mirror of a flat straw2 crush map.
-
-    The per-item salt bases, weights and bin-rank translation the batch
-    engine draws straws from; shared across instances of the same map
-    (same fingerprint, same placement epoch) via
-    :func:`repro.placement.precompute.shared_cache`.
-    """
-
-    __slots__ = ("bases", "weights", "item_ranks")
-
-    def __init__(self, bases, weights, item_ranks) -> None:
-        self.bases = bases
-        self.weights = weights
-        self.item_ranks = item_ranks
-
-
 class CrushStrategy(ReplicationStrategy):
     """``choose firstn`` replica selection over a crush map."""
 
@@ -291,8 +274,7 @@ class CrushStrategy(ReplicationStrategy):
         self._has_engine = isinstance(root, Straw2Bucket) and all(
             isinstance(item, str) for item in root.items
         )
-        self._epoch = precompute.current_epoch()
-        self._vector: Optional[_StrawBundle] = None
+        self._vector: Optional[tuple] = None
 
     @property
     def root(self) -> Bucket:
@@ -328,41 +310,22 @@ class CrushStrategy(ReplicationStrategy):
     # Batch placement
     # ------------------------------------------------------------------
 
-    def _fingerprint(self) -> tuple:
-        """Everything the flat straw2 vector state depends on."""
-        return (
-            "crush",
-            self._namespace,
-            self._copies,
-            self._root.name,
-            tuple(self._root.items),
-            tuple(self._root.weights),
-        )
-
-    def _ensure_vector_state(self, np) -> _StrawBundle:
-        """Attach this instance to its epoch-keyed straw bundle."""
-        bundle = self._vector
-        if bundle is not None:
-            return bundle
-        cache = precompute.shared_cache()
-        fingerprint = self._fingerprint()
-        bundle = cache.get(fingerprint, self._epoch)
-        if bundle is None:
+    def _ensure_vector_state(self, np) -> tuple:
+        """``(bases, weights, item_ranks)`` of the flat straw2 map: the
+        per-item salt bases, weights and bin-rank translation the batch
+        engine draws straws from.  Built on the first batch call and kept
+        on the instance."""
+        if self._vector is None:
             root = self._root
-            bundle = cache.put(
-                fingerprint,
-                self._epoch,
-                _StrawBundle(
-                    bases=np.asarray(root._bases, dtype=np.uint64),
-                    weights=np.asarray(root.weights, dtype=np.float64),
-                    item_ranks=np.asarray(
-                        [self._rank_index[item] for item in root.items],
-                        dtype=np.int64,
-                    ),
+            self._vector = (
+                np.asarray(root._bases, dtype=np.uint64),
+                np.asarray(root.weights, dtype=np.float64),
+                np.asarray(
+                    [self._rank_index[item] for item in root.items],
+                    dtype=np.int64,
                 ),
             )
-        self._vector = bundle
-        return bundle
+        return self._vector
 
     def _fill_ranks(self, np, keys, columns):
         """Vectorized flat straw2 descent with masked retry tail.
@@ -378,13 +341,13 @@ class CrushStrategy(ReplicationStrategy):
         through :meth:`place` — which raises :class:`PlacementError`
         exactly where the scalar loop would.
         """
-        bundle = self._ensure_vector_state(np)
-        items = bundle.bases.shape[0]
+        bases, weights, item_ranks = self._ensure_vector_state(np)
+        items = bases.shape[0]
         refused: List[int] = []
         for start, stop in kernels.blocks(keys.shape[0]):
             mixed = kernels.premix(keys[start:stop])
             block = stop - start
-            premixed = kernels.state_matrix(bundle.bases, mixed)
+            premixed = kernels.state_matrix(bases, mixed)
             taken = np.zeros((block, items), dtype=bool)
             unsafe = np.zeros(block, dtype=bool)
             for replica in range(self._copies):
@@ -397,9 +360,7 @@ class CrushStrategy(ReplicationStrategy):
                     draws = kernels.open_draws_from_state(
                         kernels.fold_salt(states[pending], attempt)
                     )
-                    straws = kernels.straw2_score_matrix(
-                        bundle.weights, draws
-                    )
+                    straws = kernels.straw2_score_matrix(weights, draws)
                     winners, attempt_unsafe = kernels.argmax_with_guard(
                         straws
                     )
@@ -412,7 +373,7 @@ class CrushStrategy(ReplicationStrategy):
                 if pending.size:
                     # Exhausted retries: the scalar loop raises here.
                     unsafe[pending] = True
-                columns[replica, start:stop] = bundle.item_ranks[out]
+                columns[replica, start:stop] = item_ranks[out]
             refused.extend(start + np.flatnonzero(unsafe))
         return refused
 

@@ -20,7 +20,6 @@ from typing import Dict, List, Sequence
 
 from ..exceptions import ConfigurationError
 from ..types import BinSpec, Placement
-from . import precompute
 from .base import ReplicationStrategy
 
 
@@ -100,7 +99,6 @@ class WeightedStripingStrategy(ReplicationStrategy):
             pattern.append(winner)
         self._pattern = pattern
         self._resolution = resolution
-        self._epoch = precompute.current_epoch()
         self._table = None
 
     @property
@@ -131,34 +129,18 @@ class WeightedStripingStrategy(ReplicationStrategy):
     # Batch placement
     # ------------------------------------------------------------------
 
-    def _fingerprint(self) -> tuple:
-        """Everything the start table depends on."""
-        return (
-            "weighted-striping",
-            self._copies,
-            self._resolution,
-            tuple((spec.bin_id, spec.capacity) for spec in self._bins),
-        )
-
     def _ensure_start_table(self, np):
         """The (copies × pattern_length) start → rank-tuple table.
 
         The placement of an address depends on nothing but its start slot
         ``(a · k) mod L``, so the scalar walk is run once per possible
-        start and every batch address becomes a table gather.  Shared
-        across instances of the same configuration through the epoch-keyed
-        :func:`repro.placement.precompute.shared_cache`.  A pattern that
+        start and every batch address becomes a table gather.  Built on
+        the first batch call and kept on the instance.  A pattern that
         lacks ``k`` distinct disks raises :class:`ConfigurationError` here
         — the scalar loop raises the same error on every address, since
         any two-lap walk scans the whole pattern.
         """
-        table = self._table
-        if table is not None:
-            return table
-        cache = precompute.shared_cache()
-        fingerprint = self._fingerprint()
-        table = cache.get(fingerprint, self._epoch)
-        if table is None:
+        if self._table is None:
             length = len(self._pattern)
             ranks = [self._rank_index[bin_id] for bin_id in self._pattern]
             built = np.empty((self._copies, length), dtype=np.int64)
@@ -178,9 +160,8 @@ class WeightedStripingStrategy(ReplicationStrategy):
                     seen.add(candidate)
                     built[copy, start] = candidate
                     copy += 1
-            table = cache.put(fingerprint, self._epoch, built)
-        self._table = table
-        return table
+            self._table = built
+        return self._table
 
     def _engine_keys(self, np, addresses):
         """Exact start slot ``(a · k) mod L`` per address, as an int64

@@ -22,7 +22,7 @@ recording per-op request counters and a latency histogram; the built-in
 ``metrics`` op exports that registry's snapshot *plus* the process-wide
 :func:`repro.obs.metrics` snapshot, so one RPC shows both the service
 traffic and whatever the placement layer recorded underneath it (batch
-sizes, kernel counters, precompute hits).  Trace events go through the
+sizes, kernel counters).  Trace events go through the
 normal :mod:`repro.obs` sink and stay zero-cost while disabled.
 """
 

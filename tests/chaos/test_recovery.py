@@ -13,6 +13,7 @@ from repro.chaos import (
 )
 from repro.cluster import Cluster
 from repro.core import RedundantShare
+from repro.erasure import ReedSolomonCode
 from repro.exceptions import (
     ConfigurationError,
     DeviceNotFoundError,
@@ -151,6 +152,33 @@ class TestGatherShares:
         break_device(cluster, broken, RuntimeError("boom"))
         with pytest.raises(RuntimeError, match="boom"):
             gather_shares(cluster, 5, HealthLedger())
+
+
+    def test_one_placement_scan_per_read_whatever_the_need(self, monkeypatch):
+        cluster = Cluster(
+            bins_from_capacities([900, 800, 700, 600, 500, 400, 300, 200]),
+            lambda bins: RedundantShare(bins, copies=6),
+            code=ReedSolomonCode(4, 2),
+        )
+        payload = bytes(range(64))
+        cluster.write(11, payload)
+        placement = cluster.placement_of(11)
+        ledger = HealthLedger()
+        for device_id in (placement[0], placement[2]):
+            ledger.mark_offline(device_id)
+        calls = []
+        place = cluster.strategy.place
+        monkeypatch.setattr(
+            cluster.strategy, "place",
+            lambda address: calls.append(address) or place(address),
+        )
+        encoded = cluster.code.encode(payload)
+        for need in (2, 4, None):
+            calls.clear()
+            shares, skipped = gather_shares(cluster, 11, ledger, need=need)
+            assert calls == [11]
+            assert shares == {p: encoded[p] for p in [1, 3, 4, 5][:need]}
+            assert skipped == [0, 2]
 
 
 class TestRebuildShare:

@@ -5,9 +5,8 @@ to the scalar O(k) lookup *and* to the pure-Python fallback leg, for any
 configuration — both paths draw through the very same
 :class:`~repro.hashing.alias.CumulativeTable` boundaries, so this pins
 that the ``searchsorted`` gather reproduces the table's binary search
-exactly.  Also covers the epoch-keyed precompute bundle: instances over
-the same configuration and epoch share state tables; a bumped epoch
-starts cold.
+exactly.  Also covers the state tables: built lazily by the first
+lookups, owned by the instance.
 """
 
 import pytest
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 import repro._compat as compat
 from repro.core import FastRedundantShare
-from repro.placement import precompute
 from repro.types import bins_from_capacities
 
 capacities_vectors = st.lists(
@@ -68,9 +66,6 @@ class TestBatchEquivalence:
         bins = bins_from_capacities(capacities)
 
         def run_leg():
-            # Each leg starts from a cold shared cache so neither can feed
-            # the other through the process-global precompute bundle.
-            precompute.clear_shared_cache()
             strategy = FastRedundantShare(
                 bins, copies=copies, namespace=namespace
             )
@@ -108,58 +103,20 @@ class TestPrecomputeBundle:
 
     def test_lazy_until_first_batch(self):
         strategy = FastRedundantShare(self.BINS, copies=3)
-        assert strategy.cache_info()["precomputed"] == 0
+        assert strategy.state_count() == 0
+        assert not strategy._np_states
         strategy.place_many(range(32))
-        info = strategy.cache_info()
-        assert info["precomputed"] == 1
+        assert strategy.state_count() > 0
         if compat.np is not None:
-            assert info["vector_states"] > 0
+            assert strategy._np_states
 
-    def test_same_epoch_instances_share_state(self):
-        precompute.clear_shared_cache()
-        first = FastRedundantShare(self.BINS, copies=3)
-        first.place_many(range(64))
-        warm_states = first.cache_info()["vector_states"]
-        if compat.np is not None:
-            assert warm_states > 0
-
-        before = precompute.shared_cache().info()
-        second = FastRedundantShare(self.BINS, copies=3)
-        second.place_many(range(64))
-        after = precompute.shared_cache().info()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-        # The second instance gathered from the first's arrays.
-        assert second.cache_info()["vector_states"] == warm_states
-        assert second._precompute is first._precompute
-
-    def test_fingerprint_separates_configurations(self):
-        precompute.clear_shared_cache()
-        base = FastRedundantShare(self.BINS, copies=3)
-        base.place_many(range(16))
-        before = precompute.shared_cache().info()
-        for other in (
-            FastRedundantShare(self.BINS, copies=2),
-            FastRedundantShare(self.BINS, copies=3, namespace="other"),
-            FastRedundantShare(
-                bins_from_capacities([120, 80, 200, 40, 160, 91]), copies=3
-            ),
-        ):
-            other.place_many(range(16))
-            assert other._precompute is not base._precompute
-        after = precompute.shared_cache().info()
-        assert after["misses"] == before["misses"] + 3
-
-    def test_bumped_epoch_starts_cold(self):
-        precompute.clear_shared_cache()
+    def test_instances_share_no_state(self):
         warm = FastRedundantShare(self.BINS, copies=3)
-        warm.place_many(range(64))
-        precompute.bump_epoch()
         cold = FastRedundantShare(self.BINS, copies=3)
-        assert cold._epoch > warm._epoch
-        cold.place_many(range(64))
-        assert cold._precompute is not warm._precompute
-        # Same configuration, so the placements themselves agree.
-        assert cold.place_many(range(64)).tuples() == warm.place_many(
-            range(64)
-        ).tuples()
+        warm.place_many(range(64))
+        assert cold.state_count() == 0
+        assert not cold._np_states
+        for strategy in (warm, cold):
+            assert strategy.place_many(range(64)).tuples() == [
+                strategy.place(address) for address in range(64)
+            ]

@@ -94,8 +94,8 @@ class TestPlacementBasics:
         assert len(placement) == 1
 
 
-class TestWalkCache:
-    """``place_copy`` reuses one shared walk per address (regression)."""
+class TestPositionAccessors:
+    """``place_copy``/``primary``/``secondary`` read positions of ``place``."""
 
     def strategy(self):
         return RedundantShare(
@@ -115,8 +115,7 @@ class TestWalkCache:
             assert mirror.secondary(address) == placement[1]
 
     def test_accessors_before_place_agree(self):
-        # Query the cache-backed accessors first, then the full scan: a
-        # stale or mis-keyed cache entry would surface as a mismatch.
+        # Query the per-position accessors first, then the full scan.
         cold = self.strategy()
         primaries = [cold.place_copy(address, 0) for address in range(300)]
         seconds = [cold.place_copy(address, 1) for address in range(300)]
@@ -125,29 +124,14 @@ class TestWalkCache:
             assert primaries[address] == placement[0]
             assert seconds[address] == placement[1]
 
-    def test_one_walk_serves_all_positions(self):
-        strategy = self.strategy()
-        walks = []
-        original = strategy._walk_ranks
-
-        def counting_walk(address, copies):
-            walks.append(address)
-            return original(address, copies)
-
-        strategy._walk_ranks = counting_walk
-        for position in range(3):
-            strategy.place_copy(77, position)
-        assert walks == [77]
-
-    def test_cache_stays_bounded(self):
-        from repro.core import redundant_share
-
-        strategy = self.strategy()
-        for address in range(redundant_share._WALK_CACHE_SIZE + 200):
-            strategy.place_copy(address, 0)
-        assert len(strategy._walk_cache) <= redundant_share._WALK_CACHE_SIZE
-        # Evicted entries are recomputed correctly on the next query.
-        assert strategy.place_copy(0, 0) == strategy.place(0)[0]
+    def test_place_copy_agrees_with_place(self):
+        strategy = RedundantShare(
+            bins_from_capacities([9, 7, 5, 3, 1]), copies=3
+        )
+        for address in range(120):
+            placement = strategy.place(address)
+            walked = [strategy.place_copy(address, p) for p in range(3)]
+            assert tuple(walked) == placement
 
 
 class TestFairness:

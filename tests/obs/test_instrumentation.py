@@ -122,16 +122,6 @@ class TestPlacementInstrumentation:
         assert trace.of_kind("placement.scan") == []
         assert trace.of_kind("placement.batch")[0].fields["addresses"] == 0
 
-    def test_walk_cache_hit_and_miss_counters(self):
-        strategy = LinMirror(bins_from_capacities([4, 3, 2]))
-        with obs.capture():
-            strategy.place_copy(1, 0)
-            strategy.place_copy(1, 1)  # same walk, cached
-            strategy.place_copy(2, 0)
-        counters = obs.metrics().counters()
-        assert counters["placement.walk_cache.misses"] == 2
-        assert counters["placement.walk_cache.hits"] == 1
-
 
 class TestClusterInstrumentation:
     def test_device_lifecycle_events(self):

@@ -6,7 +6,8 @@ the scalar ``choose firstn`` walk exactly — including the
 :class:`PlacementError` when an address exhausts its retries, which
 heavily skewed small pools genuinely hit.  Hierarchical maps and
 non-straw2 roots stay on the generic loop but must agree with
-:meth:`place` all the same.  Also covers the epoch-keyed straw bundle.
+:meth:`place` all the same.  Also covers the engine state: built on the
+first batch call, owned by the instance.
 """
 
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 import repro._compat as compat
 from repro._compat import HAVE_NUMPY
 from repro.exceptions import PlacementError
-from repro.placement import precompute
 from repro.placement.crush import CrushStrategy, two_level_map
 from repro.types import bins_from_capacities
 
@@ -77,7 +77,6 @@ class TestBatchEquivalence:
         bins = bins_from_capacities(capacities)
 
         def run_leg():
-            precompute.clear_shared_cache()
             strategy = CrushStrategy(bins, copies=copies)
             try:
                 rows = strategy.place_many(addresses).tuples()
@@ -181,7 +180,7 @@ def test_vector_engine_is_used_not_generic_loop(monkeypatch):
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="bundle cache needs NumPy")
+@pytest.mark.skipif(not HAVE_NUMPY, reason="engine state needs NumPy")
 class TestStrawBundle:
     BINS = bins_from_capacities([120, 80, 200, 40, 160, 90])
 
@@ -196,44 +195,11 @@ class TestStrawBundle:
         strategy.place_many(range(32))
         assert strategy._vector is not None
 
-    def test_same_epoch_instances_share_state(self):
-        precompute.clear_shared_cache()
-        first = self.build()
-        first.place_many(range(64))
-        before = precompute.shared_cache().info()
-        second = self.build()
-        second.place_many(range(64))
-        after = precompute.shared_cache().info()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-        assert second._vector is first._vector
-
-    def test_fingerprint_separates_configurations(self):
-        precompute.clear_shared_cache()
-        base = self.build()
-        base.place_many(range(16))
-        before = precompute.shared_cache().info()
-        for other in (
-            self.build(copies=2),
-            self.build(namespace="other"),
-            CrushStrategy(
-                bins_from_capacities([120, 80, 200, 40, 160, 91]), copies=3
-            ),
-        ):
-            other.place_many(range(16))
-            assert other._vector is not base._vector
-        after = precompute.shared_cache().info()
-        assert after["misses"] == before["misses"] + 3
-
-    def test_bumped_epoch_starts_cold(self):
-        precompute.clear_shared_cache()
-        warm = self.build()
+    def test_instances_share_no_state(self):
+        warm, cold = self.build(), self.build()
         warm.place_many(range(64))
-        precompute.bump_epoch()
-        cold = self.build()
-        assert cold._epoch > warm._epoch
-        cold.place_many(range(64))
-        assert cold._vector is not warm._vector
-        assert cold.place_many(range(64)).tuples() == warm.place_many(
-            range(64)
-        ).tuples()
+        assert cold._vector is None
+        for strategy in (warm, cold):
+            assert strategy.place_many(range(64)).tuples() == [
+                strategy.place(address) for address in range(64)
+            ]

@@ -1,5 +1,7 @@
 """The strategy registry: one table the CLI and benches both trust."""
 
+import importlib
+
 import pytest
 
 from repro.core import FastRedundantShare, LinMirror, SequentialChecking
@@ -203,3 +205,11 @@ def test_build_strategy_shim_is_gone():
     assert not hasattr(registry, "build_strategy")
     assert not hasattr(placement, "build_strategy")
     assert "build_strategy" not in placement.__all__
+
+
+def test_precompute_cache_and_cluster_epoch_are_gone():
+    from repro.cluster import Cluster
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.placement.precompute")
+    assert not hasattr(Cluster, "epoch")

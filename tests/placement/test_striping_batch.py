@@ -5,8 +5,9 @@ The stripe-table engine reduces every address to its start slot
 equivalence here is *exact integer arithmetic* — no tie guard involved.
 The delicate part is the modular reduction: it must match Python's
 big-int semantics for negative addresses and for magnitudes beyond
-int64, which the hypothesis ranges below force.  Also covers the
-epoch-keyed table bundle and the degenerate-pattern error path.
+int64, which the hypothesis ranges below force.  Also covers the start
+table (built on the first batch call, owned by the instance) and the
+degenerate-pattern error path.
 """
 
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 import repro._compat as compat
 from repro._compat import HAVE_NUMPY
 from repro.exceptions import ConfigurationError
-from repro.placement import precompute
 from repro.placement.striping import WeightedStripingStrategy
 from repro.types import bins_from_capacities
 
@@ -74,7 +74,6 @@ class TestBatchEquivalence:
         bins = bins_from_capacities(capacities)
 
         def run_leg():
-            precompute.clear_shared_cache()
             strategy = WeightedStripingStrategy(bins, copies=copies)
             # Extreme skew can starve small disks out of the pattern so
             # placement legitimately raises (see the degenerate-pattern
@@ -168,7 +167,7 @@ def test_vector_engine_is_used_not_generic_loop(monkeypatch):
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="bundle cache needs NumPy")
+@pytest.mark.skipif(not HAVE_NUMPY, reason="engine state needs NumPy")
 class TestStartTableBundle:
     BINS = bins_from_capacities([120, 80, 200, 40, 160, 90])
 
@@ -183,44 +182,11 @@ class TestStartTableBundle:
         strategy.place_many(range(32))
         assert strategy._table is not None
 
-    def test_same_epoch_instances_share_state(self):
-        precompute.clear_shared_cache()
-        first = self.build()
-        first.place_many(range(64))
-        before = precompute.shared_cache().info()
-        second = self.build()
-        second.place_many(range(64))
-        after = precompute.shared_cache().info()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-        assert second._table is first._table
-
-    def test_fingerprint_separates_configurations(self):
-        precompute.clear_shared_cache()
-        base = self.build()
-        base.place_many(range(16))
-        before = precompute.shared_cache().info()
-        for other in (
-            self.build(copies=2),
-            self.build(resolution=32),
-            WeightedStripingStrategy(
-                bins_from_capacities([120, 80, 200, 40, 160, 91]), copies=3
-            ),
-        ):
-            other.place_many(range(16))
-            assert other._table is not base._table
-        after = precompute.shared_cache().info()
-        assert after["misses"] == before["misses"] + 3
-
-    def test_bumped_epoch_starts_cold(self):
-        precompute.clear_shared_cache()
-        warm = self.build()
+    def test_instances_share_no_state(self):
+        warm, cold = self.build(), self.build()
         warm.place_many(range(64))
-        precompute.bump_epoch()
-        cold = self.build()
-        assert cold._epoch > warm._epoch
-        cold.place_many(range(64))
-        assert cold._table is not warm._table
-        assert cold.place_many(range(64)).tuples() == warm.place_many(
-            range(64)
-        ).tuples()
+        assert cold._table is None
+        for strategy in (warm, cold):
+            assert strategy.place_many(range(64)).tuples() == [
+                strategy.place(address) for address in range(64)
+            ]

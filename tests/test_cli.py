@@ -146,6 +146,17 @@ class TestCli:
         ) == 1
         assert "REJECT" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("strategy", ["lin-mirror", "classic-lin-mirror"])
+    def test_stats_uses_the_strategy_copy_count(self, strategy, capsys):
+        # The mirror-only entries place 2 copies whatever --copies says.
+        assert main(
+            ["stats", "--strategy", strategy, "--copies", "3", "--capacities",
+             "1000,100,100,100", "--no-exercise", "--strict"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "chi-square: ACCEPT" in out
+        assert "max-deviation: ACCEPT" in out
+
     def test_stats_jsonl_export(self, tmp_path, capsys):
         from repro.obs import read_jsonl
 
@@ -223,6 +234,13 @@ class TestChaosCli:
             ["chaos", "--capacities", "60,60,60,60,60,60", "--blocks", "30"]
         ) == 0
         assert "seed=23" in capsys.readouterr().out
+
+    def test_chaos_rejects_non_integer_seed_in_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "abc")
+        with pytest.raises(
+            SystemExit, match="REPRO_CHAOS_SEED must be an integer, got 'abc'"
+        ):
+            main(["chaos"])
 
     def test_chaos_infeasible_shrink_aborts(self, capsys, tmp_path):
         schedule = tmp_path / "shrink.json"
