@@ -12,18 +12,33 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import os
 import sys
 from typing import List, Sequence
 
+from . import chaos, obs, scheduling
+from .analysis import DurabilityModel, annual_loss_probability, mttdl
 from .capacity import clip_capacities, is_capacity_efficient, max_balls
+from .cluster import Cluster, Rebalancer
 from .core import RedundantShare
-from .exceptions import ConfigurationError, PlacementError, ReproError
+from .exceptions import (
+    ConfigurationError,
+    InfeasibleRedundancyError,
+    PlacementError,
+    ReproError,
+)
 from .metrics import (
+    chi_square_fairness,
     count_copies,
     fair_copy_shares,
+    max_deviation_fairness,
     max_share_deviation,
+    sample_copy_counts,
     usage_shares,
 )
+from .obs.report import render_report
 from .options import parse_option_text
 from .placement import (
     create,
@@ -31,23 +46,36 @@ from .placement import (
     strategy_names,
     trivial_wasted_fraction,
 )
-from .simulation import add_remove_cases, run_adaptivity
-from .types import bins_from_capacities
+from .simulation import (
+    add_remove_cases,
+    paper_growth_steps,
+    run_adaptivity,
+    run_fairness,
+)
+from .types import BinSpec, bins_from_capacities
+from .workloads import ZipfGenerator, flash_crowd_sample, uniform_sample
+
+
+def _numbers(raw: str, kind, complaint: str) -> list:
+    """A comma-separated list of ``kind`` numbers, with a CLI-grade error."""
+    try:
+        return [kind(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise SystemExit(f"{complaint}: {raw!r}")
 
 
 def _parse_capacities(raw: str) -> List[int]:
-    try:
-        capacities = [int(part) for part in raw.split(",") if part]
-    except ValueError:
-        raise SystemExit(f"invalid capacity list: {raw!r}")
+    capacities = _numbers(raw, int, "invalid capacity list")
     if not capacities:
         raise SystemExit("at least one capacity is required")
+    if min(capacities) < 1:
+        raise SystemExit(f"capacities must be positive, got {raw!r}")
     return capacities
 
 
-def _check_balls(balls: int) -> None:
-    if balls < 1:
-        raise SystemExit(f"--balls must be >= 1, got {balls}")
+def _at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise SystemExit(f"{flag} must be >= 1, got {value}")
 
 
 def _strategy_options(name: str, option_pairs: Sequence[str]):
@@ -70,6 +98,50 @@ def _strategy_for(name: str, bins, copies: int, option_pairs=()):
     return create(canonical, bins, copies=copies, **options)
 
 
+def _configuration(args: argparse.Namespace):
+    """``(capacities, bins, strategy)`` as the common flags describe them."""
+    capacities = _parse_capacities(args.capacities)
+    bins = bins_from_capacities(capacities, prefix=args.prefix)
+    strategy = _strategy_for(
+        args.strategy, bins, args.copies, args.strategy_opt
+    )
+    return capacities, bins, strategy
+
+
+@contextlib.contextmanager
+def _capture(jsonl: str):
+    """:func:`repro.obs.capture` with a tee: metrics reset, trace events
+    into the yielded ``MemorySink`` and, when ``jsonl`` names a file,
+    streamed there as well."""
+    obs.reset_metrics()
+    memory = obs.MemorySink()
+    sink = obs.TeeSink([memory, obs.JsonlSink(jsonl)]) if jsonl else memory
+    with obs.use_sink(sink):
+        try:
+            yield memory
+        finally:
+            sink.close()
+
+
+def _written_cluster(args: argparse.Namespace, capacities, strategy, blocks):
+    """A cluster holding ``blocks`` written blocks, as ``(cluster, scale)``.
+
+    The capacity vector is scaled so the devices hold the blocks with
+    headroom for a post-failure rebuild; the relative proportions (what
+    placement cares about) are kept.
+    """
+    scale = max(1, -(-4 * blocks * args.copies // sum(capacities)))
+    cluster = Cluster(
+        bins_from_capacities(
+            [capacity * scale for capacity in capacities], prefix=args.prefix
+        ),
+        lambda b: _strategy_for(strategy, b, args.copies, args.strategy_opt),
+    )
+    for address in range(blocks):
+        cluster.write(address, b"x" * 16)
+    return cluster, scale
+
+
 def cmd_capacity(args: argparse.Namespace) -> int:
     """Lemma 2.1/2.2 report for a capacity vector."""
     capacities = sorted(_parse_capacities(args.capacities), reverse=True)
@@ -90,11 +162,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 def cmd_place(args: argparse.Namespace) -> int:
     """Show the placement of one or more addresses."""
-    capacities = _parse_capacities(args.capacities)
-    bins = bins_from_capacities(capacities, prefix=args.prefix)
-    strategy = _strategy_for(
-        args.strategy, bins, args.copies, args.strategy_opt
-    )
+    _, _, strategy = _configuration(args)
     for address in range(args.address, args.address + args.count):
         print(f"{address}: {' '.join(strategy.place(address))}")
     return 0
@@ -102,12 +170,8 @@ def cmd_place(args: argparse.Namespace) -> int:
 
 def cmd_fairness(args: argparse.Namespace) -> int:
     """Empirical shares vs fair targets for one configuration."""
-    capacities = _parse_capacities(args.capacities)
-    _check_balls(args.balls)
-    bins = bins_from_capacities(capacities, prefix=args.prefix)
-    strategy = _strategy_for(
-        args.strategy, bins, args.copies, args.strategy_opt
-    )
+    _at_least_one("--balls", args.balls)
+    _, bins, strategy = _configuration(args)
     counts = count_copies(strategy.place_many(range(args.balls)))
     total = sum(counts.values())
     expected = strategy.expected_shares() or {}
@@ -126,7 +190,7 @@ def cmd_fairness(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Fairness deviation of all strategies on one configuration."""
     capacities = _parse_capacities(args.capacities)
-    _check_balls(args.balls)
+    _at_least_one("--balls", args.balls)
     bins = bins_from_capacities(capacities, prefix=args.prefix)
     fair_capacities = {spec.bin_id: float(spec.capacity) for spec in bins}
     print(f"{'strategy':<22}{'max deviation from fair share':>32}")
@@ -150,8 +214,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_growth(args: argparse.Namespace) -> int:
     """The Figure 2/4 growth experiment (fill %% per disk per step)."""
-    from .simulation import paper_growth_steps, run_fairness
-
     steps = paper_growth_steps(base=args.base, step=args.step)
     results = run_fairness(
         steps,
@@ -175,8 +237,6 @@ def cmd_growth(args: argparse.Namespace) -> int:
 
 def cmd_durability(args: argparse.Namespace) -> int:
     """MTTDL table for the supported redundancy schemes."""
-    from .analysis import DurabilityModel, annual_loss_probability, mttdl
-
     schemes = {
         "single copy": DurabilityModel(1, 0, args.mttf, args.mttr),
         "mirror k=2": DurabilityModel(2, 1, args.mttf, args.mttr),
@@ -203,31 +263,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     with the event bus enabled, and renders the captured counters,
     histograms and trace-event summary.
     """
-    from .chaos import ChaosOptions, generate_schedule, run_chaos
-    from .cluster import Cluster, Rebalancer
-    from .metrics.stats import (
-        chi_square_fairness,
-        fair_copy_shares,
-        max_deviation_fairness,
-        sample_copy_counts,
-    )
-    from .obs import JsonlSink, MemorySink, TeeSink, metrics, reset_metrics, use_sink
-    from .obs.report import render_report
-    from .types import BinSpec
+    _at_least_one("--balls", args.balls)
+    capacities, bins, strategy = _configuration(args)
 
-    capacities = _parse_capacities(args.capacities)
-    _check_balls(args.balls)
-    bins = bins_from_capacities(capacities, prefix=args.prefix)
-    strategy = _strategy_for(
-        args.strategy, bins, args.copies, args.strategy_opt
-    )
-
-    reset_metrics()
-    memory = MemorySink()
-    sink = memory
-    if args.jsonl:
-        sink = TeeSink([memory, JsonlSink(args.jsonl)])
-    with use_sink(sink):
+    with _capture(args.jsonl) as memory:
         counts = sample_copy_counts(strategy, args.balls, seed=args.seed)
         # Always test against the *fair* (clipped capacity-proportional)
         # shares — a strategy's own expected_shares() describes what it
@@ -242,34 +281,144 @@ def cmd_stats(args: argparse.Namespace) -> int:
             max_deviation_fairness(counts, expected, alpha=args.alpha),
         ]
         if args.exercise:
-            # Scale the capacity vector so the devices hold the written
-            # blocks with headroom for the post-failure rebuild; the
-            # relative proportions (what placement cares about) are kept.
-            scale = max(1, -(-4 * args.blocks * args.copies // sum(capacities)))
-            cluster = Cluster(
-                bins_from_capacities(
-                    [capacity * scale for capacity in capacities],
-                    prefix=args.prefix,
-                ),
-                lambda b: _strategy_for(
-                    args.strategy, b, args.copies, args.strategy_opt
-                ),
+            cluster, scale = _written_cluster(
+                args, capacities, args.strategy, args.blocks
             )
-            for address in range(args.blocks):
-                cluster.write(address, b"x" * 16)
             spec = BinSpec(f"{args.prefix}-new", max(capacities) * scale)
             cluster.add_device(spec, rebalance=False)
             Rebalancer(cluster).run_to_completion(step_size=64)
-            run_chaos(
+            chaos.run_chaos(
                 cluster,
-                generate_schedule(cluster.device_ids(), seed=args.seed),
-                ChaosOptions(replacement_delay=0.0),
+                chaos.generate_schedule(cluster.device_ids(), seed=args.seed),
+                chaos.ChaosOptions(replacement_delay=0.0),
             )
-        sink.close()
-    print(render_report(metrics(), memory, verdicts))
+    print(render_report(obs.metrics(), memory, verdicts))
     if args.strict and not all(verdict.accepted for verdict in verdicts):
         return 1
     return 0
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _add_flags(container, given_only=False, **flags) -> None:
+    """Declare ``dest=(default, help)`` flags on a parser or group.
+
+    A flag's type is its default's; a ``False`` default makes a switch.
+    With ``given_only`` the parsed namespace carries the attribute only
+    when the flag was on the command line (see :func:`_chaos_mode`).
+    """
+    for dest, (default, text) in flags.items():
+        kind = (
+            {"action": "store_true"}
+            if default is False
+            else {"type": type(default)}
+        )
+        if given_only:
+            default = argparse.SUPPRESS
+        container.add_argument(_flag(dest), default=default, help=text, **kind)
+
+
+def _field_flags(cls, **helps):
+    """``{cls: flags}`` with the named fields of a dataclass as
+    ``dest=(default, help)`` flags: name, type and default are the field's
+    own, the help is the CLI's."""
+    defaults = {field.name: field.default for field in dataclasses.fields(cls)}
+    return {cls: {dest: (defaults[dest], text) for dest, text in helps.items()}}
+
+
+#: The ``repro chaos`` flags generated from dataclass fields;
+#: :func:`_from_flags` builds the instance back from the parsed values.
+_FIELD_FLAGS = {
+    **_field_flags(
+        chaos.RepairPolicy,
+        rate="repairs per time unit",
+        max_attempts=None,
+        timeout="per-task repair budget before giving up",
+        backoff_base=None,
+        backoff_factor=None,
+        backoff_max=None,
+    ),
+    **_field_flags(
+        chaos.ChaosOptions,
+        replacement_delay="time until a crashed device's blank replacement "
+        "arrives",
+        allow_degraded="accept Lemma-2.1-infeasible shrinks instead of "
+        "aborting",
+        alpha="false-positive rate of the post-repair fairness test",
+    ),
+    **_field_flags(
+        chaos.FleetOptions,
+        devices="fleet size (uniform)",
+        years="simulated horizon",
+        epochs_per_year="epoch resolution (dt = 1/epochs-per-year years)",
+        failure_rate="device failures per device-year",
+        repair_rate="fleet-wide share rebuilds per epoch",
+        device_capacity="uniform per-device capacity (relative units)",
+        sample_every="epochs between samples (0 = auto, ~120 samples)",
+    ),
+}
+
+#: Every ``repro chaos`` flag that only one of its two modes reads.
+_CHAOS_MODE_FLAGS = {
+    "controller": dict(
+        schedule=(
+            "",
+            'JSON fault-schedule file ({"faults": [...]}); overrides the '
+            "generated schedule",
+        ),
+        duration=(20.0, None),
+        crashes=(1, None),
+        outages=(1, None),
+        flaky=(1, None),
+        error_rate=(0.3, "per-attempt failure probability of flaky devices"),
+        latency=(0.25, "extra time units per attempt touching a flaky device"),
+        **_FIELD_FLAGS[chaos.RepairPolicy],
+        **_FIELD_FLAGS[chaos.ChaosOptions],
+    ),
+    "fleet": dict(
+        **_FIELD_FLAGS[chaos.FleetOptions],
+        phase=(
+            "",
+            "comma-separated repair rates for a durability-vs-repair phase "
+            "diagram",
+        ),
+        tv_tolerance=(
+            0.05,
+            "--strict gate on the steady-state vs mean-field total-variation "
+            "distance",
+        ),
+    ),
+}
+
+
+def _chaos_mode(args: argparse.Namespace) -> None:
+    """Settle the mode flags of a parsed ``repro chaos`` command line.
+
+    A flag given for the mode that is not selected would be ignored, so it
+    is an error naming it; the selected mode's flags that were not given
+    take their defaults.
+    """
+    selected, other = "controller", "fleet"
+    if args.fleet:
+        selected, other = other, selected
+    for dest in _CHAOS_MODE_FLAGS[other]:
+        if hasattr(args, dest):
+            raise SystemExit(
+                f"{_flag(dest)} applies to {other} mode only "
+                f"({'without' if args.fleet else 'with'} --fleet)"
+            )
+    for dest, (default, _) in _CHAOS_MODE_FLAGS[selected].items():
+        if not hasattr(args, dest):
+            setattr(args, dest, default)
+
+
+def _from_flags(cls, args: argparse.Namespace, **rest):
+    """Build ``cls`` from its generated flags; ``rest`` are the fields the
+    caller resolves itself."""
+    given = {dest: getattr(args, dest) for dest in _FIELD_FLAGS[cls]}
+    return cls(**given, **rest)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -281,20 +430,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     and prints blocks-at-risk over time, data-loss events, repair
     throughput and the post-repair fairness verdict.
     """
-    import os
-
-    from .chaos import (
-        ChaosOptions,
-        FaultSchedule,
-        generate_schedule,
-        run_chaos,
-    )
-    from .chaos.recovery import RepairPolicy
-    from .cluster import Cluster
-    from .exceptions import InfeasibleRedundancyError
-    from .obs import JsonlSink, MemorySink, TeeSink, metrics, reset_metrics, use_sink
-    from .obs.report import render_report
-
+    _chaos_mode(args)
     seed = args.seed
     if seed is None:
         raw = os.environ.get("REPRO_CHAOS_SEED", "0")
@@ -308,28 +444,21 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.fleet:
         return _cmd_chaos_fleet(args, seed)
 
-    blocks = 120 if args.blocks is None else args.blocks
-    strategy = args.strategy or "redundant-share"
-    capacities = _parse_capacities(args.capacities)
-    scale = max(1, -(-4 * blocks * args.copies // sum(capacities)))
-    bins = bins_from_capacities(
-        [capacity * scale for capacity in capacities], prefix=args.prefix
+    cluster, _ = _written_cluster(
+        args,
+        _parse_capacities(args.capacities),
+        args.strategy or "redundant-share",
+        120 if args.blocks is None else args.blocks,
     )
-    cluster = Cluster(
-        bins,
-        lambda b: _strategy_for(strategy, b, args.copies, args.strategy_opt),
-    )
-    for address in range(blocks):
-        cluster.write(address, b"x" * 16)
 
     if args.schedule:
         try:
             with open(args.schedule, "r", encoding="utf-8") as handle:
-                schedule = FaultSchedule.from_json(handle.read())
+                schedule = chaos.FaultSchedule.from_json(handle.read())
         except (OSError, ConfigurationError) as error:
             raise SystemExit(f"cannot load schedule {args.schedule!r}: {error}")
     else:
-        schedule = generate_schedule(
+        schedule = chaos.generate_schedule(
             cluster.device_ids(),
             seed=seed,
             duration=args.duration,
@@ -340,34 +469,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             latency=args.latency,
         )
 
-    options = ChaosOptions(
+    options = _from_flags(
+        chaos.ChaosOptions,
+        args,
         seed=seed,
-        policy=RepairPolicy(
-            rate=args.rate,
-            max_attempts=args.max_attempts,
-            timeout=args.timeout,
-            backoff_base=args.backoff_base,
-            backoff_factor=args.backoff_factor,
-            backoff_max=args.backoff_max,
-        ),
-        replacement_delay=args.replacement_delay,
-        allow_degraded=args.allow_degraded,
-        alpha=args.alpha,
+        policy=_from_flags(chaos.RepairPolicy, args),
     )
 
-    reset_metrics()
-    memory = MemorySink()
-    sink = memory
-    if args.jsonl:
-        sink = TeeSink([memory, JsonlSink(args.jsonl)])
-    with use_sink(sink):
+    with _capture(args.jsonl) as memory:
         try:
-            report = run_chaos(cluster, schedule, options)
+            report = chaos.run_chaos(cluster, schedule, options)
         except InfeasibleRedundancyError as error:
-            sink.close()
             print(f"chaos run aborted: {error}")
             return 1
-        sink.close()
 
     print(f"schedule ({len(schedule)} faults, seed={seed}):")
     for event in schedule:
@@ -394,7 +508,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 f"({loss.survivors} survivors)"
             )
     print()
-    print(render_report(metrics(), memory, [report.fairness] if report.fairness else []))
+    print(render_report(obs.metrics(), memory, [report.fairness] if report.fairness else []))
     if args.strict and (
         report.data_loss
         or (report.fairness is not None and not report.fairness.accepted)
@@ -411,48 +525,27 @@ def _cmd_chaos_fleet(args: argparse.Namespace, seed: int) -> int:
     against the mean-field prediction, the fitted MTTDL, and (with
     ``--phase``) a durability-vs-repair-rate phase diagram.
     """
-    from .chaos import FleetOptions, FleetSimulator, durability_phase_diagram
-    from .obs import JsonlSink, MemorySink, TeeSink, metrics, reset_metrics, use_sink
-    from .obs.report import render_report
-
     fleet_strategy, strategy_options = _strategy_options(
         args.strategy or "striping", args.strategy_opt
     )
-    options = FleetOptions(
-        devices=args.devices,
+    options = _from_flags(
+        chaos.FleetOptions,
+        args,
         blocks=1_000_000 if args.blocks is None else args.blocks,
         copies=args.copies,
-        years=args.years,
-        epochs_per_year=args.epochs_per_year,
-        failure_rate=args.failure_rate,
-        repair_rate=args.repair_rate,
         seed=seed,
         strategy=fleet_strategy,
         strategy_options=strategy_options,
-        device_capacity=args.device_capacity,
-        sample_every=args.sample_every,
     )
-    simulator = FleetSimulator(options)
+    simulator = chaos.FleetSimulator(options)
 
-    reset_metrics()
-    memory = MemorySink()
-    sink = memory
-    if args.jsonl:
-        sink = TeeSink([memory, JsonlSink(args.jsonl)])
-    with use_sink(sink):
+    with _capture(args.jsonl) as memory:
         report = simulator.run()
         phase_points = []
         if args.phase:
-            try:
-                rates = [
-                    float(rate)
-                    for rate in args.phase.split(",")
-                    if rate.strip()
-                ]
-            except ValueError:
-                raise SystemExit(f"bad --phase rates: {args.phase!r}")
-            phase_points = durability_phase_diagram(options, rates)
-        sink.close()
+            phase_points = chaos.durability_phase_diagram(
+                options, _numbers(args.phase, float, "bad --phase rates")
+            )
 
     print(report.summary())
     print()
@@ -481,11 +574,11 @@ def _cmd_chaos_fleet(args: argparse.Namespace, seed: int) -> int:
     # Scope the report to the fleet's namespace: placement-kernel
     # metrics (``tie_recomputes`` etc.) exist only on the NumPy leg, and
     # CLI output must stay byte-identical across legs.
-    fleet_trace = MemorySink()
+    fleet_trace = obs.MemorySink()
     for event in memory.events:
         if event.kind.startswith("chaos.fleet."):
             fleet_trace.emit(event.kind, **event.fields)
-    print(render_report(metrics().filtered("chaos.fleet."), fleet_trace, []))
+    print(render_report(obs.metrics().filtered("chaos.fleet."), fleet_trace, []))
     if args.strict and (
         report.data_loss or report.mean_field_deviation > args.tv_tolerance
     ):
@@ -502,22 +595,8 @@ def cmd_sched(args: argparse.Namespace) -> int:
     device share alongside the water-filling fractional optimum — the
     load-balance twin of ``repro fairness``.
     """
-    from .scheduling import (
-        LruCacheModel,
-        create as sched_create,
-        fractional_lower_bound,
-        run_reads,
-        scheduler_names,
-    )
-    from .workloads import ZipfGenerator, flash_crowd_sample, uniform_sample
-
-    capacities = _parse_capacities(args.capacities)
-    bins = bins_from_capacities(capacities, prefix=args.prefix)
-    strategy = _strategy_for(
-        args.strategy, bins, args.copies, args.strategy_opt
-    )
-    if args.requests < 1:
-        raise SystemExit(f"--requests must be >= 1, got {args.requests}")
+    _, bins, strategy = _configuration(args)
+    _at_least_one("--requests", args.requests)
     if args.workload == "zipf":
         addresses = ZipfGenerator(
             args.universe, alpha=args.alpha, seed=args.seed
@@ -529,9 +608,11 @@ def cmd_sched(args: argparse.Namespace) -> int:
             args.requests, args.universe, seed=args.seed
         )
     if args.policy == "all":
-        policies = list(scheduler_names())
+        policies = list(scheduling.scheduler_names())
     else:
         policies = [name for name in args.policy.split(",") if name]
+    for name in policies:
+        scheduling.lookup(name)  # an unknown name fails before any output
     device_ids = [spec.bin_id for spec in bins]
     print(
         f"workload={args.workload} requests={args.requests} "
@@ -545,14 +626,14 @@ def cmd_sched(args: argparse.Namespace) -> int:
     )
     for name in policies:
         cache = (
-            LruCacheModel(args.cache, hit_cost=args.hit_cost)
+            scheduling.LruCacheModel(args.cache, hit_cost=args.hit_cost)
             if args.cache
             else None
         )
-        scheduler = sched_create(
+        scheduler = scheduling.create(
             name, device_ids, seed=args.seed, cache=cache
         )
-        outcome = run_reads(strategy, scheduler, addresses)
+        outcome = scheduling.run_reads(strategy, scheduler, addresses)
         hit_text = (
             f"{cache.hit_rate():>11.1%}" if cache is not None else f"{'-':>12}"
         )
@@ -561,7 +642,7 @@ def cmd_sched(args: argparse.Namespace) -> int:
             f"{outcome.peak_share():>11.2%} {outcome.peak_load():>11.1f}"
             f"{hit_text}"
         )
-    bound = fractional_lower_bound(strategy, addresses)
+    bound = scheduling.fractional_lower_bound(strategy, addresses)
     if bound is not None:
         total = len(addresses)
         print(
@@ -598,8 +679,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .service import ServiceCluster
 
     capacities = _parse_capacities(args.capacities)
-    if args.copies < 1:
-        raise SystemExit(f"--copies must be >= 1, got {args.copies}")
+    _at_least_one("--copies", args.copies)
     if args.port < 0 or args.port > 65535 - len(capacities):
         raise SystemExit(
             f"--port must leave room for {len(capacities)} blockstores "
@@ -618,8 +698,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"cannot serve this configuration: {error}")
 
     async def _serve() -> int:
-        from .obs import JsonlSink, use_sink
-
         cluster = ServiceCluster(
             bins,
             strategy=strategy_name,
@@ -656,7 +734,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 pass
         try:
             if args.jsonl:
-                with use_sink(JsonlSink(args.jsonl)):
+                with obs.use_sink(obs.JsonlSink(args.jsonl)):
                     await stop.wait()
             else:
                 await stop.wait()
@@ -763,17 +841,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, capacities=True):
-        if capacities:
-            p.add_argument(
-                "--capacities",
-                default="500,600,700,800,900,1000,1100,1200",
-                help="comma-separated bin capacities",
-            )
-            p.add_argument("--prefix", default="bin", help="bin name prefix")
-        p.add_argument("--copies", type=int, default=2, help="replication k")
+    def command(name, func):
+        p = sub.add_parser(name, help=(func.__doc__ or name).splitlines()[0])
+        p.set_defaults(func=func)
+        return p
 
-    def strategy_opt(p):
+    def common(
+        p,
+        capacities="500,600,700,800,900,1000,1100,1200",
+        prefix="bin",
+        copies=2,
+        help="comma-separated bin capacities",
+    ):
+        if capacities:
+            _add_flags(
+                p,
+                capacities=(capacities, help),
+                prefix=(prefix, "name prefix of the bins (devices)"),
+            )
+        _add_flags(p, copies=(copies, "replication k"))
+
+    def strategy(p, default="redundant-share", help=None):
+        p.add_argument("--strategy", default=default, help=help)
         p.add_argument(
             "--strategy-opt",
             action="append",
@@ -784,87 +873,65 @@ def build_parser() -> argparse.ArgumentParser:
             "--strategy-opt resolution=128",
         )
 
-    p_cap = sub.add_parser("capacity", help="Lemma 2.1/2.2 capacity report")
-    common(p_cap)
-    p_cap.set_defaults(func=cmd_capacity)
+    common(command("capacity", cmd_capacity))
 
-    p_place = sub.add_parser("place", help="show placements")
+    p_place = command("place", cmd_place)
     common(p_place)
-    p_place.add_argument("--strategy", default="redundant-share")
-    strategy_opt(p_place)
-    p_place.add_argument("--address", type=int, default=0)
-    p_place.add_argument("--count", type=int, default=10)
-    p_place.set_defaults(func=cmd_place)
+    strategy(p_place)
+    _add_flags(p_place, address=(0, None), count=(10, None))
 
-    p_fair = sub.add_parser("fairness", help="empirical fairness")
+    p_fair = command("fairness", cmd_fairness)
     common(p_fair)
-    p_fair.add_argument("--strategy", default="redundant-share")
-    strategy_opt(p_fair)
-    p_fair.add_argument("--balls", type=int, default=50_000)
-    p_fair.set_defaults(func=cmd_fairness)
+    strategy(p_fair)
+    _add_flags(p_fair, balls=(50_000, None))
 
-    p_cmp = sub.add_parser("compare", help="compare all strategies")
+    p_cmp = command("compare", cmd_compare)
     common(p_cmp)
-    p_cmp.add_argument("--balls", type=int, default=30_000)
-    p_cmp.set_defaults(func=cmd_compare)
+    _add_flags(p_cmp, balls=(30_000, None))
 
-    p_growth = sub.add_parser("growth", help="Figure 2/4 growth experiment")
-    p_growth.add_argument("--copies", type=int, default=2)
-    p_growth.add_argument("--base", type=int, default=5000)
-    p_growth.add_argument("--step", type=int, default=1000)
-    p_growth.add_argument("--balls", type=int, default=20_000)
-    p_growth.set_defaults(func=cmd_growth)
-
-    p_dur = sub.add_parser("durability", help="MTTDL per redundancy scheme")
-    p_dur.add_argument("--mttf", type=float, default=1000.0)
-    p_dur.add_argument("--mttr", type=float, default=1.0)
-    p_dur.set_defaults(func=cmd_durability)
-
-    p_stats = sub.add_parser(
-        "stats", help="observability snapshot + fairness acceptance"
+    p_growth = command("growth", cmd_growth)
+    _add_flags(
+        p_growth,
+        copies=(2, None),
+        base=(5000, None),
+        step=(1000, None),
+        balls=(20_000, None),
     )
+
+    p_dur = command("durability", cmd_durability)
+    _add_flags(p_dur, mttf=(1000.0, None), mttr=(1.0, None))
+
+    p_stats = command("stats", cmd_stats)
     common(p_stats)
-    p_stats.add_argument("--strategy", default="redundant-share")
-    strategy_opt(p_stats)
-    p_stats.add_argument("--balls", type=int, default=20_000)
-    p_stats.add_argument(
-        "--alpha", type=float, default=0.01,
-        help="false-positive rate of the acceptance tests",
-    )
-    p_stats.add_argument("--seed", type=int, default=0)
-    p_stats.add_argument(
-        "--jsonl", default="", help="also stream trace events to this file"
-    )
-    p_stats.add_argument(
-        "--blocks", type=int, default=200,
-        help="blocks written in the instrumented cluster exercise",
+    strategy(p_stats)
+    _add_flags(
+        p_stats,
+        balls=(20_000, None),
+        alpha=(0.01, "false-positive rate of the acceptance tests"),
+        seed=(0, None),
+        jsonl=("", "also stream trace events to this file"),
+        blocks=(200, "blocks written in the instrumented cluster exercise"),
+        strict=(False, "exit non-zero when a fairness test rejects"),
     )
     p_stats.add_argument(
         "--no-exercise", dest="exercise", action="store_false",
         help="skip the cluster/rebalance/failure exercise",
     )
-    p_stats.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when a fairness test rejects",
-    )
-    p_stats.set_defaults(func=cmd_stats)
 
-    p_chaos = sub.add_parser(
-        "chaos", help="fault-injection run with recovery report"
-    )
-    p_chaos.add_argument(
-        "--capacities",
-        default="500,600,700,800,900,1000",
+    p_chaos = command("chaos", cmd_chaos)
+    common(
+        p_chaos,
+        capacities="500,600,700,800,900,1000",
+        prefix="dev",
+        copies=3,
         help="comma-separated device capacities (relative; auto-scaled)",
     )
-    p_chaos.add_argument("--prefix", default="dev", help="device name prefix")
-    p_chaos.add_argument("--copies", type=int, default=3, help="replication k")
-    p_chaos.add_argument(
-        "--strategy", default=None,
+    strategy(
+        p_chaos,
+        default=None,
         help="placement strategy (default: redundant-share; striping "
         "with --fleet)",
     )
-    strategy_opt(p_chaos)
     p_chaos.add_argument(
         "--blocks", type=int, default=None,
         help="block population (default: 120; 1000000 with --fleet)",
@@ -873,53 +940,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="chaos seed (default: $REPRO_CHAOS_SEED or 0)",
     )
-    p_chaos.add_argument(
-        "--schedule", default="",
-        help='JSON fault-schedule file ({"faults": [...]}); overrides the '
-        "generated schedule",
-    )
-    p_chaos.add_argument("--duration", type=float, default=20.0)
-    p_chaos.add_argument("--crashes", type=int, default=1)
-    p_chaos.add_argument("--outages", type=int, default=1)
-    p_chaos.add_argument("--flaky", type=int, default=1)
-    p_chaos.add_argument(
-        "--error-rate", type=float, default=0.3,
-        help="per-attempt failure probability of flaky devices",
-    )
-    p_chaos.add_argument(
-        "--latency", type=float, default=0.25,
-        help="extra time units per attempt touching a flaky device",
-    )
-    p_chaos.add_argument(
-        "--rate", type=float, default=8.0, help="repairs per time unit"
-    )
-    p_chaos.add_argument("--max-attempts", type=int, default=5)
-    p_chaos.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-task repair budget before giving up",
-    )
-    p_chaos.add_argument("--backoff-base", type=float, default=0.5)
-    p_chaos.add_argument("--backoff-factor", type=float, default=2.0)
-    p_chaos.add_argument("--backoff-max", type=float, default=8.0)
-    p_chaos.add_argument(
-        "--replacement-delay", type=float, default=1.0,
-        help="time until a crashed device's blank replacement arrives",
-    )
-    p_chaos.add_argument(
-        "--allow-degraded", action="store_true",
-        help="accept Lemma-2.1-infeasible shrinks instead of aborting",
-    )
-    p_chaos.add_argument(
-        "--alpha", type=float, default=0.01,
-        help="false-positive rate of the post-repair fairness test",
-    )
-    p_chaos.add_argument(
-        "--jsonl", default="", help="also stream trace events to this file"
-    )
-    p_chaos.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero on data loss or fairness rejection (with "
-        "--fleet: data loss or a mean-field fit beyond --tv-tolerance)",
+    _add_flags(
+        p_chaos,
+        jsonl=("", "also stream trace events to this file"),
+        strict=(
+            False,
+            "exit non-zero on data loss or fairness rejection (with --fleet: "
+            "data loss or a mean-field fit beyond --tv-tolerance)",
+        ),
     )
     fleet = p_chaos.add_argument_group(
         "fleet mode",
@@ -927,80 +955,43 @@ def build_parser() -> argparse.ArgumentParser:
         "x millions of blocks over simulated years, validated against "
         "the mean-field replication model",
     )
-    fleet.add_argument(
-        "--fleet", action="store_true",
-        help="run the columnar fleet simulator instead of the "
-        "event-driven controller",
+    _add_flags(
+        fleet,
+        fleet=(
+            False,
+            "run the columnar fleet simulator instead of the event-driven "
+            "controller",
+        ),
     )
-    fleet.add_argument(
-        "--devices", type=int, default=1000, help="fleet size (uniform)"
-    )
-    fleet.add_argument(
-        "--years", type=float, default=10.0, help="simulated horizon"
-    )
-    fleet.add_argument(
-        "--epochs-per-year", type=int, default=365,
-        help="epoch resolution (dt = 1/epochs-per-year years)",
-    )
-    fleet.add_argument(
-        "--failure-rate", type=float, default=0.08,
-        help="device failures per device-year",
-    )
-    fleet.add_argument(
-        "--repair-rate", type=float, default=5000.0,
-        help="fleet-wide share rebuilds per epoch",
-    )
-    fleet.add_argument(
-        "--device-capacity", type=int, default=100,
-        help="uniform per-device capacity (relative units)",
-    )
-    fleet.add_argument(
-        "--sample-every", type=int, default=0,
-        help="epochs between samples (0 = auto, ~120 samples)",
-    )
-    fleet.add_argument(
-        "--phase", default="",
-        help="comma-separated repair rates for a durability-vs-repair "
-        "phase diagram",
-    )
-    fleet.add_argument(
-        "--tv-tolerance", type=float, default=0.05,
-        help="--strict gate on the steady-state vs mean-field "
-        "total-variation distance",
-    )
-    p_chaos.set_defaults(func=cmd_chaos)
+    _add_flags(p_chaos, given_only=True, **_CHAOS_MODE_FLAGS["controller"])
+    _add_flags(fleet, given_only=True, **_CHAOS_MODE_FLAGS["fleet"])
 
-    p_serve = sub.add_parser(
-        "serve", help="serve placement + block storage over TCP"
-    )
-    p_serve.add_argument(
-        "--capacities",
-        default="500,600,700,800",
+    p_serve = command("serve", cmd_serve)
+    common(
+        p_serve,
+        capacities="500,600,700,800",
+        prefix="store",
+        copies=3,
         help="comma-separated device capacities (one blockstore each)",
     )
-    p_serve.add_argument("--prefix", default="store", help="device name prefix")
-    p_serve.add_argument("--copies", type=int, default=3, help="replication k")
-    p_serve.add_argument("--strategy", default="redundant-share")
-    strategy_opt(p_serve)
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--port", type=int, default=0,
-        help="metastore port; blockstores bind port+1..port+N "
-        "(0 = OS-assigned everywhere)",
+    strategy(p_serve)
+    _add_flags(
+        p_serve,
+        host=("127.0.0.1", None),
+        port=(
+            0,
+            "metastore port; blockstores bind port+1..port+N (0 = "
+            "OS-assigned everywhere)",
+        ),
+        ready_file=(
+            "",
+            "write the metastore host:port here once listening (lets "
+            "scripts wait for readiness)",
+        ),
+        jsonl=("", "stream trace events to this file"),
     )
-    p_serve.add_argument(
-        "--ready-file", default="",
-        help="write the metastore host:port here once listening "
-        "(lets scripts wait for readiness)",
-    )
-    p_serve.add_argument(
-        "--jsonl", default="", help="stream trace events to this file"
-    )
-    p_serve.set_defaults(func=cmd_serve)
 
-    p_client = sub.add_parser(
-        "client", help="talk to a running repro serve instance"
-    )
+    p_client = command("client", cmd_client)
     p_client.add_argument(
         "action", choices=("ping", "where", "put", "get", "metrics"),
         help="what to do",
@@ -1012,53 +1003,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_client.add_argument(
         "--payload", default=None, help="UTF-8 payload for put"
     )
-    p_client.add_argument(
-        "--read-policy", default="primary",
-        help="copy-selection policy for get (see 'repro sched')",
+    _add_flags(
+        p_client,
+        read_policy=(
+            "primary", "copy-selection policy for get (see 'repro sched')"
+        ),
+        read_seed=(0, None),
     )
-    p_client.add_argument("--read-seed", type=int, default=0)
-    p_client.set_defaults(func=cmd_client)
 
-    p_sched = sub.add_parser(
-        "sched", help="read-scheduler load balance under skewed traffic"
-    )
+    p_sched = command("sched", cmd_sched)
     common(p_sched)
-    p_sched.add_argument("--strategy", default="redundant-share")
-    strategy_opt(p_sched)
-    p_sched.add_argument(
-        "--policy", default="all",
-        help="comma-separated scheduler names (aliases ok), or 'all'",
-    )
+    strategy(p_sched)
     p_sched.add_argument(
         "--workload", choices=("zipf", "uniform", "flash-crowd"),
         default="zipf",
     )
-    p_sched.add_argument(
-        "--alpha", type=float, default=1.1, help="zipf skew exponent"
+    _add_flags(
+        p_sched,
+        policy=("all", "comma-separated scheduler names (aliases ok), or 'all'"),
+        alpha=(1.1, "zipf skew exponent"),
+        requests=(100_000, None),
+        universe=(2000, "distinct block addresses in the workload"),
+        seed=(0, None),
+        cache=(
+            0, "per-device LRU cache capacity in blocks (0 = no cache model)"
+        ),
+        hit_cost=(0.25, "load units a cache hit costs (misses cost 1.0)"),
     )
-    p_sched.add_argument("--requests", type=int, default=100_000)
-    p_sched.add_argument(
-        "--universe", type=int, default=2000,
-        help="distinct block addresses in the workload",
-    )
-    p_sched.add_argument("--seed", type=int, default=0)
-    p_sched.add_argument(
-        "--cache", type=int, default=0,
-        help="per-device LRU cache capacity in blocks (0 = no cache model)",
-    )
-    p_sched.add_argument(
-        "--hit-cost", type=float, default=0.25,
-        help="load units a cache hit costs (misses cost 1.0)",
-    )
-    p_sched.set_defaults(func=cmd_sched)
 
-    p_adapt = sub.add_parser("adaptivity", help="Figure 3 experiment")
-    common(p_adapt, capacities=False)
-    p_adapt.add_argument("--disks", type=int, default=8)
-    p_adapt.add_argument("--base", type=int, default=5000)
-    p_adapt.add_argument("--step", type=int, default=1000)
-    p_adapt.add_argument("--balls", type=int, default=20_000)
-    p_adapt.set_defaults(func=cmd_adaptivity)
+    p_adapt = command("adaptivity", cmd_adaptivity)
+    common(p_adapt, capacities=None)
+    _add_flags(
+        p_adapt,
+        disks=(8, None),
+        base=(5000, None),
+        step=(1000, None),
+        balls=(20_000, None),
+    )
 
     return parser
 
@@ -1069,9 +1050,10 @@ def main(argv: Sequence[str] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as error:
-        # One line on stderr, status 1: bad configurations and placements
-        # a strategy cannot complete are user errors, not tracebacks.
+    except (ReproError, ValueError) as error:
+        # One line on stderr, status 1: bad configurations, placements a
+        # strategy cannot complete and argument values a library validator
+        # refuses are user errors, not tracebacks.
         raise SystemExit(str(error))
 
 

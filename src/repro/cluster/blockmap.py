@@ -33,26 +33,6 @@ class BlockMap:
                 (address, position)
             )
 
-    def record_many(self, addresses, placements) -> None:
-        """Bulk insert/replace placements for parallel address sequences.
-
-        Equivalent to calling :meth:`record` pairwise, with the dict and
-        set lookups hoisted out of the per-share loop — the path bulk
-        loads (snapshot restore, batch writes) go through.
-        """
-        own_placements = self._placements
-        by_device = self._by_device
-        for address, placement in zip(addresses, placements):
-            if address in own_placements:
-                self.forget(address)
-            stored = tuple(placement)
-            own_placements[address] = stored
-            for position, device_id in enumerate(stored):
-                shares = by_device.get(device_id)
-                if shares is None:
-                    shares = by_device[device_id] = set()
-                shares.add((address, position))
-
     def lookup(self, address: int) -> Placement:
         """Placement of a block.
 
@@ -83,14 +63,6 @@ class BlockMap:
     def shares_on(self, device_id: str) -> List[ShareLocation]:
         """All (address, position) shares mapped to a device."""
         return sorted(self._by_device.get(device_id, ()))
-
-    def blocks_on(self, device_id: str) -> List[int]:
-        """Distinct block addresses with at least one share on a device.
-
-        The blast radius of losing that device — what the chaos layer
-        surveys after a crash to prioritise re-replication.
-        """
-        return sorted({address for address, _ in self._by_device.get(device_id, ())})
 
     def share_count(self, device_id: str) -> int:
         """Number of shares mapped to a device."""

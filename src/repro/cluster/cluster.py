@@ -93,7 +93,6 @@ class Cluster:
         devices: Sequence[BinSpec],
         strategy_factory: StrategyFactory,
         code: Optional[ErasureCode] = None,
-        shared_devices: Optional[Dict[str, StorageDevice]] = None,
     ) -> None:
         """Assemble the cluster.
 
@@ -103,17 +102,10 @@ class Cluster:
                 set, e.g. ``lambda bins: RedundantShare(bins, copies=2)``.
             code: Erasure code for block payloads; defaults to plain
                 mirroring matching the strategy's replication degree.
-            shared_devices: Pre-existing device objects to store into
-                (instead of creating fresh ones) — used by
-                :class:`~repro.cluster.policies.PolicyStore` so several
-                redundancy policies share one physical pool.  Shares from
-                other users of the pool are then tolerated by
-                :meth:`verify`.
 
         Raises:
             ConfigurationError: if the code's share count disagrees with
-                the strategy's replication degree, or shared devices are
-                missing for some spec.
+                the strategy's replication degree.
         """
         self._factory = strategy_factory
         self._strategy = strategy_factory(list(devices))
@@ -123,7 +115,6 @@ class Cluster:
                 f"code produces {self._code.total_shares} shares but the "
                 f"strategy places {self._strategy.copies} copies"
             )
-        self._pool = shared_devices
         self._devices: Dict[str, StorageDevice] = {}
         self._specs: Dict[str, BinSpec] = {}
         for spec in devices:
@@ -155,16 +146,8 @@ class Cluster:
         )
 
     def _attach(self, spec: BinSpec) -> None:
-        """Register a device: a fresh one, or the shared pool's object."""
-        if self._pool is None:
-            device = StorageDevice(spec.bin_id, spec.capacity)
-        elif spec.bin_id in self._pool:
-            device = self._pool[spec.bin_id]
-        else:
-            raise ConfigurationError(
-                f"shared pool lacks device {spec.bin_id!r}"
-            )
-        self._devices[spec.bin_id] = device
+        """Register a fresh device for a spec."""
+        self._devices[spec.bin_id] = StorageDevice(spec.bin_id, spec.capacity)
         self._specs[spec.bin_id] = spec
 
     @property
@@ -202,15 +185,6 @@ class Cluster:
         """
         self._map.lookup(address)  # raises for unknown blocks
         return self._block_sizes[address]
-
-    def restore_block(self, address: int, placement, size: int) -> None:
-        """Register a block's metadata without writing shares.
-
-        Snapshot-restore plumbing: the share payloads are loaded directly
-        onto the devices, and this records the matching map entry.
-        """
-        self._map.record(address, tuple(placement))
-        self._block_sizes[address] = size
 
     def device_ids(self) -> List[str]:
         """Sorted ids of all (active or failed) devices."""
@@ -543,8 +517,15 @@ class Cluster:
             DeviceNotFoundError: for unknown ids.
             DecodingError: if some block lost too many shares to rebuild.
         """
-        self.device(device_id).replace()
-        rebuilt = self.rebuild_device(device_id)
+        device = self.device(device_id)
+        device.replace()
+        rebuilt = 0
+        for address, position in self._map.shares_on(device_id):
+            shares = self._collect_shares(address)
+            device.store(
+                (address, position), self.rebuild_share(shares, position)
+            )
+            rebuilt += 1
         self._log.record("device-repaired", device=device_id, rebuilt=rebuilt)
         sink = obs.sink()
         if sink.enabled:
@@ -552,32 +533,6 @@ class Cluster:
             registry.counter("cluster.devices_repaired").add(1)
             registry.counter("cluster.rebuilt_shares").add(rebuilt)
             sink.emit("device.repaired", device=device_id, rebuilt=rebuilt)
-        return rebuilt
-
-    def rebuild_device(self, device_id: str) -> int:
-        """Rebuild every share the map assigns to a device but it lacks.
-
-        The rebuild half of :meth:`repair_device`, without the blank
-        replacement — a pool shared by several clusters is replaced once
-        and then rebuilt by each of them.
-
-        Returns:
-            Number of shares reconstructed.
-
-        Raises:
-            DeviceNotFoundError: for unknown ids.
-            DecodingError: if some block lost too many shares to rebuild.
-        """
-        device = self.device(device_id)
-        rebuilt = 0
-        for address, position in self._map.shares_on(device_id):
-            shares = self._collect_shares(address)
-            if position in shares:
-                continue  # already present (e.g. repaired twice)
-            device.store(
-                (address, position), self.rebuild_share(shares, position)
-            )
-            rebuilt += 1
         return rebuilt
 
     # ------------------------------------------------------------------
@@ -605,8 +560,6 @@ class Cluster:
                     assert device.holds((address, position)), (
                         f"share ({address},{position}) missing on {device_id}"
                     )
-        if self._pool is not None:
-            return  # other policies' shares live on the same devices
         mapped = {
             key
             for device_id in self._devices

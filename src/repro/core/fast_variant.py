@@ -58,7 +58,6 @@ class FastRedundantShare(ReplicationStrategy):
         copies: int = 2,
         namespace: str = "",
         clip: bool = True,
-        eager: bool = False,
         state_selector: str = "cdf",
     ) -> None:
         """Build the state tables.
@@ -68,9 +67,6 @@ class FastRedundantShare(ReplicationStrategy):
             copies: Replication degree ``k``.
             namespace: Hash salt prefix.
             clip: Clip capacities per Lemma 2.2 (default).
-            eager: Precompute all O(k·n) state tables up front instead of
-                lazily on first use (lazy is the default: most states are
-                never visited for moderate ball populations).
             state_selector: Per-state sampling backend.  ``"cdf"`` (default)
                 draws through an inverse CDF — O(log n) per copy but
                 boundary shifts cascade, so reconfigurations move more data
@@ -110,11 +106,6 @@ class FastRedundantShare(ReplicationStrategy):
         )
         self.rank_ids = self._scan.rank_ids
         self._rendezvous_bases: Dict[Tuple[int, int], list] = {}
-        if eager:
-            for copy in range(copies):
-                first = -1 if copy == 0 else copy - 1
-                for previous in range(first, len(self._rank_ids)):
-                    self._state_table(copy, previous)
 
     @property
     def scan_equivalent(self) -> RedundantShare:

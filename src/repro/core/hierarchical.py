@@ -86,11 +86,6 @@ class HierarchicalRedundantShare(ReplicationStrategy):
         """Failure domain of a device."""
         return self._rack_of[device_id]
 
-    @property
-    def rack_strategy(self) -> RedundantShare:
-        """The rack-level Redundant Share instance."""
-        return self._rack_strategy
-
     def place(self, address: int) -> Placement:
         """One device per selected rack; position i = rack-copy i."""
         rack_choice = self._rack_strategy.place(address)

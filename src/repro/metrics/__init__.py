@@ -10,18 +10,13 @@ from .adaptivity import (
 from .fairness import (
     chi_square_statistic,
     count_copies,
+    count_violations,
     fill_percentages,
     gini_coefficient,
     jain_index,
     max_fill_spread,
     max_share_deviation,
     usage_shares,
-)
-from .redundancy import (
-    count_violations,
-    data_loss_fraction,
-    survivable_failure_count,
-    worst_failure_pairs,
 )
 from .stats import (
     FairnessVerdict,
@@ -46,7 +41,6 @@ __all__ = [
     "compare_strategies",
     "count_copies",
     "count_violations",
-    "data_loss_fraction",
     "fair_copy_shares",
     "fill_percentages",
     "gini_coefficient",
@@ -59,7 +53,5 @@ __all__ = [
     "normal_sf",
     "optimal_moved_copies",
     "sample_copy_counts",
-    "survivable_failure_count",
     "usage_shares",
-    "worst_failure_pairs",
 ]

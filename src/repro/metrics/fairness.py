@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Mapping, Sequence
 
+from ..placement.base import ReplicationStrategy
+
 
 def usage_shares(copy_counts: Mapping[str, int]) -> Dict[str, float]:
     """Normalise per-bin copy counts to shares of the total."""
@@ -118,3 +120,16 @@ def count_copies(placements: Iterable[Sequence[str]]) -> Dict[str, int]:
         for bin_id in placement:
             counts[bin_id] = counts.get(bin_id, 0) + 1
     return counts
+
+
+def count_violations(
+    strategy: ReplicationStrategy, addresses: Iterable[int]
+) -> int:
+    """Number of balls whose placement repeats a device (the paper's
+    redundancy condition says there must be none)."""
+    violations = 0
+    for address in addresses:
+        placement = strategy.place(address)
+        if len(set(placement)) != len(placement):
+            violations += 1
+    return violations

@@ -48,8 +48,8 @@ from .registry import (
 )
 from .rendezvous import RendezvousPlacer, WeightedRendezvous, make_rendezvous
 from .rpdp import ResidualPerformancePlacement, utilization
-from .share import SharePlacer, default_stretch
-from .share_weighted import ShareWeightedPlacer, make_share
+from .share import SharePlacer
+from .share_weighted import ShareWeightedPlacer, default_stretch, make_share
 from .striping import StripingStrategy, WeightedStripingStrategy
 from .trivial import (
     TrivialReplication,

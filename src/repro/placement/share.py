@@ -23,27 +23,16 @@ bin sets, so a lookup is a binary search plus a small weighted rendezvous.
 
 from __future__ import annotations
 
-import bisect
-import math
 from typing import Dict, Sequence
 
-from ..hashing.primitives import (
-    derive_base,
-    unit_from_base,
-    unit_from_base_open,
-)
 from ..types import BinSpec
 from .base import SingleCopyPlacer
-from .rendezvous import rendezvous_score
-
-
-def default_stretch(bin_count: int) -> float:
-    """The logarithmic stretch factor suggested by the Share analysis."""
-    return max(3.0, 2.0 * math.log(bin_count + 1.0))
+from .share_weighted import ShareWeightedPlacer, default_stretch, local_weights
 
 
 class SharePlacer(SingleCopyPlacer):
-    """Share over a configuration of bins."""
+    """Share over a configuration of bins: the capacity-carrying face of
+    :class:`~repro.placement.share_weighted.ShareWeightedPlacer`."""
 
     name = "share"
 
@@ -62,54 +51,21 @@ class SharePlacer(SingleCopyPlacer):
                 :func:`default_stretch` for the bin count.
         """
         super().__init__(bins, namespace)
-        # Imported here to avoid a cycle (share_weighted uses
-        # default_stretch from this module).
-        from .share_weighted import build_segments
-
         self._stretch = stretch if stretch > 0 else default_stretch(len(bins))
-        total = sum(spec.capacity for spec in self._bins)
-        self._boundaries, self._covers, self._multiplicity = build_segments(
-            [(spec.bin_id, spec.capacity / total) for spec in self._bins],
+        self._selector = ShareWeightedPlacer(
+            [spec.bin_id for spec in self._bins],
+            [float(spec.capacity) for spec in self._bins],
             self._namespace,
             self._stretch,
         )
-        self._ball_base = derive_base(self._namespace, "ball")
-        self._pick_bases = {
-            spec.bin_id: derive_base(self._namespace, "pick", spec.bin_id)
-            for spec in self._bins
-        }
 
     @property
     def stretch(self) -> float:
         """The stretch factor in effect."""
         return self._stretch
 
-    def _candidates(self, position: float) -> Dict[str, float]:
-        from .share_weighted import local_weights
-
-        index = bisect.bisect_right(self._boundaries, position) - 1
-        return local_weights(self._covers[index], self._multiplicity)
-
     def place(self, address: int) -> str:
-        position = unit_from_base(self._ball_base, address)
-        candidates = self._candidates(position)
-        if not candidates:
-            # Uncovered point (probability vanishes with logarithmic
-            # stretch): fall back to capacity-weighted rendezvous over all
-            # bins so the lookup still succeeds deterministically.
-            candidates = {
-                spec.bin_id: float(spec.capacity) for spec in self._bins
-            }
-        best_id = None
-        best_score = -math.inf
-        for bin_id, weight in candidates.items():
-            uniform = unit_from_base_open(self._pick_bases[bin_id], address)
-            score = rendezvous_score(weight, uniform)
-            if score > best_score:
-                best_score = score
-                best_id = bin_id
-        assert best_id is not None
-        return best_id
+        return self._selector.place(address)
 
     def expected_shares(self) -> Dict[str, float]:
         """Exact expected shares of this concrete instance.
@@ -119,16 +75,15 @@ class SharePlacer(SingleCopyPlacer):
         probability proportional to its local cover count.  Uncovered
         segments fall back to capacity-proportional choice.
         """
-        from .share_weighted import local_weights
-
+        boundaries, covers, multiplicity = self._selector.segments()
         shares: Dict[str, float] = {spec.bin_id: 0.0 for spec in self._bins}
         total_capacity = sum(spec.capacity for spec in self._bins)
-        boundaries = list(self._boundaries) + [1.0]
-        for index, cover in enumerate(self._covers):
+        boundaries = list(boundaries) + [1.0]
+        for index, cover in enumerate(covers):
             length = boundaries[index + 1] - boundaries[index]
             if length <= 0:
                 continue
-            candidates = local_weights(cover, self._multiplicity)
+            candidates = local_weights(cover, multiplicity)
             if candidates:
                 weight_total = sum(candidates.values())
                 for bin_id, weight in candidates.items():
@@ -142,11 +97,12 @@ class SharePlacer(SingleCopyPlacer):
 
     def coverage_gap(self) -> float:
         """Total circle length not covered by any interval (fallback zone)."""
-        if self._multiplicity:
+        boundaries, covers, multiplicity = self._selector.segments()
+        if multiplicity:
             return 0.0
         gap = 0.0
-        boundaries = list(self._boundaries) + [1.0]
-        for index, cover in enumerate(self._covers):
+        boundaries = list(boundaries) + [1.0]
+        for index, cover in enumerate(covers):
             if not cover:
                 gap += boundaries[index + 1] - boundaries[index]
         return gap

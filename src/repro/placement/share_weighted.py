@@ -34,7 +34,11 @@ from ..hashing.primitives import (
 )
 from .base import WeightedPlacer
 from .rendezvous import rendezvous_score
-from .share import default_stretch
+
+
+def default_stretch(bin_count: int) -> float:
+    """The logarithmic stretch factor suggested by the Share analysis."""
+    return max(3.0, 2.0 * math.log(bin_count + 1.0))
 
 
 def build_segments(
@@ -138,6 +142,11 @@ class ShareWeightedPlacer(WeightedPlacer):
         self._pick_bases = {
             owner: derive_base(namespace, "pick", owner) for owner in ids
         }
+
+    def segments(self):
+        """The geometry as read-only ``(boundaries, covers, multiplicity)``
+        — see :func:`build_segments`."""
+        return self._boundaries, self._covers, self._multiplicity
 
     def place(self, address: int) -> str:
         position = unit_from_base(self._ball_base, address)

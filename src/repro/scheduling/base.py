@@ -152,10 +152,6 @@ class ReadScheduler(abc.ABC):
 
     # -- load state --------------------------------------------------------
 
-    def load_of(self, device_id: str) -> float:
-        """Accumulated service cost routed to ``device_id``."""
-        return self._loads[self.rank_of(device_id)]
-
     def count_of(self, device_id: str) -> int:
         """Requests routed to ``device_id``."""
         return self._counts[self.rank_of(device_id)]

@@ -44,7 +44,6 @@ def run_fairness(
     steps: Sequence[GrowthStep],
     factory: StrategyFactory,
     balls: int,
-    load_factor: float = 0.5,
 ) -> List[FairnessResult]:
     """Place ``balls`` balls under each step and report fill percentages.
 
@@ -52,8 +51,6 @@ def run_fairness(
         steps: Configurations to evaluate (e.g. ``paper_growth_steps()``).
         factory: Strategy builder.
         balls: Ball population size (the same addresses for every step).
-        load_factor: Informational only; callers size ``balls`` so the
-            system is at this load (kept for report labelling).
     """
     results: List[FairnessResult] = []
     addresses = range(balls)

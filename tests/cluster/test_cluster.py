@@ -146,6 +146,14 @@ class TestFailures:
         for address in range(200):
             assert cluster.read(address) == f"payload-{address}".encode()
 
+    def test_verify_rejects_an_orphan_share(self):
+        # A share on a device that no block map entry accounts for.
+        cluster = make_cluster()
+        fill(cluster, 20)
+        cluster.device("bin-0").store((10_000, 0), b"stray")
+        with pytest.raises(AssertionError, match="orphan share"):
+            cluster.verify()
+
     def test_injector_round_trip(self):
         # One seeded crash injected through the chaos controller, the
         # blank replacement arriving at once.

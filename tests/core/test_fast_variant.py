@@ -48,14 +48,6 @@ class TestBasics:
         scan = RedundantShare(bins, copies=2)
         assert fast.expected_shares() == scan.expected_shares()
 
-    def test_eager_precomputes_states(self):
-        lazy = FastRedundantShare(bins_from_capacities([5, 4, 3, 2]), copies=2)
-        eager = FastRedundantShare(
-            bins_from_capacities([5, 4, 3, 2]), copies=2, eager=True
-        )
-        assert lazy.state_count() == 0
-        assert eager.state_count() > 0
-
 
 class TestDistributionEquivalence:
     BALLS = 40_000

@@ -6,11 +6,8 @@ from repro.core import RedundantShare
 from repro.metrics import (
     compare_strategies,
     count_violations,
-    data_loss_fraction,
     movement_series,
     optimal_moved_copies,
-    survivable_failure_count,
-    worst_failure_pairs,
 )
 from repro.types import BinSpec, bins_from_capacities
 
@@ -80,29 +77,3 @@ class TestRedundancyMetrics:
     def test_no_violations_for_redundant_share(self):
         strategy = make([9, 7, 5, 3], copies=3)
         assert count_violations(strategy, range(1000)) == 0
-
-    def test_loss_fraction_zero_below_tolerance(self):
-        strategy = make([5, 4, 3, 2], copies=2)
-        loss = data_loss_fraction(strategy, list(range(1000)), {"bin-0"})
-        assert loss == 0.0
-
-    def test_loss_fraction_positive_when_pair_fails(self):
-        strategy = make([5, 4, 3, 2], copies=2)
-        loss = data_loss_fraction(
-            strategy, list(range(1000)), {"bin-0", "bin-1"}
-        )
-        assert 0.0 < loss < 1.0
-
-    def test_loss_requires_addresses(self):
-        with pytest.raises(ValueError):
-            data_loss_fraction(make([5, 4, 3]), [], {"bin-0"})
-
-    def test_worst_pairs_ordered(self):
-        strategy = make([5, 4, 3, 2], copies=2)
-        pairs = worst_failure_pairs(strategy, list(range(2000)), limit=3)
-        assert len(pairs) == 3
-        fractions = [fraction for _, fraction in pairs]
-        assert fractions == sorted(fractions, reverse=True)
-
-    def test_survivable_failures(self):
-        assert survivable_failure_count(make([5, 4, 3], copies=3)) == 2

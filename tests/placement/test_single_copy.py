@@ -9,6 +9,7 @@ from repro.placement import (
     ConsistentHashingPlacer,
     RendezvousPlacer,
     SharePlacer,
+    ShareWeightedPlacer,
 )
 from repro.types import bins_from_capacities
 
@@ -129,6 +130,25 @@ class TestConsistentHashingSpecifics:
 
 
 class TestShareSpecifics:
+    @pytest.mark.parametrize(
+        "capacities,stretch",
+        [([7, 5, 3, 1], 0.0), ([1000, 1, 1], 3.0), ([10] * 16, 0.0), ([3, 2], 0.5)],
+    )
+    def test_is_the_capacity_face_of_the_weighted_selector(
+        self, capacities, stretch
+    ):
+        # stretch 0.5 over two bins leaves gaps, so the fallback runs too.
+        bins = bins_from_capacities(capacities)
+        placer = SharePlacer(bins, stretch=stretch)
+        twin = ShareWeightedPlacer(
+            [spec.bin_id for spec in bins],
+            [float(spec.capacity) for spec in bins],
+            placer.namespace,
+            stretch,
+        )
+        for address in range(2000):
+            assert placer.place(address) == twin.place(address)
+
     def test_expected_shares_sum_to_one(self):
         placer = SharePlacer(bins_from_capacities([7, 5, 3, 1]))
         assert sum(placer.expected_shares().values()) == pytest.approx(1.0)

@@ -77,8 +77,34 @@ class TestCli:
                 ["fairness", "--capacities", "5,4", "--balls", "0"],
                 "--balls must be >= 1",
             ),
+            # Values a library validator refuses (ValueError, not ReproError).
+            (["durability", "--mttf", "0"], "mttf and mttr must be positive"),
+            (["sched", "--universe", "0"], "universe must be positive"),
+            (
+                ["stats", "--alpha", "2", "--no-exercise"],
+                "alpha must be in (0, 1)",
+            ),
+            # Non-positive capacities: one rule, in _parse_capacities.
+            (["fairness", "--capacities", "0"], "capacities must be positive"),
+            (["place", "--capacities", "5,-1"], "capacities must be positive"),
+            (["serve", "--capacities", "0,5"], "capacities must be positive"),
+            (["chaos", "--capacities", "0,0,0"], "capacities must be positive"),
+            # A flag of the chaos mode that is not selected would be ignored.
+            (
+                ["chaos", "--fleet", "--schedule", "/nonexistent.json",
+                 "--crashes", "99"],
+                "--schedule applies to controller mode only",
+            ),
+            (["chaos", "--devices", "5"], "--devices applies to fleet mode only"),
+            (["sched", "--policy", "nope"], "unknown scheduling policy 'nope'"),
         ],
-        ids=["crush-cannot-place", "copies-zero", "balls-zero"],
+        ids=[
+            "crush-cannot-place", "copies-zero", "balls-zero", "mttf-zero",
+            "universe-zero", "alpha-two", "capacity-zero",
+            "capacity-negative", "serve-capacity-zero", "chaos-all-zero",
+            "controller-flag-with-fleet", "fleet-flag-without-fleet",
+            "unknown-policy",
+        ],
     )
     def test_user_errors_exit_one_with_one_line(self, argv, message):
         result = subprocess.run(
@@ -90,6 +116,9 @@ class TestCli:
         assert result.returncode == 1, result.stderr
         assert message in result.stderr
         assert result.stderr.count("\n") == 1, result.stderr
+        # Nothing half-printed: an unknown policy used to leave half a
+        # table on stdout before the error.
+        assert result.stdout == ""
 
     def test_adaptivity(self, capsys):
         assert main(
@@ -252,6 +281,34 @@ class TestChaosCli:
              "--blocks", "20", "--schedule", str(schedule)]
         ) == 1
         assert "Lemma 2.1" in capsys.readouterr().out
+
+    def test_chaos_flags_come_from_their_dataclasses(self):
+        from repro import cli
+        from repro.chaos import ChaosOptions, FleetOptions, RepairPolicy
+
+        generated = cli._FIELD_FLAGS
+        assert sum(len(flags) for flags in generated.values()) == 16
+        parser = cli.build_parser()
+        for argv, classes in (
+            (["chaos"], (RepairPolicy, ChaosOptions)),
+            (["chaos", "--fleet"], (FleetOptions,)),
+        ):
+            args = parser.parse_args(argv)
+            cli._chaos_mode(args)
+            for cls in classes:
+                built = cli._from_flags(cls, args)
+                for dest in generated[cls]:
+                    assert getattr(built, dest) == getattr(cls(), dest), dest
+        # A given value lands in the field of that name, with its type.
+        args = parser.parse_args(
+            ["chaos", "--rate", "3", "--max-attempts", "2", "--allow-degraded"]
+        )
+        cli._chaos_mode(args)
+        policy = cli._from_flags(RepairPolicy, args)
+        assert (policy.rate, policy.max_attempts) == (3.0, 2)
+        assert isinstance(policy.rate, float)
+        options = cli._from_flags(ChaosOptions, args, policy=policy)
+        assert options.allow_degraded and options.policy is policy
 
     def test_chaos_jsonl_export(self, tmp_path, capsys):
         from repro.obs import read_jsonl
