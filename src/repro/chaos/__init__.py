@@ -1,13 +1,12 @@
 """Fault-injection and recovery: chaos runs against the cluster simulator.
 
-The subsystem splits into four layers:
+The subsystem splits into four layers (availability itself is the
+:class:`~repro.cluster.DeviceState` of each device, not a chaos concept):
 
 * :mod:`repro.chaos.schedule` — seeded, serialisable fault schedules
   (crash / outage / flaky / shrink).
-* :mod:`repro.chaos.health` — the availability ledger that distinguishes
-  transient unavailability from permanent loss.
-* :mod:`repro.chaos.recovery` — the priority repair queue, retry/backoff
-  policy, and degraded-read resolution.
+* :mod:`repro.chaos.recovery` — the priority repair queue and the
+  retry/backoff policy.
 * :mod:`repro.chaos.controller` — the discrete-event controller that ties
   them together and reports blocks-at-risk, losses, repair throughput and
   post-repair fairness drift.
@@ -37,44 +36,28 @@ from .fleet import (
     durability_phase_diagram,
     run_fleet,
 )
-from .health import FlakyProfile, HealthLedger, HealthState
-from .recovery import (
-    DegradedReadResult,
-    RepairPolicy,
-    RepairQueue,
-    RepairTask,
-    degraded_read,
-    gather_shares,
-    rebuild_share,
-)
+from .recovery import RepairPolicy, RepairQueue, RepairTask
 from .schedule import FaultEvent, FaultKind, FaultSchedule, generate_schedule
 
 __all__ = [
     "ChaosController",
     "ChaosOptions",
     "ChaosReport",
-    "DegradedReadResult",
     "FaultEvent",
     "FaultKind",
     "FaultSchedule",
-    "FlakyProfile",
     "FleetOptions",
     "FleetReport",
     "FleetSample",
     "FleetSimulator",
-    "HealthLedger",
-    "HealthState",
     "LossEvent",
     "PhasePoint",
     "RepairPolicy",
     "RepairQueue",
     "RepairTask",
     "crash_epochs",
-    "degraded_read",
     "durability_phase_diagram",
-    "gather_shares",
     "generate_schedule",
-    "rebuild_share",
     "run_chaos",
     "run_fleet",
 ]

@@ -7,9 +7,9 @@ a :class:`FaultSchedule` against a live :class:`Cluster`:
   arrives after ``replacement_delay``, and every lost share enters the
   priority :class:`RepairQueue`; blocks whose surviving shares drop below
   the code's decode threshold are recorded as data-loss events.
-* **outage / flaky** — tracked in the :class:`HealthLedger` only; reads
-  and repairs route around (or retry against) the device until the
-  window closes.
+* **outage / flaky** — the device goes OFFLINE / FLAKY with its contents
+  intact; reads and repairs route around (or retry against) it until the
+  window closes, and whatever it missed meanwhile is repaired then.
 * **shrink** — gated on Lemma 2.1 feasibility (``k * b_0 <= B`` over the
   survivors): an infeasible shrink raises
   :class:`~repro.exceptions.InfeasibleRedundancyError` *before* any data
@@ -39,19 +39,18 @@ from .. import obs
 from ..analysis.durability import DurabilityModel, mttdl, observed_model
 from ..capacity.clipping import is_capacity_efficient
 from ..cluster.cluster import Cluster
+from ..cluster.device import FlakyProfile
 from ..exceptions import (
     ConfigurationError,
     DecodingError,
     DeviceNotFoundError,
-    DeviceUnavailableError,
     InfeasibleRedundancyError,
     RepairTimeoutError,
 )
 from ..hashing.primitives import stable_u64
 from ..metrics.stats import FairnessVerdict, chi_square_fairness, fair_copy_shares
 from ..simulation.engine import Simulator
-from .health import FlakyProfile, HealthLedger
-from .recovery import RepairPolicy, RepairQueue, RepairTask, rebuild_share
+from .recovery import RepairPolicy, RepairQueue, RepairTask
 from .schedule import FaultEvent, FaultKind, FaultSchedule
 
 _INV_2_64 = 1.0 / float(1 << 64)
@@ -202,7 +201,6 @@ class ChaosController:
         self._schedule = schedule
         self._options = options or ChaosOptions()
         self._sim = Simulator()
-        self._ledger = HealthLedger(cluster.device_ids())
         self._queue = RepairQueue()
         self._report = ChaosReport()
         self._worker_busy = False
@@ -261,15 +259,14 @@ class ChaosController:
         if event.kind is FaultKind.CRASH:
             self._crash(event)
         elif event.kind is FaultKind.OUTAGE:
-            self._ledger.mark_offline(event.device_id)
+            self._cluster.device(event.device_id).mark_offline()
             self._sim.schedule(
                 event.duration, lambda: self._window_closes(event.device_id)
             )
             return  # window still open
         elif event.kind is FaultKind.FLAKY:
-            self._ledger.mark_flaky(
-                event.device_id,
-                FlakyProfile(event.error_rate, event.latency),
+            self._cluster.device(event.device_id).mark_flaky(
+                FlakyProfile(event.error_rate, event.latency)
             )
             self._sim.schedule(
                 event.duration, lambda: self._window_closes(event.device_id)
@@ -280,14 +277,36 @@ class ChaosController:
             self._open_windows -= 1
 
     def _window_closes(self, device_id: str) -> None:
-        self._ledger.mark_online(device_id)
         self._open_windows -= 1
         self._cluster.log.record("chaos-window-closed", device=device_id)
+        try:
+            self._cluster.device(device_id).mark_online()
+            self._device_back(device_id)
+        except DeviceNotFoundError:
+            pass  # shrunk away while its window was open
         self._kick_worker()  # shares on this device are reachable again
+
+    def _device_back(self, device_id: str) -> Set[Tuple[int, int]]:
+        """A device serves again (outage over, or replaced after a crash):
+        queue a repair for every mapped share it lacks."""
+        pending: Set[Tuple[int, int]] = set()
+        for address, position in self._cluster.sync_device(device_id):
+            if address in self._lost_blocks:
+                continue
+            self._queue.push(
+                RepairTask(
+                    address=address,
+                    position=position,
+                    device_id=device_id,
+                    survivors=self._readable_shares(address),
+                    enqueued_at=self._sim.now,
+                )
+            )
+            pending.add((address, position))
+        return pending
 
     def _crash(self, event: FaultEvent) -> None:
         device_id = event.device_id
-        self._ledger.mark_crashed(device_id)
         self._cluster.fail_device(device_id)
         self._crash_times[device_id] = self._sim.now
         # Survey the damage: every share mapped to the device is gone;
@@ -307,22 +326,8 @@ class ChaosController:
 
     def _replace(self, device_id: str) -> None:
         self._cluster.device(device_id).replace()
-        self._ledger.mark_online(device_id)
         repair_time = self._crash_times.get(device_id)
-        pending: Set[Tuple[int, int]] = set()
-        for address, position in self._cluster.shares_on(device_id):
-            if address in self._lost_blocks:
-                continue
-            task = RepairTask(
-                address=address,
-                position=position,
-                device_id=device_id,
-                survivors=self._readable_shares(address),
-                enqueued_at=self._sim.now,
-            )
-            self._queue.push(task)
-            pending.add((address, position))
-        self._crash_pending[device_id] = pending
+        pending = self._crash_pending[device_id] = self._device_back(device_id)
         if not pending and repair_time is not None:
             # Empty device: the "repair" is instant.
             self._repair_durations.append(self._sim.now - repair_time)
@@ -362,7 +367,6 @@ class ChaosController:
                 f"hold {copies} fair copies (Lemma 2.1: k*b_0 <= B fails); "
                 f"pass allow_degraded to force the shrink"
             )
-        self._ledger.forget(device_id)
         self._cluster.remove_device(device_id)
 
     # ------------------------------------------------------------------
@@ -411,17 +415,20 @@ class ChaosController:
         # flaky participant can fail the attempt and adds its latency.
         error_rate, latency = self._flaky_exposure(task)
 
-        if not self._ledger.available(task.device_id) or not device.is_active:
+        if not device.is_active:
             self._retry(task, attempt, reason="target-unavailable")
             return latency
         if error_rate > 0.0 and self._flaky_error(task, error_rate):
             self._retry(task, attempt, reason="flaky-error")
             return latency
-        try:
-            payload = rebuild_share(self._cluster, task, self._ledger)
-        except DeviceUnavailableError:
+        need = self._cluster.code.data_shares
+        shares, skipped = self._cluster.collect_shares(task.address, need=need)
+        if len(shares) < need and skipped:
+            # Survivors sit on devices that cannot serve right now.
             self._retry(task, attempt, reason="survivors-unavailable")
             return latency
+        try:
+            payload = self._cluster.rebuild_share(shares, task.position)
         except DecodingError:
             self._record_loss(task.address, self._readable_shares(task.address))
             return latency
@@ -431,15 +438,10 @@ class ChaosController:
 
     def _flaky_exposure(self, task: RepairTask) -> Tuple[float, float]:
         """Worst flaky error rate / latency among the attempt's devices."""
-        involved = [task.device_id]
-        involved.extend(
-            device_id
-            for device_id in self._cluster.placement_of(task.address)
-            if device_id != task.device_id
-        )
+        involved = {task.device_id, *self._cluster.placement_of(task.address)}
         profiles = [
             profile
-            for profile in (self._ledger.profile(d) for d in involved)
+            for profile in (self._cluster.device(d).profile for d in involved)
             if profile is not None
         ]
         if not profiles:
@@ -542,19 +544,8 @@ class ChaosController:
     # ------------------------------------------------------------------
 
     def _readable_shares(self, address: int) -> int:
-        """Shares of a block that are on available, holding devices."""
-        placement = self._cluster.placement_of(address)
-        readable = 0
-        for position, device_id in enumerate(placement):
-            if not self._ledger.available(device_id):
-                continue
-            try:
-                device = self._cluster.device(device_id)
-            except DeviceNotFoundError:
-                continue
-            if device.is_active and device.holds((address, position)):
-                readable += 1
-        return readable
+        """Shares of a block that are on serving, holding devices."""
+        return len(self._cluster.collect_shares(address)[0])
 
     def _blocks_at_risk(self) -> int:
         """Blocks currently missing at least one readable share."""

@@ -1,16 +1,11 @@
-"""Recovery pipeline: priority re-replication and degraded reads.
+"""Recovery pipeline: priority re-replication.
 
-Two pieces:
-
-* :class:`RepairQueue` — a priority queue of lost shares, ordered by how
-  many survivors their block still has (fewest first), so the blocks
-  closest to data loss are re-replicated before comfortably-redundant
-  ones.  Ties break on (address, position, arrival), keeping the drain
-  order a pure function of the queue contents.
-* :func:`degraded_read` — resolve a block while devices are down by
-  falling back across the ``k`` copy positions via ``place_copy``,
-  collecting shares from whatever available devices hold them until the
-  erasure code can decode.
+:class:`RepairQueue` is a priority queue of lost shares, ordered by how
+many survivors their block still has (fewest first), so the blocks
+closest to data loss are re-replicated before comfortably-redundant
+ones.  Ties break on (address, position, arrival), keeping the drain
+order a pure function of the queue contents.  Reading a block while
+devices are down is :meth:`repro.cluster.Cluster.read`.
 
 :class:`RepairPolicy` carries the knobs the controller's repair worker
 uses: global repair rate, per-task retry budget with exponential backoff
@@ -22,16 +17,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from ..cluster.cluster import Cluster
-from ..exceptions import (
-    ConfigurationError,
-    DeviceNotFoundError,
-    DeviceUnavailableError,
-)
-from .health import HealthLedger
+from ..exceptions import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -145,140 +134,3 @@ class RepairPolicy:
             self.backoff_base * self.backoff_factor ** (attempt - 1),
             self.backoff_max,
         )
-
-
-@dataclass
-class DegradedReadResult:
-    """What a degraded read saw.
-
-    Attributes:
-        payload: The decoded block.
-        shares_used: Shares gathered to decode.
-        positions_skipped: Copy positions skipped because their device was
-            unavailable (the degradation being measured).
-    """
-
-    payload: bytes
-    shares_used: int
-    positions_skipped: List[int] = field(default_factory=list)
-
-
-def gather_shares(
-    cluster: Cluster,
-    address: int,
-    ledger: HealthLedger,
-    *,
-    need: Optional[int] = None,
-    scheduler=None,
-) -> Tuple[Dict[int, bytes], List[int]]:
-    """Collect readable shares of a block, routing around sick devices.
-
-    Walks copy positions — ``0..k-1`` by default, or in the preferred
-    order of a :class:`repro.scheduling.base.ReadScheduler` when one is
-    passed (its availability mask is first synced from the ledger, so a
-    freshly-crashed device stops being chosen on the very next read) —
-    resolving each through the current strategy's placement of the
-    address (computed once, whatever ``need`` is) and falling back to the
-    recorded placement when the map disagrees (a lazy rebalance in
-    flight).  Stops early once ``need`` shares are gathered.
-
-    Returns:
-        ``(shares, skipped)``: payloads by position, and the positions
-        whose device was unavailable.
-    """
-    placement = cluster.placement_of(address)
-    current = cluster.strategy.place(address)
-    shares: Dict[int, bytes] = {}
-    skipped: List[int] = []
-    positions = range(len(placement))
-    if scheduler is not None:
-        for device_id in placement:
-            if ledger.available(device_id):
-                scheduler.mark_online(device_id)
-            else:
-                scheduler.mark_offline(device_id)
-        try:
-            positions = scheduler.order(address, placement)
-        except DeviceUnavailableError:
-            # Nothing schedulable; fall through to the plain walk so the
-            # caller still gets an accurate skipped-positions report.
-            positions = range(len(placement))
-    for position in positions:
-        if need is not None and len(shares) >= need:
-            break
-        candidates = [current[position]]
-        if placement[position] not in candidates:
-            candidates.append(placement[position])
-        found = False
-        for device_id in candidates:
-            try:
-                device = cluster.device(device_id)
-            except DeviceNotFoundError:  # device left the configuration
-                continue
-            if not ledger.available(device_id) or not device.is_active:
-                continue
-            if device.holds((address, position)):
-                shares[position] = device.fetch((address, position))
-                found = True
-                break
-        if not found and not any(
-            ledger.available(candidate) for candidate in candidates
-        ):
-            skipped.append(position)
-    return shares, skipped
-
-
-def degraded_read(
-    cluster: Cluster, address: int, ledger: HealthLedger, *, scheduler=None
-) -> DegradedReadResult:
-    """Read a block while devices are down, degrading across positions.
-
-    With a ``scheduler`` (see :mod:`repro.scheduling`), the preferred
-    copy is read first and load is accounted against it — degraded reads
-    then spread over the survivors instead of hammering position 0.
-
-    Raises:
-        BlockNotFoundError: if the block was never written.
-        DeviceUnavailableError: if too few shares are reachable *because*
-            devices are unavailable (retrying later may succeed).
-        DecodingError: if the data is simply gone (shares lost on devices
-            that are up) — retrying will not help.
-    """
-    need = cluster.code.data_shares
-    shares, skipped = gather_shares(
-        cluster, address, ledger, need=need, scheduler=scheduler
-    )
-    if len(shares) < need and skipped:
-        raise DeviceUnavailableError(
-            f"block {address}: only {len(shares)}/{need} shares reachable; "
-            f"positions {skipped} are on unavailable devices"
-        )
-    payload = cluster.code.decode(shares)  # DecodingError if truly lost
-    size = cluster.block_size_of(address)
-    return DegradedReadResult(
-        payload=payload[:size],
-        shares_used=len(shares),
-        positions_skipped=skipped,
-    )
-
-
-def rebuild_share(
-    cluster: Cluster,
-    task: RepairTask,
-    ledger: HealthLedger,
-) -> bytes:
-    """Reconstruct the payload of one lost share from survivors.
-
-    Raises:
-        DeviceUnavailableError: when too few survivors are currently
-            reachable (the caller should back off and retry).
-        DecodingError: when the block is unrecoverable outright.
-    """
-    need = cluster.code.data_shares
-    shares, skipped = gather_shares(cluster, task.address, ledger, need=need)
-    if len(shares) < need and skipped:
-        raise DeviceUnavailableError(
-            f"cannot rebuild share ({task.address}, {task.position}): "
-            f"only {len(shares)}/{need} survivors reachable"
-        )
-    return cluster.rebuild_share(shares, task.position)

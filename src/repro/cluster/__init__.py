@@ -2,7 +2,7 @@
 
 from .blockmap import BlockMap
 from .cluster import Cluster, ClusterStats, MigrationReport
-from .device import DeviceState, StorageDevice
+from .device import DeviceState, FlakyProfile, StorageDevice
 from .events import Event, EventLog
 from .rebalancer import RebalanceProgress, Rebalancer
 from .scrub import ChecksumIndex, ScrubReport, Scrubber, corrupt_share
@@ -15,6 +15,7 @@ __all__ = [
     "DeviceState",
     "Event",
     "EventLog",
+    "FlakyProfile",
     "MigrationReport",
     "RebalanceProgress",
     "Rebalancer",

@@ -26,13 +26,15 @@ from ..erasure.base import ErasureCode
 from ..erasure.mirror import MirrorCode
 from ..exceptions import (
     BlockNotFoundError,
+    CapacityExceededError,
     ConfigurationError,
     DeviceNotFoundError,
+    DeviceUnavailableError,
 )
 from ..placement.base import ReplicationStrategy
 from ..types import BinSpec
 from .blockmap import BlockMap
-from .device import StorageDevice
+from .device import DeviceState, StorageDevice
 from .events import EventLog
 
 #: Builds a strategy for a device set; partial-apply strategy parameters.
@@ -122,6 +124,9 @@ class Cluster:
         self._map = BlockMap()
         self._log = EventLog()
         self._block_sizes: Dict[int, int] = {}
+        # Stores a non-serving device missed: whatever it holds under these
+        # keys when it is back is stale (see sync_device).
+        self._missed: Dict[str, set] = {}
         self._log.record("cluster-created", devices=len(self._devices))
         sink = obs.sink()
         if sink.enabled:
@@ -187,7 +192,7 @@ class Cluster:
         return self._block_sizes[address]
 
     def device_ids(self) -> List[str]:
-        """Sorted ids of all (active or failed) devices."""
+        """Sorted ids of all devices, whatever their state."""
         return sorted(self._devices)
 
     def device(self, device_id: str) -> StorageDevice:
@@ -234,29 +239,76 @@ class Cluster:
     def write(self, address: int, payload: bytes) -> None:
         """Store a block: encode, place, persist all shares.
 
-        Writes are *degraded-mode tolerant*: shares whose target device is
-        currently failed are skipped (the placement is still recorded, and
-        :meth:`repair_device` rebuilds them from the stored redundancy).
+        Writes are *degraded-mode tolerant*: shares whose target device
+        does not serve I/O (failed or offline) are skipped; the placement
+        is still recorded, and a repair rebuilds them from the stored
+        redundancy.
+
+        Raises:
+            CapacityExceededError: if a serving target is full — raised
+                before anything is dropped or stored.
         """
         shares = self._code.encode(payload)
         placement = self._strategy.place(address)
-        if self._map.contains(address):
+        old = self._map.lookup(address) if self._map.contains(address) else ()
+        for device_id in placement:
+            device = self._devices[device_id]
+            # A full target still has room if this block's own old share
+            # is about to free a slot on it.
+            if (
+                device.is_active
+                and device.used >= device.capacity
+                and not (
+                    device_id in old
+                    and device.holds((address, old.index(device_id)))
+                )
+            ):
+                raise CapacityExceededError(
+                    f"device {device_id!r} is full; block {address} was "
+                    f"not written"
+                )
+        if old:
             self._drop_shares(address)
         for position, (device_id, share) in enumerate(zip(placement, shares)):
-            device = self._devices[device_id]
-            if device.is_active:
-                device.store((address, position), share)
+            self._store(device_id, (address, position), share)
         self._map.record(address, placement)
         self._block_sizes[address] = len(payload)
 
-    def read(self, address: int) -> bytes:
-        """Fetch a block, decoding around failed devices.
+    def _store(self, device_id: str, key: "tuple", payload: bytes) -> None:
+        """Store a share on its target, or note that the target missed it."""
+        device = self._devices[device_id]
+        if device.is_active:
+            device.store(key, payload)
+        else:
+            self._missed.setdefault(device_id, set()).add(key)
+
+    def read(self, address: int, *, scheduler=None) -> bytes:
+        """Fetch a block, decoding around devices that cannot serve.
+
+        With a ``scheduler`` (see :mod:`repro.scheduling`) the preferred
+        copy is read first and load is accounted against it, so degraded
+        reads spread over the survivors instead of hammering position 0.
 
         Raises:
             BlockNotFoundError: if the block was never written.
-            DecodingError: if too few shares survive.
+            DeviceUnavailableError: if too few shares are reachable
+                *because* a device is offline (retrying later may succeed).
+            DecodingError: if the data is gone — retrying will not help.
         """
-        payload = self._code.decode(self._collect_shares(address))
+        need = self._code.data_shares
+        shares, skipped = self.collect_shares(
+            address, need=need, scheduler=scheduler
+        )
+        placement = self._map.lookup(address)
+        if len(shares) < need and any(
+            self._devices[placement[position]].state is DeviceState.OFFLINE
+            for position in skipped
+        ):
+            raise DeviceUnavailableError(
+                f"block {address}: only {len(shares)}/{need} shares "
+                f"reachable; an offline device holds more"
+            )
+        payload = self._code.decode(shares)
         return payload[: self._block_sizes[address]]
 
     def delete(self, address: int) -> None:
@@ -375,6 +427,7 @@ class Cluster:
         self._specs.pop(device_id)
         report = self._rebalance("remove", device_id, used_override=used_before)
         removed = self._devices.pop(device_id)
+        self._missed.pop(device_id, None)
         self._log.record(
             "device-removed",
             device=device_id,
@@ -448,7 +501,7 @@ class Cluster:
         old_placement = self._map.lookup(address)
         if old_placement == new_placement:
             return 0, 0
-        shares = self._collect_shares(address)
+        shares, _ = self.collect_shares(address)
         moved = 0
         rebuilt = 0
         for position, (old_id, new_id) in enumerate(
@@ -465,22 +518,57 @@ class Cluster:
             old_device = self._devices.get(old_id)
             if old_device is not None and old_device.is_active:
                 old_device.discard((address, position))
-            target = self._devices[new_id]
-            if target.is_active:
-                target.store((address, position), payload)
+            self._store(new_id, (address, position), payload)
         self._map.record(address, new_placement)
         return moved, rebuilt
 
-    def _collect_shares(self, address: int) -> Dict[int, bytes]:
-        """Every share of a block its recorded devices can serve now."""
+    def collect_shares(
+        self, address: int, *, need: Optional[int] = None, scheduler=None
+    ) -> Tuple[Dict[int, bytes], List[int]]:
+        """The one walk over a block's copy positions.
+
+        Visits the recorded placement in position order — or in the
+        preferred order of a :class:`repro.scheduling.base.ReadScheduler`,
+        whose availability mask is first synced from the device states, so
+        a freshly-crashed device stops being chosen on the very next read —
+        fetches each share a serving device holds, and stops early once
+        ``need`` shares are gathered.
+
+        Returns:
+            ``(shares, skipped)``: payloads by position, and the positions
+            visited whose device cannot serve (offline or failed).
+        """
+        placement = self._map.lookup(address)
+        devices: List[Optional[StorageDevice]] = []
+        for device_id in placement:
+            try:
+                devices.append(self.device(device_id))
+            except DeviceNotFoundError:  # device left the configuration
+                devices.append(None)
+        positions: Sequence[int] = range(len(placement))
+        if scheduler is not None:
+            for device_id, device in zip(placement, devices):
+                if device is not None and device.is_active:
+                    scheduler.mark_online(device_id)
+                else:
+                    scheduler.mark_offline(device_id)
+            try:
+                positions = scheduler.order(address, placement)
+            except DeviceUnavailableError:
+                pass  # nothing schedulable: the plain walk reports skipped
         shares: Dict[int, bytes] = {}
-        for position, device_id in enumerate(self._map.lookup(address)):
-            device = self._devices.get(device_id)
-            if device is None or not device.is_active:
+        skipped: List[int] = []
+        for position in positions:
+            if need is not None and len(shares) >= need:
+                break
+            device = devices[position]
+            if device is None:
                 continue
-            if device.holds((address, position)):
+            if not device.is_active:
+                skipped.append(position)
+            elif device.holds((address, position)):
                 shares[position] = device.fetch((address, position))
-        return shares
+        return shares, skipped
 
     def rebuild_share(self, shares: Dict[int, bytes], position: int) -> bytes:
         """Reconstruct one share of a block from its surviving shares.
@@ -507,8 +595,30 @@ class Cluster:
             obs.metrics().counter("cluster.devices_failed").add(1)
             sink.emit("device.failed", device=device_id)
 
+    def sync_device(self, device_id: str) -> List["tuple"]:
+        """A device is back: bring its contents in line with the map.
+
+        Discards every share it holds that the map no longer names, or
+        whose latest store it missed while it could not serve, and returns
+        the mapped shares it lacks — the work list of a repair.  Nothing
+        to do (and nothing returned) while the device still cannot serve.
+
+        Raises:
+            DeviceNotFoundError: for unknown ids.
+        """
+        device = self.device(device_id)
+        if not device.is_active:
+            return []
+        mapped = self._map.shares_on(device_id)
+        current = set(mapped) - self._missed.pop(device_id, set())
+        for key in device.share_keys():
+            if key not in current:
+                device.discard(key)
+        return [key for key in mapped if not device.holds(key)]
+
     def repair_device(self, device_id: str) -> int:
-        """Replace a failed device and rebuild its shares from redundancy.
+        """Replace a failed device — or take back an offline one, contents
+        intact — and rebuild the shares it lacks from redundancy.
 
         Returns:
             Number of shares reconstructed.
@@ -518,10 +628,13 @@ class Cluster:
             DecodingError: if some block lost too many shares to rebuild.
         """
         device = self.device(device_id)
-        device.replace()
+        if device.state is DeviceState.OFFLINE:
+            device.mark_online()
+        else:
+            device.replace()
         rebuilt = 0
-        for address, position in self._map.shares_on(device_id):
-            shares = self._collect_shares(address)
+        for address, position in self.sync_device(device_id):
+            shares, _ = self.collect_shares(address)
             device.store(
                 (address, position), self.rebuild_share(shares, position)
             )
@@ -542,9 +655,9 @@ class Cluster:
     def verify(self) -> None:
         """Check the cluster's structural invariants.
 
-        * every mapped share exists on its active device;
+        * every mapped share exists on its device, if that device serves;
         * the redundancy property holds (k distinct devices per block);
-        * no active device stores shares the map does not know about.
+        * no serving device stores shares the map does not know about.
 
         Raises:
             AssertionError: on any violation — this is a test/debug API.

@@ -8,7 +8,8 @@ model where a bin stores up to ``b_i`` ball copies.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..exceptions import BlockNotFoundError, CapacityExceededError
 
@@ -17,10 +18,34 @@ ShareKey = Tuple[int, int]
 
 
 class DeviceState(enum.Enum):
-    """Operational state of a device."""
+    """Availability of a device — the one model every layer reads.
+
+    ACTIVE and FLAKY serve I/O (:attr:`StorageDevice.is_active`); OFFLINE
+    is a transient outage (contents intact, unreachable); FAILED is a
+    crash (contents lost), left only by :meth:`StorageDevice.replace`.
+    """
 
     ACTIVE = "active"
+    FLAKY = "flaky"
+    OFFLINE = "offline"
     FAILED = "failed"
+
+
+@dataclass(frozen=True)
+class FlakyProfile:
+    """Error behaviour of a device in the FLAKY state.
+
+    Attributes:
+        error_rate: Probability in [0, 1) that one operation against the
+            device fails and must be retried.
+        latency: Extra time units each operation costs.
+    """
+
+    error_rate: float
+    latency: float = 0.0
+
+
+_SERVING = (DeviceState.ACTIVE, DeviceState.FLAKY)
 
 
 class StorageDevice:
@@ -39,6 +64,7 @@ class StorageDevice:
         self._capacity = capacity
         self._shares: Dict[ShareKey, bytes] = {}
         self._state = DeviceState.ACTIVE
+        self._profile: Optional[FlakyProfile] = None
 
     @property
     def device_id(self) -> str:
@@ -62,20 +88,25 @@ class StorageDevice:
 
     @property
     def state(self) -> DeviceState:
-        """ACTIVE or FAILED."""
+        """The device's availability."""
         return self._state
 
     @property
     def is_active(self) -> bool:
-        """Convenience state check."""
-        return self._state is DeviceState.ACTIVE
+        """True when the device serves I/O (ACTIVE, or FLAKY)."""
+        return self._state in _SERVING
+
+    @property
+    def profile(self) -> Optional[FlakyProfile]:
+        """The flaky profile, or None unless the device is FLAKY."""
+        return self._profile
 
     def store(self, key: ShareKey, payload: bytes) -> None:
         """Store (or overwrite) a share.
 
         Raises:
             CapacityExceededError: if the device is full.
-            IOError: if the device has failed.
+            IOError: if the device does not serve I/O.
         """
         self._check_active("store")
         if key not in self._shares and self.used >= self._capacity:
@@ -90,7 +121,7 @@ class StorageDevice:
 
         Raises:
             BlockNotFoundError: if the share is not stored here.
-            IOError: if the device has failed.
+            IOError: if the device does not serve I/O.
         """
         self._check_active("fetch")
         try:
@@ -113,20 +144,44 @@ class StorageDevice:
         """Iterate the stored share keys (snapshot)."""
         return iter(list(self._shares))
 
+    def mark_offline(self) -> None:
+        """Open an outage: contents intact, no I/O until marked online."""
+        self._transition(DeviceState.OFFLINE)
+
+    def mark_flaky(self, profile: FlakyProfile) -> None:
+        """Keep serving, but with an error/latency ``profile``."""
+        self._transition(DeviceState.FLAKY, profile)
+
+    def mark_online(self) -> None:
+        """Close an outage or flaky window."""
+        self._transition(DeviceState.ACTIVE)
+
+    def _transition(
+        self, state: DeviceState, profile: Optional[FlakyProfile] = None
+    ) -> None:
+        # A window opening or closing on a crashed device changes nothing:
+        # only replace() leaves FAILED.
+        if self._state is not DeviceState.FAILED:
+            self._state = state
+            self._profile = profile
+
     def fail(self) -> None:
         """Crash the device: contents become inaccessible and are lost."""
         self._state = DeviceState.FAILED
+        self._profile = None
         self._shares.clear()
 
     def replace(self) -> None:
         """Swap in a fresh, empty device under the same name."""
         self._shares.clear()
         self._state = DeviceState.ACTIVE
+        self._profile = None
 
     def _check_active(self, operation: str) -> None:
-        if self._state is not DeviceState.ACTIVE:
+        if not self.is_active:
             raise IOError(
-                f"cannot {operation} on failed device {self._device_id!r}"
+                f"cannot {operation} on {self._state.value} device "
+                f"{self._device_id!r}"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..exceptions import DecodingError, DeviceNotFoundError
+from ..exceptions import DecodingError
 from ..hashing.primitives import stable_u64
 from .cluster import Cluster
 
@@ -137,30 +137,10 @@ class Scrubber:
                 if not repair:
                     continue
                 address, position = key
-                placement = cluster.placement_of(address)
-                # Rebuild only from *verified* survivors: a block may have
-                # several rotten shares, and decoding from an unverified
-                # sibling would launder the corruption into the repair.
-                survivors: Dict[int, bytes] = {}
-                for other_position, other_id in enumerate(placement):
-                    if other_position == position:
-                        continue
-                    other = cluster.device(other_id)
-                    other_key = (address, other_position)
-                    if not (other.is_active and other.holds(other_key)):
-                        continue
-                    candidate = other.fetch(other_key)
-                    try:
-                        trusted = (
-                            share_digest(candidate)
-                            == self._index.expected(other_key)
-                        )
-                    except KeyError:
-                        trusted = True  # written after capture: no record
-                    if trusted:
-                        survivors[other_position] = candidate
                 try:
-                    rebuilt = cluster.rebuild_share(survivors, position)
+                    rebuilt = cluster.rebuild_share(
+                        self.survivors(address, position), position
+                    )
                 except DecodingError:
                     report.unrepairable += 1
                     continue
@@ -168,3 +148,25 @@ class Scrubber:
                 self._index.update(key, rebuilt)
                 report.repaired += 1
         return report
+
+    def survivors(self, address: int, position: int) -> Dict[int, bytes]:
+        """The block's other readable shares that pass their digest.
+
+        Rebuild only from *verified* survivors: a block may have several
+        rotten shares, and decoding from an unverified sibling would
+        launder the corruption into the repair.
+        """
+        survivors: Dict[int, bytes] = {}
+        shares, _ = self._cluster.collect_shares(address)
+        for other, candidate in shares.items():
+            if other == position:
+                continue
+            try:
+                trusted = share_digest(candidate) == self._index.expected(
+                    (address, other)
+                )
+            except KeyError:
+                trusted = True  # written after capture: no record
+            if trusted:
+                survivors[other] = candidate
+        return survivors

@@ -6,7 +6,7 @@ the canonical registry factory and the columnar ``place_many`` engine, N
 **blockstore** shards holding checksummed block payloads, and a
 **client** that writes ``k`` copies and falls back across copy positions
 on read failure — the wire twin of
-:func:`repro.chaos.recovery.degraded_read`.
+:meth:`repro.cluster.Cluster.read`.
 
 Everything speaks the length-prefixed protocol in
 :mod:`~repro.service.protocol` — JSON frames, and a columnar frame that

@@ -4,8 +4,8 @@
 bootstraps from the metastore's ``config`` (replication degree plus the
 device-id → blockstore-endpoint map), asks ``where_is``/``where_are``
 for placements, and moves payloads with the same degradation semantics
-as the in-process recovery layer
-(:func:`repro.chaos.recovery.degraded_read`):
+as the in-process cluster (:meth:`repro.cluster.Cluster.read` /
+:meth:`~repro.cluster.Cluster.write`):
 
 * **Write** — put the payload to all ``k`` copy positions.  Unreachable
   blockstores are *skipped, not fatal*: the write succeeds while at
@@ -80,8 +80,9 @@ class WriteReceipt:
 class ServiceReadResult:
     """What a (possibly degraded) service read saw.
 
-    Mirrors :class:`repro.chaos.recovery.DegradedReadResult`: ``payload``
-    plus which copy positions had to be skipped before one served.
+    The wire twin of :meth:`repro.cluster.Cluster.collect_shares`'s
+    answer: ``payload`` plus which copy positions had to be skipped
+    before one served.
     """
 
     payload: bytes
@@ -262,7 +263,7 @@ class ServiceClient:
         Falls back to the next copy position when a blockstore is
         unreachable, no longer holds the share, or serves bytes that fail
         checksum verification — the wire twin of
-        :func:`repro.chaos.recovery.degraded_read`.
+        :meth:`repro.cluster.Cluster.read`.
 
         Raises:
             ServiceUnavailableError: every copy position failed.

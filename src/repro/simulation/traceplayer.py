@@ -18,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from ..exceptions import (
-    BlockNotFoundError,
-    ConfigurationError,
-    DeviceUnavailableError,
-)
+from ..exceptions import BlockNotFoundError, ConfigurationError
 from ..scheduling import registry as sched_registry
 from ..scheduling.cache import LruCacheModel
 from ..workloads.traces import Op, Request
@@ -73,6 +69,8 @@ class PlaybackReport:
         requests: Client requests replayed.
         reads: Read requests.
         writes: Write requests.
+        unserved_reads: Reads no device could serve (every copy's device
+            down); charged to nobody.
         device_loads: Per-device accounting.
         duration: Arrival span of the trace (arrival rate is 1 request per
             time unit by construction).
@@ -81,6 +79,7 @@ class PlaybackReport:
     requests: int = 0
     reads: int = 0
     writes: int = 0
+    unserved_reads: int = 0
     device_loads: Dict[str, DeviceLoad] = field(default_factory=dict)
     duration: float = 0.0
 
@@ -157,21 +156,6 @@ class TracePlayer:
         """The live read scheduler (per-device load counters and all)."""
         return self._scheduler
 
-    def _pick_read_copy(self, address: int, placement) -> int:
-        scheduler = self._scheduler
-        cluster = self._cluster
-        for device_id in placement:
-            if cluster.device(device_id).is_active:
-                scheduler.mark_online(device_id)
-            else:
-                scheduler.mark_offline(device_id)
-        try:
-            return scheduler.choose(address, placement)
-        except DeviceUnavailableError:
-            # Every copy is down; keep the old behaviour of charging the
-            # primary copy rather than failing the replay.
-            return 0
-
     def play(self, trace: Iterable[Request], payload_size: int = 64) -> PlaybackReport:
         """Replay a trace; unknown blocks are auto-written on first read."""
         report = PlaybackReport()
@@ -188,11 +172,12 @@ class TracePlayer:
             if request.op is Op.WRITE:
                 report.writes += 1
                 cluster.write(address, request.payload(payload_size))
-                placement = cluster.placement_of(address)
-                for device_id in placement:
-                    loads.setdefault(device_id, DeviceLoad()).serve(
-                        arrival, self._service, payload_size
-                    )
+                for device_id in cluster.placement_of(address):
+                    # The devices the write stored on: same test as write's.
+                    if cluster.device(device_id).is_active:
+                        loads.setdefault(device_id, DeviceLoad()).serve(
+                            arrival, self._service, payload_size
+                        )
             else:
                 report.reads += 1
                 try:
@@ -200,16 +185,16 @@ class TracePlayer:
                 except BlockNotFoundError:
                     cluster.write(address, request.payload(payload_size))
                     placement = cluster.placement_of(address)
-                copy = self._pick_read_copy(address, placement)
-                device_id = placement[copy]
-                device = cluster.device(device_id)
-                if not device.is_active:
-                    # Fail over to the first live copy.
-                    for candidate in placement:
-                        if cluster.device(candidate).is_active:
-                            device_id = candidate
-                            break
-                loads.setdefault(device_id, DeviceLoad()).serve(
+                # One share operation per read: the scheduler's preferred
+                # copy, or the next position a serving device holds.
+                shares, _ = cluster.collect_shares(
+                    address, need=1, scheduler=self._scheduler
+                )
+                if not shares:
+                    report.unserved_reads += 1
+                    continue
+                (copy,) = shares
+                loads.setdefault(placement[copy], DeviceLoad()).serve(
                     arrival, self._service, payload_size
                 )
         report.duration = arrival

@@ -12,7 +12,7 @@ from repro.chaos import (
     generate_schedule,
     run_chaos,
 )
-from repro.cluster import Cluster
+from repro.cluster import Cluster, DeviceState
 from repro.core import RedundantShare
 from repro.exceptions import DeviceNotFoundError, InfeasibleRedundancyError
 from repro.types import bins_from_capacities
@@ -193,6 +193,94 @@ class TestTransientFaults:
         assert report.abandoned, "0.95 error rate with 2 attempts must abandon"
         for error in report.abandoned:
             assert error.attempts == 2
+
+
+class TestOverlappingWindows:
+    """One state per device: windows on a crashed device change nothing."""
+
+    @staticmethod
+    def assert_healed(cluster, report, device_id="dev-0"):
+        assert not report.data_loss and not report.abandoned
+        assert cluster.device(device_id).state is DeviceState.ACTIVE
+        assert len(cluster.shares_on(device_id)) == cluster.device(device_id).used
+        cluster.verify()
+        for address in cluster.addresses():
+            assert len(cluster.collect_shares(address)[0]) == 3
+
+    def test_outage_window_inside_a_crash(self):
+        # FaultSchedule refuses a fault after the device's crash, so the
+        # outage is injected by hand on the controller's clock.
+        cluster = make_cluster()
+        controller = ChaosController(
+            cluster,
+            FaultSchedule(
+                [FaultEvent(time=1.0, kind=FaultKind.CRASH, device_id="dev-0")]
+            ),
+            ChaosOptions(seed=0, replacement_delay=6.0),
+        )
+        outage = FaultEvent(
+            time=2.0, kind=FaultKind.OUTAGE, device_id="dev-0", duration=1.0
+        )
+        states = []
+        controller._open_windows += 1
+        controller._sim.schedule_at(2.0, lambda: controller._inject(outage))
+        for time in (2.5, 3.5):
+            controller._sim.schedule_at(
+                time, lambda: states.append(cluster.device("dev-0").state)
+            )
+        report = controller.run()
+        assert states == [DeviceState.FAILED, DeviceState.FAILED]
+        self.assert_healed(cluster, report)
+
+    def test_crash_inside_an_outage_window(self):
+        cluster = make_cluster()
+        schedule = FaultSchedule(
+            [
+                FaultEvent(
+                    time=1.0, kind=FaultKind.OUTAGE,
+                    device_id="dev-0", duration=5.0,
+                ),
+                FaultEvent(time=2.0, kind=FaultKind.CRASH, device_id="dev-0"),
+            ]
+        )
+        report = run_chaos(cluster, schedule, ChaosOptions(seed=0))
+        assert report.completed == len(cluster.shares_on("dev-0"))
+        self.assert_healed(cluster, report)
+
+    def test_write_inside_an_outage_skips_the_offline_device(self):
+        cluster = make_cluster()
+        schedule = FaultSchedule(
+            [
+                FaultEvent(
+                    time=1.0, kind=FaultKind.OUTAGE,
+                    device_id="dev-0", duration=4.0,
+                )
+            ]
+        )
+        controller = ChaosController(cluster, schedule, ChaosOptions(seed=0))
+        fresh = next(
+            a for a in range(1000, 2000) if "dev-0" in cluster.strategy.place(a)
+        )
+        stale = cluster.shares_on("dev-0")[0][0]
+        gone = cluster.shares_on("dev-0")[1][0]
+        seen = {}
+
+        def mutate():
+            cluster.write(fresh, b"fresh")
+            cluster.write(stale, b"rewritten")
+            cluster.delete(gone)
+            seen["fresh"] = cluster.collect_shares(fresh)
+            cluster.verify()
+
+        controller._sim.schedule_at(2.0, mutate)
+        report = controller.run()
+        shares, skipped = seen["fresh"]
+        assert len(shares) == 2 and len(skipped) == 1
+        assert report.completed == 2  # the new share and the rewritten one
+        self.assert_healed(cluster, report)
+        assert cluster.read(fresh) == b"fresh"
+        assert cluster.read(stale) == b"rewritten"
+        assert gone not in cluster.addresses()
 
 
 class TestShrink:

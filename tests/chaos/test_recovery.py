@@ -1,19 +1,11 @@
-"""Tests for the recovery pipeline: queue order, backoff, degraded reads."""
+"""Tests for the recovery pipeline: queue order, backoff, and degraded
+reads through the cluster's one share walk."""
 
 import pytest
 
-from repro.chaos import (
-    HealthLedger,
-    RepairPolicy,
-    RepairQueue,
-    RepairTask,
-    degraded_read,
-    gather_shares,
-    rebuild_share,
-)
+from repro.chaos import RepairPolicy, RepairQueue, RepairTask
 from repro.cluster import Cluster
 from repro.core import RedundantShare
-from repro.erasure import ReedSolomonCode
 from repro.exceptions import (
     ConfigurationError,
     DeviceNotFoundError,
@@ -104,36 +96,30 @@ def make_cluster(copies=3, capacities=(900, 800, 700, 600, 500)):
 class TestDegradedRead:
     def test_reads_normally_when_everything_is_up(self):
         cluster = make_cluster()
-        result = degraded_read(cluster, 5, HealthLedger())
-        assert result.payload == b"payload-5"
-        assert result.positions_skipped == []
+        assert cluster.read(5) == b"payload-5"
+        assert cluster.collect_shares(5)[1] == []
 
     def test_falls_back_across_positions(self):
         cluster = make_cluster()
-        ledger = HealthLedger()
-        placement = cluster.placement_of(5)
-        ledger.mark_offline(placement[0])
-        result = degraded_read(cluster, 5, ledger)
-        assert result.payload == b"payload-5"
-        assert 0 in result.positions_skipped
+        cluster.device(cluster.placement_of(5)[0]).mark_offline()
+        assert cluster.read(5) == b"payload-5"
+        shares, skipped = cluster.collect_shares(5, need=1)
+        assert list(shares) == [1] and skipped == [0]
 
     def test_raises_unavailable_when_every_copy_is_down(self):
         cluster = make_cluster()
-        ledger = HealthLedger()
         for device_id in cluster.placement_of(5):
-            ledger.mark_offline(device_id)
+            cluster.device(device_id).mark_offline()
         with pytest.raises(DeviceUnavailableError, match="reachable"):
-            degraded_read(cluster, 5, ledger)
+            cluster.read(5)
 
     def test_recovers_once_devices_return(self):
         cluster = make_cluster()
-        ledger = HealthLedger()
         placement = cluster.placement_of(5)
         for device_id in placement:
-            ledger.mark_offline(device_id)
-        ledger.mark_online(placement[-1])
-        result = degraded_read(cluster, 5, ledger)
-        assert result.payload == b"payload-5"
+            cluster.device(device_id).mark_offline()
+        cluster.device(placement[-1]).mark_online()
+        assert cluster.read(5) == b"payload-5"
 
 
 class TestGatherShares:
@@ -143,60 +129,32 @@ class TestGatherShares:
         cluster = make_cluster()
         gone = cluster.placement_of(5)[0]
         break_device(cluster, gone, DeviceNotFoundError(gone))
-        shares, _ = gather_shares(cluster, 5, HealthLedger())
-        assert sorted(shares) == [1, 2]
+        shares, skipped = cluster.collect_shares(5)
+        assert sorted(shares) == [1, 2] and skipped == []
 
     def test_other_device_errors_propagate(self, break_device):
         cluster = make_cluster()
         broken = cluster.placement_of(5)[0]
         break_device(cluster, broken, RuntimeError("boom"))
         with pytest.raises(RuntimeError, match="boom"):
-            gather_shares(cluster, 5, HealthLedger())
-
-
-    def test_one_placement_scan_per_read_whatever_the_need(self, monkeypatch):
-        cluster = Cluster(
-            bins_from_capacities([900, 800, 700, 600, 500, 400, 300, 200]),
-            lambda bins: RedundantShare(bins, copies=6),
-            code=ReedSolomonCode(4, 2),
-        )
-        payload = bytes(range(64))
-        cluster.write(11, payload)
-        placement = cluster.placement_of(11)
-        ledger = HealthLedger()
-        for device_id in (placement[0], placement[2]):
-            ledger.mark_offline(device_id)
-        calls = []
-        place = cluster.strategy.place
-        monkeypatch.setattr(
-            cluster.strategy, "place",
-            lambda address: calls.append(address) or place(address),
-        )
-        encoded = cluster.code.encode(payload)
-        for need in (2, 4, None):
-            calls.clear()
-            shares, skipped = gather_shares(cluster, 11, ledger, need=need)
-            assert calls == [11]
-            assert shares == {p: encoded[p] for p in [1, 3, 4, 5][:need]}
-            assert skipped == [0, 2]
+            cluster.collect_shares(5)
 
 
 class TestRebuildShare:
     def test_rebuilds_a_lost_share_from_survivors(self):
         cluster = make_cluster()
-        placement = cluster.placement_of(3)
-        victim = placement[1]
+        victim = cluster.placement_of(3)[1]
         cluster.device(victim).discard((3, 1))
-        payload = rebuild_share(
-            cluster, task(3, position=1, device=victim), HealthLedger()
-        )
-        assert payload == cluster.code.encode(b"payload-3")[1]
+        shares, _ = cluster.collect_shares(3)
+        assert sorted(shares) == [0, 2]
+        assert cluster.rebuild_share(shares, 1) == cluster.code.encode(
+            b"payload-3"
+        )[1]
 
     def test_raises_when_survivors_are_unreachable(self):
         cluster = make_cluster()
-        ledger = HealthLedger()
-        placement = cluster.placement_of(3)
-        for device_id in placement:
-            ledger.mark_offline(device_id)
-        with pytest.raises(DeviceUnavailableError, match="survivors"):
-            rebuild_share(cluster, task(3, position=1, device=placement[1]), ledger)
+        for device_id in cluster.placement_of(3):
+            cluster.device(device_id).mark_offline()
+        assert cluster.collect_shares(3) == ({}, [0, 1, 2])
+        with pytest.raises(DeviceUnavailableError, match="offline"):
+            cluster.read(3)

@@ -1,16 +1,32 @@
 """Integration-grade tests for the Cluster (write/read, reconfig, failure)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.chaos import ChaosOptions, generate_schedule, run_chaos
-from repro.cluster import Cluster
+from repro.chaos import (
+    ChaosController,
+    ChaosOptions,
+    FaultSchedule,
+    generate_schedule,
+    run_chaos,
+)
+from repro.cluster import (
+    ChecksumIndex,
+    Cluster,
+    DeviceState,
+    FlakyProfile,
+    Scrubber,
+)
 from repro.core import RedundantShare
 from repro.erasure import MirrorCode, ReedSolomonCode
 from repro.exceptions import (
     BlockNotFoundError,
+    CapacityExceededError,
     ConfigurationError,
     DecodingError,
     DeviceNotFoundError,
+    DeviceUnavailableError,
 )
 from repro.types import BinSpec, bins_from_capacities
 
@@ -228,3 +244,171 @@ class TestWithReedSolomon:
         cluster.verify()
         for address in range(60):
             assert cluster.read(address) == bytes([address % 251]) * 48
+
+
+class TestWriteIsAllOrNothing:
+    """A write that cannot fit raises before anything is dropped or stored."""
+
+    def test_full_target_leaves_no_orphan_share(self):
+        cluster = Cluster(
+            bins_from_capacities([3, 3, 3]),
+            lambda bins: RedundantShare(bins, copies=2),
+        )
+        written = []
+        with pytest.raises(CapacityExceededError, match="not written"):
+            for address in range(10):
+                cluster.write(address, b"x")
+                written.append(address)
+        assert written  # some blocks fitted before a device filled up
+        assert cluster.addresses() == written
+        cluster.verify()
+
+    def test_refused_overwrite_keeps_the_old_block(self):
+        tiny = BinSpec("tiny", 1)
+        twin = make_cluster((30, 30, 30))
+        twin.add_device(tiny, rebalance=False)
+        first, second = [
+            address
+            for address in range(5000)
+            if "tiny" in twin.strategy.place(address)
+        ][:2]
+        cluster = make_cluster((30, 30, 30))
+        cluster.write(first, b"first")
+        cluster.write(second, b"second")
+        cluster.add_device(tiny, rebalance=False)
+        cluster.migrate_block(first)  # fills tiny
+        before = cluster.placement_of(second)
+        with pytest.raises(CapacityExceededError):
+            cluster.write(second, b"new")
+        assert cluster.placement_of(second) == before
+        assert cluster.read(second) == b"second"
+        cluster.verify()
+        # The block already on tiny frees its own slot: that rewrite fits.
+        cluster.write(first, b"new")
+        assert cluster.read(first) == b"new"
+        cluster.verify()
+
+
+STATES = st.sampled_from(list(DeviceState))
+CODES = {"mirror": (MirrorCode(3), 3), "rs": (ReedSolomonCode(4, 2), 6)}
+
+
+class TestAvailabilityModel:
+    """One state per device, one walk: every consumer agrees with it."""
+
+    def test_what_an_offline_device_missed_is_reconciled_when_it_is_back(self):
+        cluster = make_cluster()
+        fill(cluster, 40)
+        victim = "bin-1"
+        rewritten, deleted = [a for a, _ in cluster.shares_on(victim)[:2]]
+        cluster.device(victim).mark_offline()
+        with pytest.raises(IOError, match="offline"):
+            cluster.device(victim).fetch((rewritten, 0))
+        cluster.write(rewritten, b"rewritten")
+        cluster.delete(deleted)
+        cluster.add_device(BinSpec("bin-new", 1500))  # moves shares off it
+        cluster.verify()
+        kept = cluster.device(victim).used
+        rebuilt = cluster.repair_device(victim)
+        assert cluster.device(victim).state is DeviceState.ACTIVE
+        assert 0 < rebuilt < kept  # contents kept: only the missed stores
+        cluster.verify()
+        assert cluster.sync_device(victim) == []
+        for other in cluster.device_ids():
+            if other != victim:
+                cluster.device(other).mark_offline()
+        for address, _ in cluster.shares_on(victim):
+            expected = (
+                b"rewritten"
+                if address == rewritten
+                else f"payload-{address}".encode()
+            )
+            assert cluster.read(address) == expected
+
+    def test_windows_on_a_crashed_device_change_nothing(self):
+        cluster = make_cluster()
+        device = cluster.device("bin-0")
+        cluster.fail_device("bin-0")
+        for transition in (
+            device.mark_offline,
+            device.mark_online,
+            lambda: device.mark_flaky(FlakyProfile(0.5, 1.0)),
+        ):
+            transition()
+            assert device.state is DeviceState.FAILED
+            assert device.profile is None and not device.is_active
+        assert cluster.sync_device("bin-0") == []
+        device.replace()
+        device.mark_flaky(FlakyProfile(0.5, 1.0))
+        assert device.is_active and device.profile.latency == 1.0
+        device.mark_online()
+        assert device.state is DeviceState.ACTIVE and device.profile is None
+
+    @pytest.mark.parametrize("code_name", sorted(CODES))
+    @given(states=st.lists(STATES, min_size=8, max_size=8), dropped=st.sets(
+        st.integers(min_value=0, max_value=5), max_size=2
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_read_follows_the_device_states(self, code_name, states, dropped):
+        code, copies = CODES[code_name]
+        cluster = Cluster(
+            bins_from_capacities([900, 800, 700, 600, 500, 400, 300, 200]),
+            lambda bins: RedundantShare(bins, copies=copies),
+            code=code,
+        )
+        payload = bytes(range(64))
+        cluster.write(11, payload)
+        index = ChecksumIndex()
+        index.capture(cluster)
+        placement = cluster.placement_of(11)
+        encoded = code.encode(payload)
+        # Shares silently missing on a device that is up: data that is gone.
+        for position in dropped:
+            if position < copies:
+                cluster.device(placement[position]).discard((11, position))
+        for device_id, state in zip(cluster.device_ids(), states):
+            device = cluster.device(device_id)
+            if state is DeviceState.FAILED:
+                device.fail()
+            elif state is DeviceState.OFFLINE:
+                device.mark_offline()
+            elif state is DeviceState.FLAKY:
+                device.mark_flaky(FlakyProfile(0.5))
+            assert device.state is state
+            assert device.is_active == (
+                state in (DeviceState.ACTIVE, DeviceState.FLAKY)
+            )
+
+        devices = [cluster.device(device_id) for device_id in placement]
+        held = [
+            position
+            for position, device in enumerate(devices)
+            if device.is_active and position not in dropped
+        ]
+        down = [p for p, device in enumerate(devices) if not device.is_active]
+        shares, skipped = cluster.collect_shares(11)
+        assert shares == {position: encoded[position] for position in held}
+        assert skipped == down
+        for need in (2, code.data_shares):
+            some, some_skipped = cluster.collect_shares(11, need=need)
+            assert some == {p: encoded[p] for p in held[:need]}
+            assert some_skipped == [
+                p for p in down if len(held) < need or p < held[need - 1]
+            ]
+
+        if len(held) >= code.data_shares:
+            assert cluster.read(11) == payload
+        elif any(devices[p].state is DeviceState.OFFLINE for p in down):
+            with pytest.raises(DeviceUnavailableError):
+                cluster.read(11)
+        else:
+            with pytest.raises(DecodingError):
+                cluster.read(11)
+
+        controller = ChaosController(cluster, FaultSchedule([]))
+        assert controller._readable_shares(11) == len(held)
+        assert controller._blocks_at_risk() == (len(held) < copies)
+        scrubber = Scrubber(cluster, index)
+        assert scrubber.survivors(11, 0) == {
+            position: encoded[position] for position in held if position != 0
+        }

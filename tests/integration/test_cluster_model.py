@@ -1,7 +1,8 @@
 """Stateful model testing: the cluster against a plain-dict oracle.
 
 Hypothesis drives random operation sequences — writes, overwrites,
-deletes, device adds/removes, failures and repairs — against a mirrored
+deletes, device adds/removes, failures and repairs, outages and restores
+— against a mirrored
 cluster and a trivial in-memory model.  After every step the cluster must
 agree with the model on readable content, and its structural invariants
 must hold.  This is the kind of interleaving coverage unit tests miss.
@@ -37,6 +38,7 @@ class ClusterMachine(RuleBasedStateMachine):
         self.model = {}
         self.device_serial = 0
         self.failed = set()
+        self.offline = set()
 
     # ------------------------------------------------------------------
     # Data-path rules
@@ -46,6 +48,12 @@ class ClusterMachine(RuleBasedStateMachine):
     def write(self, address, payload):
         self.cluster.write(address, payload)
         self.model[address] = payload
+
+    @precondition(lambda self: bool(self.model))
+    @rule(pick=st.integers(min_value=0, max_value=10**6), payload=PAYLOADS)
+    def overwrite(self, pick, payload):
+        # A block that exists: what a device misses during an outage.
+        self.write(sorted(self.model)[pick % len(self.model)], payload)
 
     @rule(address=ADDRESSES)
     def delete(self, address):
@@ -72,7 +80,9 @@ class ClusterMachine(RuleBasedStateMachine):
         )
 
     @precondition(
-        lambda self: len(self.cluster.device_ids()) - len(self.failed) > 3
+        lambda self: len(self.cluster.device_ids())
+        - len(self.failed | self.offline)
+        > 3
     )
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def remove_device(self, pick):
@@ -81,19 +91,38 @@ class ClusterMachine(RuleBasedStateMachine):
         candidates = [
             device_id
             for device_id in self.cluster.device_ids()
-            if device_id not in self.failed
+            if device_id not in self.failed | self.offline
         ]
         victim = candidates[pick % len(candidates)]
         self.cluster.remove_device(victim)
 
-    @precondition(lambda self: not self.failed)
+    @precondition(lambda self: not self.failed | self.offline)
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def fail_one_device(self, pick):
-        # Keep at most one concurrent failure: k=2 tolerates exactly one.
+        # Keep at most one device not serving: k=2 tolerates exactly one.
         candidates = self.cluster.device_ids()
         victim = candidates[pick % len(candidates)]
         self.cluster.fail_device(victim)
         self.failed.add(victim)
+
+    @precondition(lambda self: not self.failed | self.offline)
+    @rule(pick=st.integers(min_value=0, max_value=10**6))
+    def outage(self, pick):
+        candidates = self.cluster.device_ids()
+        victim = candidates[pick % len(candidates)]
+        self.cluster.device(victim).mark_offline()
+        self.offline.add(victim)
+
+    @precondition(lambda self: bool(self.offline))
+    @rule()
+    def restore(self):
+        # The outage ends: contents are intact, and whatever the device
+        # missed meanwhile (writes, moves, deletes) is reconciled.
+        victim = self.offline.pop()
+        kept = self.cluster.device(victim).used
+        rebuilt = self.cluster.repair_device(victim)
+        assert rebuilt <= len(self.cluster.shares_on(victim))
+        assert self.cluster.device(victim).used <= kept + rebuilt
 
     @precondition(lambda self: bool(self.failed))
     @rule()
@@ -117,8 +146,8 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @invariant()
     def redundancy_and_map_consistency(self):
-        # verify() only checks share presence on *active* devices, so it
-        # holds even while one device is failed.
+        # verify() only checks share presence on *serving* devices, so it
+        # holds even while one device is failed or offline.
         self.cluster.verify()
 
 

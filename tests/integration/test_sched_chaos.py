@@ -1,18 +1,17 @@
 """Integration: read scheduling under mid-workload device failure.
 
 A ``k = 3`` cluster serves a seeded Zipf read workload through
-``degraded_read`` with a load-aware scheduler.  Mid-stream, chaos kills
-one device (ledger *and* cluster state).  The contract:
+``Cluster.read(..., scheduler=)`` with a load-aware scheduler.  Mid-stream,
+chaos kills one device.  The contract:
 
 * zero failed reads — every request decodes the right payload before,
   during and after the failure;
 * the scheduler's choices silently shift to the survivors: the victim's
   request counter freezes at the kill point;
-* once the device is repaired and marked healthy, it rejoins the
-  candidate pool and starts serving again.
+* once the device is repaired, it rejoins the candidate pool and starts
+  serving again.
 """
 
-from repro.chaos import HealthLedger, degraded_read
 from repro.cluster import Cluster
 from repro.core import RedundantShare
 from repro.scheduling import create
@@ -37,7 +36,6 @@ def make_cluster():
 
 def test_choices_shift_to_survivors_with_zero_failed_reads():
     cluster = make_cluster()
-    ledger = HealthLedger()
     device_ids = [spec.bin_id for spec in cluster.strategy.bins]
     scheduler = create("least-loaded", device_ids, seed=9)
     addresses = list(ZipfGenerator(BLOCKS, alpha=1.1, seed=13).stream(REQUESTS))
@@ -49,14 +47,12 @@ def test_choices_shift_to_survivors_with_zero_failed_reads():
     for index, address in enumerate(addresses):
         if index == KILL_AT:
             cluster.fail_device(victim)
-            ledger.mark_offline(victim)
             frozen_count = scheduler.count_of(victim)
         if index == REPAIR_AT:
             assert scheduler.count_of(victim) == frozen_count
             cluster.repair_device(victim)
-            ledger.mark_online(victim)
-        result = degraded_read(cluster, address, ledger, scheduler=scheduler)
-        assert result.payload == f"payload-{address}".encode(), index
+        payload = cluster.read(address, scheduler=scheduler)
+        assert payload == f"payload-{address}".encode(), index
 
     # The victim served reads before the kill and after the repair, but
     # not one in between.
@@ -69,7 +65,6 @@ def test_choices_shift_to_survivors_with_zero_failed_reads():
 
 def test_unrepaired_victim_stays_out_of_the_pool():
     cluster = make_cluster()
-    ledger = HealthLedger()
     device_ids = [spec.bin_id for spec in cluster.strategy.bins]
     scheduler = create("power-of-two", device_ids, seed=4)
     addresses = list(ZipfGenerator(BLOCKS, alpha=1.1, seed=5).stream(REQUESTS))
@@ -78,10 +73,9 @@ def test_unrepaired_victim_stays_out_of_the_pool():
     for index, address in enumerate(addresses):
         if index == KILL_AT:
             cluster.fail_device(victim)
-            ledger.mark_offline(victim)
             frozen_count = scheduler.count_of(victim)
-        result = degraded_read(cluster, address, ledger, scheduler=scheduler)
-        assert result.payload == f"payload-{address}".encode(), index
+        payload = cluster.read(address, scheduler=scheduler)
+        assert payload == f"payload-{address}".encode(), index
 
     assert scheduler.count_of(victim) == frozen_count
     assert scheduler.offline == [victim]

@@ -3,8 +3,8 @@
 Everything here runs a real server on localhost inside ``asyncio.run``:
 typed errors must survive the trip through the error envelope (raised
 server-side, re-raised client-side as the same class), and the client's
-fallback order must mirror ``chaos/recovery.degraded_read`` — positions
-tried in placement order, unavailable/missing/corrupt copies skipped.
+fallback order must mirror ``Cluster.read`` — positions tried in
+placement order, unavailable/missing/corrupt copies skipped.
 """
 
 import asyncio

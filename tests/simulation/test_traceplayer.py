@@ -104,6 +104,27 @@ class TestPlayback:
         report = player.play([Request(Op.READ, 5)])
         assert report.device_loads[primary].operations <= 2  # only the write
 
+    def test_dead_devices_are_charged_nothing(self):
+        cluster = Cluster(
+            bins_from_capacities([100, 100, 100]),
+            lambda bins: RedundantShare(bins, copies=2),
+        )
+        cluster.fail_device("bin-0")
+        player = TracePlayer(cluster)
+        writes = [Request(Op.WRITE, a, payload_seed=a) for a in range(10)]
+        report = player.play(writes)
+        assert report.device_loads["bin-0"].operations == 0
+        assert sum(
+            load.operations for load in report.device_loads.values()
+        ) == sum("bin-0" != d for a in range(10) for d in cluster.placement_of(a))
+        cluster.fail_device("bin-1")
+        cluster.fail_device("bin-2")
+        report = player.play([Request(Op.READ, a) for a in range(10)])
+        assert report.reads == report.unserved_reads == 10
+        assert all(
+            load.operations == 0 for load in report.device_loads.values()
+        )
+
     def test_utilisation_and_response(self):
         cluster = make_cluster()
         player = TracePlayer(cluster, service_time=0.5)
