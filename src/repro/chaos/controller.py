@@ -26,7 +26,7 @@ the observed failure/repair rates.
 
 Everything — fault times, victim picks, flaky error draws, queue order —
 derives from ``(schedule, seed)`` via stable hashing, so one run is
-exactly reproducible: same event log, same repair order, same final
+exactly reproducible: same trace events, same repair order, same final
 block map.
 """
 
@@ -242,9 +242,6 @@ class ChaosController:
     def _inject(self, event: FaultEvent) -> None:
         kind = event.kind.value
         self._report.faults[kind] = self._report.faults.get(kind, 0) + 1
-        self._cluster.log.record(
-            "chaos-fault", fault=kind, device=event.device_id
-        )
         sink = obs.sink()
         if sink.enabled:
             registry = obs.metrics()
@@ -278,7 +275,11 @@ class ChaosController:
 
     def _window_closes(self, device_id: str) -> None:
         self._open_windows -= 1
-        self._cluster.log.record("chaos-window-closed", device=device_id)
+        sink = obs.sink()
+        if sink.enabled:
+            sink.emit(
+                "chaos.window_closed", device=device_id, time=self._sim.now
+            )
         try:
             self._cluster.device(device_id).mark_online()
             self._device_back(device_id)
@@ -332,9 +333,6 @@ class ChaosController:
             # Empty device: the "repair" is instant.
             self._repair_durations.append(self._sim.now - repair_time)
         self._open_windows -= 1
-        self._cluster.log.record(
-            "chaos-replacement", device=device_id, queued=len(pending)
-        )
         sink = obs.sink()
         if sink.enabled:
             obs.metrics().counter("chaos.replacements").add(1)
@@ -489,13 +487,6 @@ class ChaosController:
         self._crash_pending.get(task.device_id, set()).discard(
             (task.address, task.position)
         )
-        self._cluster.log.record(
-            "chaos-repair-timeout",
-            device=task.device_id,
-            address=task.address,
-            position=task.position,
-            attempts=attempts,
-        )
         sink = obs.sink()
         if sink.enabled:
             obs.metrics().counter("chaos.repair.timeouts").add(1)
@@ -520,12 +511,6 @@ class ChaosController:
                 crash_time = self._crash_times.get(task.device_id)
                 if crash_time is not None:
                     self._repair_durations.append(self._sim.now - crash_time)
-        self._cluster.log.record(
-            "chaos-repair",
-            device=task.device_id,
-            address=task.address,
-            position=task.position,
-        )
         sink = obs.sink()
         if sink.enabled:
             registry = obs.metrics()
@@ -564,9 +549,6 @@ class ChaosController:
             time=self._sim.now, address=address, survivors=survivors
         )
         self._report.loss_events.append(event)
-        self._cluster.log.record(
-            "chaos-loss", address=address, survivors=survivors
-        )
         sink = obs.sink()
         if sink.enabled:
             obs.metrics().counter("chaos.blocks_lost").add(1)

@@ -214,6 +214,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_growth(args: argparse.Namespace) -> int:
     """The Figure 2/4 growth experiment (fill %% per disk per step)."""
+    _at_least_one("--balls", args.balls)
     steps = paper_growth_steps(base=args.base, step=args.step)
     results = run_fairness(
         steps,
@@ -815,6 +816,8 @@ def cmd_client(args: argparse.Namespace) -> int:
 
 def cmd_adaptivity(args: argparse.Namespace) -> int:
     """The Figure 3 add/remove experiment."""
+    _at_least_one("--balls", args.balls)
+    _at_least_one("--disks", args.disks)
     results = run_adaptivity(
         add_remove_cases(count=args.disks, base=args.base, step=args.step),
         lambda bins: RedundantShare(bins, copies=args.copies),

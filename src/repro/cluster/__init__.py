@@ -3,7 +3,6 @@
 from .blockmap import BlockMap
 from .cluster import Cluster, ClusterStats, MigrationReport
 from .device import DeviceState, FlakyProfile, StorageDevice
-from .events import Event, EventLog
 from .rebalancer import RebalanceProgress, Rebalancer
 from .scrub import ChecksumIndex, ScrubReport, Scrubber, corrupt_share
 
@@ -13,8 +12,6 @@ __all__ = [
     "Cluster",
     "ClusterStats",
     "DeviceState",
-    "Event",
-    "EventLog",
     "FlakyProfile",
     "MigrationReport",
     "RebalanceProgress",

@@ -35,7 +35,6 @@ from ..placement.base import ReplicationStrategy
 from ..types import BinSpec
 from .blockmap import BlockMap
 from .device import DeviceState, StorageDevice
-from .events import EventLog
 
 #: Builds a strategy for a device set; partial-apply strategy parameters.
 StrategyFactory = Callable[[Sequence[BinSpec]], ReplicationStrategy]
@@ -122,12 +121,10 @@ class Cluster:
         for spec in devices:
             self._attach(spec)
         self._map = BlockMap()
-        self._log = EventLog()
         self._block_sizes: Dict[int, int] = {}
         # Stores a non-serving device missed: whatever it holds under these
         # keys when it is back is stale (see sync_device).
         self._missed: Dict[str, set] = {}
-        self._log.record("cluster-created", devices=len(self._devices))
         sink = obs.sink()
         if sink.enabled:
             sink.emit("cluster.created", devices=len(self._devices))
@@ -159,11 +156,6 @@ class Cluster:
     def code(self) -> ErasureCode:
         """The erasure code in use."""
         return self._code
-
-    @property
-    def log(self) -> EventLog:
-        """The cluster's event journal."""
-        return self._log
 
     @property
     def block_count(self) -> int:
@@ -359,9 +351,6 @@ class Cluster:
                 total_shares=len(self._map) * self._strategy.copies,
                 used_on_affected=0,
             )
-        self._log.record(
-            "device-added", device=spec.bin_id, moved=report.moved_shares
-        )
         sink = obs.sink()
         if sink.enabled:
             obs.metrics().counter("cluster.devices_added").add(1)
@@ -428,12 +417,6 @@ class Cluster:
         report = self._rebalance("remove", device_id, used_override=used_before)
         removed = self._devices.pop(device_id)
         self._missed.pop(device_id, None)
-        self._log.record(
-            "device-removed",
-            device=device_id,
-            moved=report.moved_shares,
-            leftover=removed.used,
-        )
         sink = obs.sink()
         if sink.enabled:
             obs.metrics().counter("cluster.devices_removed").add(1)
@@ -589,7 +572,6 @@ class Cluster:
             DeviceNotFoundError: for unknown ids.
         """
         self.device(device_id).fail()
-        self._log.record("device-failed", device=device_id)
         sink = obs.sink()
         if sink.enabled:
             obs.metrics().counter("cluster.devices_failed").add(1)
@@ -639,7 +621,6 @@ class Cluster:
                 (address, position), self.rebuild_share(shares, position)
             )
             rebuilt += 1
-        self._log.record("device-repaired", device=device_id, rebuilt=rebuilt)
         sink = obs.sink()
         if sink.enabled:
             registry = obs.metrics()

@@ -28,17 +28,7 @@ from .consistent_hashing import (
     RingWeightedPlacer,
     make_ring_placer,
 )
-from .crush import (
-    Bucket,
-    ChooseleafCrush,
-    CrushStrategy,
-    ListBucket,
-    Straw2Bucket,
-    TreeBucket,
-    UniformBucket,
-    make_bucket,
-    two_level_map,
-)
+from .crush import ChooseleafCrush, CrushStrategy, Straw2Bucket
 from .registry import (
     StrategyEntry,
     create,
@@ -61,18 +51,14 @@ __all__ = [
     "AliasPlacer",
     "AliasWeightedPlacer",
     "BatchPlacement",
-    "Bucket",
     "ChooseleafCrush",
     "ConsistentHashingPlacer",
     "CrushStrategy",
-    "ListBucket",
     "ResidualPerformancePlacement",
     "StrategyEntry",
     "Straw2Bucket",
     "StripingStrategy",
-    "TreeBucket",
     "TrivialReplication",
-    "UniformBucket",
     "WeightedStripingStrategy",
     "RendezvousPlacer",
     "ReplicationStrategy",
@@ -87,7 +73,6 @@ __all__ = [
     "default_stretch",
     "lookup",
     "make_alias",
-    "make_bucket",
     "make_rendezvous",
     "make_share",
     "make_ring_placer",
@@ -95,6 +80,5 @@ __all__ = [
     "strategy_names",
     "trivial_miss_probability",
     "trivial_wasted_fraction",
-    "two_level_map",
     "utilization",
 ]

@@ -237,9 +237,9 @@ class ReplicationStrategy(abc.ABC):
 
     #: Whether :meth:`_fill_ranks` handles this configuration.  Engine
     #: classes set it True; an instance whose configuration the engine
-    #: does not cover (a hierarchical crush map, a non-``cdf`` state
-    #: selector, a non-rendezvous ``placeonecopy`` backend) sets it back
-    #: to False and keeps the scalar loop.
+    #: does not cover (a non-``cdf`` state selector, a non-rendezvous
+    #: ``placeonecopy`` backend) sets it back to False and keeps the
+    #: scalar loop.
     _has_engine: bool = False
 
     def __init__(

@@ -1,33 +1,33 @@
 """CRUSH — Controlled Replication Under Scalable Hashing (Weil et al., SC'06).
 
 The closest relative of the paper's strategies ([12] in its bibliography):
-a deterministic, hierarchical, weighted placement function.  A *crush map*
-is a tree of buckets; each bucket selects among its items with a
-type-specific pseudo-random rule, and replica selection walks the tree once
-per replica with collision retries (``choose firstn``).
+a deterministic, weighted placement function in which a *bucket* selects
+among its items with a pseudo-random rule and replica selection retries
+on collisions (``choose firstn``).
 
-Implemented bucket types (the SC'06 catalogue minus the tree bucket):
+[12] catalogues four bucket types (uniform, list, tree, straw).  Its list
+bucket scans items newest-to-oldest and takes item ``i`` with probability
+``w_i / W_i`` (its weight over the suffix sum) — the same hazard-walk
+idea as LinMirror's primary selection, which is why the paper can be seen
+as the replication-correct generalisation of it.  This module keeps the
+one bucket the baseline needs:
 
-* **uniform** — equal-probability choice; O(1); any weight change reshuffles
-  the whole bucket (intended for never-changing rows of identical disks).
-* **list** — items are scanned newest-to-oldest and item ``i`` is taken
-  with probability ``w_i / W_i`` (its weight over the suffix sum).  This is
-  the same hazard-walk idea as LinMirror's primary selection, which is why
-  the paper can be seen as the replication-correct generalisation of it.
 * **straw2** — every item draws a "straw" of length ``ln(u) / w`` and the
   longest straw wins; exactly weight-proportional and movement-optimal
   under weight changes (this is the modern Ceph default).
 
-Like RUSH (and unlike Redundant Share), CRUSH resolves replica collisions
-by *retrying*, which perturbs fairness on small or strongly heterogeneous
-pools — the effect the baseline bench quantifies.
+:class:`CrushStrategy` is one flat straw2 bucket over the devices;
+:class:`ChooseleafCrush` is two straw2 levels (racks, then devices).
+
+Unlike Redundant Share, CRUSH resolves replica collisions by *retrying*,
+which perturbs fairness on small or strongly heterogeneous pools — the
+effect the baseline bench quantifies.
 """
 
 from __future__ import annotations
 
-import abc
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError, PlacementError
 from ..hashing.primitives import derive_base, unit_from_base_open
@@ -38,15 +38,15 @@ from .base import ReplicationStrategy
 #: Maximum collision retries per replica before giving up.
 MAX_ATTEMPTS = 64
 
-Item = Union["Bucket", str]
 
+class Straw2Bucket:
+    """A weighted set of named items with longest-straw selection:
+    ``straw = ln(u) / w``; exactly fair."""
 
-class Bucket(abc.ABC):
-    """A weighted interior node of the crush map."""
-
-    kind = "abstract"
-
-    def __init__(self, name: str, items: Sequence[Item], weights: Sequence[float]):
+    def __init__(
+        self, name: str, items: Sequence[str], weights: Sequence[float]
+    ) -> None:
+        """Build the bucket and precompute per-item salt bases."""
         if not items:
             raise ConfigurationError(f"bucket {name!r} has no items")
         if len(items) != len(weights):
@@ -56,91 +56,15 @@ class Bucket(abc.ABC):
         self.name = name
         self.items = list(items)
         self.weights = [float(weight) for weight in weights]
+        self._bases = [derive_base("crush", name, item) for item in self.items]
 
     @property
     def weight(self) -> float:
-        """Total weight of the bucket (used by parent buckets)."""
+        """Total weight of the bucket (its weight in a parent bucket)."""
         return sum(self.weights)
 
-    @abc.abstractmethod
-    def choose(self, address: int, replica: int, attempt: int) -> Item:
+    def choose(self, address: int, replica: int, attempt: int) -> str:
         """Select one item for (ball, replica, retry attempt)."""
-
-    def _base(self, *parts) -> int:
-        """Precomputable salt base for this bucket (+ item label parts)."""
-        return derive_base("crush", self.name, *parts)
-
-    def _draw(self, address: int, replica: int, attempt: int, *parts) -> float:
-        return unit_from_base_open(
-            self._base(*parts), address, replica, attempt
-        )
-
-
-class UniformBucket(Bucket):
-    """Equal-probability selection (weights must be identical)."""
-
-    kind = "uniform"
-
-    def __init__(self, name: str, items: Sequence[Item], weights: Sequence[float]):
-        super().__init__(name, items, weights)
-        if len(set(self.weights)) != 1:
-            raise ConfigurationError(
-                f"uniform bucket {name!r} requires identical weights"
-            )
-
-    def choose(self, address: int, replica: int, attempt: int) -> Item:
-        base = getattr(self, "_uniform_base", None)
-        if base is None:
-            base = self._uniform_base = self._base()
-        draw = unit_from_base_open(base, address, replica, attempt)
-        return self.items[int(draw * len(self.items)) % len(self.items)]
-
-
-class ListBucket(Bucket):
-    """Suffix-weight hazard walk, newest item first."""
-
-    kind = "list"
-
-    def __init__(self, name: str, items: Sequence[Item], weights: Sequence[float]):
-        super().__init__(name, items, weights)
-        # Walk newest (last appended) to oldest, so precompute suffix sums
-        # and per-item salt bases in that traversal order.
-        self._order = list(range(len(self.items) - 1, -1, -1))
-        self._bases = [
-            self._base(item.name if isinstance(item, Bucket) else item)
-            for item in self.items
-        ]
-
-    def choose(self, address: int, replica: int, attempt: int) -> Item:
-        remaining = self.weight
-        for index in self._order:
-            weight = self.weights[index]
-            item = self.items[index]
-            if remaining <= weight:
-                return item
-            draw = unit_from_base_open(
-                self._bases[index], address, replica, attempt
-            )
-            if draw < weight / remaining:
-                return item
-            remaining -= weight
-        return self.items[self._order[-1]]
-
-
-class Straw2Bucket(Bucket):
-    """Longest-straw selection: ``straw = ln(u) / w``; exactly fair."""
-
-    kind = "straw2"
-
-    def __init__(self, name: str, items, weights):
-        """Build the bucket and precompute per-item salt bases."""
-        super().__init__(name, items, weights)
-        self._bases = [
-            self._base(item.name if isinstance(item, Bucket) else item)
-            for item in self.items
-        ]
-
-    def choose(self, address: int, replica: int, attempt: int) -> Item:
         best_item = self.items[0]
         best_straw = -math.inf
         for item, weight, base in zip(self.items, self.weights, self._bases):
@@ -152,140 +76,35 @@ class Straw2Bucket(Bucket):
         return best_item
 
 
-class TreeBucket(Bucket):
-    """Weighted binary-tree descent (the SC'06 tree bucket).
-
-    A balanced binary tree is built over the items; selection walks from
-    the root, at each interior node descending left with probability
-    ``left subtree weight / node weight``.  Selection costs O(log n), and
-    a weight change only re-decides balls whose path crosses the changed
-    node — between list (O(n), additions cheap) and straw (O(n), all
-    changes cheap) in the CRUSH trade-off table.
-    """
-
-    kind = "tree"
-
-    def __init__(self, name: str, items: Sequence[Item], weights: Sequence[float]):
-        super().__init__(name, items, weights)
-        # The tree is stored as nested tuples:
-        #   leaf      -> ("leaf", item_index)
-        #   interior  -> ("node", node_id, left, right, left_w, right_w)
-        self._node_count = 0
-        self._tree = self._build(0, len(self.items))
-
-    def _build(self, lo: int, hi: int):
-        if hi - lo == 1:
-            return ("leaf", lo)
-        mid = (lo + hi) // 2
-        node_id = self._node_count
-        self._node_count += 1
-        left = self._build(lo, mid)
-        right = self._build(mid, hi)
-        left_weight = sum(self.weights[lo:mid])
-        right_weight = sum(self.weights[mid:hi])
-        return ("node", node_id, left, right, left_weight, right_weight)
-
-    def choose(self, address: int, replica: int, attempt: int) -> Item:
-        bases = getattr(self, "_node_bases", None)
-        if bases is None:
-            bases = self._node_bases = [
-                self._base(node_id) for node_id in range(self._node_count)
-            ]
-        node = self._tree
-        while node[0] == "node":
-            _, node_id, left, right, left_weight, right_weight = node
-            draw = unit_from_base_open(
-                bases[node_id], address, replica, attempt
-            )
-            if draw * (left_weight + right_weight) < left_weight:
-                node = left
-            else:
-                node = right
-        return self.items[node[1]]
-
-
-_BUCKET_TYPES = {
-    "uniform": UniformBucket,
-    "list": ListBucket,
-    "straw2": Straw2Bucket,
-    "tree": TreeBucket,
-}
-
-
-def make_bucket(
-    kind: str, name: str, items: Sequence[Item], weights: Sequence[float]
-) -> Bucket:
-    """Construct a bucket by type name ('uniform', 'list' or 'straw2')."""
-    try:
-        bucket_cls = _BUCKET_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown bucket type {kind!r}; choose from {sorted(_BUCKET_TYPES)}"
-        ) from None
-    return bucket_cls(name, items, weights)
-
-
 class CrushStrategy(ReplicationStrategy):
-    """``choose firstn`` replica selection over a crush map."""
+    """``choose firstn`` replica selection over one flat straw2 bucket."""
 
     name = "crush"
     kernel = "straw2-descent"
+    _has_engine = True
 
     def __init__(
         self,
         bins: Sequence[BinSpec],
         copies: int = 2,
         namespace: str = "",
-        bucket_type: str = "straw2",
-        root: Optional[Bucket] = None,
     ) -> None:
         """Build the strategy.
 
         Args:
-            bins: Flat device list (used when no explicit map is given, and
-                for the strategy interface bookkeeping).
+            bins: The devices; each is one item of the root bucket,
+                weighted by its capacity.
             copies: Replication degree.
-            namespace: Hash salt prefix (only used for interface parity; the
-                map's bucket names already isolate draws).
-            bucket_type: Bucket type for the implicit single-level map.
-            root: An explicit bucket hierarchy; its leaves must be exactly
-                the ids in ``bins``.
+            namespace: Hash salt prefix (it names the root bucket, which
+                isolates the draws).
         """
         super().__init__(bins, copies, namespace)
-        if root is None:
-            root = make_bucket(
-                bucket_type,
-                f"{self._namespace}/root",
-                [spec.bin_id for spec in self._bins],
-                [float(spec.capacity) for spec in self._bins],
-            )
-        leaf_ids = set(_collect_leaves(root))
-        bin_ids = {spec.bin_id for spec in self._bins}
-        if leaf_ids != bin_ids:
-            raise ConfigurationError(
-                "crush map leaves do not match the bin list: "
-                f"missing={sorted(bin_ids - leaf_ids)} "
-                f"extra={sorted(leaf_ids - bin_ids)}"
-            )
-        self._root = root
-        # The batch engine handles the common flat map — a single straw2
-        # bucket over the devices (the implicit default).  Hierarchies and
-        # other bucket types keep the generic scalar loop.
-        self._has_engine = isinstance(root, Straw2Bucket) and all(
-            isinstance(item, str) for item in root.items
+        self._root = Straw2Bucket(
+            f"{self._namespace}/root",
+            [spec.bin_id for spec in self._bins],
+            [spec.capacity for spec in self._bins],
         )
         self._vector: Optional[tuple] = None
-
-    @property
-    def root(self) -> Bucket:
-        """The crush map root bucket."""
-        return self._root
-
-    def _descend(self, address: int, replica: int, attempt: int) -> str:
-        node: Item = self._root
-        while isinstance(node, Bucket):
-            node = node.choose(address, replica, attempt)
-        return node
 
     def place(self, address: int) -> Placement:
         chosen: List[str] = []
@@ -293,7 +112,7 @@ class CrushStrategy(ReplicationStrategy):
         for replica in range(self._copies):
             device = None
             for attempt in range(MAX_ATTEMPTS):
-                candidate = self._descend(address, replica, attempt)
+                candidate = self._root.choose(address, replica, attempt)
                 if candidate not in taken:
                     device = candidate
                     break
@@ -378,15 +197,6 @@ class CrushStrategy(ReplicationStrategy):
         return refused
 
 
-def _collect_leaves(node: Item) -> List[str]:
-    if isinstance(node, Bucket):
-        leaves: List[str] = []
-        for item in node.items:
-            leaves.extend(_collect_leaves(item))
-        return leaves
-    return [node]
-
-
 class ChooseleafCrush(ReplicationStrategy):
     """CRUSH ``chooseleaf firstn`` over failure domains.
 
@@ -404,7 +214,6 @@ class ChooseleafCrush(ReplicationStrategy):
         racks: Dict[str, Sequence[BinSpec]],
         copies: int = 2,
         namespace: str = "",
-        bucket_type: str = "straw2",
     ) -> None:
         """Build the two-level map.
 
@@ -412,36 +221,28 @@ class ChooseleafCrush(ReplicationStrategy):
             racks: Failure domains: rack name -> device specs.
             copies: Replication degree (needs at least as many racks).
             namespace: Hash salt prefix.
-            bucket_type: Bucket type for both levels.
         """
         if len(racks) < copies:
             raise ConfigurationError(
                 f"need at least k={copies} racks, got {len(racks)}"
             )
-        self._rack_buckets: Dict[str, Bucket] = {}
-        rack_weights = []
-        rack_names = []
+        self._rack_buckets: Dict[str, Straw2Bucket] = {}
         all_bins: List[BinSpec] = []
         for rack_name, devices in racks.items():
             devices = list(devices)
             if not devices:
                 raise ConfigurationError(f"rack {rack_name!r} has no devices")
-            bucket = make_bucket(
-                bucket_type,
+            self._rack_buckets[rack_name] = Straw2Bucket(
                 f"{namespace or self.name}/rack/{rack_name}",
                 [spec.bin_id for spec in devices],
-                [float(spec.capacity) for spec in devices],
+                [spec.capacity for spec in devices],
             )
-            self._rack_buckets[rack_name] = bucket
-            rack_names.append(rack_name)
-            rack_weights.append(bucket.weight)
             all_bins.extend(devices)
         super().__init__(all_bins, copies, namespace)
-        self._root = make_bucket(
-            bucket_type,
+        self._root = Straw2Bucket(
             f"{self._namespace}/root",
-            rack_names,
-            rack_weights,
+            list(self._rack_buckets),
+            [bucket.weight for bucket in self._rack_buckets.values()],
         )
         self._rack_of = {
             spec.bin_id: rack_name
@@ -470,36 +271,6 @@ class ChooseleafCrush(ReplicationStrategy):
                 )
             chosen_racks.add(rack)
             device = self._rack_buckets[rack].choose(address, replica, 0)
-            chosen_devices.append(device)  # type: ignore[arg-type]
+            chosen_devices.append(device)
         return tuple(chosen_devices)
 
-
-def two_level_map(
-    racks: Dict[str, Sequence[BinSpec]],
-    rack_bucket: str = "straw2",
-    device_bucket: str = "straw2",
-) -> Tuple[Bucket, List[BinSpec]]:
-    """Build a rack/device hierarchy and the flat bin list to go with it.
-
-    Returns:
-        ``(root, bins)`` ready to pass to :class:`CrushStrategy`.
-    """
-    rack_items: List[Item] = []
-    rack_weights: List[float] = []
-    all_bins: List[BinSpec] = []
-    for rack_name, devices in racks.items():
-        devices = list(devices)
-        if not devices:
-            raise ConfigurationError(f"rack {rack_name!r} has no devices")
-        bucket = make_bucket(
-            device_bucket,
-            f"rack/{rack_name}",
-            [spec.bin_id for spec in devices],
-            [float(spec.capacity) for spec in devices],
-        )
-        rack_items.append(bucket)
-        rack_weights.append(bucket.weight)
-        all_bins.extend(devices)
-    root = make_bucket("straw2" if rack_bucket == "straw2" else rack_bucket,
-                       "root", rack_items, rack_weights)
-    return root, all_bins

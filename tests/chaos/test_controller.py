@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.chaos import (
     ChaosController,
     ChaosOptions,
@@ -68,9 +69,15 @@ class TestDeterminism:
     def test_identical_runs_are_bit_identical(self):
         first = make_cluster()
         second = make_cluster()
-        report_a = run_chaos(first, mixed_schedule(first), ChaosOptions(seed=7))
-        report_b = run_chaos(second, mixed_schedule(second), ChaosOptions(seed=7))
-        assert first.log.as_tuples() == second.log.as_tuples()
+        with obs.capture() as trace_a:
+            report_a = run_chaos(
+                first, mixed_schedule(first), ChaosOptions(seed=7)
+            )
+        with obs.capture() as trace_b:
+            report_b = run_chaos(
+                second, mixed_schedule(second), ChaosOptions(seed=7)
+            )
+        assert trace_a.events and trace_a.events == trace_b.events
         assert report_a.repair_order == report_b.repair_order
         assert report_a.samples == report_b.samples
         assert final_map(first) == final_map(second)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.chaos import (
     ChaosController,
     ChaosOptions,
@@ -125,10 +126,11 @@ class TestReconfiguration:
     def test_events_logged(self):
         cluster = make_cluster()
         fill(cluster, 10)
-        cluster.add_device(BinSpec("bin-new", 500))
-        cluster.remove_device("bin-new")
-        assert len(cluster.log.of_kind("device-added")) == 1
-        assert len(cluster.log.of_kind("device-removed")) == 1
+        with obs.capture() as trace:
+            cluster.add_device(BinSpec("bin-new", 500))
+            cluster.remove_device("bin-new")
+        assert len(trace.of_kind("device.added")) == 1
+        assert len(trace.of_kind("device.removed")) == 1
 
 
 class TestFailures:

@@ -9,7 +9,7 @@ import pytest
 
 import repro._compat as compat
 from repro import obs
-from repro.chaos import ChaosOptions, generate_schedule, run_chaos
+from repro.chaos import ChaosOptions, FaultKind, generate_schedule, run_chaos
 from repro.cluster import Cluster, Rebalancer
 from repro.core import LinMirror, RedundantShare
 from repro.placement import TrivialReplication
@@ -178,6 +178,25 @@ class TestClusterInstrumentation:
         counters = obs.metrics().counters()
         assert counters["chaos.faults"] == counters["chaos.crash"] == 1
         assert counters["chaos.repair.completed"] == report.completed
+
+    def test_one_window_closed_event_per_outage_and_flaky_fault(self):
+        cluster = small_cluster(copies=3)
+        for address in range(12):
+            cluster.write(address, b"zz")
+        schedule = generate_schedule(
+            cluster.device_ids(), seed=3, crashes=1, outages=1, flaky=1
+        )
+        windows = [
+            event for event in schedule.events
+            if event.kind is not FaultKind.CRASH
+        ]
+        assert len(schedule.events) == 3 and len(windows) == 2
+        with obs.capture() as trace:
+            run_chaos(cluster, schedule)
+        assert sorted(
+            (event.fields["device"], event.fields["time"])
+            for event in trace.of_kind("chaos.window_closed")
+        ) == sorted((fault.device_id, fault.end) for fault in windows)
 
 
 class TestRebalancerInstrumentation:

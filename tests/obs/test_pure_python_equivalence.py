@@ -58,7 +58,7 @@ def run_observed_scenario():
         cluster.repair_device("dev-0")
         run_chaos(
             cluster,
-            generate_schedule(cluster.device_ids(), seed=5),
+            generate_schedule(cluster.device_ids(), seed=5, outages=1),
             ChaosOptions(replacement_delay=0.0),
         )
 
@@ -140,6 +140,7 @@ class TestLegEquivalence:
             "rebalance.step",
             "rebalance.done",
             "chaos.fault",
+            "chaos.window_closed",
             "chaos.replacement",
             "chaos.repair",
             "chaos.finished",

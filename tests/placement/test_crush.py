@@ -1,19 +1,18 @@
-"""Tests for the CRUSH baseline (buckets + firstn selection)."""
+"""Tests for the CRUSH baseline (the straw2 bucket + firstn selection)."""
 
 import collections
+import hashlib
 
 import pytest
 
+import repro._compat as compat
 from repro.exceptions import ConfigurationError
-from repro.placement import (
-    CrushStrategy,
-    ListBucket,
-    Straw2Bucket,
-    UniformBucket,
-    make_bucket,
-    two_level_map,
+from repro.placement import ChooseleafCrush, CrushStrategy, Straw2Bucket
+from repro.types import bins_from_capacities
+
+straw2 = pytest.mark.parametrize(
+    "bucket_cls", [pytest.param(Straw2Bucket, id="straw2")]
 )
-from repro.types import BinSpec, bins_from_capacities
 
 
 class TestBucketValidation:
@@ -27,27 +26,17 @@ class TestBucketValidation:
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ConfigurationError):
-            ListBucket("b", ["a", "b"], [1.0, 0.0])
-
-    def test_uniform_requires_equal_weights(self):
-        with pytest.raises(ConfigurationError):
-            UniformBucket("b", ["a", "b"], [1.0, 2.0])
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_bucket("pyramid", "b", ["a"], [1.0])
+            Straw2Bucket("b", ["a", "b"], [1.0, 0.0])
 
 
-@pytest.mark.parametrize("kind", ["uniform", "list", "straw2", "tree"])
+@straw2
 class TestBucketSelection:
-    def test_deterministic(self, kind):
-        weights = [1.0, 1.0, 1.0] if kind == "uniform" else [3.0, 2.0, 1.0]
-        bucket = make_bucket(kind, "b", ["x", "y", "z"], weights)
+    def test_deterministic(self, bucket_cls):
+        bucket = bucket_cls("b", ["x", "y", "z"], [3.0, 2.0, 1.0])
         assert bucket.choose(5, 0, 0) == bucket.choose(5, 0, 0)
 
-    def test_attempts_decorrelate(self, kind):
-        weights = [1.0] * 4
-        bucket = make_bucket(kind, "b", ["a", "b", "c", "d"], weights)
+    def test_attempts_decorrelate(self, bucket_cls):
+        bucket = bucket_cls("b", ["a", "b", "c", "d"], [1.0] * 4)
         outcomes = {bucket.choose(5, 0, attempt) for attempt in range(32)}
         assert len(outcomes) > 1
 
@@ -55,9 +44,9 @@ class TestBucketSelection:
 class TestWeightedBucketsAreFair:
     BALLS = 30_000
 
-    @pytest.mark.parametrize("kind", ["list", "straw2", "tree"])
-    def test_shares_track_weights(self, kind):
-        bucket = make_bucket(kind, "b", ["x", "y", "z"], [1.0, 3.0, 6.0])
+    @straw2
+    def test_shares_track_weights(self, bucket_cls):
+        bucket = bucket_cls("b", ["x", "y", "z"], [1.0, 3.0, 6.0])
         counts = collections.Counter(
             bucket.choose(address, 0, 0) for address in range(self.BALLS)
         )
@@ -101,18 +90,40 @@ class TestCrushStrategy:
         # Fair would be min(1, k*c_0)/k = 0.5; retries push it below.
         assert big_share < 0.5
 
-    def test_hierarchy_map(self):
-        racks = {
-            "r1": bins_from_capacities([4, 4], prefix="r1"),
-            "r2": bins_from_capacities([4, 4], prefix="r2"),
-        }
-        root, bins = two_level_map(racks)
-        strategy = CrushStrategy(bins, copies=2, root=root)
-        for address in range(500):
-            placement = strategy.place(address)
-            assert len(set(placement)) == 2
 
-    def test_map_leaf_mismatch_rejected(self):
-        root = Straw2Bucket("root", ["other-1", "other-2"], [1.0, 1.0])
-        with pytest.raises(ConfigurationError):
-            CrushStrategy(bins_from_capacities([5, 4]), copies=2, root=root)
+# The failure-domain bench's fleet (benchmarks/bench_table_failure_domains.py).
+RACKS = {
+    "rack-a": bins_from_capacities([900, 700], prefix="a"),
+    "rack-b": bins_from_capacities([800, 800], prefix="b"),
+    "rack-c": bins_from_capacities([600, 500, 500], prefix="c"),
+}
+
+
+@pytest.mark.parametrize("leg", ["numpy", "pure-python"])
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        pytest.param(
+            lambda: CrushStrategy(
+                bins_from_capacities([90, 70, 50, 30, 20]), copies=3
+            ),
+            "3e64072ed3a0a5dae1ab9834684fe8ff"
+            "9ef285d4380796683bbc8ea424c6d0f4",
+            id="crush",
+        ),
+        pytest.param(
+            lambda: ChooseleafCrush(RACKS, copies=2),
+            "002a0778c43a156c6d1c02a553b13f99"
+            "d6e8dd0c9fac7afda1f3cd021425f77c",
+            id="crush-chooseleaf",
+        ),
+    ],
+)
+def test_placements_are_pinned(monkeypatch, leg, build, expected):
+    """Bucket names and salts decide every draw: the digests were computed
+    at the commit that still had the bucket catalogue, so a moved salt —
+    on either leg — fails here."""
+    if leg == "pure-python":
+        monkeypatch.setattr(compat, "np", None)
+    rows = build().place_many(range(20_000)).tuples()
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected

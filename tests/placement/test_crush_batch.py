@@ -4,10 +4,8 @@ The straw2-descent engine batches the per-replica straw races and
 re-draws only the collision tail per retry attempt; it must reproduce
 the scalar ``choose firstn`` walk exactly — including the
 :class:`PlacementError` when an address exhausts its retries, which
-heavily skewed small pools genuinely hit.  Hierarchical maps and
-non-straw2 roots stay on the generic loop but must agree with
-:meth:`place` all the same.  Also covers the engine state: built on the
-first batch call, owned by the instance.
+heavily skewed small pools genuinely hit.  Also covers the engine
+state: built on the first batch call, owned by the instance.
 """
 
 import pytest
@@ -17,7 +15,7 @@ from hypothesis import strategies as st
 import repro._compat as compat
 from repro._compat import HAVE_NUMPY
 from repro.exceptions import PlacementError
-from repro.placement.crush import CrushStrategy, two_level_map
+from repro.placement.crush import CrushStrategy
 from repro.types import bins_from_capacities
 
 capacities_vectors = st.lists(
@@ -135,28 +133,6 @@ class TestBatchEquivalence:
     def test_empty_batch(self):
         strategy = CrushStrategy(bins_from_capacities([5, 3, 2]), copies=2)
         assert list(strategy.place_many([])) == []
-
-    def test_hierarchical_map_falls_back_to_generic_loop(self):
-        bins = bins_from_capacities([90, 70, 50, 30, 20, 10])
-        root, flat = two_level_map({"r1": bins[:3], "r2": bins[3:]})
-        strategy = CrushStrategy(flat, copies=2, root=root)
-        assert not strategy._has_engine
-        addresses = list(range(300))
-        assert [tuple(row) for row in strategy.place_many(addresses)] == (
-            scalar_rows(strategy, addresses)
-        )
-
-    def test_non_straw2_root_falls_back_to_generic_loop(self):
-        for bucket_type in ("list", "tree"):
-            strategy = CrushStrategy(
-                bins_from_capacities([9, 7, 5, 3]), copies=2,
-                bucket_type=bucket_type,
-            )
-            assert not strategy._has_engine
-            addresses = list(range(200))
-            assert [
-                tuple(row) for row in strategy.place_many(addresses)
-            ] == scalar_rows(strategy, addresses)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="vector engine needs NumPy")

@@ -97,13 +97,21 @@ class TestCli:
             ),
             (["chaos", "--devices", "5"], "--devices applies to fleet mode only"),
             (["sched", "--policy", "nope"], "unknown scheduling policy 'nope'"),
+            (["growth", "--balls", "0"], "--balls must be >= 1, got 0"),
+            (["adaptivity", "--balls", "0"], "--balls must be >= 1, got 0"),
+            (["growth", "--balls", "-3"], "--balls must be >= 1, got -3"),
+            (
+                ["adaptivity", "--disks", "0", "--balls", "100"],
+                "--disks must be >= 1, got 0",
+            ),
         ],
         ids=[
             "crush-cannot-place", "copies-zero", "balls-zero", "mttf-zero",
             "universe-zero", "alpha-two", "capacity-zero",
             "capacity-negative", "serve-capacity-zero", "chaos-all-zero",
             "controller-flag-with-fleet", "fleet-flag-without-fleet",
-            "unknown-policy",
+            "unknown-policy", "growth-balls-zero", "adaptivity-balls-zero",
+            "growth-balls-negative", "adaptivity-disks-zero",
         ],
     )
     def test_user_errors_exit_one_with_one_line(self, argv, message):
@@ -320,6 +328,7 @@ class TestChaosCli:
         ) == 0
         kinds = {record["kind"] for record in read_jsonl(path)}
         assert "chaos.fault" in kinds
+        assert "chaos.window_closed" in kinds
         assert "chaos.sample" in kinds
         assert "chaos.finished" in kinds
 
