@@ -174,15 +174,6 @@ class Cluster:
         """
         return self._map.lookup(address)
 
-    def block_size_of(self, address: int) -> int:
-        """Original payload size of a stored block.
-
-        Raises:
-            BlockNotFoundError: if the block was never written.
-        """
-        self._map.lookup(address)  # raises for unknown blocks
-        return self._block_sizes[address]
-
     def device_ids(self) -> List[str]:
         """Sorted ids of all devices, whatever their state."""
         return sorted(self._devices)

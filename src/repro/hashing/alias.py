@@ -14,7 +14,7 @@ always maps to the same outcome.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 
 class AliasTable:
@@ -173,16 +173,3 @@ def build_selector(weights: Sequence[float], prefer_alias: bool = True):
     if prefer_alias:
         return AliasTable(weights)
     return CumulativeTable(weights)
-
-
-def select_pair(uniform: float) -> Tuple[float, float]:
-    """Split one uniform draw into two (lower-precision) uniforms.
-
-    Occasionally useful to avoid a second hash; exposed for completeness and
-    tested for marginal uniformity.
-    """
-    if not 0.0 <= uniform < 1.0:
-        raise ValueError(f"uniform draw must be in [0, 1), got {uniform}")
-    scaled = uniform * (1 << 26)
-    first = int(scaled)
-    return first / float(1 << 26), scaled - first

@@ -16,6 +16,7 @@ both reproduced here, are
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Sequence
 
 from ..exceptions import ConfigurationError
@@ -176,6 +177,8 @@ class WeightedStripingStrategy(ReplicationStrategy):
         """
         length = len(self._pattern)
         copies = self._copies
+        if isinstance(addresses, array):  # typed already: keep its sign
+            addresses = np.asarray(addresses)
         if isinstance(addresses, np.ndarray) and addresses.dtype.kind in "iu":
             reduced = (addresses % addresses.dtype.type(length)).astype(
                 np.int64

@@ -6,7 +6,7 @@ formatting shares and fill levels consistently across all surfaces.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Sequence
 
 
 def render_table(
@@ -40,21 +40,3 @@ def print_table(
 def format_percent(value: float, digits: int = 2) -> str:
     """``0.1234 -> '12.34%'``."""
     return f"{value * 100:.{digits}f}%"
-
-
-def share_table(
-    title: str,
-    observed: Mapping[str, float],
-    expected: Mapping[str, float],
-) -> str:
-    """Standard observed-vs-expected share table, sorted by key."""
-    rows = []
-    for key in sorted(set(observed) | set(expected)):
-        rows.append(
-            (
-                key,
-                format_percent(observed.get(key, 0.0)),
-                format_percent(expected.get(key, 0.0)),
-            )
-        )
-    return render_table(title, ["bin", "observed", "expected"], rows)

@@ -44,7 +44,6 @@ from .metastore import MetastoreServer
 from .protocol import (
     MAX_FRAME_BYTES,
     decode_frame,
-    decode_frame_prefix,
     encode_frame,
     read_frame,
     write_frame,
@@ -63,7 +62,6 @@ __all__ = [
     "WriteReceipt",
     "checksum",
     "decode_frame",
-    "decode_frame_prefix",
     "decode_payload",
     "encode_frame",
     "encode_payload",

@@ -35,6 +35,7 @@ can never silently satisfy a read.
 from __future__ import annotations
 
 import asyncio
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -208,9 +209,9 @@ class ServiceClient:
 
     async def where_are(self, addresses: Sequence[int]) -> List[List[str]]:
         """Batch placement lookup (one ``place_many`` server-side)."""
-        result = await self._call_metastore(
-            "where_are", addresses=list(addresses)
-        )
+        if not (isinstance(addresses, (list, array)) and addresses):
+            addresses = list(addresses)  # those two the codec takes as given
+        result = await self._call_metastore("where_are", addresses=addresses)
         return result["placements"]
 
     # -- data path ---------------------------------------------------------

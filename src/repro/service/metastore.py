@@ -12,16 +12,17 @@ registered strategy.
 Ops::
 
     where_is  {address}    -> {devices: [id, ...]}             # k ids
-    where_are {addresses}  -> {placements: [[id, ...], ...]}   # columnar frame
+    where_are {addresses}  -> {placements: [[id, ...], ...]}   # columnar frames
     config    {}           -> {strategy, strategy_options, copies, bins,
                                epoch, blockstores}
 
-plus the base ``ping``/``metrics``.  ``where_are`` hands the codec the
-:class:`~repro.placement.base.BatchPlacement` itself, so its answer
-crosses the wire as a rank matrix (see :mod:`~repro.service.protocol`)
-and reads as the rows above.  ``config`` is how a client bootstraps: it
-learns the replication degree and each device's blockstore endpoint in
-one round trip.
+plus the base ``ping``/``metrics``.  ``where_are`` is columnar both ways
+(see :mod:`~repro.service.protocol`): u64 ``addresses`` arrive as an
+``array('Q')`` that ``place_many`` takes as it is, and the codec is
+handed the :class:`~repro.placement.base.BatchPlacement` itself, so the
+answer crosses the wire as a rank matrix and reads as the rows above.
+``config`` is how a client bootstraps: it learns the replication degree
+and each device's blockstore endpoint in one round trip.
 
 Every response envelope, errors included, carries ``epoch`` beside
 ``id``/``ok``: a digest of what decides a placement — canonical strategy
@@ -35,6 +36,7 @@ metastore has no op that changes its fleet.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import BadFrameError
@@ -112,16 +114,19 @@ class MetastoreServer(RpcServer):
 
     async def _op_where_are(self, request: Dict[str, Any]) -> Dict[str, Any]:
         raw = require(request, "addresses")
-        if not isinstance(raw, list):
+        if not isinstance(raw, (list, array)):
             raise BadFrameError("'addresses' must be a list of integers")
         if len(raw) > MAX_BATCH_ADDRESSES:
             raise BadFrameError(
                 f"where_are batch of {len(raw)} addresses exceeds the "
                 f"{MAX_BATCH_ADDRESSES}-address maximum"
             )
-        # One pass in C settles a well-formed batch; only a batch that
-        # fails it is walked, for the first offender's message.
-        if not (set(map(type, raw)) <= {int} and min(raw, default=0) >= 0):
+        # A u64 column is typed.  A JSON list is outside input: one pass in C
+        # settles a well-formed batch; a failing one is walked for its message.
+        if not (
+            isinstance(raw, array)
+            or set(map(type, raw)) <= {int} and min(raw, default=0) >= 0
+        ):
             for value in raw:
                 self._parse_address(value)
         batch = self.strategy.place_many(raw)

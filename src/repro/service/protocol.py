@@ -11,14 +11,15 @@ dict envelope, but the codec itself is payload-agnostic)::
     | endian length  | bytes                                  |
     +----------------+----------------------------------------+
 
-A **columnar frame** carries a JSON value with one rank matrix in it — a
-:class:`~repro.placement.base.BatchPlacement`, the answer to
-``where_are`` — without rendering a device id per copy::
+A **columnar frame** carries a JSON value with one column in it — the
+rank matrix of a :class:`~repro.placement.base.BatchPlacement` (the
+answer to ``where_are``) or a vector of u64 addresses (its request) —
+without rendering a device id per copy or an address in decimal::
 
     +----------------+------+----------------+-------------+--------------+
-    | 4-byte big-    | 0xFF | 4-byte big-    | UTF-8 JSON  | rank matrix, |
+    | 4-byte big-    | 0xFF | 4-byte big-    | UTF-8 JSON  | the column:  |
     | endian length  |      | endian header  | header      | n*k*itemsize |
-    |                |      | length         |             | bytes        |
+    |                |      | length         |             | or 8*n bytes |
     +----------------+------+----------------+-------------+--------------+
 
 ``0xFF`` occurs in no UTF-8 text, so no JSON body starts with it.  The
@@ -26,11 +27,18 @@ header is the payload itself with ``{"$ranks": {"dtype": code,
 "rank_ids": [id, ...], "shape": [n, k]}}`` standing where the matrix
 goes; the matrix follows as ``n`` rows of ``k`` little-endian unsigned
 ranks into ``rank_ids``, in the smallest of ``u1``/``u2``/``u4`` that
-indexes the table.  Decoding puts the rows back as ``n`` lists of ``k``
-id strings, so a reader of either kind sees plain JSON values: there is
-one answer format per op and nothing to negotiate.
+indexes the table, and decodes to ``n`` lists of ``k`` id strings.  Or
+with ``{"$u64": n}`` where ``n > 0`` integers go, followed by that many
+little-endian 8-byte words: written for the first top-level member of a
+dict payload (sorted-key order) that is a non-empty list of ``int`` (no
+``bool``) in ``[0, 2**64)`` and for a non-empty ``array('Q')`` anywhere,
+decoded to an ``array('Q')``; every other list is a JSON array.  A frame
+has one column and a payload's content alone decides its form, so there
+is nothing to negotiate: ``decode_frame(encode_frame(x)) == x`` except
+that the packed list returns as that array of the same integers, and
+``encode_frame`` of what a JSON or ``$u64`` frame decoded to is it again.
 
-JSON is rendered compactly with sorted keys and the matrix has one
+JSON is rendered compactly with sorted keys and each column has one
 layout, so equal payloads encode to byte-equal frames on any machine,
 with or without NumPy — the property the protocol tests pin.
 
@@ -46,8 +54,8 @@ Three failure modes get typed errors (all subclasses of
   length prefix, a body that is not valid JSON, trailing bytes after a
   complete frame; and in a columnar body a header length that overruns
   the body, a header that is not JSON or names no (or a second, or a
-  malformed) rank matrix, a matrix segment that is not exactly
-  ``n*k*itemsize`` bytes, or a rank outside the table.
+  malformed) column, a column segment that is not exactly
+  ``n*k*itemsize`` (``8*n``) bytes, or a rank outside the table.
 
 The async helpers :func:`read_frame`/:func:`write_frame` adapt the codec
 to :mod:`asyncio` streams; a clean EOF *between* frames reads as
@@ -75,16 +83,18 @@ from ..placement.base import BatchPlacement
 HEADER = struct.Struct("!I")
 
 #: Default ceiling on one frame's body.  Generous for placement batches
-#: (a 100k-address ``where_are`` answer is ~0.3 MB, its request ~1.5 MB)
-#: while keeping a corrupt or hostile length prefix from forcing a
-#: multi-gigabyte allocation.
+#: (a 100k-address ``where_are`` answer is ~0.3 MB, its request 0.8 MB;
+#: the metastore's 1M-address maximum fits as a u64 column) while keeping
+#: a corrupt or hostile length prefix from forcing a multi-gigabyte
+#: allocation.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: First body byte of a columnar frame; no UTF-8 text contains it.
 COLUMNAR = b"\xff"
 
-#: Sole key of the header object standing where the rank matrix goes.
-RANKS_KEY = "$ranks"
+#: Sole key of the header object standing where the rank matrix, or the
+#: u64 vector, goes.
+RANKS_KEY, U64_KEY = "$ranks", "$u64"
 
 #: Rank dtype code -> :mod:`array` typecode; a code's digit is its itemsize.
 RANK_DTYPES = {"u1": "B", "u2": "H", "u4": "I"}
@@ -96,34 +106,41 @@ def encode_frame(payload: Any, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> byt
     Args:
         payload: Any JSON-serialisable value, in which one
             :class:`~repro.placement.base.BatchPlacement` may stand for
-            its rows; the frame is then columnar.
+            its rows or one ``array('Q')`` for its integers; the frame
+            is then columnar, as it is for a top-level u64 list.
         max_frame_bytes: Refuse to build frames whose body exceeds this.
 
     Raises:
         BadFrameError: when the payload is not JSON-serialisable.
         OversizedFrameError: when the encoded body exceeds the maximum.
     """
-    matrices: List[bytes] = []
+    columns: List[bytes] = []
 
     def pack(value: Any) -> Dict[str, Any]:
-        # json asks about whatever it cannot render; one matrix is ours.
-        if not isinstance(value, BatchPlacement) or matrices:
+        # json asks about whatever it cannot render; one column is ours.
+        if columns:
+            raise TypeError("a frame carries one column, this payload has two")
+        if isinstance(value, BatchPlacement):
+            meta, column = _pack_ranks(value)
+        elif isinstance(value, array) and value.typecode == "Q" and value:
+            meta, column = {U64_KEY: len(value)}, _little_endian(value).tobytes()
+        else:
             raise TypeError(
                 f"Object of type {type(value).__name__} is not JSON "
                 f"serializable"
             )
-        meta, matrix = _pack_ranks(value)
-        matrices.append(matrix)
-        return {RANKS_KEY: meta}
+        columns.append(column)
+        return meta
 
     try:
         body = json.dumps(
-            payload, default=pack, sort_keys=True, separators=(",", ":")
+            _with_u64_column(payload), default=pack, sort_keys=True,
+            separators=(",", ":"),
         ).encode("utf-8")
     except (TypeError, ValueError) as error:
         raise BadFrameError(f"payload is not JSON-serialisable: {error}") from None
-    if matrices:
-        body = b"".join((COLUMNAR, HEADER.pack(len(body)), body, matrices[0]))
+    if columns:
+        body = b"".join((COLUMNAR, HEADER.pack(len(body)), body, columns[0]))
     if len(body) > max_frame_bytes:
         raise OversizedFrameError(
             f"frame body is {len(body)} bytes, above the "
@@ -132,8 +149,33 @@ def encode_frame(payload: Any, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> byt
     return HEADER.pack(len(body)) + body
 
 
+def _with_u64_column(payload: Any) -> Any:
+    """``payload`` with its first top-level u64 list (sorted-key order) as
+    an ``array('Q')``; a member that is one already ends the search."""
+    if isinstance(payload, dict) and not {list, array}.isdisjoint(
+        map(type, payload.values())
+    ):  # one pass in C: the common envelope has neither
+        for key, value in sorted(payload.items()):
+            if type(value) is array:
+                break
+            if type(value) is list and set(map(type, value)) == {int}:
+                try:
+                    return {**payload, key: array("Q", value)}
+                except OverflowError:
+                    pass  # a member < 0 or >= 2**64: it stays a JSON array
+    return payload
+
+
+def _little_endian(words: array) -> array:
+    """``words`` in wire byte order: themselves on a little-endian host."""
+    if sys.byteorder == "big":
+        words = array(words.typecode, words)
+        words.byteswap()
+    return words
+
+
 def _pack_ranks(batch: BatchPlacement) -> Tuple[Dict[str, Any], bytes]:
-    """A batch's header entry and its ``(n, k)`` row-major rank bytes."""
+    """A batch's header object and its ``(n, k)`` row-major rank bytes."""
     count, copies = len(batch), batch.copies
     table = len(batch.rank_ids)
     code = "u1" if table <= 1 << 8 else "u2" if table <= 1 << 16 else "u4"
@@ -146,11 +188,9 @@ def _pack_ranks(batch: BatchPlacement) -> Tuple[Dict[str, Any], bytes]:
         flat = [0] * (count * copies)
         for position, column in enumerate(batch.columns):
             flat[position::copies] = column
-        matrix = array(RANK_DTYPES[code], flat)
-        if sys.byteorder == "big":
-            matrix.byteswap()
+        matrix = _little_endian(array(RANK_DTYPES[code], flat))
     meta = {"dtype": code, "rank_ids": batch.rank_ids, "shape": [count, copies]}
-    return meta, matrix.tobytes()
+    return {RANKS_KEY: meta}, matrix.tobytes()
 
 
 def decode_header(
@@ -198,7 +238,7 @@ def _loads(text: bytes, object_hook: Any = None) -> Any:
 
 
 def _decode_columnar(body: bytes) -> Any:
-    """Parse a columnar body: the header, with the matrix's rows put back."""
+    """Parse a columnar body: the header, with the column's values put back."""
     start = len(COLUMNAR) + HEADER.size
     if len(body) < start:
         raise BadFrameError("columnar frame ends inside its header length")
@@ -209,21 +249,36 @@ def _decode_columnar(body: bytes) -> Any:
             f"columnar frame declares a {length}-byte header but only "
             f"{len(body) - start} bytes follow"
         )
-    matrix = memoryview(body)[end:]
+    column = memoryview(body)[end:]
     unpacked: List[bool] = []
 
     def unpack(value: Dict[str, Any]) -> Any:
-        if value.keys() != {RANKS_KEY}:
+        if value.keys() == {RANKS_KEY}:
+            values = _unpack_ranks
+        elif value.keys() == {U64_KEY}:
+            values = _unpack_u64
+        else:
             return value
         if unpacked:
-            raise BadFrameError("columnar frame names a second rank matrix")
+            raise BadFrameError("columnar frame names a second column")
         unpacked.append(True)
-        return _unpack_ranks(value[RANKS_KEY], matrix)
+        return values(*value.values(), column)
 
     payload = _loads(body[start:end], unpack)
     if not unpacked:
-        raise BadFrameError("columnar frame names no rank matrix")
+        raise BadFrameError("columnar frame names no column")
     return payload
+
+
+def _unpack_u64(count: Any, column: memoryview) -> array:
+    """The ``count`` words of one u64 column, as an ``array('Q')``."""
+    if type(count) is not int or count <= 0 or len(column) != 8 * count:
+        raise BadFrameError(
+            f"$u64 needs n > 0 and 8*n bytes: n = {count!r}, {len(column)} bytes"
+        )
+    words = array("Q")
+    words.frombytes(column)
+    return _little_endian(words)
 
 
 def _unpack_ranks(meta: Any, matrix: memoryview) -> List[List[str]]:
@@ -265,9 +320,7 @@ def _unpack_ranks(meta: Any, matrix: memoryview) -> List[List[str]]:
             return table[ranks.reshape(count, copies)].tolist()
         ranks = array(typecode)
         ranks.frombytes(matrix)
-        if sys.byteorder == "big":
-            ranks.byteswap()
-        ids = [rank_ids[rank] for rank in ranks]
+        ids = [rank_ids[rank] for rank in _little_endian(ranks)]
     except IndexError:
         raise BadFrameError(
             f"a rank is outside the {len(rank_ids)}-entry rank_ids table"
@@ -288,28 +341,6 @@ def decode_frame(
         OversizedFrameError: the header declares an over-limit body.
         BadFrameError: zero-length body, invalid JSON, or trailing bytes.
     """
-    payload, consumed = decode_frame_prefix(data, max_frame_bytes=max_frame_bytes)
-    if consumed != len(data):
-        raise BadFrameError(
-            f"{len(data) - consumed} trailing bytes after a complete frame"
-        )
-    return payload
-
-
-def decode_frame_prefix(
-    data: bytes, *, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> Tuple[Any, int]:
-    """Decode the first frame of a buffer, returning ``(payload, consumed)``.
-
-    The streaming-friendly variant of :func:`decode_frame`: trailing
-    bytes (the start of the next frame) are fine and reported through
-    ``consumed``.
-
-    Raises:
-        TruncatedFrameError: the buffer ends before one complete frame.
-        OversizedFrameError: the header declares an over-limit body.
-        BadFrameError: zero-length body or invalid JSON.
-    """
     length = decode_header(data, max_frame_bytes=max_frame_bytes)
     end = HEADER.size + length
     if len(data) < end:
@@ -317,7 +348,11 @@ def decode_frame_prefix(
             f"frame declares a {length}-byte body but only "
             f"{len(data) - HEADER.size} bytes follow the header"
         )
-    return decode_body(data[HEADER.size : end]), end
+    if len(data) > end:
+        raise BadFrameError(
+            f"{len(data) - end} trailing bytes after a complete frame"
+        )
+    return decode_body(data[HEADER.size :])
 
 
 async def read_frame(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.alias import AliasTable, CumulativeTable, build_selector, select_pair
+from repro.hashing.alias import AliasTable, CumulativeTable, build_selector
 from repro.hashing.primitives import unit_interval
 
 
@@ -110,20 +110,3 @@ class TestBuildSelector:
     def test_default_is_alias(self):
         selector = build_selector([1.0, 2.0])
         assert isinstance(selector, AliasTable)
-
-
-class TestSelectPair:
-    def test_outputs_in_range(self):
-        for i in range(500):
-            a, b = select_pair(unit_interval("p", i))
-            assert 0.0 <= a < 1.0
-            assert 0.0 <= b < 1.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            select_pair(1.5)
-
-    def test_first_component_roughly_uniform(self):
-        n = 10000
-        mean = sum(select_pair(unit_interval("q", i))[0] for i in range(n)) / n
-        assert abs(mean - 0.5) < 0.02

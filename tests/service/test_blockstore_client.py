@@ -8,6 +8,7 @@ placement order, unavailable/missing/corrupt copies skipped.
 """
 
 import asyncio
+from array import array
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.service import (
     encode_frame,
     encode_payload,
 )
+from repro.service.metastore import MAX_BATCH_ADDRESSES
 from repro.service.protocol import HEADER, read_frame
 from repro.types import bins_from_capacities
 
@@ -193,19 +195,21 @@ class TestWireErrors:
         assert response["error"] == "BadFrameError"
 
     def test_answer_above_the_ceiling_is_a_typed_error_not_a_hang_up(self):
-        # 2 bytes of request per address, 3 of answer: the request fits
-        # under the ceiling and its answer does not.
+        # 8 bytes of request per address against 3 of answer, but every
+        # answer also carries the rank_ids table: 40 ids of 100 bytes put
+        # a 500-address answer over a ceiling its request fits under.
+        bins = bins_from_capacities([100] * 40, prefix="d" * 97)
+        big = list(range(500))
+        request = encode_frame({"op": "where_are", "id": 1, "addresses": big})
+        assert len(request) - HEADER.size < 4200
+
         async def scenario():
-            server = MetastoreServer(
-                bins_from_capacities([300, 200, 100]), max_frame_bytes=5000
-            )
+            server = MetastoreServer(bins, max_frame_bytes=5000)
             await server.start()
             connection = await RpcConnection.open(server.host, server.port)
             try:
                 with pytest.raises(OversizedFrameError):
-                    await connection.call(
-                        "where_are", addresses=list(range(10)) * 200
-                    )
+                    await connection.call("where_are", addresses=big)
                 pong = await connection.call("ping")
                 small = await connection.call("where_are", addresses=[1, 2])
                 counters = server.registry.snapshot()["counters"]
@@ -219,6 +223,33 @@ class TestWireErrors:
         assert len(small["placements"]) == 2
         assert counters["metastore.connections"] == 1
         assert counters["metastore.errors"] == 1
+
+    def test_batch_above_the_maximum_is_refused_before_any_placement(self):
+        # 8 bytes per address: one address too many still fits a default
+        # frame, so it is the handler that refuses it, on its length.
+        too_many = array("Q", [7]) * (MAX_BATCH_ADDRESSES + 1)
+
+        async def scenario():
+            server = await MetastoreServer(
+                bins_from_capacities([300, 200, 100])
+            ).start()
+            connection = await RpcConnection.open(server.host, server.port)
+            try:
+                with pytest.raises(BadFrameError, match="exceeds"):
+                    await connection.call("where_are", addresses=too_many)
+                refused = server.registry.snapshot()["counters"]
+                pong = await connection.call("ping")
+                small = await connection.call("where_are", addresses=[1, 2])
+            finally:
+                await connection.close()
+                await server.stop()
+            return refused, pong, small
+
+        refused, pong, small = run(scenario())
+        assert "metastore.lookups" not in refused
+        assert refused["metastore.errors"] == 1
+        assert pong["pong"] is True
+        assert len(small["placements"]) == 2
 
     def test_quarter_million_addresses_fit_the_default_ceiling(self):
         bins = bins_from_capacities([500, 400, 300, 200, 100])
@@ -477,6 +508,33 @@ class TestServiceClient:
             strategy="striping", strategy_options={"resolution": 32}
         )
 
+    def test_where_are_takes_any_integer_sequence(self):
+        async def scenario():
+            async with ServiceCluster.from_capacities(
+                [400, 300, 200], copies=2
+            ) as cluster:
+                client = await ServiceClient.connect(*cluster.metastore_address)
+                try:
+                    assert await client.where_are(array("Q")) == []
+                    return [
+                        await client.where_are(addresses)
+                        for addresses in (
+                            range(50), list(range(50)), tuple(range(50)),
+                            array("Q", range(50)),
+                        )
+                    ]
+                finally:
+                    await client.close()
+
+        rows = run(scenario())
+        local = create(
+            "redundant-share",
+            bins_from_capacities([400, 300, 200], prefix="store"),
+            copies=2,
+        )
+        expected = [list(row) for row in local.place_many(range(50)).tuples()]
+        assert rows == [expected] * 4
+
     def test_metrics_rpc_exports_service_and_process_views(self):
         async def scenario():
             async with ServiceCluster.from_capacities(
@@ -509,15 +567,26 @@ class TestServiceClient:
             ) as cluster:
                 host, port = cluster.metastore_address
                 client = await ServiceClient.connect(host, port)
+                connection = await RpcConnection.open(host, port)
                 try:
                     with pytest.raises(BadFrameError):
                         await client.where_is(-1)
                     with pytest.raises(BadFrameError):
                         await client.where_are(["seven"])
+                    # The column's placeholder in a JSON frame names no
+                    # column: an object stands where addresses belong.
+                    with pytest.raises(BadFrameError, match="must be a list"):
+                        await connection.call(
+                            "where_are", addresses={"$u64": 3}
+                        )
+                    return (await client.metrics())["service"]["counters"]
                 finally:
+                    await connection.close()
                     await client.close()
 
-        run(scenario())
+        counters = run(scenario())
+        assert counters["metastore.errors"] == 3
+        assert "metastore.lookups" not in counters  # nothing was placed
 
     def test_cluster_rejects_port_overflow(self):
         from repro.exceptions import ConfigurationError

@@ -7,18 +7,21 @@ placement *exactly* — same devices, same copy order, for every
 registered strategy.  Hypothesis drives address batches (including
 >2**32 addresses, which exercise JSON's arbitrary-precision integers
 against the hash pipeline) through one long-lived server per strategy.
-The answer crosses the wire as a columnar frame (a rank matrix, see
-:mod:`repro.service.protocol`); its bytes are pinned below and must be
-the same with and without NumPy.
+Both directions are columnar frames (u64 addresses out, a rank matrix
+back, see :mod:`repro.service.protocol`); their bytes are pinned below
+and must be the same with and without NumPy.
 """
 
 import asyncio
 import hashlib
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro._compat as compat
+from repro.exceptions import BadFrameError
 from repro.placement.registry import create, registered_strategies
 from repro.service import (
     MetastoreServer,
@@ -26,7 +29,7 @@ from repro.service import (
     decode_frame,
     encode_frame,
 )
-from repro.service.protocol import HEADER
+from repro.service.protocol import COLUMNAR, HEADER
 from repro.types import bins_from_capacities
 
 from .harness import LoopThread
@@ -49,6 +52,14 @@ WHERE_ARE_RANKS = bytes(
 WHERE_ARE_FRAME_SHA256 = (
     "fb0c98e344e6ac19a678e7275ed169e3a7956cd5a44a2e74d26a9d3351e53eb9"
 )
+
+#: The request of that test as the client frames it: header, then 15
+#: little-endian 8-byte words.
+WHERE_ARE_REQUEST_HEADER = b'{"addresses":{"$u64":15},"id":41,"op":"where_are"}'
+WHERE_ARE_REQUEST_WORDS = bytes.fromhex(
+    "0000000000000000" "0100000000000000" "0700000000010000"
+    "0000000000000040" "15cd5b0700000000"
+) * 3
 
 addresses_lists = st.lists(
     st.integers(min_value=0, max_value=2 ** 62), min_size=0, max_size=40
@@ -166,10 +177,9 @@ class TestServedEquivalence:
         the machine or on NumPy, and which reads as the oracle's rows."""
         addresses = [0, 1, 2**40 + 7, 2**62, 123456789] * 3
         local = served.local["redundant-share"]
-        frame = served.raw_exchange(
-            "redundant-share",
-            {"op": "where_are", "id": 41, "addresses": addresses},
-        )
+        request = {"op": "where_are", "id": 41, "addresses": addresses}
+        frame = served.raw_exchange("redundant-share", request)
+        self.check_request_bytes(request)
         body = (
             b"\xff"
             + HEADER.pack(len(WHERE_ARE_HEADER))
@@ -187,9 +197,71 @@ class TestServedEquivalence:
             },
         }
 
+    @staticmethod
+    def check_request_bytes(request):
+        body = (
+            COLUMNAR
+            + HEADER.pack(len(WHERE_ARE_REQUEST_HEADER))
+            + WHERE_ARE_REQUEST_HEADER
+            + WHERE_ARE_REQUEST_WORDS
+        )
+        assert encode_frame(request) == HEADER.pack(len(body)) + body
+
+    def test_where_are_request_bytes_do_not_depend_on_numpy(self, monkeypatch):
+        addresses = [0, 1, 2**40 + 7, 2**62, 123456789] * 3
+        monkeypatch.setattr(compat, "np", None)  # as REPRO_PURE_PYTHON=1 does
+        for vector in (addresses, array("Q", addresses)):
+            self.check_request_bytes(
+                {"op": "where_are", "id": 41, "addresses": vector}
+            )
+
+    def test_edges_of_the_u64_column(self, served):
+        addresses = [0, 2 ** 63, 2 ** 64 - 1, 5, 2 ** 64 - 1]
+        assert encode_frame({"addresses": addresses})[HEADER.size:].startswith(
+            COLUMNAR
+        )
+        for entry in registered_strategies():
+            local = served.local[entry.name]
+            assert served.where_are(entry.name, addresses) == (
+                local.place_many(addresses).tuples()
+            ), entry.name
+            # One address is a column too, and is what where_is answers.
+            for address in addresses[:3]:
+                assert served.where_are(entry.name, [address]) == [
+                    served.where_is(entry.name, address)
+                ] == [local.place(address)], entry.name
+
+    @pytest.mark.parametrize(
+        "intruder, message",
+        [
+            (2 ** 64, None),  # valid, placed mod 2**64 like a local call
+            (-1, "addresses must be >= 0, got -1"),
+            (True, "addresses must be integers, got bool"),
+            (1.0, "addresses must be integers, got float"),
+        ],
+    )
+    def test_batches_no_column_holds_are_answered_as_json_lists(
+        self, served, intruder, message
+    ):
+        # The answers and typed errors of the JSON-request era, unchanged.
+        addresses = [0, 2 ** 63, intruder, 2 ** 64 - 1]
+        assert not encode_frame({"addresses": addresses})[
+            HEADER.size:
+        ].startswith(COLUMNAR)
+        for entry in registered_strategies():
+            if message is None:
+                assert served.where_are(entry.name, addresses) == (
+                    served.local[entry.name].place_many(addresses).tuples()
+                ), entry.name
+            else:
+                with pytest.raises(BadFrameError, match=message):
+                    served.where_are(entry.name, addresses)
+
     def test_empty_batch(self, served):
         for entry in registered_strategies():
-            assert served.where_are(entry.name, []) == []
+            assert served.loop.run(
+                served.connections[entry.name].call("where_are", addresses=[])
+            ) == {"placements": []}
 
     def test_lin_mirror_rows_have_its_two_copies(self, served):
         # k = 2 whatever was requested: the matrix is (n, 2), not (n, 3).

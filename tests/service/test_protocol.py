@@ -1,11 +1,14 @@
 """Property tests pinning the length-prefixed wire codec, both frame kinds.
 
 The contract under test, for JSON frames and (``TestColumnar*``) for
-columnar frames, whose payload holds one rank matrix:
+columnar frames, whose payload holds one column — a rank matrix or a
+u64 vector:
 
 * ``decode_frame(encode_frame(x)) == x`` for every JSON-representable
-  payload (round-trip identity), and equal payloads encode to byte-equal
-  frames (canonical rendering).
+  payload, except that the one top-level list the encoder packs returns
+  as an ``array('Q')`` of the same integers (:func:`as_decoded` states
+  which); ``encode_frame`` of that result is the same frame again; and
+  equal payloads encode to byte-equal frames (canonical rendering).
 * Every *proper prefix* of a valid frame raises
   :class:`TruncatedFrameError` — a reader can always distinguish "need
   more bytes" from "the stream is garbage".
@@ -19,6 +22,7 @@ columnar frames, whose payload holds one rank matrix:
 
 import asyncio
 import json
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +40,8 @@ from repro.service.protocol import (
     HEADER,
     MAX_FRAME_BYTES,
     RANKS_KEY,
+    U64_KEY,
     decode_frame,
-    decode_frame_prefix,
     decode_header,
     encode_frame,
     read_frame,
@@ -62,27 +66,71 @@ json_values = st.recursive(
     max_leaves=25,
 )
 
+# Lists the encoder packs, the edges of the column drawn often, and lists
+# one element away from packing: each of those stays a JSON array.
+u64_lists = st.lists(
+    st.integers(min_value=0, max_value=2 ** 64 - 1)
+    | st.sampled_from([0, 2 ** 63, 2 ** 64 - 1]),
+    min_size=1, max_size=6,
+)
+near_u64_lists = st.builds(
+    lambda words, index, intruder: words[:index] + [intruder] + words[index:],
+    u64_lists, st.integers(min_value=0, max_value=6),
+    st.sampled_from([-1, 2 ** 64, True, False, 1.0, "1", None, [1]]),
+)
+# What servers and clients send: an object, here with such members often.
+payloads = json_values | st.dictionaries(
+    st.text(max_size=10), u64_lists | near_u64_lists | json_values,
+    min_size=1, max_size=4,
+)
+
+
+def as_decoded(payload):
+    """The round-trip law's right-hand side: ``payload``, with the first
+    top-level member (sorted-key order) that is a non-empty list of
+    ``int`` (no ``bool``) in ``[0, 2**64)`` as an ``array('Q')``."""
+    if isinstance(payload, dict):
+        for key in sorted(payload):
+            value = payload[key]
+            if type(value) is list and value and all(
+                type(word) is int and 0 <= word < 2 ** 64 for word in value
+            ):
+                return {**payload, key: array("Q", value)}
+    return payload
+
+
+def same_value(left, right) -> bool:
+    """``==`` that also tells an ``array('Q')`` from a list and ``True``
+    from ``1``: the law is about exactly what comes back."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            same_value(left[key], right[key]) for key in left
+        )
+    if isinstance(left, list):
+        return len(left) == len(right) and all(map(same_value, left, right))
+    return left == right
+
 
 class TestRoundTrip:
-    @given(payload=json_values)
-    @settings(max_examples=100, deadline=None)
+    @given(payload=payloads)
+    @settings(max_examples=200, deadline=None)
     def test_round_trip_identity(self, payload):
-        assert decode_frame(encode_frame(payload)) == payload
+        frame = encode_frame(payload)
+        decoded = decode_frame(frame)
+        assert same_value(decoded, as_decoded(payload))
+        assert (frame[HEADER.size : HEADER.size + 1] == COLUMNAR) == (
+            decoded != payload
+        )
+        assert encode_frame(decoded) == frame
 
-    @given(payload=json_values)
+    @given(payload=payloads)
     @settings(max_examples=50, deadline=None)
     def test_canonical_encoding(self, payload):
         # Equal payloads give byte-equal frames (sorted keys, fixed
         # separators) — what lets traces be compared across machines.
         assert encode_frame(payload) == encode_frame(payload)
-
-    @given(payload=json_values)
-    @settings(max_examples=50, deadline=None)
-    def test_prefix_decoder_reports_consumed(self, payload):
-        frame = encode_frame(payload)
-        decoded, consumed = decode_frame_prefix(frame + b"extra")
-        assert decoded == payload
-        assert consumed == len(frame)
 
     def test_non_serialisable_payload(self):
         with pytest.raises(BadFrameError):
@@ -90,7 +138,7 @@ class TestRoundTrip:
 
 
 class TestTruncation:
-    @given(payload=json_values, data=st.data())
+    @given(payload=payloads, data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_every_proper_prefix_is_truncated(self, payload, data):
         frame = encode_frame(payload)
@@ -144,7 +192,7 @@ class TestStructuralGarbage:
         with pytest.raises(BadFrameError):
             decode_frame(HEADER.pack(2) + b"\xff\xfe")
 
-    @given(payload=json_values, junk=st.binary(min_size=1, max_size=8))
+    @given(payload=payloads, junk=st.binary(min_size=1, max_size=8))
     @settings(max_examples=25, deadline=None)
     def test_trailing_bytes_rejected(self, payload, junk):
         with pytest.raises(BadFrameError):
@@ -258,7 +306,21 @@ def batches(draw):
 
 
 def envelope(placements, extra=None):
-    return {"id": 7, "ok": True, "result": {"placements": placements}, "extra": extra}
+    # ``extra`` nests: a u64 list beside ``result`` would be a second column.
+    return {"id": 7, "ok": True, "result": {"placements": placements, "extra": extra}}
+
+
+@st.composite
+def columnar(draw):
+    """A payload of either column kind: an answer envelope with a rank
+    matrix, or a request with u64 addresses (as the list a caller holds,
+    or as the array a decoder handed back)."""
+    if draw(st.booleans()):
+        return envelope(draw(batches())[0])
+    words = draw(u64_lists)
+    if draw(st.booleans()):
+        words = array("Q", words)
+    return {"op": "where_are", "id": 7, "addresses": words}
 
 
 def columnar_frame(header, matrix: bytes, header_length=None) -> bytes:
@@ -272,6 +334,12 @@ def columnar_frame(header, matrix: bytes, header_length=None) -> bytes:
 
 def ranks_header(shape, dtype, rank_ids):
     return envelope({RANKS_KEY: {"shape": shape, "dtype": dtype, "rank_ids": rank_ids}})
+
+
+def u64_frame(count, words: bytes) -> bytes:
+    """A request whose ``addresses`` are ``{"$u64": count}`` over ``words``."""
+    header = {"op": "where_are", "id": 7, "addresses": {U64_KEY: count}}
+    return columnar_frame(header, words)
 
 
 def decode_or_bad_frame(frame: bytes):
@@ -344,28 +412,57 @@ class TestColumnarRoundTrip:
             )
         )
 
-    @given(batch_rows=batches())
-    @settings(max_examples=50, deadline=None)
-    def test_prefix_decoder_reports_consumed(self, batch_rows):
-        batch, rows = batch_rows
-        frame = encode_frame(envelope(batch))
-        decoded, consumed = decode_frame_prefix(frame + b"extra")
-        assert decoded == envelope(rows)
-        assert consumed == len(frame)
+    @given(words=u64_lists, extra=payloads)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_gives_the_words(self, words, extra):
+        typed = array("Q", words)
+        frame = encode_frame({"addresses": words, "extra": extra})
+        assert frame[HEADER.size : HEADER.size + 1] == COLUMNAR
+        assert f'"addresses":{{"{U64_KEY}":{len(words)}}}'.encode() in frame
+        assert frame.endswith(
+            b"".join(word.to_bytes(8, "little") for word in words)
+        )
+        decoded = decode_frame(frame)
+        # "addresses" sorts first and takes the column: "extra" is as sent.
+        assert same_value(decoded, {"addresses": typed, "extra": extra})
+        # The typed column encodes as the list did, wherever it stands.
+        assert encode_frame(decoded) == frame
+        assert same_value(decode_frame(encode_frame([extra, typed])), [extra, typed])
 
     def test_no_columns_at_all(self):
         frame = encode_frame(envelope(BatchPlacement(["a"], [])))
         assert decode_frame(frame) == envelope([])
+        # No words, no column: an empty list is the JSON array it was.
+        assert decode_frame(encode_frame({"addresses": []})) == {"addresses": []}
 
     def test_one_matrix_per_frame(self):
         batch = BatchPlacement(["a"], [[0]])
-        with pytest.raises(BadFrameError):
-            encode_frame([batch, batch])
+        words = array("Q", [1])
+        for payload in (
+            [batch, batch], [words, words], [batch, words],
+            {"addresses": [1], "result": batch},
+        ):
+            with pytest.raises(BadFrameError):
+                encode_frame(payload)
+        # A second list is no column: it stays the JSON array it was.
+        assert same_value(
+            decode_frame(encode_frame({"a": [2 ** 64], "b": [1], "c": [2]})),
+            {"a": [2 ** 64], "b": words, "c": [2]},
+        )
+
+    def test_other_arrays_are_not_columns(self):
+        for other in (
+            array("Q"), array("L", [1]), array("q", [1]), array("d", [1.0])
+        ):
+            with pytest.raises(BadFrameError):
+                encode_frame({"addresses": other})
 
     def test_encode_refuses_oversized_body(self):
         batch = BatchPlacement(["a", "b"], [[0, 1] * 64])
         with pytest.raises(OversizedFrameError):
             encode_frame(envelope(batch), max_frame_bytes=128)
+        with pytest.raises(OversizedFrameError):
+            encode_frame({"addresses": [1] * 16}, max_frame_bytes=128)
 
     def test_read_frame_decodes_both_kinds_back_to_back(self):
         batch = BatchPlacement(["a", "b"], [[0, 1], [1, 0]])
@@ -386,10 +483,10 @@ class TestColumnarRoundTrip:
 
 
 class TestColumnarTruncation:
-    @given(batch_rows=batches(), data=st.data())
+    @given(payload=columnar(), data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_every_proper_prefix_is_truncated(self, batch_rows, data):
-        frame = encode_frame(envelope(batch_rows[0]))
+    def test_every_proper_prefix_is_truncated(self, payload, data):
+        frame = encode_frame(payload)
         cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
         assert decode_or_bad_frame(frame[:cut]) is TruncatedFrameError
         # On a stream, no bytes at all is the clean EOF between frames.
@@ -397,11 +494,11 @@ class TestColumnarTruncation:
             TruncatedFrameError if cut else None
         )
 
-    @given(batch_rows=batches(), junk=st.binary(min_size=1, max_size=8))
+    @given(payload=columnar(), junk=st.binary(min_size=1, max_size=8))
     @settings(max_examples=25, deadline=None)
-    def test_trailing_bytes_rejected(self, batch_rows, junk):
+    def test_trailing_bytes_rejected(self, payload, junk):
         with pytest.raises(BadFrameError):
-            decode_frame(encode_frame(envelope(batch_rows[0])) + junk)
+            decode_frame(encode_frame(payload) + junk)
 
 
 class TestColumnarGarbage:
@@ -482,14 +579,50 @@ class TestColumnarGarbage:
         with pytest.raises(BadFrameError):
             decode_frame(columnar_frame(header, self.MATRIX))
 
+    WORDS = b"".join(word.to_bytes(8, "little") for word in (0, 2 ** 63, 7))
+
+    def test_the_unmutated_u64_frame_is_valid(self):
+        assert decode_frame(u64_frame(3, self.WORDS)) == {
+            "op": "where_are", "id": 7, "addresses": array("Q", [0, 2 ** 63, 7])
+        }
+
+    @pytest.mark.parametrize(
+        "count",
+        [0, -3, 2, 4, 3.0, True, "3", None, [3], {"n": 3}, 10 ** 30],
+    )
+    def test_u64_count_wrong(self, count):
+        with pytest.raises(BadFrameError):
+            decode_frame(u64_frame(count, self.WORDS))
+
+    @pytest.mark.parametrize("words", [b"", WORDS[:-1], WORDS + b"\x00"])
+    def test_u64_segment_short_or_long(self, words):
+        with pytest.raises(BadFrameError):
+            decode_frame(u64_frame(3, words))
+
+    def test_u64_placeholder_in_a_json_frame_is_just_an_object(self):
+        # No column follows a JSON frame, so none is made up: the handler
+        # sees an object where addresses belong (refused over a socket in
+        # test_blockstore_client's test_metastore_validates_addresses).
+        request = {"op": "where_are", "id": 7, "addresses": {U64_KEY: 3}}
+        frame = encode_frame(request)
+        assert frame[HEADER.size : HEADER.size + 1] != COLUMNAR
+        assert decode_frame(frame) == request
+
     def test_no_matrix_named(self):
         with pytest.raises(BadFrameError):
             decode_frame(columnar_frame(envelope([]), b""))
 
     def test_two_matrices_named(self):
         meta = {RANKS_KEY: {"shape": [2, 3], "dtype": "u1", "rank_ids": self.RANK_IDS}}
-        with pytest.raises(BadFrameError):
-            decode_frame(columnar_frame([meta, meta], self.MATRIX))
+        words = {U64_KEY: 3}
+        for header, column in (
+            ([meta, meta], self.MATRIX),
+            ([words, words], self.WORDS),
+            ({"addresses": words, "result": meta}, self.WORDS),
+            ({"addresses": words, "result": meta}, self.MATRIX),
+        ):
+            with pytest.raises(BadFrameError):
+                decode_frame(columnar_frame(header, column))
 
     def test_missing_field(self):
         for field in ("shape", "dtype", "rank_ids"):
@@ -553,10 +686,20 @@ class TestColumnarFuzz:
             rows = decoded["result"]["placements"]
             assert all(bin_id in rank_ids for row in rows for bin_id in row)
 
-    @given(batch_rows=batches(), data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_one_byte_of_a_valid_frame_changed(self, batch_rows, data):
-        frame = bytearray(encode_frame(envelope(batch_rows[0])))
+    @given(count=json_values | st.integers(0, 4), words=st.binary(max_size=32))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_count_over_arbitrary_words(self, count, words):
+        frame = u64_frame(count, words)
+        decoded = decode_or_bad_frame(frame)
+        assert decoded == read_or_bad_frame(frame)
+        if not refused(decoded):
+            assert decoded["addresses"].tobytes() == words
+            assert type(count) is int and 8 * count == len(words) > 0
+
+    @given(payload=columnar(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_byte_of_a_valid_frame_changed(self, payload, data):
+        frame = bytearray(encode_frame(payload))
         # Past the outer length: that prefix has its own properties above.
         position = data.draw(
             st.integers(min_value=HEADER.size, max_value=len(frame) - 1)

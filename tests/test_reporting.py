@@ -4,7 +4,6 @@ from repro.reporting import (
     format_percent,
     print_table,
     render_table,
-    share_table,
 )
 
 
@@ -34,11 +33,3 @@ class TestFormatters:
     def test_format_percent(self):
         assert format_percent(0.1234) == "12.34%"
         assert format_percent(0.5, digits=0) == "50%"
-
-    def test_share_table_merges_keys(self):
-        text = share_table("s", {"alpha": 0.5}, {"alpha": 0.4, "beta": 0.6})
-        assert "50.00%" in text
-        assert "60.00%" in text
-        assert text.index("alpha") < text.index("beta")  # sorted keys
-        # Missing observed value renders as zero.
-        assert "0.00%" in text
