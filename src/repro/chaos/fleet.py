@@ -12,24 +12,25 @@ years each).
 Per epoch:
 
 1. **Failure draw.**  Every device fails independently with probability
-   ``p = 1 - exp(-failure_rate * dt)``; the draw is one
-   :func:`~repro.placement.kernels.bernoulli_indices` call on the
-   SplitMix64 pipeline, so the failed-device set is a pure function of
-   ``(seed, epoch)`` and bit-identical between the NumPy leg and the
-   pure-Python leg (``REPRO_PURE_PYTHON=1``).  A failed device loses all
-   its shares and is immediately replaced by a blank device in the same
-   slot (the placement map never changes — repairs rebuild onto the
-   replacement, exactly the controller's crash/replace semantics with a
-   sub-epoch replacement delay).  A block whose copy count reaches zero
-   is lost for good (class 0 is absorbing).
-2. **Priority repair sweep.**  A budget of ``repair_rate`` share
-   rebuilds per epoch (fractional budgets carry over) is spent on the
-   lowest-redundancy blocks first — class 1, then class 2, ... — with
-   ties broken by ascending block address, mirroring the event-driven
-   :class:`~repro.chaos.recovery.RepairQueue` priority
-   ``(survivors, address, position)``.  At most one share of a block is
-   rebuilt per epoch (mass moves up one class), which is also what the
-   mean-field recursion models.
+   ``p = 1 - exp(-failure_rate * dt)``, drawn on the SplitMix64 pipeline
+   a chunk of epochs per :func:`~repro.placement.kernels.bernoulli_indices`
+   call, so the failed-device set is a pure function of ``(seed, epoch)``
+   and bit-identical between the NumPy leg and the pure-Python leg
+   (``REPRO_PURE_PYTHON=1``).  A failed device loses all its shares and
+   is immediately replaced by a blank device in the same slot (the
+   placement map never changes — repairs rebuild onto the replacement,
+   exactly the controller's crash/replace semantics with a sub-epoch
+   replacement delay).  A block whose copy count reaches zero is lost for
+   good (class 0 is absorbing).
+2. **Priority repair sweep.**  The *damaged index* holds the blocks below
+   full redundancy that are not lost, in address order; an epoch's kills
+   are merged into it once.  A budget of ``repair_rate`` share rebuilds
+   per epoch (fractional budgets carry over) goes to the index's first
+   blocks in ``(copies, address)`` order — one stable sort by copy count
+   — mirroring the event-driven :class:`~repro.chaos.recovery.RepairQueue`
+   priority ``(survivors, address, position)``.  A taken block gets its
+   first dead share back, so it rises one class per epoch at most, which
+   is also what the mean-field recursion models.
 
 The observed copy-count distribution is validated two ways: the
 steady-state histogram (time-average over the second half of the run)
@@ -50,18 +51,18 @@ CI job gate on zero divergence).
 from __future__ import annotations
 
 import dataclasses
-import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .. import obs
 from .._compat import get_numpy
 from ..analysis.durability import DurabilityModel, mttdl, observed_model
 from ..analysis.mean_field import mean_field_distribution, total_variation
 from ..exceptions import ConfigurationError
-from ..hashing.primitives import derive_base
-from ..placement.kernels import bernoulli_indices
+from ..hashing.primitives import derive_base, derive_bases
+from ..placement.kernels import bernoulli_indices, class_histogram
 from ..placement.registry import create
 from ..types import BinSpec, bins_from_capacities
 from .schedule import FaultKind, FaultSchedule
@@ -76,6 +77,9 @@ __all__ = [
     "durability_phase_diagram",
     "run_fleet",
 ]
+
+#: Failure draws per :func:`bernoulli_indices` call (epochs x devices).
+_DRAWS_PER_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -362,8 +366,7 @@ class FleetSimulator:
         epochs = opts.total_epochs
         p_fail = opts.failure_probability
 
-        batch = self._strategy.place_many(range(blocks))
-        columns = batch.columns
+        columns = self._strategy.place_many(range(blocks)).columns
 
         # --- columnar state -------------------------------------------
         if np is not None:
@@ -376,39 +379,44 @@ class FleetSimulator:
             device_concat = np.concatenate(
                 [np.asarray(column, dtype=np.int64) for column in columns]
             )
-            slot_concat = np.repeat(
-                np.arange(copies, dtype=np.int64), blocks
-            )
-            block_concat = np.tile(np.arange(blocks, dtype=np.int64), copies)
             order = np.argsort(device_concat, kind="stable")
-            holds_slot = slot_concat[order]
-            holds_block = block_concat[order]
+            holds_slot, holds_block = np.divmod(order, blocks)
             pointers = np.searchsorted(
                 device_concat[order], np.arange(devices + 1)
             )
 
-            def kill_device(device: int, epoch: int) -> List[int]:
-                low, high = pointers[device], pointers[device + 1]
-                slots = holds_slot[low:high]
-                hit_blocks = holds_block[low:high]
-                live = alive[slots, hit_blocks]
-                if not live.any():
-                    return []
-                slots = slots[live]
-                hit_blocks = hit_blocks[live]
-                alive[slots, hit_blocks] = False
-                dead_since[slots, hit_blocks] = epoch
-                counts[hit_blocks] -= 1
-                return hit_blocks.tolist()
+            damaged = np.zeros(0, dtype=np.int64)
 
-            def revive_one(block: int, epoch: int) -> int:
-                column = alive[:, block]
-                for slot in range(copies):
-                    if not column[slot]:
-                        alive[slot, block] = True
-                        counts[block] += 1
-                        return epoch - int(dead_since[slot, block])
-                raise AssertionError("repair target has no dead share")
+            def kill_device(device: int, epoch: int):
+                low, high = pointers[device], pointers[device + 1]
+                slots, hit = holds_slot[low:high], holds_block[low:high]
+                live = alive[slots, hit]
+                slots, hit = slots[live], hit[live]
+                alive[slots, hit] = False
+                dead_since[slots, hit] = epoch
+                counts[hit] -= 1
+                left = counts[hit]
+                return hit[left == copies - 1], hit[left == 0].tolist()
+
+            def admit(damaged, fresh, pruned: bool):
+                fresh = np.sort(np.concatenate(fresh))
+                damaged = np.insert(
+                    damaged, np.searchsorted(damaged, fresh), fresh
+                )
+                return damaged[counts[damaged] > 0] if pruned else damaged
+
+            def sweep(damaged, budget: int, epoch: int):
+                level = counts[damaged]
+                order = np.argsort(level, kind="stable")[:budget]
+                taken = damaged[order]
+                slots = alive[:, taken].argmin(0)  # first dead share
+                if alive[slots, taken].any():
+                    raise AssertionError("repair target has no dead share")
+                alive[slots, taken] = True
+                level[order] += 1
+                counts[taken] = level[order]
+                waits = epoch - dead_since[slots, taken]
+                return damaged[level < copies], taken, waits.tolist()
 
         else:
             alive = [[True] * blocks for _ in range(copies)]
@@ -418,49 +426,56 @@ class FleetSimulator:
             for slot, column in enumerate(columns):
                 for block, device in enumerate(column):
                     holds.setdefault(int(device), []).append((slot, block))
+            damaged = []
 
-            def kill_device(device: int, epoch: int) -> List[int]:
-                hit = []
+            def kill_device(device: int, epoch: int):
+                fresh, gone = [], []
                 for slot, block in holds.get(device, ()):
                     if alive[slot][block]:
                         alive[slot][block] = False
                         dead_since[slot][block] = epoch
                         counts[block] -= 1
-                        hit.append(block)
-                return hit
+                        if counts[block] == copies - 1:
+                            fresh.append(block)
+                        if counts[block] == 0:
+                            gone.append(block)
+                return fresh, gone
 
-            def revive_one(block: int, epoch: int) -> int:
-                for slot in range(copies):
-                    if not alive[slot][block]:
-                        alive[slot][block] = True
-                        counts[block] += 1
-                        return epoch - dead_since[slot][block]
-                raise AssertionError("repair target has no dead share")
+            def admit(damaged, fresh, pruned: bool):
+                damaged = sorted(damaged + [b for part in fresh for b in part])
+                return [b for b in damaged if counts[b]] if pruned else damaged
 
-        # Damaged blocks bucketed by current copy count (class); blocks
-        # at full redundancy or lost (class 0) are in no bucket.  Shared
-        # bookkeeping for both legs — it only ever sees Python ints.
-        damaged: List[Set[int]] = [set() for _ in range(copies + 1)]
-        class_counts = [0] * (copies + 1)
-        class_counts[copies] = blocks
+            def sweep(damaged, budget: int, epoch: int):
+                taken = sorted(damaged, key=counts.__getitem__)[:budget]
+                waits = []
+                for block in taken:
+                    dead = [s for s in range(copies) if not alive[s][block]]
+                    if not dead:
+                        raise AssertionError("repair target has no dead share")
+                    alive[dead[0]][block] = True
+                    counts[block] += 1
+                    waits.append(epoch - dead_since[dead[0]][block])
+                return [b for b in damaged if counts[b] < copies], taken, waits
+
         lost: List[int] = []
         device_failures = 0
         repairs = 0
         repair_wait_epochs = 0  # whole epochs a rebuilt share was down
         same_epoch_repairs = 0  # rebuilt in the epoch it died
         budget_carry = 0.0
-        repair_order: Optional[List[Tuple[int, int]]] = (
-            [] if opts.record_repairs else None
-        )
+        repair_order = [] if opts.record_repairs else None
         sample_every = opts.resolved_sample_every
         samples: List[FleetSample] = []
         sink = obs.sink()
 
         def record_sample(epoch: int) -> None:
-            damaged_total = sum(class_counts[1:copies])
-            distribution = tuple(
-                count / blocks for count in class_counts
-            )
+            # Classes 1 .. k-1 are the damaged index, class 0 the lost.
+            damaged_total = len(damaged)
+            levels = counts[damaged] if np else [counts[b] for b in damaged]
+            class_counts = class_histogram(levels, copies + 1)
+            class_counts[0] = len(lost)
+            class_counts[copies] = blocks - len(lost) - damaged_total
+            distribution = tuple(count / blocks for count in class_counts)
             samples.append(
                 FleetSample(
                     epoch=epoch,
@@ -482,17 +497,20 @@ class FleetSimulator:
                     distribution=list(distribution),
                 )
 
-        for epoch in range(1, epochs + 1):
+        if crash_schedule is not None:
+            failures = (
+                sorted(int(device) for device in crash_schedule.get(epoch, ()))
+                for epoch in range(1, epochs + 1)
+            )
+        elif p_fail > 0.0:
+            failures = _failure_draws(opts)
+        else:
+            failures = itertools.repeat((), epochs)
+
+        for epoch, failed in enumerate(failures, start=1):
             # --- failures ---------------------------------------------
-            if crash_schedule is not None:
-                failed = sorted(
-                    int(device) for device in crash_schedule.get(epoch, ())
-                )
-            elif p_fail > 0.0:
-                base = derive_base("chaos-fleet-fail", opts.seed, epoch)
-                failed = bernoulli_indices(base, devices, p_fail)
-            else:
-                failed = []
+            fresh = []
+            lost_before = len(lost)
             for device in failed:
                 device = int(device)
                 if not 0 <= device < devices:
@@ -500,53 +518,23 @@ class FleetSimulator:
                         f"scheduled crash device {device} out of range"
                     )
                 device_failures += 1
-                for block in kill_device(device, epoch):
-                    count = int(counts[block])  # new count after the kill
-                    class_counts[count + 1] -= 1
-                    class_counts[count] += 1
-                    if count == 0:
-                        damaged[1].discard(block)
-                        lost.append(block)
-                        continue
-                    if count + 1 < copies:
-                        damaged[count + 1].discard(block)
-                    damaged[count].add(block)
+                newly_damaged, gone = kill_device(device, epoch)
+                fresh.append(newly_damaged)
+                lost.extend(gone)
+            if fresh:
+                damaged = admit(damaged, fresh, len(lost) > lost_before)
 
             # --- priority repair sweep --------------------------------
             budget_carry += opts.repair_rate
             budget = int(budget_carry)
             budget_carry -= budget
-            promotions: List[Tuple[int, int]] = []
-            for klass in range(1, copies):
-                if budget <= 0:
-                    break
-                bucket = damaged[klass]
-                if not bucket:
-                    continue
-                if len(bucket) <= budget:
-                    taken = sorted(bucket)
-                else:
-                    taken = heapq.nsmallest(budget, bucket)
-                for block in taken:
-                    bucket.discard(block)
-                    wait = revive_one(block, epoch)
-                    if wait:
-                        repair_wait_epochs += wait
-                    else:
-                        same_epoch_repairs += 1
-                    repairs += 1
-                    class_counts[klass] -= 1
-                    class_counts[klass + 1] += 1
-                    if repair_order is not None:
-                        repair_order.append((epoch, block))
-                    if klass + 1 < copies:
-                        # Re-inserted only after the sweep so a block is
-                        # repaired at most once per epoch (the mean-field
-                        # recursion moves mass up exactly one class).
-                        promotions.append((klass + 1, block))
-                budget -= len(taken)
-            for klass, block in promotions:
-                damaged[klass].add(block)
+            if budget and len(damaged):
+                damaged, taken, waits = sweep(damaged, budget, epoch)
+                repairs += len(waits)
+                repair_wait_epochs += sum(waits)
+                same_epoch_repairs += waits.count(0)
+                if repair_order is not None:
+                    repair_order.extend((epoch, int(block)) for block in taken)
 
             # --- sampling ---------------------------------------------
             if epoch % sample_every == 0 or epoch == epochs:
@@ -629,6 +617,20 @@ class FleetSimulator:
                 tv_distance=report.mean_field_deviation,
             )
         return report
+
+
+def _failure_draws(opts: FleetOptions) -> Iterator:
+    """The failed device indices of epochs ``1 .. total_epochs``, in order,
+    drawn a chunk of epochs per :func:`bernoulli_indices` call."""
+    prefix = ("chaos-fleet-fail", opts.seed)
+    chunk = max(1, _DRAWS_PER_CHUNK // opts.devices)
+    for start in range(1, opts.total_epochs + 1, chunk):
+        epochs = range(start, min(start + chunk, opts.total_epochs + 1))
+        bases = derive_bases(epochs, *prefix) if get_numpy() else [
+            derive_base(*prefix, epoch) for epoch in epochs
+        ]
+        hits = bernoulli_indices(bases, opts.devices, opts.failure_probability)
+        yield from (hits.get(row, ()) for row in range(len(epochs)))
 
 
 def run_fleet(

@@ -21,14 +21,16 @@ mixing.  Everything is pure Python, needs no dependencies, and is fast enough
 for the simulation scales used in the paper's evaluation (millions of balls).
 
 For *batch* placement the same pipeline is additionally exposed in array
-form (:func:`splitmix64_array`, :func:`u64s_from_base`,
-:func:`units_from_base`): NumPy-only functions that evaluate whole address
-vectors per call, bit-for-bit identical to the scalar functions.  Without
-NumPy their callers run the scalar functions in a loop instead.
+form (:func:`splitmix64_array`, :func:`derive_bases`,
+:func:`u64s_from_base`, :func:`units_from_base`): NumPy-only functions
+that evaluate whole vectors per call, bit-for-bit identical to the scalar
+functions.  Without NumPy their callers run the scalar functions in a
+loop instead.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Union
 
 from .._compat import get_numpy
@@ -206,6 +208,22 @@ def splitmix64_array(values: Sequence[int], out=None):
     state *= _SM64_MULT2
     state ^= state >> _SHIFT31
     return state
+
+
+def derive_bases(values: Sequence[int], *prefix: HashablePart):
+    """Vectorized :func:`derive_base` with a last integer part: a ``uint64``
+    array equal to ``[derive_base(*prefix, v) for v in values]``.  The
+    prefix is folded once, each value's part as :func:`_fold_part` does."""
+    mixed = splitmix64_array(values)
+    state = functools.reduce(_fold_part, prefix, _FNV_OFFSET)
+    states = np.full(mixed.shape, state, dtype=np.uint64)
+    prime, byte = np.uint64(_FNV_PRIME), np.uint64(0xFF)
+    for shift in range(0, 64, 8):
+        states ^= (mixed >> np.uint64(shift)) & byte
+        states *= prime
+    states ^= byte
+    states *= prime
+    return splitmix64_array(states, out=states)
 
 
 def u64s_from_base(base: int, values: Sequence[int]):

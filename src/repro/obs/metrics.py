@@ -14,7 +14,7 @@ produce identical snapshots (the equivalence tests assert this).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -93,11 +93,6 @@ class Histogram:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
-
-    def observe_many(self, values: Iterable[Number]) -> None:
-        """Record one observation per element."""
-        for value in values:
-            self.observe(value)
 
     def _bucket_index(self, value: Number) -> int:
         lo, hi = 0, len(self.bounds)

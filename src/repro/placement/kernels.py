@@ -74,7 +74,6 @@ from ..hashing.primitives import (
     splitmix64_array,
     u64s_from_base,
     unit_from_base,
-    units_from_base,
 )
 
 #: Bound once: everything down to :func:`cumcount` is NumPy-only (see
@@ -296,28 +295,28 @@ def cumcount(arr):
     return result
 
 
-def bernoulli_indices(base: int, count: int, probability: float):
-    """Indices in ``[0, count)`` whose derived uniform draw beats ``probability``.
+def bernoulli_indices(bases, count: int, probability: float):
+    """``{row: ascending indices i in [0, count) with unit_from_base(
+    bases[row], i) < probability}`` for the rows that select any index.
 
-    The draw for index ``i`` is ``unit_from_base(base, i)`` on both legs
-    (the uint64 -> float64 rounding is identical, see
-    :func:`repro.hashing.primitives.units_from_base`), so the selected
-    index set is bit-for-bit the same with and without NumPy.  The fleet
-    chaos engine uses one call per epoch — ``base`` derived from
-    ``(seed, epoch)`` — to draw which devices fail that epoch.
-
-    Returns ascending indices: an ``int64`` array with NumPy, a list of
-    ints without.
+    Bit-for-bit the same on both legs (``int64`` arrays with NumPy, lists
+    without).  The fleet engine passes one base per epoch, derived from
+    ``(seed, epoch)``, to draw a chunk of epochs' device failures at once.
     """
     np = get_numpy()
     if np is None:
-        return [
-            index
-            for index in range(count)
-            if unit_from_base(base, index) < probability
-        ]
-    draws = units_from_base(base, np.arange(count, dtype=np.int64))
-    return np.flatnonzero(draws < probability).astype(np.int64)
+        selected = (
+            [i for i in range(count) if unit_from_base(base, i) < probability]
+            for base in bases
+        )
+        return {row: hits for row, hits in enumerate(selected) if hits}
+    draws = draws_from_premixed(
+        np.asarray(bases, dtype=np.uint64)[:, None],
+        premix(np.arange(count, dtype=np.uint64)),
+    )
+    rows, indices = np.nonzero(draws < probability)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return dict(zip(rows[starts].tolist(), np.split(indices, starts[1:])))
 
 
 def class_histogram(values, classes: int):

@@ -1,7 +1,7 @@
 """Plain-text report rendering shared by the CLI, benches and examples.
 
-Nothing clever: fixed-width tables with a title banner, plus helpers for
-formatting shares and fill levels consistently across all surfaces.
+Nothing clever: fixed-width tables with a title banner, rendered the same
+way on every surface.
 """
 
 from __future__ import annotations
@@ -35,8 +35,3 @@ def print_table(
 ) -> None:
     """Render and print a table."""
     print(render_table(title, header, rows))
-
-
-def format_percent(value: float, digits: int = 2) -> str:
-    """``0.1234 -> '12.34%'``."""
-    return f"{value * 100:.{digits}f}%"

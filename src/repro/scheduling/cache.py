@@ -86,11 +86,6 @@ class LruCacheModel:
             resident.popitem(last=False)
         return self.miss_cost
 
-    def resident_on(self, device_id: str) -> int:
-        """Blocks currently resident on ``device_id``."""
-        resident = self._resident.get(device_id)
-        return len(resident) if resident else 0
-
     def hit_rate(self) -> float:
         """Overall hit fraction (0.0 before any access)."""
         total = self.hits + self.misses

@@ -31,11 +31,6 @@ class Simulator:
         """Current simulation time."""
         return self._now
 
-    @property
-    def processed_events(self) -> int:
-        """Events executed so far."""
-        return self._processed
-
     def schedule(self, delay: float, action: Action) -> None:
         """Run ``action`` ``delay`` time units from now.
 

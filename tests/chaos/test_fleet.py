@@ -3,12 +3,14 @@
 The load-bearing guarantee is leg equivalence: the NumPy leg and the
 pure-Python leg (``repro._compat.np`` monkeypatched to None) must produce
 bit-identical copy-count columns, loss lists and samples for any
-configuration.  On top of that we pin determinism, the zero-divergence
-cross-check against the event-driven controller, the mean-field fit and
-the repair priority order.
+configuration.  Six fixed reports are pinned by digest on both legs, so
+the two cannot drift together.  On top of that we pin determinism, the
+zero-divergence cross-check against the event-driven controller, the
+mean-field fit and the repair priority order.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from repro.chaos import (
     run_chaos,
     run_fleet,
 )
+from repro.chaos import fleet
 from repro.cluster import Cluster
 from repro.exceptions import ConfigurationError
 from repro.placement.registry import create
@@ -79,26 +82,116 @@ def run_pure(options, crash_schedule=None):
         compat.np = saved
 
 
+def run_leg(leg, options, crash_schedule=None):
+    if leg == "pure":
+        return run_pure(options, crash_schedule)
+    if compat.np is None:
+        pytest.skip("NumPy unavailable")
+    return FleetSimulator(options).run(crash_schedule)
+
+
+def report_digest(report):
+    return hashlib.sha256(repr(report_fingerprint(report)).encode()).hexdigest()
+
+
+#: Six fixed runs and the sha256 of their :func:`report_fingerprint`,
+#: recorded from the engine's earlier per-class-set repair queue.  Leg
+#: equivalence cannot see both legs drift together; these can.
+PINNED_REPORTS = {
+    # All k devices of block 7 crash in one epoch: damage, loss and the
+    # prune of the damaged index happen together.
+    "whole-placement-crash": (
+        dict(devices=8, blocks=64, copies=3, epochs=10, failure_rate=0.0,
+             repair_rate=5.0, seed=0, strategy="striping",
+             device_capacity=32),
+        "3c8da09722429edd75b33f3970419eec04023703bbdc04fd947e361fde925d8e",
+    ),
+    "one-copy": (
+        dict(devices=6, blocks=80, copies=1, epochs=20, failure_rate=0.6,
+             repair_rate=5.0, seed=11, strategy="redundant-share",
+             device_capacity=40),
+        "cbab1f1286e032b94d669492dc80ce6fda1ebff1cd037978fee98c77a52343b1",
+    ),
+    # Up to 200 damaged blocks against a budget of 2 per epoch.
+    "four-copies-tight-budget": (
+        dict(devices=10, blocks=200, copies=4, epochs=30, failure_rate=0.5,
+             repair_rate=2.0, seed=5, strategy="striping",
+             device_capacity=100),
+        "0e19b6bb86940caaaa020e6db9d7d6f330eec16c92ba4e7bc87af8f4e15b89ef",
+    ),
+    "fractional-budget": (
+        dict(devices=8, blocks=100, copies=2, epochs=40, failure_rate=0.4,
+             repair_rate=0.3, seed=7, strategy="redundant-share",
+             device_capacity=40),
+        "dc3675164647834ccd52642f7b18436ee0023b3ada93fec284488d9c7b62aa51",
+    ),
+    "no-repair": (
+        dict(devices=8, blocks=100, copies=3, epochs=25, failure_rate=0.4,
+             repair_rate=0.0, seed=2, strategy="striping",
+             device_capacity=50),
+        "a2935c024e6dcdc0cbe1472205a39fc21d68ed1dd5f9c999f7fd216c3bf87314",
+    ),
+    "large-budget": (
+        dict(devices=12, blocks=300, copies=3, epochs=36, failure_rate=2.0,
+             repair_rate=1e4, seed=9, strategy="redundant-share",
+             device_capacity=80),
+        "e079c8dc3ddf627909935c498dfd168a69a1e9524f469fb0b2631f675c3d6552",
+    ),
+}
+
+
+@pytest.mark.parametrize("leg", ["numpy", "pure"])
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_is_pinned(name, leg):
+    config, digest = PINNED_REPORTS[name]
+    options = FleetOptions(epochs_per_year=12, record_repairs=True, **config)
+    crashes = None
+    if name == "whole-placement-crash":
+        simulator = FleetSimulator(options)
+        victim = create(
+            "striping",
+            bins_from_capacities([32] * 8, prefix="dev"),
+            copies=3,
+        ).place(7)
+        devices = sorted(simulator.device_ids.index(d) for d in victim)
+        crashes = {2: devices, 5: [0]}
+    assert report_digest(run_leg(leg, options, crashes)) == digest
+
+
 class TestLegEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         devices=st.integers(min_value=3, max_value=12),
-        copies=st.integers(min_value=1, max_value=3),
+        blocks=st.integers(min_value=1, max_value=400),
+        copies=st.integers(min_value=1, max_value=4),
         epochs=st.integers(min_value=1, max_value=15),
         failure_rate=st.floats(min_value=0.0, max_value=8.0),
         repair_rate=st.floats(min_value=0.0, max_value=20.0),
         strategy=st.sampled_from(["striping", "redundant-share"]),
+        crash_schedule=st.none()
+        | st.dictionaries(
+            st.integers(min_value=1, max_value=15),
+            st.lists(st.integers(min_value=0, max_value=11), min_size=1,
+                     max_size=4),
+            max_size=4,
+        ),
     )
     def test_numpy_and_pure_legs_are_bit_identical(
-        self, seed, devices, copies, epochs, failure_rate, repair_rate, strategy
+        self, seed, devices, blocks, copies, epochs, failure_rate,
+        repair_rate, strategy, crash_schedule,
     ):
         if compat.np is None:
             pytest.skip("NumPy unavailable; nothing to compare against")
         copies = min(copies, devices)
+        if crash_schedule is not None:
+            crash_schedule = {
+                epoch: [device % devices for device in crashed]
+                for epoch, crashed in crash_schedule.items()
+            }
         options = FleetOptions(
             devices=devices,
-            blocks=40,
+            blocks=blocks,
             copies=copies,
             epochs=epochs,
             epochs_per_year=12,
@@ -109,11 +202,23 @@ class TestLegEquivalence:
             device_capacity=64,
             record_repairs=True,
         )
-        numpy_report = FleetSimulator(options).run()
-        pure_report = run_pure(options)
+        numpy_report = FleetSimulator(options).run(crash_schedule)
+        pure_report = run_pure(options, crash_schedule)
         assert report_fingerprint(numpy_report) == report_fingerprint(
             pure_report
         )
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    def test_failure_draws_do_not_depend_on_the_chunking(
+        self, leg, monkeypatch
+    ):
+        # 8 devices: chunks of 1, 2 and 3 epochs cut a 12-epoch horizon
+        # at every boundary the default chunk never reaches.
+        options = small_options(record_repairs=True)
+        reference = report_fingerprint(run_leg(leg, options))
+        for draws in (8, 16, 24):
+            monkeypatch.setattr(fleet, "_DRAWS_PER_CHUNK", draws)
+            assert report_fingerprint(run_leg(leg, options)) == reference
 
     def test_legs_match_under_scheduled_crashes(self):
         if compat.np is None:

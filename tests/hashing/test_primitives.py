@@ -127,7 +127,23 @@ class TestBatchPrimitives:
         assert [float(v) for v in result] == expected
         assert all(0.0 <= float(v) < 1.0 for v in result)
 
+    @pytest.mark.parametrize(
+        "values",
+        [VALUES, range(2030, 2060), range(1, 5000)],
+        ids=["edges", "across-a-fleet-chunk", "long"],
+    )
+    def test_derive_bases_matches_scalar(self, values):
+        # The fleet engine's failure-draw prefix; 2048 epochs is its
+        # chunk at 8 devices.
+        result = primitives.derive_bases(values, "chaos-fleet-fail", 3)
+        expected = [
+            primitives.derive_base("chaos-fleet-fail", 3, value)
+            for value in values
+        ]
+        assert [int(v) for v in result] == expected
+
     def test_empty_inputs(self):
+        assert list(primitives.derive_bases([], "prefix")) == []
         assert list(primitives.splitmix64_array([])) == []
         assert list(primitives.u64s_from_base(5, [])) == []
         assert list(primitives.units_from_base(5, [])) == []

@@ -52,7 +52,8 @@ class TestHistogram:
 
     def test_mean_and_quantiles(self):
         histogram = Histogram("h", bounds=[1, 2, 4, 8])
-        histogram.observe_many([1, 1, 2, 4, 8])
+        for value in [1, 1, 2, 4, 8]:
+            histogram.observe(value)
         assert histogram.mean == pytest.approx(16 / 5)
         assert histogram.quantile(0.5) == 2
         assert histogram.quantile(1.0) == 8

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro._compat as compat
 from repro._compat import HAVE_NUMPY, get_numpy
 from repro.hashing.alias import CumulativeTable
 from repro.hashing.primitives import unit_from_base, unit_from_base_open
@@ -276,6 +277,62 @@ class TestSequenceKernels:
             seen[value] = expected[-1] + 1
         got = kernels.cumcount(np.asarray(values, dtype=np.int64))
         assert got.tolist() == expected
+
+
+class TestBernoulliIndices:
+    """The fleet engine's failure draw, on both legs: row ``r`` selects
+    every index ``i`` with ``unit_from_base(bases[r], i) < p``."""
+
+    @staticmethod
+    def drawn(leg, monkeypatch, bases, count, probability):
+        if leg == "pure":
+            monkeypatch.setattr(compat, "np", None)
+        elif not HAVE_NUMPY:
+            pytest.skip("NumPy unavailable")
+        hits = kernels.bernoulli_indices(bases, count, probability)
+        return {row: [int(i) for i in indices] for row, indices in hits.items()}
+
+    @staticmethod
+    def expected(bases, count, probability):
+        rows = (
+            [i for i in range(count) if unit_from_base(base, i) < probability]
+            for base in bases
+        )
+        return {row: hits for row, hits in enumerate(rows) if hits}
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    @pytest.mark.parametrize(
+        "bases, count, probability",
+        [
+            ([], 10, 0.5),
+            ([3, 4, 5, 6, 7, 8], 1, 0.5),
+            ([0, 2**63, 2**64 - 1], 40, 0.0),
+            ([0, 2**63, 2**64 - 1], 40, 1.0),
+            ([12345, 1, 99], 300, 0.05),
+        ],
+        ids=["no-bases", "count-1", "p-0", "p-1", "sparse"],
+    )
+    def test_matches_scalar_rows(
+        self, leg, monkeypatch, bases, count, probability
+    ):
+        got = self.drawn(leg, monkeypatch, bases, count, probability)
+        assert got == self.expected(bases, count, probability)
+        if probability == 1.0:
+            assert got == {row: list(range(count)) for row in range(3)}
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    @given(
+        bases=st.lists(
+            st.integers(min_value=0, max_value=2**64 - 1), max_size=12
+        ),
+        count=st.integers(min_value=0, max_value=60),
+        probability=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_rows(self, leg, bases, count, probability):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            got = self.drawn(leg, monkeypatch, bases, count, probability)
+        assert got == self.expected(bases, count, probability)
 
 
 class TestBlocks:

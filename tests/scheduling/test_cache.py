@@ -35,8 +35,8 @@ class TestCosts:
         cache.cost("d0", 7)
         # Same address on another device is a fresh miss.
         assert cache.cost("d1", 7) == cache.miss_cost
-        assert cache.resident_on("d0") == 1
-        assert cache.resident_on("d1") == 1
+        assert cache.cost("d0", 7) == cache.hit_cost
+        assert cache.cost("d1", 7) == cache.hit_cost
 
     def test_hit_rate_zero_before_any_access(self):
         assert LruCacheModel(1).hit_rate() == 0.0
@@ -48,7 +48,6 @@ class TestEviction:
         cache.cost("d0", 1)
         cache.cost("d0", 2)
         cache.cost("d0", 3)  # evicts 1
-        assert cache.resident_on("d0") == 2
         assert cache.cost("d0", 1) == cache.miss_cost  # gone
         assert cache.cost("d0", 3) == cache.hit_cost  # still resident
 
@@ -78,6 +77,5 @@ class TestAccounting:
         cache.cost("d0", 1)
         cache.reset()
         assert cache.hits == 0 and cache.misses == 0
-        assert cache.resident_on("d0") == 0
         assert cache.device_stats() == {}
         assert cache.cost("d0", 1) == cache.miss_cost

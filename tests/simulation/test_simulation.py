@@ -98,7 +98,6 @@ class TestSimulator:
         simulator.run()
         assert seen == ["a", "b"]
         assert simulator.now == 5.0
-        assert simulator.processed_events == 2
 
     def test_ties_fifo(self):
         simulator = Simulator()

@@ -1,10 +1,6 @@
 """Tests for the shared report rendering."""
 
-from repro.reporting import (
-    format_percent,
-    print_table,
-    render_table,
-)
+from repro.reporting import print_table, render_table
 
 
 class TestRenderTable:
@@ -27,9 +23,3 @@ class TestRenderTable:
     def test_print_table(self, capsys):
         print_table("t", ["a"], [[5]])
         assert "5" in capsys.readouterr().out
-
-
-class TestFormatters:
-    def test_format_percent(self):
-        assert format_percent(0.1234) == "12.34%"
-        assert format_percent(0.5, digits=0) == "50%"
