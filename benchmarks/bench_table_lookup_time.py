@@ -16,9 +16,9 @@ from repro.core import FastRedundantShare, RedundantShare
 from repro.placement import (
     ConsistentHashingPlacer,
     CrushStrategy,
-    RendezvousPlacer,
-    SharePlacer,
+    ShareWeightedPlacer,
     TrivialReplication,
+    WeightedRendezvous,
 )
 from repro.types import bins_from_capacities
 
@@ -77,6 +77,8 @@ def test_batch_lookup_scan_redundant_share(benchmark, size):
 )
 def test_lookup_baselines_at_64_bins(benchmark, name):
     bins = heterogeneous(64)
+    ids = [spec.bin_id for spec in bins]
+    capacities = [float(spec.capacity) for spec in bins]
     if name == "trivial":
         strategy = TrivialReplication(bins, copies=COPIES)
         call = strategy.place
@@ -87,10 +89,10 @@ def test_lookup_baselines_at_64_bins(benchmark, name):
         placer = ConsistentHashingPlacer(bins)
         call = lambda address: placer.place_successors(address, COPIES)
     elif name == "rendezvous":
-        placer = RendezvousPlacer(bins)
-        call = lambda address: placer.place_top(address, COPIES)
+        placer = WeightedRendezvous(ids, capacities, "rendezvous")
+        call = lambda address: placer.top(address, COPIES)
     else:
-        placer = SharePlacer(bins)
+        placer = ShareWeightedPlacer(ids, capacities, "share")
         call = placer.place
     counter = iter(range(10**9))
     benchmark(lambda: call(next(counter)))

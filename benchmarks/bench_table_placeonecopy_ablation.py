@@ -15,16 +15,20 @@ import pytest
 from _tables import emit
 from repro.core import ClassicLinMirror
 from repro.metrics import compare_strategies
-from repro.placement import make_alias, make_rendezvous, make_ring_placer
+from repro.placement import (
+    AliasWeightedPlacer,
+    RingWeightedPlacer,
+    WeightedRendezvous,
+)
 from repro.types import BinSpec, bins_from_capacities
 
 CAPACITIES = [900, 700, 500, 300, 200]
 BALLS = 25_000
 
 BACKENDS = {
-    "rendezvous": make_rendezvous,
-    "ring": make_ring_placer,
-    "alias": make_alias,
+    "rendezvous": WeightedRendezvous,
+    "ring": RingWeightedPlacer,
+    "alias": AliasWeightedPlacer,
 }
 
 

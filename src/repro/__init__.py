@@ -33,7 +33,6 @@ from .exceptions import (
     DeviceNotFoundError,
     DeviceUnavailableError,
     InfeasibleRedundancyError,
-    InfeasibleReplicationError,
     OversizedFrameError,
     PlacementError,
     RepairTimeoutError,
@@ -65,7 +64,6 @@ __all__ = [
     "DeviceNotFoundError",
     "DeviceUnavailableError",
     "InfeasibleRedundancyError",
-    "InfeasibleReplicationError",
     "OversizedFrameError",
     "Placement",
     "PlacementError",

@@ -27,7 +27,7 @@ the ring/alias backends.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Type
 
 from ..capacity.clipping import clip_capacities
 from ..capacity.weights import (
@@ -40,11 +40,8 @@ from ..exceptions import PlacementError
 from ..hashing.primitives import derive_base, unit_from_base
 from ..placement import kernels
 from ..placement.base import ReplicationStrategy, WeightedPlacer
-from ..placement.rendezvous import make_rendezvous
+from ..placement.rendezvous import WeightedRendezvous
 from ..types import BinSpec, Placement, sort_bins_by_capacity
-
-#: Secondary-placer factory: (ids, weights, namespace) -> WeightedPlacer.
-PlacerFactory = Callable[[Sequence[str], Sequence[float], str], WeightedPlacer]
 
 
 def boundary_boost(capacities: Sequence[float]) -> Optional[float]:
@@ -106,7 +103,7 @@ class ClassicLinMirror(ReplicationStrategy):
         self,
         bins: Sequence[BinSpec],
         namespace: str = "",
-        placer_factory: PlacerFactory = make_rendezvous,
+        placer_factory: Type[WeightedPlacer] = WeightedRendezvous,
         apply_boost: bool = True,
     ) -> None:
         """Build the strategy.
@@ -114,11 +111,12 @@ class ClassicLinMirror(ReplicationStrategy):
         Args:
             bins: The participating storage devices.
             namespace: Hash salt prefix.
-            placer_factory: Fair single-copy backend used for the secondary
-                copy (rendezvous by default; consistent hashing and alias
-                backends live in :mod:`repro.placement`).  The batch
-                engine reproduces the rendezvous race only; any other
-                backend keeps ``place()`` per address.
+            placer_factory: The ``placeonecopy`` class used for the
+                secondary copy: :class:`WeightedRendezvous` (default),
+                ``AliasWeightedPlacer``, ``ShareWeightedPlacer`` or
+                ``RingWeightedPlacer`` from :mod:`repro.placement`.  The
+                batch engine reproduces the rendezvous race only; any
+                other backend keeps ``place()`` per address.
             apply_boost: Apply the ``b̃`` boundary adjustment (default).
                 Disabling it reproduces the small unfairness the paper
                 describes in Section 3.1 — used by the ablation bench.
@@ -135,10 +133,10 @@ class ClassicLinMirror(ReplicationStrategy):
         self._saturated = first_saturated_index(self._rounds)
         self._boost = boundary_boost(self._capacities) if apply_boost else None
         self._placer_factory = placer_factory
-        # The engine reproduces the rendezvous race; ring and alias
-        # backends select through structures the scalar path owns and
-        # keep the generic loop.
-        self._has_engine = placer_factory is make_rendezvous
+        # The engine reproduces the rendezvous race; every other backend
+        # selects through structures the scalar path owns and keeps the
+        # generic loop.
+        self._has_engine = placer_factory is WeightedRendezvous
         self._placers: Dict[int, Optional[WeightedPlacer]] = {}
         # Per primary rank, the secondary race as vectors (batch engine).
         self._race_vectors: Dict[int, tuple] = {}
@@ -231,9 +229,8 @@ class ClassicLinMirror(ReplicationStrategy):
         looking for a primary; those the draw selects are exactly the
         group whose secondary comes from that rank's ``placeonecopy``
         tail, so each group is settled by a single guarded argmax over
-        the ``-w / ln(u)`` scores the scalar
-        :class:`~repro.placement.rendezvous.WeightedRendezvous` compares
-        (a forced secondary is a constant).  Rows decided within
+        the ``-w / ln(u)`` scores the scalar :class:`WeightedRendezvous`
+        compares (a forced secondary is a constant).  Rows decided within
         :data:`~repro.placement.kernels.TIE_GUARD` are returned for the
         driver to settle through :meth:`place`.
         """

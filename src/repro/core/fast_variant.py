@@ -57,7 +57,6 @@ class FastRedundantShare(ReplicationStrategy):
         bins: Sequence[BinSpec],
         copies: int = 2,
         namespace: str = "",
-        clip: bool = True,
         state_selector: str = "cdf",
     ) -> None:
         """Build the state tables.
@@ -66,7 +65,6 @@ class FastRedundantShare(ReplicationStrategy):
             bins: The participating storage devices.
             copies: Replication degree ``k``.
             namespace: Hash salt prefix.
-            clip: Clip capacities per Lemma 2.2 (default).
             state_selector: Per-state sampling backend.  ``"cdf"`` (default)
                 draws through an inverse CDF — O(log n) per copy but
                 boundary shifts cascade, so reconfigurations move more data
@@ -101,9 +99,7 @@ class FastRedundantShare(ReplicationStrategy):
         self._share_states: Dict[Tuple[int, int], object] = {}
         # Reuse the scan variant's preprocessing (ordering, clipping,
         # hazard solve); this also guarantees both variants agree.
-        self._scan = RedundantShare(
-            bins, copies=copies, namespace=namespace, clip=clip
-        )
+        self._scan = RedundantShare(bins, copies=copies, namespace=namespace)
         self.rank_ids = self._scan.rank_ids
         self._rendezvous_bases: Dict[Tuple[int, int], list] = {}
 

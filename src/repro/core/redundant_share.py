@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from .. import obs
-from ..capacity.clipping import clip_capacities, is_capacity_efficient
-from ..exceptions import InfeasibleReplicationError
+from ..capacity.clipping import clip_capacities
 from ..hashing.primitives import derive_base, unit_from_base
 from ..placement import kernels
 from ..placement.base import ReplicationStrategy
@@ -46,9 +45,11 @@ class RedundantShare(ReplicationStrategy):
         bins: Sequence[BinSpec],
         copies: int = 2,
         namespace: str = "",
-        clip: bool = True,
     ) -> None:
         """Build the strategy for a configuration snapshot.
+
+        Capacities are clipped per Lemma 2.2 / Algorithm 1, which leaves a
+        capacity-efficient vector (Lemma 2.1) unchanged.
 
         Args:
             bins: The participating storage devices.
@@ -56,24 +57,11 @@ class RedundantShare(ReplicationStrategy):
             namespace: Hash salt prefix; strategies with equal namespaces
                 and bin names produce correlated placements (intended — it
                 is how adaptivity across configurations works).
-            clip: Clip capacities per Lemma 2.2 / Algorithm 1 when the raw
-                vector is not capacity-efficient (default).  With
-                ``clip=False`` an infeasible vector raises
-                :class:`~repro.exceptions.InfeasibleReplicationError`.
         """
         super().__init__(bins, copies, namespace)
         self._ordered = sort_bins_by_capacity(self._bins)
         raw = [float(spec.capacity) for spec in self._ordered]
-        if clip:
-            effective = clip_capacities(raw, copies)
-        else:
-            if not is_capacity_efficient(raw, copies):
-                raise InfeasibleReplicationError(
-                    f"k*b_0 = {copies * raw[0]} exceeds B = {sum(raw)} "
-                    "(Lemma 2.1); enable clipping or fix the capacities"
-                )
-            effective = raw
-        self._table = compute_hazards(effective, copies)
+        self._table = compute_hazards(clip_capacities(raw, copies), copies)
         self.rank_ids = [spec.bin_id for spec in self._ordered]
         # Per-(copy, rank) salt bases: lookups then mix integers only.
         self._draw_bases = [
@@ -258,9 +246,8 @@ class LinMirror(RedundantShare):
         self,
         bins: Sequence[BinSpec],
         namespace: str = "",
-        clip: bool = True,
     ) -> None:
-        super().__init__(bins, copies=2, namespace=namespace, clip=clip)
+        super().__init__(bins, copies=2, namespace=namespace)
 
     def secondary(self, address: int) -> str:
         """Convenience accessor for the mirror copy's bin."""

@@ -22,16 +22,6 @@ class ConfigurationError(ReproError):
     """
 
 
-class InfeasibleReplicationError(ConfigurationError):
-    """Fairness and redundancy cannot both hold for the given capacities.
-
-    Raised when a strategy is asked to honour raw capacities that violate
-    Lemma 2.1 (``k * b_0 > B``) and capacity clipping was explicitly
-    disabled.  With clipping enabled (the default) the library adjusts the
-    capacities per Algorithm 1 of the paper instead of raising.
-    """
-
-
 class InfeasibleRedundancyError(ConfigurationError):
     """A reconfiguration would leave the cluster unable to honour redundancy.
 

@@ -9,7 +9,6 @@ alias tables) the placement strategies are made of.
 from .alias import AliasTable, CumulativeTable, build_selector
 from .primitives import (
     as_u64_array,
-    hash_sequence,
     splitmix64,
     splitmix64_array,
     stable_u64,
@@ -26,7 +25,6 @@ __all__ = [
     "HashRing",
     "as_u64_array",
     "build_selector",
-    "hash_sequence",
     "splitmix64",
     "splitmix64_array",
     "stable_u64",

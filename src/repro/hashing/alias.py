@@ -151,13 +151,9 @@ class CumulativeTable:
         return len(self._cumulative)
 
 
-def build_selector(weights: Sequence[float], prefer_alias: bool = True):
-    """Return the most appropriate selector for ``weights``.
-
-    Degenerate single-outcome distributions get a trivial constant selector;
-    otherwise an :class:`AliasTable` (or :class:`CumulativeTable` when
-    ``prefer_alias`` is false).
-    """
+def build_selector(weights: Sequence[float]):
+    """Return the selector for ``weights``: a trivial constant selector for
+    a single-outcome distribution, an :class:`AliasTable` otherwise."""
     positive = [index for index, weight in enumerate(weights) if weight > 0]
     if len(positive) == 1:
         only = positive[0]
@@ -170,6 +166,4 @@ def build_selector(weights: Sequence[float], prefer_alias: bool = True):
                 return len(weights)
 
         return _Constant()
-    if prefer_alias:
-        return AliasTable(weights)
-    return CumulativeTable(weights)
+    return AliasTable(weights)

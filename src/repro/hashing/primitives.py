@@ -138,20 +138,6 @@ def unit_from_base_open(base: int, *values: int) -> float:
     return (u64_from_base(base, *values) | 1) * _INV_2_64
 
 
-def hash_sequence(seed: int, count: int) -> list:
-    """Return ``count`` independent 64-bit values derived from ``seed``.
-
-    Equivalent to ``[stable_u64(seed, i) for i in range(count)]`` but cheaper,
-    using the SplitMix64 stream construction.
-    """
-    values = []
-    state = splitmix64(seed & _MASK64)
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        values.append(splitmix64(state))
-    return values
-
-
 # ----------------------------------------------------------------------
 # Vectorized pipeline (NumPy only)
 # ----------------------------------------------------------------------

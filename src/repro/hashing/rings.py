@@ -1,17 +1,17 @@
-"""Hash-ring data structure used by consistent hashing and the Share strategy.
+"""Hash-ring data structure used by consistent hashing.
 
 A :class:`HashRing` stores named points on the unit circle ``[0, 1)`` and
 answers successor queries ("which point follows position x clockwise?") in
 ``O(log P)`` via binary search.  Points are placed deterministically from the
 owner's name and a replica index, so the ring is identical across processes
-and is stable under insertion/removal of other owners — the property that
-makes consistent hashing 1-competitive for adaptivity.
+and an owner's points do not depend on which other owners are present —
+the property that makes consistent hashing 1-competitive for adaptivity.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .primitives import unit_interval
 
@@ -47,27 +47,6 @@ class HashRing:
             position = self.point_position(self._namespace, owner, replica)
             self._pending.append((position, owner))
         self._dirty = True
-
-    def remove_owner(self, owner: str) -> None:
-        """Remove all points belonging to ``owner``.
-
-        Raises:
-            KeyError: if the owner is not on the ring.
-        """
-        points = self._points_per_owner.pop(owner)
-        self._flush()
-        keep_positions: List[float] = []
-        keep_labels: List[str] = []
-        removed = 0
-        for position, label in zip(self._positions, self._labels):
-            if label == owner:
-                removed += 1
-            else:
-                keep_positions.append(position)
-                keep_labels.append(label)
-        assert removed == points, "ring bookkeeping out of sync"
-        self._positions = keep_positions
-        self._labels = keep_labels
 
     def _flush(self) -> None:
         """Merge pending insertions into the sorted arrays."""
@@ -123,23 +102,6 @@ class HashRing:
                 if len(result) == count:
                     break
         return result
-
-    def owners_covering(self, position: float) -> List[str]:
-        """All owners, ordered clockwise by their first point after ``position``.
-
-        Helper for strategies (like Share) that need the full clockwise owner
-        order rather than a single successor.
-        """
-        return self.successors(position, len(self._points_per_owner))
-
-    @property
-    def owners(self) -> Iterable[str]:
-        """The set of owners currently on the ring."""
-        return self._points_per_owner.keys()
-
-    def points_of(self, owner: str) -> int:
-        """Number of virtual points ``owner`` has on the ring."""
-        return self._points_per_owner[owner]
 
     def __len__(self) -> int:
         self._flush()

@@ -1,13 +1,20 @@
 """Placement strategies: the paper's baselines and building blocks.
 
-Single-copy placers (the ``placeonecopy`` role):
+Single-copy selectors (the ``placeonecopy`` role), each a
+:class:`~repro.placement.base.WeightedPlacer` built as
+``cls(ids, weights, namespace)``:
 
-* :class:`~repro.placement.rendezvous.RendezvousPlacer` — exactly fair, O(n).
-* :class:`~repro.placement.consistent_hashing.ConsistentHashingPlacer` —
+* :class:`~repro.placement.rendezvous.WeightedRendezvous` — exactly fair,
+  O(n); the default backend.
+* :class:`~repro.placement.alias_placer.AliasWeightedPlacer` — exactly
+  fair, O(1), non-adaptive.
+* :class:`~repro.placement.share_weighted.ShareWeightedPlacer` — Share
+  (SPAA 2002), (1 + eps)-fair, near-O(1), adaptive.
+* :class:`~repro.placement.consistent_hashing.RingWeightedPlacer` —
   Karger et al., approximately fair, O(log n).
-* :class:`~repro.placement.share.SharePlacer` — Share (SPAA 2002).
-* :class:`~repro.placement.alias_placer.AliasPlacer` — exactly fair, O(1),
-  non-adaptive.
+
+:class:`~repro.placement.consistent_hashing.ConsistentHashingPlacer` is the
+ring over a bin configuration, kept for its ring-successor replica chain.
 
 Replication strategies are populated by :mod:`repro.placement.trivial`,
 :mod:`repro.placement.crush`, :mod:`repro.placement.striping` and
@@ -15,19 +22,14 @@ Replication strategies are populated by :mod:`repro.placement.trivial`,
 reallocation-free Sequential Checking) lives in :mod:`repro.core`.
 """
 
-from .alias_placer import AliasPlacer, AliasWeightedPlacer, make_alias
+from .alias_placer import AliasWeightedPlacer
 from .base import (
     BatchPlacement,
     ReplicationStrategy,
-    SingleCopyPlacer,
     WeightedPlacer,
     check_placement,
 )
-from .consistent_hashing import (
-    ConsistentHashingPlacer,
-    RingWeightedPlacer,
-    make_ring_placer,
-)
+from .consistent_hashing import ConsistentHashingPlacer, RingWeightedPlacer
 from .crush import ChooseleafCrush, CrushStrategy, Straw2Bucket
 from .registry import (
     StrategyEntry,
@@ -36,10 +38,9 @@ from .registry import (
     registered_strategies,
     strategy_names,
 )
-from .rendezvous import RendezvousPlacer, WeightedRendezvous, make_rendezvous
+from .rendezvous import WeightedRendezvous
 from .rpdp import ResidualPerformancePlacement, utilization
-from .share import SharePlacer
-from .share_weighted import ShareWeightedPlacer, default_stretch, make_share
+from .share_weighted import ShareWeightedPlacer, default_stretch
 from .striping import StripingStrategy, WeightedStripingStrategy
 from .trivial import (
     TrivialReplication,
@@ -48,7 +49,6 @@ from .trivial import (
 )
 
 __all__ = [
-    "AliasPlacer",
     "AliasWeightedPlacer",
     "BatchPlacement",
     "ChooseleafCrush",
@@ -60,22 +60,15 @@ __all__ = [
     "StripingStrategy",
     "TrivialReplication",
     "WeightedStripingStrategy",
-    "RendezvousPlacer",
     "ReplicationStrategy",
     "RingWeightedPlacer",
-    "SharePlacer",
     "ShareWeightedPlacer",
-    "SingleCopyPlacer",
     "WeightedPlacer",
     "WeightedRendezvous",
     "check_placement",
     "create",
     "default_stretch",
     "lookup",
-    "make_alias",
-    "make_rendezvous",
-    "make_share",
-    "make_ring_placer",
     "registered_strategies",
     "strategy_names",
     "trivial_miss_probability",

@@ -17,8 +17,7 @@ from typing import Sequence
 
 from ..hashing.alias import build_selector
 from ..hashing.primitives import unit_interval
-from ..types import BinSpec
-from .base import SingleCopyPlacer, WeightedPlacer
+from .base import WeightedPlacer
 
 
 class AliasWeightedPlacer(WeightedPlacer):
@@ -27,36 +26,9 @@ class AliasWeightedPlacer(WeightedPlacer):
     def __init__(
         self, ids: Sequence[str], weights: Sequence[float], namespace: str
     ) -> None:
-        if len(ids) != len(weights) or not ids:
-            raise ValueError("ids and weights must be equal-length, non-empty")
-        self._ids = list(ids)
-        self._selector = build_selector([float(weight) for weight in weights])
-        self._namespace = namespace
+        super().__init__(ids, weights, namespace)
+        self._selector = build_selector(self._weights)
 
     def place(self, address: int) -> str:
         draw = unit_interval(self._namespace, "ball", address)
         return self._ids[self._selector.select(draw)]
-
-
-class AliasPlacer(SingleCopyPlacer):
-    """Capacity-weighted alias-table placement as a standalone strategy."""
-
-    name = "alias"
-
-    def __init__(self, bins: Sequence[BinSpec], namespace: str = "") -> None:
-        super().__init__(bins, namespace)
-        self._selector = AliasWeightedPlacer(
-            [spec.bin_id for spec in self._bins],
-            [float(spec.capacity) for spec in self._bins],
-            self._namespace,
-        )
-
-    def place(self, address: int) -> str:
-        return self._selector.place(address)
-
-
-def make_alias(
-    ids: Sequence[str], weights: Sequence[float], namespace: str
-) -> AliasWeightedPlacer:
-    """Factory with the ``WeightedPlacerFactory`` signature."""
-    return AliasWeightedPlacer(ids, weights, namespace)

@@ -2,10 +2,11 @@
 
 Two abstractions:
 
-* :class:`SingleCopyPlacer` — the paper's ``placeonecopy`` role: map a ball
-  address to *one* bin, fairly with respect to a weight vector.  Redundant
-  Share composes these; they are also strategies in their own right
-  (consistent hashing, rendezvous, Share, ...).
+* :class:`WeightedPlacer` — the paper's ``placeonecopy`` primitive: map a
+  ball address to *one* of a list of ids, fairly with respect to a weight
+  vector.  Algorithm 2 calls it over a tail of the bins with clipped and
+  possibly b̃-boosted weights; the four implementations (rendezvous,
+  alias table, Share, consistent-hashing ring) are their own factories.
 
 * :class:`ReplicationStrategy` — map a ball address to an *ordered* tuple of
   ``k`` distinct bins (position ``i`` holds the i-th copy).  Implementations
@@ -21,7 +22,8 @@ metrics are defined.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+import math
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .. import obs
 from .._compat import get_numpy
@@ -152,70 +154,36 @@ class BatchPlacement:
         }
 
 
-class SingleCopyPlacer(abc.ABC):
-    """Maps ball addresses to a single bin, fairly w.r.t. bin weights."""
-
-    #: Short machine-readable strategy name (used in namespacing and reports).
-    name: str = "single"
-
-    def __init__(self, bins: Sequence[BinSpec], namespace: str = "") -> None:
-        validate_bins(bins)
-        self._bins: List[BinSpec] = list(bins)
-        self._namespace = namespace or self.name
-
-    @property
-    def bins(self) -> List[BinSpec]:
-        """The configuration snapshot this placer was built from."""
-        return list(self._bins)
-
-    @property
-    def namespace(self) -> str:
-        """Salt prefix isolating this placer's hash draws from others."""
-        return self._namespace
-
-    @abc.abstractmethod
-    def place(self, address: int) -> str:
-        """Return the bin id storing ball ``address``."""
-
-    def place_many(self, addresses: Sequence[int]) -> List[str]:
-        """Batch lookup: ``[place(a) for a in addresses]``.
-
-        Same one-argument signature as
-        :meth:`ReplicationStrategy.place_many`, so callers can treat every
-        registered strategy — single-copy placers included — uniformly.
-        """
-        place = self.place
-        return [place(address) for address in addresses]
-
-    def expected_shares(self) -> Dict[str, float]:
-        """Analytic probability that a ball lands on each bin.
-
-        The default assumes exact capacity-proportional fairness; strategies
-        that are only approximately fair override this.
-        """
-        total = sum(spec.capacity for spec in self._bins)
-        return {spec.bin_id: spec.capacity / total for spec in self._bins}
-
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        return f"{self.name}({len(self._bins)} bins)"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.describe()}>"
-
-
-#: Factory signature Redundant Share uses to build ``placeonecopy`` instances
-#: over sub-ranges of bins with (possibly adjusted) weights.
-WeightedPlacerFactory = Callable[[Sequence[str], Sequence[float], str], "WeightedPlacer"]
-
-
 class WeightedPlacer(abc.ABC):
-    """A minimal fair single-copy selector over (ids, weights).
+    """``placeonecopy``: a fair single-copy selector over (ids, weights).
 
-    Unlike :class:`SingleCopyPlacer` this does not carry capacities — it is
-    the internal building block handed to Redundant Share, which supplies the
-    (clipped, possibly boosted) weights itself.
+    The class is its own factory — ``cls(ids, weights, namespace)`` — so
+    a composite such as :class:`~repro.core.classic.ClassicLinMirror`
+    takes the class itself as its backend.  Zero weights are allowed (the
+    id never wins); every implementation refuses the same bad inputs.
     """
+
+    def __init__(
+        self, ids: Sequence[str], weights: Sequence[float], namespace: str
+    ) -> None:
+        """Validate and keep the selector's inputs.
+
+        Raises:
+            ValueError: on empty or unequal-length ``ids``/``weights``, a
+                duplicate id, a negative or non-finite weight, or weights
+                that are all zero.
+        """
+        if not ids or len(ids) != len(weights):
+            raise ValueError("ids and weights must be equal-length, non-empty")
+        if len(set(ids)) != len(ids):
+            raise ValueError("ids must be distinct")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("weights must be finite and non-negative")
+        if not any(weights):
+            raise ValueError("at least one weight must be positive")
+        self._ids: List[str] = list(ids)
+        self._weights: List[float] = [float(weight) for weight in weights]
+        self._namespace = namespace
 
     @abc.abstractmethod
     def place(self, address: int) -> str:

@@ -1,7 +1,7 @@
 """Consistent hashing (Karger et al., STOC 1997) with capacity weighting.
 
-Each bin places ``points_per_unit * capacity_units`` virtual points on the
-unit circle; a ball lands on the owner of its hash position's clockwise
+Each bin places virtual points on the unit circle in proportion to its
+weight; a ball lands on the owner of its hash position's clockwise
 successor point.  With ``P`` points per bin the share of a bin concentrates
 around its weight with relative deviation ``O(1/sqrt(P))`` — only
 *approximately* fair, which is one of the motivations for Share and for the
@@ -10,62 +10,48 @@ comparable precision, cf. Section 1.2).
 
 Adaptivity is the strategy's strength: adding a bin steals only the arcs the
 new points cover (1-competitive); removing a bin reassigns only its own arcs.
+
+Two classes, which hash balls differently and so never share a placement:
+:class:`ConsistentHashingPlacer` is the ring over a bin configuration whose
+:meth:`~ConsistentHashingPlacer.place_successors` is the ring-successor
+replication baseline; :class:`RingWeightedPlacer` is the ring as a
+``placeonecopy`` backend.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence
 
 from ..hashing.primitives import derive_base, unit_from_base, unit_interval
 from ..hashing.rings import HashRing
-from ..types import BinSpec
-from .base import SingleCopyPlacer, WeightedPlacer
+from ..types import BinSpec, validate_bins
+from .base import WeightedPlacer
+
+#: Virtual points of a bin of average capacity.
+POINTS_PER_BIN = 128
+
+#: Virtual points of an id of average weight in :class:`RingWeightedPlacer`.
+POINTS_PER_UNIT = 64
 
 
-class ConsistentHashingPlacer(SingleCopyPlacer):
+class ConsistentHashingPlacer:
     """Weighted consistent hashing over a configuration of bins."""
 
     name = "consistent-hashing"
 
-    def __init__(
-        self,
-        bins: Sequence[BinSpec],
-        namespace: str = "",
-        points_per_bin: int = 128,
-        weight_points: bool = True,
-    ) -> None:
-        """Build the ring.
-
-        Args:
-            bins: Configuration snapshot.
-            namespace: Hash salt prefix.
-            points_per_bin: Virtual points for a bin of *average* capacity.
-            weight_points: If true (default), scale each bin's point count by
-                its capacity relative to the average — the standard way to
-                support non-uniform bins.  If false, all bins get the same
-                number of points (the original uniform scheme).
-        """
-        super().__init__(bins, namespace)
-        if points_per_bin < 1:
-            raise ValueError("points_per_bin must be >= 1")
-        self._ring = HashRing(self._namespace)
-        average = sum(spec.capacity for spec in self._bins) / len(self._bins)
-        for spec in self._bins:
-            if weight_points:
-                points = max(1, round(points_per_bin * spec.capacity / average))
-            else:
-                points = points_per_bin
+    def __init__(self, bins: Sequence[BinSpec], namespace: str = "") -> None:
+        """Build the ring; ``namespace`` defaults to :attr:`name`."""
+        validate_bins(bins)
+        namespace = namespace or self.name
+        self._ring = HashRing(namespace)
+        average = sum(spec.capacity for spec in bins) / len(bins)
+        for spec in bins:
+            points = max(1, round(POINTS_PER_BIN * spec.capacity / average))
             self._ring.add_owner(spec.bin_id, points)
-        self._weight_points = weight_points
-        self._ball_base = derive_base(self._namespace, "ball")
-
-    @property
-    def ring(self) -> HashRing:
-        """The underlying hash ring (read-only use intended)."""
-        return self._ring
+        self._ball_base = derive_base(namespace, "ball")
 
     def place(self, address: int) -> str:
+        """Owner of the ball's clockwise successor point."""
         return self._ring.successor(unit_from_base(self._ball_base, address))
 
     def place_successors(self, address: int, count: int) -> List[str]:
@@ -89,29 +75,22 @@ class RingWeightedPlacer(WeightedPlacer):
     """
 
     def __init__(
-        self,
-        ids: Sequence[str],
-        weights: Sequence[float],
-        namespace: str,
-        points_per_unit: int = 64,
+        self, ids: Sequence[str], weights: Sequence[float], namespace: str
     ) -> None:
-        if len(ids) != len(weights) or not ids:
-            raise ValueError("ids and weights must be equal-length, non-empty")
-        positive = [(i, w) for i, w in zip(ids, weights) if w > 0]
-        if not positive:
-            raise ValueError("at least one weight must be positive")
-        self._namespace = namespace
+        super().__init__(ids, weights, namespace)
+        positive = [
+            (bin_id, weight)
+            for bin_id, weight in zip(self._ids, self._weights)
+            if weight > 0
+        ]
         self._ring = HashRing(namespace)
-        average = sum(w for _, w in positive) / len(positive)
+        average = sum(weight for _, weight in positive) / len(positive)
         for bin_id, weight in positive:
-            self._ring.add_owner(bin_id, max(1, round(points_per_unit * weight / average)))
+            self._ring.add_owner(
+                bin_id, max(1, round(POINTS_PER_UNIT * weight / average))
+            )
 
     def place(self, address: int) -> str:
-        return self._ring.successor(unit_interval(self._namespace, "ball", address))
-
-
-def make_ring_placer(
-    ids: Sequence[str], weights: Sequence[float], namespace: str
-) -> RingWeightedPlacer:
-    """Factory with the ``WeightedPlacerFactory`` signature."""
-    return RingWeightedPlacer(ids, weights, namespace)
+        return self._ring.successor(
+            unit_interval(self._namespace, "ball", address)
+        )

@@ -23,11 +23,10 @@ Lookup is O(n); the O(1) alternative (at the cost of adaptivity) is
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..hashing.primitives import derive_base, unit_from_base_open
-from ..types import BinSpec
-from .base import SingleCopyPlacer, WeightedPlacer
+from .base import WeightedPlacer
 
 
 def rendezvous_score(weight: float, uniform: float) -> float:
@@ -36,22 +35,12 @@ def rendezvous_score(weight: float, uniform: float) -> float:
 
 
 class WeightedRendezvous(WeightedPlacer):
-    """Bare (ids, weights) rendezvous selector used inside Redundant Share."""
+    """(ids, weights) rendezvous selector: the default ``placeonecopy``."""
 
     def __init__(
         self, ids: Sequence[str], weights: Sequence[float], namespace: str
     ) -> None:
-        if len(ids) != len(weights):
-            raise ValueError("ids and weights must have equal length")
-        if not ids:
-            raise ValueError("at least one id is required")
-        if any(weight < 0 for weight in weights):
-            raise ValueError("weights must be non-negative")
-        if sum(weights) <= 0:
-            raise ValueError("at least one weight must be positive")
-        self._ids = list(ids)
-        self._weights = list(weights)
-        self._namespace = namespace
+        super().__init__(ids, weights, namespace)
         # Per-id salt bases: the hot loop then only mixes integers.
         self._entries = [
             (bin_id, weight, derive_base(namespace, bin_id))
@@ -82,8 +71,19 @@ class WeightedRendezvous(WeightedPlacer):
         assert best_id is not None  # guaranteed by constructor validation
         return best_id
 
-    def top(self, address: int, count: int):
-        """The ``count`` highest-scoring ids, best first."""
+    def top(self, address: int, count: int) -> List[str]:
+        """The ``count`` highest-scoring ids, best first.
+
+        The classic (trivial, in the paper's terminology) way of deriving
+        ``count`` replicas from rendezvous hashing.
+
+        Raises:
+            ValueError: if fewer than ``count`` ids have a positive weight.
+        """
+        if count > len(self._entries):
+            raise ValueError(
+                f"requested {count} ids, only {len(self._entries)} can win"
+            )
         scored = sorted(
             (
                 (-weight / math.log(unit_from_base_open(base, address)), bin_id)
@@ -92,41 +92,3 @@ class WeightedRendezvous(WeightedPlacer):
             reverse=True,
         )
         return [bin_id for _, bin_id in scored[:count]]
-
-
-class RendezvousPlacer(SingleCopyPlacer):
-    """Capacity-weighted rendezvous hashing as a standalone strategy."""
-
-    name = "rendezvous"
-
-    def __init__(self, bins: Sequence[BinSpec], namespace: str = "") -> None:
-        super().__init__(bins, namespace)
-        self._selector = WeightedRendezvous(
-            [spec.bin_id for spec in self._bins],
-            [float(spec.capacity) for spec in self._bins],
-            self._namespace,
-        )
-
-    def place(self, address: int) -> str:
-        return self._selector.place(address)
-
-    def place_top(self, address: int, count: int) -> List[str]:
-        """The ``count`` highest-scoring bins, in descending score order.
-
-        This is the classic (trivial, in the paper's terminology) way of
-        deriving k replicas from rendezvous hashing; exposed so the baseline
-        comparison benches can exercise it.
-        """
-        if count > len(self._bins):
-            raise ValueError(
-                f"requested {count} bins, only {len(self._bins)} available"
-            )
-        return self._selector.top(address, count)
-
-
-def make_rendezvous(
-    ids: Sequence[str], weights: Sequence[float], namespace: str
-) -> WeightedRendezvous:
-    """Factory with the :data:`~repro.placement.base.WeightedPlacerFactory`
-    signature; the default ``placeonecopy`` backend."""
-    return WeightedRendezvous(ids, weights, namespace)

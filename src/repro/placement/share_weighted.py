@@ -1,23 +1,25 @@
-"""Share as a bare (ids, weights) selector — the O(1) ``placeonecopy``.
+"""Share (Brinkmann, Salzwedel, Scheideler — SPAA 2002) as a ``placeonecopy``.
+
+Share reduces *non-uniform* placement to a uniform sub-problem.  Every id
+claims an interval of length ``stretch * w_i / W`` on the unit circle,
+starting at a hash of its name.  A ball hashes to a point ``x``; the ids
+whose intervals cover ``x`` form the candidate set, and a weighted
+rendezvous keyed on ball and id picks the winner.  Lengths above 1 wrap:
+such an id covers every point ``floor(length)`` times (its
+*multiplicity*) plus one fractional arc, and the candidate rendezvous
+weights each id by its local cover count.  With a logarithmic stretch
+every point is covered w.h.p. and cover counts concentrate around
+``stretch``, which makes Share fair up to a ``(1 + eps)`` factor and
+(amortized) ``(1 + eps)``-competitive for adaptivity.
 
 Section 3.3 of the paper obtains O(k) lookups by pairing the precomputed
-state distributions with "an algorithm for the placement of a single copy"
-that runs in (near-)constant time.  Share is the natural candidate: after
-an O(n log n) build, a lookup is one binary search over the precomputed
-circle segments plus a weighted rendezvous over the (expected
-O(stretch)-sized) candidate set — and, unlike an alias table, it *adapts*:
-small weight changes only perturb interval lengths, moving a proportional
-fraction of the keys.
-
-An owner's interval has length ``stretch * weight / total``; lengths above
-1 wrap around the circle, contributing ``floor(length)`` full covers (a
-constant *multiplicity* at every point) plus one fractional arc.  The
-candidate rendezvous weights each owner by its local multiplicity, which
-is what makes the shares track the weights as the stretch grows.
-
-This module is the :class:`~repro.placement.base.WeightedPlacer` face of
-the same construction as :class:`~repro.placement.share.SharePlacer`
-(which works on :class:`~repro.types.BinSpec` capacities).
+state distributions with a (near-)constant-time single-copy placement;
+Share is the natural candidate.  After an O(n log n) build of the circle's
+elementary segments and their covering id sets, a lookup is one binary
+search plus a weighted rendezvous over the (expected O(stretch)-sized)
+candidate set — and, unlike an alias table, it *adapts*: small weight
+changes only perturb interval lengths, moving a proportional fraction of
+the keys.
 """
 
 from __future__ import annotations
@@ -122,19 +124,14 @@ class ShareWeightedPlacer(WeightedPlacer):
         namespace: str,
         stretch: float = 0.0,
     ) -> None:
-        if len(ids) != len(weights) or not ids:
-            raise ValueError("ids and weights must be equal-length, non-empty")
-        if any(weight < 0 for weight in weights):
-            raise ValueError("weights must be non-negative")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("at least one weight must be positive")
-        self._namespace = namespace
-        self._ids = list(ids)
-        self._weights = [float(weight) for weight in weights]
+        super().__init__(ids, weights, namespace)
+        total = sum(self._weights)
         self._stretch = stretch if stretch > 0 else default_stretch(len(ids))
         self._boundaries, self._covers, self._multiplicity = build_segments(
-            [(owner, weight / total) for owner, weight in zip(ids, weights)],
+            [
+                (owner, weight / total)
+                for owner, weight in zip(self._ids, self._weights)
+            ],
             namespace,
             self._stretch,
         )
@@ -143,10 +140,39 @@ class ShareWeightedPlacer(WeightedPlacer):
             owner: derive_base(namespace, "pick", owner) for owner in ids
         }
 
-    def segments(self):
-        """The geometry as read-only ``(boundaries, covers, multiplicity)``
-        — see :func:`build_segments`."""
-        return self._boundaries, self._covers, self._multiplicity
+    def _segment_lengths(self):
+        """``(length, cover)`` for every elementary segment of the circle."""
+        ends = self._boundaries[1:] + [1.0]
+        return [
+            (end - start, cover)
+            for start, end, cover in zip(self._boundaries, ends, self._covers)
+        ]
+
+    def expected_shares(self) -> Dict[str, float]:
+        """Exact expected shares of this concrete instance.
+
+        Computed segment by segment: a ball is uniform on the circle, and
+        within a segment the weighted rendezvous picks each candidate with
+        probability proportional to its local cover count.  Uncovered
+        segments fall back to weight-proportional choice.
+        """
+        shares: Dict[str, float] = {owner: 0.0 for owner in self._ids}
+        for length, cover in self._segment_lengths():
+            candidates = local_weights(cover, self._multiplicity)
+            if not candidates:
+                candidates = dict(zip(self._ids, self._weights))
+            weight_total = sum(candidates.values())
+            for owner, weight in candidates.items():
+                shares[owner] += length * weight / weight_total
+        return shares
+
+    def coverage_gap(self) -> float:
+        """Total circle length not covered by any interval (fallback zone)."""
+        if self._multiplicity:
+            return 0.0
+        return sum(
+            length for length, cover in self._segment_lengths() if not cover
+        )
 
     def place(self, address: int) -> str:
         position = unit_from_base(self._ball_base, address)
@@ -171,9 +197,3 @@ class ShareWeightedPlacer(WeightedPlacer):
         assert best_id is not None
         return best_id
 
-
-def make_share(
-    ids: Sequence[str], weights: Sequence[float], namespace: str
-) -> ShareWeightedPlacer:
-    """Factory with the ``WeightedPlacerFactory`` signature."""
-    return ShareWeightedPlacer(ids, weights, namespace)

@@ -12,7 +12,7 @@ from repro.capacity.weights import (
     suffix_sums,
 )
 from repro.core import ClassicLinMirror, boundary_boost
-from repro.placement import make_alias, make_ring_placer
+from repro.placement import AliasWeightedPlacer, RingWeightedPlacer
 from repro.types import bins_from_capacities
 
 
@@ -123,7 +123,7 @@ class TestClassicLinMirror:
 
     def test_alternative_backends_work(self):
         bins = bins_from_capacities([5, 4, 3, 2])
-        for factory in (make_ring_placer, make_alias):
+        for factory in (RingWeightedPlacer, AliasWeightedPlacer):
             strategy = ClassicLinMirror(bins, placer_factory=factory)
             for address in range(500):
                 placement = strategy.place(address)

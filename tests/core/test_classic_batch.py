@@ -14,7 +14,7 @@ import pytest
 
 from repro._compat import HAVE_NUMPY
 from repro.core import ClassicLinMirror
-from repro.placement import make_alias, make_ring_placer
+from repro.placement import AliasWeightedPlacer, RingWeightedPlacer
 from repro.types import bins_from_capacities
 
 #: The 16-device fleet of ``benchmarks/e2e`` (``harness.CAPACITIES``).
@@ -113,7 +113,7 @@ def test_array_inputs(dtype, low, high):
     assert_batch_is_scalar_loop(strategy, numpy.asarray(values, dtype=dtype))
 
 
-@pytest.mark.parametrize("factory", [make_ring_placer, make_alias])
+@pytest.mark.parametrize("factory", [RingWeightedPlacer, AliasWeightedPlacer])
 def test_other_backends_keep_the_scalar_loop(factory):
     strategy = ClassicLinMirror(
         bins_from_capacities([5, 4, 3, 2, 2]), placer_factory=factory

@@ -26,6 +26,10 @@ except ImportError:  # pragma: no cover
 BENCH_FLEET = list(range(500, 2001, 100))  # benchmarks/e2e: 16 devices
 WIDE_FLEET = [1000 + index % 7 for index in range(200)]
 OVERSIZED = [1000, 1, 1]  # clips to [2, 1, 1]: copy 0 is forced at rank 0
+# Lemma 2.1 with equality (k * b_0 == B): clipping leaves the vector as it
+# is, yet copy 0 is forced at rank 0 all the same.
+BOUNDARY_K3 = [4, 2, 2, 2, 2]
+BOUNDARY_K2 = [3, 1, 1, 1]
 
 #: id -> (class, capacities, constructor keywords)
 CASES = {
@@ -34,12 +38,12 @@ CASES = {
     "rs-k-equals-n": (RedundantShare, [50, 40, 30, 20, 10], {"copies": 5}),
     "rs-single-copy": (RedundantShare, BENCH_FLEET, {"copies": 1}),
     "rs-clipped": (RedundantShare, OVERSIZED, {"copies": 2}),
-    "rs-unclipped": (RedundantShare, BENCH_FLEET, {"copies": 3, "clip": False}),
+    "rs-unclipped": (RedundantShare, BOUNDARY_K3, {"copies": 3}),
     "lm-bench-fleet": (LinMirror, BENCH_FLEET, {}),
     "lm-wide-fleet": (LinMirror, WIDE_FLEET, {}),
     "lm-k-equals-n": (LinMirror, [30, 20], {}),
     "lm-clipped": (LinMirror, OVERSIZED, {}),
-    "lm-unclipped": (LinMirror, BENCH_FLEET, {"clip": False}),
+    "lm-unclipped": (LinMirror, BOUNDARY_K2, {}),
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LinMirror, RedundantShare
-from repro.exceptions import ConfigurationError, InfeasibleReplicationError
+from repro.exceptions import ConfigurationError
 from repro.types import BinSpec, bins_from_capacities
 
 
@@ -28,12 +28,6 @@ class TestConstruction:
     def test_rejects_zero_copies(self):
         with pytest.raises(ConfigurationError):
             RedundantShare(bins_from_capacities([5, 5]), copies=0)
-
-    def test_unclipped_infeasible_raises(self):
-        with pytest.raises(InfeasibleReplicationError):
-            RedundantShare(
-                bins_from_capacities([100, 1, 1]), copies=2, clip=False
-            )
 
     def test_clipping_enabled_by_default(self):
         strategy = RedundantShare(bins_from_capacities([100, 1, 1]), copies=2)

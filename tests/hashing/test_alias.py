@@ -103,10 +103,6 @@ class TestBuildSelector:
         for i in range(100):
             assert selector.select(unit_interval("c", i)) == 1
 
-    def test_prefer_cumulative(self):
-        selector = build_selector([1.0, 2.0], prefer_alias=False)
-        assert isinstance(selector, CumulativeTable)
-
     def test_default_is_alias(self):
         selector = build_selector([1.0, 2.0])
         assert isinstance(selector, AliasTable)

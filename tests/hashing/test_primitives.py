@@ -81,20 +81,6 @@ class TestUnitInterval:
         assert chi2 < 43.8
 
 
-class TestHashSequence:
-    def test_length_and_determinism(self):
-        seq = primitives.hash_sequence(99, 10)
-        assert len(seq) == 10
-        assert seq == primitives.hash_sequence(99, 10)
-
-    def test_values_distinct(self):
-        seq = primitives.hash_sequence(7, 1000)
-        assert len(set(seq)) == 1000
-
-    def test_empty(self):
-        assert primitives.hash_sequence(1, 0) == []
-
-
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the array pipeline is NumPy-only")
 class TestBatchPrimitives:
     """The vectorized pipeline must match the scalars bit for bit."""

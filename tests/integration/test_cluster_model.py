@@ -2,24 +2,27 @@
 
 Hypothesis drives random operation sequences — writes, overwrites,
 deletes, device adds/removes, failures and repairs, outages and restores
-— against a mirrored
-cluster and a trivial in-memory model.  After every step the cluster must
-agree with the model on readable content, and its structural invariants
-must hold.  This is the kind of interleaving coverage unit tests miss.
+— against a mirrored cluster and a trivial in-memory model, once per
+registry strategy at k = 2.  After every step the cluster must agree with
+the model on readable content, and its structural invariants must hold.
+This is the kind of interleaving coverage unit tests miss.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
     precondition,
     rule,
+    run_state_machine_as_test,
 )
 from hypothesis import settings
 
+import repro._compat as compat
 from repro.cluster import Cluster
-from repro.core import RedundantShare
 from repro.exceptions import BlockNotFoundError
+from repro.placement import registry
 from repro.types import BinSpec, bins_from_capacities
 
 ADDRESSES = st.integers(min_value=0, max_value=39)
@@ -29,11 +32,14 @@ PAYLOADS = st.binary(min_size=1, max_size=24)
 class ClusterMachine(RuleBasedStateMachine):
     """Random walks over the cluster's public API."""
 
+    #: Registry name of the strategy the cluster places with.
+    strategy = "redundant-share"
+
     def __init__(self):
         super().__init__()
         self.cluster = Cluster(
             bins_from_capacities([800, 700, 600, 500]),
-            lambda bins: RedundantShare(bins, copies=2),
+            lambda bins: registry.create(self.strategy, bins, copies=2),
         )
         self.model = {}
         self.device_serial = 0
@@ -151,7 +157,26 @@ class ClusterMachine(RuleBasedStateMachine):
         self.cluster.verify()
 
 
-ClusterMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
-)
-TestClusterModel = ClusterMachine.TestCase
+def examples(name):
+    """25 examples per strategy, but one for ``balanced-rendezvous``
+    without NumPy: every add or remove rebuilds it, and each build runs 12
+    calibration iterations of 20 000 samples in pure Python (~0.9 s), so
+    one 30-step example already costs ~4 s of the suite's time."""
+    if name == "balanced-rendezvous" and not compat.HAVE_NUMPY:
+        return 1
+    return 25
+
+
+@pytest.mark.parametrize("name", registry.strategy_names())
+def test_cluster_model(name):
+    machine = type(
+        f"ClusterMachine[{name}]", (ClusterMachine,), {"strategy": name}
+    )
+    run_state_machine_as_test(
+        machine,
+        settings=settings(
+            max_examples=examples(name),
+            stateful_step_count=30,
+            deadline=None,
+        ),
+    )

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.placement.base import (
-    ReplicationStrategy,
-    SingleCopyPlacer,
-    check_placement,
-)
+from repro.placement.base import ReplicationStrategy, check_placement
 from repro.types import bins_from_capacities
 
 
@@ -22,13 +18,6 @@ class RoundRobin(ReplicationStrategy):
             self._bins[(address + offset) % count].bin_id
             for offset in range(self._copies)
         )
-
-
-class FirstBin(SingleCopyPlacer):
-    name = "first"
-
-    def place(self, address):
-        return self._bins[0].bin_id
 
 
 class TestReplicationStrategyBase:
@@ -68,16 +57,6 @@ class TestReplicationStrategyBase:
     def test_namespace_default_is_name(self):
         strategy = RoundRobin(bins_from_capacities([1, 1]), copies=2)
         assert strategy.namespace == "round-robin"
-
-
-class TestSingleCopyPlacerBase:
-    def test_default_shares_proportional(self):
-        placer = FirstBin(bins_from_capacities([3, 1]))
-        assert placer.expected_shares() == {"bin-0": 0.75, "bin-1": 0.25}
-
-    def test_namespace_override(self):
-        placer = FirstBin(bins_from_capacities([1]), namespace="custom")
-        assert placer.namespace == "custom"
 
 
 class TestCheckPlacement:

@@ -25,9 +25,7 @@ from repro.core import (
 from repro.exceptions import ConfigurationError, PlacementError
 from repro.placement import (
     BatchPlacement,
-    ConsistentHashingPlacer,
     CrushStrategy,
-    RendezvousPlacer,
     ResidualPerformancePlacement,
     TrivialReplication,
     WeightedStripingStrategy,
@@ -69,13 +67,6 @@ REPLICATED_FACTORIES = {
     ),
     "rpdp": lambda bins, copies, ns: ResidualPerformancePlacement(
         bins, copies=copies, namespace=ns
-    ),
-}
-
-SINGLE_COPY_FACTORIES = {
-    "rendezvous": lambda bins, ns: RendezvousPlacer(bins, namespace=ns),
-    "consistent-hashing": lambda bins, ns: ConsistentHashingPlacer(
-        bins, namespace=ns
     ),
 }
 
@@ -180,24 +171,6 @@ def test_refused_rows_are_settled_by_the_scalar_loop(name, monkeypatch):
     assert counters[
         f"placement.kernel.{strategy.kernel}.tie_recomputes"
     ] == len(addresses)
-
-
-@pytest.mark.parametrize("name", sorted(SINGLE_COPY_FACTORIES))
-@settings(max_examples=25, deadline=None)
-@given(
-    capacities=capacities_vectors,
-    namespace=namespaces,
-    addresses=address_lists,
-)
-def test_single_copy_place_many_matches_scalar_loop(
-    name, capacities, namespace, addresses
-):
-    placer = SINGLE_COPY_FACTORIES[name](
-        bins_from_capacities(capacities), namespace
-    )
-    assert placer.place_many(addresses) == [
-        placer.place(address) for address in addresses
-    ]
 
 
 @settings(max_examples=25, deadline=None)

@@ -135,16 +135,13 @@ def test_option_schemas_expose_defaults_and_docs():
 
 
 def test_single_copy_and_replication_share_the_batch_signature():
-    # Every registered strategy takes the one-argument batch call;
-    # single-copy placers expose the same shape.
-    from repro.placement import RendezvousPlacer
-
+    # Every registered strategy takes the one-argument batch call; a
+    # k = 1 build is the single-copy case of the same shape.
     for entry in registered_strategies():
-        strategy = entry.build(BINS, 3)
-        batch = strategy.place_many(range(8))
-        assert batch.tuples() == [strategy.place(a) for a in range(8)]
-    placer = RendezvousPlacer(BINS)
-    assert placer.place_many(range(8)) == [placer.place(a) for a in range(8)]
+        for copies in (1, 3):
+            strategy = entry.build(BINS, copies)
+            batch = strategy.place_many(range(8))
+            assert batch.tuples() == [strategy.place(a) for a in range(8)]
 
 
 def test_place_many_has_one_path_and_no_knob():
@@ -153,20 +150,12 @@ def test_place_many_has_one_path_and_no_knob():
     # replication strategy overrides the base class's driver.
     import inspect
 
-    import repro.placement as placement
-    from repro.placement.base import ReplicationStrategy, SingleCopyPlacer
+    from repro.placement.base import ReplicationStrategy
 
     classes = [type(entry.build(BINS, 3)) for entry in registered_strategies()]
     assert len(classes) == len(strategy_names())
     for cls in classes:
         assert cls.place_many is ReplicationStrategy.place_many, cls
-    classes += [
-        cls
-        for cls in (getattr(placement, name) for name in placement.__all__)
-        if inspect.isclass(cls) and issubclass(cls, SingleCopyPlacer)
-    ]
-    assert SingleCopyPlacer in classes
-    for cls in classes:
         parameters = list(inspect.signature(cls.place_many).parameters)
         assert parameters == ["self", "addresses"], cls
     with pytest.raises(TypeError):

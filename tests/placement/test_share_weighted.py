@@ -5,7 +5,7 @@ import collections
 import pytest
 
 from repro.core import FastRedundantShare
-from repro.placement import ShareWeightedPlacer, make_share
+from repro.placement import ShareWeightedPlacer
 from repro.types import BinSpec, bins_from_capacities
 
 
@@ -21,7 +21,7 @@ class TestShareWeightedPlacer:
             ShareWeightedPlacer(["a", "b"], [0.0, 0.0], "ns")
 
     def test_deterministic(self):
-        placer = make_share(["a", "b", "c"], [3.0, 2.0, 1.0], "ns")
+        placer = ShareWeightedPlacer(["a", "b", "c"], [3.0, 2.0, 1.0], "ns")
         assert placer.place(5) == placer.place(5)
 
     def test_zero_weight_outcomes_never_win(self):

@@ -1,21 +1,45 @@
-"""Shared behavioural tests for all single-copy placers."""
+"""Shared behavioural tests for the ``placeonecopy`` selectors and the
+consistent-hashing ring."""
 
 import collections
+import math
 
 import pytest
 
 from repro.placement import (
-    AliasPlacer,
+    AliasWeightedPlacer,
     ConsistentHashingPlacer,
-    RendezvousPlacer,
-    SharePlacer,
+    RingWeightedPlacer,
     ShareWeightedPlacer,
+    WeightedRendezvous,
+    default_stretch,
 )
 from repro.types import bins_from_capacities
 
-EXACT_PLACERS = [RendezvousPlacer, AliasPlacer]
-APPROXIMATE_PLACERS = [ConsistentHashingPlacer, SharePlacer]
+SELECTORS = [
+    WeightedRendezvous,
+    AliasWeightedPlacer,
+    ShareWeightedPlacer,
+    RingWeightedPlacer,
+]
+EXACT_PLACERS = [WeightedRendezvous, AliasWeightedPlacer]
+APPROXIMATE_PLACERS = [
+    ConsistentHashingPlacer,
+    ShareWeightedPlacer,
+    RingWeightedPlacer,
+]
 ALL_PLACERS = EXACT_PLACERS + APPROXIMATE_PLACERS
+
+
+def ids_for(weights):
+    return [f"bin-{index}" for index in range(len(weights))]
+
+
+def build(placer_cls, capacities):
+    """A placer over ``bin-0..`` weighted by ``capacities``."""
+    if placer_cls is ConsistentHashingPlacer:
+        return ConsistentHashingPlacer(bins_from_capacities(capacities))
+    return placer_cls(ids_for(capacities), capacities, "tests")
 
 
 def empirical_shares(placer, balls):
@@ -26,33 +50,47 @@ def empirical_shares(placer, balls):
 @pytest.mark.parametrize("placer_cls", ALL_PLACERS)
 class TestCommonBehaviour:
     def test_deterministic(self, placer_cls):
-        placer = placer_cls(bins_from_capacities([5, 3, 2]))
+        placer = build(placer_cls, [5, 3, 2])
         assert placer.place(17) == placer.place(17)
 
     def test_returns_known_bin(self, placer_cls):
-        placer = placer_cls(bins_from_capacities([5, 3, 2]))
-        ids = {spec.bin_id for spec in placer.bins}
+        placer = build(placer_cls, [5, 3, 2])
         for address in range(200):
-            assert placer.place(address) in ids
+            assert placer.place(address) in {"bin-0", "bin-1", "bin-2"}
 
     def test_single_bin(self, placer_cls):
-        placer = placer_cls(bins_from_capacities([7]))
+        placer = build(placer_cls, [7])
         assert placer.place(0) == "bin-0"
 
     def test_rejects_empty(self, placer_cls):
         with pytest.raises(ValueError):
-            placer_cls([])
+            build(placer_cls, [])
 
-    def test_describe_mentions_bins(self, placer_cls):
-        placer = placer_cls(bins_from_capacities([5, 3]))
-        assert "2 bins" in placer.describe()
+
+#: case -> (ids, weights, what the ValueError says)
+BAD_INPUTS = {
+    "empty": ([], [], "non-empty"),
+    "unequal-length": (["a", "b"], [1.0], "equal-length"),
+    "duplicate-id": (["a", "a"], [1.0, 1.0], "distinct"),
+    "negative": (["a", "b"], [-1.0, 2.0], "non-negative"),
+    "nan": (["a", "b"], [math.nan, 1.0], "finite"),
+    "inf": (["a", "b"], [math.inf, 1.0], "finite"),
+    "all-zero": (["a", "b"], [0.0, 0.0], "positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("placer_cls", SELECTORS)
+def test_every_selector_refuses_the_same_bad_inputs(placer_cls, case):
+    ids, weights, message = BAD_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        placer_cls(ids, weights, "ns")
 
 
 @pytest.mark.parametrize("placer_cls", EXACT_PLACERS)
 class TestExactFairness:
     def test_heterogeneous_shares(self, placer_cls):
-        capacities = [100, 300, 600]
-        placer = placer_cls(bins_from_capacities(capacities))
+        placer = build(placer_cls, [100, 300, 600])
         observed = empirical_shares(placer, 30_000)
         assert observed.get("bin-0", 0.0) == pytest.approx(0.1, abs=0.01)
         assert observed.get("bin-1", 0.0) == pytest.approx(0.3, abs=0.012)
@@ -62,8 +100,7 @@ class TestExactFairness:
 @pytest.mark.parametrize("placer_cls", APPROXIMATE_PLACERS)
 class TestApproximateFairness:
     def test_heterogeneous_shares_loose(self, placer_cls):
-        capacities = [100, 300, 600]
-        placer = placer_cls(bins_from_capacities(capacities))
+        placer = build(placer_cls, [100, 300, 600])
         observed = empirical_shares(placer, 20_000)
         # Approximate schemes: right ordering and rough magnitudes.
         assert observed.get("bin-2", 0.0) > observed.get("bin-1", 0.0)
@@ -73,20 +110,27 @@ class TestApproximateFairness:
 
 class TestRendezvousSpecifics:
     def test_place_top_distinct(self):
-        placer = RendezvousPlacer(bins_from_capacities([5, 4, 3, 2]))
-        top = placer.place_top(11, 3)
+        placer = build(WeightedRendezvous, [5, 4, 3, 2])
+        top = placer.top(11, 3)
         assert len(set(top)) == 3
         assert top[0] == placer.place(11)
 
     def test_place_top_too_many(self):
-        placer = RendezvousPlacer(bins_from_capacities([5, 4]))
+        placer = build(WeightedRendezvous, [5, 4])
         with pytest.raises(ValueError):
-            placer.place_top(0, 3)
+            placer.top(0, 3)
+
+    def test_top_counts_only_ids_that_can_win(self):
+        # A zero-weight id never wins, so it cannot fill a place either.
+        placer = build(WeightedRendezvous, [5, 0, 4])
+        assert sorted(placer.top(0, 2)) == ["bin-0", "bin-2"]
+        with pytest.raises(ValueError):
+            placer.top(0, 3)
 
     def test_one_competitive_adaptivity(self):
         """Only balls won by the new bin move (rendezvous's key property)."""
-        before = RendezvousPlacer(bins_from_capacities([100, 100, 100]))
-        after = RendezvousPlacer(bins_from_capacities([100, 100, 100, 100]))
+        before = build(WeightedRendezvous, [100, 100, 100])
+        after = build(WeightedRendezvous, [100, 100, 100, 100])
         balls = 5000
         moved = 0
         for address in range(balls):
@@ -109,16 +153,6 @@ class TestConsistentHashingSpecifics:
         shares = placer.expected_shares()
         assert sum(shares.values()) == pytest.approx(1.0)
 
-    def test_unweighted_mode(self):
-        placer = ConsistentHashingPlacer(
-            bins_from_capacities([10, 1]), weight_points=False
-        )
-        assert placer.ring.points_of("bin-0") == placer.ring.points_of("bin-1")
-
-    def test_bad_points_rejected(self):
-        with pytest.raises(ValueError):
-            ConsistentHashingPlacer(bins_from_capacities([5]), points_per_bin=0)
-
     def test_removal_only_moves_victims(self):
         before = ConsistentHashingPlacer(bins_from_capacities([5, 5, 5]))
         survivors = bins_from_capacities([5, 5, 5])[:2]
@@ -130,53 +164,50 @@ class TestConsistentHashingSpecifics:
 
 
 class TestShareSpecifics:
-    @pytest.mark.parametrize(
-        "capacities,stretch",
-        [([7, 5, 3, 1], 0.0), ([1000, 1, 1], 3.0), ([10] * 16, 0.0), ([3, 2], 0.5)],
-    )
-    def test_is_the_capacity_face_of_the_weighted_selector(
-        self, capacities, stretch
-    ):
-        # stretch 0.5 over two bins leaves gaps, so the fallback runs too.
-        bins = bins_from_capacities(capacities)
-        placer = SharePlacer(bins, stretch=stretch)
-        twin = ShareWeightedPlacer(
-            [spec.bin_id for spec in bins],
-            [float(spec.capacity) for spec in bins],
-            placer.namespace,
-            stretch,
-        )
-        for address in range(2000):
-            assert placer.place(address) == twin.place(address)
-
     def test_expected_shares_sum_to_one(self):
-        placer = SharePlacer(bins_from_capacities([7, 5, 3, 1]))
+        placer = build(ShareWeightedPlacer, [7, 5, 3, 1])
         assert sum(placer.expected_shares().values()) == pytest.approx(1.0)
 
     def test_expected_shares_match_empirical(self):
-        placer = SharePlacer(bins_from_capacities([7, 5, 3, 1]))
+        placer = build(ShareWeightedPlacer, [7, 5, 3, 1])
         analytic = placer.expected_shares()
         observed = empirical_shares(placer, 20_000)
         for bin_id, share in analytic.items():
             assert observed.get(bin_id, 0.0) == pytest.approx(share, abs=0.015)
 
-    def test_stretch_default_grows_with_bins(self):
-        small = SharePlacer(bins_from_capacities([1] * 4))
-        large = SharePlacer(bins_from_capacities([1] * 64))
-        assert large.stretch > small.stretch
+    def test_expected_shares_with_an_uncovered_gap(self):
+        # Stretch 0.5 over two ids leaves most of the circle uncovered, so
+        # the weight-proportional fallback carries most of the mass.
+        placer = ShareWeightedPlacer(["a", "b"], [3.0, 1.0], "tests", 0.5)
+        assert placer.coverage_gap() > 0.4
+        analytic = placer.expected_shares()
+        assert sum(analytic.values()) == pytest.approx(1.0)
+        observed = empirical_shares(placer, 20_000)
+        for owner, share in analytic.items():
+            assert observed.get(owner, 0.0) == pytest.approx(share, abs=0.015)
 
-    def test_coverage_gap_small_with_default_stretch(self):
-        placer = SharePlacer(bins_from_capacities([10] * 16))
-        assert placer.coverage_gap() < 0.2
+    def test_stretch_default_grows_with_bins(self):
+        assert default_stretch(64) > default_stretch(4)
 
     def test_custom_stretch_respected(self):
-        placer = SharePlacer(bins_from_capacities([5, 5]), stretch=4.0)
-        assert placer.stretch == 4.0
+        # Stretch 4 over weights 3:1: the intervals wrap the circle exactly
+        # three times and once, so every point weighs the owners 3:1 (the
+        # default stretch, 3, leaves fractional arcs and inexact shares).
+        placer = ShareWeightedPlacer(["a", "b"], [3, 1], "tests", stretch=4.0)
+        assert placer.expected_shares() == {"a": 0.75, "b": 0.25}
+        default = ShareWeightedPlacer(["a", "b"], [3, 1], "tests")
+        assert default.expected_shares() != {"a": 0.75, "b": 0.25}
+
+    def test_coverage_gap_small_with_default_stretch(self):
+        placer = build(ShareWeightedPlacer, [10] * 16)
+        assert placer.coverage_gap() < 0.2
 
     def test_giant_bin_covers_everything(self):
         # One bin with >= 1/stretch of the capacity gets a full-circle
         # interval; lookups must still work.
-        placer = SharePlacer(bins_from_capacities([1000, 1, 1]), stretch=3.0)
+        placer = ShareWeightedPlacer(
+            ids_for([1000, 1, 1]), [1000, 1, 1], "tests", stretch=3.0
+        )
+        assert placer.coverage_gap() == 0.0
         for address in range(200):
             assert placer.place(address) in {"bin-0", "bin-1", "bin-2"}
-
