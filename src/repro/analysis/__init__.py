@@ -11,7 +11,6 @@ from .durability import (
 from .mean_field import (
     mean_field_distribution,
     mean_field_step,
-    mean_field_trajectory,
     total_variation,
 )
 
@@ -20,7 +19,6 @@ __all__ = [
     "annual_loss_probability",
     "mean_field_distribution",
     "mean_field_step",
-    "mean_field_trajectory",
     "mttdl",
     "mttdl_mirror",
     "observed_model",

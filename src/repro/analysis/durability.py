@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from ..hashing.primitives import stable_u64
+from ..hashing.primitives import unit_interval_open
 from ..simulation.engine import Simulator
 
 
@@ -177,7 +177,7 @@ def simulate_mttdl(
 
 
 def _exponential(rate: float, *key) -> float:
-    uniform = (stable_u64("durability", *key) | 1) / float(1 << 64)
+    uniform = unit_interval_open("durability", *key)
     return -math.log(uniform) / rate
 
 

@@ -42,7 +42,6 @@ from typing import List, Optional, Sequence
 __all__ = [
     "mean_field_step",
     "mean_field_distribution",
-    "mean_field_trajectory",
     "total_variation",
 ]
 
@@ -77,21 +76,30 @@ def mean_field_step(
     """
     copies = len(distribution) - 1
     _validate(copies, failure_probability, repair_fraction)
-    p = failure_probability
+    weights = _loss_weights(copies, failure_probability)
+    return _step(distribution, weights, repair_fraction)
+
+
+def _loss_weights(copies: int, p: float) -> List[List[float]]:
+    """``[c][lost]``: the chance that ``c`` copies lose ``lost`` in one
+    epoch, computed once per run rather than once per epoch."""
     q = 1.0 - p
-    thinned = [0.0] * (copies + 1)
-    for c in range(copies + 1):
-        mass = distribution[c]
-        if mass == 0.0:
-            continue
-        if p == 0.0:
-            thinned[c] += mass
-            continue
-        for lost in range(c + 1):
-            weight = math.comb(c, lost) * (p ** lost) * (q ** (c - lost))
+    return [
+        [math.comb(c, lost) * (p ** lost) * (q ** (c - lost))
+         for lost in range(c + 1)]
+        for c in range(copies + 1)
+    ]
+
+
+def _step(distribution, weights, repair_fraction: float) -> List[float]:
+    """One epoch (a zero contribution leaves a sum as it is, so neither an
+    empty class nor ``p == 0`` needs a branch of its own)."""
+    thinned = [0.0] * len(distribution)
+    for c, mass in enumerate(distribution):
+        for lost, weight in enumerate(weights[c]):
             thinned[c - lost] += mass * weight
     remaining = repair_fraction
-    for c in range(1, copies):
+    for c in range(1, len(distribution) - 1):
         if remaining <= 0.0:
             break
         moved = min(thinned[c], remaining)
@@ -101,35 +109,6 @@ def mean_field_step(
         thinned[c + 1] += moved
         remaining -= moved
     return thinned
-
-
-def mean_field_trajectory(
-    copies: int,
-    epochs: int,
-    failure_probability: float,
-    repair_fraction: float,
-    initial: Optional[Sequence[float]] = None,
-) -> List[List[float]]:
-    """Full trajectory ``[x(0), x(1), ..., x(epochs)]``.
-
-    ``initial`` defaults to every block at full redundancy (a point mass
-    on class ``k``, the simulator's starting state).
-    """
-    _validate(copies, failure_probability, repair_fraction)
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if initial is None:
-        state = [0.0] * (copies + 1)
-        state[copies] = 1.0
-    else:
-        if len(initial) != copies + 1:
-            raise ValueError("initial must have length copies + 1")
-        state = list(initial)
-    trajectory = [list(state)]
-    for _ in range(epochs):
-        state = mean_field_step(state, failure_probability, repair_fraction)
-        trajectory.append(list(state))
-    return trajectory
 
 
 def mean_field_distribution(
@@ -151,19 +130,17 @@ def mean_field_distribution(
     if not marks or marks[0] < 0:
         raise ValueError("sample_epochs must be non-empty and >= 0")
     if initial is None:
-        state = [0.0] * (copies + 1)
-        state[copies] = 1.0
+        state = [0.0] * copies + [1.0]
+    elif len(initial) != copies + 1:
+        raise ValueError("initial must have length copies + 1")
     else:
-        if len(initial) != copies + 1:
-            raise ValueError("initial must have length copies + 1")
         state = list(initial)
+    weights = _loss_weights(copies, failure_probability)
     totals = [0.0] * (copies + 1)
     epoch = 0
     for mark in marks:
         while epoch < mark:
-            state = mean_field_step(
-                state, failure_probability, repair_fraction
-            )
+            state = _step(state, weights, repair_fraction)
             epoch += 1
         for c in range(copies + 1):
             totals[c] += state[c]

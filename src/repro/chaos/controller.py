@@ -47,13 +47,11 @@ from ..exceptions import (
     InfeasibleRedundancyError,
     RepairTimeoutError,
 )
-from ..hashing.primitives import stable_u64
+from ..hashing.primitives import unit_interval_open
 from ..metrics.stats import FairnessVerdict, chi_square_fairness, fair_copy_shares
 from ..simulation.engine import Simulator
 from .recovery import RepairPolicy, RepairQueue, RepairTask
 from .schedule import FaultEvent, FaultKind, FaultSchedule
-
-_INV_2_64 = 1.0 / float(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -450,15 +448,10 @@ class ChaosController:
         )
 
     def _flaky_error(self, task: RepairTask, error_rate: float) -> bool:
-        draw = (
-            stable_u64(
-                "chaos-flaky",
-                self._options.seed,
-                task.device_id,
-                self._attempt_seq,
-            )
-            | 1
-        ) * _INV_2_64
+        draw = unit_interval_open(
+            "chaos-flaky", self._options.seed, task.device_id,
+            self._attempt_seq,
+        )
         return draw < error_rate
 
     def _retry(self, task: RepairTask, attempt: int, reason: str) -> None:

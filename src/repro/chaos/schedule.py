@@ -34,15 +34,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
-from ..hashing.primitives import stable_u64
-
-#: 2**-64, maps a stable_u64 draw onto [0, 1).
-_INV_2_64 = 1.0 / float(1 << 64)
+from ..hashing.primitives import stable_u64, unit_interval_open
 
 
 def _unit(*key) -> float:
     """Deterministic draw in (0, 1) from a stable hash of ``key``."""
-    return (stable_u64("chaos-schedule", *key) | 1) * _INV_2_64
+    return unit_interval_open("chaos-schedule", *key)
 
 
 class FaultKind(enum.Enum):

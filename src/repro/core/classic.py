@@ -225,8 +225,9 @@ class ClassicLinMirror(ReplicationStrategy):
         rendezvous race per primary rank.
 
         Per block the addresses are premixed once.  The while loop of
-        :meth:`place` becomes one draw per rank over the addresses still
-        looking for a primary; those the draw selects are exactly the
+        :meth:`place` becomes one hash word per rank over the addresses
+        still looking for a primary, compared with the word threshold of
+        the rank's round probability; those it selects are exactly the
         group whose secondary comes from that rank's ``placeonecopy``
         tail, so each group is settled by a single guarded argmax over
         the ``-w / ln(u)`` scores the scalar :class:`WeightedRendezvous`
@@ -235,15 +236,17 @@ class ClassicLinMirror(ReplicationStrategy):
         driver to settle through :meth:`place`.
         """
         primary_ranks = [self._rank_index[bin_id] for bin_id in self._scan_ids]
-        # zip stops at the boundary: ranks past it never draw a primary.
-        scan = list(zip(self._primary_bases, self._rounds[: self._saturated]))
+        # zip stops at the boundary: ranks past it never draw a primary,
+        # and every round before it is in (0, 1).
+        thresholds = kernels.word_thresholds(self._rounds[: self._saturated])
+        scan = list(zip(self._primary_bases, thresholds))
         refused: List[int] = []
         for start, stop in kernels.blocks(keys.shape[0]):
             mixed = kernels.premix(keys[start:stop])
             live = np.arange(start, stop)
             groups = []
-            for base, chance in scan:
-                taken = kernels.draws_from_premixed(base, mixed) < chance
+            for base, threshold in scan:
+                taken = kernels.words_from_premixed(base, mixed) < threshold
                 groups.append((live[taken], mixed[taken]))
                 passed = ~taken
                 live, mixed = live[passed], mixed[passed]

@@ -22,7 +22,7 @@ differ because randomness is consumed differently.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..hashing.alias import CumulativeTable
 from ..hashing.primitives import (
@@ -90,10 +90,10 @@ class FastRedundantShare(ReplicationStrategy):
         # Lazy per-(copy, previous rank) state, built as lookups visit it:
         # the conditional tables and salt bases ``place`` consults, and
         # the batch engine's NumPy mirrors ``(forced_rank, base,
-        # cumulative)`` — a forced state has ``forced_rank >= 0`` and no
+        # thresholds)`` — a forced state has ``forced_rank >= 0`` and no
         # table, a sampled one ``forced_rank == -1`` plus the uint64 base
-        # and the float64 boundaries of the scalar :class:`CumulativeTable`.
-        self._tables: Dict[Tuple[int, int], Optional[CumulativeTable]] = {}
+        # and the word thresholds of the scalar :class:`CumulativeTable`.
+        self._tables: Dict[Tuple[int, int], Union[CumulativeTable, int]] = {}
         self._bases: Dict[Tuple[int, int], int] = {}
         self._np_states: Dict[Tuple[int, int], tuple] = {}
         self._share_states: Dict[Tuple[int, int], object] = {}
@@ -112,27 +112,24 @@ class FastRedundantShare(ReplicationStrategy):
         """Same closed form as the scan variant."""
         return self._scan.expected_shares()
 
-    def _state_table(self, copy: int, previous_rank: int) -> Optional[CumulativeTable]:
-        """Conditional distribution table for (copy, previous rank).
-
-        Returns None for degenerate states where the next copy's rank is
-        forced (exactly one positive outcome).
-        """
+    def _state_table(
+        self, copy: int, previous_rank: int
+    ) -> Union[CumulativeTable, int]:
+        """Conditional distribution table for (copy, previous rank), or
+        the forced rank of a degenerate state (one positive outcome)."""
         key = (copy, previous_rank)
-        if key in self._tables:
-            return self._tables[key]
-        distribution = self._scan.table.conditional_distribution(
-            copy + 1, previous_rank
-        )
-        tail = distribution[previous_rank + 1 :]
-        positive = [value for value in tail if value > 0.0]
-        table: Optional[CumulativeTable]
-        if len(positive) <= 1:
-            table = None
-        else:
-            table = CumulativeTable(tail)
-        self._tables[key] = table
-        return table
+        if key not in self._tables:
+            tail = self._scan.table.conditional_distribution(
+                copy + 1, previous_rank
+            )[previous_rank + 1 :]
+            positive = [rank for rank, value in enumerate(tail) if value > 0.0]
+            if not positive:
+                raise AssertionError("state has no positive outcome")
+            self._tables[key] = (
+                CumulativeTable(tail) if len(positive) > 1
+                else previous_rank + 1 + positive[0]
+            )
+        return self._tables[key]
 
     def _select(self, copy: int, previous_rank: int, address: int) -> int:
         anchor = "root" if previous_rank < 0 else self._rank_ids[previous_rank]
@@ -141,38 +138,20 @@ class FastRedundantShare(ReplicationStrategy):
         if self._state_selector == "share":
             return self._select_share(copy, previous_rank, anchor, address)
         table = self._state_table(copy, previous_rank)
-        if table is None:
-            return self._forced_rank(copy, previous_rank)
-        base = self._state_base(copy, previous_rank, anchor)
-        draw = unit_from_base(base, address)
+        if isinstance(table, int):
+            return table
+        draw = unit_from_base(self._state_base(copy, previous_rank), address)
         return previous_rank + 1 + table.select(draw)
 
-    def _state_base(
-        self, copy: int, previous_rank: int, anchor: Optional[str] = None
-    ) -> int:
+    def _state_base(self, copy: int, previous_rank: int) -> int:
         """Salt base for the (copy, previous rank) state draw (memoised)."""
         key = (copy, previous_rank)
-        base = self._bases.get(key)
-        if base is None:
-            if anchor is None:
-                anchor = (
-                    "root" if previous_rank < 0
-                    else self._rank_ids[previous_rank]
-                )
-            base = self._bases[key] = derive_base(
+        if key not in self._bases:
+            anchor = "root" if previous_rank < 0 else self._rank_ids[previous_rank]
+            self._bases[key] = derive_base(
                 self._namespace, "state", copy, anchor
             )
-        return base
-
-    def _forced_rank(self, copy: int, previous_rank: int) -> int:
-        """First rank with positive mass after ``previous_rank``."""
-        distribution = self._scan.table.conditional_distribution(
-            copy + 1, previous_rank
-        )
-        for rank in range(previous_rank + 1, len(distribution)):
-            if distribution[rank] > 0.0:
-                return rank
-        raise AssertionError("state has no positive outcome")
+        return self._bases[key]
 
     def _select_rendezvous(
         self, copy: int, previous_rank: int, anchor: str, address: int
@@ -266,11 +245,11 @@ class FastRedundantShare(ReplicationStrategy):
     def _fill_ranks(self, np, keys, columns):
         """Batch lookup through the precomputed state tables.
 
-        One SplitMix64 pass plus a ``searchsorted`` gather per visited
-        state — the Section 3.3 O(k) bound per address, element-wise
-        identical to :meth:`place` because both paths compare the very
-        same :class:`CumulativeTable` boundaries, so no row is ever
-        refused.
+        One SplitMix64 pass plus a ``searchsorted`` gather of the words
+        per visited state — the Section 3.3 O(k) bound per address,
+        element-wise identical to :meth:`place` because the gather
+        counts the exact word thresholds of the very same
+        :class:`CumulativeTable` boundaries, so no row is ever refused.
         """
         count = keys.shape[0]
         mixed = kernels.premix(keys)
@@ -280,19 +259,20 @@ class FastRedundantShare(ReplicationStrategy):
             for prev in np.unique(previous):
                 prev_rank = int(prev)
                 chosen = np.flatnonzero(previous == prev)
-                forced, base, cumulative = self._np_state(np, copy, prev_rank)
-                if cumulative is None:
+                forced, base, thresholds = self._np_state(np, copy, prev_rank)
+                if thresholds is None:
                     out[chosen] = forced
                 else:
-                    draws = kernels.draws_from_premixed(base, mixed[chosen])
+                    words = kernels.words_from_premixed(base, mixed[chosen])
                     out[chosen] = prev_rank + 1 + kernels.cdf_gather(
-                        cumulative, draws
+                        thresholds, words
                     )
             previous = out
         return ()
 
     def _np_state(self, np, copy: int, previous_rank: int) -> tuple:
-        """NumPy mirror of one state: forced rank or (base, boundaries).
+        """NumPy mirror of one state: forced rank or (base, thresholds),
+        the word thresholds of the boundaries below 1.
 
         Built lazily per state actually visited by a batch (mirroring the
         scalar laziness) and kept on the instance.
@@ -301,14 +281,15 @@ class FastRedundantShare(ReplicationStrategy):
         state = self._np_states.get(key)
         if state is None:
             table = self._state_table(copy, previous_rank)
-            if table is None:
-                state = (self._forced_rank(copy, previous_rank), None, None)
+            if isinstance(table, int):
+                state = (table, None, None)
             else:
-                base = self._state_base(copy, previous_rank)
                 state = (
                     -1,
-                    np.uint64(base),
-                    np.asarray(table.boundaries(), dtype=np.float64),
+                    np.uint64(self._state_base(copy, previous_rank)),
+                    kernels.word_thresholds(
+                        [b for b in table.boundaries() if b < 1.0]
+                    ),
                 )
             self._np_states[key] = state
         return state

@@ -27,11 +27,17 @@ from typing import Dict, List, Sequence
 
 from .. import obs
 from ..capacity.clipping import clip_capacities
-from ..hashing.primitives import derive_base, unit_from_base
+from ..hashing.primitives import prefixed_bases, unit_from_base
 from ..placement import kernels
 from ..placement.base import ReplicationStrategy
 from ..types import BinSpec, Placement, sort_bins_by_capacity
 from .preprocess import HazardTable, compute_hazards
+
+#: The batch scan drops finished addresses from its live set once this
+#: fraction of it has finished, not after every rank: hashing them a few
+#: ranks longer costs less than compacting that often.
+_COMPACT_FRACTION = 0.25
+
 
 class RedundantShare(ReplicationStrategy):
     """k-fold replicated placement with fairness and redundancy."""
@@ -65,10 +71,7 @@ class RedundantShare(ReplicationStrategy):
         self.rank_ids = [spec.bin_id for spec in self._ordered]
         # Per-(copy, rank) salt bases: lookups then mix integers only.
         self._draw_bases = [
-            [
-                derive_base(self._namespace, "copy", copy, bin_id)
-                for bin_id in self._rank_ids
-            ]
+            prefixed_bases((self._namespace, "copy", copy), self._rank_ids)
             for copy in range(copies)
         ]
         # Deadline rank for each copy: the scan must select at this rank at
@@ -76,8 +79,7 @@ class RedundantShare(ReplicationStrategy):
         self._deadlines = [
             len(self._ordered) - copies + c for c in range(copies)
         ]
-        # Lazily built rank-major (n, k) base and hazard tables of the
-        # batch engine.
+        # The batch engine's tables, built on first use.
         self._scan_tables = None
 
     # ------------------------------------------------------------------
@@ -112,19 +114,10 @@ class RedundantShare(ReplicationStrategy):
     # Placement
     # ------------------------------------------------------------------
 
-    def _draw(self, copy: int, rank: int, address: int) -> float:
-        return unit_from_base(self._draw_bases[copy][rank], address)
-
     def place(self, address: int) -> Placement:
         """Return the ordered bin ids of all ``k`` copies of ``address``."""
-        return tuple(self._walk(address, self._copies))
-
-    def _walk(self, address: int, copies_wanted: int) -> List[str]:
-        """The scalar Algorithm 2/4 scan, mapped to bin ids."""
-        return [
-            self._rank_ids[rank]
-            for rank in self._walk_ranks(address, copies_wanted)
-        ]
+        ranks = self._walk_ranks(address, self._copies)
+        return tuple(self._rank_ids[rank] for rank in ranks)
 
     def _walk_ranks(self, address: int, copies_wanted: int) -> List[int]:
         """The Algorithm 2/4 scan over rank indices — the scalar reference
@@ -134,11 +127,12 @@ class RedundantShare(ReplicationStrategy):
         for copy in range(copies_wanted):
             hazards = self._table.hazards[copy]
             deadline = self._deadlines[copy]
+            bases = self._draw_bases[copy]
             while True:
                 if (
                     rank >= deadline
                     or hazards[rank] >= 1.0
-                    or self._draw(copy, rank, address) < hazards[rank]
+                    or unit_from_base(bases[rank], address) < hazards[rank]
                 ):
                     result.append(rank)
                     rank += 1
@@ -150,6 +144,32 @@ class RedundantShare(ReplicationStrategy):
     # Batch placement
     # ------------------------------------------------------------------
 
+    def _engine_tables(self, np):
+        """The batch engine's rank-major ``(n, k + 1)`` tables of salt
+        bases and last taking words, built once: a cell takes when its
+        word is at most ``word_thresholds(h) - 1``, a forced one (deadline
+        rank, ``h >= 1``) always.  Column ``k`` never takes: base 0 and
+        last word 0 against the word ``sm64(sm64(0))``, nonzero, of the
+        premix 0 finished addresses get.  A word compare cannot also say
+        "never", so no unforced cell may have ``h <= 0``; the hazard solve
+        keeps a positive natural hazard at every unreachable cell.
+        """
+        if self._scan_tables is None:
+            hazards = np.array(self._table.hazards, dtype=np.float64).T
+            ranks = np.arange(len(hazards))[:, None]
+            forced = (hazards >= 1.0) | (ranks >= np.array(self._deadlines))
+            if (hazards[~forced] <= 0.0).any():
+                raise AssertionError("a reachable scan cell never takes")
+            tables = np.zeros((2, len(hazards), self._copies + 1), np.uint64)
+            tables[0, :, :-1] = np.array(self._draw_bases, np.uint64).T
+            # A forced cell's threshold is 0, so its last word wraps round
+            # to 2**64 - 1: every word takes there.
+            tables[1, :, :-1] = kernels.word_thresholds(
+                np.where(forced, 0, hazards)
+            ) - 1
+            self._scan_tables = tables
+        return self._scan_tables
+
     def _fill_ranks(self, np, keys, columns):
         """Vectorized Algorithm 2/4 over a whole address batch: one pass
         over the bins, whatever ``k`` is.
@@ -158,46 +178,42 @@ class RedundantShare(ReplicationStrategy):
         not a copy is taken there, so at step ``r`` *every* unfinished
         address stands at rank ``r`` and its only state is the index of
         the copy it is looking for.  One iteration per rank therefore
-        gathers each live address's salt base and hazard for (its copy,
-        ``r``), evaluates a single SplitMix64 draw over all of them,
-        records ``r`` where the draw beats the hazard, and drops the
-        addresses whose last copy just landed.  Forced selections
-        (deadline rank, ``hazard >= 1``) are a hazard no draw reaches in
-        the scan tables, not a branch.  Element-wise identical to
-        :meth:`place` (the property tests pin this), so no row is ever
-        refused.
+        gathers each live address's salt base and last taking word for
+        (its copy, ``r``), hashes one word each in two reused buffers,
+        and records ``r`` where the word takes.  An address whose last
+        copy landed moves to the never-taking slot; the finished leave
+        the live set once :data:`_COMPACT_FRACTION` of it has finished.
+        Element-wise identical to :meth:`place` (the property tests pin
+        this), so no row is ever refused.
         """
-        tables = self._scan_tables
-        if tables is None:
-            # Rank-major (n, k), so one step reads one contiguous row; a
-            # forced selection is a hazard of 2.0, above every draw.
-            hazards = np.array(self._table.hazards, dtype=np.float64).T.copy()
-            for copy, deadline in enumerate(self._deadlines):
-                hazards[deadline:, copy] = 2.0
-            hazards[hazards >= 1.0] = 2.0
-            tables = self._scan_tables = (
-                np.array(self._draw_bases, dtype=np.uint64).T.copy(),
-                hazards,
-            )
-        # The per-address premix is shared by every draw of the batch:
-        # u64_from_base(base, a) == sm64(sm64(base ^ sm64(a))).
+        bases, lasts = self._engine_tables(np)
         mixed = kernels.premix(keys)
         live = np.arange(keys.shape[0])
-        copy = np.zeros(keys.shape[0], dtype=np.int64)
-        last = self._copies - 1
-        for rank, (bases, hazards) in enumerate(zip(*tables)):
-            draws = kernels.draws_from_premixed(bases.take(copy), mixed)
-            taken = (draws < hazards.take(copy)).nonzero()[0]
+        copy = np.zeros(keys.shape[0], dtype=np.intp)
+        words, scratch = np.empty_like(mixed), np.empty_like(mixed)
+        last, finished = self._copies - 1, 0
+        for rank in range(len(bases)):
+            bases[rank].take(copy, out=words)
+            kernels.words_from_premixed(words, mixed, words, scratch)
+            lasts[rank].take(copy, out=scratch)
+            taken = (words <= scratch).nonzero()[0]
             taken_copy = copy.take(taken)
             columns[taken_copy, live.take(taken)] = rank
             copy[taken] = taken_copy + 1
-            if (taken_copy == last).any():
-                unfinished = (copy <= last).nonzero()[0]
-                if unfinished.size == 0:
-                    break
-                live = live.take(unfinished)
-                copy = copy.take(unfinished)
-                mixed = mixed.take(unfinished)
+            done = taken[taken_copy == last]
+            if done.size:
+                mixed[done] = 0
+                finished += done.size
+                if finished >= _COMPACT_FRACTION * live.size:
+                    unfinished = (copy <= last).nonzero()[0]
+                    if unfinished.size == 0:
+                        break
+                    live = live.take(unfinished)
+                    copy = copy.take(unfinished)
+                    mixed = mixed.take(unfinished)
+                    words = words[: unfinished.size]
+                    scratch = scratch[: unfinished.size]
+                    finished = 0
         return ()
 
     def _record_engine_events(self, sink, columns) -> None:

@@ -26,12 +26,16 @@ form (:func:`splitmix64_array`, :func:`derive_bases`,
 that evaluate whole vectors per call, bit-for-bit identical to the scalar
 functions.  Without NumPy their callers run the scalar functions in a
 loop instead.
+
+A word ``u`` maps to ``float(u) * 2**-64``, except the top 1 024 words,
+which ``float`` rounds up to ``2**64``: they map to ``1 - 2**-53``, so
+every draw is below 1 (:func:`_unit` / :func:`_units` on both legs).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Sequence, Union
+from typing import List, Sequence, Union
 
 from .._compat import get_numpy
 
@@ -39,6 +43,9 @@ _MASK64 = (1 << 64) - 1
 
 #: 2**-64, used to map 64-bit integers onto [0, 1).
 _INV_2_64 = 1.0 / float(1 << 64)
+
+#: The first word ``float`` rounds to 2**64, and its draw instead of 1.0.
+_ROUNDS_TO_ONE, _BELOW_ONE = (1 << 64) - 1024, 1.0 - 2.0**-53
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -91,20 +98,23 @@ def stable_u64(*parts: HashablePart) -> int:
     return splitmix64(state)
 
 
+def _unit(word: int) -> float:
+    """A 64-bit word as a float in ``[0, 1)`` (see the module docstring)."""
+    return word * _INV_2_64 if word < _ROUNDS_TO_ONE else _BELOW_ONE
+
+
 def unit_interval(*parts: HashablePart) -> float:
     """Hash arbitrary parts to a float uniformly distributed in ``[0, 1)``."""
-    return stable_u64(*parts) * _INV_2_64
+    return _unit(stable_u64(*parts))
 
 
 def unit_interval_open(*parts: HashablePart) -> float:
     """Hash to a float in the *open* interval ``(0, 1)``.
 
-    Useful where a subsequent ``log`` or division forbids exact zero (e.g.
-    rendezvous hashing scores).
+    Useful where a subsequent ``log`` or division forbids exact zero or
+    one (e.g. rendezvous hashing scores); word 0 maps to ``2**-64``.
     """
-    value = stable_u64(*parts)
-    # Map 0 to the smallest representable step instead.
-    return (value | 1) * _INV_2_64
+    return _unit(stable_u64(*parts) | 1)
 
 
 def derive_base(*parts: HashablePart) -> int:
@@ -119,6 +129,13 @@ def derive_base(*parts: HashablePart) -> int:
     return stable_u64(*parts)
 
 
+def prefixed_bases(prefix: Sequence[HashablePart], parts) -> List[int]:
+    """``[derive_base(*prefix, part) for part in parts]``, folding the
+    shared prefix once instead of once per part."""
+    state = functools.reduce(_fold_part, prefix, _FNV_OFFSET)
+    return [splitmix64(_fold_part(state, part)) for part in parts]
+
+
 def u64_from_base(base: int, *values: int) -> int:
     """Combine a precomputed base with per-draw integers to a fresh u64."""
     state = base
@@ -130,12 +147,12 @@ def u64_from_base(base: int, *values: int) -> int:
 def unit_from_base(base: int, *values: int) -> float:
     """Like :func:`unit_interval`, from a precomputed base (see
     :func:`derive_base`)."""
-    return u64_from_base(base, *values) * _INV_2_64
+    return _unit(u64_from_base(base, *values))
 
 
 def unit_from_base_open(base: int, *values: int) -> float:
     """Like :func:`unit_interval_open`, from a precomputed base."""
-    return (u64_from_base(base, *values) | 1) * _INV_2_64
+    return _unit(u64_from_base(base, *values) | 1)
 
 
 # ----------------------------------------------------------------------
@@ -179,20 +196,21 @@ def as_u64_array(values: Sequence[int]):
     )
 
 
-def splitmix64_array(values: Sequence[int], out=None):
+def splitmix64_array(values: Sequence[int], out=None, scratch=None):
     """Vectorized :func:`splitmix64`: a ``uint64`` array whose elements
     equal ``[splitmix64(v & 2**64-1) for v in values]`` exactly.
 
     ``out`` (a ``uint64`` array of the same shape, ``values`` itself
-    included) receives the result instead of a fresh array, so a chain
-    of mixes over a buffer the caller owns allocates only the shifts.
+    included) receives the result instead of a fresh array, and
+    ``scratch`` (another one) the shifts, so a chain of mixes over
+    buffers the caller owns allocates nothing.
     """
     state = np.add(as_u64_array(values), _SM64_GOLDEN, out=out)
-    state ^= state >> _SHIFT30
+    state ^= np.right_shift(state, _SHIFT30, out=scratch)
     state *= _SM64_MULT1
-    state ^= state >> _SHIFT27
+    state ^= np.right_shift(state, _SHIFT27, out=scratch)
     state *= _SM64_MULT2
-    state ^= state >> _SHIFT31
+    state ^= np.right_shift(state, _SHIFT31, out=scratch)
     return state
 
 
@@ -221,12 +239,14 @@ def u64s_from_base(base: int, values: Sequence[int]):
     return splitmix64_array(splitmix64_array(state, out=state), out=state)
 
 
-def units_from_base(base: int, values: Sequence[int]):
-    """Vectorized :func:`unit_from_base`: one ``[0, 1)`` draw per value.
+def _units(words):
+    """Vectorized :func:`_unit` (``uint64 → float64`` rounds alike)."""
+    draws = np.multiply(words, _INV_2_64, dtype=np.float64)
+    return np.minimum(draws, _BELOW_ONE, out=draws)
 
-    A ``float64`` array bit-for-bit identical to
-    ``[unit_from_base(base, v) for v in values]`` (the uint64 → float64
-    conversion rounds the same way in both paths).
-    """
-    return u64s_from_base(base, values).astype(np.float64) * _INV_2_64
+
+def units_from_base(base: int, values: Sequence[int]):
+    """Vectorized :func:`unit_from_base`: one ``[0, 1)`` draw per value,
+    bit-for-bit ``[unit_from_base(base, v) for v in values]``."""
+    return _units(u64s_from_base(base, values))
 

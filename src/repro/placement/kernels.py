@@ -9,8 +9,14 @@ port onto tested building blocks instead of re-deriving them:
 
 * **Single-pass SplitMix64 premix** — :func:`premix` mixes the address
   vector once; every subsequent draw is then pure integer work
-  (``u64_from_base(base, a) == sm64(sm64(base ^ sm64(a)))``), shared by
-  all (copy, bin) draws of the batch.
+  (``u64_from_base(base, a) == sm64(sm64(base ^ sm64(a)))``,
+  :func:`words_from_premixed`), shared by all (copy, bin) draws of the
+  batch.
+* **Words compared as integers** — ``unit_from_base(base, a) < p``
+  exactly when the word is below :func:`word_thresholds` of ``p``, so a
+  draw only compared with fixed probabilities (the hazard scans, the
+  CDF gather, :func:`bernoulli_indices`) never pays NumPy's scalar-loop
+  ``uint64 → float64`` cast.
 * **Blocked score matrices** — :func:`blocks` carves the batch into
   :data:`BLOCK`-sized slices so the (addresses × bins) float64 matrices
   stay L2-sized; results are independent per address, so blocking can
@@ -18,13 +24,14 @@ port onto tested building blocks instead of re-deriving them:
 * **Draw matrices** — :func:`open_draw_matrix` evaluates
   ``unit_from_base_open(base_j, a_i)`` for a whole block at once,
   bit-for-bit identical to the scalar pipeline (the uint64 → float64
-  rounding is the same in both).
+  rounding is the same in both); the score races need the float.
 * **Guarded selection** — :func:`argmax_with_guard` /
   :func:`topk_with_guard` implement masked (without-replacement) argmax
   races with the sub-ulp :data:`TIE_GUARD` contract below.
 * **CDF gather** — :func:`cdf_gather` runs
   :meth:`repro.hashing.alias.CumulativeTable.select` as one
-  ``searchsorted`` over *exactly* the scalar table's boundaries.
+  ``searchsorted`` of the words over the thresholds of *exactly* the
+  scalar table's boundaries.
 
 The ``TIE_GUARD`` contract
 --------------------------
@@ -68,8 +75,8 @@ from typing import Iterator, Tuple
 
 from .._compat import get_numpy
 from ..hashing.primitives import (
-    _INV_2_64,
     _MASK64,
+    _units,
     splitmix64,
     splitmix64_array,
     u64s_from_base,
@@ -97,31 +104,39 @@ def blocks(count: int, block: int = BLOCK) -> Iterator[Tuple[int, int]]:
         yield start, min(start + block, count)
 
 
-def premix(addr):
-    """SplitMix64-mix a ``uint64`` address vector once, for reuse by
-    every draw.
+#: SplitMix64-mix a ``uint64`` address vector once, for reuse by every
+#: draw: element ``i`` equals ``splitmix64(a_i)``, the inner mix of
+#: ``u64_from_base`` shared across all bases.
+premix = splitmix64_array
 
-    Element ``i`` equals ``splitmix64(a_i)`` — the inner mix of
-    ``u64_from_base``, shared across all bases.
+
+def words_from_premixed(base, mixed, out=None, scratch=None):
+    """Hash words over premixed addresses, for one salt base (an ``int``)
+    or one base per address (a ``uint64`` array): element ``i`` equals
+    ``u64_from_base(base_i, a_i)`` where ``mixed[i]`` is ``premix([a_i,
+    ...])[i]``.  Both mixes run in place in ``out`` (which may be
+    ``base``), shifting through ``scratch``; either is allocated if not
+    given."""
+    state = np.bitwise_xor(np.asarray(base, dtype=np.uint64), mixed, out=out)
+    splitmix64_array(state, out=state, scratch=scratch)
+    return splitmix64_array(state, out=state, scratch=scratch)
+
+
+def word_thresholds(probabilities):
+    """The exact word threshold ``T(p)`` of each probability in ``[0, 1)``:
+    ``unit_from_base(...) < p`` exactly when the draw's word is below
+    ``T(p)`` (``uint64``).  Every draw is below a ``p >= 1``, which has
+    no ``uint64`` threshold: callers treat it as forced.
+
+    With ``x = p * 2**64`` (exact): ``ceil(x)`` while ``x <= 2**53``;
+    above, the words from the midpoint between ``x`` and the float below
+    it round up to ``x``, the midpoint itself if its tie goes to ``x``
+    (DESIGN.md §5 has the derivation).
     """
-    return splitmix64_array(addr)
-
-
-def draws_from_premixed(base, mixed):
-    """Closed-interval ``[0, 1)`` draws over premixed addresses, for one
-    salt base (an ``int``) or one base per address (a ``uint64`` vector).
-
-    Element ``i`` equals ``unit_from_base(base_i, a_i)`` where
-    ``mixed[i]`` is ``premix([a_i, ...])[i]``; used by the hazard-scan
-    and CDF-gather engines, which consume plain (non-open) uniforms.
-    Only the state and the float result are allocated: both mixes and
-    the scaling run in place.
-    """
-    state = np.bitwise_xor(np.asarray(base, dtype=np.uint64), mixed)
-    splitmix64_array(splitmix64_array(state, out=state), out=state)
-    draws = state.astype(np.float64)
-    draws *= _INV_2_64
-    return draws
+    x = np.asarray(probabilities, dtype=np.float64) * 2.0**64
+    half_gap = np.floor((x - np.nextafter(x, 0.0)) / 2).astype(np.uint64)
+    midpoint = np.ceil(x).astype(np.uint64) - half_gap
+    return midpoint + (midpoint.astype(np.float64) < x)
 
 
 def state_matrix(bases, mixed):
@@ -152,11 +167,11 @@ def fold_salt(states, salt: int):
 def open_draws_from_state(states):
     """Finish ``u64_from_base`` states into open-interval ``(0, 1)`` draws.
 
-    Element-wise ``(sm64(state) | 1) * 2**-64`` — the final mix plus the
-    open-interval mapping of ``unit_from_base_open``, bit-for-bit.
+    Element-wise the final mix plus the open-interval mapping of
+    ``unit_from_base_open``, bit-for-bit.
     """
     state = splitmix64_array(states)
-    return (state | np.uint64(1)).astype(np.float64) * _INV_2_64
+    return _units(np.bitwise_or(state, np.uint64(1), out=state))
 
 
 def open_draw_matrix(bases, mixed):
@@ -245,16 +260,12 @@ def masked_hrw_race(weights, draw_bases, mixed):
     return winners, unsafe
 
 
-def cdf_gather(boundaries, draws):
-    """Batch :meth:`~repro.hashing.alias.CumulativeTable.select`.
-
-    ``boundaries`` must be the table's own :meth:`boundaries` — sharing
-    the exact floats the scalar binary search compares against is what
-    makes the ``searchsorted`` gather bit-identical to it.
-    """
-    return np.searchsorted(
-        np.asarray(boundaries, dtype=np.float64), draws, side="right"
-    )
+def cdf_gather(thresholds, words):
+    """Batch :meth:`~repro.hashing.alias.CumulativeTable.select` of the
+    draws of hash ``words``, given :func:`word_thresholds` of the table's
+    own :meth:`boundaries` below 1 (no draw reaches the others): ``b`` is
+    at most a draw exactly when ``T(b)`` is at most its word."""
+    return np.searchsorted(thresholds, words, side="right")
 
 
 def draw_column(base: int, start: int, count: int):
@@ -310,11 +321,15 @@ def bernoulli_indices(bases, count: int, probability: float):
             for base in bases
         )
         return {row: hits for row, hits in enumerate(selected) if hits}
-    draws = draws_from_premixed(
+    words = words_from_premixed(
         np.asarray(bases, dtype=np.uint64)[:, None],
         premix(np.arange(count, dtype=np.uint64)),
     )
-    rows, indices = np.nonzero(draws < probability)
+    # Every draw is below 1, so p >= 1 selects every index.
+    rows, indices = np.nonzero(
+        words < word_thresholds(probability) if probability < 1.0
+        else np.ones(words.shape, dtype=bool)
+    )
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     return dict(zip(rows[starts].tolist(), np.split(indices, starts[1:])))
 

@@ -34,6 +34,7 @@ from ..hashing.primitives import (
     u64_from_base,
     u64s_from_base,
     unit_from_base,
+    unit_interval,
     units_from_base,
 )
 
@@ -77,9 +78,7 @@ class ZipfGenerator:
 
     def draw(self, index: int) -> int:
         """The ``index``-th deterministic draw."""
-        uniform_draw = (
-            stable_u64("zipf", self._seed, index) / float(1 << 64)
-        )
+        uniform_draw = unit_interval("zipf", self._seed, index)
         lo, hi = 0, self._universe - 1
         while lo < hi:
             mid = (lo + hi) // 2
@@ -142,7 +141,7 @@ def hotspot(
         raise ValueError("hot_weight must be in [0, 1]")
     hot_size = max(1, int(universe * hot_fraction))
     for index in range(count):
-        coin = stable_u64("hotspot-coin", seed, index) / float(1 << 64)
+        coin = unit_interval("hotspot-coin", seed, index)
         if coin < hot_weight:
             yield stable_u64("hotspot-hot", seed, index) % hot_size
         else:

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List
 
-from ..hashing.primitives import stable_u64
+from ..hashing.primitives import stable_u64, unit_interval
 from . import addresses
 
 
@@ -67,7 +67,7 @@ def mixed(
         raise ValueError("read_fraction must be in [0, 1]")
     for index in range(count):
         address = stable_u64("mixed-addr", seed, index) % universe
-        coin = stable_u64("mixed-op", seed, index) / float(1 << 64)
+        coin = unit_interval("mixed-op", seed, index)
         if coin < read_fraction:
             yield Request(Op.READ, address)
         else:

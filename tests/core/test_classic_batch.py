@@ -14,8 +14,11 @@ import pytest
 
 from repro._compat import HAVE_NUMPY
 from repro.core import ClassicLinMirror
-from repro.placement import AliasWeightedPlacer, RingWeightedPlacer
-from repro.types import bins_from_capacities
+from repro.hashing.primitives import derive_base
+from repro.placement import AliasWeightedPlacer, RingWeightedPlacer, kernels
+from repro.types import bins_from_capacities, sort_bins_by_capacity
+
+from ..splitmix_inverse import address_for_word
 
 #: The 16-device fleet of ``benchmarks/e2e`` (``harness.CAPACITIES``).
 BENCH_FLEET = list(range(500, 2001, 100))
@@ -134,3 +137,31 @@ def test_engine_runs_instead_of_the_loop(monkeypatch):
     )
     strategy.place_many(range(5_000))
     assert len(calls) < 50, "place_many walked place() per address"
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="thresholds need NumPy")
+@pytest.mark.parametrize("capacities", [BENCH_FLEET, [5, 4, 3, 2], [4, 4, 3]])
+def test_primary_scan_threshold_words(capacities):
+    """Per scan rank before the boundary, addresses crafted to draw the
+    words just below and at the rank's threshold (and the two extreme
+    words): the batch places them as ``place`` does, and where the scan
+    reaches the rank, ``T - 1`` stops it there and ``T`` does not."""
+    strategy = ClassicLinMirror(bins_from_capacities(capacities))
+    scan_ids = [spec.bin_id for spec in sort_bins_by_capacity(strategy.bins)]
+    rounds = strategy._rounds[: strategy.boundary_index]
+    crafted = []  # (address, scan rank, word is below the threshold)
+    for rank, threshold in enumerate(kernels.word_thresholds(rounds)):
+        base = derive_base(strategy.namespace, "primary", scan_ids[rank])
+        for word in (int(threshold) - 1, int(threshold), 0, 2**64 - 1):
+            crafted.append(
+                (address_for_word(base, word), rank, word < threshold)
+            )
+    addresses = [address for address, _, _ in crafted]
+    assert_batch_is_scalar_loop(strategy, addresses)
+    reached = 0
+    for address, rank, takes in crafted:
+        primary = scan_ids.index(strategy.place(address)[0])
+        if primary >= rank:
+            reached += 1
+            assert (primary == rank) == takes
+    assert reached >= 4

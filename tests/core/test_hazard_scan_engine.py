@@ -15,8 +15,11 @@ import pytest
 
 import repro._compat as compat
 from repro.core import LinMirror, RedundantShare
+from repro.hashing.primitives import derive_base
 from repro.placement import kernels
 from repro.types import bins_from_capacities
+
+from ..splitmix_inverse import address_for_word
 
 try:  # array inputs are accepted on both legs, whenever NumPy is importable
     import numpy
@@ -104,23 +107,70 @@ def test_numpy_and_pure_python_legs_agree(case, monkeypatch):
     assert fallback.counts() == reference.counts()
 
 
+@pytest.mark.skipif(not compat.HAVE_NUMPY, reason="thresholds need NumPy")
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_threshold_words_decide_like_place(case):
+    """At every (copy, rank) cell, an address crafted to draw the last
+    word that takes there (``T - 1``) and one to draw the first that
+    does not (``T``) — or, at a forced cell, the words 0 and
+    ``2**64 - 1`` — is placed by the batch exactly as by ``place``.
+    Where the scalar walk consults the crafted cell, ``T - 1`` takes and
+    ``T`` does not."""
+    strategy = build(case)
+    ids, copies = strategy.rank_ids, strategy.copies
+    crafted = []  # (address, copy, rank, takes or None when forced)
+    for copy in range(copies):
+        hazards = strategy.table.hazards[copy]
+        for rank, bin_id in enumerate(ids):
+            base = derive_base(strategy.namespace, "copy", copy, bin_id)
+            if rank >= len(ids) - copies + copy or hazards[rank] >= 1.0:
+                words = {0: None, 2**64 - 1: None}
+            else:
+                threshold = int(kernels.word_thresholds(hazards[rank]))
+                words = {threshold - 1: True, threshold: False}
+            for word, takes in words.items():
+                crafted.append(
+                    (address_for_word(base, word), copy, rank, takes)
+                )
+    addresses = [address for address, *_ in crafted]
+    expected = scalar_rows(strategy, addresses)
+    assert strategy.place_many(addresses).tuples() == expected
+    # Word 0 at salt base 0 is what the finished addresses' never-taking
+    # slot would draw for this address, were its premix not replaced.
+    slot_zero = [address_for_word(0, 0)] * 3 + addresses
+    assert strategy.place_many(slot_zero).tuples() == (
+        scalar_rows(strategy, slot_zero[:1]) * 3 + expected
+    )
+    consulted = 0
+    for (_, copy, rank, takes), row in zip(crafted, expected):
+        ranks = [-1] + [ids.index(bin_id) for bin_id in row]
+        if ranks[copy] < rank <= ranks[copy + 1]:
+            consulted += 1
+            assert (ranks[copy + 1] == rank) == (takes is not False)
+    assert consulted >= copies
+
+
 @pytest.mark.skipif(not compat.HAVE_NUMPY, reason="counts the NumPy engine")
 @pytest.mark.parametrize("copies", [2, 3, 4])
 @pytest.mark.parametrize("capacities", [BENCH_FLEET, WIDE_FLEET[:40]])
 def test_one_pass_over_the_bins_whatever_k(copies, capacities, monkeypatch):
-    """One ``place_many`` calls the draw kernel at most once per bin and
-    hashes at most one element per visited (address, rank)."""
+    """One ``place_many`` calls the word kernel at most once per bin and
+    hashes one element per visited (address, rank), plus only the
+    compaction slack: a finished address is hashed on until the live set
+    is compacted, which happens once a quarter of it has finished, so
+    fewer than a quarter of any hashed vector are finished addresses."""
     calls = []
-    draw = kernels.draws_from_premixed
+    words = kernels.words_from_premixed
 
-    def counting(base, mixed):
+    def counting(base, mixed, *args, **kwargs):
         calls.append(mixed.size)
-        return draw(base, mixed)
+        return words(base, mixed, *args, **kwargs)
 
-    monkeypatch.setattr(kernels, "draws_from_premixed", counting)
+    monkeypatch.setattr(kernels, "words_from_premixed", counting)
     strategy = RedundantShare(bins_from_capacities(capacities), copies=copies)
     batch = strategy.place_many(batch_addresses(count=5_000))
     # The scan of an address visits every rank up to its last copy's.
     visited = int((batch.columns[-1] + 1).sum())
+    slack = sum((size - 1) // 4 for size in calls)
     assert 0 < len(calls) <= len(capacities)
-    assert sum(calls) <= visited
+    assert visited <= sum(calls) <= visited + slack

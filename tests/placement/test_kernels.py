@@ -22,9 +22,15 @@ from hypothesis import strategies as st
 import repro._compat as compat
 from repro._compat import HAVE_NUMPY, get_numpy
 from repro.hashing.alias import CumulativeTable
-from repro.hashing.primitives import unit_from_base, unit_from_base_open
+from repro.hashing.primitives import (
+    u64_from_base,
+    unit_from_base,
+    unit_from_base_open,
+)
 from repro.placement import kernels
 from repro.placement.rendezvous import rendezvous_score
+
+from ..splitmix_inverse import address_for_word, base_for_word
 
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="the matrix kernels are NumPy-only"
@@ -66,12 +72,17 @@ class TestHashPipeline:
 
     @given(addresses=addresses_lists, base=st.integers(0, 2**64 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_closed_draws_match_scalar(self, addresses, base):
+    def test_words_match_scalar_u64(self, addresses, base):
         mixed = kernels.premix(addresses)
-        draws = kernels.draws_from_premixed(base, mixed)
-        assert list(draws) == [
-            unit_from_base(base, address) for address in addresses
-        ]
+        expected = [u64_from_base(base, address) for address in addresses]
+        words = kernels.words_from_premixed(base, mixed)
+        assert [int(word) for word in words] == expected
+        # One base per address, mixed in caller-owned buffers.
+        np = get_numpy()
+        bases = np.full(len(addresses), base, dtype=np.uint64)
+        scratch = np.empty_like(bases)
+        kernels.words_from_premixed(bases, mixed, out=bases, scratch=scratch)
+        assert [int(word) for word in bases] == expected
 
     @given(
         addresses=addresses_lists,
@@ -226,28 +237,106 @@ class TestGuardedSelection:
 
 
 @needs_numpy
+class TestWordThresholds:
+    """``T(p)`` is pinned by the two floats around it: the word below it
+    draws under ``p`` and ``T`` itself does not.  The draw is monotone in
+    the word, so that pins ``T`` uniquely."""
+
+    EDGES = [
+        5e-324,  # the smallest subnormal
+        2.0**-1022,
+        2.0**-64,
+        2.0**-64 * 1.5,
+        2.0**-11,  # p * 2**64 == 2**53, the last exact word
+        2.0**-11 * (1 + 2.0**-52),
+        0.1,
+        0.5,
+        math.nextafter(0.5, 0.0),
+        math.nextafter(0.5, 1.0),
+        math.nextafter(1.0, 0.0),
+    ]
+
+    @staticmethod
+    def assert_pinned(probability, threshold):
+        assert 1 <= threshold <= 2**64 - 1
+        assert float(threshold - 1) * 2.0**-64 < probability
+        assert probability <= float(threshold) * 2.0**-64
+
+    @pytest.mark.parametrize("probability", EDGES)
+    def test_edges(self, probability):
+        self.assert_pinned(probability, int(kernels.word_thresholds(probability)))
+
+    @given(
+        probability=st.floats(
+            min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_probability(self, probability):
+        self.assert_pinned(probability, int(kernels.word_thresholds(probability)))
+
+    def test_vector_is_elementwise_and_zero_never_draws(self):
+        thresholds = kernels.word_thresholds([0.0] + self.EDGES)
+        assert thresholds.dtype == get_numpy().uint64
+        assert [int(t) for t in thresholds] == [0] + [
+            int(kernels.word_thresholds(p)) for p in self.EDGES
+        ]
+
+    @pytest.mark.parametrize("probability", EDGES)
+    def test_scalar_draws_agree_at_the_threshold(self, probability):
+        # The words on either side, through the scalar unit mapping.
+        threshold = int(kernels.word_thresholds(probability))
+        below = address_for_word(77, threshold - 1)
+        at = address_for_word(77, threshold)
+        assert unit_from_base(77, below) < probability
+        assert not unit_from_base(77, at) < probability
+
+
+@needs_numpy
 class TestCdfGather:
+    @staticmethod
+    def thresholds(table):
+        return kernels.word_thresholds(
+            [b for b in table.boundaries() if b < 1.0]
+        )
+
     @given(
         masses=st.lists(
-            st.floats(min_value=0.01, max_value=10.0), min_size=2, max_size=9
-        ),
-        draws=st.lists(
-            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-            min_size=0,
-            max_size=30,
-        ),
+            st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=9
+        ).filter(any),
+        addresses=addresses_lists,
+        base=st.integers(0, 2**64 - 1),
     )
     @settings(max_examples=50, deadline=None)
-    def test_matches_table_select(self, masses, draws):
+    def test_matches_table_select(self, masses, addresses, base):
         table = CumulativeTable(masses)
-        gathered = kernels.cdf_gather(table.boundaries(), draws)
+        words = kernels.words_from_premixed(base, kernels.premix(addresses))
+        gathered = kernels.cdf_gather(self.thresholds(table), words)
         assert [int(value) for value in gathered] == [
-            table.select(draw) for draw in draws
+            table.select(unit_from_base(base, address))
+            for address in addresses
+        ]
+
+    def test_boundary_words_match_table_select(self):
+        # Words exactly at and just below every threshold, and the two
+        # extreme words.
+        table = CumulativeTable([3.0, 0.0, 1e-9, 2.0, 5.0, 1e-300])
+        thresholds = self.thresholds(table)
+        words = [0, 2**64 - 1] + [
+            int(t) + delta for t in thresholds for delta in (-1, 0)
+        ]
+        gathered = kernels.cdf_gather(
+            thresholds, get_numpy().asarray(words, dtype=get_numpy().uint64)
+        )
+        assert [int(value) for value in gathered] == [
+            table.select(unit_from_base(9, address_for_word(9, word)))
+            for word in words
         ]
 
     def test_empty_batch(self):
         table = CumulativeTable([1.0, 2.0])
-        assert list(kernels.cdf_gather(table.boundaries(), [])) == []
+        thresholds = self.thresholds(table)
+        assert list(kernels.cdf_gather(thresholds, [])) == []
 
 
 @needs_numpy
@@ -319,6 +408,27 @@ class TestBernoulliIndices:
         assert got == self.expected(bases, count, probability)
         if probability == 1.0:
             assert got == {row: list(range(count)) for row in range(3)}
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    @pytest.mark.parametrize(
+        "probability", [2.0**-64, 0.25, 0.5, math.nextafter(1.0, 0.0)]
+    )
+    def test_boundary_words(self, leg, monkeypatch, probability):
+        # Row r is crafted so that index r % 3 draws one of the words
+        # around the threshold, or an extreme word.
+        if not HAVE_NUMPY:
+            pytest.skip("the threshold is computed with NumPy")
+        threshold = int(kernels.word_thresholds(probability))
+        words = [threshold - 1, threshold, 0, 2**64 - 1]
+        bases = [
+            base_for_word(row % 3, word)
+            for row, word in enumerate(w for w in words for _ in range(3))
+        ]
+        got = self.drawn(leg, monkeypatch, bases, 3, probability)
+        assert got == self.expected(bases, 3, probability)
+        for row in range(len(bases)):
+            takes = words[row // 3] < threshold
+            assert (row % 3 in got.get(row, ())) == takes
 
     @pytest.mark.parametrize("leg", ["numpy", "pure"])
     @given(

@@ -144,9 +144,9 @@ class TestMeanField:
         assert mean_field_step(dist, 0.0, 0.0) == pytest.approx(dist)
 
     def test_class_zero_is_absorbing(self):
-        from repro.analysis import mean_field_trajectory
+        from repro.analysis import mean_field_distribution
 
-        final = mean_field_trajectory(2, 400, 0.05, 0.0)[-1]
+        final = mean_field_distribution(2, 0.05, 0.0, [400])
         assert final[0] > 0.9  # no repair: everything dies eventually
 
     def test_repair_moves_mass_up(self):
@@ -167,18 +167,17 @@ class TestMeanField:
         assert repaired[1] == pytest.approx(0.4 - 0.25)
 
     def test_distribution_averages_marks(self):
-        from repro.analysis import (
-            mean_field_distribution,
-            mean_field_trajectory,
-        )
+        from repro.analysis import mean_field_distribution, mean_field_step
 
         marks = [5, 10]
         averaged = mean_field_distribution(
             3, 0.02, 0.5, sample_epochs=marks
         )
-        per_mark = [
-            mean_field_trajectory(3, mark, 0.02, 0.5)[mark] for mark in marks
-        ]
+        state, per_mark = [0.0, 0.0, 0.0, 1.0], []
+        for epoch in range(1, max(marks) + 1):
+            state = mean_field_step(state, 0.02, 0.5)
+            if epoch in marks:
+                per_mark.append(state)
         for cls in range(4):
             expected = sum(traj[cls] for traj in per_mark) / len(per_mark)
             assert averaged[cls] == pytest.approx(expected)
