@@ -38,6 +38,12 @@ from .preprocess import HazardTable, compute_hazards
 #: ranks longer costs less than compacting that often.
 _COMPACT_FRACTION = 0.25
 
+#: A batch of at most ``_DENSE_PAIRS`` (copy, address) pairs whose ``(k,
+#: n, B)`` word cube holds at most ``_DENSE_WORDS`` words (8 MB) skips the
+#: rank scan for one dense pass: that small, the scan's per-rank call
+#: overhead costs more than hashing every cell (DESIGN.md §5).
+_DENSE_PAIRS, _DENSE_WORDS = 1024, 2**20
+
 
 class RedundantShare(ReplicationStrategy):
     """k-fold replicated placement with fairness and redundancy."""
@@ -184,10 +190,14 @@ class RedundantShare(ReplicationStrategy):
         copy landed moves to the never-taking slot; the finished leave
         the live set once :data:`_COMPACT_FRACTION` of it has finished.
         Element-wise identical to :meth:`place` (the property tests pin
-        this), so no row is ever refused.
+        this), so no row is ever refused.  A small batch takes
+        :meth:`_fill_dense` instead.
         """
         bases, lasts = self._engine_tables(np)
         mixed = kernels.premix(keys)
+        pairs = self._copies * keys.shape[0]
+        if pairs <= _DENSE_PAIRS and pairs * len(bases) <= _DENSE_WORDS:
+            return self._fill_dense(np, bases, lasts, mixed, columns)
         live = np.arange(keys.shape[0])
         copy = np.zeros(keys.shape[0], dtype=np.intp)
         words, scratch = np.empty_like(mixed), np.empty_like(mixed)
@@ -214,6 +224,25 @@ class RedundantShare(ReplicationStrategy):
                     words = words[: unfinished.size]
                     scratch = scratch[: unfinished.size]
                     finished = 0
+        return ()
+
+    def _fill_dense(self, np, bases, lasts, mixed, columns):
+        """The scan of a small batch in one pass: hash the word of every
+        (copy, rank, address) cell in one kernel call, compare the cube
+        with the last taking words once, then place each copy at the
+        first taking rank after the previous copy's.  The deadline cells
+        take every word, so each copy finds one; element-wise identical
+        to :meth:`place`, like the scan."""
+        copies = self._copies
+        # Addresses innermost: each (copy, rank) row hashes and compares
+        # one contiguous vector against a single base and last word.
+        words = kernels.words_from_premixed(bases.T[:copies, :, None], mixed)
+        takes = words <= lasts.T[:copies, :, None]
+        ranks = np.arange(len(bases))[:, None]
+        previous = -1
+        for copy in range(copies):
+            previous = np.argmax(takes[copy] & (ranks > previous), axis=0)
+            columns[copy] = previous
         return ()
 
     def _record_engine_events(self, sink, columns) -> None:

@@ -12,6 +12,9 @@ port onto tested building blocks instead of re-deriving them:
   (``u64_from_base(base, a) == sm64(sm64(base ^ sm64(a)))``,
   :func:`words_from_premixed`), shared by all (copy, bin) draws of the
   batch.
+* **Scan or cube** — a rank scan hashes one word per live address per
+  rank; a small batch hashes its whole (copy, rank, address) cube in one
+  call, bases broadcast as a column (the hazard scan, DESIGN.md §5).
 * **Words compared as integers** — ``unit_from_base(base, a) < p``
   exactly when the word is below :func:`word_thresholds` of ``p``, so a
   draw only compared with fixed probabilities (the hazard scans, the
@@ -112,11 +115,13 @@ premix = splitmix64_array
 
 def words_from_premixed(base, mixed, out=None, scratch=None):
     """Hash words over premixed addresses, for one salt base (an ``int``)
-    or one base per address (a ``uint64`` array): element ``i`` equals
-    ``u64_from_base(base_i, a_i)`` where ``mixed[i]`` is ``premix([a_i,
-    ...])[i]``.  Both mixes run in place in ``out`` (which may be
-    ``base``), shifting through ``scratch``; either is allocated if not
-    given."""
+    or a ``uint64`` base array broadcastable against ``mixed``: element
+    ``i`` equals ``u64_from_base(base_i, a_i)`` where ``mixed[i]`` is
+    ``premix([a_i, ...])[i]``.  One base per address gives a vector, a
+    ``(..., 1)`` column of bases a word per (base, address) cell.  Both
+    mixes run in place in ``out`` (which may be ``base``; it has the
+    broadcast shape), shifting through ``scratch``; either is allocated
+    if not given."""
     state = np.bitwise_xor(np.asarray(base, dtype=np.uint64), mixed, out=out)
     splitmix64_array(state, out=state, scratch=scratch)
     return splitmix64_array(state, out=state, scratch=scratch)

@@ -5,16 +5,20 @@ The hypothesis suite in ``tests/placement/test_batch.py`` draws at most
 duplicates) through the shapes that stress the engine — the benchmark
 fleet, a wide fleet, forced ranks, one copy, clipping — and count the
 engine's work exactly, so a per-copy pass over the bins cannot creep
-back unnoticed.
+back unnoticed.  The engine has two paths, the rank scan and, for a
+small batch, one dense pass over the whole word cube: the threshold pins
+and a property over random fleets run both against ``place``.
 """
 
 import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro._compat as compat
-from repro.core import LinMirror, RedundantShare
+from repro.core import LinMirror, RedundantShare, redundant_share
 from repro.hashing.primitives import derive_base
 from repro.placement import kernels
 from repro.types import bins_from_capacities
@@ -71,6 +75,32 @@ def scalar_rows(strategy, addresses):
     return [memo[address] for address in addresses]
 
 
+def dense_limit(strategy):
+    """The largest batch ``place_many`` places in one dense pass."""
+    copies, bins = strategy.copies, len(strategy.rank_ids)
+    return min(
+        redundant_share._DENSE_PAIRS // copies,
+        redundant_share._DENSE_WORDS // (copies * bins),
+    )
+
+
+def engine_rows(strategy, addresses, path):
+    """``place_many(addresses).tuples()`` through one engine path: cut
+    into batches the dense pass takes, or padded past its limit so that
+    the rank scan takes the whole batch."""
+    limit = dense_limit(strategy)
+    if path == "dense":
+        return [
+            row
+            for start in range(0, len(addresses), limit)
+            for row in strategy.place_many(
+                addresses[start : start + limit]
+            ).tuples()
+        ]
+    padding = batch_addresses(count=limit + 1)
+    return strategy.place_many(addresses + padding).tuples()[: len(addresses)]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_large_batch_equals_scalar_place(case):
     strategy = build(case)
@@ -113,9 +143,9 @@ def test_threshold_words_decide_like_place(case):
     """At every (copy, rank) cell, an address crafted to draw the last
     word that takes there (``T - 1``) and one to draw the first that
     does not (``T``) — or, at a forced cell, the words 0 and
-    ``2**64 - 1`` — is placed by the batch exactly as by ``place``.
-    Where the scalar walk consults the crafted cell, ``T - 1`` takes and
-    ``T`` does not."""
+    ``2**64 - 1`` — is placed by the batch exactly as by ``place``, by the
+    dense pass and by the rank scan.  Where the scalar walk consults the
+    crafted cell, ``T - 1`` takes and ``T`` does not."""
     strategy = build(case)
     ids, copies = strategy.rank_ids, strategy.copies
     crafted = []  # (address, copy, rank, takes or None when forced)
@@ -134,13 +164,14 @@ def test_threshold_words_decide_like_place(case):
                 )
     addresses = [address for address, *_ in crafted]
     expected = scalar_rows(strategy, addresses)
-    assert strategy.place_many(addresses).tuples() == expected
     # Word 0 at salt base 0 is what the finished addresses' never-taking
     # slot would draw for this address, were its premix not replaced.
     slot_zero = [address_for_word(0, 0)] * 3 + addresses
-    assert strategy.place_many(slot_zero).tuples() == (
-        scalar_rows(strategy, slot_zero[:1]) * 3 + expected
-    )
+    for path in ("dense", "scan"):
+        assert engine_rows(strategy, addresses, path) == expected
+        assert engine_rows(strategy, slot_zero, path) == (
+            scalar_rows(strategy, slot_zero[:1]) * 3 + expected
+        )
     consulted = 0
     for (_, copy, rank, takes), row in zip(crafted, expected):
         ranks = [-1] + [ids.index(bin_id) for bin_id in row]
@@ -150,20 +181,43 @@ def test_threshold_words_decide_like_place(case):
     assert consulted >= copies
 
 
+@pytest.mark.skipif(not compat.HAVE_NUMPY, reason="pins the NumPy engine")
+@settings(max_examples=40, deadline=None)
+@given(
+    capacities=st.lists(st.integers(1, 2_000), min_size=2, max_size=60),
+    copies=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_engine_paths_equal_place(capacities, copies, seed):
+    """On random fleets, with ``k = n`` (every cell forced) whenever the
+    fleet is at most five wide, the largest batch the dense pass takes
+    and the smallest the rank scan takes are both placed as by
+    ``place``."""
+    copies = min(copies, len(capacities))
+    strategy = RedundantShare(bins_from_capacities(capacities), copies=copies)
+    rng = random.Random(seed)
+    addresses = [rng.randrange(2**64) for _ in range(dense_limit(strategy) + 1)]
+    expected = scalar_rows(strategy, addresses)
+    assert strategy.place_many(addresses).tuples() == expected
+    assert strategy.place_many(addresses[:-1]).tuples() == expected[:-1]
+
+
 @pytest.mark.skipif(not compat.HAVE_NUMPY, reason="counts the NumPy engine")
 @pytest.mark.parametrize("copies", [2, 3, 4])
 @pytest.mark.parametrize("capacities", [BENCH_FLEET, WIDE_FLEET[:40]])
 def test_one_pass_over_the_bins_whatever_k(copies, capacities, monkeypatch):
-    """One ``place_many`` calls the word kernel at most once per bin and
-    hashes one element per visited (address, rank), plus only the
-    compaction slack: a finished address is hashed on until the live set
-    is compacted, which happens once a quarter of it has finished, so
-    fewer than a quarter of any hashed vector are finished addresses."""
+    """One ``place_many`` of a large batch calls the word kernel at most
+    once per bin and hashes one element per visited (address, rank),
+    plus only the compaction slack: a finished address is hashed on
+    until the live set is compacted, which happens once a quarter of it
+    has finished, so fewer than a quarter of any hashed vector are
+    finished addresses.  A small batch calls it exactly once, over its
+    whole ``k * n * B`` cube, within the cube's memory cap."""
     calls = []
     words = kernels.words_from_premixed
 
     def counting(base, mixed, *args, **kwargs):
-        calls.append(mixed.size)
+        calls.append(numpy.broadcast(numpy.asarray(base), mixed).size)
         return words(base, mixed, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "words_from_premixed", counting)
@@ -174,3 +228,8 @@ def test_one_pass_over_the_bins_whatever_k(copies, capacities, monkeypatch):
     slack = sum((size - 1) // 4 for size in calls)
     assert 0 < len(calls) <= len(capacities)
     assert visited <= sum(calls) <= visited + slack
+    calls.clear()
+    small = dense_limit(strategy)
+    strategy.place_many(batch_addresses(count=small))
+    assert calls == [copies * len(capacities) * small]
+    assert calls[0] <= redundant_share._DENSE_WORDS
