@@ -167,25 +167,20 @@ class BalancedRendezvous(ReplicationStrategy):
 
     def _sample_log_draws(self, np, samples: int) -> list:
         """``(start, ln(u))`` per block of the calibration sample: rows
-        are samples ``start, start + 1, ...``, columns the race bins.
+        are the race bins, columns samples ``start, start + 1, ...``.
 
         The draws do not depend on the weights, so every iteration of
         the fixed point reuses these matrices (~2.5 MB at the default
         20 000 samples over 16 bins).
         """
         bases = np.asarray(list(self._bases.values()), dtype=np.uint64)
-        return [
-            (
-                start,
-                np.log(
-                    kernels.open_draw_matrix(
-                        bases,
-                        kernels.premix(~np.arange(start, stop, dtype=np.uint64)),
-                    )
-                ),
+        log_draws = []
+        for start, stop in kernels.blocks(samples, bases.size):
+            draws = kernels.open_draw_matrix(
+                bases, kernels.premix(~np.arange(start, stop, dtype=np.uint64))
             )
-            for start, stop in kernels.blocks(samples)
-        ]
+            log_draws.append((start, np.log(draws, out=draws)))
+        return log_draws
 
     def _batch_win_counts(self, np, log_draws) -> Dict[str, int]:
         """:meth:`_scalar_win_counts` over the shared kernels: one
@@ -200,9 +195,13 @@ class BalancedRendezvous(ReplicationStrategy):
         negated = -np.asarray(list(self._weights.values()), dtype=np.float64)
         column = {bin_id: index for index, bin_id in enumerate(self._weights)}
         totals = np.zeros(len(negated), dtype=np.int64)
+        work = kernels.Workspace(len(negated), log_draws[0][1].shape[1])
         for start, logs in log_draws:
+            scores = np.divide(
+                negated[:, None], logs, out=work.matrix("scores", *logs.shape)
+            )
             winners, unsafe = kernels.topk_with_guard(
-                negated / logs, self._race_copies
+                scores, self._race_copies, work
             )
             safe = ~unsafe
             for draw_winners in winners:
@@ -267,12 +266,13 @@ class BalancedRendezvous(ReplicationStrategy):
         offset = len(pinned_ranks)
         refused: List[int] = []
         if self._race_copies > 0:
-            for start, stop in kernels.blocks(keys.shape[0]):
+            work = kernels.Workspace(bases.size, keys.shape[0])
+            for start, stop in kernels.blocks(keys.shape[0], bases.size):
                 mixed = kernels.premix(keys[start:stop])
-                uniforms = kernels.open_draw_matrix(bases, mixed)
+                uniforms = kernels.open_draw_matrix(bases, mixed, work)
                 scores = kernels.hrw_score_matrix(weights, uniforms)
                 winners, unsafe = kernels.topk_with_guard(
-                    scores, self._race_copies
+                    scores, self._race_copies, work
                 )
                 for draw, draw_winners in enumerate(winners):
                     columns[offset + draw, start:stop] = race_ranks[draw_winners]

@@ -224,13 +224,13 @@ class ClassicLinMirror(ReplicationStrategy):
         """Vectorized Algorithm 2: a rank-major primary scan, then one
         rendezvous race per primary rank.
 
-        Per block the addresses are premixed once.  The while loop of
-        :meth:`place` becomes one hash word per rank over the addresses
-        still looking for a primary, compared with the word threshold of
-        the rank's round probability; those it selects are exactly the
-        group whose secondary comes from that rank's ``placeonecopy``
-        tail, so each group is settled by a single guarded argmax over
-        the ``-w / ln(u)`` scores the scalar :class:`WeightedRendezvous`
+        The addresses are premixed once.  The while loop of :meth:`place`
+        becomes one hash word per rank over the addresses still looking
+        for a primary, compared with the word threshold of the rank's
+        round probability; those it selects are exactly the group whose
+        secondary comes from that rank's ``placeonecopy`` tail, so each
+        group is settled by guarded argmaxes, one per cell block, over the
+        ``-w / ln(u)`` scores the scalar :class:`WeightedRendezvous`
         compares (a forced secondary is a constant).  Rows decided within
         :data:`~repro.placement.kernels.TIE_GUARD` are returned for the
         driver to settle through :meth:`place`.
@@ -239,33 +239,37 @@ class ClassicLinMirror(ReplicationStrategy):
         # zip stops at the boundary: ranks past it never draw a primary,
         # and every round before it is in (0, 1).
         thresholds = kernels.word_thresholds(self._rounds[: self._saturated])
-        scan = list(zip(self._primary_bases, thresholds))
+        mixed = kernels.premix(keys)
+        live = np.arange(keys.shape[0])
+        groups = []
+        for base, threshold in zip(self._primary_bases, thresholds):
+            taken = kernels.words_from_premixed(base, mixed) < threshold
+            groups.append((live[taken], mixed[taken]))
+            passed = ~taken
+            live, mixed = live[passed], mixed[passed]
+        groups.append((live, mixed))
         refused: List[int] = []
-        for start, stop in kernels.blocks(keys.shape[0]):
-            mixed = kernels.premix(keys[start:stop])
-            live = np.arange(start, stop)
-            groups = []
-            for base, threshold in scan:
-                taken = kernels.words_from_premixed(base, mixed) < threshold
-                groups.append((live[taken], mixed[taken]))
-                passed = ~taken
-                live, mixed = live[passed], mixed[passed]
-            groups.append((live, mixed))
-            for rank, (rows, group) in enumerate(groups):
-                if rows.size == 0:
-                    continue
-                columns[0, rows] = primary_ranks[rank]
-                ranks, weights, bases = self._secondary_race(np, rank)
-                if ranks.size == 1:
-                    columns[1, rows] = ranks[0]
-                    continue
+        work = kernels.Workspace(len(self._scan_ids), keys.shape[0])
+        for rank, (rows, group) in enumerate(groups):
+            if rows.size == 0:
+                continue
+            columns[0, rows] = primary_ranks[rank]
+            ranks, weights, bases = self._secondary_race(np, rank)
+            if ranks.size == 1:
+                columns[1, rows] = ranks[0]
+                continue
+            for start, stop in kernels.blocks(rows.size, ranks.size):
                 winners, unsafe = kernels.argmax_with_guard(
                     kernels.hrw_score_matrix(
-                        weights, kernels.open_draw_matrix(bases, group)
-                    )
+                        weights,
+                        kernels.open_draw_matrix(
+                            bases, group[start:stop], work
+                        ),
+                    ),
+                    work,
                 )
-                columns[1, rows] = ranks[winners]
-                refused.extend(rows[unsafe])
+                columns[1, rows[start:stop]] = ranks[winners]
+                refused.extend(rows[start:stop][unsafe])
         return refused
 
     def expected_shares(self) -> Dict[str, float]:

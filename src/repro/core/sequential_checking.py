@@ -289,6 +289,7 @@ class SequentialChecking(ReplicationStrategy):
         stops = np.asarray(self._boundaries, dtype=np.uint64)
         epoch_of = np.searchsorted(stops, folded, side="right")
         refused: List[int] = []
+        work = kernels.Workspace(len(self._bins), keys.shape[0])
         for epoch_index, epoch in enumerate(self._epochs):
             selected = np.flatnonzero(epoch_of == epoch_index)
             if selected.size == 0:
@@ -298,11 +299,11 @@ class SequentialChecking(ReplicationStrategy):
                 for entries in epoch.draw_entries
             ]
             sub_keys = keys[selected]
-            for start, stop in kernels.blocks(selected.size):
+            for start, stop in kernels.blocks(selected.size, epoch.prefix):
                 target = selected[start:stop]
                 columns[:, target], unsafe = kernels.masked_hrw_race(
                     epoch.weights, draw_bases,
-                    kernels.premix(sub_keys[start:stop]),
+                    kernels.premix(sub_keys[start:stop]), work,
                 )
                 refused.extend(target[np.flatnonzero(unsafe)])
         return refused

@@ -239,10 +239,42 @@ def u64s_from_base(base: int, values: Sequence[int]):
     return splitmix64_array(splitmix64_array(state, out=state), out=state)
 
 
-def _units(words):
-    """Vectorized :func:`_unit` (``uint64 → float64`` rounds alike)."""
-    draws = np.multiply(words, _INV_2_64, dtype=np.float64)
-    return np.minimum(draws, _BELOW_ONE, out=draws)
+#: Exponent fields that turn a 32-bit half ``h`` of a word into the float
+#: ``2**20 + h * 2**-32`` (high half) or ``2**-12 + h * 2**-64`` (low
+#: half) when or-ed into the bits, and the sum of the two offsets.
+_HIGH_FIELD, _LOW_FIELD = 0x4130000000000000, 0x3F30000000000000
+_FIELD_OFFSETS = 2.0**20 + 2.0**-12
+if np is not None:
+    _SHIFT32, _LOW32, _HIGH_BITS, _LOW_BITS = (
+        np.array(constant, dtype=np.uint64)
+        for constant in (32, 0xFFFFFFFF, _HIGH_FIELD, _LOW_FIELD)
+    )
+
+
+def _units(words, out=None, scratch=None):
+    """Vectorized :func:`_unit`, bit for bit, without NumPy's scalar-loop
+    ``uint64 → float64`` cast.
+
+    With ``h = u >> 32`` and ``l = u & 0xFFFFFFFF``, ``u * 2**-64`` is
+    ``h * 2**-32 + l * 2**-64``.  Both terms are exact floats, each built
+    by or-ing its half into the mantissa of a float with a fixed exponent
+    (:data:`_HIGH_FIELD`, :data:`_LOW_FIELD`); subtracting the offsets from
+    the high term is exact, so the one rounding is the final sum's —
+    the rounding of ``float(u)``.  ``out`` (``float64``) and ``scratch``
+    (``uint64``, the shape of ``words``) are allocated if not given;
+    ``words`` is left unchanged.
+    """
+    if out is None:
+        out = np.empty(np.shape(words), dtype=np.float64)
+    high = np.right_shift(words, _SHIFT32, out=scratch)
+    np.bitwise_or(high, _HIGH_BITS, out=high)
+    low = out.view(np.uint64)
+    np.bitwise_and(words, _LOW32, out=low)
+    np.bitwise_or(low, _LOW_BITS, out=low)
+    high = high.view(np.float64)
+    np.subtract(high, _FIELD_OFFSETS, out=high)
+    np.add(high, out, out=out)
+    return np.minimum(out, _BELOW_ONE, out=out)
 
 
 def units_from_base(base: int, values: Sequence[int]):

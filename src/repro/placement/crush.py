@@ -151,48 +151,68 @@ class CrushStrategy(ReplicationStrategy):
 
         Per replica the whole block shares one folded hash state (the
         address premix and replica fold are reused across retries); each
-        retry attempt then re-draws straws *only for the rows whose
-        winner collided* — the scalar loop's ``choose firstn`` semantics
-        with the per-attempt work shrinking to the collision tail.  Rows
-        where any straw race was decided inside
-        :data:`~repro.placement.kernels.TIE_GUARD`, and rows that exhaust
-        :data:`MAX_ATTEMPTS`, are returned for the driver to settle
-        through :meth:`place` — which raises :class:`PlacementError`
-        exactly where the scalar loop would.
+        retry attempt then re-draws straws *only for the addresses whose
+        winner collided* with an earlier replica's — the scalar loop's
+        ``choose firstn`` semantics with the per-attempt work shrinking
+        to the collision tail.  Every matrix is bins-major and lives in
+        one :class:`~repro.placement.kernels.Workspace`.  Addresses where
+        any straw race was decided inside
+        :data:`~repro.placement.kernels.TIE_GUARD`, and addresses that
+        exhaust :data:`MAX_ATTEMPTS`, are returned for the driver to
+        settle through :meth:`place` — which raises
+        :class:`PlacementError` exactly where the scalar loop would.
         """
         bases, weights, item_ranks = self._ensure_vector_state(np)
         items = bases.shape[0]
+        work = kernels.Workspace(items, keys.shape[0])
         refused: List[int] = []
-        for start, stop in kernels.blocks(keys.shape[0]):
+        for start, stop in kernels.blocks(keys.shape[0], items):
             mixed = kernels.premix(keys[start:stop])
             block = stop - start
-            premixed = kernels.state_matrix(bases, mixed)
-            taken = np.zeros((block, items), dtype=bool)
+            shifts = work.matrix("shifts", items, block)
+            premixed = kernels.state_matrix(
+                bases, mixed, out=work.matrix("premixed", items, block),
+                scratch=shifts,
+            )
+            chosen = np.empty((self._copies, block), dtype=np.int64)
             unsafe = np.zeros(block, dtype=bool)
             for replica in range(self._copies):
-                states = kernels.fold_salt(premixed, replica)
+                states = kernels.fold_salt(
+                    premixed, replica, out=work.matrix("states", items, block),
+                    scratch=shifts,
+                )
                 pending = np.arange(block)
-                out = np.zeros(block, dtype=np.int64)
                 for attempt in range(MAX_ATTEMPTS):
                     if pending.size == 0:
                         break
+                    shape = (items, pending.size)
+                    words = work.matrix("words", *shape)
+                    scratch = work.matrix("shifts", *shape)
+                    tail = states if pending.size == block else np.take(
+                        states, pending, axis=1, out=words, mode="clip"
+                    )
                     draws = kernels.open_draws_from_state(
-                        kernels.fold_salt(states[pending], attempt)
+                        kernels.fold_salt(
+                            tail, attempt, out=words, scratch=scratch
+                        ),
+                        out=work.matrix("scores", *shape),
+                        scratch=scratch,
                     )
                     straws = kernels.straw2_score_matrix(weights, draws)
                     winners, attempt_unsafe = kernels.argmax_with_guard(
-                        straws
+                        straws, work
                     )
                     unsafe[pending[attempt_unsafe]] = True
-                    collided = taken[pending, winners]
-                    accepted = pending[~collided]
-                    out[accepted] = winners[~collided]
-                    taken[accepted, winners[~collided]] = True
+                    collided = (chosen[:replica, pending] == winners).any(
+                        axis=0
+                    )
+                    chosen[replica, pending[~collided]] = winners[~collided]
                     pending = pending[collided]
                 if pending.size:
                     # Exhausted retries: the scalar loop raises here.
                     unsafe[pending] = True
-                columns[replica, start:stop] = item_ranks[out]
+                    chosen[replica, pending] = 0
+                columns[replica, start:stop] = item_ranks[chosen[replica]]
             refused.extend(start + np.flatnonzero(unsafe))
         return refused
 

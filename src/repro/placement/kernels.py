@@ -20,17 +20,27 @@ port onto tested building blocks instead of re-deriving them:
   draw only compared with fixed probabilities (the hazard scans, the
   CDF gather, :func:`bernoulli_indices`) never pays NumPy's scalar-loop
   ``uint64 → float64`` cast.
-* **Blocked score matrices** — :func:`blocks` carves the batch into
-  :data:`BLOCK`-sized slices so the (addresses × bins) float64 matrices
-  stay L2-sized; results are independent per address, so blocking can
+* **Bins-major score races** — a race's draw and score matrices are
+  ``(bins, addresses)``, addresses innermost (the hazard scan's cube has
+  the same layout), so every per-address reduction runs down contiguous
+  lanes.  Each ``place_many`` call owns one :class:`Workspace` and runs
+  every block and draw in its buffers: the XOR, both SplitMix64 passes,
+  the ``| 1``, the cast, the ``log`` and the division all write in place.
+* **Cell-bounded blocks** — :func:`blocks` carves the batch into blocks
+  of at most :data:`CELLS` (bin, address) cells (or one address), so the
+  working set stays L2-sized on a small fleet and flat however wide the
+  fleet grows; results are independent per address, so blocking can
   never change them.
-* **Draw matrices** — :func:`open_draw_matrix` evaluates
-  ``unit_from_base_open(base_j, a_i)`` for a whole block at once,
-  bit-for-bit identical to the scalar pipeline (the uint64 → float64
-  rounding is the same in both); the score races need the float.
+* **Exact fast cast** — a score race needs the float of its word for the
+  ``log``: :func:`~repro.hashing.primitives._units` builds ``u · 2**-64``
+  from the word's two 32-bit halves, both exact, so the one rounding is
+  that of ``float(u)`` and NumPy's scalar-loop ``uint64 → float64`` cast
+  is never paid.  :func:`open_draw_matrix` is bit-for-bit the scalar
+  ``unit_from_base_open(base_j, a_i)``.
 * **Guarded selection** — :func:`argmax_with_guard` /
   :func:`topk_with_guard` implement masked (without-replacement) argmax
-  races with the sub-ulp :data:`TIE_GUARD` contract below.
+  races with the sub-ulp :data:`TIE_GUARD` contract below, by column
+  reductions: the best score, the first row holding it, the runner-up.
 * **CDF gather** — :func:`cdf_gather` runs
   :meth:`repro.hashing.alias.CumulativeTable.select` as one
   ``searchsorted`` of the words over the thresholds of *exactly* the
@@ -74,7 +84,7 @@ and decide per call.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .._compat import get_numpy
 from ..hashing.primitives import (
@@ -94,17 +104,49 @@ np = get_numpy()
 #: scalar loop (see "The TIE_GUARD contract" above).
 TIE_GUARD = 1e-9
 
-#: Addresses per vector block.  The engines materialise several
-#: (addresses × bins) float64 matrices per draw; blocking keeps that
-#: working set around L2-sized so throughput does not collapse to main
-#: memory bandwidth on large batches.
-BLOCK = 8192
+#: (bin, address) cells per block of a score race.  A race keeps a few
+#: ``uint64`` / ``float64`` matrices of this many cells; bounding cells
+#: rather than addresses keeps them near L2-sized on a small fleet and
+#: keeps peak memory flat on a wide one.
+CELLS = 1 << 15
 
 
-def blocks(count: int, block: int = BLOCK) -> Iterator[Tuple[int, int]]:
-    """Yield ``(start, stop)`` slices covering ``range(count)`` block-wise."""
-    for start in range(0, count, block):
-        yield start, min(start + block, count)
+def blocks(count: int, bins: int) -> Iterator[Tuple[int, int]]:
+    """Yield ``(start, stop)`` slices covering ``range(count)`` in blocks
+    of ``max(1, CELLS // bins)`` addresses, for a race over ``bins``
+    bins."""
+    step = max(1, CELLS // bins)
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
+class Workspace:
+    """The matrices of one batch's score races, reused by every block.
+
+    One flat buffer per role, allocated on first use, large enough for a
+    block of ``bins`` bins; :meth:`matrix` hands out its first
+    ``b × rows`` cells as a contiguous ``(b, rows)`` matrix, so a narrower
+    race (an epoch prefix, a secondary tail, a collision tail) reuses the
+    same memory.  Roles: ``words`` / ``shifts`` / ``states`` / ``premixed``
+    hold ``uint64`` hash states, ``scores`` ``float64`` draws and scores,
+    ``marks`` the guard's row marks.
+    """
+
+    def __init__(self, bins: int, count: int) -> None:
+        """Size the buffers for races of up to ``bins`` bins over blocks
+        of a ``count``-address batch."""
+        self._cells = min(bins * count, max(CELLS, bins))
+        self._dtypes = dict(scores=np.float64, marks=np.min_scalar_type(bins))
+        self._flat: Dict[str, object] = {}
+
+    def matrix(self, role: str, bins: int, rows: int):
+        """The ``(bins, rows)`` matrix of one role's buffer."""
+        flat = self._flat.get(role)
+        if flat is None:
+            flat = self._flat[role] = np.empty(
+                self._cells, dtype=self._dtypes.get(role, np.uint64)
+            )
+        return flat[: bins * rows].reshape(bins, rows)
 
 
 #: SplitMix64-mix a ``uint64`` address vector once, for reuse by every
@@ -144,103 +186,141 @@ def word_thresholds(probabilities):
     return midpoint + (midpoint.astype(np.float64) < x)
 
 
-def state_matrix(bases, mixed):
-    """First ``u64_from_base`` fold: rows = addresses, cols = bases.
+def state_matrix(bases, mixed, out=None, scratch=None):
+    """First ``u64_from_base`` fold: rows = bases, columns = addresses.
 
-    Entry ``(i, j)`` equals ``sm64(bases[j] ^ sm64(a_i))`` — the hash
+    Entry ``(j, i)`` equals ``sm64(bases[j] ^ sm64(a_i))`` — the hash
     state after folding the address, before any further per-draw values.
     Multi-value draws (CRUSH's ``(address, replica, attempt)``) fold the
     remaining values in with :func:`fold_salt` and finish with
     :func:`open_draws_from_state`; single-value draws can go straight to
-    the finisher (that composition is :func:`open_draw_matrix`).
+    the finisher (that composition is :func:`open_draw_matrix`).  The
+    XOR and the mix run in ``out`` (shifting through ``scratch``); either
+    is allocated if not given.
     """
-    return splitmix64_array(
-        np.asarray(bases, dtype=np.uint64)[None, :] ^ mixed[:, None]
+    state = np.bitwise_xor(
+        np.asarray(bases, dtype=np.uint64)[:, None], mixed, out=out
     )
+    return splitmix64_array(state, out=state, scratch=scratch)
 
 
-def fold_salt(states, salt: int):
+def fold_salt(states, salt: int, out=None, scratch=None):
     """Fold one scalar draw value into running ``u64_from_base`` states.
 
     Element-wise ``sm64(state ^ sm64(salt))`` — one step of the
     ``u64_from_base`` chain with the same ``salt`` for the whole batch,
-    e.g. CRUSH's replica index or retry attempt.
+    e.g. CRUSH's replica index or retry attempt — in ``out`` (which may
+    be ``states``) and ``scratch``, allocated if not given.
     """
-    return splitmix64_array(states ^ np.uint64(splitmix64(salt & _MASK64)))
+    state = np.bitwise_xor(
+        states, np.uint64(splitmix64(salt & _MASK64)), out=out
+    )
+    return splitmix64_array(state, out=state, scratch=scratch)
 
 
-def open_draws_from_state(states):
+def open_draws_from_state(states, out=None, scratch=None):
     """Finish ``u64_from_base`` states into open-interval ``(0, 1)`` draws.
 
     Element-wise the final mix plus the open-interval mapping of
-    ``unit_from_base_open``, bit-for-bit.
+    ``unit_from_base_open``, bit-for-bit.  The mix and the ``| 1`` run
+    in place in ``states``; the ``float64`` draws go to ``out``.
     """
-    state = splitmix64_array(states)
-    return _units(np.bitwise_or(state, np.uint64(1), out=state))
+    state = splitmix64_array(states, out=states, scratch=scratch)
+    np.bitwise_or(state, np.uint64(1), out=state)
+    return _units(state, out=out, scratch=scratch)
 
 
-def open_draw_matrix(bases, mixed):
-    """Open-interval ``(0, 1)`` draw matrix: rows = addresses, cols = bases.
+def open_draw_matrix(bases, mixed, work=None):
+    """Open-interval ``(0, 1)`` draw matrix: rows = bases, columns =
+    addresses, in ``work``'s ``scores`` matrix (a fresh
+    :class:`Workspace` if not given).
 
-    Entry ``(i, j)`` equals ``unit_from_base_open(bases[j], a_i)`` — the
+    Entry ``(j, i)`` equals ``unit_from_base_open(bases[j], a_i)`` — the
     draw the scalar rendezvous/straw races consume.
     """
-    return open_draws_from_state(state_matrix(bases, mixed))
+    shape = (len(bases), len(mixed))
+    work = work or Workspace(*shape)
+    shifts = work.matrix("shifts", *shape)
+    states = state_matrix(
+        bases, mixed, out=work.matrix("words", *shape), scratch=shifts
+    )
+    return open_draws_from_state(
+        states, out=work.matrix("scores", *shape), scratch=shifts
+    )
 
 
 def hrw_score_matrix(weights, uniforms):
-    """Rendezvous (highest-random-weight) scores ``-w / ln(u)``.
+    """Rendezvous (highest-random-weight) scores ``-w / ln(u)`` of a
+    bins-major draw matrix, in place.
 
     Computes exactly the scalar expression ``-weight / log(uniform)``
     (unary minus on the weight, then one division) so clear-margin rows
     agree with the scalar race bit-for-bit.
     """
-    return (-np.asarray(weights, dtype=np.float64))[None, :] / np.log(uniforms)
+    negated = -np.asarray(weights, dtype=np.float64)
+    return np.divide(
+        negated[:, None], np.log(uniforms, out=uniforms), out=uniforms
+    )
 
 
 def straw2_score_matrix(weights, uniforms):
-    """CRUSH straw2 scores ``ln(u) / w`` (negative; closest to 0 wins)."""
-    return np.log(uniforms) / np.asarray(weights, dtype=np.float64)[None, :]
+    """CRUSH straw2 scores ``ln(u) / w`` (negative; closest to 0 wins) of
+    a bins-major draw matrix, in place."""
+    return np.divide(
+        np.log(uniforms, out=uniforms),
+        np.asarray(weights, dtype=np.float64)[:, None],
+        out=uniforms,
+    )
 
 
-def argmax_with_guard(scores):
-    """Row-wise argmax plus the mask of rows the guard refuses to decide.
+def argmax_with_guard(scores, work=None):
+    """Per-column argmax of a bins-major score matrix, plus the mask of
+    columns (addresses) the guard refuses to decide.
 
-    Returns ``(winners, unsafe)``: for each row the index of its maximum
-    entry (first index on exact ties, like the scalar ``>`` races), and
-    True where the margin over the runner-up is at most
-    ``abs(best) * TIE_GUARD`` — those rows must be settled by the scalar
-    path.  **Consumes the winning entries**: the per-row maxima are left
-    at ``-inf`` so repeated calls implement a without-replacement race;
-    copy the matrix first if it must survive.
+    Returns ``(winners, unsafe)``: for each column the row of its maximum
+    (the first row on exact ties, like the scalar ``>`` races), and True
+    where the margin over the runner-up is at most ``abs(best) *
+    TIE_GUARD`` — those addresses must be settled by the scalar path.
+    All three are column reductions: ``best`` is the column maximum, the
+    winner the smallest row equal to it (a maximum over reversed row
+    marks in ``work``'s ``marks`` matrix), the runner-up the maximum once
+    the winner is consumed.  **Consumes the winning entries**: they are
+    left at ``-inf`` so repeated calls implement a without-replacement
+    race; copy the matrix first if it must survive.
     """
-    rows = np.arange(scores.shape[0])
-    winners = np.argmax(scores, axis=1)
-    best = scores[rows, winners]
-    scores[rows, winners] = -np.inf
-    runner = np.max(scores, axis=1) if scores.shape[1] else best
+    bins, count = scores.shape
+    work = work or Workspace(bins, count)
+    best = scores.max(axis=0)
+    marks = np.equal(scores, best, out=work.matrix("marks", bins, count))
+    reversed_rows = np.arange(bins, 0, -1, dtype=marks.dtype)[:, None]
+    np.multiply(marks, reversed_rows, out=marks)
+    winners = np.subtract(bins, marks.max(axis=0), dtype=np.int64)
+    scores[winners, np.arange(count)] = -np.inf
+    runner = scores.max(axis=0)
     unsafe = (best - runner) <= np.abs(best) * TIE_GUARD
     return winners, unsafe
 
 
-def topk_with_guard(scores, count: int):
-    """Top-``count`` without-replacement race over a score matrix.
+def topk_with_guard(scores, count: int, work=None):
+    """Top-``count`` without-replacement race over a bins-major score
+    matrix.
 
     Returns ``(winners, unsafe)`` where ``winners[d]`` holds the d-th
-    draw's per-row winner (descending score order, matching a scalar
-    sort) and ``unsafe`` flags rows where *any* draw was decided within
-    the guard.  Consumes ``scores`` (winners are masked to ``-inf``).
+    draw's per-address winner (descending score order, matching a scalar
+    sort) and ``unsafe`` flags addresses where *any* draw was decided
+    within the guard.  Consumes ``scores`` (winners are masked to
+    ``-inf``).
     """
     winners = []
-    unsafe = np.zeros(scores.shape[0], dtype=bool)
+    unsafe = np.zeros(scores.shape[1], dtype=bool)
     for _ in range(count):
-        draw_winners, draw_unsafe = argmax_with_guard(scores)
+        draw_winners, draw_unsafe = argmax_with_guard(scores, work)
         winners.append(draw_winners)
         unsafe |= draw_unsafe
     return winners, unsafe
 
 
-def masked_hrw_race(weights, draw_bases, mixed):
+def masked_hrw_race(weights, draw_bases, mixed, work=None):
     """One weighted-rendezvous race per draw, without replacement.
 
     Definition 2.3 for a block of premixed addresses: draw ``d`` scores
@@ -249,19 +329,19 @@ def masked_hrw_race(weights, draw_bases, mixed):
     same address are masked out, and the best remaining score wins —
     exactly the scalar skip-and-compare loop.  Returns ``(winners,
     unsafe)``: a ``(draws, block)`` matrix of winning bin indices and the
-    rows where any draw was decided within the guard.
+    addresses where any draw was decided within the guard.  Every draw
+    runs in ``work`` (a fresh :class:`Workspace` if not given).
     """
-    block = mixed.shape[0]
-    winners = np.empty((len(draw_bases), block), dtype=np.int64)
-    taken = np.zeros((block, len(weights)), dtype=bool)
-    unsafe = np.zeros(block, dtype=bool)
-    rows = np.arange(block)
+    count = mixed.shape[0]
+    work = work or Workspace(len(weights), count)
+    winners = np.empty((len(draw_bases), count), dtype=np.int64)
+    unsafe = np.zeros(count, dtype=bool)
+    lanes = np.arange(count)
     for draw, bases in enumerate(draw_bases):
-        scores = hrw_score_matrix(weights, open_draw_matrix(bases, mixed))
-        scores[taken] = -np.inf
-        winners[draw], draw_unsafe = argmax_with_guard(scores)
+        scores = hrw_score_matrix(weights, open_draw_matrix(bases, mixed, work))
+        scores[winners[:draw], lanes] = -np.inf
+        winners[draw], draw_unsafe = argmax_with_guard(scores, work)
         unsafe |= draw_unsafe
-        taken[rows, winners[draw]] = True
     return winners, unsafe
 
 

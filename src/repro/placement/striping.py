@@ -19,6 +19,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Sequence
 
+from .._compat import get_numpy
 from ..exceptions import ConfigurationError
 from ..types import BinSpec, Placement
 from .base import ReplicationStrategy
@@ -86,18 +87,35 @@ class WeightedStripingStrategy(ReplicationStrategy):
         slots = max(len(self._bins), len(self._bins) * resolution)
         # Smooth weighted round-robin (interleaved, not blocked): at every
         # slot, hand the slot to the disk with the largest accumulated
-        # credit.  Keeps any window of the pattern close to proportional.
-        credits = {spec.bin_id: 0.0 for spec in self._bins}
+        # credit, the largest id on a tie.  Keeps any window of the
+        # pattern close to proportional.
         rates = {
             spec.bin_id: spec.capacity / total for spec in self._bins
         }
         pattern: List[str] = []
-        for _ in range(slots):
-            for bin_id in credits:
-                credits[bin_id] += rates[bin_id]
-            winner = max(credits, key=lambda bin_id: (credits[bin_id], bin_id))
-            credits[winner] -= 1.0
-            pattern.append(winner)
+        np = get_numpy()
+        if np is None:
+            credits = {bin_id: 0.0 for bin_id in rates}
+            for _ in range(slots):
+                for bin_id in credits:
+                    credits[bin_id] += rates[bin_id]
+                winner = max(
+                    credits, key=lambda bin_id: (credits[bin_id], bin_id)
+                )
+                credits[winner] -= 1.0
+                pattern.append(winner)
+        else:
+            # Every credit moves at every slot, so no heap can track them;
+            # one vector add per slot can.  Disks in descending id order
+            # make argmax's first maximum the largest id.
+            ids = sorted(rates, reverse=True)
+            step = np.asarray([rates[bin_id] for bin_id in ids])
+            credits = np.zeros(len(ids))
+            for _ in range(slots):
+                np.add(credits, step, out=credits)
+                winner = int(np.argmax(credits))
+                credits[winner] -= 1.0
+                pattern.append(ids[winner])
         self._pattern = pattern
         self._resolution = resolution
         self._table = None

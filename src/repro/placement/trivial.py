@@ -92,9 +92,10 @@ class TrivialReplication(ReplicationStrategy):
             for entries in self._draw_entries
         ]
         refused = []
-        for start, stop in kernels.blocks(keys.shape[0]):
+        work = kernels.Workspace(len(weights), keys.shape[0])
+        for start, stop in kernels.blocks(keys.shape[0], len(weights)):
             columns[:, start:stop], unsafe = kernels.masked_hrw_race(
-                weights, draw_bases, kernels.premix(keys[start:stop])
+                weights, draw_bases, kernels.premix(keys[start:stop]), work
             )
             refused.extend(start + np.flatnonzero(unsafe))
         return refused

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._compat import HAVE_NUMPY
 from repro.hashing import primitives
@@ -133,3 +135,63 @@ class TestBatchPrimitives:
         assert list(primitives.splitmix64_array([])) == []
         assert list(primitives.u64s_from_base(5, [])) == []
         assert list(primitives.units_from_base(5, [])) == []
+
+
+def _tie_words():
+    """Words around every half-ulp tie of ``float(u)`` from ``2**53`` to
+    ``2**63``: in binade ``[2**e, 2**(e+1))`` the floats are ``g = 2**(e-52)``
+    apart, so ``2**e + m*g + g/2`` is a tie, rounded to the even one of
+    mantissas ``m`` and ``m + 1``.  Even and odd ``m`` at both ends of the
+    binade (the last odd one rounds into the next binade), each at, one
+    below and one above the tie."""
+    words = []
+    for exponent in range(53, 64):
+        gap = 2 ** (exponent - 52)
+        for mantissa in (0, 1, 2**52 - 2, 2**52 - 1):
+            tie = 2**exponent + mantissa * gap + gap // 2
+            words += [tie - 1, tie, tie + 1]
+    return words
+
+
+#: 0, 1, the last exact word's neighbours, the top bit, and the words
+#: around the first one ``float`` rounds to ``2**64``.
+EDGE_WORDS = [
+    0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63,
+    2**64 - 1025, 2**64 - 1024, 2**64 - 1,
+]
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the array pipeline is NumPy-only")
+class TestUnitsCast:
+    """``_units`` never casts a ``uint64`` to ``float64``: it adds the two
+    exact halves, which must round exactly as the scalar ``_unit``."""
+
+    @staticmethod
+    def check(words):
+        np = pytest.importorskip("numpy")
+        array = np.asarray(words, dtype=np.uint64)
+        draws = primitives._units(array)
+        assert draws.tolist() == [primitives._unit(word) for word in words]
+        assert array.tolist() == words  # the words are left alone
+
+    def test_half_ulp_ties_of_every_binade(self):
+        words = _tie_words()
+        assert len(words) == 132
+        self.check(words)
+
+    @pytest.mark.parametrize("word", EDGE_WORDS)
+    def test_edges(self, word):
+        self.check([word])
+
+    def test_caller_buffers(self):
+        np = pytest.importorskip("numpy")
+        words = np.asarray(EDGE_WORDS + _tie_words(), dtype=np.uint64)
+        out = np.empty(words.shape, dtype=np.float64)
+        scratch = np.empty_like(words)
+        assert primitives._units(words, out=out, scratch=scratch) is out
+        assert out.tolist() == [primitives._unit(int(w)) for w in words]
+
+    @given(words=st.lists(st.integers(0, 2**64 - 1), max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_any_words(self, words):
+        self.check(words)

@@ -6,14 +6,16 @@ equality with a scalar reference (the ``u64_from_base`` hash chain, the
 races, :meth:`CumulativeTable.select`).  These tests pin that promise
 directly — the scalar expression is the only oracle; the kernels are
 NumPy-only — plus the edge cases every porting strategy leans on: empty
-batches, single-column matrices, full-width (k == n) top-k races, and
-the guard's behaviour on exact and sub-ulp ties.  The hash pipeline is
+batches, single-bin races, full-width (k == n) top-k races, and the
+guard's behaviour on exact and sub-ulp ties.  Race matrices are
+bins-major: one row per bin, one column per address.  The hash pipeline is
 bit-exact; the *score* matrices are pinned to 1e-12 — NumPy's SIMD
 ``log`` may differ from ``math.log`` by 1 ulp, which is precisely what
 :data:`~repro.placement.kernels.TIE_GUARD` exists to absorb.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,9 @@ from repro.hashing.primitives import (
     unit_from_base_open,
 )
 from repro.placement import kernels
+from repro.placement.registry import create
 from repro.placement.rendezvous import rendezvous_score
+from repro.types import bins_from_capacities
 
 from ..splitmix_inverse import address_for_word, base_for_word
 
@@ -47,15 +51,17 @@ bases_lists = st.lists(
 salts = st.integers(min_value=0, max_value=2**32)
 
 
-def as_rows(matrix):
-    """Normalise an (m × n) kernel result to nested Python lists."""
-    return [list(row) for row in matrix.tolist()]
+def as_columns(matrix):
+    """A bins-major ``(bins × addresses)`` kernel result as one Python
+    list per address."""
+    return [list(column) for column in matrix.T.tolist()]
 
 
-def leg_matrix(rows):
-    """Rows as a float64 matrix."""
+def bins_major(columns):
+    """One list of per-bin scores per address, as the bins-major
+    ``float64`` matrix the races consume."""
     np = get_numpy()
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray(columns, dtype=np.float64).T.copy()
 
 
 @needs_numpy
@@ -65,7 +71,7 @@ class TestHashPipeline:
     def test_open_draw_matrix_matches_scalar(self, addresses, bases):
         mixed = kernels.premix(addresses)
         matrix = kernels.open_draw_matrix(bases, mixed)
-        assert as_rows(matrix) == [
+        assert as_columns(matrix) == [
             [unit_from_base_open(base, address) for base in bases]
             for address in addresses
         ]
@@ -103,7 +109,7 @@ class TestHashPipeline:
             attempt,
         )
         draws = kernels.open_draws_from_state(states)
-        assert as_rows(draws) == [
+        assert as_columns(draws) == [
             [
                 unit_from_base_open(base, address, replica, attempt)
                 for base in bases
@@ -119,9 +125,9 @@ class TestScoreMatrices:
 
     def test_hrw_scores_match_scalar_expression(self):
         scores = kernels.hrw_score_matrix(
-            self.WEIGHTS, leg_matrix(self.UNIFORMS)
+            self.WEIGHTS, bins_major(self.UNIFORMS)
         )
-        for row, uniforms in zip(as_rows(scores), self.UNIFORMS):
+        for row, uniforms in zip(as_columns(scores), self.UNIFORMS):
             assert row == pytest.approx(
                 [
                     -weight / math.log(uniform)
@@ -132,9 +138,9 @@ class TestScoreMatrices:
 
     def test_straw2_scores_match_scalar_expression(self):
         scores = kernels.straw2_score_matrix(
-            self.WEIGHTS, leg_matrix(self.UNIFORMS)
+            self.WEIGHTS, bins_major(self.UNIFORMS)
         )
-        for row, uniforms in zip(as_rows(scores), self.UNIFORMS):
+        for row, uniforms in zip(as_columns(scores), self.UNIFORMS):
             assert row == pytest.approx(
                 [
                     math.log(uniform) / weight
@@ -147,7 +153,7 @@ class TestScoreMatrices:
 @needs_numpy
 class TestGuardedSelection:
     def test_argmax_first_index_and_consumption(self):
-        scores = leg_matrix([[1.0, 5.0, 3.0], [9.0, 2.0, 8.0]])
+        scores = bins_major([[1.0, 5.0, 3.0], [9.0, 2.0, 8.0]])
         winners, unsafe = kernels.argmax_with_guard(scores)
         assert list(winners) == [1, 0]
         assert list(unsafe) == [False, False]
@@ -156,42 +162,42 @@ class TestGuardedSelection:
         assert list(winners2) == [2, 2]
 
     def test_exact_tie_is_unsafe(self):
-        scores = leg_matrix([[2.0, 2.0, 1.0], [3.0, 1.0, 0.5]])
+        scores = bins_major([[2.0, 2.0, 1.0], [3.0, 1.0, 0.5]])
         winners, unsafe = kernels.argmax_with_guard(scores)
         assert list(winners) == [0, 0]  # first index on ties
         assert list(unsafe) == [True, False]
 
     def test_sub_guard_margin_is_unsafe(self):
-        scores = leg_matrix([[2.0, 2.0 * (1.0 - 1e-12)]])
+        scores = bins_major([[2.0, 2.0 * (1.0 - 1e-12)]])
         _, unsafe = kernels.argmax_with_guard(scores)
         assert list(unsafe) == [True]
-        scores = leg_matrix([[2.0, 2.0 * (1.0 - 1e-6)]])
+        scores = bins_major([[2.0, 2.0 * (1.0 - 1e-6)]])
         _, unsafe = kernels.argmax_with_guard(scores)
         assert list(unsafe) == [False]
 
     def test_negative_scores_use_absolute_margin(self):
         # straw2 scores are negative; the guard must still scale by |best|.
-        scores = leg_matrix([[-2.0, -2.0 * (1.0 + 1e-12)]])
+        scores = bins_major([[-2.0, -2.0 * (1.0 + 1e-12)]])
         winners, unsafe = kernels.argmax_with_guard(scores)
         assert list(winners) == [0]
         assert list(unsafe) == [True]
 
     def test_single_column_race_is_safe(self):
-        # A single device can never tie with a runner-up.
-        scores = leg_matrix([[0.5], [0.25]])
+        # A single device (one row) can never tie with a runner-up.
+        scores = bins_major([[0.5], [0.25]])
         winners, unsafe = kernels.argmax_with_guard(scores)
         assert list(winners) == [0, 0]
         assert list(unsafe) == [False, False]
 
     def test_empty_batch(self):
-        scores = get_numpy().empty((0, 3), dtype=float)
+        scores = get_numpy().empty((3, 0), dtype=float)
         winners, unsafe = kernels.argmax_with_guard(scores)
         assert list(winners) == []
         assert list(unsafe) == []
 
     def test_topk_full_width_orders_by_descending_score(self):
         # k == n: every column is drawn, in descending score order.
-        scores = leg_matrix([[1.0, 3.0, 2.0]])
+        scores = bins_major([[1.0, 3.0, 2.0]])
         winners, unsafe = kernels.topk_with_guard(scores, 3)
         assert [list(draw) for draw in winners] == [[1], [2], [0]]
         assert list(unsafe) == [False]
@@ -447,8 +453,32 @@ class TestBernoulliIndices:
 
 class TestBlocks:
     def test_cover_range_without_overlap(self):
-        spans = list(kernels.blocks(20_001, block=8192))
-        assert spans == [(0, 8192), (8192, 16384), (16384, 20001)]
+        rows = kernels.CELLS // 16
+        spans = list(kernels.blocks(2 * rows + 1, bins=16))
+        assert spans == [(0, rows), (rows, 2 * rows), (2 * rows, 2 * rows + 1)]
 
     def test_empty_count_yields_nothing(self):
-        assert list(kernels.blocks(0)) == []
+        assert list(kernels.blocks(0, bins=16)) == []
+
+    def test_cells_bound_the_block_whatever_the_width(self):
+        for bins in (1, 3, 16, 200, 1000, kernels.CELLS, 10 * kernels.CELLS):
+            (start, rows), *_ = kernels.blocks(kernels.CELLS + 1, bins)
+            assert start == 0 and rows >= 1
+            assert rows * bins <= max(kernels.CELLS, bins)
+            assert (rows + 1) * bins > kernels.CELLS
+
+    @needs_numpy
+    @pytest.mark.parametrize("name", ["trivial", "crush"])
+    def test_wide_fleet_peak_memory(self, name):
+        # 1 000 devices × 8 192 addresses is 8.2 M cells: one float64
+        # matrix of the whole batch would be 66 MB.  Blocks of CELLS
+        # cells keep a few such matrices at 256 KB each.
+        strategy = create(name, bins_from_capacities([1000] * 1000), copies=3)
+        addresses = list(range(8192))
+        tracemalloc.start()
+        try:
+            strategy.place_many(addresses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -1,9 +1,11 @@
 """Tests for RAID pattern striping (plain and weighted)."""
 
 import collections
+import hashlib
 
 import pytest
 
+import repro._compat as compat
 from repro.exceptions import ConfigurationError
 from repro.placement import StripingStrategy, WeightedStripingStrategy
 from repro.types import bins_from_capacities
@@ -82,3 +84,36 @@ class TestWeightedStriping:
             bins_from_capacities([5, 5]), copies=2, resolution=16
         )
         assert strategy.pattern_length == 32
+
+
+#: fleet -> sha256 of ``repr`` of the weighted pattern, computed with the
+#: per-slot ``max(credits, key=(credit, id))`` build on both legs.  The
+#: equal fleet ties at almost every slot, so it pins the tie-break (the
+#: largest id as a string: ``bin-9`` beats ``bin-15``).
+PATTERN_PINS = {
+    "bench": (
+        list(range(500, 2001, 100)),
+        "4d55465badc928e82a57197abbdb4db4996562d3ec2e6a98f57fe64edfc28cb9",
+    ),
+    "equal": (
+        [1] * 16,
+        "115d4364f86432e4c98ebbfab0976306db35acd6eb35ba68356019b39027f271",
+    ),
+    "wide": (
+        [1000 + index % 7 for index in range(200)],
+        "121e0a5db02472082f7196c86b6d3e43091a9e1ee74fae8b1c49af233c36a869",
+    ),
+}
+
+
+@pytest.mark.parametrize("leg", ["numpy", "pure-python"])
+@pytest.mark.parametrize("fleet", sorted(PATTERN_PINS))
+def test_weighted_pattern_is_pinned(monkeypatch, fleet, leg):
+    if leg == "pure-python":
+        monkeypatch.setattr(compat, "np", None)
+    elif not compat.HAVE_NUMPY:
+        pytest.skip("NumPy unavailable")
+    capacities, expected = PATTERN_PINS[fleet]
+    strategy = WeightedStripingStrategy(bins_from_capacities(capacities))
+    digest = hashlib.sha256(repr(strategy._pattern).encode()).hexdigest()
+    assert digest == expected
