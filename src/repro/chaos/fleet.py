@@ -6,10 +6,8 @@ validating the repair machinery on tens of devices, hopeless for a
 thousand devices times a million blocks over a decade.  This module is
 the columnar counterpart: block state lives in arrays (device assignment
 columns from :meth:`place_many`, per-block copy counts, per-share alive
-masks) and time advances in fixed *epochs* (``1 / epochs_per_year``
-years each).
-
-Per epoch:
+masks) and time is counted in *epochs* (``1 / epochs_per_year`` years
+each).  The model is defined per epoch:
 
 1. **Failure draw.**  Every device fails independently with probability
    ``p = 1 - exp(-failure_rate * dt)``, drawn on the SplitMix64 pipeline
@@ -31,6 +29,21 @@ Per epoch:
    priority ``(survivors, address, position)``.  A taken block gets its
    first dead share back, so it rises one class per epoch at most, which
    is also what the mean-field recursion models.
+
+:meth:`FleetSimulator.run` does not visit every epoch.  It steps from
+event to event — failure epochs, sample epochs, the last epoch and the
+end of each *repair run* — and one sweep covers a whole run.  After the
+kills and the merge at epoch ``e``, let ``s`` be the size of the lowest
+copy class in the damaged index.  The run is the longest stretch of
+epochs from ``e`` that ends before the next failure epoch, no later than
+the next sample epoch, and whose cumulative budget is at most ``s`` (or
+epoch ``e`` alone when its own budget exceeds ``s``; any stretch when the
+index is empty).  The budget carry is still walked epoch by epoch, and
+the sweep stamps each repaired block with the epoch whose budget paid
+for it.  This is exact: every block the run takes is in the lowest
+class, taken in address order; no block is taken twice; and no kill
+falls inside the run — so one sweep per epoch would take the same
+blocks at the same epochs.
 
 The observed copy-count distribution is validated two ways: the
 steady-state histogram (time-average over the second half of the run)
@@ -376,8 +389,10 @@ class FleetSimulator:
             # Inverted CSR index: which (slot, block) shares live on each
             # device.  Assignment is static (replacements take the failed
             # device's slot), so this is built once for the whole run.
+            # A stable sort has one result; on 16-bit keys it is a radix sort.
+            keys = np.uint16 if devices <= 1 << 16 else np.int64
             device_concat = np.concatenate(
-                [np.asarray(column, dtype=np.int64) for column in columns]
+                [np.asarray(column, dtype=keys) for column in columns]
             )
             order = np.argsort(device_concat, kind="stable")
             holds_slot, holds_block = np.divmod(order, blocks)
@@ -399,13 +414,12 @@ class FleetSimulator:
                 return hit[left == copies - 1], hit[left == 0].tolist()
 
             def admit(damaged, fresh, pruned: bool):
-                fresh = np.sort(np.concatenate(fresh))
-                damaged = np.insert(
-                    damaged, np.searchsorted(damaged, fresh), fresh
-                )
+                # A block is fresh only on its k -> k-1 kill, so it is
+                # never already in the index.
+                damaged = np.sort(np.concatenate([damaged, *fresh]))
                 return damaged[counts[damaged] > 0] if pruned else damaged
 
-            def sweep(damaged, budget: int, epoch: int):
+            def sweep(damaged, budget: int, run):
                 level = counts[damaged]
                 order = np.argsort(level, kind="stable")[:budget]
                 taken = damaged[order]
@@ -415,7 +429,9 @@ class FleetSimulator:
                 alive[slots, taken] = True
                 level[order] += 1
                 counts[taken] = level[order]
-                waits = epoch - dead_since[slots, taken]
+                # Each block is stamped with the epoch its budget came from.
+                when = run[0][0] if len(run) == 1 else np.repeat(*zip(*run))
+                waits = when - dead_since[slots, taken]
                 return damaged[level < copies], taken, waits.tolist()
 
         else:
@@ -445,10 +461,10 @@ class FleetSimulator:
                 damaged = sorted(damaged + [b for part in fresh for b in part])
                 return [b for b in damaged if counts[b]] if pruned else damaged
 
-            def sweep(damaged, budget: int, epoch: int):
+            def sweep(damaged, budget: int, run):
                 taken = sorted(damaged, key=counts.__getitem__)[:budget]
                 waits = []
-                for block in taken:
+                for block, epoch in zip(taken, _paid_epochs(run)):
                     dead = [s for s in range(copies) if not alive[s][block]]
                     if not dead:
                         raise AssertionError("repair target has no dead share")
@@ -468,11 +484,15 @@ class FleetSimulator:
         samples: List[FleetSample] = []
         sink = obs.sink()
 
+        def damaged_classes() -> List[int]:
+            # Blocks of the damaged index per copy count 0 .. k.
+            levels = counts[damaged] if np else [counts[b] for b in damaged]
+            return class_histogram(levels, copies + 1)
+
         def record_sample(epoch: int) -> None:
             # Classes 1 .. k-1 are the damaged index, class 0 the lost.
             damaged_total = len(damaged)
-            levels = counts[damaged] if np else [counts[b] for b in damaged]
-            class_counts = class_histogram(levels, copies + 1)
+            class_counts = damaged_classes()
             class_counts[0] = len(lost)
             class_counts[copies] = blocks - len(lost) - damaged_total
             distribution = tuple(count / blocks for count in class_counts)
@@ -499,46 +519,71 @@ class FleetSimulator:
 
         if crash_schedule is not None:
             failures = (
-                sorted(int(device) for device in crash_schedule.get(epoch, ()))
-                for epoch in range(1, epochs + 1)
+                (int(epoch), sorted(int(d) for d in crash_schedule[epoch]))
+                for epoch in sorted(crash_schedule)
+                if epoch in range(1, epochs + 1) and len(crash_schedule[epoch])
             )
         elif p_fail > 0.0:
             failures = _failure_draws(opts)
         else:
-            failures = itertools.repeat((), epochs)
+            failures = iter(())
+        upcoming = next(failures, None)
+        sweeps = 0
 
-        for epoch, failed in enumerate(failures, start=1):
+        epoch = 1
+        while epoch <= epochs:
             # --- failures ---------------------------------------------
-            fresh = []
-            lost_before = len(lost)
-            for device in failed:
-                device = int(device)
-                if not 0 <= device < devices:
-                    raise ConfigurationError(
-                        f"scheduled crash device {device} out of range"
-                    )
-                device_failures += 1
-                newly_damaged, gone = kill_device(device, epoch)
-                fresh.append(newly_damaged)
-                lost.extend(gone)
-            if fresh:
+            if upcoming is not None and upcoming[0] == epoch:
+                fresh = []
+                lost_before = len(lost)
+                for device in upcoming[1]:
+                    device = int(device)
+                    if not 0 <= device < devices:
+                        raise ConfigurationError(
+                            f"scheduled crash device {device} out of range"
+                        )
+                    device_failures += 1
+                    newly_damaged, gone = kill_device(device, epoch)
+                    fresh.append(newly_damaged)
+                    lost.extend(gone)
                 damaged = admit(damaged, fresh, len(lost) > lost_before)
+                upcoming = next(failures, None)
 
-            # --- priority repair sweep --------------------------------
-            budget_carry += opts.repair_rate
-            budget = int(budget_carry)
-            budget_carry -= budget
-            if budget and len(damaged):
-                damaged, taken, waits = sweep(damaged, budget, epoch)
+            # --- one repair run, epochs first .. last ----------------
+            # It ends by the next sample epoch, before the next failure,
+            # and while its budget fits in the lowest class (``room``).
+            stop = min(
+                epochs,
+                -(-epoch // sample_every) * sample_every,
+                upcoming[0] - 1 if upcoming is not None else epochs,
+            )
+            room = next(filter(None, damaged_classes()), math.inf)
+            first, total, run = epoch, 0, []
+            while epoch <= stop:
+                carry = budget_carry + opts.repair_rate
+                budget = int(carry)
+                if total + budget > room and epoch > first:
+                    break
+                budget_carry = carry - budget
+                if budget:
+                    run.append((epoch, budget))
+                    total += budget
+                epoch += 1
+            last = epoch - 1
+            if total and len(damaged):
+                damaged, taken, waits = sweep(damaged, total, run)
+                sweeps += 1
                 repairs += len(waits)
                 repair_wait_epochs += sum(waits)
                 same_epoch_repairs += waits.count(0)
                 if repair_order is not None:
-                    repair_order.extend((epoch, int(block)) for block in taken)
+                    repair_order.extend(
+                        zip(_paid_epochs(run), map(int, taken))
+                    )
 
             # --- sampling ---------------------------------------------
-            if epoch % sample_every == 0 or epoch == epochs:
-                record_sample(epoch)
+            if last % sample_every == 0 or last == epochs:
+                record_sample(last)
 
         # --- aftermath ------------------------------------------------
         steady_window = [
@@ -600,6 +645,7 @@ class FleetSimulator:
         if sink.enabled:
             registry = obs.metrics()
             registry.counter("chaos.fleet.epochs").add(epochs)
+            registry.counter("chaos.fleet.sweeps").add(sweeps)
             registry.counter("chaos.fleet.device_failures").add(
                 device_failures
             )
@@ -619,9 +665,18 @@ class FleetSimulator:
         return report
 
 
+def _paid_epochs(run: Sequence[Tuple[int, int]]) -> Iterator[int]:
+    """The epoch of each share rebuild a repair run's ``(epoch, budget)``
+    pairs pay for, in order."""
+    return itertools.chain.from_iterable(
+        itertools.repeat(epoch, budget) for epoch, budget in run
+    )
+
+
 def _failure_draws(opts: FleetOptions) -> Iterator:
-    """The failed device indices of epochs ``1 .. total_epochs``, in order,
-    drawn a chunk of epochs per :func:`bernoulli_indices` call."""
+    """``(epoch, failed device indices)`` for each epoch of ``1 ..
+    total_epochs`` that draws a failure, in epoch order, drawn a chunk of
+    epochs per :func:`bernoulli_indices` call."""
     prefix = ("chaos-fleet-fail", opts.seed)
     chunk = max(1, _DRAWS_PER_CHUNK // opts.devices)
     for start in range(1, opts.total_epochs + 1, chunk):
@@ -630,7 +685,7 @@ def _failure_draws(opts: FleetOptions) -> Iterator:
             derive_base(*prefix, epoch) for epoch in epochs
         ]
         hits = bernoulli_indices(bases, opts.devices, opts.failure_probability)
-        yield from (hits.get(row, ()) for row in range(len(epochs)))
+        yield from ((start + row, failed) for row, failed in hits.items())
 
 
 def run_fleet(
@@ -647,10 +702,11 @@ def crash_epochs(
     """Map a :class:`FaultSchedule` onto fleet crash epochs.
 
     ``device_ids`` must be the simulator's own numbering,
-    :attr:`FleetSimulator.device_ids`.  One controller time unit corresponds to one fleet epoch; crash times
-    are rounded to the nearest epoch (minimum 1).  Only pure-crash
-    schedules can be cross-checked — the fleet engine has no notion of
-    outage/flaky windows or shrinks.
+    :attr:`FleetSimulator.device_ids`.  One controller time unit
+    corresponds to one fleet epoch; crash times are rounded to the
+    nearest epoch (minimum 1).  Only pure-crash schedules can be
+    cross-checked — the fleet engine has no notion of outage/flaky
+    windows or shrinks.
 
     Raises:
         ConfigurationError: on non-crash events or unknown device ids.
@@ -702,12 +758,15 @@ def durability_phase_diagram(
     failure flux: steady-state mass drains from class ``k`` toward the
     absorbing class 0 and the lost fraction takes off.  Above it, the
     distribution concentrates at full redundancy.  The sweep reuses the
-    same seed per point, so two rates differ only in repair capacity.
+    same seed per point, so two rates differ only in repair capacity, and
+    builds the strategy once for all of them.
     """
+    strategy = FleetSimulator(options)._strategy
     points = []
     for rate in repair_rates:
         report = FleetSimulator(
-            dataclasses.replace(options, repair_rate=float(rate))
+            dataclasses.replace(options, repair_rate=float(rate)),
+            strategy=strategy,
         ).run()
         mean_copies = sum(
             klass * fraction

@@ -4,20 +4,23 @@ The load-bearing guarantee is leg equivalence: the NumPy leg and the
 pure-Python leg (``repro._compat.np`` monkeypatched to None) must produce
 bit-identical copy-count columns, loss lists and samples for any
 configuration.  Six fixed reports are pinned by digest on both legs, so
-the two cannot drift together.  On top of that we pin determinism, the
-zero-divergence cross-check against the event-driven controller, the
-mean-field fit and the repair priority order.
+the two cannot drift together.  Both legs step from event to event; a
+per-epoch reference on plain lists (:func:`reference_fingerprint`) is the
+oracle for that, repair order included.  On top of that we pin
+determinism, the zero-divergence cross-check against the event-driven
+controller, the mean-field fit and the repair priority order.
 """
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro._compat as compat
-from repro.analysis import total_variation
+from repro.analysis import mean_field_distribution, total_variation
 from repro.chaos import (
     ChaosOptions,
     FaultEvent,
@@ -33,7 +36,10 @@ from repro.chaos import (
 )
 from repro.chaos import fleet
 from repro.cluster import Cluster
+from repro import obs
 from repro.exceptions import ConfigurationError
+from repro.hashing.primitives import derive_base
+from repro.placement.kernels import bernoulli_indices
 from repro.placement.registry import create
 from repro.types import bins_from_capacities
 
@@ -88,6 +94,108 @@ def run_leg(leg, options, crash_schedule=None):
     if compat.np is None:
         pytest.skip("NumPy unavailable")
     return FleetSimulator(options).run(crash_schedule)
+
+
+def reference_fingerprint(options, crash_schedule=None):
+    """:func:`report_fingerprint` of a run, computed one epoch at a time on
+    plain lists: each epoch kills its failed devices in device order, then
+    repairs the first ``budget`` damaged blocks in ``(copies, address)``
+    order (a stable sort by copy count of the address-ordered index, here
+    rebuilt by a scan of all counts where the engine merges), each
+    regaining its first dead share."""
+    blocks, copies = options.blocks, options.copies
+    strategy = create(
+        options.strategy,
+        bins_from_capacities(
+            [options.device_capacity] * options.devices, prefix="dev"
+        ),
+        copies=copies,
+        **dict(options.strategy_options),
+    )
+    holds = [[] for _ in range(options.devices)]
+    for slot, column in enumerate(strategy.place_many(range(blocks)).columns):
+        for block, device in enumerate(column):
+            holds[int(device)].append((slot, block))
+    alive = [[True] * copies for _ in range(blocks)]
+    dead_since = [[0] * copies for _ in range(blocks)]
+    counts = [copies] * blocks
+    lost, samples, order = [], [], []
+    failures = waited = same_epoch = 0
+    carry = 0.0
+    epochs = options.total_epochs
+    for epoch in range(1, epochs + 1):
+        if crash_schedule is not None:
+            failed = sorted(crash_schedule.get(epoch, ()))
+        else:
+            base = derive_base("chaos-fleet-fail", options.seed, epoch)
+            failed = bernoulli_indices(
+                [base], options.devices, options.failure_probability
+            ).get(0, [])
+        for device in failed:
+            failures += 1
+            for slot, block in holds[int(device)]:
+                if alive[block][slot]:
+                    alive[block][slot] = False
+                    dead_since[block][slot] = epoch
+                    counts[block] -= 1
+                    if counts[block] == 0:
+                        lost.append(block)
+        damaged = [b for b in range(blocks) if 0 < counts[b] < copies]
+        carry += options.repair_rate
+        budget = int(carry)
+        carry -= budget
+        for block in sorted(damaged, key=counts.__getitem__)[:budget]:
+            slot = alive[block].index(False)
+            alive[block][slot] = True
+            counts[block] += 1
+            waited += epoch - dead_since[block][slot]
+            same_epoch += dead_since[block][slot] == epoch
+            order.append((epoch, block))
+        if epoch % options.resolved_sample_every == 0 or epoch == epochs:
+            samples.append((
+                epoch,
+                epoch * options.dt,
+                sum(0 < count < copies for count in counts),
+                len(lost),
+                tuple(counts.count(c) / blocks for c in range(copies + 1)),
+            ))
+    window = [s for s in samples if s[0] > epochs // 2] or samples[-1:]
+    steady = tuple(
+        sum(s[4][c] for s in window) / len(window) for c in range(copies + 1)
+    )
+    mean_field = tuple(
+        mean_field_distribution(
+            copies=copies,
+            failure_probability=options.failure_probability,
+            repair_fraction=options.repair_rate / blocks,
+            sample_epochs=[s[0] for s in window],
+        )
+    )
+    repairs = len(order)
+    return (
+        counts,
+        lost,
+        samples,
+        failures,
+        repairs,
+        (waited + 0.5 * same_epoch) / repairs if repairs else 0.0,
+        samples[-1][4],
+        steady,
+        mean_field,
+        order if options.record_repairs else [],
+    )
+
+
+def sweeps_of(leg, options, crash_schedule=None):
+    """Report and ``chaos.fleet.sweeps`` counter of one traced run."""
+    obs.reset_metrics()
+    try:
+        with obs.use_sink(obs.MemorySink()):
+            report = run_leg(leg, options, crash_schedule)
+        counters = obs.metrics().snapshot()["counters"]
+        return report, counters["chaos.fleet.sweeps"]
+    finally:
+        obs.reset_metrics()
 
 
 def report_digest(report):
@@ -231,6 +339,122 @@ class TestLegEquivalence:
             pure_report
         )
         assert numpy_report.device_failures == 3
+
+
+class TestPerEpochReference:
+    """The event loop against :func:`reference_fingerprint`."""
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        devices=st.integers(min_value=3, max_value=12),
+        blocks=st.integers(min_value=1, max_value=300),
+        copies=st.integers(min_value=1, max_value=4),
+        epochs=st.integers(min_value=1, max_value=40),
+        failure_rate=st.floats(min_value=0.0, max_value=8.0),
+        repair_rate=st.sampled_from([0.0, 0.3, 2.5, 1e4])
+        | st.floats(min_value=0.0, max_value=12.0),
+        sample_every=st.integers(min_value=0, max_value=7),
+        strategy=st.sampled_from(["striping", "redundant-share"]),
+        crash_schedule=st.none()
+        | st.dictionaries(
+            st.integers(min_value=0, max_value=45),
+            st.lists(st.integers(min_value=0, max_value=11), max_size=4),
+            max_size=6,
+        ),
+    )
+    def test_event_loop_equals_per_epoch_reference(
+        self, leg, seed, devices, blocks, copies, epochs, failure_rate,
+        repair_rate, sample_every, strategy, crash_schedule,
+    ):
+        # Scheduled crashes repeat devices and fall outside the horizon.
+        copies = min(copies, devices)
+        if crash_schedule is not None:
+            crash_schedule = {
+                epoch: [device % devices for device in crashed]
+                for epoch, crashed in crash_schedule.items()
+            }
+        options = FleetOptions(
+            devices=devices,
+            blocks=blocks,
+            copies=copies,
+            epochs=epochs,
+            epochs_per_year=12,
+            failure_rate=failure_rate,
+            repair_rate=repair_rate,
+            seed=seed,
+            strategy=strategy,
+            device_capacity=64,
+            sample_every=sample_every,
+            record_repairs=True,
+        )
+        report = run_leg(leg, options, crash_schedule)
+        assert report_fingerprint(report) == reference_fingerprint(
+            options, crash_schedule
+        )
+
+    @staticmethod
+    def one_crash(devices=8, blocks=240, copies=2, **overrides):
+        """Options with failures off, and the shares dev-0 holds."""
+        options = small_options(
+            devices=devices, blocks=blocks, copies=copies, failure_rate=0.0,
+            record_repairs=True, **overrides,
+        )
+        simulator = FleetSimulator(options)
+        victim = simulator.device_ids.index("dev-0")
+        columns = create(
+            "striping",
+            bins_from_capacities([options.device_capacity] * devices,
+                                 prefix="dev"),
+            copies=copies,
+        ).place_many(range(blocks)).columns
+        held = sum(list(column).count(victim) for column in columns)
+        return options, victim, held
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    def test_run_ends_when_the_next_budget_does_not_fit(self, leg):
+        options, victim, held = self.one_crash(epochs=20, sample_every=20)
+        rate = (held - 1) // 2  # two epochs fit, a third does not
+        options = dataclasses.replace(options, repair_rate=float(rate))
+        report, sweeps = sweeps_of(leg, options, {1: [victim]})
+        assert report_fingerprint(report) == reference_fingerprint(
+            options, {1: [victim]}
+        )
+        assert [epoch for epoch, _ in report.repair_order] == (
+            [1] * rate + [2] * rate + [3] * (held - 2 * rate)
+        )
+        assert sweeps == 2
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    def test_run_ends_at_a_sample_epoch(self, leg):
+        options, victim, held = self.one_crash(repair_rate=1.0)
+        options = dataclasses.replace(
+            options, epochs=2 * held, sample_every=2 * held
+        )
+        _, sweeps = sweeps_of(leg, options, {1: [victim]})
+        assert sweeps == 1
+        options = dataclasses.replace(options, sample_every=3)
+        report, sweeps = sweeps_of(leg, options, {1: [victim]})
+        assert report_fingerprint(report) == reference_fingerprint(
+            options, {1: [victim]}
+        )
+        assert sweeps == math.ceil(held / 3)
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    def test_run_ends_before_a_failure_epoch(self, leg):
+        options, victim, held = self.one_crash(
+            copies=3, epochs=6, repair_rate=1.0, sample_every=6
+        )
+        assert held > options.total_epochs
+        _, sweeps = sweeps_of(leg, options, {1: [victim]})
+        assert sweeps == 1
+        crashes = {1: [victim], 6: [(victim + 1) % options.devices]}
+        report, sweeps = sweeps_of(leg, options, crashes)
+        assert report_fingerprint(report) == reference_fingerprint(
+            options, crashes
+        )
+        assert sweeps == 2
 
 
 class TestDeterminism:
@@ -534,14 +758,27 @@ class TestPhaseDiagram:
             assert 0.0 <= point.lost_fraction <= 1.0
             assert len(point.steady_state) == options.copies + 1
 
-    def test_phase_points_reuse_options(self):
-        options = small_options()
-        (point,) = durability_phase_diagram(options, [options.repair_rate])
-        direct = run_fleet(options)
-        assert point.steady_state == direct.steady_state
-        assert point.mean_field_deviation == pytest.approx(
-            direct.mean_field_deviation
-        )
+    def test_phase_points_reuse_options(self, monkeypatch):
+        # One strategy build serves every rate, and each point is what a
+        # fresh run at that rate reports.
+        options = small_options(failure_rate=5.0, epochs=20)
+        rates = [0.0, 0.5, options.repair_rate, 40.0]
+        builds = []
+        real_create = fleet.create
+
+        def counting_create(*args, **kwargs):
+            builds.append(args)
+            return real_create(*args, **kwargs)
+
+        monkeypatch.setattr(fleet, "create", counting_create)
+        points = durability_phase_diagram(options, rates)
+        assert len(builds) == 1
+        monkeypatch.undo()
+        for point, rate in zip(points, rates):
+            report = run_fleet(dataclasses.replace(options, repair_rate=rate))
+            assert point.lost_fraction == report.lost_blocks / options.blocks
+            assert point.steady_state == report.steady_state
+            assert point.mean_field_deviation == report.mean_field_deviation
 
 
 class TestObservability:
@@ -558,7 +795,22 @@ class TestObservability:
         counters = obs.metrics().snapshot()["counters"]
         assert counters.get("chaos.fleet.epochs") == 12
         assert "chaos.fleet.device_failures" in counters
+        assert "chaos.fleet.sweeps" in counters
         obs.reset_metrics()
+
+    @pytest.mark.parametrize("leg", ["numpy", "pure"])
+    def test_calm_run_is_one_sweep(self, leg):
+        # One crash, then 10 000 quiet epochs: a fractional budget repairs
+        # the damage over ~200 epochs in one run, and the empty index
+        # carries the loop to the end.
+        options = small_options(
+            devices=8, blocks=400, copies=2, epochs=10_000, failure_rate=0.0,
+            repair_rate=0.5, sample_every=10_000,
+        )
+        report, sweeps = sweeps_of(leg, options, {1: [0]})
+        assert report.repairs_completed == 400 * 2 // 8  # dev-0's shares
+        assert report.final_distribution[-1] == 1.0
+        assert sweeps == 1
 
 
 class TestTotalVariation:
