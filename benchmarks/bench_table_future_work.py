@@ -5,15 +5,16 @@ strategies that are O(k)-competitive for arbitrary insertions and removals
 of storage devices.  Is this true and is this the best bound one can
 achieve?"
 
-This bench pits :class:`repro.core.BalancedRendezvous` (calibrated top-k
-rendezvous with pinned saturated bins) against Redundant Share on the
-heterogeneous pool, measuring fairness residual and *set-based* movement
-(copies that must physically move under optimal position relabeling) for a
-device insertion and a removal.  Expected shape: balanced rendezvous moves
-close to the optimum (factor ~1), at the cost of a small fairness residual
-and of positional churn — evidence that the conjectured bound is
+This bench pits :class:`repro.core.BalancedRendezvous` (top-k rendezvous
+with pinned saturated bins and weights fitted to the race's exact
+inclusion probabilities) against Redundant Share on the heterogeneous
+pool, measuring fairness deviation and *set-based* movement (copies that
+must physically move under optimal position relabeling) for a device
+insertion and a removal.  Expected shape: both are fair to sampling
+noise; balanced rendezvous moves close to the optimum (factor ~1) at the
+cost of positional churn — evidence that the conjectured bound is
 achievable when positions may be relabeled, while Redundant Share keeps
-exact fairness and stable positions.
+stable positions.
 """
 
 import collections
@@ -99,10 +100,10 @@ def test_future_work_open_problem(benchmark):
 
     rs = results["redundant-share"]
     br = results["balanced-rendezvous"]
-    # Redundant Share: exact fairness.
+    # Both fair: the deviation is sampling noise.
     assert rs[0] < 0.01
-    # Balanced rendezvous: small residual, much lower set movement.
-    assert br[0] < 0.03
+    assert br[0] < 0.01
+    # Balanced rendezvous: much lower set movement.
     assert br[1] < rs[1]  # insertion set-movement beats Redundant Share
     assert br[1] < 1.7  # ... and approaches the optimum of 1.0
     assert br[2] < 2.2

@@ -15,27 +15,25 @@ precisely the paper's Lemma 2.4 (top-k of a fair single-draw scheme is a
 
 * **Pinning** — bins whose clipped fair demand is ``t_i = 1`` must appear
   in *every* placement (no finite weight achieves that), so they are
-  selected unconditionally and only the remaining copies race.
-* **Calibration** — the remaining weights are fitted by iterative
-  proportional scaling (``w_i <- w_i * (target_i / observed_i)^rate``)
-  against Monte-Carlo estimates of the top-k' inclusion probabilities, a
-  standard fixed point for inclusion-probability-proportional-to-size
-  sampling.
+  selected unconditionally and only the remaining ``k'`` copies race.
+* **Calibration** — a score ``-w_i / ln(u_i)`` is the inverse of an
+  exponential clock ``T_i ~ Exp(w_i)``, so the top ``k'`` are the first
+  ``k'`` clocks to fire, and bin ``i`` is among them with probability
+  ``pi_i = ∫ w_i e^(-w_i t) P(#{j != i : T_j < t} <= k' - 1) dt``.
+  :func:`race_inclusion` computes it in plain floats, and
+  :func:`fit_weights` solves ``pi = t`` for the weights.
 
-The result is *approximately* fair (the bench measures the residual) and
-aggressively adaptive — evidence for the paper's conjecture, with the
-fairness/adaptivity tension made explicit.  Position identification is
-weaker than Redundant Share's: positions follow the score order, so an
-insertion can permute positions even when the copy *set* barely changes
-(positional movement is the price; the bench reports both).
+The result is fair to the fit's residual (``expected_shares`` is the
+exact ``pi``) and aggressively adaptive — evidence for the conjecture.
+Positions follow the score order, so an insertion can permute them even
+when the copy *set* barely changes (the bench reports both movements).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._compat import get_numpy
 from ..capacity.clipping import clip_capacities
 from ..hashing.primitives import derive_base, unit_from_base_open
 from ..placement import kernels
@@ -44,6 +42,112 @@ from ..types import BinSpec, Placement, sort_bins_by_capacity
 
 #: Fair demands within this distance of 1 are treated as saturated.
 _PIN_EPS = 1e-9
+#: The positive half of the 10-point Gauss–Legendre rule on [-1, 1].
+_NODES = (
+    0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717,
+)
+_RULE = (
+    0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814,
+)
+
+
+def race_inclusion(
+    weights: Sequence[float], copies: int
+) -> Tuple[List[float], List[float]]:
+    """``(pi, d pi / d ln w)``: each bin's probability of finishing among
+    the first ``copies`` clocks (``0 < copies < len(weights)``).
+
+    Past ``t0 = 1e-16 ** (1 / (k' + 1)) / sum(w)`` the integral runs in
+    ``ln t`` on unit-width panels of the 10-point rule, up to 40 mean
+    times of the clocks outside the top ``k'`` weights; before ``t0`` a
+    bin wins whenever its clock fires.  At each node bin ``i``'s tail is
+    a prefix times a suffix product of the other clocks, truncated to
+    degree ``k' - 1``: O(n · k' · nodes).  The tail does not depend on
+    ``w_i``, so the slope is the integral with the integrand times
+    ``1 - w_i t``.
+    """
+    total = math.fsum(weights)
+    if copies == 1:
+        inclusion = [weight / total for weight in weights]
+        return inclusion, [pi * (1.0 - pi) for pi in inclusion]
+    rest = math.fsum(sorted(weights)[:-copies])
+    head = 1e-16 ** (1.0 / (copies + 1)) / total
+    start, stop = math.log(head), math.log(40.0 / rest)
+    panels = math.ceil(stop - start)
+    half = (stop - start) / (2 * panels)
+    times, scales = [], []
+    for panel in range(panels):
+        middle = start + (2 * panel + 1) * half
+        for node, rule in zip(_NODES, _RULE):
+            for point in (middle - half * node, middle + half * node):
+                times.append(math.exp(point))
+                scales.append(rule * half * times[-1])
+    running = [[math.exp(-w * t) for t in times] for w in weights]
+    fired = [[-math.expm1(-w * t) for t in times] for w in weights]
+    # suffixes[i][b]: P(at most b of the bins after i fired), per node.
+    suffixes = [[[1.0] * len(times)] * copies]
+    for q, p in zip(running[:0:-1], fired[:0:-1]):
+        suffixes.append(_times_clock(suffixes[-1], q, p))
+    suffixes.reverse()
+    # prefix[a]: P(exactly a of the bins before i fired), per node.
+    prefix = [[1.0] * len(times)] + [[0.0] * len(times)] * (copies - 1)
+    inclusion, slopes = [], []
+    for weight, q, p, suffix in zip(weights, running, fired, suffixes):
+        tail = [0.0] * len(times)
+        for low, high in zip(prefix, reversed(suffix)):
+            tail = [t + x * y for t, x, y in zip(tail, low, high)]
+        density = [s * c * t for s, c, t in zip(scales, q, tail)]
+        mass = math.fsum(density)
+        moment = math.fsum([d * t for d, t in zip(density, times)])
+        inclusion.append(-math.expm1(-weight * head) + weight * mass)
+        slopes.append(
+            weight * (head * math.exp(-weight * head) + mass - weight * moment)
+        )
+        prefix = _times_clock(prefix, q, p)
+    return inclusion, slopes
+
+
+def _times_clock(poly, running, fired):
+    """``poly · (q + p z)`` truncated to ``poly``'s degree, per node; the
+    same step maps coefficients and cumulative coefficients."""
+    return [[q * x for q, x in zip(running, poly[0])]] + [
+        [q * x + p * y for q, p, x, y in zip(running, fired, upper, lower)]
+        for upper, lower in zip(poly[1:], poly)
+    ]
+
+
+def fit_weights(targets: Sequence[float], copies: int) -> List[float]:
+    """Race weights whose :func:`race_inclusion` is ``targets`` (each
+    below 1, summing to ``copies``), started from the targets.
+
+    Each ``ln w_i`` takes its own Newton step ``(t_i - pi_i) / slope_i``,
+    mixed with the previous step (one-step Anderson acceleration): two
+    near-saturated bins otherwise overshoot each other in turn.  Stops
+    once every ``pi_i / t_i`` is within 1e-9 of 1 (3–26 evaluations on
+    the test fleets) or after 100 steps.
+    """
+    logs, previous = [math.log(target) for target in targets], None
+    for _ in range(100):
+        weights = [math.exp(log) for log in logs]
+        inclusion, slopes = race_inclusion(weights, copies)
+        residual = max(abs(pi / t - 1.0) for pi, t in zip(inclusion, targets))
+        if residual < 1e-9:
+            return weights
+        steps = [(t - pi) / s for t, pi, s in zip(targets, inclusion, slopes)]
+        logs = moved = [log + step for log, step in zip(logs, steps)]
+        if previous is not None:
+            change = [now - then for now, then in zip(steps, previous[0])]
+            mix = math.fsum(s * c for s, c in zip(steps, change)) / (
+                math.fsum(c * c for c in change) or 1.0
+            )
+            logs = [
+                now - mix * (now - then)
+                for now, then in zip(moved, previous[1])
+            ]
+        previous = steps, moved
+    return [math.exp(log) for log in logs]
 
 
 class BalancedRendezvous(ReplicationStrategy):
@@ -54,34 +158,16 @@ class BalancedRendezvous(ReplicationStrategy):
     _has_engine = True
 
     def __init__(
-        self,
-        bins: Sequence[BinSpec],
-        copies: int = 2,
-        namespace: str = "",
-        calibration_samples: int = 20_000,
-        calibration_iterations: int = 12,
-        calibration_rate: float = 0.8,
+        self, bins: Sequence[BinSpec], copies: int = 2, namespace: str = ""
     ) -> None:
-        """Build and calibrate the strategy.
+        """Build the strategy and fit its race weights.
 
         Args:
             bins: The participating storage devices.
             copies: Replication degree ``k``.
             namespace: Hash salt prefix.
-            calibration_samples: Monte-Carlo sample size per calibration
-                iteration (0 disables calibration — raw capacity weights,
-                i.e. the paper's trivial strategy, for ablation).
-            calibration_iterations: Fixed-point iterations.
-            calibration_rate: Step exponent in (0, 1]; smaller is more
-                stable, larger converges faster.
         """
         super().__init__(bins, copies, namespace)
-        if not 0.0 < calibration_rate <= 1.0:
-            raise ValueError("calibration_rate must be in (0, 1]")
-        if calibration_samples < 0 or calibration_iterations < 0:
-            raise ValueError(
-                "calibration_samples and calibration_iterations must be >= 0"
-            )
         ordered = sort_bins_by_capacity(self._bins)
         clipped = clip_capacities(
             [float(spec.capacity) for spec in ordered], copies
@@ -92,28 +178,19 @@ class BalancedRendezvous(ReplicationStrategy):
             for spec, capacity in zip(ordered, clipped)
         }
         self._pinned: List[str] = [
-            spec.bin_id
-            for spec, capacity in zip(ordered, clipped)
-            if copies * capacity / total >= 1.0 - _PIN_EPS
+            bin_id for bin_id, t in targets.items() if t >= 1.0 - _PIN_EPS
         ]
-        self._race_targets: Dict[str, float] = {
-            bin_id: target
-            for bin_id, target in targets.items()
-            if bin_id not in self._pinned
-        }
+        for bin_id in self._pinned:
+            del targets[bin_id]
         self._race_copies = copies - len(self._pinned)
         self._bases: Dict[str, int] = {
             bin_id: derive_base(self._namespace, "race", bin_id)
-            for bin_id in self._race_targets
+            for bin_id in targets
         }
-        self._weights: Dict[str, float] = {
-            bin_id: max(target, 1e-12)
-            for bin_id, target in self._race_targets.items()
-        }
-        if self._race_copies > 0 and calibration_samples > 0:
-            self._calibrate(
-                calibration_samples, calibration_iterations, calibration_rate
-            )
+        self._weights: Dict[str, float] = {}
+        if self._race_copies > 0:
+            fitted = fit_weights(list(targets.values()), self._race_copies)
+            self._weights = dict(zip(targets, fitted))
         self._vector: Optional[tuple] = None
 
     @property
@@ -123,7 +200,7 @@ class BalancedRendezvous(ReplicationStrategy):
 
     @property
     def weights(self) -> Dict[str, float]:
-        """The calibrated race weights (diagnostic)."""
+        """The fitted race weights (diagnostic)."""
         return dict(self._weights)
 
     def _race(self, address: int) -> List[str]:
@@ -134,84 +211,6 @@ class BalancedRendezvous(ReplicationStrategy):
             scored.append((-weight / math.log(uniform), bin_id))
         scored.sort(reverse=True)
         return [bin_id for _, bin_id in scored]
-
-    def _calibrate(self, samples: int, iterations: int, rate: float) -> None:
-        """Iterative proportional fitting of the race weights."""
-        np = get_numpy()
-        log_draws = None if np is None else self._sample_log_draws(np, samples)
-        for _ in range(iterations):
-            if log_draws is None:
-                counts = self._scalar_win_counts(samples)
-            else:
-                counts = self._batch_win_counts(np, log_draws)
-            drift = 0.0
-            for bin_id, target in self._race_targets.items():
-                observed = max(counts[bin_id] / samples, 1e-6)
-                ratio = target / observed
-                drift = max(drift, abs(ratio - 1.0))
-                self._weights[bin_id] *= ratio ** rate
-            if drift < 0.01:
-                break
-
-    def _scalar_win_counts(self, samples: int) -> Dict[str, int]:
-        """Top-``race_copies`` inclusion counts over the calibration
-        sample under the current weights — the reference
-        :meth:`_batch_win_counts` is pinned to."""
-        counts = {bin_id: 0 for bin_id in self._weights}
-        # Negative keys keep the calibration sample space disjoint from
-        # real ball addresses.
-        for sample in range(samples):
-            for bin_id in self._race(~sample)[: self._race_copies]:
-                counts[bin_id] += 1
-        return counts
-
-    def _sample_log_draws(self, np, samples: int) -> list:
-        """``(start, ln(u))`` per block of the calibration sample: rows
-        are the race bins, columns samples ``start, start + 1, ...``.
-
-        The draws do not depend on the weights, so every iteration of
-        the fixed point reuses these matrices (~2.5 MB at the default
-        20 000 samples over 16 bins).
-        """
-        bases = np.asarray(list(self._bases.values()), dtype=np.uint64)
-        log_draws = []
-        for start, stop in kernels.blocks(samples, bases.size):
-            draws = kernels.open_draw_matrix(
-                bases, kernels.premix(~np.arange(start, stop, dtype=np.uint64))
-            )
-            log_draws.append((start, np.log(draws, out=draws)))
-        return log_draws
-
-    def _batch_win_counts(self, np, log_draws) -> Dict[str, int]:
-        """:meth:`_scalar_win_counts` over the shared kernels: one
-        division, one guarded top-k and one ``bincount`` per block.
-
-        Samples decided within
-        :data:`~repro.placement.kernels.TIE_GUARD` are counted through
-        the scalar :meth:`_race`, so the counts — and with them the
-        calibrated weights — equal the scalar ones exactly.
-        """
-        # The scalar expression: unary minus on the weight, one division.
-        negated = -np.asarray(list(self._weights.values()), dtype=np.float64)
-        column = {bin_id: index for index, bin_id in enumerate(self._weights)}
-        totals = np.zeros(len(negated), dtype=np.int64)
-        work = kernels.Workspace(len(negated), log_draws[0][1].shape[1])
-        for start, logs in log_draws:
-            scores = np.divide(
-                negated[:, None], logs, out=work.matrix("scores", *logs.shape)
-            )
-            winners, unsafe = kernels.topk_with_guard(
-                scores, self._race_copies, work
-            )
-            safe = ~unsafe
-            for draw_winners in winners:
-                totals += np.bincount(
-                    draw_winners[safe], minlength=len(negated)
-                )
-            for sample in (start + np.flatnonzero(unsafe)).tolist():
-                for bin_id in self._race(~sample)[: self._race_copies]:
-                    totals[column[bin_id]] += 1
-        return dict(zip(self._weights, totals.tolist()))
 
     def place(self, address: int) -> Placement:
         """Pinned bins first (capacity order), then the top race winners."""
@@ -280,14 +279,13 @@ class BalancedRendezvous(ReplicationStrategy):
         return refused
 
     def expected_shares(self) -> Dict[str, float]:
-        """Fair targets (the calibration objective; residual error is
-        measured empirically by the benches)."""
-        total = float(self._copies)
-        shares = {bin_id: 1.0 / total for bin_id in self._pinned}
-        shares.update(
-            {
-                bin_id: target / total
-                for bin_id, target in self._race_targets.items()
-            }
-        )
+        """Each bin's exact share of the copies under the weights in use:
+        ``1 / k`` for a pinned bin, ``pi_i / k`` for a racing one."""
+        shares = {bin_id: 1.0 / self._copies for bin_id in self._pinned}
+        if self._race_copies > 0:
+            inclusion, _ = race_inclusion(
+                list(self._weights.values()), self._race_copies
+            )
+            for bin_id, pi in zip(self._weights, inclusion):
+                shares[bin_id] = pi / self._copies
         return shares

@@ -1,38 +1,21 @@
 """Tests for the open-problem exploration: balanced top-k rendezvous."""
 
-import collections
+import itertools
 import math
+import random
 
 import pytest
 
 import repro._compat as compat
+from repro.capacity.clipping import clipped_shares
 from repro.core import BalancedRendezvous, balanced_rendezvous
-from repro.placement import kernels
+from repro.core.balanced_rendezvous import race_inclusion
 from repro.types import BinSpec, bins_from_capacities
+
+from .test_position_marginals import g_test_p_value
 
 
 class TestConstruction:
-    def test_rate_validated(self):
-        with pytest.raises(ValueError):
-            BalancedRendezvous(
-                bins_from_capacities([5, 4]), copies=2, calibration_rate=0.0
-            )
-
-    @pytest.mark.parametrize(
-        "option", ["calibration_samples", "calibration_iterations"]
-    )
-    def test_negative_calibration_sizes_rejected(self, option):
-        """-1 used to mean "uncalibrated" silently; 0 is the documented
-        ablation switch and the only one."""
-        bins = bins_from_capacities([5, 4, 3])
-        with pytest.raises(ValueError, match="calibration"):
-            BalancedRendezvous(bins, copies=2, **{option: -1})
-        raw = BalancedRendezvous(bins, copies=2, **{option: 0})
-        assert raw.weights == {
-            bin_id: share * 2
-            for bin_id, share in raw.expected_shares().items()
-        }
-
     def test_pinning_of_saturated_bins(self):
         # [2, 1, 1], k=2: the big bin's clipped demand is exactly 1.
         strategy = BalancedRendezvous(bins_from_capacities([2, 1, 1]), copies=2)
@@ -60,39 +43,42 @@ class TestBehaviour:
             assert len(set(strategy.place(address))) == 3
 
     def test_calibrated_fairness(self):
-        capacities = [1000, 400, 300, 200, 100]
-        strategy = BalancedRendezvous(bins_from_capacities(capacities), copies=2)
-        counts = collections.Counter()
-        balls = 25_000
-        for address in range(balls):
-            counts.update(strategy.place(address))
-        for bin_id, share in strategy.expected_shares().items():
-            assert counts[bin_id] / (2 * balls) == pytest.approx(
-                share, abs=0.02
-            ), bin_id
+        """Per bin, the number of addresses that include it is
+        Binomial(addresses, pi) with pi from :meth:`expected_shares`: a
+        G-test of the two cells (in, out) per bin at ``FAIRNESS_ALPHA``,
+        Bonferroni over the bins, on a fixed seeded sample.  A pinned bin
+        (pi = 1) must be in every placement."""
+        rng = random.Random(31)
+        addresses = [rng.randrange(2**64) for _ in range(FAIRNESS_ADDRESSES)]
+        for capacities, copies in FAIRNESS_FLEETS:
+            strategy = BalancedRendezvous(
+                bins_from_capacities(capacities), copies=copies
+            )
+            counts = strategy.place_many(addresses).counts()
+            shares = strategy.expected_shares()
+            for bin_id, share in shares.items():
+                hits, pi = counts.get(bin_id, 0), copies * share
+                p_value = g_test_p_value(
+                    [hits, len(addresses) - hits], [pi, 1.0 - pi]
+                )
+                assert p_value > FAIRNESS_ALPHA / len(shares), (
+                    capacities, bin_id, p_value
+                )
 
     def test_uncalibrated_is_unfair(self):
-        """Ablation: without calibration this is the trivial strategy and
-        under-loads the big bin (Lemma 2.4)."""
-        capacities = [1000, 400, 300, 200, 100]
-        raw = BalancedRendezvous(
-            bins_from_capacities(capacities), copies=2, calibration_samples=0
+        """Lemma 2.4, exactly: racing the fair targets themselves as
+        weights leaves the big bin more than 0.015 of the copies short.
+        [900, 400, 300, 200, 200] at k = 2 pins nothing."""
+        targets = [2 * c / 2000 for c in (900, 400, 300, 200, 200)]
+        raw = race_inclusion(targets, 2)[0]
+        assert raw[0] / 2 < targets[0] / 2 - 0.015
+        fitted = BalancedRendezvous(
+            bins_from_capacities([900, 400, 300, 200, 200]), copies=2
         )
-        balls = 15_000
-        hits = sum(
-            1 for address in range(balls) if "bin-0" in raw.place(address)
+        assert fitted.pinned_bins == []
+        assert fitted.expected_shares()["bin-0"] == pytest.approx(
+            targets[0] / 2, rel=1e-9
         )
-        # bin-0 is pinned only via t=1; here t_0 = 1.0 exactly -> pinned!
-        # Use a slightly smaller big bin so nothing is pinned.
-        capacities = [900, 400, 300, 200, 200]
-        raw = BalancedRendezvous(
-            bins_from_capacities(capacities), copies=2, calibration_samples=0
-        )
-        target = raw.expected_shares()["bin-0"]
-        counts = collections.Counter()
-        for address in range(balls):
-            counts.update(raw.place(address))
-        assert counts["bin-0"] / (2 * balls) < target - 0.015
 
     def test_near_optimal_set_adaptivity(self):
         """The headline property: adding a device moves (in set terms)
@@ -126,6 +112,19 @@ class TestBehaviour:
         assert moved_set / used < 2.0
 
 
+#: The fairness G-test: family-wise significance level and sample size.
+#: At this size the weights of the sampled calibration this fit replaced
+#: (up to 1.9 % short of fair) fail on both fleets (p < 1e-5).
+FAIRNESS_ALPHA = 1e-3
+FAIRNESS_ADDRESSES = 100_000
+#: ``(capacities, copies)``: a fleet with a pinned bin, and the TAB-FUT
+#: fleet of ``benchmarks/bench_table_future_work.py``.
+FAIRNESS_FLEETS = [
+    ([1000, 400, 300, 200, 100], 2),
+    ([800, 700, 600, 500, 400, 300], 2),
+]
+
+
 #: ``(capacities, copies)``: the 16-device fleet of ``benchmarks/e2e``, a
 #: fleet with a pinned bin, and one whose bins are given out of capacity
 #: order.
@@ -135,50 +134,85 @@ CALIBRATION_FLEETS = [
     ([100] * 8 + [37, 900], 4),
 ]
 
+#: ``(capacities, copies)`` small enough for :func:`reference_inclusion`:
+#: a pinned fleet (one racing copy), the TAB-FUT fleet, a pinned bin with
+#: three racing copies, and a 1:1000 capacity spread.
+EXACT_FLEETS = [
+    ([1000, 100, 100, 100, 50], 2),
+    ([800, 700, 600, 500, 400, 300], 2),
+    ([100] * 8 + [37, 900], 4),
+    ([1, 10, 100] + [1000] * 5, 3),
+]
 
-def scalar_weights(monkeypatch, capacities, copies, **options):
-    """The weights the scalar calibration (the oracle) fits."""
-    with monkeypatch.context() as patch:
-        patch.setattr(compat, "np", None)
-        return BalancedRendezvous(
-            bins_from_capacities(capacities), copies=copies, **options
-        ).weights
+
+def reference_inclusion(weights, copies):
+    """Top-``copies`` inclusion probabilities by enumerating every ordered
+    top-``copies`` prefix: the clocks fire in the order ``o`` with
+    probability ``prod_j w[o_j] / (W - w[o_1] - ... - w[o_(j-1)])``.
+    O(n^copies); no integral, no fit."""
+    inclusion = [0.0] * len(weights)
+    for order in itertools.permutations(range(len(weights)), copies):
+        probability, left = 1.0, math.fsum(weights)
+        for bin_ in order:
+            probability *= weights[bin_] / left
+            left -= weights[bin_]
+        for bin_ in order:
+            inclusion[bin_] += probability
+    return inclusion
 
 
-class TestCalibrationLegs:
-    """The NumPy-leg calibration counts the same winners as the scalar
-    one, so the fitted weights are equal as floats, not approximately.
-    Under ``REPRO_PURE_PYTHON=1`` both builds are the scalar leg."""
+def assert_close(actual, expected, rel):
+    for got, want in zip(actual, expected):
+        assert abs(got / want - 1.0) <= rel, (got, want)
 
-    @pytest.mark.parametrize("capacities, copies", CALIBRATION_FLEETS)
-    def test_weights_equal_the_scalar_calibration(
-        self, monkeypatch, capacities, copies
-    ):
+
+class TestExactCalibration:
+    """The race's inclusion probabilities are computed, not sampled: the
+    production integral matches an exhaustive enumeration, the fitted
+    weights meet the fair targets, and the build is one code path that
+    makes no hash draws, so both legs fit the same floats."""
+
+    @pytest.mark.parametrize("capacities, copies", EXACT_FLEETS)
+    def test_inclusion_matches_the_enumeration(self, capacities, copies):
         strategy = BalancedRendezvous(
             bins_from_capacities(capacities), copies=copies
         )
-        assert strategy.weights == scalar_weights(
-            monkeypatch, capacities, copies
+        race = copies - len(strategy.pinned_bins)
+        weights = strategy.weights
+        shares = strategy.expected_shares()
+        assert_close(
+            [copies * shares[bin_id] for bin_id in weights],
+            reference_inclusion(list(weights.values()), race),
+            rel=1e-9,
+        )
+        # Unfitted weights too: the capacities raced as they are.
+        assert_close(
+            race_inclusion(capacities, race)[0],
+            reference_inclusion(capacities, race),
+            rel=1e-9,
+        )
+
+    @pytest.mark.parametrize(
+        "capacities, copies", EXACT_FLEETS + CALIBRATION_FLEETS
+    )
+    def test_fitted_weights_meet_the_fair_targets(self, capacities, copies):
+        shares = BalancedRendezvous(
+            bins_from_capacities(capacities), copies=copies
+        ).expected_shares()
+        order = sorted(range(len(capacities)), key=lambda i: -capacities[i])
+        fair = clipped_shares([capacities[i] for i in order], copies)
+        assert_close(
+            [shares[f"bin-{i}"] for i in order], fair, rel=1e-9
         )
 
     @pytest.mark.parametrize("capacities, copies", CALIBRATION_FLEETS)
-    def test_refused_samples_are_counted_by_the_scalar_race(
-        self, monkeypatch, capacities, copies
-    ):
-        """An infinite guard refuses every sample: the counts all come
-        from ``_race`` and the weights must not move."""
-        options = dict(calibration_samples=1_500, calibration_iterations=5)
-        expected = scalar_weights(monkeypatch, capacities, copies, **options)
-        monkeypatch.setattr(kernels, "TIE_GUARD", math.inf)
-        strategy = BalancedRendezvous(
-            bins_from_capacities(capacities), copies=copies, **options
-        )
-        assert strategy.weights == expected
+    def test_weights_equal_on_both_legs(self, monkeypatch, capacities, copies):
+        bins = bins_from_capacities(capacities)
+        weights = BalancedRendezvous(bins, copies=copies).weights
+        monkeypatch.setattr(compat, "np", None)
+        assert BalancedRendezvous(bins, copies=copies).weights == weights
 
-    @pytest.mark.skipif(
-        not compat.HAVE_NUMPY, reason="the batch counter is NumPy-only"
-    )
-    def test_no_scalar_draws_when_nothing_is_refused(self, monkeypatch):
+    def test_build_draws_no_hashes(self, monkeypatch):
         draws = []
         original = balanced_rendezvous.unit_from_base_open
         monkeypatch.setattr(

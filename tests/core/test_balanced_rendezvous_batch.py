@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import repro._compat as compat
 from repro._compat import HAVE_NUMPY
+from repro.core import balanced_rendezvous
 from repro.core.balanced_rendezvous import BalancedRendezvous
 from repro.types import bins_from_capacities
 
@@ -27,11 +28,6 @@ address_lists = st.lists(
     min_size=0,
     max_size=64,
 )
-
-#: Small Monte-Carlo population keeps per-example calibration cheap while
-#: still exercising the calibrated-weight path.
-CALIBRATION = dict(calibration_samples=400, calibration_iterations=4)
-
 
 def scalar_rows(strategy, addresses):
     return [strategy.place(address) for address in addresses]
@@ -49,8 +45,7 @@ class TestBatchEquivalence:
         self, capacities, copies, namespace, addresses
     ):
         strategy = BalancedRendezvous(
-            bins_from_capacities(capacities), copies=copies,
-            namespace=namespace, **CALIBRATION,
+            bins_from_capacities(capacities), copies=copies, namespace=namespace
         )
         batch = strategy.place_many(addresses)
         assert [tuple(row) for row in batch.tuples()] == scalar_rows(
@@ -69,7 +64,7 @@ class TestBatchEquivalence:
         bins = bins_from_capacities(capacities)
 
         def run_leg():
-            strategy = BalancedRendezvous(bins, copies=copies, **CALIBRATION)
+            strategy = BalancedRendezvous(bins, copies=copies)
             return [
                 tuple(row)
                 for row in strategy.place_many(addresses).tuples()
@@ -103,7 +98,7 @@ class TestBatchEquivalence:
 
     def test_copies_equal_device_count(self):
         strategy = BalancedRendezvous(
-            bins_from_capacities([5, 4, 3, 2]), copies=4, **CALIBRATION
+            bins_from_capacities([5, 4, 3, 2]), copies=4
         )
         addresses = list(range(200))
         assert [tuple(row) for row in strategy.place_many(addresses)] == (
@@ -112,14 +107,17 @@ class TestBatchEquivalence:
 
     def test_empty_batch(self):
         strategy = BalancedRendezvous(
-            bins_from_capacities([5, 3, 2]), copies=2, **CALIBRATION
+            bins_from_capacities([5, 3, 2]), copies=2
         )
         assert list(strategy.place_many([])) == []
 
-    def test_uncalibrated_ablation_matches_scalar(self):
+    def test_uncalibrated_ablation_matches_scalar(self, monkeypatch):
+        """Raw target weights: the paper's trivial strategy."""
+        monkeypatch.setattr(
+            balanced_rendezvous, "fit_weights", lambda targets, copies: targets
+        )
         strategy = BalancedRendezvous(
-            bins_from_capacities([9, 5, 2, 1]), copies=2,
-            calibration_samples=0,
+            bins_from_capacities([9, 5, 2, 1]), copies=2
         )
         addresses = list(range(500))
         assert [tuple(row) for row in strategy.place_many(addresses)] == (
@@ -130,7 +128,7 @@ class TestBatchEquivalence:
 @pytest.mark.skipif(not HAVE_NUMPY, reason="vector engine needs NumPy")
 def test_vector_engine_is_used_not_generic_loop(monkeypatch):
     strategy = BalancedRendezvous(
-        bins_from_capacities([90, 70, 50, 30, 20]), copies=3, **CALIBRATION
+        bins_from_capacities([90, 70, 50, 30, 20]), copies=3
     )
     calls = []
     original = BalancedRendezvous.place
@@ -152,10 +150,8 @@ def test_vector_engine_is_used_not_generic_loop(monkeypatch):
 class TestRaceBundle:
     BINS = bins_from_capacities([120, 80, 200, 40, 160, 90])
 
-    def build(self, **overrides):
-        options = dict(copies=3, **CALIBRATION)
-        options.update(overrides)
-        return BalancedRendezvous(self.BINS, **options)
+    def build(self):
+        return BalancedRendezvous(self.BINS, copies=3)
 
     def test_lazy_until_first_batch(self):
         strategy = self.build()

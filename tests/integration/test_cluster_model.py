@@ -19,7 +19,6 @@ from hypothesis.stateful import (
 )
 from hypothesis import settings
 
-import repro._compat as compat
 from repro.cluster import Cluster
 from repro.exceptions import BlockNotFoundError
 from repro.placement import registry
@@ -157,16 +156,6 @@ class ClusterMachine(RuleBasedStateMachine):
         self.cluster.verify()
 
 
-def examples(name):
-    """25 examples per strategy, but one for ``balanced-rendezvous``
-    without NumPy: every add or remove rebuilds it, and each build runs 12
-    calibration iterations of 20 000 samples in pure Python (~0.9 s), so
-    one 30-step example already costs ~4 s of the suite's time."""
-    if name == "balanced-rendezvous" and not compat.HAVE_NUMPY:
-        return 1
-    return 25
-
-
 @pytest.mark.parametrize("name", registry.strategy_names())
 def test_cluster_model(name):
     machine = type(
@@ -175,7 +164,7 @@ def test_cluster_model(name):
     run_state_machine_as_test(
         machine,
         settings=settings(
-            max_examples=examples(name),
+            max_examples=25,
             stateful_step_count=30,
             deadline=None,
         ),

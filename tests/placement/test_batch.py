@@ -60,7 +60,7 @@ REPLICATED_FACTORIES = {
         bins, copies=copies, namespace=ns
     ),
     "balanced-rendezvous": lambda bins, copies, ns: BalancedRendezvous(
-        bins, copies=copies, namespace=ns, calibration_samples=200
+        bins, copies=copies, namespace=ns
     ),
     "sequential-checking": lambda bins, copies, ns: SequentialChecking(
         bins, copies=copies, namespace=ns

@@ -6,6 +6,8 @@ copy with a ``-w / ln(u)`` or ``ln(u) / w`` race.  The SHA-256 digests
 below were computed with the address-major race kernels, on both legs;
 the bins-major kernels must reproduce every placement, on the benchmark
 fleet, a wide one (several cell blocks per batch) and a clipped one.
+``balanced-rendezvous``'s three were pinned again when its weights became
+the exact fit of the race's inclusion probabilities (the default build).
 
 The guard pin crafts fleets on which chosen addresses are near-ties
 between two bins, so the tie guard must refuse exactly those rows.
@@ -20,7 +22,7 @@ import pytest
 
 import repro._compat as compat
 from repro import obs
-from repro.core import BalancedRendezvous, ClassicLinMirror
+from repro.core import BalancedRendezvous, ClassicLinMirror, balanced_rendezvous
 from repro.hashing.primitives import derive_base, unit_from_base_open
 from repro.placement.crush import CrushStrategy
 from repro.placement.registry import create
@@ -44,13 +46,6 @@ ADDRESSES = (
 def build(engine, fleet):
     capacities, copies = FLEETS[fleet]
     bins = bins_from_capacities(capacities)
-    if engine == "balanced-rendezvous":
-        # A small calibration keeps the scalar leg quick; it still runs
-        # the batch calibration over several cell blocks on ``wide``.
-        return BalancedRendezvous(
-            bins, copies=copies, calibration_samples=400,
-            calibration_iterations=4,
-        )
     if engine == "classic-lin-mirror":
         return ClassicLinMirror(bins)
     return create(engine, bins, copies=copies)
@@ -95,16 +90,16 @@ PINS = {
         "085afd89cac964405ec47b1020b94d11"
     ),
     ("balanced-rendezvous", "bench"): (
-        "faefd2461728c02788163d1ff01bc8ed"
-        "b3439ac03718f85ec177c8a5ebf40a23"
+        "243d7c7a66c8e912f41fd082921d1970"
+        "9b5ef251c6ab65c90af383a1e1675547"
     ),
     ("balanced-rendezvous", "wide"): (
-        "d93b699283cf78fa5abcd08b2226202a"
-        "2e950a8000cae2a39a9448a2fb58a587"
+        "21571da1270deb0cbe83e76bff204963"
+        "71264e466a10094933d019b09f03ff2e"
     ),
     ("balanced-rendezvous", "clipped"): (
-        "4644502b5ce0c502726075a69c7e01be"
-        "1d4ab668d385e2d28447cc84a639ec7f"
+        "ba3d98ed5605eadf40f231af75920785"
+        "785719c09acc83753d6a90e6e2282e4c"
     ),
     ("classic-lin-mirror", "bench"): (
         "8ef3e325ab98910d2edc266936561c0c"
@@ -172,9 +167,7 @@ TIE_ENGINES = {
         lambda bin_id: derive_base("crush", "crush/root", bin_id), (0, 0),
     ),
     "balanced-rendezvous": (
-        lambda bins, copies: BalancedRendezvous(
-            bins, copies=copies, calibration_samples=0
-        ),
+        BalancedRendezvous,
         lambda bin_id: derive_base("balanced-rendezvous", "race", bin_id), (),
     ),
 }
@@ -206,7 +199,12 @@ def near_tie_fleet(base_of, salts):
 
 @pytest.mark.skipif(not compat.HAVE_NUMPY, reason="the guard is NumPy-only")
 @pytest.mark.parametrize("engine", sorted(TIE_ENGINES))
-def test_guard_refuses_exactly_the_crafted_near_ties(engine):
+def test_guard_refuses_exactly_the_crafted_near_ties(monkeypatch, engine):
+    # ``balanced-rendezvous`` races its raw targets, so the crafted weight
+    # ratios are the race's.
+    monkeypatch.setattr(
+        balanced_rendezvous, "fit_weights", lambda targets, copies: targets
+    )
     factory, base_of, salts = TIE_ENGINES[engine]
     capacities, crafted = near_tie_fleet(base_of, salts)
     strategy = factory(bins_from_capacities(capacities), 1)
