@@ -2,15 +2,17 @@
 
 The paper motivates replication by data loss on device failure; this bench
 quantifies it: MTTDL (mean time to data loss) for the redundancy schemes
-the library implements, from the exact Markov model, cross-checked by
-discrete-event simulation.  Units: days, with MTTF = 1000 days and
-MTTR = 1 day per device.
+the library implements, from the exact Markov model, cross-checked by a
+Gaussian elimination of the same chain over the rationals.  Units: days,
+with MTTF = 1000 days and MTTR = 1 day per device.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from _tables import emit
-from repro.analysis import DurabilityModel, mttdl, simulate_mttdl
+from repro.analysis import DurabilityModel, mttdl
 from repro.chaos import (
     ChaosOptions,
     FaultEvent,
@@ -72,22 +74,60 @@ def test_durability_table(benchmark):
     assert values["RS / EVENODD / RDP (4+2)"] > values["mirror k=2"]
 
 
-def test_simulation_validates_model(benchmark):
-    model = DurabilityModel(2, 1, 100.0, 10.0)
+def rational_mttdl(model):
+    """Expected absorption time from state 0 by Gaussian elimination of
+    ``(f_i + r_i) E_i - f_i E_(i+1) - r_i E_(i-1) = 1`` in exact
+    fractions (``f_i = (n - i) λ``, ``r_i = i μ``, ``E_(t+1) = 0``)."""
+    size = model.tolerance + 1
+    lam, mu = 1 / Fraction(model.mttf), 1 / Fraction(model.mttr)
+    rows = []
+    for i in range(size):
+        fail, repair = (model.devices - i) * lam, i * mu
+        row = [Fraction(0)] * size + [Fraction(1)]
+        row[i] = fail + repair
+        if i + 1 < size:
+            row[i + 1] = -fail
+        if i > 0:
+            row[i - 1] = -repair
+        rows.append(row)
+    for pivot, top in enumerate(rows):
+        for row in rows[pivot + 1:]:
+            factor = row[pivot] / top[pivot]
+            row[:] = [x - factor * y for x, y in zip(row, top)]
+    solution = [Fraction(0)] * size
+    for i in reversed(range(size)):
+        known = sum(x * y for x, y in zip(rows[i][i + 1:size], solution[i + 1:]))
+        solution[i] = (rows[i][-1] - known) / rows[i][i]
+    return solution[0]
 
+
+def test_exact_solve_validates_model(benchmark):
     def experiment():
-        return mttdl(model), simulate_mttdl(model, runs=400, seed=9)
+        return {
+            name: (mttdl(model), rational_mttdl(model))
+            for name, model in SCHEMES.items()
+        }
 
-    analytic, simulated = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    values = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    errors = {
+        name: abs(Fraction(computed) / exact - 1)
+        for name, (computed, exact) in values.items()
+    }
     emit(
-        "Markov model vs discrete-event simulation (mirror k=2, "
-        "MTTF=100, MTTR=10)",
-        ["method", "MTTDL"],
-        [("analytic", f"{analytic:.1f}"), ("simulated", f"{simulated:.1f}")],
+        f"Markov model vs exact rational solve (MTTF={MTTF:.0f}d, "
+        f"MTTR={MTTR:.0f}d)",
+        ["scheme", "MTTDL (days)", "exact (rational)", "relative error"],
+        [
+            (name, f"{computed:,.1f}", f"{float(exact):,.1f}",
+             f"{float(errors[name]):.1e}")
+            for name, (computed, exact) in values.items()
+        ],
     )
-    benchmark.extra_info["analytic"] = round(analytic, 2)
-    benchmark.extra_info["simulated"] = round(simulated, 2)
-    assert simulated == pytest.approx(analytic, rel=0.2)
+    benchmark.extra_info.update(
+        {f"{name} error": float(error) for name, error in errors.items()}
+    )
+    for name, error in errors.items():
+        assert error <= 1e-13, (name, float(error))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 17])

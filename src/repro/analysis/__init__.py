@@ -4,9 +4,7 @@ from .durability import (
     DurabilityModel,
     annual_loss_probability,
     mttdl,
-    mttdl_mirror,
     observed_model,
-    simulate_mttdl,
 )
 from .mean_field import (
     mean_field_distribution,
@@ -20,7 +18,5 @@ __all__ = [
     "mean_field_distribution",
     "mean_field_step",
     "mttdl",
-    "mttdl_mirror",
     "observed_model",
-    "simulate_mttdl",
 ]

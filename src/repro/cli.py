@@ -149,14 +149,13 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     efficient = is_capacity_efficient(capacities, k)
     balls = max_balls(capacities, k)
     clipped = clip_capacities(capacities, k)
-    waste = trivial_wasted_fraction(capacities, k) if len(capacities) <= 10 else None
+    waste = trivial_wasted_fraction(capacities, k)
     print(f"capacities (sorted): {capacities}")
     print(f"replication degree : k = {k}")
     print(f"capacity efficient : {efficient} (Lemma 2.1: k*b_0 <= B)")
     print(f"max storable balls : {balls} (Lemma 2.2)")
     print(f"clipped capacities : {[round(value, 2) for value in clipped]}")
-    if waste is not None:
-        print(f"trivial-strategy waste: {waste:.2%} of raw capacity (Lemma 2.4)")
+    print(f"trivial-strategy waste: {waste:.2%} of raw capacity (Lemma 2.4)")
     return 0
 
 

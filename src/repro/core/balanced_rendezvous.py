@@ -20,8 +20,10 @@ precisely the paper's Lemma 2.4 (top-k of a fair single-draw scheme is a
   exponential clock ``T_i ~ Exp(w_i)``, so the top ``k'`` are the first
   ``k'`` clocks to fire, and bin ``i`` is among them with probability
   ``pi_i = ∫ w_i e^(-w_i t) P(#{j != i : T_j < t} <= k' - 1) dt``.
-  :func:`race_inclusion` computes it in plain floats, and
-  :func:`fit_weights` solves ``pi = t`` for the weights.
+  :func:`~repro.placement.trivial.race_inclusion` computes it in plain
+  floats (the top ``k'`` of the race are Definition 2.3's ``k'``
+  successive draws), and :func:`fit_weights` solves ``pi = t`` for the
+  weights.
 
 The result is fair to the fit's residual (``expected_shares`` is the
 exact ``pi``) and aggressively adaptive — evidence for the conjecture.
@@ -32,90 +34,17 @@ when the copy *set* barely changes (the bench reports both movements).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..capacity.clipping import clip_capacities
 from ..hashing.primitives import derive_base, unit_from_base_open
 from ..placement import kernels
 from ..placement.base import ReplicationStrategy
+from ..placement.trivial import race_inclusion
 from ..types import BinSpec, Placement, sort_bins_by_capacity
 
 #: Fair demands within this distance of 1 are treated as saturated.
 _PIN_EPS = 1e-9
-#: The positive half of the 10-point Gauss–Legendre rule on [-1, 1].
-_NODES = (
-    0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
-    0.8650633666889845, 0.9739065285171717,
-)
-_RULE = (
-    0.2955242247147528, 0.2692667193099965, 0.219086362515982,
-    0.1494513491505804, 0.06667134430868814,
-)
-
-
-def race_inclusion(
-    weights: Sequence[float], copies: int
-) -> Tuple[List[float], List[float]]:
-    """``(pi, d pi / d ln w)``: each bin's probability of finishing among
-    the first ``copies`` clocks (``0 < copies < len(weights)``).
-
-    Past ``t0 = 1e-16 ** (1 / (k' + 1)) / sum(w)`` the integral runs in
-    ``ln t`` on unit-width panels of the 10-point rule, up to 40 mean
-    times of the clocks outside the top ``k'`` weights; before ``t0`` a
-    bin wins whenever its clock fires.  At each node bin ``i``'s tail is
-    a prefix times a suffix product of the other clocks, truncated to
-    degree ``k' - 1``: O(n · k' · nodes).  The tail does not depend on
-    ``w_i``, so the slope is the integral with the integrand times
-    ``1 - w_i t``.
-    """
-    total = math.fsum(weights)
-    if copies == 1:
-        inclusion = [weight / total for weight in weights]
-        return inclusion, [pi * (1.0 - pi) for pi in inclusion]
-    rest = math.fsum(sorted(weights)[:-copies])
-    head = 1e-16 ** (1.0 / (copies + 1)) / total
-    start, stop = math.log(head), math.log(40.0 / rest)
-    panels = math.ceil(stop - start)
-    half = (stop - start) / (2 * panels)
-    times, scales = [], []
-    for panel in range(panels):
-        middle = start + (2 * panel + 1) * half
-        for node, rule in zip(_NODES, _RULE):
-            for point in (middle - half * node, middle + half * node):
-                times.append(math.exp(point))
-                scales.append(rule * half * times[-1])
-    running = [[math.exp(-w * t) for t in times] for w in weights]
-    fired = [[-math.expm1(-w * t) for t in times] for w in weights]
-    # suffixes[i][b]: P(at most b of the bins after i fired), per node.
-    suffixes = [[[1.0] * len(times)] * copies]
-    for q, p in zip(running[:0:-1], fired[:0:-1]):
-        suffixes.append(_times_clock(suffixes[-1], q, p))
-    suffixes.reverse()
-    # prefix[a]: P(exactly a of the bins before i fired), per node.
-    prefix = [[1.0] * len(times)] + [[0.0] * len(times)] * (copies - 1)
-    inclusion, slopes = [], []
-    for weight, q, p, suffix in zip(weights, running, fired, suffixes):
-        tail = [0.0] * len(times)
-        for low, high in zip(prefix, reversed(suffix)):
-            tail = [t + x * y for t, x, y in zip(tail, low, high)]
-        density = [s * c * t for s, c, t in zip(scales, q, tail)]
-        mass = math.fsum(density)
-        moment = math.fsum([d * t for d, t in zip(density, times)])
-        inclusion.append(-math.expm1(-weight * head) + weight * mass)
-        slopes.append(
-            weight * (head * math.exp(-weight * head) + mass - weight * moment)
-        )
-        prefix = _times_clock(prefix, q, p)
-    return inclusion, slopes
-
-
-def _times_clock(poly, running, fired):
-    """``poly · (q + p z)`` truncated to ``poly``'s degree, per node; the
-    same step maps coefficients and cumulative coefficients."""
-    return [[q * x for q, x in zip(running, poly[0])]] + [
-        [q * x + p * y for q, p, x, y in zip(running, fired, upper, lower)]
-        for upper, lower in zip(poly[1:], poly)
-    ]
 
 
 def fit_weights(targets: Sequence[float], copies: int) -> List[float]:

@@ -46,8 +46,6 @@ from .exceptions import ConfigurationError
 #: Accepted ``kind`` values and the phrase used in error messages.
 _KIND_PHRASES = {
     "int": "an integer",
-    "float": "a number",
-    "bool": "a boolean",
     "str": "a string",
     "ints": "a sequence of integers",
     "weights": "a sequence of positive numbers (or a bin-id mapping)",
@@ -60,14 +58,14 @@ class OptionSpec:
 
     Attributes:
         name: Keyword the option is passed as.
-        kind: Value shape — one of ``int``, ``float``, ``bool``, ``str``,
-            ``ints`` (tuple of ints) or ``weights`` (tuple of positive
-            floats, or a mapping from id to positive number).
+        kind: Value shape — one of ``int``, ``str``, ``ints`` (tuple of
+            ints) or ``weights`` (tuple of positive floats, or a mapping
+            from id to positive number).
         default: Value used when the option is omitted.  Not validated —
             ``None`` is the conventional "unset" marker.
         doc: One-line description (surfaced by docs and CLI errors).
         choices: For ``str`` kinds, the accepted values.
-        minimum: For numeric kinds, the inclusive lower bound (applied
+        minimum: For ``int`` kinds, the inclusive lower bound (applied
             element-wise to ``ints``).
     """
 
@@ -86,13 +84,6 @@ class OptionSpec:
         """Return the normalized value, or raise ``ConfigurationError``."""
         label = f"option {self.name!r} of {owner}"
         kind = self.kind
-        if kind == "bool":
-            if not isinstance(value, bool):
-                raise ConfigurationError(
-                    f"{label} must be {_KIND_PHRASES[kind]}, "
-                    f"got {value!r}"
-                )
-            return value
         if kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigurationError(
@@ -100,13 +91,6 @@ class OptionSpec:
                 )
             self._check_minimum(value, label)
             return value
-        if kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"{label} must be {_KIND_PHRASES[kind]}, got {value!r}"
-                )
-            self._check_minimum(value, label)
-            return float(value)
         if kind == "str":
             if not isinstance(value, str):
                 raise ConfigurationError(
@@ -175,17 +159,6 @@ class OptionSpec:
         try:
             if kind == "int":
                 return self.validate(int(text), owner)
-            if kind == "float":
-                return self.validate(float(text), owner)
-            if kind == "bool":
-                lowered = text.strip().lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    return True
-                if lowered in ("0", "false", "no", "off"):
-                    return False
-                raise ConfigurationError(
-                    f"{label} must be a boolean (true/false), got {text!r}"
-                )
             if kind == "ints":
                 return self.validate(
                     [int(part) for part in text.split(",") if part.strip()],

@@ -242,7 +242,6 @@ def _entries() -> List[StrategyEntry]:
                 bins,
                 copies=copies,
                 service_rates=opts["service_rates"],
-                clip_rates=opts["clip_rates"],
             ),
             kernel=ResidualPerformancePlacement.kernel,
             aliases=("residual-performance",),
@@ -253,13 +252,6 @@ def _entries() -> List[StrategyEntry]:
                     default=None,
                     doc="per-device service rates, positional or keyed by "
                     "bin id; default: the capacities",
-                ),
-                OptionSpec(
-                    "clip_rates",
-                    "bool",
-                    default=True,
-                    doc="clip rate shares at the Lemma 2.2 water-fill "
-                    "limit before weighting draws",
                 ),
             ),
             movement_class="proportional",

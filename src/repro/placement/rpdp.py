@@ -14,20 +14,20 @@ fits that idea into the repo's strategy model:
   **rate shares** instead of capacity shares: a device's probability of
   winning a draw tracks the service it can absorb, so expected
   utilisation (copies held over rate) is flat across the fleet.
-* ``clip_rates=True`` (default) first clips rate shares at the
-  Lemma 2.2 water-fill limit, preventing a single fast device from
-  being asked to hold more than one copy of a ball — the same
-  redundancy argument the capacity-side strategies obey.
+* Rate shares are first clipped at the Lemma 2.2 water-fill limit,
+  preventing a single fast device from being asked to hold more than
+  one copy of a ball — the same redundancy argument the capacity-side
+  strategies obey.
 
-The scalar/vectorized equivalence and tie-guard contract are inherited
-from the trivial engine; only the weight vector differs.  :func:`utilization` is the load metric the trade-off bench's
-heterogeneity gate checks: RPDP's peak utilisation must not exceed a
-capacity-only placement's on a skewed-rate fleet.
+The scalar/vectorized equivalence, the tie-guard contract and the exact
+``expected_shares`` are inherited from the trivial engine; only the
+weight vector differs.  :func:`utilization` is the load metric the
+trade-off bench's heterogeneity gate checks: RPDP's peak utilisation
+must not exceed a capacity-only placement's on a skewed-rate fleet.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 from ..exceptions import ConfigurationError
@@ -50,7 +50,6 @@ class ResidualPerformancePlacement(TrivialReplication):
         copies: int = 2,
         namespace: str = "",
         service_rates: Optional[Rates] = None,
-        clip_rates: bool = True,
     ):
         """Reweight the trivial engine's draws by service rates.
 
@@ -62,20 +61,10 @@ class ResidualPerformancePlacement(TrivialReplication):
             service_rates: Per-device rates, either positional (aligned
                 with ``bins``) or keyed by bin id covering every bin.
                 ``None`` uses the capacities.
-            clip_rates: Clip rate shares at the water-fill limit before
-                weighting (Lemma 2.2); ``False`` uses raw normalised
-                rates.
         """
         super().__init__(bins, copies, namespace)
         self._rates = self._resolve_rates(service_rates)
-        if clip_rates:
-            weights = fair_copy_shares(self._rates, self._copies)
-        else:
-            total = sum(self._rates.values())
-            weights = {
-                bin_id: rate / total for bin_id, rate in self._rates.items()
-            }
-        self._weights = weights
+        weights = fair_copy_shares(self._rates, self._copies)
         # Same (draw, bin) salt layout as the parent engine, reweighted;
         # bases are re-derived (not reused) because the namespace differs.
         self._draw_entries = [
@@ -130,41 +119,14 @@ class ResidualPerformancePlacement(TrivialReplication):
         """The per-device service rates this placement equalises over."""
         return dict(self._rates)
 
-    def expected_shares(self) -> Dict[str, float]:
-        """Exact per-device share of all copies under rate-weighted draws.
-
-        Same ordered-sequence sum as the parent, over the rate-derived
-        draw weights; exponential in ``k``, so capped at small ``n``
-        (analytic-bench scale) — larger fleets measure empirically.
-        """
-        if len(self._bins) > 12:
-            return None  # type: ignore[return-value]  # see docstring
-        weights = self._weights
-        ids = list(weights)
-        inclusion = {bin_id: 0.0 for bin_id in ids}
-        for sequence in itertools.permutations(ids, self._copies):
-            probability = 1.0
-            remaining = sum(weights.values())
-            for bin_id in sequence:
-                probability *= weights[bin_id] / remaining
-                remaining -= weights[bin_id]
-            for bin_id in sequence:
-                inclusion[bin_id] += probability
-        total = sum(inclusion.values())
-        return {bin_id: value / total for bin_id, value in inclusion.items()}
-
-    def expected_load(self) -> Optional[Dict[str, float]]:
+    def expected_load(self) -> Dict[str, float]:
         """Analytic utilisation per device: copy share over rate share.
 
         ``1.0`` everywhere means load perfectly tracks serving power;
         this is the quantity RPDP flattens and capacity-only placement
-        skews on rate-heterogeneous fleets.  ``None`` when the exact
-        shares have no closed form (``n > 12``).
+        skews on rate-heterogeneous fleets.
         """
-        shares = self.expected_shares()
-        if shares is None:
-            return None
-        return utilization(shares, self._rates)
+        return utilization(self.expected_shares(), self._rates)
 
 
 def utilization(

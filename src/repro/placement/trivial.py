@@ -13,23 +13,104 @@ so big bins are systematically under-loaded and capacity is wasted.  On the
 paper's Figure 1 example (bins ``[2, 1, 1]``, k = 2) the big bin misses a
 ball with probability ``1/2 * 1/3 = 1/6``, wasting 1/12 of the system.
 
-:func:`trivial_miss_probability` computes that miss probability exactly
-(it is the quantity Figure 1 illustrates), and
 :class:`TrivialReplication` is the executable strategy used as the
-baseline in the capacity-efficiency benches.
+baseline in the capacity-efficiency benches.  Its ``k`` draws have the
+distribution of the first ``k`` of independent exponential clocks
+``T_i ~ Exp(c_i)`` (each draw is the next clock to fire, and the clocks
+are memoryless), so one integral, :func:`race_inclusion`, gives each
+bin's exact inclusion probability: :meth:`TrivialReplication.expected_shares`,
+:func:`trivial_miss_probability` (the quantity Figure 1 illustrates),
+RPDP's shares and ``balanced-rendezvous``'s fit all read it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..hashing.primitives import derive_base, unit_from_base_open
-from ..types import BinSpec, Placement
+from ..types import Placement
 from . import kernels
 from .base import ReplicationStrategy
 from .rendezvous import rendezvous_score
+
+#: The positive half of the 10-point Gauss–Legendre rule on [-1, 1].
+_NODES = (
+    0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717,
+)
+_RULE = (
+    0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814,
+)
+
+
+def race_inclusion(
+    weights: Sequence[float], copies: int
+) -> Tuple[List[float], List[float]]:
+    """``(pi, d pi / d ln w)``: each bin's probability of finishing among
+    the first ``copies`` clocks (``0 < copies <= len(weights)``; every
+    ``pi`` is 1 when ``copies == len(weights)``).
+
+    Past ``t0 = 1e-16 ** (1 / (k' + 1)) / sum(w)`` the integral runs in
+    ``ln t`` on unit-width panels of the 10-point rule, up to 40 mean
+    times of the clocks outside the top ``k'`` weights; before ``t0`` a
+    bin wins whenever its clock fires.  At each node bin ``i``'s tail is
+    a prefix times a suffix product of the other clocks, truncated to
+    degree ``k' - 1``: O(n · k' · nodes).  The tail does not depend on
+    ``w_i``, so the slope is the integral with the integrand times
+    ``1 - w_i t``.
+    """
+    if copies == len(weights):
+        return [1.0] * copies, [0.0] * copies
+    total = math.fsum(weights)
+    if copies == 1:
+        inclusion = [weight / total for weight in weights]
+        return inclusion, [pi * (1.0 - pi) for pi in inclusion]
+    rest = math.fsum(sorted(weights)[:-copies])
+    head = 1e-16 ** (1.0 / (copies + 1)) / total
+    start, stop = math.log(head), math.log(40.0 / rest)
+    panels = math.ceil(stop - start)
+    half = (stop - start) / (2 * panels)
+    times, scales = [], []
+    for panel in range(panels):
+        middle = start + (2 * panel + 1) * half
+        for node, rule in zip(_NODES, _RULE):
+            for point in (middle - half * node, middle + half * node):
+                times.append(math.exp(point))
+                scales.append(rule * half * times[-1])
+    running = [[math.exp(-w * t) for t in times] for w in weights]
+    fired = [[-math.expm1(-w * t) for t in times] for w in weights]
+    # suffixes[i][b]: P(at most b of the bins after i fired), per node.
+    suffixes = [[[1.0] * len(times)] * copies]
+    for q, p in zip(running[:0:-1], fired[:0:-1]):
+        suffixes.append(_times_clock(suffixes[-1], q, p))
+    suffixes.reverse()
+    # prefix[a]: P(exactly a of the bins before i fired), per node.
+    prefix = [[1.0] * len(times)] + [[0.0] * len(times)] * (copies - 1)
+    inclusion, slopes = [], []
+    for weight, q, p, suffix in zip(weights, running, fired, suffixes):
+        tail = [0.0] * len(times)
+        for low, high in zip(prefix, reversed(suffix)):
+            tail = [t + x * y for t, x, y in zip(tail, low, high)]
+        density = [s * c * t for s, c, t in zip(scales, q, tail)]
+        mass = math.fsum(density)
+        moment = math.fsum([d * t for d, t in zip(density, times)])
+        inclusion.append(-math.expm1(-weight * head) + weight * mass)
+        slopes.append(
+            weight * (head * math.exp(-weight * head) + mass - weight * moment)
+        )
+        prefix = _times_clock(prefix, q, p)
+    return inclusion, slopes
+
+
+def _times_clock(poly, running, fired):
+    """``poly · (q + p z)`` truncated to ``poly``'s degree, per node; the
+    same step maps coefficients and cumulative coefficients."""
+    return [[q * x for q, x in zip(running, poly[0])]] + [
+        [q * x + p * y for q, p, x, y in zip(running, fired, upper, lower)]
+        for upper, lower in zip(poly[1:], poly)
+    ]
 
 
 class TrivialReplication(ReplicationStrategy):
@@ -101,28 +182,14 @@ class TrivialReplication(ReplicationStrategy):
         return refused
 
     def expected_shares(self) -> Dict[str, float]:
-        """Exact per-bin share of all copies under sequential fair draws.
-
-        Computed by summing over all ordered draw sequences — exponential in
-        ``k`` per bin subset, so intended for the small ``n`` of the
-        analytic benches (Figure 1 scale).  For larger systems measure
-        empirically instead.
-        """
-        if len(self._bins) > 12:
-            return None  # type: ignore[return-value]  # see docstring
-        weights = {spec.bin_id: float(spec.capacity) for spec in self._bins}
-        ids = list(weights)
-        inclusion = {bin_id: 0.0 for bin_id in ids}
-        for sequence in itertools.permutations(ids, self._copies):
-            probability = 1.0
-            remaining = sum(weights.values())
-            for bin_id in sequence:
-                probability *= weights[bin_id] / remaining
-                remaining -= weights[bin_id]
-            for bin_id in sequence:
-                inclusion[bin_id] += probability
-        total = sum(inclusion.values())
-        return {bin_id: value / total for bin_id, value in inclusion.items()}
+        """Exact per-bin share of all copies under sequential fair draws:
+        ``pi_i / k`` with ``pi`` the :func:`race_inclusion` of the draw
+        weights."""
+        ids, weights, _ = zip(*self._draw_entries[0])
+        inclusion, _ = race_inclusion(weights, self._copies)
+        return {
+            bin_id: pi / self._copies for bin_id, pi in zip(ids, inclusion)
+        }
 
 
 def trivial_miss_probability(
@@ -131,35 +198,36 @@ def trivial_miss_probability(
     """P(bin ``bin_index`` receives *no* copy of a ball) under Definition 2.3.
 
     For the Figure 1 system ``([2, 1, 1], k=2)`` and the big bin this is
-    ``1/6`` — the capacity the trivial strategy wastes.  Computed exactly by
-    summing over all draw sequences that avoid the bin.
+    ``1/6`` — the capacity the trivial strategy wastes.
+
+    Raises:
+        ValueError: unless ``0 < copies <= len(capacities)`` and
+            ``0 <= bin_index < len(capacities)``.
     """
-    if copies > len(capacities):
-        raise ValueError("more copies than bins")
-    indices = [i for i in range(len(capacities)) if i != bin_index]
-    miss = 0.0
-    for sequence in itertools.permutations(indices, copies):
-        probability = 1.0
-        remaining = float(sum(capacities))
-        for index in sequence:
-            probability *= capacities[index] / remaining
-            remaining -= capacities[index]
-        miss += probability
-    return miss
+    if not 0 <= bin_index < len(capacities):
+        raise ValueError(f"no bin {bin_index} among {len(capacities)} bins")
+    return 1.0 - _inclusion(capacities, copies)[bin_index]
 
 
 def trivial_wasted_fraction(capacities: Sequence[float], copies: int) -> float:
     """Fraction of total system capacity the trivial strategy cannot use.
 
     A bin that should be hit with probability ``min(1, k·c_i)`` but is hit
-    with probability ``1 - miss_i`` wastes the difference; summed over bins
-    and normalised by the total, this is the Lemma 2.4 capacity loss.
+    with probability ``pi_i`` wastes the difference; summed over bins and
+    normalised by the total, this is the Lemma 2.4 capacity loss.
     """
     total = float(sum(capacities))
     wasted = 0.0
-    for index, capacity in enumerate(capacities):
+    for capacity, achieved in zip(capacities, _inclusion(capacities, copies)):
         deserved = min(1.0, copies * capacity / total)
-        achieved = 1.0 - trivial_miss_probability(capacities, copies, index)
         if achieved < deserved:
             wasted += (deserved - achieved) * total / copies
     return wasted / total
+
+
+def _inclusion(capacities: Sequence[float], copies: int) -> List[float]:
+    """Definition 2.3's inclusion probabilities, for the public helpers
+    (which, unlike :func:`race_inclusion`, check ``copies``)."""
+    if not 0 < copies <= len(capacities):
+        raise ValueError("copies must be between 1 and the number of bins")
+    return race_inclusion(capacities, copies)[0]

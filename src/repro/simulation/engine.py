@@ -1,16 +1,17 @@
 """A minimal discrete-event simulation engine.
 
-The placement experiments are time-free, but the failure-recovery example
-wants realistic interleavings (failures arriving while rebuilds run).  This
-engine is deliberately tiny: a priority queue of timestamped callbacks with
-deterministic tie-breaking.
+The placement experiments are time-free, but the chaos controller
+(:mod:`repro.chaos.controller`) wants realistic interleavings (failures
+arriving while rebuilds run).  This engine is deliberately tiny: a
+priority queue of timestamped callbacks with deterministic tie-breaking,
+and exactly the calls the controller makes.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .. import obs
 
@@ -49,28 +50,6 @@ class Simulator:
             raise ValueError("cannot schedule into the past")
         heapq.heappush(self._queue, (time, next(self._counter), action))
 
-    def schedule_many(self, events: Iterable[Tuple[float, Action]]) -> int:
-        """Bulk-schedule ``(delay, action)`` pairs; returns the count.
-
-        Appends the whole batch and re-heapifies once — O(queue + batch)
-        instead of O(batch · log queue) — which is what makes loading a
-        million-event trace into the simulator cheap.  Ordering semantics
-        are identical to calling :meth:`schedule` per pair.
-
-        Raises:
-            ValueError: for negative delays (the queue is left unchanged).
-        """
-        base = self._now
-        staged: List[Tuple[float, int, Action]] = []
-        for delay, action in events:
-            if delay < 0:
-                raise ValueError("cannot schedule into the past")
-            staged.append((base + delay, next(self._counter), action))
-        if staged:
-            self._queue.extend(staged)
-            heapq.heapify(self._queue)
-        return len(staged)
-
     def step(self) -> bool:
         """Execute the next event; False if the queue is empty."""
         if not self._queue:
@@ -87,16 +66,11 @@ class Simulator:
         self._processed += 1
         return True
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run events until the queue empties or ``until`` is reached."""
+    def run(self) -> None:
+        """Run events until the queue empties."""
         processed_before = self._processed
-        while self._queue:
-            time = self._queue[0][0]
-            if until is not None and time > until:
-                break
-            self.step()
-        if until is not None and (not self._queue or self._queue[0][0] > until):
-            self._now = max(self._now, until)
+        while self.step():
+            pass
         sink = obs.sink()
         if sink.enabled:
             sink.emit(
@@ -105,7 +79,3 @@ class Simulator:
                 now=self._now,
                 pending=len(self._queue),
             )
-
-    def pending(self) -> int:
-        """Number of scheduled events not yet run."""
-        return len(self._queue)

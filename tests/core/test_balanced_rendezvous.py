@@ -148,14 +148,18 @@ EXACT_FLEETS = [
 def reference_inclusion(weights, copies):
     """Top-``copies`` inclusion probabilities by enumerating every ordered
     top-``copies`` prefix: the clocks fire in the order ``o`` with
-    probability ``prod_j w[o_j] / (W - w[o_1] - ... - w[o_(j-1)])``.
-    O(n^copies); no integral, no fit."""
+    probability ``prod_j w[o_j] / (W - w[o_1] - ... - w[o_(j-1)])``, each
+    denominator summed afresh so no subtraction cancels.  O(n^copies); no
+    integral, no fit."""
     inclusion = [0.0] * len(weights)
     for order in itertools.permutations(range(len(weights)), copies):
-        probability, left = 1.0, math.fsum(weights)
-        for bin_ in order:
+        probability = 1.0
+        for step, bin_ in enumerate(order):
+            left = math.fsum(
+                weight for j, weight in enumerate(weights)
+                if j not in order[:step]
+            )
             probability *= weights[bin_] / left
-            left -= weights[bin_]
         for bin_ in order:
             inclusion[bin_] += probability
     return inclusion

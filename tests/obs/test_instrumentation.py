@@ -226,7 +226,8 @@ class TestSimulatorInstrumentation:
     def test_queue_depth_histogram_and_run_event(self):
         simulator = Simulator()
         with obs.capture() as trace:
-            simulator.schedule_many((float(i), lambda: None) for i in range(5))
+            for delay in range(5):
+                simulator.schedule(float(delay), lambda: None)
             simulator.run()
         histogram = obs.metrics().histogram("sim.queue_depth")
         assert histogram.count == 5

@@ -64,7 +64,8 @@ def run_observed_scenario():
 
         # Simulator ticks.
         simulator = Simulator()
-        simulator.schedule_many((float(i), lambda: None) for i in range(6))
+        for delay in range(6):
+            simulator.schedule(float(delay), lambda: None)
         simulator.run()
 
         events = [(event.kind, event.fields) for event in trace.events]

@@ -92,8 +92,8 @@ def test_unknown_option_key_is_rejected_with_declared_names():
 def test_wrong_option_type_is_rejected():
     with pytest.raises(ConfigurationError, match="resolution"):
         create("weighted-striping", BINS, copies=2, resolution="wide")
-    with pytest.raises(ConfigurationError, match="clip_rates"):
-        create("rpdp", BINS, copies=2, clip_rates="maybe")
+    with pytest.raises(ConfigurationError, match="service_rates"):
+        create("rpdp", BINS, copies=2, service_rates="fast")
     with pytest.raises(ConfigurationError, match="overflow"):
         create("sequential-checking", BINS, copies=2, overflow="explode")
 

@@ -101,21 +101,16 @@ class TestLoadFlattening:
         spread = max(load.values()) - min(load.values())
         assert spread < 1e-9
 
-    def test_clip_rates_false_uses_raw_shares(self):
-        raw = ResidualPerformancePlacement(
-            BINS, copies=2, service_rates=SKEWED, clip_rates=False
-        )
-        clipped = ResidualPerformancePlacement(
-            BINS, copies=2, service_rates=SKEWED, clip_rates=True
-        )
-        assert raw._weights != clipped._weights
-
-    def test_large_fleet_has_no_closed_form(self):
+    def test_large_fleet_has_a_closed_form(self):
         wide = ResidualPerformancePlacement(
             bins_from_capacities([10] * 13), copies=2
         )
-        assert wide.expected_shares() is None
-        assert wide.expected_load() is None
+        assert wide.expected_shares() == pytest.approx(
+            {f"bin-{i}": 1 / 13 for i in range(13)}, rel=1e-12
+        )
+        assert wide.expected_load() == pytest.approx(
+            {f"bin-{i}": 1.0 for i in range(13)}, rel=1e-12
+        )
 
 
 class TestUtilizationMetric:

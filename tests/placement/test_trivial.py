@@ -1,15 +1,24 @@
 """Tests for the trivial replication baseline and Lemma 2.4 / Figure 1."""
 
 import collections
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro._compat import HAVE_NUMPY
 from repro.placement import (
+    ResidualPerformancePlacement,
     TrivialReplication,
     trivial_miss_probability,
     trivial_wasted_fraction,
 )
+from repro.placement.trivial import race_inclusion
 from repro.types import bins_from_capacities
+
+from ..core.test_balanced_rendezvous import assert_close, reference_inclusion
+from ..core.test_position_marginals import g_test_p_value
 
 
 class TestMissProbability:
@@ -28,6 +37,11 @@ class TestMissProbability:
     def test_rejects_too_many_copies(self):
         with pytest.raises(ValueError):
             trivial_miss_probability([1, 1], 3, 0)
+
+    @pytest.mark.parametrize("bin_index", [3, 99, -1])
+    def test_rejects_a_bin_index_out_of_range(self, bin_index):
+        with pytest.raises(ValueError, match="no bin"):
+            trivial_miss_probability([2, 1, 1], 2, bin_index)
 
 
 class TestWastedFraction:
@@ -83,6 +97,78 @@ class TestTrivialStrategy:
         fair = capacities[0] / sum(capacities)  # 0.5 == k*c/k with k=2
         assert shares["bin-0"] < fair
 
-    def test_expected_shares_none_for_large_systems(self):
-        strategy = TrivialReplication(bins_from_capacities([1] * 20), copies=2)
-        assert strategy.expected_shares() is None
+    def test_expected_shares_for_large_systems(self):
+        for devices in (13, 40, 1000):
+            bins = bins_from_capacities(
+                [50 + (i * 7919) % 1000 for i in range(devices)]
+            )
+            for cls in (TrivialReplication, ResidualPerformancePlacement):
+                shares = cls(bins, copies=3).expected_shares()
+                assert len(shares) == devices
+                assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def races(spread):
+    """``(weights, copies)``: 2 to 7 weights in ``[1, spread]`` and
+    ``1 <= copies <= len(weights)``."""
+    return st.integers(2, 7).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(1.0, spread), min_size=n, max_size=n),
+            st.integers(1, n),
+        )
+    )
+
+
+class TestRaceInclusion:
+    """Definition 2.3's successive draws are the order in which
+    exponential clocks fire, so :func:`race_inclusion` must equal the
+    enumeration of every ordered draw sequence."""
+
+    @given(race=races(1e4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_enumeration(self, race):
+        weights, copies = race
+        assert_close(
+            race_inclusion(weights, copies)[0],
+            reference_inclusion(weights, copies),
+            rel=1e-12,
+        )
+
+    @given(race=races(1e6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_enumeration_at_wide_spreads(self, race):
+        weights, copies = race
+        assert_close(
+            race_inclusion(weights, copies)[0],
+            reference_inclusion(weights, copies),
+            rel=1e-9,
+        )
+
+
+#: The fleet-scale fairness G-test: family-wise significance level and
+#: sample size.
+FAIRNESS_ALPHA = 1e-3
+FAIRNESS_ADDRESSES = 50_000
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="samples through the NumPy engine")
+@pytest.mark.parametrize("cls", [TrivialReplication, ResidualPerformancePlacement])
+def test_fleet_scale_fairness(cls):
+    """Per bin, the number of addresses that include it is
+    Binomial(addresses, pi) with pi from :meth:`expected_shares`: a G-test
+    of the two cells (in, out) per bin, Bonferroni over a 40-device fleet
+    with a 41:1 capacity spread.  On this sample the proportional target
+    ``k c_i / C`` fails it (p < 1e-11)."""
+    copies = 3
+    strategy = cls(
+        bins_from_capacities([round(50 * 1.1**i) for i in range(40)]),
+        copies=copies,
+    )
+    rng = random.Random(32)
+    addresses = [rng.randrange(2**64) for _ in range(FAIRNESS_ADDRESSES)]
+    counts = strategy.place_many(addresses).counts()
+    shares = strategy.expected_shares()
+    for bin_id, share in shares.items():
+        hits, pi = counts.get(bin_id, 0), copies * share
+        p_value = g_test_p_value([hits, len(addresses) - hits], [pi, 1.0 - pi])
+        assert p_value > FAIRNESS_ALPHA / len(shares), (bin_id, p_value)

@@ -107,15 +107,14 @@ class TestSimulator:
         simulator.run()
         assert seen == [1, 2]
 
-    def test_until_bound(self):
+    def test_step_runs_the_earliest_event(self):
         simulator = Simulator()
         seen = []
-        simulator.schedule(1.0, lambda: seen.append("early"))
         simulator.schedule(10.0, lambda: seen.append("late"))
-        simulator.run(until=5.0)
+        simulator.schedule(1.0, lambda: seen.append("early"))
+        assert simulator.step() is True
         assert seen == ["early"]
-        assert simulator.pending() == 1
-        assert simulator.now == 5.0
+        assert simulator.now == 1.0
 
     def test_cascading_events(self):
         simulator = Simulator()

@@ -1,4 +1,6 @@
-"""Tests for the durability models (MTTDL closed forms + simulation)."""
+"""Tests for the durability models (MTTDL against an exact rational solve)."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -6,9 +8,11 @@ from repro.analysis import (
     DurabilityModel,
     annual_loss_probability,
     mttdl,
-    mttdl_mirror,
-    simulate_mttdl,
 )
+
+
+def mttdl_mirror(copies, mttf, mttr):
+    return mttdl(DurabilityModel(copies, copies - 1, mttf, mttr))
 
 
 class TestModelValidation:
@@ -59,29 +63,72 @@ class TestClosedForms:
         assert 0.0 < annual_loss_probability(bad) < 1.0
 
 
+def rational_mttdl(model):
+    """Expected absorption time from state 0 by Gaussian elimination of
+    ``(f_i + r_i) E_i - f_i E_(i+1) - r_i E_(i-1) = 1`` in exact
+    fractions (``f_i = (n - i) λ``, ``r_i = i μ``, ``E_(t+1) = 0``)."""
+    size = model.tolerance + 1
+    lam, mu = 1 / Fraction(model.mttf), 1 / Fraction(model.mttr)
+    rows = []
+    for i in range(size):
+        fail, repair = (model.devices - i) * lam, i * mu
+        row = [Fraction(0)] * size + [Fraction(1)]
+        row[i] = fail + repair
+        if i + 1 < size:
+            row[i + 1] = -fail
+        if i > 0:
+            row[i - 1] = -repair
+        rows.append(row)
+    for pivot, top in enumerate(rows):
+        for row in rows[pivot + 1:]:
+            factor = row[pivot] / top[pivot]
+            row[:] = [x - factor * y for x, y in zip(row, top)]
+    solution = [Fraction(0)] * size
+    for i in reversed(range(size)):
+        known = sum(x * y for x, y in zip(rows[i][i + 1:size], solution[i + 1:]))
+        solution[i] = (rows[i][-1] - known) / rows[i][i]
+    return solution[0]
+
+
+def relative_error(model):
+    return abs(Fraction(mttdl(model)) / rational_mttdl(model) - 1)
+
+
+class TestExactSolve:
+    """:func:`mttdl` against the chain solved exactly: every group of up
+    to eight devices, every tolerance, MTTF/MTTR from 10 to 10⁶ (MTTR of
+    24 time units, so neither rate is a power of two)."""
+
+    def test_mttdl_matches_the_rational_solve(self):
+        for devices in range(1, 9):
+            for tolerance in range(devices):
+                for exponent in range(1, 7):
+                    model = DurabilityModel(
+                        devices, tolerance, 24.0 * 10**exponent, 24.0
+                    )
+                    assert relative_error(model) <= 1e-13, model
+
+    def test_eight_way_mirror_at_1000_to_1(self):
+        # A forward elimination with back-substitution returned -8.77e17
+        # here: its terms cancel at high MTTF/MTTR ratios.
+        model = DurabilityModel(8, 7, 1000.0, 1.0)
+        assert float(rational_mttdl(model)) == pytest.approx(1.2602e23, rel=1e-4)
+        assert relative_error(model) <= 1e-13
+
+
 class TestSimulationCrossCheck:
+    """The two models once checked against a Monte-Carlo estimate, now
+    held to the exact chain solve."""
+
     def test_simulated_matches_analytic_mirror(self):
-        # Moderate ratio so runs are fast yet the estimate concentrates.
         model = DurabilityModel(2, 1, 100.0, 10.0)
-        analytic = mttdl(model)
-        simulated = simulate_mttdl(model, runs=300, seed=1)
-        assert simulated == pytest.approx(analytic, rel=0.25)
+        # (3λ + μ) / 2λ² with λ = 1/100, μ = 1/10.
+        assert rational_mttdl(model) == Fraction(650)
+        assert relative_error(model) <= 1e-13
 
     def test_simulated_matches_analytic_three_way(self):
         model = DurabilityModel(3, 2, 50.0, 10.0)
-        analytic = mttdl(model)
-        simulated = simulate_mttdl(model, runs=300, seed=2)
-        assert simulated == pytest.approx(analytic, rel=0.3)
-
-    def test_runs_validated(self):
-        with pytest.raises(ValueError):
-            simulate_mttdl(DurabilityModel(2, 1, 10.0, 1.0), runs=0)
-
-    def test_deterministic_given_seed(self):
-        model = DurabilityModel(2, 1, 100.0, 10.0)
-        first = simulate_mttdl(model, runs=50, seed=3)
-        second = simulate_mttdl(model, runs=50, seed=3)
-        assert first == second
+        assert relative_error(model) <= 1e-13
 
 
 class TestObservedModel:
