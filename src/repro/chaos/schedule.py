@@ -211,9 +211,6 @@ def generate_schedule(
     crashes: int = 1,
     outages: int = 0,
     flaky: int = 0,
-    shrinks: int = 0,
-    outage_duration: float = 5.0,
-    flaky_duration: float = 8.0,
     error_rate: float = 0.3,
     latency: float = 0.25,
 ) -> FaultSchedule:
@@ -222,14 +219,16 @@ def generate_schedule(
     Victims are drawn without replacement (each device receives at most
     one fault), fault times land in ``(0, duration)``; everything is a
     pure function of ``(sorted(device_ids), seed, parameters)``, so equal
-    inputs give byte-equal schedules on any machine.
+    inputs give byte-equal schedules on any machine.  An outage lasts 5
+    time units and a flaky window 8; shrinks are never generated (a
+    schedule file or a :class:`FaultEvent` names them).
 
     Raises:
         ConfigurationError: if more faults are requested than devices
             exist, or rates/durations are out of range.
     """
     pool = sorted(device_ids)
-    requested = crashes + outages + flaky + shrinks
+    requested = crashes + outages + flaky
     if requested > len(pool):
         raise ConfigurationError(
             f"schedule wants {requested} distinct victims but only "
@@ -241,19 +240,18 @@ def generate_schedule(
     events: List[FaultEvent] = []
     kinds: List[Tuple[FaultKind, Dict[str, float]]] = (
         [(FaultKind.CRASH, {})] * crashes
-        + [(FaultKind.OUTAGE, {"duration": outage_duration})] * outages
+        + [(FaultKind.OUTAGE, {"duration": 5.0})] * outages
         + [
             (
                 FaultKind.FLAKY,
                 {
-                    "duration": flaky_duration,
+                    "duration": 8.0,
                     "error_rate": error_rate,
                     "latency": latency,
                 },
             )
         ]
         * flaky
-        + [(FaultKind.SHRINK, {})] * shrinks
     )
     for index, (kind, extra) in enumerate(kinds):
         pick = stable_u64("chaos-victim", seed, index) % len(pool)

@@ -7,9 +7,9 @@ absorbing it cheaply, while a scheduler that naively spreads the block
 over all ``k`` copies pays the miss cost ``k`` times and trashes every
 cache.  :class:`LruCacheModel` makes that trade-off visible to the
 load-aware policies: serving a request costs :attr:`hit_cost` when the
-address is already resident on the serving device and :attr:`miss_cost`
-when it is not (after which it becomes resident, possibly evicting the
-least-recently-used block).
+address is already resident on the serving device and one load unit
+(:attr:`miss_cost`) when it is not (after which it becomes resident,
+possibly evicting the least-recently-used block).
 
 The model is deterministic — an ``OrderedDict`` per device, no clocks,
 no randomness — so scheduler runs that consult it stay bit-reproducible.
@@ -30,31 +30,23 @@ class LruCacheModel:
         capacity: Blocks each device can keep resident.
         hit_cost: Load units a cache hit adds to the serving device.
         miss_cost: Load units a miss adds (the device also admits the
-            block, evicting its LRU entry when full).
+            block, evicting its LRU entry when full); the unit of load.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        hit_cost: float = 0.25,
-        miss_cost: float = 1.0,
-    ) -> None:
+    miss_cost = 1.0
+
+    def __init__(self, capacity: int, *, hit_cost: float = 0.25) -> None:
         if capacity < 1:
             raise ConfigurationError(
                 f"cache capacity must be >= 1, got {capacity}"
             )
-        if hit_cost < 0 or miss_cost <= 0:
+        if not 0.0 <= hit_cost <= self.miss_cost:
             raise ConfigurationError(
-                "cache costs need hit_cost >= 0 and miss_cost > 0"
-            )
-        if hit_cost > miss_cost:
-            raise ConfigurationError(
-                "a cache hit cannot cost more than a miss"
+                f"a cache hit costs between 0 and a miss ({self.miss_cost}),"
+                f" got {hit_cost}"
             )
         self.capacity = capacity
         self.hit_cost = hit_cost
-        self.miss_cost = miss_cost
         self._resident: Dict[str, "OrderedDict[int, None]"] = {}
         self.hits = 0
         self.misses = 0

@@ -5,9 +5,10 @@ device with x% of the capacity should also see x% of the I/O.  The trace
 player replays a :mod:`repro.workloads` trace against a cluster, routes
 each read through a pluggable :mod:`repro.scheduling` policy (per-block
 round-robin by default), and models per-device service with a simple
-deterministic queue:
+deterministic queue — one client request per time unit, one time unit
+per share operation:
 
-    busy_until = max(busy_until, arrival) + service_time
+    busy_until = max(busy_until, arrival) + 1
 
 which yields per-device utilisation and mean response times — enough to
 see imbalance turn into latency, without a full storage-stack model.
@@ -23,6 +24,12 @@ from ..scheduling import registry as sched_registry
 from ..scheduling.cache import LruCacheModel
 from ..workloads.traces import Op, Request
 from ..cluster.cluster import Cluster
+
+#: Time one share operation occupies its device; requests arrive one per
+#: time unit.
+SERVICE_TIME = 1.0
+#: Bytes of each write payload (and of each read's accounted transfer).
+PAYLOAD_SIZE = 64
 
 
 @dataclass
@@ -109,8 +116,6 @@ class TracePlayer:
     def __init__(
         self,
         cluster: Cluster,
-        service_time: float = 1.0,
-        arrival_interval: float = 1.0,
         read_policy: str = "rotate",
         *,
         seed: int = 0,
@@ -120,8 +125,6 @@ class TracePlayer:
 
         Args:
             cluster: The cluster to drive.
-            service_time: Time one share operation occupies its device.
-            arrival_interval: Time between consecutive client requests.
             read_policy: Any online policy registered in
                 :mod:`repro.scheduling.registry` — ``"rotate"`` (the
                 round-robin alias, default), ``"primary"``, ``"random"``,
@@ -141,11 +144,7 @@ class TracePlayer:
                 f"read_policy {entry.name!r} is an offline baseline; "
                 f"the trace player schedules per-request"
             )
-        if service_time <= 0 or arrival_interval <= 0:
-            raise ValueError("service_time and arrival_interval must be > 0")
         self._cluster = cluster
-        self._service = service_time
-        self._interval = arrival_interval
         self._read_policy = entry.name
         self._scheduler = entry.build(
             cluster.device_ids(), seed=seed, cache=cache
@@ -156,7 +155,7 @@ class TracePlayer:
         """The live read scheduler (per-device load counters and all)."""
         return self._scheduler
 
-    def play(self, trace: Iterable[Request], payload_size: int = 64) -> PlaybackReport:
+    def play(self, trace: Iterable[Request]) -> PlaybackReport:
         """Replay a trace; unknown blocks are auto-written on first read."""
         report = PlaybackReport()
         cluster = self._cluster
@@ -167,23 +166,23 @@ class TracePlayer:
         arrival = 0.0
         for request in trace:
             report.requests += 1
-            arrival += self._interval
+            arrival += 1.0
             address = request.address
             if request.op is Op.WRITE:
                 report.writes += 1
-                cluster.write(address, request.payload(payload_size))
+                cluster.write(address, request.payload(PAYLOAD_SIZE))
                 for device_id in cluster.placement_of(address):
                     # The devices the write stored on: same test as write's.
                     if cluster.device(device_id).is_active:
                         loads.setdefault(device_id, DeviceLoad()).serve(
-                            arrival, self._service, payload_size
+                            arrival, SERVICE_TIME, PAYLOAD_SIZE
                         )
             else:
                 report.reads += 1
                 try:
                     placement = cluster.placement_of(address)
                 except BlockNotFoundError:
-                    cluster.write(address, request.payload(payload_size))
+                    cluster.write(address, request.payload(PAYLOAD_SIZE))
                     placement = cluster.placement_of(address)
                 # One share operation per read: the scheduler's preferred
                 # copy, or the next position a serving device holds.
@@ -195,7 +194,7 @@ class TracePlayer:
                     continue
                 (copy,) = shares
                 loads.setdefault(placement[copy], DeviceLoad()).serve(
-                    arrival, self._service, payload_size
+                    arrival, SERVICE_TIME, PAYLOAD_SIZE
                 )
         report.duration = arrival
         return report

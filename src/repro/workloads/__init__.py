@@ -1,14 +1,6 @@
 """Workload generators: address populations, request traces, persistence."""
 
-from .addresses import (
-    ZipfGenerator,
-    flash_crowd,
-    flash_crowd_sample,
-    hotspot,
-    sequential,
-    uniform,
-    uniform_sample,
-)
+from .addresses import ZipfGenerator, flash_crowd_sample, sequential, uniform_sample
 from .persistence import dump_trace, load_trace
 from .traces import Op, Request, materialize, mixed, write_population, zipf_reads
 
@@ -17,14 +9,11 @@ __all__ = [
     "Request",
     "ZipfGenerator",
     "dump_trace",
-    "flash_crowd",
     "flash_crowd_sample",
-    "hotspot",
     "load_trace",
     "materialize",
     "mixed",
     "sequential",
-    "uniform",
     "uniform_sample",
     "write_population",
     "zipf_reads",

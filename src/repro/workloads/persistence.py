@@ -36,11 +36,38 @@ def dump_trace(trace: Iterable[Request], path: PathLike) -> int:
     return count
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (JSON ``true`` loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _request(record: object) -> Request:
+    """The request one decoded trace line describes."""
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    op = record.get("op")
+    if op not in ("read", "write"):
+        raise ValueError(f"op must be 'read' or 'write', got {op!r}")
+    address = record.get("address")
+    if not _is_int(address) or address < 0:
+        raise ValueError(f"address must be a non-negative integer, got {address!r}")
+    seed = record.get("seed", 0)
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if op == "write":
+        return Request(Op.WRITE, address, payload_seed=seed)
+    return Request(Op.READ, address)
+
+
 def load_trace(path: PathLike) -> Iterator[Request]:
     """Stream a trace back from ``path``.
 
+    Every non-blank line must be a JSON object whose ``op`` is ``"read"``
+    or ``"write"``, whose ``address`` is a JSON integer ``>= 0`` and whose
+    ``seed``, when present, is a JSON integer.
+
     Raises:
-        ValueError: on malformed lines.
+        ValueError: naming ``path:line`` for any other line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -48,14 +75,9 @@ def load_trace(path: PathLike) -> Iterator[Request]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                op = Op(record["op"])
-                address = int(record["address"])
-            except (json.JSONDecodeError, KeyError, ValueError) as error:
+                request = _request(json.loads(line))
+            except ValueError as error:
                 raise ValueError(
                     f"{path}:{line_number}: malformed trace line: {error}"
                 ) from None
-            if op is Op.WRITE:
-                yield Request(op, address, payload_seed=int(record.get("seed", 0)))
-            else:
-                yield Request(op, address)
+            yield request

@@ -2,7 +2,7 @@
 
 A trace is a deterministic sequence of :class:`Request` objects (read or
 write of one block address).  Mix generators build the standard workload
-shapes: write-once-read-many, mixed OLTP-like, scan-heavy.
+shapes: write-once-read-many, a uniform read/write mix, Zipf-skewed reads.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List
 
-from ..hashing.primitives import stable_u64, unit_interval
+from ..hashing.primitives import derive_base, stable_u64, unit_from_base
 from . import addresses
 
 
@@ -62,16 +62,17 @@ def mixed(
     read_fraction: float = 0.7,
     seed: int = 0,
 ) -> Iterator[Request]:
-    """Random mix of reads and writes over a bounded address space."""
+    """Random mix of reads and writes, uniform over ``[0, universe)``."""
     if not 0.0 <= read_fraction <= 1.0:
         raise ValueError("read_fraction must be in [0, 1]")
-    for index in range(count):
-        address = stable_u64("mixed-addr", seed, index) % universe
-        coin = unit_interval("mixed-op", seed, index)
-        if coin < read_fraction:
-            yield Request(Op.READ, address)
-        else:
-            yield Request(Op.WRITE, address, payload_seed=seed)
+    targets = addresses.uniform_sample(count, universe, seed=seed)
+    op_base = derive_base("mixed-op", seed)
+    return (
+        Request(Op.READ, int(address))
+        if unit_from_base(op_base, index) < read_fraction
+        else Request(Op.WRITE, int(address), payload_seed=seed)
+        for index, address in enumerate(targets)
+    )
 
 
 def zipf_reads(
@@ -79,8 +80,7 @@ def zipf_reads(
 ) -> Iterator[Request]:
     """Skewed read trace — exercises per-device load (not just capacity)."""
     generator = addresses.ZipfGenerator(universe, alpha=alpha, seed=seed)
-    for address in generator.stream(count):
-        yield Request(Op.READ, address)
+    return (Request(Op.READ, int(address)) for address in generator.sample(count))
 
 
 def materialize(trace: Iterable[Request]) -> List[Request]:

@@ -38,7 +38,7 @@ def test_choices_shift_to_survivors_with_zero_failed_reads():
     cluster = make_cluster()
     device_ids = [spec.bin_id for spec in cluster.strategy.bins]
     scheduler = create("least-loaded", device_ids, seed=9)
-    addresses = list(ZipfGenerator(BLOCKS, alpha=1.1, seed=13).stream(REQUESTS))
+    addresses = list(ZipfGenerator(BLOCKS, alpha=1.1, seed=13).sample(REQUESTS))
     # Kill the device serving the hottest block's primary copy — the
     # worst case for a scheduler that cannot route around it.
     victim = cluster.placement_of(addresses[0])[0]
@@ -67,7 +67,7 @@ def test_unrepaired_victim_stays_out_of_the_pool():
     cluster = make_cluster()
     device_ids = [spec.bin_id for spec in cluster.strategy.bins]
     scheduler = create("power-of-two", device_ids, seed=4)
-    addresses = list(ZipfGenerator(BLOCKS, alpha=1.1, seed=5).stream(REQUESTS))
+    addresses = list(ZipfGenerator(BLOCKS, alpha=1.1, seed=5).sample(REQUESTS))
     victim = cluster.placement_of(addresses[0])[0]
 
     for index, address in enumerate(addresses):

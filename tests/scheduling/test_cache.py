@@ -13,8 +13,8 @@ class TestValidation:
             {"capacity": 0},
             {"capacity": -3},
             {"capacity": 4, "hit_cost": -0.1},
-            {"capacity": 4, "miss_cost": 0.0},
-            {"capacity": 4, "hit_cost": 2.0, "miss_cost": 1.0},
+            {"capacity": 4, "hit_cost": float("nan")},
+            {"capacity": 4, "hit_cost": 2.0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -24,7 +24,7 @@ class TestValidation:
 
 class TestCosts:
     def test_miss_then_hit(self):
-        cache = LruCacheModel(4, hit_cost=0.25, miss_cost=1.0)
+        cache = LruCacheModel(4, hit_cost=0.25)
         assert cache.cost("d0", 7) == 1.0
         assert cache.cost("d0", 7) == 0.25
         assert cache.hits == 1 and cache.misses == 1
