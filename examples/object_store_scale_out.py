@@ -5,10 +5,11 @@ The full stack in one story:
 
     ObjectStore  ->  VirtualVolume  ->  Cluster  ->  RedundantShare (k=2)
 
-We store a few hundred named objects, add a new storage node *lazily* (no
-data moves yet), keep serving reads and writes, trickle the migration in
-small steps with the Rebalancer — and verify every object byte-for-byte at
-every stage.
+We store a few hundred named objects, add a new storage node *lazily* (the
+cluster commits the new strategy but no data moves yet), keep serving reads
+and writes, trickle the migration in small steps with the Rebalancer (each
+step is one ``Cluster.migrate`` call, the mover an eager add drains through)
+— and verify every object byte-for-byte at every stage.
 
 Run:  python examples/object_store_scale_out.py
 """

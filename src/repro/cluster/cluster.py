@@ -7,10 +7,14 @@ the physical layout in sync as devices enter, leave or fail.
 
 The interesting operations are the reconfigurations:
 
-* :meth:`Cluster.add_device` / :meth:`Cluster.remove_device` — rebuild the
-  strategy for the new device set and migrate exactly the shares whose
-  placement changed, returning a :class:`MigrationReport` (the quantity
-  Figures 3/5 measure).
+* :meth:`Cluster.add_device` / :meth:`Cluster.remove_device` — build the
+  strategy for the new device set *first* (a set the factory refuses
+  leaves the cluster untouched), commit it in one step, then migrate
+  exactly the shares whose placement changed through
+  :meth:`Cluster.migrate`, returning a :class:`MigrationReport` (the
+  quantity Figures 3/5 measure).  A lazy add commits the same way and
+  leaves the drain to :class:`~repro.cluster.rebalancer.Rebalancer`,
+  which calls the same mover.
 * :meth:`Cluster.fail_device` / :meth:`Cluster.repair_device` — crash a
   device (losing its contents) and rebuild the lost shares from surviving
   redundancy via the erasure code.
@@ -19,7 +23,7 @@ The interesting operations are the reconfigurations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..erasure.base import ErasureCode
@@ -116,10 +120,11 @@ class Cluster:
                 f"code produces {self._code.total_shares} shares but the "
                 f"strategy places {self._strategy.copies} copies"
             )
-        self._devices: Dict[str, StorageDevice] = {}
-        self._specs: Dict[str, BinSpec] = {}
-        for spec in devices:
-            self._attach(spec)
+        self._specs = {spec.bin_id: spec for spec in devices}
+        self._devices = {
+            spec.bin_id: StorageDevice(spec.bin_id, spec.capacity)
+            for spec in devices
+        }
         self._map = BlockMap()
         self._block_sizes: Dict[int, int] = {}
         # Stores a non-serving device missed: whatever it holds under these
@@ -137,20 +142,6 @@ class Cluster:
     def strategy(self) -> ReplicationStrategy:
         """The current placement strategy snapshot."""
         return self._strategy
-
-    def _new_strategy(self) -> ReplicationStrategy:
-        """Build a fresh strategy snapshot for the current specs."""
-        sink = obs.sink()
-        if sink.enabled:
-            obs.metrics().counter("cluster.strategy_swaps").add(1)
-        return self._factory(
-            [self._specs[device_id] for device_id in sorted(self._specs)]
-        )
-
-    def _attach(self, spec: BinSpec) -> None:
-        """Register a fresh device for a spec."""
-        self._devices[spec.bin_id] = StorageDevice(spec.bin_id, spec.capacity)
-        self._specs[spec.bin_id] = spec
 
     @property
     def code(self) -> ErasureCode:
@@ -173,6 +164,10 @@ class Cluster:
             BlockNotFoundError: if the block was never written.
         """
         return self._map.lookup(address)
+
+    def __contains__(self, address: int) -> bool:
+        """True while a block is stored at ``address``."""
+        return self._map.contains(address)
 
     def device_ids(self) -> List[str]:
         """Sorted ids of all devices, whatever their state."""
@@ -316,32 +311,39 @@ class Cluster:
     # Reconfiguration
     # ------------------------------------------------------------------
 
+    def _swap(self, specs: Sequence[BinSpec]) -> None:
+        """Commit the strategy for a new device set: the one place a
+        reconfiguration changes it.
+
+        The factory runs first, so a device set it refuses raises here and
+        leaves the cluster exactly as it was.
+
+        Raises:
+            ReproError: whatever the factory raises for ``specs``.
+        """
+        strategy = self._factory(sorted(specs, key=lambda spec: spec.bin_id))
+        self._specs = {spec.bin_id: spec for spec in specs}
+        self._strategy = strategy
+        if obs.sink().enabled:
+            obs.metrics().counter("cluster.strategy_swaps").add(1)
+
     def add_device(self, spec: BinSpec, rebalance: bool = True) -> MigrationReport:
         """Bring a new device online and (by default) rebalance.
 
         With ``rebalance=False`` the placement strategy is updated but no
         data moves: new writes use the new layout immediately, and existing
         blocks stay where the map says until migrated — lazily via
-        :meth:`migrate_block` / :class:`~repro.cluster.rebalancer.Rebalancer`.
+        :meth:`migrate` / :class:`~repro.cluster.rebalancer.Rebalancer`.
 
         Raises:
-            ConfigurationError: if the id already exists.
+            ConfigurationError: if the id already exists, or the strategy
+                refuses the new device set (nothing changes then).
         """
         if spec.bin_id in self._devices:
             raise ConfigurationError(f"device {spec.bin_id!r} already exists")
-        self._attach(spec)
-        if rebalance:
-            report = self._rebalance("add", spec.bin_id)
-        else:
-            self._strategy = self._new_strategy()
-            report = MigrationReport(
-                trigger="add",
-                device_id=spec.bin_id,
-                moved_shares=0,
-                rebuilt_shares=0,
-                total_shares=len(self._map) * self._strategy.copies,
-                used_on_affected=0,
-            )
+        self._swap([*self._specs.values(), spec])
+        self._devices[spec.bin_id] = StorageDevice(spec.bin_id, spec.capacity)
+        report = self._migration("add", spec.bin_id, rebalance=rebalance)
         sink = obs.sink()
         if sink.enabled:
             obs.metrics().counter("cluster.devices_added").add(1)
@@ -370,42 +372,50 @@ class Cluster:
             if lookup(address) != placement
         ]
 
-    def migrate_block(
-        self, address: int, new_placement: Optional[Sequence[str]] = None
-    ) -> int:
-        """Move one block to its current-strategy placement.
+    def migrate(self, addresses: Iterable[int]) -> Tuple[int, int]:
+        """Move blocks to their current-strategy placement.
 
-        Args:
-            address: The block to migrate.
-            new_placement: Precomputed target placement for the *current*
-                strategy, as produced by ``strategy.place_many`` — batch
-                callers (the rebalancer) pass it to avoid re-placing every
-                block; when omitted it is computed here.
+        The one mover behind eager reconfigurations and lazy rebalancing:
+        one batch placement over those of ``addresses`` still stored (a
+        block deleted meanwhile is skipped), then per-share work only for
+        the blocks that actually move.
 
         Returns:
-            Number of shares physically moved (0 if already in place).
-
-        Raises:
-            BlockNotFoundError: if the block was never written.
+            ``(moved, rebuilt)``: shares physically moved, and those of
+            them reconstructed from redundancy because their source was
+            failed or removed.
         """
-        if new_placement is None:
-            new_placement = self._strategy.place(address)
-        moved, _ = self._move_block(address, tuple(new_placement))
-        if moved and obs.sink().enabled:
-            obs.metrics().counter("cluster.moved_shares").add(moved)
-        return moved
+        stored = [address for address in addresses if address in self]
+        targets = self._strategy.place_many(stored).tuples()
+        moved = 0
+        rebuilt = 0
+        for address, target in zip(stored, targets):
+            block_moved, block_rebuilt = self._move_block(address, target)
+            moved += block_moved
+            rebuilt += block_rebuilt
+        if obs.sink().enabled:
+            registry = obs.metrics()
+            if moved:
+                registry.counter("cluster.moved_shares").add(moved)
+            if rebuilt:
+                registry.counter("cluster.rebuilt_shares").add(rebuilt)
+        return moved, rebuilt
 
     def remove_device(self, device_id: str) -> MigrationReport:
         """Drain and remove a device (graceful decommission).
 
         Raises:
             DeviceNotFoundError: for unknown ids.
+            ConfigurationError: if the strategy refuses the remaining
+                devices (nothing changes then).
         """
         if device_id not in self._devices:
             raise DeviceNotFoundError(f"no device {device_id!r}")
         used_before = self._map.share_count(device_id)
-        self._specs.pop(device_id)
-        report = self._rebalance("remove", device_id, used_override=used_before)
+        self._swap(
+            [spec for spec in self._specs.values() if spec.bin_id != device_id]
+        )
+        report = self._migration("remove", device_id, used=used_before)
         removed = self._devices.pop(device_id)
         self._missed.pop(device_id, None)
         sink = obs.sink()
@@ -419,57 +429,43 @@ class Cluster:
             )
         return report
 
-    def _rebalance(
-        self, trigger: str, affected: str, used_override: Optional[int] = None
+    def _migration(
+        self, trigger: str, affected: str, *, rebalance: bool = True,
+        used: Optional[int] = None,
     ) -> MigrationReport:
-        """Swap in a fresh strategy and move every out-of-place block."""
-        self._strategy = self._new_strategy()
-        moved = 0
-        rebuilt = 0
-        addresses = list(self._map.addresses())
-        # One vectorized batch placement for the whole population; the
-        # mover only does per-share work for blocks that actually move.
-        targets = self._strategy.place_many(addresses).tuples()
-        for address, target in zip(addresses, targets):
-            block_moved, block_rebuilt = self._move_block(address, target)
-            moved += block_moved
-            rebuilt += block_rebuilt
-        total = len(addresses) * self._strategy.copies
-        used = (
-            used_override
-            if used_override is not None
-            else self._map.share_count(affected)
+        """The report of a committed reconfiguration, after migrating every
+        stored block unless ``rebalance`` is false (a lazy add)."""
+        addresses = self.addresses()
+        moved, rebuilt = self.migrate(addresses) if rebalance else (0, 0)
+        report = MigrationReport(
+            trigger=trigger,
+            device_id=affected,
+            moved_shares=moved,
+            rebuilt_shares=rebuilt,
+            total_shares=len(addresses) * self._strategy.copies,
+            used_on_affected=(
+                self._map.share_count(affected) if used is None else used
+            ),
         )
         sink = obs.sink()
-        if sink.enabled:
-            registry = obs.metrics()
-            registry.counter("cluster.moved_shares").add(moved)
-            registry.counter("cluster.rebuilt_shares").add(rebuilt)
+        if rebalance and sink.enabled:
             sink.emit(
                 "cluster.migration",
                 trigger=trigger,
                 device=affected,
                 moved=moved,
                 rebuilt=rebuilt,
-                total=total,
-                used=used,
+                total=report.total_shares,
+                used=report.used_on_affected,
             )
-        return MigrationReport(
-            trigger=trigger,
-            device_id=affected,
-            moved_shares=moved,
-            rebuilt_shares=rebuilt,
-            total_shares=total,
-            used_on_affected=used,
-        )
+        return report
 
     def _move_block(
         self, address: int, new_placement: "tuple"
     ) -> Tuple[int, int]:
         """Move a block's shares from its recorded placement to a new one.
 
-        The one share-mover behind eager rebalances and lazy migration:
-        shares whose source is gone (failed or removed device) are rebuilt
+        Shares whose source is gone (failed or removed device) are rebuilt
         from the survivors.  Returns ``(moved, rebuilt)`` share counts.
         """
         old_placement = self._map.lookup(address)

@@ -3,19 +3,20 @@
 A real system never migrates everything in one synchronous pass — it
 trickles moves so client I/O keeps flowing.  The :class:`Rebalancer`
 packages the lazy path the cluster exposes (``add_device(rebalance=False)``
-+ ``migrate_block``): it snapshots the out-of-place backlog and migrates it
-in bounded steps, reporting progress.  Reads and writes remain correct at
-every intermediate point because the block map, not the strategy, is the
-ground truth for stored blocks.
+commits the new strategy without draining): it snapshots the out-of-place
+backlog and hands it, in bounded steps, to
+:meth:`~repro.cluster.cluster.Cluster.migrate` — the same mover an eager
+reconfiguration drains through — reporting progress.  Reads and writes
+remain correct at every intermediate point because the block map, not the
+strategy, is the ground truth for stored blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .. import obs
-from ..exceptions import BlockNotFoundError
 from .cluster import Cluster
 
 
@@ -70,15 +71,15 @@ class Rebalancer:
     def step(self, max_blocks: int = 100) -> int:
         """Migrate up to ``max_blocks`` blocks; returns blocks moved.
 
-        The chunk's target placements are computed in one batch against
-        the cluster's *current* strategy (recomputed every step, so
-        strategy swaps between steps stay correct) and handed to
-        :meth:`~repro.cluster.cluster.Cluster.migrate_block`, which then
-        only does per-block work for blocks that actually move.
+        The chunk goes to
+        :meth:`~repro.cluster.cluster.Cluster.migrate`, which places it in
+        one batch against the cluster's *current* strategy (so strategy
+        swaps between steps stay correct) and only does per-block work for
+        blocks that actually move.
 
-        Blocks that became in-place on their own (e.g. rewritten by a
-        client under the new layout) are skipped but still count as
-        completed backlog.
+        Blocks deleted while queued, or that became in-place on their own
+        (e.g. rewritten by a client under the new layout), still count as
+        completed backlog; only the former are not counted as migrated.
         """
         if max_blocks < 1:
             raise ValueError("max_blocks must be >= 1")
@@ -86,21 +87,14 @@ class Rebalancer:
         if not chunk:
             return 0
         del self._backlog[-len(chunk):]
-        targets = self._cluster.strategy.place_many(chunk).tuples()
-        migrated = 0
-        moved_shares = 0
         # Pop order (end of the backlog first) is preserved.
-        for address, target in zip(reversed(chunk), reversed(targets)):
-            try:
-                moved = self._cluster.migrate_block(address, target)
-            except BlockNotFoundError:
-                # Deleted while queued: nothing to migrate.
-                self._progress.migrated_blocks += 1
-                continue
-            self._progress.migrated_blocks += 1
-            self._progress.moved_shares += moved
-            moved_shares += moved
-            migrated += 1
+        stored = [
+            address for address in reversed(chunk) if address in self._cluster
+        ]
+        moved_shares, _ = self._cluster.migrate(stored)
+        migrated = len(stored)
+        self._progress.migrated_blocks += len(chunk)
+        self._progress.moved_shares += moved_shares
         sink = obs.sink()
         if sink.enabled:
             registry = obs.metrics()

@@ -71,9 +71,7 @@ class ReadScheduler(abc.ABC):
         *,
         seed: int = 0,
         cache: Optional[LruCacheModel] = None,
-        namespace: str = "",
     ) -> None:
-        self._namespace = namespace or self.name
         self._seed = seed
         self._cache = cache
         self._ids: List[str] = []
@@ -83,7 +81,7 @@ class ReadScheduler(abc.ABC):
         self._available: List[bool] = []
         self._offline_count = 0
         self._sequence = 0
-        self._draw_base = derive_base("sched", self._namespace, "draw", seed)
+        self._draw_base = derive_base("sched", self.name, "draw", seed)
         for device_id in device_ids:
             self.rank_of(device_id)
 

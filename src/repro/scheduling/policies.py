@@ -123,11 +123,10 @@ class RoundRobinScheduler(ReadScheduler):
         *,
         seed: int = 0,
         cache: Optional[LruCacheModel] = None,
-        namespace: str = "",
     ) -> None:
-        super().__init__(device_ids, seed=seed, cache=cache, namespace=namespace)
+        super().__init__(device_ids, seed=seed, cache=cache)
         self._rotation: Dict[int, int] = {}
-        self._phase_base = derive_base("sched", self._namespace, "phase", seed)
+        self._phase_base = derive_base("sched", self.name, "phase", seed)
 
     def _pick(self, address, ranks, available):
         count = self._rotation.get(address, 0)
@@ -239,10 +238,9 @@ class PowerOfTwoScheduler(ReadScheduler):
         *,
         seed: int = 0,
         cache: Optional[LruCacheModel] = None,
-        namespace: str = "",
     ) -> None:
-        super().__init__(device_ids, seed=seed, cache=cache, namespace=namespace)
-        self._second_base = derive_base("sched", self._namespace, "draw2", seed)
+        super().__init__(device_ids, seed=seed, cache=cache)
+        self._second_base = derive_base("sched", self.name, "draw2", seed)
 
     def _pick(self, address, ranks, available):
         size = len(available)

@@ -12,10 +12,9 @@ names (aliases resolve but are not advertised as distinct policies),
 ``create(name, ..., **options)`` validates keyword options against each
 entry's typed :class:`~repro.options.OptionSpec` schema, and
 ``scheduler_names()`` / ``registered_schedulers()`` sweep without
-duplicates.  Only the randomised policies declare a ``namespace``
-option (it salts their draws); deterministic policies declare none, so
-passing options to them is a configuration error, same as on the
-placement side.
+duplicates.  No policy declares an option (``seed`` already salts the
+randomised draws), so passing one is a configuration error, same as for
+an option-free placement strategy.
 """
 
 from __future__ import annotations
@@ -34,15 +33,6 @@ from .policies import (
     RoundRobinScheduler,
 )
 from .water_filling import WaterFillingScheduler
-
-#: Shared schema fragment for the policies whose draws are salted.
-_NAMESPACE_OPTION = OptionSpec(
-    "namespace",
-    "str",
-    default="",
-    doc="salt prefix isolating this policy's hash draws from others",
-)
-
 
 @dataclass(frozen=True)
 class SchedulerEntry:
@@ -86,14 +76,12 @@ _ENTRIES: Tuple[SchedulerEntry, ...] = (
         name="random",
         factory=RandomScheduler,
         summary="seeded uniform draw over the available copies",
-        options=(_NAMESPACE_OPTION,),
     ),
     SchedulerEntry(
         name="round-robin",
         factory=RoundRobinScheduler,
         summary="per-address rotation over the available copies",
         aliases=("rotate", "round_robin"),
-        options=(_NAMESPACE_OPTION,),
     ),
     SchedulerEntry(
         name="least-loaded",
@@ -106,7 +94,6 @@ _ENTRIES: Tuple[SchedulerEntry, ...] = (
         factory=PowerOfTwoScheduler,
         summary="two seeded candidates, route to the less loaded",
         aliases=("po2", "power_of_two", "power-of-two-choices"),
-        options=(_NAMESPACE_OPTION,),
     ),
     SchedulerEntry(
         name="water-filling",

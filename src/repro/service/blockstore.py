@@ -63,9 +63,9 @@ class BlockstoreServer(RpcServer):
     kind = "blockstore"
 
     def __init__(
-        self, device_id: str, host: str = "127.0.0.1", port: int = 0, **kwargs
+        self, device_id: str, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        super().__init__(host, port, **kwargs)
+        super().__init__(host, port)
         self.device_id = device_id
         self._shares: Dict[Tuple[int, int], Tuple[bytes, str]] = {}
         self._handlers.update(

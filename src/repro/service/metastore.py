@@ -65,9 +65,8 @@ class MetastoreServer(RpcServer):
         blockstores: Optional[Mapping[str, Tuple[str, int]]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        **kwargs,
     ) -> None:
-        super().__init__(host, port, **kwargs)
+        super().__init__(host, port)
         # ConfigurationError with accepted names when unknown.
         entry = lookup(strategy)
         self._bins = list(bins)

@@ -48,7 +48,7 @@ Three failure modes get typed errors (all subclasses of
 * :class:`~repro.exceptions.TruncatedFrameError` — the buffer or stream
   ended before the declared length was satisfied (peer died mid-frame).
 * :class:`~repro.exceptions.OversizedFrameError` — the header declared a
-  body larger than ``max_frame_bytes``.  The guard fires on the length
+  body larger than :data:`MAX_FRAME_BYTES`.  The guard fires on the length
   prefix alone, before any body bytes are buffered.
 * :class:`~repro.exceptions.BadFrameError` — everything else: a zero
   length prefix, a body that is not valid JSON, trailing bytes after a
@@ -82,11 +82,11 @@ from ..placement.base import BatchPlacement
 #: Frame header: one unsigned 32-bit big-endian body length.
 HEADER = struct.Struct("!I")
 
-#: Default ceiling on one frame's body.  Generous for placement batches
-#: (a 100k-address ``where_are`` answer is ~0.3 MB, its request 0.8 MB;
-#: the metastore's 1M-address maximum fits as a u64 column) while keeping
-#: a corrupt or hostile length prefix from forcing a multi-gigabyte
-#: allocation.
+#: Ceiling on one frame's body, read by every guard at call time.
+#: Generous for placement batches (a 100k-address ``where_are`` answer is
+#: ~0.3 MB, its request 0.8 MB; the metastore's 1M-address maximum fits
+#: as a u64 column) while keeping a corrupt or hostile length prefix from
+#: forcing a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: First body byte of a columnar frame; no UTF-8 text contains it.
@@ -100,7 +100,7 @@ RANKS_KEY, U64_KEY = "$ranks", "$u64"
 RANK_DTYPES = {"u1": "B", "u2": "H", "u4": "I"}
 
 
-def encode_frame(payload: Any, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
+def encode_frame(payload: Any) -> bytes:
     """Serialise one payload to its wire frame.
 
     Args:
@@ -108,7 +108,6 @@ def encode_frame(payload: Any, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> byt
             :class:`~repro.placement.base.BatchPlacement` may stand for
             its rows or one ``array('Q')`` for its integers; the frame
             is then columnar, as it is for a top-level u64 list.
-        max_frame_bytes: Refuse to build frames whose body exceeds this.
 
     Raises:
         BadFrameError: when the payload is not JSON-serialisable.
@@ -141,10 +140,10 @@ def encode_frame(payload: Any, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> byt
         raise BadFrameError(f"payload is not JSON-serialisable: {error}") from None
     if columns:
         body = b"".join((COLUMNAR, HEADER.pack(len(body)), body, columns[0]))
-    if len(body) > max_frame_bytes:
+    if len(body) > MAX_FRAME_BYTES:
         raise OversizedFrameError(
             f"frame body is {len(body)} bytes, above the "
-            f"{max_frame_bytes}-byte maximum"
+            f"{MAX_FRAME_BYTES}-byte maximum"
         )
     return HEADER.pack(len(body)) + body
 
@@ -193,9 +192,7 @@ def _pack_ranks(batch: BatchPlacement) -> Tuple[Dict[str, Any], bytes]:
     return {RANKS_KEY: meta}, matrix.tobytes()
 
 
-def decode_header(
-    header: bytes, *, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> int:
+def decode_header(header: bytes) -> int:
     """Validate a frame header and return the declared body length.
 
     Raises:
@@ -210,10 +207,10 @@ def decode_header(
     (length,) = HEADER.unpack(header[: HEADER.size])
     if length == 0:
         raise BadFrameError("frame declares a zero-length body")
-    if length > max_frame_bytes:
+    if length > MAX_FRAME_BYTES:
         raise OversizedFrameError(
             f"frame declares a {length}-byte body, above the "
-            f"{max_frame_bytes}-byte maximum"
+            f"{MAX_FRAME_BYTES}-byte maximum"
         )
     return length
 
@@ -328,9 +325,7 @@ def _unpack_ranks(meta: Any, matrix: memoryview) -> List[List[str]]:
     return [ids[row * copies : (row + 1) * copies] for row in range(count)]
 
 
-def decode_frame(
-    data: bytes, *, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> Any:
+def decode_frame(data: bytes) -> Any:
     """Decode a buffer holding exactly one frame.
 
     The strict inverse of :func:`encode_frame`: the buffer must contain
@@ -341,7 +336,7 @@ def decode_frame(
         OversizedFrameError: the header declares an over-limit body.
         BadFrameError: zero-length body, invalid JSON, or trailing bytes.
     """
-    length = decode_header(data, max_frame_bytes=max_frame_bytes)
+    length = decode_header(data)
     end = HEADER.size + length
     if len(data) < end:
         raise TruncatedFrameError(
@@ -355,9 +350,7 @@ def decode_frame(
     return decode_body(data[HEADER.size :])
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, *, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> Optional[Any]:
+async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
     """Read one frame from a stream.
 
     Returns:
@@ -379,7 +372,7 @@ async def read_frame(
                 f"connection closed after {len(header)} header bytes"
             )
         header += more
-    length = decode_header(header, max_frame_bytes=max_frame_bytes)
+    length = decode_header(header)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
@@ -390,12 +383,7 @@ async def read_frame(
     return decode_body(body)
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter,
-    payload: Any,
-    *,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> None:
+async def write_frame(writer: asyncio.StreamWriter, payload: Any) -> None:
     """Encode ``payload`` and flush it onto a stream."""
-    writer.write(encode_frame(payload, max_frame_bytes=max_frame_bytes))
+    writer.write(encode_frame(payload))
     await writer.drain()

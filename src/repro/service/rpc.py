@@ -41,7 +41,7 @@ from ..exceptions import (
     ServiceUnavailableError,
 )
 from ..obs.metrics import MetricsRegistry
-from .protocol import MAX_FRAME_BYTES, encode_frame, read_frame, write_frame
+from .protocol import encode_frame, read_frame, write_frame
 
 Handler = Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
 
@@ -84,16 +84,9 @@ class RpcServer:
     #: every response envelope; None (no such state) sends nothing.
     epoch: Optional[str] = None
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._host = host
         self._requested_port = port
-        self._max_frame_bytes = max_frame_bytes
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: "set[asyncio.StreamWriter]" = set()
         self.registry = MetricsRegistry()
@@ -166,9 +159,7 @@ class RpcServer:
         try:
             while True:
                 try:
-                    request = await read_frame(
-                        reader, max_frame_bytes=self._max_frame_bytes
-                    )
+                    request = await read_frame(reader)
                 except BadFrameError as error:
                     # The stream is no longer frame-aligned; report the
                     # typed error once and hang up.
@@ -182,9 +173,7 @@ class RpcServer:
                     return
                 response = await self._dispatch(request)
                 try:
-                    frame = encode_frame(
-                        response, max_frame_bytes=self._max_frame_bytes
-                    )
+                    frame = encode_frame(response)
                 except BadFrameError as error:
                     # The answer does not fit a frame (or is not JSON):
                     # the request fails, the stream stays frame-aligned.
@@ -282,16 +271,9 @@ class RpcConnection:
     exceptions.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._max_frame_bytes = max_frame_bytes
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._next_id = 0
@@ -301,11 +283,9 @@ class RpcConnection:
         self.epoch: Optional[str] = None
 
     @classmethod
-    async def open(
-        cls, host: str, port: int, *, max_frame_bytes: int = MAX_FRAME_BYTES
-    ) -> "RpcConnection":
+    async def open(cls, host: str, port: int) -> "RpcConnection":
         """Connect and return a ready connection."""
-        connection = cls(host, port, max_frame_bytes=max_frame_bytes)
+        connection = cls(host, port)
         await connection._connect()
         return connection
 
@@ -339,13 +319,8 @@ class RpcConnection:
             self._next_id += 1
             request = dict(params, op=op, id=self._next_id)
             try:
-                await write_frame(
-                    self._writer, request,
-                    max_frame_bytes=self._max_frame_bytes,
-                )
-                response = await read_frame(
-                    self._reader, max_frame_bytes=self._max_frame_bytes
-                )
+                await write_frame(self._writer, request)
+                response = await read_frame(self._reader)
             except (ConnectionError, OSError) as error:
                 await self.close()
                 raise ServiceUnavailableError(

@@ -29,6 +29,7 @@ from repro.exceptions import (
     DeviceNotFoundError,
     DeviceUnavailableError,
 )
+from repro.placement.registry import create
 from repro.types import BinSpec, bins_from_capacities
 
 
@@ -131,6 +132,58 @@ class TestReconfiguration:
             cluster.remove_device("bin-new")
         assert len(trace.of_kind("device.added")) == 1
         assert len(trace.of_kind("device.removed")) == 1
+
+
+def layout(cluster):
+    """Everything a refused reconfiguration must leave as it was."""
+    return (
+        cluster.device_ids(),
+        list(cluster.strategy.bins),
+        {
+            address: cluster.placement_of(address)
+            for address in cluster.addresses()
+        },
+        {
+            device_id: sorted(cluster.device(device_id).share_keys())
+            for device_id in cluster.device_ids()
+        },
+    )
+
+
+class TestRefusedReconfiguration:
+    """The new strategy is built before anything changes: a device set the
+    factory refuses leaves the cluster exactly as it was."""
+
+    def test_refused_add_changes_nothing(self):
+        cluster = Cluster(
+            bins_from_capacities([400, 300, 200, 100]),
+            lambda bins: create(
+                "sequential-checking", bins, copies=2, generations=(2, 2)
+            ),
+        )
+        fill(cluster, 60)
+        before = layout(cluster)
+        for _ in range(2):  # a retry meets the same refusal, not a ghost
+            with pytest.raises(ConfigurationError, match="generations"):
+                cluster.add_device(BinSpec("bin-9", 100))
+            assert layout(cluster) == before
+        cluster.verify()
+
+    def test_refused_remove_changes_nothing(self):
+        cluster = make_cluster((300, 200, 100), copies=3)
+        fill(cluster, 60)
+        before = layout(cluster)
+        with pytest.raises(ConfigurationError):
+            cluster.remove_device("bin-2")
+        assert layout(cluster) == before
+        cluster.verify()
+        # The device that stayed is still placed on after the next add.
+        cluster.add_device(BinSpec("bin-9", 200))
+        assert "bin-2" in [spec.bin_id for spec in cluster.strategy.bins]
+        assert list(cluster.device("bin-2").share_keys())
+        cluster.verify()
+        for address in range(60):
+            assert cluster.read(address) == f"payload-{address}".encode()
 
 
 class TestFailures:
@@ -278,7 +331,7 @@ class TestWriteIsAllOrNothing:
         cluster.write(first, b"first")
         cluster.write(second, b"second")
         cluster.add_device(tiny, rebalance=False)
-        cluster.migrate_block(first)  # fills tiny
+        cluster.migrate([first])  # fills tiny
         before = cluster.placement_of(second)
         with pytest.raises(CapacityExceededError):
             cluster.write(second, b"new")

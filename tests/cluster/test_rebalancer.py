@@ -49,8 +49,8 @@ class TestLazyAdd:
         cluster.add_device(BinSpec("bin-new", 1500), rebalance=False)
         backlog = cluster.out_of_place()
         address = backlog[0]
-        assert cluster.migrate_block(address) > 0
-        assert cluster.migrate_block(address) == 0
+        assert cluster.migrate([address])[0] > 0
+        assert cluster.migrate([address]) == (0, 0)
 
 
 class TestRebalancer:

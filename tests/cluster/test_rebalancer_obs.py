@@ -2,7 +2,7 @@
 
 The observability layer and ``metrics/adaptivity.py`` count the same
 physical quantity from opposite ends: the trace counters tally shares as
-``migrate_block`` moves them, while ``compare_strategies`` predicts the
+``migrate`` moves them, while ``compare_strategies`` predicts the
 positional diff between the two configuration snapshots.  If they ever
 disagree, one of the two books is cooked.
 """

@@ -218,7 +218,7 @@ class TestRebalancerInstrumentation:
         counters = obs.metrics().counters()
         assert counters["rebalance.moved_shares"] == progress.moved_shares
         assert counters["rebalance.migrated_blocks"] == progress.migrated_blocks
-        # Each migrate_block feeds the cluster-level counter too.
+        # Each step's migrate feeds the cluster-level counter too.
         assert counters["cluster.moved_shares"] == progress.moved_shares
 
 

@@ -101,33 +101,21 @@ class TestCreate:
 
 
 class TestOptions:
-    """The scheduler registry mirrors the placement registry's typed
-    option schemas: declared keys with defaults, everything else a
-    :class:`ConfigurationError` naming the offender."""
-
-    def test_randomized_policies_declare_namespace(self):
-        for name in ("random", "round-robin", "power-of-two"):
-            specs = {spec.name: spec for spec in lookup(name).options}
-            assert set(specs) == {"namespace"}
-            assert specs["namespace"].default == ""
-
-    def test_namespace_option_threads_through_create(self):
-        tagged = create("power-of-two", DEVICES, seed=7, namespace="bench")
-        plain = create("power-of-two", DEVICES, seed=7)
-        assert tagged.name == plain.name == "power-of-two"
-        # A distinct namespace reshuffles the per-request draws.
-        picks = lambda s: [s.choose(a, DEVICES) for a in range(64)]
-        assert picks(tagged) != picks(plain)
+    """The scheduler registry shares the placement registry's option
+    validation: no policy declares an option, so every keyword option is
+    a :class:`ConfigurationError` naming the offender."""
 
     def test_unknown_option_key_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown option"):
+        with pytest.raises(ConfigurationError, match="namespc"):
             create("random", DEVICES, namespc="typo")
 
     def test_wrong_option_type_is_rejected(self):
+        # ``namespace`` is no option: refused whatever its value's type.
         with pytest.raises(ConfigurationError, match="namespace"):
             create("round-robin", DEVICES, namespace=7)
 
     def test_options_to_none_declaring_policy_are_rejected(self):
-        assert lookup("least-loaded").options == ()
-        with pytest.raises(ConfigurationError, match="declares no options"):
-            create("least-loaded", DEVICES, namespace="x")
+        for name in scheduler_names():
+            assert lookup(name).options == ()
+            with pytest.raises(ConfigurationError, match="declares no options"):
+                create(name, DEVICES, namespace="x")

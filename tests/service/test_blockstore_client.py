@@ -29,6 +29,7 @@ from repro.service import (
     checksum,
     encode_frame,
     encode_payload,
+    protocol,
 )
 from repro.service.metastore import MAX_BATCH_ADDRESSES
 from repro.service.protocol import HEADER, read_frame
@@ -194,7 +195,9 @@ class TestWireErrors:
         assert response["ok"] is False
         assert response["error"] == "BadFrameError"
 
-    def test_answer_above_the_ceiling_is_a_typed_error_not_a_hang_up(self):
+    def test_answer_above_the_ceiling_is_a_typed_error_not_a_hang_up(
+        self, monkeypatch
+    ):
         # 8 bytes of request per address against 3 of answer, but every
         # answer also carries the rank_ids table: 40 ids of 100 bytes put
         # a 500-address answer over a ceiling its request fits under.
@@ -202,9 +205,10 @@ class TestWireErrors:
         big = list(range(500))
         request = encode_frame({"op": "where_are", "id": 1, "addresses": big})
         assert len(request) - HEADER.size < 4200
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 5000)
 
         async def scenario():
-            server = MetastoreServer(bins, max_frame_bytes=5000)
+            server = MetastoreServer(bins)
             await server.start()
             connection = await RpcConnection.open(server.host, server.port)
             try:

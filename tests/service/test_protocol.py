@@ -12,7 +12,7 @@ u64 vector:
 * Every *proper prefix* of a valid frame raises
   :class:`TruncatedFrameError` — a reader can always distinguish "need
   more bytes" from "the stream is garbage".
-* A header declaring a body above ``max_frame_bytes`` raises
+* A header declaring a body above ``MAX_FRAME_BYTES`` raises
   :class:`OversizedFrameError` from the header alone.
 * Structural garbage (zero-length body, invalid JSON, trailing bytes)
   raises :class:`BadFrameError`.
@@ -35,6 +35,7 @@ from repro.exceptions import (
 )
 from repro._compat import get_numpy
 from repro.placement.base import BatchPlacement
+from repro.service import protocol
 from repro.service.protocol import (
     COLUMNAR,
     HEADER,
@@ -157,9 +158,10 @@ class TestTruncation:
 
 
 class TestOversizeGuard:
-    def test_encode_refuses_oversized_body(self):
+    def test_encode_refuses_oversized_body(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
         with pytest.raises(OversizedFrameError):
-            encode_frame("x" * 128, max_frame_bytes=64)
+            encode_frame("x" * 128)
 
     def test_header_guard_fires_without_body(self):
         # Only the 4 header bytes exist; the guard must fire before any
@@ -172,11 +174,14 @@ class TestOversizeGuard:
     @settings(max_examples=50, deadline=None)
     def test_header_guard_threshold(self, length):
         header = HEADER.pack(length)
-        if length > 1024:
-            with pytest.raises(OversizedFrameError):
-                decode_header(header, max_frame_bytes=1024)
-        else:
-            assert decode_header(header, max_frame_bytes=1024) == length
+        # Hypothesis refuses function-scoped fixtures; patch per example.
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)
+            if length > 1024:
+                with pytest.raises(OversizedFrameError):
+                    decode_header(header)
+            else:
+                assert decode_header(header) == length
 
 
 class TestStructuralGarbage:
@@ -248,12 +253,11 @@ class TestStreamHelpers:
         with pytest.raises(TruncatedFrameError):
             asyncio.run(scenario())
 
-    def test_oversized_header_rejected_before_body(self):
+    def test_oversized_header_rejected_before_body(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)
+
         async def scenario():
-            await read_frame(
-                self._reader(HEADER.pack(2 ** 31), eof=False),
-                max_frame_bytes=1024,
-            )
+            await read_frame(self._reader(HEADER.pack(2 ** 31), eof=False))
 
         with pytest.raises(OversizedFrameError):
             asyncio.run(scenario())
@@ -457,12 +461,13 @@ class TestColumnarRoundTrip:
             with pytest.raises(BadFrameError):
                 encode_frame({"addresses": other})
 
-    def test_encode_refuses_oversized_body(self):
+    def test_encode_refuses_oversized_body(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 128)
         batch = BatchPlacement(["a", "b"], [[0, 1] * 64])
         with pytest.raises(OversizedFrameError):
-            encode_frame(envelope(batch), max_frame_bytes=128)
+            encode_frame(envelope(batch))
         with pytest.raises(OversizedFrameError):
-            encode_frame({"addresses": [1] * 16}, max_frame_bytes=128)
+            encode_frame({"addresses": [1] * 16})
 
     def test_read_frame_decodes_both_kinds_back_to_back(self):
         batch = BatchPlacement(["a", "b"], [[0, 1], [1, 0]])
