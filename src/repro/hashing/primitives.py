@@ -177,22 +177,34 @@ if np is not None:
     )
 
 
-def as_u64_array(values: Sequence[int]):
-    """Coerce an address sequence to a ``uint64`` NumPy array (mod 2^64).
+def int64_column(values):
+    """A list, tuple or range as an ``int64`` column in one ``np.fromiter``
+    pass (``int(v)`` each), where ``np.asarray`` spends most of its time
+    discovering the dtype.  Any other input, or one holding a value that
+    is not an int64, comes back as it is for the caller's exact path."""
+    if isinstance(values, (list, tuple, range)):
+        try:
+            return np.fromiter(values, np.int64, count=len(values))
+        except (OverflowError, TypeError, ValueError):
+            pass
+    return values
 
-    Accepts any integer sequence or array; negative values wrap exactly
-    like the scalar functions' ``& _MASK64``.
+
+def as_u64_array(values: Sequence[int]):
+    """Coerce an address sequence to a ``uint64`` NumPy array (mod 2^64),
+    wrapping negatives exactly like the scalar functions' ``& _MASK64``:
+    a list, tuple or range of int64s in one :func:`int64_column` pass; a
+    ``uint64`` array or ``array('Q')`` zero-copy; another integer array
+    as ``int64`` (a view if it is one); anything else (ints past int64,
+    floats, strings) ``int(v) & _MASK64`` per value, raising as ``int``.
     """
-    arr = np.asarray(values)
+    arr = np.asarray(int64_column(values))
     if arr.dtype == np.uint64:
         return arr
     if np.issubdtype(arr.dtype, np.integer):
         return arr.astype(np.int64, copy=False).view(np.uint64)
-    # Object/oversized ints: mask in Python, then convert exactly.
     return np.fromiter(
-        (int(value) & _MASK64 for value in values),
-        dtype=np.uint64,
-        count=len(values),
+        (int(value) & _MASK64 for value in values), np.uint64, len(values)
     )
 
 

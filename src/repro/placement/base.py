@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from .. import obs
 from .._compat import get_numpy
 from ..exceptions import ConfigurationError
-from ..hashing.primitives import as_u64_array
+from ..hashing.primitives import as_u64_array, int64_column
 from ..types import BinSpec, Placement, validate_bins
 
 
@@ -291,9 +291,7 @@ class ReplicationStrategy(abc.ABC):
                 for position, bin_id in enumerate(place(address)):
                     columns[position].append(index[bin_id])
             if np is not None:
-                columns = [
-                    np.asarray(column, dtype=np.int64) for column in columns
-                ]
+                columns = [int64_column(column) for column in columns]
         else:
             columns = np.empty((self._copies, count), dtype=np.int64)
             if count:

@@ -16,11 +16,11 @@ both reproduced here, are
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, List, Sequence
 
 from .._compat import get_numpy
 from ..exceptions import ConfigurationError
+from ..hashing.primitives import int64_column
 from ..types import BinSpec, Placement
 from .base import ReplicationStrategy
 
@@ -189,27 +189,19 @@ class WeightedStripingStrategy(ReplicationStrategy):
         Must match Python's big-int arithmetic for *any* int the scalar
         loop accepts: signed vectors use NumPy's floored ``%`` (same as
         Python's) after reducing the address first so the small multiply
-        cannot overflow; unsigned vectors reduce in uint64; Python
-        sequences that overflow int64 fall back to exact per-element
-        big-int reduction.
+        cannot overflow; unsigned vectors reduce in uint64; anything else
+        falls back to exact per-element big-int reduction of ``int(a)``.
         """
         length = len(self._pattern)
         copies = self._copies
-        if isinstance(addresses, array):  # typed already: keep its sign
-            addresses = np.asarray(addresses)
-        if isinstance(addresses, np.ndarray) and addresses.dtype.kind in "iu":
-            reduced = (addresses % addresses.dtype.type(length)).astype(
-                np.int64
-            )
-            return (reduced * copies) % length
-        try:
-            addr = np.asarray(addresses, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return np.asarray(
-                [(address * copies) % length for address in addresses],
-                dtype=np.int64,
-            )
-        return ((addr % length) * copies) % length
+        keys = np.asarray(int64_column(addresses))  # typed: keeps its sign
+        if keys.dtype.kind in "iu":
+            reduced = keys % keys.dtype.type(length)
+            return (reduced.astype(np.int64, copy=False) * copies) % length
+        return np.asarray(
+            [(int(address) * copies) % length for address in addresses],
+            dtype=np.int64,
+        )
 
     def _fill_ranks(self, np, keys, columns):
         """Vectorized striping: gather the start-slot table.

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from .._compat import get_numpy
 from ..exceptions import DeviceUnavailableError
-from ..hashing.primitives import derive_base
+from ..hashing.primitives import derive_base, int64_column
 from ..placement.base import BatchPlacement
 from .cache import LruCacheModel
 
@@ -302,9 +302,8 @@ class ReadScheduler(abc.ABC):
         vectors.
         """
         if isinstance(placements, BatchPlacement):
-            lookup = np.asarray(
-                [self.rank_of(device_id) for device_id in placements.rank_ids],
-                dtype=np.int64,
+            lookup = int64_column(
+                [self.rank_of(device_id) for device_id in placements.rank_ids]
             )
             columns = [
                 lookup[np.asarray(column, dtype=np.int64)]
@@ -316,9 +315,7 @@ class ReadScheduler(abc.ABC):
             return [], 0
         copies = len(rows[0])
         columns = [
-            np.asarray(
-                [self.rank_of(row[position]) for row in rows], dtype=np.int64
-            )
+            int64_column([self.rank_of(row[position]) for row in rows])
             for position in range(copies)
         ]
         return columns, copies

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from .._compat import get_numpy
 from ..exceptions import DeviceUnavailableError
+from ..hashing.primitives import int64_column
 from ..placement.base import BatchPlacement, ReplicationStrategy
 from .base import ReadScheduler
 from .water_filling import WaterFillingScheduler, fractional_peak_bound
@@ -71,16 +72,14 @@ def _expanded_placements(
     """
     np = get_numpy()
     if np is not None:
-        stream = np.asarray(list(addresses) if not hasattr(addresses, "__len__")
-                            else addresses, dtype=np.int64)
+        if not hasattr(addresses, "__len__"):
+            addresses = list(addresses)
+        stream = np.asarray(int64_column(addresses), dtype=np.int64)
         if len(stream) == 0:
             return stream, []
         unique, inverse = np.unique(stream, return_inverse=True)
-        batch = strategy.place_many([int(address) for address in unique])
-        columns = [
-            np.asarray(column, dtype=np.int64)[inverse]
-            for column in batch.columns
-        ]
+        batch = strategy.place_many(unique)
+        columns = [column[inverse] for column in batch.columns]
         return stream, BatchPlacement(batch.rank_ids, columns)
     stream = [int(address) for address in addresses]
     if not stream:

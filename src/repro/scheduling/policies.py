@@ -32,7 +32,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..exceptions import DeviceUnavailableError
-from ..hashing.primitives import derive_base, u64_from_base, u64s_from_base
+from ..hashing.primitives import (
+    derive_base, int64_column, u64_from_base, u64s_from_base,
+)
 from ..placement import kernels
 from .base import ReadScheduler
 from .cache import LruCacheModel
@@ -144,7 +146,7 @@ class RoundRobinScheduler(ReadScheduler):
         columns, copies = self._rank_columns(np, placements)
         if not copies:
             return []
-        arr = np.asarray(addresses, dtype=np.int64)
+        arr = np.asarray(int64_column(addresses), dtype=np.int64)
         occurrence = kernels.cumcount(arr)
         unique, inverse, per_unique = np.unique(
             arr, return_inverse=True, return_counts=True

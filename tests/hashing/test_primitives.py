@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from repro._compat import HAVE_NUMPY
 from repro.hashing import primitives
 
+try:  # the oracle and the NumPy scalars need NumPy, whichever leg runs
+    import numpy
+except ImportError:  # pragma: no cover
+    numpy = None
+
 
 class TestSplitmix64:
     def test_is_deterministic(self):
@@ -135,6 +140,96 @@ class TestBatchPrimitives:
         assert list(primitives.splitmix64_array([])) == []
         assert list(primitives.u64s_from_base(5, [])) == []
         assert list(primitives.units_from_base(5, [])) == []
+
+
+def legacy_as_u64_array(values):
+    """``as_u64_array`` before the one-pass ingestion: the oracle."""
+    arr = numpy.asarray(values)
+    if arr.dtype == numpy.uint64:
+        return arr
+    if numpy.issubdtype(arr.dtype, numpy.integer):
+        return arr.astype(numpy.int64, copy=False).view(numpy.uint64)
+    return numpy.fromiter(
+        (int(value) & (2**64 - 1) for value in values),
+        dtype=numpy.uint64,
+        count=len(values),
+    )
+
+
+def _numpy_integer_scalars():
+    if numpy is None:  # pragma: no cover
+        return st.nothing()
+    kinds = st.sampled_from(
+        [numpy.int8, numpy.int16, numpy.int32, numpy.int64,
+         numpy.uint8, numpy.uint16, numpy.uint32, numpy.uint64]
+    )
+    return kinds.flatmap(
+        lambda kind: st.integers(
+            int(numpy.iinfo(kind).min), int(numpy.iinfo(kind).max)
+        ).map(kind)
+    )
+
+
+#: The int64 edges and the 2**64 wrap, where a fast path could go wrong.
+_EDGES = st.sampled_from([-(2**64), -(2**63), 0, 2**63, 2**64]).flatmap(
+    lambda edge: st.integers(edge - 3, edge + 3)
+)
+_INTS = st.integers(-(2**70), 2**70) | _EDGES
+
+
+def _values():
+    return st.one_of(
+        _INTS,
+        st.booleans(),
+        _numpy_integer_scalars(),
+        st.floats(),  # nan and ±inf included
+        _INTS.map(str),
+        st.none(),
+    )
+
+
+def _ranges():
+    """A range of up to 13 elements from any start, with any non-zero step
+    (negative ones and steps past int64 included), so one end may lie
+    outside int64."""
+    powers = st.sampled_from([2**32, 2**53, 2**60, 2**62, 2**63, 2**64])
+    steps = st.one_of(
+        st.integers(-5, 5),
+        st.integers(-(2**70), 2**70),
+        st.tuples(powers, st.sampled_from([-1, 1])).map(lambda p: p[0] * p[1]),
+    ).filter(bool)
+    return st.builds(
+        lambda start, step, count, slack: range(
+            start, start + step * count + slack * (1 if step > 0 else -1),
+            step,
+        ),
+        _INTS, steps, st.integers(0, 12), st.integers(0, 1),
+    )
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the array pipeline is NumPy-only")
+@given(
+    values=st.one_of(
+        st.lists(_INTS, max_size=12),
+        st.lists(_values(), max_size=12),
+        st.lists(_values(), max_size=12).map(tuple),
+        _ranges(),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_as_u64_array_equals_the_legacy_conversion(values):
+    """Every ingestion branch returns what the pre-change expression
+    returns, or raises the same exception type."""
+    try:
+        expected = legacy_as_u64_array(values)
+    except Exception as error:  # the exception type is the oracle
+        with pytest.raises(type(error)):
+            primitives.as_u64_array(values)
+        return
+    result = primitives.as_u64_array(values)
+    assert result.dtype == expected.dtype
+    assert result.shape == expected.shape
+    assert result.tolist() == expected.tolist()
 
 
 def _tie_words():

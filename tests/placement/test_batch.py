@@ -7,6 +7,7 @@ across random capacity vectors, replication degrees and namespaces.
 
 import collections
 import math
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -87,10 +88,18 @@ def scalar_rows(strategy, addresses):
 
 
 def input_forms(addresses):
-    """The same batch as a list, a ``range`` and — where the values fit —
-    ``int64`` / ``uint64`` arrays."""
+    """The same batch through every ingestion branch: a list, a tuple, a
+    ``range``, an ``array('Q')`` of the non-negative values, a list that
+    no int64 column holds (the exact fallback) and — where the values
+    fit — ``int64`` / ``uint64`` arrays."""
     start = addresses[0] % 2**32
-    forms = [addresses, range(start, start + 9)]
+    forms = [
+        addresses,
+        tuple(addresses),
+        range(start, start + 9),
+        array("Q", [a for a in addresses if a >= 0] or [2**64 - 1]),
+        [-1, 2**63, 5],
+    ]
     if numpy is not None:
         forms.append(
             numpy.asarray(
