@@ -173,15 +173,13 @@ def cmd_fairness(args: argparse.Namespace) -> int:
     _, bins, strategy = _configuration(args)
     counts = count_copies(strategy.place_many(range(args.balls)))
     total = sum(counts.values())
-    expected = strategy.expected_shares() or {}
+    expected = strategy.expected_shares()
     print(f"{'bin':<10}{'copies':>10}{'observed':>12}{'expected':>12}")
     for spec in bins:
         observed = counts.get(spec.bin_id, 0) / total
-        target = expected.get(spec.bin_id)
-        target_text = f"{target:>11.2%}" if target is not None else f"{'n/a':>11}"
         print(
             f"{spec.bin_id:<10}{counts.get(spec.bin_id, 0):>10}"
-            f"{observed:>11.2%} {target_text}"
+            f"{observed:>11.2%} {expected[spec.bin_id]:>11.2%}"
         )
     return 0
 

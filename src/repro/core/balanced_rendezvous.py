@@ -40,7 +40,7 @@ from ..capacity.clipping import clip_capacities
 from ..hashing.primitives import derive_base, unit_from_base_open
 from ..placement import kernels
 from ..placement.base import ReplicationStrategy
-from ..placement.trivial import race_inclusion
+from ..placement.trivial import race_inclusion, race_shares
 from ..types import BinSpec, Placement, sort_bins_by_capacity
 
 #: Fair demands within this distance of 1 are treated as saturated.
@@ -212,9 +212,7 @@ class BalancedRendezvous(ReplicationStrategy):
         ``1 / k`` for a pinned bin, ``pi_i / k`` for a racing one."""
         shares = {bin_id: 1.0 / self._copies for bin_id in self._pinned}
         if self._race_copies > 0:
-            inclusion, _ = race_inclusion(
-                list(self._weights.values()), self._race_copies
-            )
-            for bin_id, pi in zip(self._weights, inclusion):
-                shares[bin_id] = pi / self._copies
+            race, weights = self._race_copies, list(self._weights.values())
+            for bin_id, s in race_shares(self._weights, weights, race).items():
+                shares[bin_id] = s * race / self._copies
         return shares

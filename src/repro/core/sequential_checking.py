@@ -49,6 +49,7 @@ from ..metrics.stats import fair_copy_shares
 from ..placement import kernels
 from ..placement.base import ReplicationStrategy
 from ..placement.rendezvous import rendezvous_score
+from ..placement.trivial import race_shares
 from ..types import Placement
 
 _MASK64 = (1 << 64) - 1
@@ -110,7 +111,6 @@ class SequentialChecking(ReplicationStrategy):
         self._overflow = overflow
         self._generation_sizes = self._resolve_generations(generations)
         self._epochs: List[Epoch] = []
-        self._assigned: Dict[str, float] = {}
         self._build_epochs()
         if not self._epochs:
             raise ConfigurationError(
@@ -146,7 +146,7 @@ class SequentialChecking(ReplicationStrategy):
         expected copies already routed by *earlier* epochs, so appending
         a generation recomputes nothing — it only appends.
         """
-        assigned = self._assigned
+        assigned: Dict[str, float] = {}
         previous_balls = 0
         prefix = 0
         for size in self._generation_sizes:
@@ -218,18 +218,18 @@ class SequentialChecking(ReplicationStrategy):
         """The frozen epoch table (for introspection and tests)."""
         return list(self._epochs)
 
-    def target_shares(self) -> Dict[str, float]:
-        """Per-device share of all copies the epoch targets route.
-
-        This is the *design* distribution (the expected copies the
-        residual weighting aims at), not the exact realised one — the
-        masked draws track it only approximately within each epoch.
-        """
-        total = sum(self._assigned.values())
-        return {
-            spec.bin_id: self._assigned.get(spec.bin_id, 0.0) / total
-            for spec in self._bins
-        }
+    def expected_shares(self) -> Dict[str, float]:
+        """Exact shares for addresses uniform on ``[0, capacity_limit)``:
+        the epochs' :func:`~repro.placement.trivial.race_shares` (k masked
+        draws over the prefix), mixed by the fraction of addresses each
+        epoch owns."""
+        shares = dict.fromkeys(self._rank_ids, 0.0)
+        for epoch in self._epochs:
+            owned = (epoch.stop - epoch.start) / self._capacity_limit
+            ids, k = self._rank_ids[: epoch.prefix], self._copies
+            for bin_id, share in race_shares(ids, epoch.weights, k).items():
+                shares[bin_id] += owned * share
+        return shares
 
     def _epoch_for(self, address: int) -> Epoch:
         value = address & _MASK64

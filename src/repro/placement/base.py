@@ -340,13 +340,11 @@ class ReplicationStrategy(abc.ABC):
             raise IndexError(f"copy position {position} out of range")
         return placement[position]
 
-    def expected_shares(self) -> Optional[Dict[str, float]]:
-        """Analytic share of all copies each bin receives, if known.
-
-        Returns None when the strategy has no closed form (the empirical
-        share is then measured by the metrics layer).
-        """
-        return None
+    @abc.abstractmethod
+    def expected_shares(self) -> Dict[str, float]:
+        """Each bin's exact expected share of the copies this strategy
+        places (the shares sum to 1): the oracle its fairness is tested
+        against, which is the fair share only where the strategy is."""
 
     def describe(self) -> str:
         """One-line human-readable description."""

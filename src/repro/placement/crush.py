@@ -19,9 +19,9 @@ one bucket the baseline needs:
 :class:`CrushStrategy` is one flat straw2 bucket over the devices;
 :class:`ChooseleafCrush` is two straw2 levels (racks, then devices).
 
-Unlike Redundant Share, CRUSH resolves replica collisions by *retrying*,
-which perturbs fairness on small or strongly heterogeneous pools — the
-effect the baseline bench quantifies.
+Unlike Redundant Share, CRUSH resolves replica collisions by *retrying*
+a fresh straw2 draw: rejection sampling from the trivial baseline's race,
+so it misses the fair shares exactly as Lemma 2.4 says.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from ..hashing.primitives import derive_base, unit_from_base_open
 from ..types import BinSpec, Placement
 from . import kernels
 from .base import ReplicationStrategy
+from .trivial import race_shares
 
 #: Maximum collision retries per replica before giving up.
 MAX_ATTEMPTS = 64
@@ -124,6 +125,14 @@ class CrushStrategy(ReplicationStrategy):
             chosen.append(device)
             taken.add(device)
         return tuple(chosen)
+
+    def expected_shares(self) -> Dict[str, float]:
+        """The race of the capacities: a replica retries fresh draws until
+        one misses the taken devices, so it is weight-proportional among
+        the rest.  :data:`MAX_ATTEMPTS` cuts that short only for an address
+        that then raises (``(taken weight share) ** 64`` per replica); the
+        addresses that place follow these shares up to that probability."""
+        return race_shares(self._root.items, self._root.weights, self._copies)
 
     # ------------------------------------------------------------------
     # Batch placement
@@ -294,3 +303,12 @@ class ChooseleafCrush(ReplicationStrategy):
             chosen_devices.append(device)
         return tuple(chosen_devices)
 
+    def expected_shares(self) -> Dict[str, float]:
+        """The rack's race share (``firstn`` over racks, as in
+        :class:`CrushStrategy`) times the device's share of its rack."""
+        racks = race_shares(self._root.items, self._root.weights, self._copies)
+        return {
+            item: racks[rack] * weight / bucket.weight
+            for rack, bucket in self._rack_buckets.items()
+            for item, weight in zip(bucket.items, bucket.weights)
+        }

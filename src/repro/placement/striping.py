@@ -16,7 +16,9 @@ both reproduced here, are
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import math
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._compat import get_numpy
 from ..exceptions import ConfigurationError
@@ -118,6 +120,7 @@ class WeightedStripingStrategy(ReplicationStrategy):
                 pattern.append(ids[winner])
         self._pattern = pattern
         self._resolution = resolution
+        self._rows: Optional[List[Tuple[int, ...]]] = None
         self._table = None
 
     @property
@@ -125,62 +128,36 @@ class WeightedStripingStrategy(ReplicationStrategy):
         """Number of slots in the precomputed pattern."""
         return len(self._pattern)
 
-    def place(self, address: int) -> Placement:
-        length = len(self._pattern)
-        start = (address * self._copies) % length
-        chosen: List[str] = []
-        seen = set()
-        offset = 0
-        while len(chosen) < self._copies:
-            if offset >= 2 * length:  # pattern lacks k distinct disks
-                raise ConfigurationError(
-                    "pattern resolution too small for distinct copies"
-                )
-            candidate = self._pattern[(start + offset) % length]
-            offset += 1
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            chosen.append(candidate)
-        return tuple(chosen)
-
-    # ------------------------------------------------------------------
-    # Batch placement
-    # ------------------------------------------------------------------
-
-    def _ensure_start_table(self, np):
-        """The (copies × pattern_length) start → rank-tuple table.
-
-        The placement of an address depends on nothing but its start slot
-        ``(a · k) mod L``, so the scalar walk is run once per possible
-        start and every batch address becomes a table gather.  Built on
-        the first batch call and kept on the instance.  A pattern that
-        lacks ``k`` distinct disks raises :class:`ConfigurationError` here
-        — the scalar loop raises the same error on every address, since
-        any two-lap walk scans the whole pattern.
-        """
-        if self._table is None:
+    def _start_rows(self) -> List[Tuple[int, ...]]:
+        """Per start slot ``(a · k) mod L``, the ranks of the next k
+        distinct disks of the pattern: all a placement depends on.  Walked
+        once, on first use; :meth:`place` looks its row up and the batch
+        engine gathers from the same rows.  A pattern that lacks k
+        distinct disks raises :class:`ConfigurationError` at every start
+        (one lap from any start scans the whole pattern)."""
+        if self._rows is None:
             length = len(self._pattern)
             ranks = [self._rank_index[bin_id] for bin_id in self._pattern]
-            built = np.empty((self._copies, length), dtype=np.int64)
+            rows = []
             for start in range(length):
-                seen: set = set()
-                offset = 0
-                copy = 0
-                while copy < self._copies:
-                    if offset >= 2 * length:
-                        raise ConfigurationError(
-                            "pattern resolution too small for distinct copies"
-                        )
+                row: List[int] = []
+                for offset in range(length):
                     candidate = ranks[(start + offset) % length]
-                    offset += 1
-                    if candidate in seen:
-                        continue
-                    seen.add(candidate)
-                    built[copy, start] = candidate
-                    copy += 1
-            self._table = built
-        return self._table
+                    if candidate not in row:
+                        row.append(candidate)
+                        if len(row) == self._copies:
+                            break
+                else:
+                    raise ConfigurationError(
+                        "pattern resolution too small for distinct copies"
+                    )
+                rows.append(tuple(row))
+            self._rows = rows
+        return self._rows
+
+    def place(self, address: int) -> Placement:
+        row = self._start_rows()[(address * self._copies) % len(self._pattern)]
+        return tuple([self._rank_ids[rank] for rank in row])
 
     def _engine_keys(self, np, addresses):
         """Exact start slot ``(a · k) mod L`` per address, as an int64
@@ -209,18 +186,22 @@ class WeightedStripingStrategy(ReplicationStrategy):
         Exact integer arithmetic end to end, so the result is identical
         to the scalar :meth:`place` loop and no row is ever refused.
         """
+        if self._table is None:
+            self._table = np.asarray(self._start_rows(), dtype=np.int64).T
         # The keys are residues mod the pattern length, so "clip" never
         # clips; it only lets take() write into ``columns`` unbuffered.
-        np.take(
-            self._ensure_start_table(np), keys, axis=1, out=columns,
-            mode="clip",
-        )
+        np.take(self._table, keys, axis=1, out=columns, mode="clip")
         return ()
 
     def expected_shares(self) -> Dict[str, float]:
-        """Share of pattern slots per disk (the design target)."""
-        counts: Dict[str, int] = {spec.bin_id: 0 for spec in self._bins}
-        for bin_id in self._pattern:
-            counts[bin_id] += 1
-        length = len(self._pattern)
-        return {bin_id: count / length for bin_id, count in counts.items()}
+        """Exact share of the copies placed: the start slots ``(a · k)
+        mod L`` are the multiples of ``gcd(k, L)``, each reached equally
+        often over any ``L`` consecutive addresses, so the share is the
+        mean of their rows (not the pattern's slot share: the walk skips
+        a disk that repeats)."""
+        rows = self._start_rows()[:: math.gcd(self._copies, len(self._pattern))]
+        counts = Counter(rank for row in rows for rank in row)
+        return {
+            bin_id: counts[rank] / (self._copies * len(rows))
+            for rank, bin_id in enumerate(self._rank_ids)
+        }

@@ -18,9 +18,9 @@ baseline in the capacity-efficiency benches.  Its ``k`` draws have the
 distribution of the first ``k`` of independent exponential clocks
 ``T_i ~ Exp(c_i)`` (each draw is the next clock to fire, and the clocks
 are memoryless), so one integral, :func:`race_inclusion`, gives each
-bin's exact inclusion probability: :meth:`TrivialReplication.expected_shares`,
-:func:`trivial_miss_probability` (the quantity Figure 1 illustrates),
-RPDP's shares and ``balanced-rendezvous``'s fit all read it.
+bin's exact inclusion probability: :func:`race_shares` (every racing
+entry's share oracle), :func:`trivial_miss_probability` (the quantity
+Figure 1 illustrates) and ``balanced-rendezvous``'s fit all read it.
 """
 
 from __future__ import annotations
@@ -104,6 +104,18 @@ def race_inclusion(
     return inclusion, slopes
 
 
+def race_shares(
+    ids: Sequence[str], weights: Sequence[float], copies: int
+) -> Dict[str, float]:
+    """Each id's share ``pi_i / copies`` of the copies the first ``copies``
+    clocks of a race on ``weights`` place (:func:`race_inclusion`): the
+    one oracle of ``trivial``, ``rpdp``, ``crush``, each epoch of
+    ``sequential-checking``, the race part of ``balanced-rendezvous`` and
+    the rack level of ``ChooseleafCrush``."""
+    inclusion, _ = race_inclusion(weights, copies)
+    return {bin_id: pi / copies for bin_id, pi in zip(ids, inclusion)}
+
+
 def _times_clock(poly, running, fired):
     """``poly · (q + p z)`` truncated to ``poly``'s degree, per node; the
     same step maps coefficients and cumulative coefficients."""
@@ -182,14 +194,9 @@ class TrivialReplication(ReplicationStrategy):
         return refused
 
     def expected_shares(self) -> Dict[str, float]:
-        """Exact per-bin share of all copies under sequential fair draws:
-        ``pi_i / k`` with ``pi`` the :func:`race_inclusion` of the draw
-        weights."""
+        """The :func:`race_shares` of the draw weights (exact)."""
         ids, weights, _ = zip(*self._draw_entries[0])
-        inclusion, _ = race_inclusion(weights, self._copies)
-        return {
-            bin_id: pi / self._copies for bin_id, pi in zip(ids, inclusion)
-        }
+        return race_shares(ids, weights, self._copies)
 
 
 def trivial_miss_probability(

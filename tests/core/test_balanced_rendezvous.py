@@ -1,9 +1,5 @@
 """Tests for the open-problem exploration: balanced top-k rendezvous."""
 
-import itertools
-import math
-import random
-
 import pytest
 
 import repro._compat as compat
@@ -12,7 +8,7 @@ from repro.core import BalancedRendezvous, balanced_rendezvous
 from repro.core.balanced_rendezvous import race_inclusion
 from repro.types import BinSpec, bins_from_capacities
 
-from .test_position_marginals import g_test_p_value
+from ..oracles import assert_close, reference_inclusion
 
 
 class TestConstruction:
@@ -41,29 +37,6 @@ class TestBehaviour:
         assert strategy.place(3) == strategy.place(3)
         for address in range(1500):
             assert len(set(strategy.place(address))) == 3
-
-    def test_calibrated_fairness(self):
-        """Per bin, the number of addresses that include it is
-        Binomial(addresses, pi) with pi from :meth:`expected_shares`: a
-        G-test of the two cells (in, out) per bin at ``FAIRNESS_ALPHA``,
-        Bonferroni over the bins, on a fixed seeded sample.  A pinned bin
-        (pi = 1) must be in every placement."""
-        rng = random.Random(31)
-        addresses = [rng.randrange(2**64) for _ in range(FAIRNESS_ADDRESSES)]
-        for capacities, copies in FAIRNESS_FLEETS:
-            strategy = BalancedRendezvous(
-                bins_from_capacities(capacities), copies=copies
-            )
-            counts = strategy.place_many(addresses).counts()
-            shares = strategy.expected_shares()
-            for bin_id, share in shares.items():
-                hits, pi = counts.get(bin_id, 0), copies * share
-                p_value = g_test_p_value(
-                    [hits, len(addresses) - hits], [pi, 1.0 - pi]
-                )
-                assert p_value > FAIRNESS_ALPHA / len(shares), (
-                    capacities, bin_id, p_value
-                )
 
     def test_uncalibrated_is_unfair(self):
         """Lemma 2.4, exactly: racing the fair targets themselves as
@@ -112,19 +85,6 @@ class TestBehaviour:
         assert moved_set / used < 2.0
 
 
-#: The fairness G-test: family-wise significance level and sample size.
-#: At this size the weights of the sampled calibration this fit replaced
-#: (up to 1.9 % short of fair) fail on both fleets (p < 1e-5).
-FAIRNESS_ALPHA = 1e-3
-FAIRNESS_ADDRESSES = 100_000
-#: ``(capacities, copies)``: a fleet with a pinned bin, and the TAB-FUT
-#: fleet of ``benchmarks/bench_table_future_work.py``.
-FAIRNESS_FLEETS = [
-    ([1000, 400, 300, 200, 100], 2),
-    ([800, 700, 600, 500, 400, 300], 2),
-]
-
-
 #: ``(capacities, copies)``: the 16-device fleet of ``benchmarks/e2e``, a
 #: fleet with a pinned bin, and one whose bins are given out of capacity
 #: order.
@@ -143,31 +103,6 @@ EXACT_FLEETS = [
     ([100] * 8 + [37, 900], 4),
     ([1, 10, 100] + [1000] * 5, 3),
 ]
-
-
-def reference_inclusion(weights, copies):
-    """Top-``copies`` inclusion probabilities by enumerating every ordered
-    top-``copies`` prefix: the clocks fire in the order ``o`` with
-    probability ``prod_j w[o_j] / (W - w[o_1] - ... - w[o_(j-1)])``, each
-    denominator summed afresh so no subtraction cancels.  O(n^copies); no
-    integral, no fit."""
-    inclusion = [0.0] * len(weights)
-    for order in itertools.permutations(range(len(weights)), copies):
-        probability = 1.0
-        for step, bin_ in enumerate(order):
-            left = math.fsum(
-                weight for j, weight in enumerate(weights)
-                if j not in order[:step]
-            )
-            probability *= weights[bin_] / left
-        for bin_ in order:
-            inclusion[bin_] += probability
-    return inclusion
-
-
-def assert_close(actual, expected, rel):
-    for got, want in zip(actual, expected):
-        assert abs(got / want - 1.0) <= rel, (got, want)
 
 
 class TestExactCalibration:

@@ -8,15 +8,15 @@ NumPy leg only: without NumPy ``place_many`` is the scalar loop, which
 the leg-equivalence tests already pin to this engine.
 """
 
-import math
 import random
 
 import pytest
 
 from repro._compat import HAVE_NUMPY
 from repro.core import LinMirror, RedundantShare
-from repro.metrics.stats import chi_square_sf
 from repro.types import bins_from_capacities
+
+from ..oracles import g_test_p_value
 
 BENCH_FLEET = list(range(500, 2001, 100))  # benchmarks/e2e: 16 devices
 WIDE_FLEET = [1000 + index % 7 for index in range(200)]
@@ -43,24 +43,6 @@ CASES.update(
         )
     }
 )
-
-
-def g_test_p_value(counts, probabilities):
-    """p-value of the G-test of ``counts`` against ``probabilities``.
-
-    A rank the table gives no mass must receive no copy at all, so a
-    forced position (one rank with mass) passes only exactly."""
-    total = sum(counts)
-    statistic, cells = 0.0, 0
-    for observed, probability in zip(counts, probabilities):
-        expected = total * probability
-        if expected <= 0.0:
-            assert observed == 0
-            continue
-        cells += 1
-        if observed:
-            statistic += 2.0 * observed * math.log(observed / expected)
-    return chi_square_sf(statistic, cells - 1) if cells > 1 else 1.0
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="checks the NumPy engine")

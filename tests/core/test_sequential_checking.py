@@ -64,11 +64,6 @@ class TestEpochTable:
         with pytest.raises(ConfigurationError, match="distinct copies"):
             SequentialChecking(bins_from_capacities([5, 5]), copies=3)
 
-    def test_target_shares_sum_to_one(self):
-        shares = SequentialChecking(BINS, copies=2).target_shares()
-        assert abs(sum(shares.values()) - 1.0) < 1e-12
-        assert set(shares) == {spec.bin_id for spec in BINS}
-
 
 class TestPlacementContract:
     def test_k_distinct_devices_within_the_owning_prefix(self):

@@ -19,6 +19,9 @@ class RoundRobin(ReplicationStrategy):
             for offset in range(self._copies)
         )
 
+    def expected_shares(self):
+        return {spec.bin_id: 1 / len(self._bins) for spec in self._bins}
+
 
 class TestReplicationStrategyBase:
     def test_copies_bounds(self):
@@ -46,9 +49,13 @@ class TestReplicationStrategyBase:
         strategy.bins.clear()
         assert len(strategy.bins) == 2
 
-    def test_default_expected_shares_is_none(self):
-        strategy = RoundRobin(bins_from_capacities([1, 1]), copies=2)
-        assert strategy.expected_shares() is None
+    def test_expected_shares_is_abstract(self):
+        class NoOracle(ReplicationStrategy):
+            def place(self, address):
+                return ()
+
+        with pytest.raises(TypeError, match="expected_shares"):
+            NoOracle(bins_from_capacities([1, 1]), copies=2)
 
     def test_describe(self):
         strategy = RoundRobin(bins_from_capacities([1, 1]), copies=2)

@@ -144,6 +144,8 @@ class TestBatchEquivalence:
             strategy.place(0)
         with pytest.raises(ConfigurationError):
             strategy.place_many([0])
+        with pytest.raises(ConfigurationError):
+            strategy.expected_shares()
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="vector engine needs NumPy")

@@ -1,13 +1,11 @@
 """Tests for the trivial replication baseline and Lemma 2.4 / Figure 1."""
 
 import collections
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._compat import HAVE_NUMPY
 from repro.placement import (
     ResidualPerformancePlacement,
     TrivialReplication,
@@ -17,8 +15,7 @@ from repro.placement import (
 from repro.placement.trivial import race_inclusion
 from repro.types import bins_from_capacities
 
-from ..core.test_balanced_rendezvous import assert_close, reference_inclusion
-from ..core.test_position_marginals import g_test_p_value
+from ..oracles import assert_close, reference_inclusion
 
 
 class TestMissProbability:
@@ -143,32 +140,3 @@ class TestRaceInclusion:
             reference_inclusion(weights, copies),
             rel=1e-9,
         )
-
-
-#: The fleet-scale fairness G-test: family-wise significance level and
-#: sample size.
-FAIRNESS_ALPHA = 1e-3
-FAIRNESS_ADDRESSES = 50_000
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="samples through the NumPy engine")
-@pytest.mark.parametrize("cls", [TrivialReplication, ResidualPerformancePlacement])
-def test_fleet_scale_fairness(cls):
-    """Per bin, the number of addresses that include it is
-    Binomial(addresses, pi) with pi from :meth:`expected_shares`: a G-test
-    of the two cells (in, out) per bin, Bonferroni over a 40-device fleet
-    with a 41:1 capacity spread.  On this sample the proportional target
-    ``k c_i / C`` fails it (p < 1e-11)."""
-    copies = 3
-    strategy = cls(
-        bins_from_capacities([round(50 * 1.1**i) for i in range(40)]),
-        copies=copies,
-    )
-    rng = random.Random(32)
-    addresses = [rng.randrange(2**64) for _ in range(FAIRNESS_ADDRESSES)]
-    counts = strategy.place_many(addresses).counts()
-    shares = strategy.expected_shares()
-    for bin_id, share in shares.items():
-        hits, pi = counts.get(bin_id, 0), copies * share
-        p_value = g_test_p_value([hits, len(addresses) - hits], [pi, 1.0 - pi])
-        assert p_value > FAIRNESS_ALPHA / len(shares), (bin_id, p_value)

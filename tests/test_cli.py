@@ -1,5 +1,6 @@
 """Smoke tests for the command-line interface."""
 
+import re
 import subprocess
 import sys
 
@@ -33,6 +34,17 @@ class TestCli:
             ["fairness", "--capacities", "5,4,3", "--balls", "2000"]
         ) == 0
         assert "observed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("strategy", ["crush", "sequential-checking"])
+    def test_fairness_prints_every_expected_share(self, capsys, strategy):
+        assert main(
+            ["fairness", "--capacities", "800,700,600,500,400,300",
+             "--copies", "2", "--strategy", strategy, "--balls", "2000"]
+        ) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 6
+        for row in rows:
+            assert re.fullmatch(r"\d+\.\d\d%", row.split()[-1]), row
 
     def test_compare(self, capsys):
         assert main(["compare", "--capacities", "4,2,1,1", "--balls", "1500"]) == 0
