@@ -4,7 +4,7 @@ Examples::
 
     repro capacity --capacities 100,6,1 --copies 2
     repro fairness --capacities 500,600,700,800 --copies 2 --balls 50000
-    repro compare  --capacities 1000,400,300,200,100 --balls 40000
+    repro compare  --capacities 1000,400,300,200,100 --copies 3
     repro adaptivity --copies 2 --balls 20000
     repro place --capacities 1200,800,500 --copies 2 --address 42
 """
@@ -26,17 +26,14 @@ from .core import RedundantShare
 from .exceptions import (
     ConfigurationError,
     InfeasibleRedundancyError,
-    PlacementError,
     ReproError,
 )
 from .metrics import (
     chi_square_fairness,
-    count_copies,
     fair_copy_shares,
     max_deviation_fairness,
     max_share_deviation,
     sample_copy_counts,
-    usage_shares,
 )
 from .obs.report import render_report
 from .options import parse_option_text
@@ -171,7 +168,7 @@ def cmd_fairness(args: argparse.Namespace) -> int:
     """Empirical shares vs fair targets for one configuration."""
     _at_least_one("--balls", args.balls)
     _, bins, strategy = _configuration(args)
-    counts = count_copies(strategy.place_many(range(args.balls)))
+    counts = strategy.place_many(range(args.balls)).counts()
     total = sum(counts.values())
     expected = strategy.expected_shares()
     print(f"{'bin':<10}{'copies':>10}{'observed':>12}{'expected':>12}")
@@ -185,26 +182,19 @@ def cmd_fairness(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    """Fairness deviation of all strategies on one configuration."""
+    """Exact distance from the fair shares of all strategies on one
+    configuration."""
     capacities = _parse_capacities(args.capacities)
-    _at_least_one("--balls", args.balls)
     bins = bins_from_capacities(capacities, prefix=args.prefix)
     fair_capacities = {spec.bin_id: float(spec.capacity) for spec in bins}
     print(f"{'strategy':<22}{'max deviation from fair share':>32}")
     # Canonical names only: an aliased entry must not be swept twice.
     for name in strategy_names():
         strategy = create(name, bins, copies=args.copies)
-        try:
-            counts = count_copies(strategy.place_many(range(args.balls)))
-        except PlacementError:
-            # e.g. crush on 100,6,1: retries exhausted on a vector it
-            # cannot spread k distinct copies over.
-            print(f"{name:<22}{'n/a':>32}")
-            continue
         # Lemma 2.2 clipped shares at the degree this strategy places
         # (the mirror-only entries ignore --copies).
         fair = fair_copy_shares(fair_capacities, strategy.copies)
-        deviation = max_share_deviation(usage_shares(counts), fair)
+        deviation = max_share_deviation(strategy.expected_shares(), fair)
         print(f"{name:<22}{deviation:>31.3%}")
     return 0
 
@@ -885,9 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     strategy(p_fair)
     _add_flags(p_fair, balls=(50_000, None))
 
-    p_cmp = command("compare", cmd_compare)
-    common(p_cmp)
-    _add_flags(p_cmp, balls=(30_000, None))
+    common(command("compare", cmd_compare))
 
     p_growth = command("growth", cmd_growth)
     _add_flags(

@@ -16,7 +16,6 @@ from .fairness import (
     jain_index,
     max_fill_spread,
     max_share_deviation,
-    usage_shares,
 )
 from .stats import (
     FairnessVerdict,
@@ -53,5 +52,4 @@ __all__ = [
     "normal_sf",
     "optimal_moved_copies",
     "sample_copy_counts",
-    "usage_shares",
 ]

@@ -14,14 +14,6 @@ from typing import Dict, Iterable, Mapping, Sequence
 from ..placement.base import ReplicationStrategy
 
 
-def usage_shares(copy_counts: Mapping[str, int]) -> Dict[str, float]:
-    """Normalise per-bin copy counts to shares of the total."""
-    total = sum(copy_counts.values())
-    if total <= 0:
-        raise ValueError("no copies counted")
-    return {bin_id: count / total for bin_id, count in copy_counts.items()}
-
-
 def fill_percentages(
     copy_counts: Mapping[str, int], capacities: Mapping[str, float]
 ) -> Dict[str, float]:

@@ -7,16 +7,6 @@ import pytest
 from repro.metrics import fairness
 
 
-class TestUsageShares:
-    def test_normalises(self):
-        shares = fairness.usage_shares({"a": 3, "b": 1})
-        assert shares == {"a": 0.75, "b": 0.25}
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            fairness.usage_shares({})
-
-
 class TestFillPercentages:
     def test_basic(self):
         fills = fairness.fill_percentages({"a": 5}, {"a": 10.0, "b": 20.0})

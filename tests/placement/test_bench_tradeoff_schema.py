@@ -3,8 +3,9 @@
 ``BENCH_tradeoff.json`` is the committed table README cites, so the key
 sets are pinned here as literals — changing the bench payload shape must
 break this test first.  Also pins the sweep contract: the bench covers
-*every* registered strategy and gates the two new contenders on their
-headline claims.
+*every* registered strategy plus the bench-only fitted-crush row, gates
+the two new contenders on their headline claims, and every row's sample
+follows its own ``expected_shares()``.
 """
 
 import importlib
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.placement import registered_strategies, strategy_names
+from repro.placement import strategy_names
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -31,6 +32,7 @@ def test_payload_schema_is_pinned(bench):
     assert bench.PAYLOAD_KEYS == (
         "benchmark",
         "copies",
+        "fitted_crush",
         "fleet",
         "gates",
         "numpy",
@@ -38,12 +40,12 @@ def test_payload_schema_is_pinned(bench):
         "strategies",
     )
     assert bench.ROW_KEYS == (
-        "chi_square",
+        "fair_distance",
         "kernel",
-        "max_share_deviation",
         "moved_fraction",
         "moved_set",
         "movement_class",
+        "own_p_value",
         "supports_scale_out",
         "vectorized",
     )
@@ -65,15 +67,15 @@ def test_reduced_rows_match_schema_for_every_strategy(bench, monkeypatch):
 
     before = heterogeneous_bins(bench.FLEET_SIZE)
     after = heterogeneous_bins(bench.FLEET_SIZE + 1)
-    rows = {
-        entry.name: bench.measure(entry, before, after)
-        for entry in registered_strategies()
-    }
+    rows, fitted = bench.measure_all(before, after)
     assert set(rows) == set(strategy_names())
-    for name, row in rows.items():
+    for name, row in [*rows.items(), (bench.FITTED, fitted)]:
         assert tuple(sorted(row)) == bench.ROW_KEYS, name
         assert 0.0 <= row["moved_fraction"] <= 1.0, name
+        # The sample follows the strategy's own oracle, on either leg.
+        assert row["own_p_value"] >= bench.ALPHA, (name, row["own_p_value"])
     assert rows["sequential-checking"]["moved_set"] == 0
+    assert fitted["fair_distance"] <= 1e-9
 
 
 def test_reduced_gates_hold(bench, monkeypatch):
@@ -82,5 +84,5 @@ def test_reduced_gates_hold(bench, monkeypatch):
     assert tuple(sorted(gates)) == bench.GATE_KEYS
     zero = gates["sequential_checking_zero_move"]
     assert zero["moved_set"] == 0 and zero["moved_positional"] == 0
-    load = gates["rpdp_peak_load"]
-    assert load["rpdp"] <= load["capacity_only"]
+    # Computed from the exact shares, so independent of the population.
+    assert gates["rpdp_peak_load"] == {"rpdp": 2.341, "capacity_only": 4.611}

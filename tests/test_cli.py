@@ -10,7 +10,7 @@ from repro.cli import main
 
 
 def compare_rows(capsys):
-    """``repro compare`` output as ``{strategy: deviation text}``."""
+    """``repro compare`` output as ``{strategy: distance text}``."""
     lines = capsys.readouterr().out.splitlines()[1:]
     return dict(line.split() for line in lines)
 
@@ -47,31 +47,21 @@ class TestCli:
             assert re.fullmatch(r"\d+\.\d\d%", row.split()[-1]), row
 
     def test_compare(self, capsys):
-        assert main(["compare", "--capacities", "4,2,1,1", "--balls", "1500"]) == 0
-        out = capsys.readouterr().out
-        assert "redundant-share" in out
-        assert "trivial" in out
+        # 4 of 8 at k=2 clips nothing, and crush, trivial and rpdp all race
+        # the capacities: the same exact Lemma 2.4 shortfall, to the digit.
+        assert main(["compare", "--capacities", "4,2,1,1"]) == 0
+        rows = compare_rows(capsys)
+        assert rows["redundant-share"] == "0.000%"
+        assert rows["crush"] == rows["trivial"] == rows["rpdp"] != "0.000%"
 
     def test_compare_measures_against_clipped_fair_shares(self, capsys):
         # 1000 of 1300 at k=2 violates Lemma 2.1: the fair target is the
         # clipped 50 %, not min(1, k*c/B)/k.
         assert main(
-            ["compare", "--capacities", "1000,100,100,100", "--copies", "2",
-             "--balls", "20000"]
+            ["compare", "--capacities", "1000,100,100,100", "--copies", "2"]
         ) == 0
         rows = compare_rows(capsys)
-        assert float(rows["redundant-share"].rstrip("%")) < 2.0
-
-    def test_compare_marks_a_strategy_that_cannot_place(self, capsys):
-        # crush runs out of retries on 100,6,1; the sweep must go on.
-        assert main(
-            ["compare", "--capacities", "100,6,1", "--copies", "2",
-             "--balls", "2000"]
-        ) == 0
-        rows = compare_rows(capsys)
-        assert rows["crush"] == "n/a"
-        assert rows["redundant-share"].endswith("%")
-        assert rows["rpdp"].endswith("%")  # the row after crush still ran
+        assert rows["redundant-share"] == "0.000%"
 
     @pytest.mark.parametrize(
         "argv,message",
