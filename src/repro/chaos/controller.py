@@ -5,8 +5,9 @@ a :class:`FaultSchedule` against a live :class:`Cluster`:
 
 * **crash** — the device fails (contents lost), a blank replacement
   arrives after ``replacement_delay``, and every lost share enters the
-  priority :class:`RepairQueue`; blocks whose surviving shares drop below
-  the code's decode threshold are recorded as data-loss events.
+  priority :class:`RepairQueue`; blocks whose shares left on any device
+  (an offline one keeps its contents) drop below the code's decode
+  threshold are recorded as data-loss events.
 * **outage / flaky** — the device goes OFFLINE / FLAKY with its contents
   intact; reads and repairs route around (or retry against) it until the
   window closes, and whatever it missed meanwhile is repaired then.
@@ -96,7 +97,7 @@ class LossEvent:
     Attributes:
         time: When the loss became certain.
         address: The block.
-        survivors: Readable shares left (below the decode threshold).
+        survivors: Shares still held anywhere (below the decode threshold).
     """
 
     time: float
@@ -309,11 +310,12 @@ class ChaosController:
         self._cluster.fail_device(device_id)
         self._crash_times[device_id] = self._sim.now
         # Survey the damage: every share mapped to the device is gone;
-        # blocks that fell below the decode threshold are lost for good.
+        # blocks left with too few shares anywhere (an offline device
+        # keeps its own, and repairs wait for it) are lost for good.
         for address, position in self._cluster.shares_on(device_id):
             if address in self._lost_blocks:
                 continue
-            survivors = self._readable_shares(address)
+            survivors = self._cluster.held_shares(address)
             if survivors < self._cluster.code.data_shares:
                 self._record_loss(address, survivors)
         # The blank replacement arrives later; repairs queue up then

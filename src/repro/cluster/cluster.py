@@ -540,6 +540,22 @@ class Cluster:
                 shares[position] = device.fetch((address, position))
         return shares, skipped
 
+    def held_shares(self, address: int) -> int:
+        """Current shares of a block that its devices hold, serving or not.
+
+        An offline device keeps its contents and serves them again once
+        its outage ends, so its shares count; a failed device holds
+        nothing, and a share whose latest store its device missed is stale.
+        """
+        placement = self._map.lookup(address)
+        return sum(
+            1
+            for position, device_id in enumerate(placement)
+            if device_id in self._devices
+            and self._devices[device_id].holds((address, position))
+            and (address, position) not in self._missed.get(device_id, ())
+        )
+
     def rebuild_share(self, shares: Dict[int, bytes], position: int) -> bytes:
         """Reconstruct one share of a block from its surviving shares.
 

@@ -1,28 +1,21 @@
 """Erasure codes — consumers of position-aware placement.
 
 The paper's strategies always identify the i-th of k copies, enabling the
-redundancy techniques it cites: plain mirroring, Reed-Solomon codes, EVENODD
-[1] and Row-Diagonal Parity [3].  All are implemented here behind one
-:class:`~repro.erasure.base.ErasureCode` interface so the cluster layer can
-swap them freely.
+redundancy techniques it cites beyond plain mirroring: Reed-Solomon codes
+and Row-Diagonal Parity [3].  One MDS code and one XOR array code are
+implemented here behind one :class:`~repro.erasure.base.ErasureCode`
+interface, so the cluster layer can swap them freely.
 """
 
 from .base import ErasureCode, pad_block
-from .evenodd import EvenOddCode
 from .mirror import MirrorCode
-from .parity import is_prime, xor_bytes
 from .rdp import RowDiagonalParityCode
 from .reed_solomon import ReedSolomonCode
-from .single_parity import SingleParityCode
 
 __all__ = [
     "ErasureCode",
-    "EvenOddCode",
     "MirrorCode",
     "ReedSolomonCode",
     "RowDiagonalParityCode",
-    "SingleParityCode",
-    "is_prime",
     "pad_block",
-    "xor_bytes",
 ]

@@ -12,7 +12,7 @@ construction.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 #: The primitive polynomial (degree-8 terms included) defining the field.
 PRIMITIVE_POLY = 0x11D
@@ -62,15 +62,6 @@ def inv(a: int) -> int:
     return _EXP[(ORDER - 1) - _LOG[a]]
 
 
-def div(a: int, b: int) -> int:
-    """Field division ``a / b``."""
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return _EXP[_LOG[a] - _LOG[b] + (ORDER - 1)]
-
-
 def power(a: int, exponent: int) -> int:
     """``a`` raised to a non-negative integer power."""
     if exponent == 0:
@@ -106,22 +97,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if b_row[j]:
                     out[j] ^= mul(coefficient, b_row[j])
     return result
-
-
-def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
-    """Matrix-vector product over GF(256)."""
-    return [
-        _dot(row, v)
-        for row in a
-    ]
-
-
-def _dot(row: Sequence[int], v: Sequence[int]) -> int:
-    total = 0
-    for coefficient, value in zip(row, v):
-        if coefficient and value:
-            total ^= mul(coefficient, value)
-    return total
 
 
 def mat_invert(matrix: Matrix) -> Matrix:

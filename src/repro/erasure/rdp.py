@@ -8,26 +8,95 @@ Reference [3] of the paper.  For a prime ``p``, a block is arranged into a
   the row-parity column (``i + j ≡ d (mod p)`` for ``j in 0..p-1``), and
   the diagonal ``d = p-1`` is deliberately left unprotected.
 
-Because diagonals cover the row-parity column, no EVENODD-style adjuster is
-needed; the double-erasure reconstruction is a pure XOR zig-zag, realised
-here with the generic peeling solver.
+Reconstruction is *peeling*: every row and diagonal is an XOR equation
+over cells; repeatedly find an equation with exactly one unknown cell and
+solve it.  Because the diagonals cover the row-parity column and ``p`` is
+prime, the diagonals form one zig-zag chain through any two erased
+columns, so peeling always completes within the code's tolerance of 2.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..exceptions import DecodingError
 from .base import ErasureCode, pad_block
-from .parity import (
-    Cell,
-    Equation,
-    is_prime,
-    join_cells,
-    peel,
-    split_cells,
-    xor_many,
-)
+
+Cell = Tuple[int, int]  # (row, column)
+
+
+def _xor_many(parts: Iterable[bytes], size: int) -> bytes:
+    """XOR equal-length byte strings (no parts -> zeros)."""
+    total = bytearray(size)
+    for part in parts:
+        if len(part) != size:
+            raise ValueError("xor operands must have equal length")
+        for index, value in enumerate(part):
+            total[index] ^= value
+    return bytes(total)
+
+
+def _is_prime(value: int) -> bool:
+    if value < 2:
+        return False
+    return all(value % divisor for divisor in range(2, int(value**0.5) + 1))
+
+
+def _split_cells(payload: bytes, rows: int) -> List[bytes]:
+    """Split a column payload into ``rows`` equal cells."""
+    if len(payload) % rows:
+        raise ValueError("column payload not divisible into rows")
+    size = len(payload) // rows
+    return [payload[index * size : (index + 1) * size] for index in range(rows)]
+
+
+class _Equation:
+    """One XOR constraint: ``xor(unknown cells) == value``."""
+
+    __slots__ = ("unknowns", "value")
+
+    def __init__(self, unknowns: Set[Cell], value: bytes) -> None:
+        self.unknowns = unknowns
+        self.value = value
+
+    def absorb(self, cell: Cell, payload: bytes) -> None:
+        """Substitute a solved cell into the equation."""
+        self.unknowns.discard(cell)
+        self.value = _xor_many((self.value, payload), len(payload))
+
+
+def _peel(equations: Sequence[_Equation], unknowns: Set[Cell]) -> Dict[Cell, bytes]:
+    """Solve the system by iterated single-unknown substitution.
+
+    Raises:
+        DecodingError: if peeling stalls (more erasures than the code
+            tolerates).
+    """
+    solved: Dict[Cell, bytes] = {}
+    progress = True
+    while unknowns and progress:
+        progress = False
+        for equation in equations:
+            live = equation.unknowns & unknowns
+            if len(live) != 1:
+                continue
+            cell = next(iter(live))
+            # Fold any already-solved cells of this equation first.
+            for other in list(equation.unknowns):
+                if other in solved:
+                    equation.absorb(other, solved[other])
+            payload = solved[cell] = equation.value
+            unknowns.discard(cell)
+            for other_equation in equations:
+                if cell in other_equation.unknowns:
+                    other_equation.absorb(cell, payload)
+            progress = True
+    if unknowns:
+        raise DecodingError(
+            f"rdp: erasure pattern outside the code's tolerance "
+            f"({len(unknowns)} cells unresolved)"
+        )
+    return solved
 
 
 class RowDiagonalParityCode(ErasureCode):
@@ -42,7 +111,7 @@ class RowDiagonalParityCode(ErasureCode):
             prime: The array parameter ``p``; must be a prime >= 3.  The
                 code produces ``p + 1`` shares per block.
         """
-        if not is_prime(prime) or prime < 3:
+        if not _is_prime(prime) or prime < 3:
             raise ValueError(f"RDP needs a prime p >= 3, got {prime}")
         self._p = prime
 
@@ -68,13 +137,13 @@ class RowDiagonalParityCode(ErasureCode):
         column_bytes = len(padded) // data_columns
         size = column_bytes // (p - 1)
         columns = [
-            split_cells(
+            _split_cells(
                 padded[j * column_bytes : (j + 1) * column_bytes], p - 1
             )
             for j in range(data_columns)
         ]
         row_parity = [
-            xor_many((columns[j][i] for j in range(data_columns)), size)
+            _xor_many((columns[j][i] for j in range(data_columns)), size)
             for i in range(p - 1)
         ]
         extended = columns + [row_parity]  # columns 0..p-1 incl. row parity
@@ -85,10 +154,10 @@ class RowDiagonalParityCode(ErasureCode):
                 i = (diagonal - j) % p
                 if i <= p - 2:
                     parts.append(extended[j][i])
-            diag_parity.append(xor_many(parts, size))
-        shares = [join_cells(column) for column in columns]
-        shares.append(join_cells(row_parity))
-        shares.append(join_cells(diag_parity))
+            diag_parity.append(_xor_many(parts, size))
+        shares = [b"".join(column) for column in columns]
+        shares.append(b"".join(row_parity))
+        shares.append(b"".join(diag_parity))
         return shares
 
     def decode(self, shares: Dict[int, bytes]) -> bytes:
@@ -104,7 +173,7 @@ class RowDiagonalParityCode(ErasureCode):
         size = len(next(iter(shares.values()))) // (p - 1)
         known: Dict[Cell, bytes] = {}
         for position, payload in shares.items():
-            for i, cell in enumerate(split_cells(payload, p - 1)):
+            for i, cell in enumerate(_split_cells(payload, p - 1)):
                 known[(i, position)] = cell
 
         missing_set = set(missing)
@@ -116,7 +185,7 @@ class RowDiagonalParityCode(ErasureCode):
             for i in range(p - 1)
         }
 
-        equations: List[Equation] = []
+        equations: List[_Equation] = []
         # Row equations need the row-parity cell or treat it as unknown too.
         for i in range(p - 1):
             unknown: Set[Cell] = set()
@@ -126,7 +195,7 @@ class RowDiagonalParityCode(ErasureCode):
                     unknown.add((i, j))
                 else:
                     parts.append(known[(i, j)])
-            equations.append(Equation(unknown, xor_many(parts, size)))
+            equations.append(_Equation(unknown, _xor_many(parts, size)))
         # Diagonal equations (diagonal p-1 is unprotected by design).
         if p not in missing_set:
             for diagonal in range(p - 1):
@@ -140,11 +209,10 @@ class RowDiagonalParityCode(ErasureCode):
                         unknown.add((i, j))
                     else:
                         parts.append(known[(i, j)])
-                equations.append(Equation(unknown, xor_many(parts, size)))
+                equations.append(_Equation(unknown, _xor_many(parts, size)))
 
-        solved = peel(equations, set(unknowns), self.name)
-        known.update(solved)
+        known.update(_peel(equations, unknowns))
         return b"".join(
-            join_cells([known[(i, j)] for i in range(p - 1)])
+            b"".join(known[(i, j)] for i in range(p - 1))
             for j in range(data_columns)
         )

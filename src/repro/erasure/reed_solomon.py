@@ -101,8 +101,3 @@ class ReedSolomonCode(ErasureCode):
                     if byte:
                         column[offset] ^= gf256.mul(coefficient, byte)
         return b"".join(bytes(column) for column in columns)
-
-    def reconstruct_share(self, shares: Dict[int, bytes], position: int) -> bytes:
-        """Rebuild a single lost share (device rebuild after failure)."""
-        block = self.decode(shares)
-        return self.encode(block)[position]

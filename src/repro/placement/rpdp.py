@@ -7,8 +7,11 @@ slow devices equalises **load** instead of bytes.  This reproduction
 fits that idea into the repo's strategy model:
 
 * Each device carries a ``service_rate`` (requests it can serve per
-  unit time).  Defaults to its capacity — in a homogeneous-performance
-  fleet RPDP degenerates to the trivial baseline.
+  unit time), defaulting to its capacity.  RPDP then races the Lemma 2.2
+  *clipped* capacities while the trivial baseline races the raw ones, so
+  the two coincide only when nothing is clipped (``4,2,1,1`` at k = 2);
+  on ``1000,100,100,100`` at k = 2 RPDP is 10.0 % from fair, trivial
+  1.9 %.
 * Copy draws are the proven masked-rendezvous engine of
   :class:`~repro.placement.trivial.TrivialReplication`, but weighted by
   **rate shares** instead of capacity shares: a device's probability of

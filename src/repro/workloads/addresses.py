@@ -40,10 +40,11 @@ def uniform_sample(count: int, universe: int, seed: int = 0, start: int = 0):
     """Draws ``[start, start + count)`` uniform over ``[0, universe)``.
 
     With repetition: an ``int64`` array with NumPy, a list of ints
-    without, bit-identical between the legs.
+    without, bit-identical between the legs.  ``universe`` is at most
+    ``2**63``, so every draw fits the ``int64`` column.
     """
-    if universe <= 0:
-        raise ValueError("universe must be positive")
+    if not 0 < universe <= 1 << 63:
+        raise ValueError("universe must be in [1, 2**63]")
     if count < 0:
         raise ValueError("count must be non-negative")
     base = derive_base("uniform-batch", seed)

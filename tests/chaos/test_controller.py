@@ -348,6 +348,34 @@ class TestDataLossAccounting:
         repaired = {address for address, _ in report.repair_order}
         assert repaired.issubset(survivors)
 
+    def test_share_on_an_offline_device_is_not_lost(self):
+        # The only other copy of a block sits on a device in an outage when
+        # its partner crashes: the contents come back, so nothing is lost.
+        cluster = make_cluster(copies=2, blocks=40)
+        schedule = FaultSchedule(
+            [
+                FaultEvent(
+                    time=1.0, kind=FaultKind.OUTAGE,
+                    device_id="dev-0", duration=5.0,
+                ),
+                FaultEvent(time=2.0, kind=FaultKind.CRASH, device_id="dev-1"),
+            ]
+        )
+        both = [
+            address
+            for address in cluster.addresses()
+            if set(cluster.placement_of(address)) == {"dev-0", "dev-1"}
+        ]
+        assert both
+        report = run_chaos(cluster, schedule, ChaosOptions(seed=0))
+        assert not report.loss_events
+        abandoned = {(error.address, error.position) for error in report.abandoned}
+        for address in cluster.addresses():
+            shares = cluster.collect_shares(address)[0]
+            missing = {(address, p) for p in range(2) if p not in shares}
+            assert missing <= abandoned
+            assert cluster.read(address) == f"block-{address}".encode()
+
 
 class TestSamplingAndThroughputEdges:
     """Satellite fixes: final sample on short runs, zero-division guards,

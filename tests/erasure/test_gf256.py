@@ -43,13 +43,6 @@ class TestFieldAxioms:
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             gf256.inv(0)
-        with pytest.raises(ZeroDivisionError):
-            gf256.div(1, 0)
-
-    @given(ELEMENTS, NONZERO)
-    @settings(max_examples=100, deadline=None)
-    def test_div_is_mul_inverse(self, a, b):
-        assert gf256.div(a, b) == gf256.mul(a, gf256.inv(b))
 
     def test_power(self):
         assert gf256.power(2, 0) == 1
@@ -74,9 +67,6 @@ class TestMatrices:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             gf256.mat_invert([[1, 2, 3], [4, 5, 6]])
-
-    def test_mat_vec(self):
-        assert gf256.mat_vec(gf256.identity(3), [9, 8, 7]) == [9, 8, 7]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,13 @@
 
 Hypothesis drives random operation sequences — writes, overwrites,
 deletes, device adds/removes, failures and repairs, outages and restores
-— against a mirrored cluster and a trivial in-memory model, once per
-registry strategy at k = 2.  After every step the cluster must agree with
-the model on readable content, and its structural invariants must hold.
-This is the kind of interleaving coverage unit tests miss.
+— against a cluster and a trivial in-memory model: mirrored at k = 2
+for every registry strategy, and under RDP(5) at k = 6 for every entry
+that takes k.  After every step the cluster must agree with the model on
+readable content, and its structural invariants must hold.  Under RDP a
+share stored at the wrong copy position fails the read-back, so every
+mover is checked for position identity, not only for redundancy.  This
+is the kind of interleaving coverage unit tests miss.
 """
 
 import hypothesis.strategies as st
@@ -20,12 +23,15 @@ from hypothesis.stateful import (
 from hypothesis import settings
 
 from repro.cluster import Cluster
+from repro.erasure import RowDiagonalParityCode
 from repro.exceptions import BlockNotFoundError
 from repro.placement import registry
 from repro.types import BinSpec, bins_from_capacities
 
 ADDRESSES = st.integers(min_value=0, max_value=39)
 PAYLOADS = st.binary(min_size=1, max_size=24)
+#: The fleet is the first ``copies + 2`` of these.
+CAPACITIES = [800, 700, 600, 500, 400, 300, 200, 100]
 
 
 class ClusterMachine(RuleBasedStateMachine):
@@ -33,13 +39,18 @@ class ClusterMachine(RuleBasedStateMachine):
 
     #: Registry name of the strategy the cluster places with.
     strategy = "redundant-share"
+    #: Erasure code of the payloads; None mirrors at k = 2.
+    code = None
 
     def __init__(self):
         super().__init__()
+        self.copies = self.code.total_shares if self.code else 2
         self.cluster = Cluster(
-            bins_from_capacities([800, 700, 600, 500]),
-            lambda bins: registry.create(self.strategy, bins, copies=2),
+            bins_from_capacities(CAPACITIES[: self.copies + 2]),
+            lambda bins: registry.create(self.strategy, bins, copies=self.copies),
+            code=self.code,
         )
+        self.tolerance = self.cluster.code.tolerance
         self.model = {}
         self.device_serial = 0
         self.failed = set()
@@ -76,7 +87,7 @@ class ClusterMachine(RuleBasedStateMachine):
     # Reconfiguration rules
     # ------------------------------------------------------------------
 
-    @precondition(lambda self: len(self.cluster.device_ids()) < 8)
+    @precondition(lambda self: len(self.cluster.device_ids()) < self.copies + 6)
     @rule()
     def add_device(self):
         self.device_serial += 1
@@ -84,36 +95,36 @@ class ClusterMachine(RuleBasedStateMachine):
             BinSpec(f"grown-{self.device_serial}", 900)
         )
 
-    @precondition(
-        lambda self: len(self.cluster.device_ids())
-        - len(self.failed | self.offline)
-        > 3
-    )
-    @rule(pick=st.integers(min_value=0, max_value=10**6))
-    def remove_device(self, pick):
-        # Only remove active devices (draining a failed device would need
-        # rebuild-on-remove, which the API models as repair-then-remove).
-        candidates = [
+    def serving(self):
+        return [
             device_id
             for device_id in self.cluster.device_ids()
             if device_id not in self.failed | self.offline
         ]
+
+    @precondition(lambda self: len(self.serving()) > self.copies + 1)
+    @rule(pick=st.integers(min_value=0, max_value=10**6))
+    def remove_device(self, pick):
+        # Only remove active devices (draining a failed device would need
+        # rebuild-on-remove, which the API models as repair-then-remove).
+        candidates = self.serving()
         victim = candidates[pick % len(candidates)]
         self.cluster.remove_device(victim)
 
-    @precondition(lambda self: not self.failed | self.offline)
+    # Keep at most ``tolerance`` devices not serving: the code survives
+    # exactly that many lost shares per block.
+    @precondition(lambda self: len(self.failed | self.offline) < self.tolerance)
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def fail_one_device(self, pick):
-        # Keep at most one device not serving: k=2 tolerates exactly one.
-        candidates = self.cluster.device_ids()
+        candidates = self.serving()
         victim = candidates[pick % len(candidates)]
         self.cluster.fail_device(victim)
         self.failed.add(victim)
 
-    @precondition(lambda self: not self.failed | self.offline)
+    @precondition(lambda self: len(self.failed | self.offline) < self.tolerance)
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def outage(self, pick):
-        candidates = self.cluster.device_ids()
+        candidates = self.serving()
         victim = candidates[pick % len(candidates)]
         self.cluster.device(victim).mark_offline()
         self.offline.add(victim)
@@ -156,16 +167,34 @@ class ClusterMachine(RuleBasedStateMachine):
         self.cluster.verify()
 
 
-@pytest.mark.parametrize("name", registry.strategy_names())
-def test_cluster_model(name):
+def run_machine(name, max_examples, code=None):
     machine = type(
-        f"ClusterMachine[{name}]", (ClusterMachine,), {"strategy": name}
+        f"ClusterMachine[{name}]",
+        (ClusterMachine,),
+        {"strategy": name, "code": code},
     )
     run_state_machine_as_test(
         machine,
         settings=settings(
-            max_examples=25,
+            max_examples=max_examples,
             stateful_step_count=30,
             deadline=None,
         ),
     )
+
+
+@pytest.mark.parametrize("name", registry.strategy_names())
+def test_cluster_model(name):
+    run_machine(name, max_examples=25)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        entry.name
+        for entry in registry.registered_strategies()
+        if entry.fixed_copies is None
+    ],
+)
+def test_cluster_model_under_rdp(name):
+    run_machine(name, max_examples=12, code=RowDiagonalParityCode(5))

@@ -11,7 +11,7 @@ import pytest
 from repro.chaos import ChaosOptions, RepairPolicy, generate_schedule, run_chaos
 from repro.cluster import Cluster
 from repro.core import FastRedundantShare, RedundantShare, VirtualVolume
-from repro.erasure import EvenOddCode, ReedSolomonCode, RowDiagonalParityCode
+from repro.erasure import ReedSolomonCode, RowDiagonalParityCode
 from repro.metrics import jain_index
 from repro.types import BinSpec, bins_from_capacities
 
@@ -80,7 +80,7 @@ class TestMirroredLifecycle:
 
 @pytest.mark.parametrize(
     "code",
-    [ReedSolomonCode(3, 2), EvenOddCode(3), RowDiagonalParityCode(5)],
+    [ReedSolomonCode(3, 2), RowDiagonalParityCode(5)],
     ids=lambda code: code.describe(),
 )
 class TestErasureCodedLifecycle:

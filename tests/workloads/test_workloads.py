@@ -212,6 +212,18 @@ class TestBatchSamplers:
         assert all(0 <= value < 64 for value in values)
         assert values == self._both_legs(lambda: uniform_sample(500, 64, seed=9))
 
+    def test_uniform_sample_universe_fits_int64_on_both_legs(self, monkeypatch):
+        import repro._compat as compat
+
+        top = self._both_legs(lambda: uniform_sample(200, 2**63, seed=4))
+        assert all(0 <= value < 2**63 for value in top)
+        assert max(top) >= 2**62  # the draws really span the top half
+        for leg in (compat.np, None):
+            monkeypatch.setattr(compat, "np", leg)
+            for universe in (2**63 + 1, 2**64):
+                with pytest.raises(ValueError, match="2\\*\\*63"):
+                    uniform_sample(1, universe)
+
     def test_zipf_sample_matches_distribution_and_legs(self):
         values = self._both_legs(
             lambda: ZipfGenerator(100, alpha=1.2, seed=7).sample(2_000)
