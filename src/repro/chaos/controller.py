@@ -206,6 +206,7 @@ class ChaosController:
         self._open_windows = 0  # outage/flaky windows + pending replacements
         self._attempt_seq = 0  # global counter feeding the flaky error draws
         self._task_attempts: Dict[Tuple[int, int, str], int] = {}
+        self._given_up: Set[Tuple[int, int, str]] = set()  # abandoned keys
         self._lost_blocks: Set[int] = set()
         self._crash_times: Dict[str, float] = {}
         self._crash_pending: Dict[str, Set[Tuple[int, int]]] = {}
@@ -288,22 +289,36 @@ class ChaosController:
 
     def _device_back(self, device_id: str) -> Set[Tuple[int, int]]:
         """A device serves again (outage over, or replaced after a crash):
-        queue a repair for every mapped share it lacks."""
+        queue a repair for every mapped share it lacks, and retry the
+        abandoned repairs of blocks it holds a survivor of."""
         pending: Set[Tuple[int, int]] = set()
         for address, position in self._cluster.sync_device(device_id):
             if address in self._lost_blocks:
                 continue
-            self._queue.push(
-                RepairTask(
-                    address=address,
-                    position=position,
-                    device_id=device_id,
-                    survivors=self._readable_shares(address),
-                    enqueued_at=self._sim.now,
-                )
-            )
+            self._given_up.discard((address, position, device_id))
+            self._push(address, position, device_id)
             pending.add((address, position))
+        device = self._cluster.device(device_id)
+        for key in sorted(self._given_up):
+            address, position, target = key
+            placement = self._cluster.placement_of(address)
+            if (
+                address not in self._lost_blocks
+                and device_id in placement
+                and device.holds((address, placement.index(device_id)))
+                and placement[position] == target
+                and not self._cluster.device(target).holds((address, position))
+            ):
+                self._given_up.discard(key)
+                self._task_attempts.pop(key, None)
+                self._push(address, position, target)
         return pending
+
+    def _push(self, address: int, position: int, device_id: str) -> None:
+        survivors = self._readable_shares(address)
+        self._queue.push(
+            RepairTask(address, position, device_id, survivors, self._sim.now)
+        )
 
     def _crash(self, event: FaultEvent) -> None:
         device_id = event.device_id
@@ -479,6 +494,7 @@ class ChaosController:
             task.device_id, task.address, task.position, attempts
         )
         self._report.abandoned.append(error)
+        self._given_up.add(self._key(task))
         self._crash_pending.get(task.device_id, set()).discard(
             (task.address, task.position)
         )

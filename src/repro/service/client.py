@@ -113,7 +113,6 @@ class ServiceClient:
                 f"read_policy {entry.name!r} is an offline baseline; the "
                 f"client schedules per-request"
             )
-        self._metastore_endpoint = (host, port)
         self._metastore: Optional[RpcConnection] = None
         self._blockstores: Dict[str, Tuple[str, int]] = {}
         self._connections: Dict[str, RpcConnection] = {}

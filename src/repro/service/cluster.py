@@ -5,17 +5,19 @@ the integration tests and the end-to-end benchmark: one
 :class:`~repro.service.blockstore.BlockstoreServer` per placement device
 and one :class:`~repro.service.metastore.MetastoreServer` that knows
 every shard's endpoint.  Everything runs on the current event loop —
-"distributed" over localhost TCP, which is exactly what the chaos suite
-needs: killing a shard closes a real listening socket, so clients see
-real connection failures, not mocks.
+"distributed" over localhost TCP (or the network the
+:mod:`~repro.service.rpc` transport names are bound to): killing a
+shard closes its listener, so clients see connection failures.
 
 Chaos hooks mirror the :class:`~repro.chaos.FaultSchedule` taxonomy:
 
 * :meth:`kill_blockstore` — a **crash**: the server stops accepting and
   (by default) its contents are wiped, like a failed disk replaced by a
   blank one.
-* :meth:`restart_blockstore` — the replacement arrives: a fresh server
-  on the same device id, re-registered with the metastore.
+* :meth:`restart_blockstore` — the device serves again: the same server
+  object listens on the same endpoint, so the metastore's endpoint table
+  (set once, at :meth:`start`) stays right, and its contents (none after
+  a wiping crash) and counters continue.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class ServiceCluster:
         self._base_port = port
         self.metastore: Optional[MetastoreServer] = None
         self.blockstores: Dict[str, BlockstoreServer] = {}
-        self._ports: Dict[str, int] = {}
 
     @classmethod
     def from_capacities(
@@ -102,25 +103,19 @@ class ServiceCluster:
         """
         if self.metastore is not None:
             raise ServiceError("service cluster is already running")
-        endpoints: Dict[str, Tuple[str, int]] = {}
         for index, spec in enumerate(self.bins):
             port = 0 if self._base_port == 0 else self._base_port + 1 + index
             server = BlockstoreServer(spec.bin_id, self.host, port)
-            await server.start()
-            self.blockstores[spec.bin_id] = server
-            self._ports[spec.bin_id] = server.port
-            endpoints[spec.bin_id] = (self.host, server.port)
-        metastore = MetastoreServer(
+            self.blockstores[spec.bin_id] = await server.start()
+        self.metastore = await MetastoreServer(
             self.bins,
             strategy=self.strategy_name,
             copies=self.copies,
             strategy_options=self.strategy_options,
-            blockstores=endpoints,
+            blockstores={d: s.address for d, s in self.blockstores.items()},
             host=self.host,
             port=self._base_port,
-        )
-        await metastore.start()
-        self.metastore = metastore
+        ).start()
         return self
 
     async def stop(self) -> None:
@@ -129,8 +124,7 @@ class ServiceCluster:
             await self.metastore.stop()
             self.metastore = None
         for server in self.blockstores.values():
-            if server.running:
-                await server.stop()
+            await server.stop()
         self.blockstores.clear()
 
     async def kill_blockstore(self, device_id: str, *, wipe: bool = True) -> None:
@@ -139,39 +133,22 @@ class ServiceCluster:
         ``wipe=False`` models an outage instead — the socket closes but
         the shares survive for a later :meth:`restart_blockstore`.
         """
-        try:
-            server = self.blockstores[device_id]
-        except KeyError:
-            raise ServiceError(
-                f"no blockstore for device {device_id!r}; "
-                f"devices are {self.device_ids}"
-            ) from None
+        server = self._blockstore(device_id)
         await server.stop()
         if wipe:
             server.wipe()
 
     async def restart_blockstore(self, device_id: str) -> BlockstoreServer:
-        """Bring a killed shard back on its previous port.
+        """Bring a killed shard back: the same server, listening again on
+        its endpoint with whatever shares it still holds."""
+        server = self._blockstore(device_id)
+        return server if server.running else await server.start()
 
-        The replacement inherits whatever shares the old server still
-        holds (none after a ``wipe=True`` crash) and is re-registered
-        with the metastore.
-        """
-        old = self.blockstores.get(device_id)
-        if old is None:
-            raise ServiceError(f"no blockstore for device {device_id!r}")
-        if old.running:
-            return old
-        server = BlockstoreServer(device_id, self.host, self._ports[device_id])
-        server._shares = old._shares  # surviving shares carry over
-        await server.start()
-        self.blockstores[device_id] = server
-        self._ports[device_id] = server.port
-        if self.metastore is not None:
-            self.metastore.register_blockstore(
-                device_id, self.host, server.port
-            )
-        return server
+    def _blockstore(self, device_id: str) -> BlockstoreServer:
+        try:
+            return self.blockstores[device_id]
+        except KeyError:
+            raise ServiceError(f"no blockstore for device {device_id!r}") from None
 
     async def __aenter__(self) -> "ServiceCluster":
         return await self.start()

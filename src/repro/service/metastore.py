@@ -89,19 +89,12 @@ class MetastoreServer(RpcServer):
         self.epoch = hashlib.sha256(
             encode_frame(self._placement_config)
         ).hexdigest()[:16]
-        self._blockstores: Dict[str, Tuple[str, int]] = {
-            device: (endpoint[0], int(endpoint[1]))
-            for device, endpoint in (blockstores or {}).items()
-        }
+        self._blockstores: Dict[str, Tuple[str, int]] = dict(blockstores or {})
         self._handlers.update(
             where_is=self._op_where_is,
             where_are=self._op_where_are,
             config=self._op_config,
         )
-
-    def register_blockstore(self, device_id: str, host: str, port: int) -> None:
-        """Record (or update) the endpoint serving one device's shares."""
-        self._blockstores[device_id] = (host, port)
 
     # -- ops --------------------------------------------------------------
 

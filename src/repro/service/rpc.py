@@ -24,12 +24,19 @@ recording per-op request counters and a latency histogram; the built-in
 traffic and whatever the placement layer recorded underneath it (batch
 sizes, kernel counters).  Trace events go through the
 normal :mod:`repro.obs` sink and stay zero-cost while disabled.
+
+Every server listens and every connection dials through two module-level
+names, asyncio's ``start_server`` and ``open_connection``: a test that
+rebinds both runs the service on another network (``tests/service/
+memnet.py``).  A restart is the same server listening on its old port,
+its state and counters carrying on.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from asyncio import open_connection, start_server
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
 from .. import exceptions as _exceptions
@@ -39,6 +46,7 @@ from ..exceptions import (
     ReproError,
     ServiceError,
     ServiceUnavailableError,
+    TruncatedFrameError,
 )
 from ..obs.metrics import MetricsRegistry
 from .protocol import encode_frame, read_frame, write_frame
@@ -86,7 +94,7 @@ class RpcServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._host = host
-        self._requested_port = port
+        self._port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: "set[asyncio.StreamWriter]" = set()
         self.registry = MetricsRegistry()
@@ -102,15 +110,15 @@ class RpcServer:
 
     @property
     def port(self) -> int:
-        """The bound port (the OS-assigned one when constructed with 0).
+        """The bound port (the OS-assigned one when constructed with 0),
+        kept while stopped: the next :meth:`start` binds it again.
 
         Raises:
-            ServiceError: before :meth:`start`.
+            ServiceError: before the first :meth:`start` on port 0.
         """
-        if self._server is None:
+        if not self._port:
             raise ServiceError(f"{self.kind} server is not running")
-        sockets = self._server.sockets or []
-        return sockets[0].getsockname()[1]
+        return self._port
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -126,9 +134,10 @@ class RpcServer:
         """Bind and begin accepting connections; returns ``self``."""
         if self._server is not None:
             raise ServiceError(f"{self.kind} server is already running")
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._requested_port
+        self._server = await start_server(
+            self._serve_connection, self._host, self._port
         )
+        self._port = self._server.sockets[0].getsockname()[1]
         if obs.enabled():
             obs.sink().emit(
                 f"{self.kind}.started", host=self._host, port=self.port
@@ -291,7 +300,7 @@ class RpcConnection:
 
     async def _connect(self) -> None:
         try:
-            self._reader, self._writer = await asyncio.open_connection(
+            self._reader, self._writer = await open_connection(
                 self.host, self.port
             )
         except (ConnectionError, OSError) as error:
@@ -309,7 +318,8 @@ class RpcConnection:
 
         Raises:
             ServiceUnavailableError: the transport failed (connect,
-                send, or receive) — the server is gone, not wrong.
+                send, or receive, mid-frame too) — the server is gone.
+            BadFrameError: the reply is no frame (the connection closes).
             ReproError subclasses: whatever typed error the server
                 reported, reconstructed by class name.
         """
@@ -317,16 +327,20 @@ class RpcConnection:
             if self._writer is None:
                 await self._connect()
             self._next_id += 1
-            request = dict(params, op=op, id=self._next_id)
+            frame = encode_frame(dict(params, op=op, id=self._next_id))
             try:
-                await write_frame(self._writer, request)
+                self._writer.write(frame)
+                await self._writer.drain()
                 response = await read_frame(self._reader)
-            except (ConnectionError, OSError) as error:
+            except (ConnectionError, OSError, TruncatedFrameError) as error:
                 await self.close()
                 raise ServiceUnavailableError(
                     f"{self.host}:{self.port} failed mid-call "
                     f"({op}): {error}"
                 ) from None
+            except BadFrameError:
+                await self.close()  # the stream is no longer frame-aligned
+                raise
             if response is None:
                 await self.close()
                 raise ServiceUnavailableError(

@@ -377,6 +377,25 @@ class TestDataLossAccounting:
             assert cluster.read(address) == f"block-{address}".encode()
 
 
+    def test_repairs_abandoned_while_survivors_were_offline_are_retried(self):
+        # The survivors of dev-1's blocks sit on dev-0, offline for 30
+        # units: the repairs are abandoned meanwhile, and retried when
+        # dev-0 serves again, so every block ends back at k copies.
+        cluster = make_cluster(copies=2, blocks=40)
+        schedule = FaultSchedule(
+            [
+                FaultEvent(
+                    time=1.0, kind=FaultKind.OUTAGE,
+                    device_id="dev-0", duration=30.0,
+                ),
+                FaultEvent(time=2.0, kind=FaultKind.CRASH, device_id="dev-1"),
+            ]
+        )
+        report = run_chaos(cluster, schedule, ChaosOptions(seed=0))
+        assert report.abandoned and not report.loss_events
+        for address in cluster.addresses():
+            assert len(cluster.collect_shares(address)[0]) == 2
+
 class TestSamplingAndThroughputEdges:
     """Satellite fixes: final sample on short runs, zero-division guards,
     options validation."""

@@ -17,6 +17,11 @@ real sockets instead of the in-process cluster model.
 Everything is a pure function of ``REPRO_CHAOS_SEED`` (default 0): the
 schedule, the victim, the kill index, the payloads.  Re-running a failed
 seed reproduces the run bit-for-bit.
+
+The zero-loss gate runs on two transports: localhost TCP, where the kill
+lands between two writes, and the seeded in-memory network of
+``tests/service/memnet.py``, where the crash time maps onto its delivery
+clock instead and the kill lands on that tick — mid-write as a rule.
 """
 
 import asyncio
@@ -28,11 +33,18 @@ import pytest
 from repro.chaos import FaultKind, generate_schedule
 from repro.service import ServiceClient, ServiceCluster
 
+from ..service.memnet import MemNet
+
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 CAPACITIES = [500, 400, 300, 300, 200, 100]
 COPIES = 3
 BLOCKS = 80
 SCHEDULE_DURATION = 20.0
+TRANSPORTS = ("tcp", "memnet")
+#: Deliveries on the in-memory network: the client's ``config`` round
+#: trip, then per write one ``where_is`` and ``COPIES`` puts, two each.
+CONNECT_TICKS = 2
+TICKS_PER_WRITE = 2 * (1 + COPIES)
 
 
 def payload_for(address: int) -> bytes:
@@ -62,7 +74,7 @@ def chaos_plan(device_ids):
     return schedule, crash.device_id, kill_index
 
 
-def run_chaos_workload(seed: int):
+def run_chaos_workload(seed: int, transport: str, monkeypatch):
     """Run the full kill-mid-workload scenario for one seed.
 
     Returns ``(lost, stats)`` where ``lost`` lists every unreadable or
@@ -70,8 +82,9 @@ def run_chaos_workload(seed: int):
     ``stats`` carries the observability counters.  Invariants that hold
     for *every* seed — distinct devices per block, writes after the
     crash degraded on exactly the victim's copy position — are asserted
-    inline here.
+    inline here.  ``transport`` is ``"tcp"`` or ``"memnet"``.
     """
+    net = MemNet(seed).install(monkeypatch) if transport == "memnet" else None
 
     def payload(address: int) -> bytes:
         stamp = hashlib.sha256(f"{seed}:{address}".encode()).digest()
@@ -93,13 +106,24 @@ def run_chaos_workload(seed: int):
             kill_index = min(max(int(fraction * BLOCKS), 1), BLOCKS - 1)
             host, port = cluster.metastore_address
             client = await ServiceClient.connect(host, port)
+            killed_during = []
 
+            async def crash():
+                # the crash: socket gone AND data wiped
+                killed_during.append(index)  # the write in flight
+                await cluster.kill_blockstore(victim, wipe=True)
+
+            if net is not None:
+                ticks = int(fraction * BLOCKS * TICKS_PER_WRITE)
+                net.at(CONNECT_TICKS + min(
+                    max(ticks, TICKS_PER_WRITE), (BLOCKS - 1) * TICKS_PER_WRITE
+                ), crash)
             receipts = []
             for index in range(BLOCKS):
-                if index == kill_index:
-                    # the crash: socket gone AND data wiped
-                    await cluster.kill_blockstore(victim, wipe=True)
+                if net is None and index == kill_index:
+                    await crash()
                 receipts.append(await client.put_block(index, payload(index)))
+            (kill_index,) = killed_during
 
             # -- every block reads back despite the crash ----------------
             lost = []
@@ -133,11 +157,13 @@ def run_chaos_workload(seed: int):
                     position = devices.index(victim)
                     if index < kill_index:
                         stats["before_kill_on_victim"] += 1
-                    else:
+                    elif index > kill_index or net is None:
                         stats["after_kill_skipped"] += 1
                         # writes after the crash must have skipped
                         # exactly the victim's position
                         assert receipt.positions_skipped == [position]
+                    else:  # the write the kill landed in, on memnet
+                        assert set(receipt.positions_skipped) <= {position}
                 elif index >= kill_index:
                     assert receipt.fully_replicated
 
@@ -156,8 +182,17 @@ class TestServiceChaos:
         assert first[1:] == second[1:]
         assert 1 <= first[2] <= BLOCKS - 1
 
-    def test_kill_blockstore_mid_workload_zero_loss(self):
-        lost, stats = run_chaos_workload(SEED)
+    def test_kill_blockstore_mid_workload_zero_loss(self, monkeypatch):
+        self.assert_zero_loss("tcp", monkeypatch)
+
+    def test_kill_blockstore_mid_workload_zero_loss_in_memory(
+        self, monkeypatch
+    ):
+        self.assert_zero_loss("memnet", monkeypatch)
+
+    @staticmethod
+    def assert_zero_loss(transport, monkeypatch):
+        lost, stats = run_chaos_workload(SEED, transport, monkeypatch)
 
         # The headline: a mid-workload crash with data wipe loses nothing.
         assert lost == [], (
@@ -246,10 +281,11 @@ class TestServiceChaos:
 class TestServiceChaosStrict:
     """CI amplification: the zero-loss gate across several seeds."""
 
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_zero_loss_across_seeds(self, seed):
-        lost, stats = run_chaos_workload(seed)
+    def test_zero_loss_across_seeds(self, seed, transport, monkeypatch):
+        lost, stats = run_chaos_workload(seed, transport, monkeypatch)
         assert lost == [], (
-            f"seed {seed}: data loss after killing {stats['victim']!r} "
+            f"{transport} seed {seed}: data loss after killing {stats['victim']!r} "
             f"at block {stats['kill_index']}: {lost}"
         )

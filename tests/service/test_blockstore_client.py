@@ -414,6 +414,51 @@ class TestServiceClient:
 
         run(scenario())
 
+    def test_reply_cut_mid_frame_falls_back_and_drops_the_connection(self):
+        # Position 0's endpoint answers half a frame and hangs up: the
+        # read falls back to position 1, and the connection that read the
+        # half is closed rather than left out of frame alignment.
+        async def half_a_frame(reader, writer):
+            request = await read_frame(reader)
+            frame = encode_frame({"id": request["id"], "ok": True, "result": {
+                "payload": encode_payload(b"payload-83"),
+                "checksum": checksum(b"payload-83"),
+            }})
+            writer.write(frame[: len(frame) // 2])
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            async with ServiceCluster.from_capacities(
+                [400, 300, 200, 100], copies=3
+            ) as cluster:
+                client = await ServiceClient.connect(*cluster.metastore_address)
+                receipt = await client.put_block(83, b"payload-83")
+                await client.close()
+                store = cluster.blockstores[receipt.devices[0]]
+                endpoint = store.address
+                await store.stop()
+                impostor = await asyncio.start_server(half_a_frame, *endpoint)
+                try:
+                    connection = await RpcConnection.open(*endpoint)
+                    with pytest.raises(ServiceUnavailableError):
+                        await connection.call("get", address=83, position=0)
+                    connected = connection.connected
+                    client = await ServiceClient.connect(
+                        *cluster.metastore_address
+                    )
+                    result = await client.get_block(83)
+                    await client.close()
+                finally:
+                    impostor.close()
+                    await impostor.wait_closed()
+                return connected, result
+
+        connected, result = run(scenario())
+        assert connected is False
+        assert result.payload == b"payload-83"
+        assert result.positions_skipped == [0] and result.position_used == 1
+
     def test_restart_after_outage_preserves_shares(self):
         async def scenario():
             async with ServiceCluster.from_capacities(
