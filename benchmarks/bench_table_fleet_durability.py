@@ -4,11 +4,13 @@ Three measurements:
 
 * **Matched scenario** — the event-driven :class:`ChaosController` and
   the columnar :class:`FleetSimulator` replay the *same* crash-only
-  :class:`FaultSchedule` (k=2, 12 devices, one simultaneous device pair
-  plus a later single crash) and must agree **exactly** on which blocks
-  were lost — the zero-divergence gate the ``fleet-smoke`` CI job runs.
-  Each engine's throughput is recorded as block-epochs/second (block
-  population x simulated horizon / wall seconds).
+  :class:`FaultSchedule` (12 devices, ``tolerance + 1`` devices crashing
+  together plus a later single crash) under the same erasure code —
+  mirroring at k=2 and RS(4+2) at k=6 — and must agree **exactly** on
+  which blocks were lost and on the tolerance of their MTTDL fits: the
+  zero-divergence gate the ``fleet-smoke`` CI job runs.  Each engine's
+  throughput is recorded as block-epochs/second (block population x
+  simulated horizon / wall seconds), from the mirrored run.
 * **Fleet scale** — the acceptance scenario (1000 devices x 1M blocks x
   10 years at full scale): the fleet engine's block-epochs/second must
   beat the event-driven controller's matched-scenario rate by the
@@ -48,6 +50,7 @@ from repro.chaos import (
     run_chaos,
 )
 from repro.cluster import Cluster
+from repro.erasure import MirrorCode, ReedSolomonCode
 from repro.hashing.primitives import stable_u64
 from repro.placement.registry import create
 from repro.types import bins_from_capacities
@@ -58,7 +61,7 @@ FULL_SCALE = FLEET_BLOCKS >= 1_000_000
 
 #: Matched scenario (both engines run it; losses must agree exactly).
 MATCHED_DEVICES = 12
-MATCHED_COPIES = 2
+MATCHED_CODES = (MirrorCode(2), ReedSolomonCode(4, 2))
 MATCHED_BLOCKS = min(20_000, FLEET_BLOCKS)
 MATCHED_EPOCHS = 20
 
@@ -68,42 +71,49 @@ SPEEDUP_TARGET = 50.0 if FULL_SCALE else 10.0
 TV_TOLERANCE = 0.06 if FULL_SCALE else 0.20
 
 
-def seeded_crash_schedule(device_ids, strategy, blocks, seed):
+def seeded_crash_schedule(device_ids, strategy, blocks, seed, tolerance):
     """Crash-only schedule both engines can replay divergence-free.
 
-    The simultaneous crash pair is the *placement of a seeded victim
-    block* — guaranteed to lose at least that block whatever the
-    strategy's co-location structure looks like.  Times are integral and
-    far enough apart that repairs drain in between, so the epoch
-    discretization (:func:`crash_epochs`) cannot change which blocks
-    are simultaneously down: the pair crashes at t=2 (the loss event)
-    and one further device crashes at t=12 (repaired cleanly).
+    The simultaneous crash is the first ``tolerance + 1`` devices of the
+    *placement of a seeded victim block* — guaranteed to lose at least
+    that block whatever the strategy's co-location structure looks like.
+    Times are integral and far enough apart that repairs drain in
+    between, so the epoch discretization (:func:`crash_epochs`) cannot
+    change which blocks are simultaneously down: the group crashes at
+    t=2 (the loss event) and one further device crashes at t=12
+    (repaired cleanly).
     """
     victim = stable_u64("fleet-bench-victim", seed) % blocks
-    pair = strategy.place(victim)
-    survivors = [device for device in device_ids if device not in pair]
+    placement = strategy.place(victim)
+    survivors = [device for device in device_ids if device not in placement]
     single = survivors[stable_u64("fleet-bench-single", seed) % len(survivors)]
     return FaultSchedule(
-        [FaultEvent(2.0, FaultKind.CRASH, device) for device in pair]
+        [
+            FaultEvent(2.0, FaultKind.CRASH, device)
+            for device in placement[: tolerance + 1]
+        ]
         + [FaultEvent(12.0, FaultKind.CRASH, single)]
     )
 
 
-def run_matched(seed=5):
-    """Both engines on the same schedule; returns the comparison row."""
-    capacity = MATCHED_BLOCKS * MATCHED_COPIES * 2 // MATCHED_DEVICES + 16
+def run_matched(code, seed=5):
+    """Both engines on the same schedule and code; returns the
+    comparison row."""
+    copies = code.total_shares
+    capacity = MATCHED_BLOCKS * copies * 2 // MATCHED_DEVICES + 16
     bins = bins_from_capacities(
         [capacity] * MATCHED_DEVICES, prefix="dev"
     )
     schedule = seeded_crash_schedule(
         [spec.bin_id for spec in bins],
-        create("striping", bins, copies=MATCHED_COPIES),
+        create("striping", bins, copies=copies),
         MATCHED_BLOCKS,
         seed,
+        code.tolerance,
     )
 
     cluster = Cluster(
-        bins, lambda b: create("striping", b, copies=MATCHED_COPIES)
+        bins, lambda b: create("striping", b, copies=copies), code=code
     )
     for address in range(MATCHED_BLOCKS):
         cluster.write(address, b"x" * 8)
@@ -119,14 +129,14 @@ def run_matched(seed=5):
     fleet_options = FleetOptions(
         devices=MATCHED_DEVICES,
         blocks=MATCHED_BLOCKS,
-        copies=MATCHED_COPIES,
+        copies=copies,
         epochs=MATCHED_EPOCHS,
         failure_rate=0.0,
         repair_rate=float(MATCHED_BLOCKS),
         seed=seed,
         strategy="striping",
     )
-    simulator = FleetSimulator(fleet_options, bins=bins)
+    simulator = FleetSimulator(fleet_options, bins=bins, code=code)
     scheduled = crash_epochs(schedule, simulator.device_ids)
     start = time.perf_counter()
     fleet_report = simulator.run(scheduled)
@@ -136,9 +146,10 @@ def run_matched(seed=5):
     fleet_losses = set(fleet_report.lost_addresses)
     horizon = max(controller_report.horizon, 1.0)
     return {
+        "code": code.describe(),
         "devices": MATCHED_DEVICES,
         "blocks": MATCHED_BLOCKS,
-        "copies": MATCHED_COPIES,
+        "copies": copies,
         "epochs": MATCHED_EPOCHS,
         "controller_seconds": round(controller_seconds, 4),
         "controller_block_epochs_per_sec": round(
@@ -151,6 +162,11 @@ def run_matched(seed=5):
         "controller_losses": sorted(controller_losses),
         "fleet_losses": sorted(fleet_losses),
         "losses_agree": controller_losses == fleet_losses,
+        "tolerances": (
+            controller_report.durability.tolerance,
+            fleet_report.durability.tolerance,
+            code.tolerance,
+        ),
     }
 
 
@@ -238,12 +254,12 @@ def test_fleet_durability_table(benchmark):
     """Prints the fleet tables and asserts the gates."""
 
     def experiment():
-        matched = run_matched()
-        fleet = run_fleet_scale(matched["controller_block_epochs_per_sec"])
+        matches = [run_matched(code) for code in MATCHED_CODES]
+        fleet = run_fleet_scale(matches[0]["controller_block_epochs_per_sec"])
         stressed, phase = run_stressed()
-        return matched, fleet, stressed, phase
+        return matches, fleet, stressed, phase
 
-    matched, fleet, stressed, phase = benchmark.pedantic(
+    matches, fleet, stressed, phase = benchmark.pedantic(
         experiment, rounds=1, iterations=1
     )
 
@@ -251,22 +267,28 @@ def test_fleet_durability_table(benchmark):
         "Fleet chaos throughput (block-epochs simulated per second)",
         ["engine", "devices", "blocks", "horizon", "rate", "losses"],
         [
-            [
-                "event-driven controller",
-                matched["devices"],
-                matched["blocks"],
-                f"{matched['epochs']} units",
-                f"{matched['controller_block_epochs_per_sec']:,}",
-                len(matched["controller_losses"]),
-            ],
-            [
-                "fleet (matched)",
-                matched["devices"],
-                matched["blocks"],
-                f"{matched['epochs']} epochs",
-                f"{matched['fleet_block_epochs_per_sec']:,}",
-                len(matched["fleet_losses"]),
-            ],
+            row
+            for matched in matches
+            for row in (
+                [
+                    f"event-driven controller, {matched['code']}",
+                    matched["devices"],
+                    matched["blocks"],
+                    f"{matched['epochs']} units",
+                    f"{matched['controller_block_epochs_per_sec']:,}",
+                    len(matched["controller_losses"]),
+                ],
+                [
+                    f"fleet (matched), {matched['code']}",
+                    matched["devices"],
+                    matched["blocks"],
+                    f"{matched['epochs']} epochs",
+                    f"{matched['fleet_block_epochs_per_sec']:,}",
+                    len(matched["fleet_losses"]),
+                ],
+            )
+        ]
+        + [
             [
                 "fleet (full campaign)",
                 fleet["devices"],
@@ -295,18 +317,24 @@ def test_fleet_durability_table(benchmark):
     benchmark.extra_info["speedup"] = fleet["speedup_vs_controller"]
     benchmark.extra_info["tv_distance"] = stressed["tv_distance"]
 
-    # Zero-divergence gate: both engines must agree exactly on loss
-    # accounting, and the matched scenario must actually lose blocks
-    # (a loss-free scenario would vacuously "agree").
-    assert matched["controller_losses"], (
-        "matched scenario is degenerate: the simultaneous pair crash "
-        "lost no blocks"
-    )
-    assert matched["losses_agree"], (
-        "LOSS DIVERGENCE: controller lost "
-        f"{matched['controller_losses']} but the fleet engine lost "
-        f"{matched['fleet_losses']}"
-    )
+    # Zero-divergence gate, per code: both engines must agree exactly on
+    # loss accounting and fit MTTDL at the code's tolerance, and the
+    # matched scenario must actually lose blocks (a loss-free scenario
+    # would vacuously "agree").
+    for matched in matches:
+        assert matched["controller_losses"], (
+            f"matched scenario is degenerate under {matched['code']}: the "
+            "simultaneous crash lost no blocks"
+        )
+        assert matched["losses_agree"], (
+            f"LOSS DIVERGENCE under {matched['code']}: controller lost "
+            f"{matched['controller_losses']} but the fleet engine lost "
+            f"{matched['fleet_losses']}"
+        )
+        assert len(set(matched["tolerances"])) == 1, (
+            f"MTTDL fits disagree under {matched['code']}: (controller, "
+            f"fleet, code) tolerance = {matched['tolerances']}"
+        )
 
     # Phase diagram shape: more repair capacity, less loss.
     assert phase[-1]["lost_fraction"] <= phase[0]["lost_fraction"], (

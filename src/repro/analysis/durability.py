@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def observed_model(
     failures: int,
     horizon: float,
     mean_repair_time: float,
-) -> DurabilityModel:
+) -> Optional[DurabilityModel]:
     """Fit a :class:`DurabilityModel` to what a chaos run actually saw.
 
     Args:
@@ -99,18 +100,12 @@ def observed_model(
         A model whose MTTF is the per-device empirical estimate
         ``devices * horizon / failures`` and whose MTTR is the observed
         mean repair time — feed it to :func:`mttdl` for the durability the
-        observed failure/repair rates imply.
-
-    Raises:
-        ValueError: with no failures, a non-positive horizon, or a
-            non-positive repair time (nothing to fit).
+        observed failure/repair rates imply.  None when there is nothing
+        to fit: no failure, a non-positive horizon or a non-positive
+        repair time.
     """
-    if failures < 1:
-        raise ValueError("need at least one observed failure to fit MTTF")
-    if horizon <= 0:
-        raise ValueError("observation horizon must be positive")
-    if mean_repair_time <= 0:
-        raise ValueError("mean repair time must be positive")
+    if failures < 1 or horizon <= 0 or mean_repair_time <= 0:
+        return None
     return DurabilityModel(
         devices=devices,
         tolerance=tolerance,

@@ -4,8 +4,9 @@ Following "Analysis of a Stochastic Model of Replication in Large
 Distributed Storage Systems" (Sun et al., PAPERS.md), the state of a
 replicated fleet is summarized by the *copy-count distribution*
 ``x = (x_0, ..., x_k)`` where ``x_c`` is the fraction of blocks with
-exactly ``c`` surviving copies.  Class ``0`` (every copy gone) is
-absorbing — those blocks are lost for good.
+exactly ``c`` surviving copies (shares, under an erasure code).  A block
+below ``m`` shares — ``m`` is the code's ``data_shares``, 1 for
+mirroring — is lost for good, and class ``0`` holds every lost block.
 
 The fleet simulator (:mod:`repro.chaos.fleet`) advances in discrete
 epochs: each epoch every device fails independently with probability
@@ -21,10 +22,11 @@ analyses).
 One epoch of the recursion:
 
 1. **Failure (binomial thinning).**  Mass moves down:
-   ``x'_{c-j} += x_c * C(c, j) p^j (1-p)^{c-j}``.
+   ``x'_{c-j} += x_c * C(c, j) p^j (1-p)^{c-j}``; then the mass of
+   classes ``1 .. m-1`` joins class ``0`` (lost).
 2. **Priority repair.**  A budget of ``r`` (fraction of the fleet's
    blocks repairable per epoch) moves mass *up one class*, lowest
-   classes first: for ``c = 1 .. k-1`` ascending, move
+   classes first: for ``c = m .. k-1`` ascending, move
    ``min(x'_c, remaining)`` from ``x'_c`` to ``x'_{c+1}``.  This mirrors
    the simulator's sweep, which repairs at most one share per block per
    epoch and always serves the most-at-risk class first.
@@ -47,11 +49,13 @@ __all__ = [
 
 
 def _validate(
-    copies: int, failure_probability: float, repair_fraction: float
+    copies: int, p: float, repair_fraction: float, data_shares: int = 1
 ) -> None:
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    if not 0.0 <= failure_probability < 1.0:
+    if not 1 <= data_shares <= copies:
+        raise ValueError("data_shares must be in [1, copies]")
+    if not 0.0 <= p < 1.0:
         raise ValueError("failure_probability must be in [0, 1)")
     if repair_fraction < 0.0:
         raise ValueError("repair_fraction must be >= 0")
@@ -91,15 +95,19 @@ def _loss_weights(copies: int, p: float) -> List[List[float]]:
     ]
 
 
-def _step(distribution, weights, repair_fraction: float) -> List[float]:
+def _step(
+    distribution, weights, repair_fraction: float, data_shares: int = 1
+) -> List[float]:
     """One epoch (a zero contribution leaves a sum as it is, so neither an
     empty class nor ``p == 0`` needs a branch of its own)."""
     thinned = [0.0] * len(distribution)
     for c, mass in enumerate(distribution):
         for lost, weight in enumerate(weights[c]):
             thinned[c - lost] += mass * weight
+    thinned[0] += sum(thinned[1:data_shares])  # below m shares: lost
+    thinned[1:data_shares] = [0.0] * (data_shares - 1)
     remaining = repair_fraction
-    for c in range(1, len(distribution) - 1):
+    for c in range(data_shares, len(distribution) - 1):
         if remaining <= 0.0:
             break
         moved = min(thinned[c], remaining)
@@ -117,15 +125,17 @@ def mean_field_distribution(
     repair_fraction: float,
     sample_epochs: Sequence[int],
     initial: Optional[Sequence[float]] = None,
+    data_shares: int = 1,
 ) -> List[float]:
     """Predicted distribution averaged over ``sample_epochs``.
 
     The fleet simulator reports its steady-state histogram as the average
     of the samples in the second half of the run; passing the *same*
     epoch indices here produces the directly comparable mean-field
-    prediction (compare with :func:`total_variation`).
+    prediction (compare with :func:`total_variation`).  ``data_shares``
+    is ``m``: mass below ``m`` shares is lost (class ``0``).
     """
-    _validate(copies, failure_probability, repair_fraction)
+    _validate(copies, failure_probability, repair_fraction, data_shares)
     marks = sorted(set(int(epoch) for epoch in sample_epochs))
     if not marks or marks[0] < 0:
         raise ValueError("sample_epochs must be non-empty and >= 0")
@@ -140,7 +150,7 @@ def mean_field_distribution(
     epoch = 0
     for mark in marks:
         while epoch < mark:
-            state = _step(state, weights, repair_fraction)
+            state = _step(state, weights, repair_fraction, data_shares)
             epoch += 1
         for c in range(copies + 1):
             totals[c] += state[c]

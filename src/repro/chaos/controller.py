@@ -607,7 +607,14 @@ class ChaosController:
                 self._latencies
             )
         self._report.fairness = self._fairness_verdict()
-        self._report.durability = self._fit_durability()
+        durations = self._repair_durations or [0.0]  # no repair: no fit
+        self._report.durability = observed_model(
+            devices=self._initial_devices,
+            tolerance=self._cluster.code.tolerance,
+            failures=self._report.faults.get(FaultKind.CRASH.value, 0),
+            horizon=self._report.horizon,
+            mean_repair_time=sum(durations) / len(durations),
+        )
         sink = obs.sink()
         if sink.enabled:
             sink.emit(
@@ -634,26 +641,6 @@ class ChaosController:
             capacities, self._cluster.code.total_shares
         )
         return chi_square_fairness(active, expected, alpha=self._options.alpha)
-
-    def _fit_durability(self) -> Optional[DurabilityModel]:
-        crashes = self._report.faults.get(FaultKind.CRASH.value, 0)
-        if crashes < 1 or not self._repair_durations:
-            return None
-        mean_repair = sum(self._repair_durations) / len(self._repair_durations)
-        if mean_repair <= 0:
-            # Zero elapsed repair time (e.g. an empty device crashing
-            # with replacement_delay=0): there is no repair rate to fit.
-            return None
-        try:
-            return observed_model(
-                devices=self._initial_devices,
-                tolerance=self._cluster.code.tolerance,
-                failures=crashes,
-                horizon=self._report.horizon,
-                mean_repair_time=mean_repair,
-            )
-        except ValueError:
-            return None
 
 
 def run_chaos(

@@ -5,9 +5,11 @@ against a live :class:`~repro.cluster.cluster.Cluster` — perfect for
 validating the repair machinery on tens of devices, hopeless for a
 thousand devices times a million blocks over a decade.  This module is
 the columnar counterpart: block state lives in arrays (device assignment
-columns from :meth:`place_many`, per-block copy counts, per-share alive
+columns from :meth:`place_many`, per-block share counts, per-share alive
 masks) and time is counted in *epochs* (``1 / epochs_per_year`` years
-each).  The model is defined per epoch:
+each).  The loss rule is the controller's, read from the same
+:class:`~repro.erasure.base.ErasureCode`: a block of ``k = total_shares``
+is lost below ``m = data_shares`` (1 for mirroring).  Per epoch:
 
 1. **Failure draw.**  Every device fails independently with probability
    ``p = 1 - exp(-failure_rate * dt)``, drawn on the SplitMix64 pipeline
@@ -18,11 +20,11 @@ each).  The model is defined per epoch:
    is immediately replaced by a blank device in the same slot (the
    placement map never changes — repairs rebuild onto the replacement,
    exactly the controller's crash/replace semantics with a sub-epoch
-   replacement delay).  A block whose copy count reaches zero is lost for
-   good (class 0 is absorbing).
-2. **Priority repair sweep.**  The *damaged index* holds the blocks below
-   full redundancy that are not lost, in address order; an epoch's kills
-   are merged into it once.  A budget of ``repair_rate`` share rebuilds
+   replacement delay).  A block below ``m`` shares is lost for good (never
+   repaired; samples count it in class 0).
+2. **Priority repair sweep.**  The *damaged index* holds the blocks of
+   classes ``m .. k-1``, in address order; an epoch's kills are merged
+   into it once.  A budget of ``repair_rate`` share rebuilds
    per epoch (fractional budgets carry over) goes to the index's first
    blocks in ``(copies, address)`` order — one stable sort by copy count
    — mirroring the event-driven :class:`~repro.chaos.recovery.RepairQueue`
@@ -55,10 +57,10 @@ total-variation distance, and the observed failure/repair rates feed
 
 Cross-checks against the controller use :func:`crash_epochs` to map a
 :class:`~repro.chaos.schedule.FaultSchedule` onto scheduled crash
-epochs (one controller time unit == one epoch); with the same bins and
-strategy both engines must then agree exactly on which blocks were lost
-(`benchmarks/bench_table_fleet_durability.py` and the ``fleet-smoke``
-CI job gate on zero divergence).
+epochs (one controller time unit == one epoch); with the same bins,
+strategy and code both engines must then agree exactly on which blocks
+were lost (`benchmarks/bench_table_fleet_durability.py` and the
+``fleet-smoke`` CI job gate on zero divergence).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .. import obs
 from .._compat import get_numpy
 from ..analysis.durability import DurabilityModel, mttdl, observed_model
 from ..analysis.mean_field import mean_field_distribution, total_variation
+from ..erasure import ErasureCode, MirrorCode
 from ..exceptions import ConfigurationError
 from ..hashing.primitives import derive_base, derive_bases
 from ..placement.kernels import bernoulli_indices, class_histogram
@@ -102,7 +105,7 @@ class FleetOptions:
     Attributes:
         devices: Fleet size (uniform capacity, named ``dev-{i}``).
         blocks: Block population; every block starts at full redundancy.
-        copies: Replication degree ``k``.
+        copies: Shares per block ``k`` (the code's ``total_shares``).
         years: Simulated horizon (ignored when ``epochs`` is set).
         epochs_per_year: Epoch resolution; ``dt = 1 / epochs_per_year``.
         epochs: Explicit epoch count override (exact horizons for
@@ -196,8 +199,9 @@ class FleetSample:
         epoch: Epoch index (1-based; epoch 0 is the initial state).
         year: ``epoch * dt``.
         damaged: Blocks currently below full redundancy but not lost.
-        lost: Cumulative blocks lost (class 0, absorbing).
-        distribution: Copy-count distribution ``x_0 .. x_k`` (fractions).
+        lost: Cumulative blocks lost (below ``m`` shares; never repaired).
+        distribution: Share-count distribution ``x_0 .. x_k`` (fractions;
+            every lost block counts in class 0).
     """
 
     epoch: int
@@ -220,7 +224,7 @@ class FleetReport:
         mean_repair_epochs: Mean share down-time in epochs (same-epoch
             rebuilds count as half an epoch, so the mean is positive
             whenever any repair happened).
-        lost_addresses: Blocks that reached copy count zero, in loss
+        lost_addresses: Blocks that fell below ``m`` shares, in loss
             order.
         samples: Copy-count timeline (always includes the final epoch).
         final_distribution: Copy-count distribution at the last epoch.
@@ -228,8 +232,9 @@ class FleetReport:
             the samples — the histogram validated against theory.
         mean_field: Mean-field prediction averaged over the same sample
             epochs (see :mod:`repro.analysis.mean_field`).
-        counts: Final per-block copy counts (leg-native column: int16
-            array on the NumPy leg, list on the pure leg).
+        counts: Final per-block share counts (leg-native column: int16
+            array on the NumPy leg, list on the pure leg; a lost block
+            keeps the shares it still has).
         repair_order: ``(epoch, block)`` completion order when
             ``record_repairs`` was set.
         durability: Empirical MTTDL model fitted from the observed
@@ -327,8 +332,15 @@ class FleetSimulator:
         options: Optional[FleetOptions] = None,
         bins: Optional[Sequence[BinSpec]] = None,
         strategy=None,
+        code: Optional[ErasureCode] = None,
     ) -> None:
         self._options = options or FleetOptions()
+        self._code = code or MirrorCode(self._options.copies)
+        if self._code.total_shares != self._options.copies:
+            raise ConfigurationError(
+                f"code produces {self._code.total_shares} shares but the "
+                f"fleet places {self._options.copies} copies"
+            )
         if bins is None:
             bins = bins_from_capacities(
                 [self._options.device_capacity] * self._options.devices,
@@ -375,7 +387,7 @@ class FleetSimulator:
         np = get_numpy()
         blocks = opts.blocks
         devices = opts.devices
-        copies = opts.copies
+        copies, need = self._code.total_shares, self._code.data_shares
         epochs = opts.total_epochs
         p_fail = opts.failure_probability
 
@@ -411,13 +423,13 @@ class FleetSimulator:
                 dead_since[slots, hit] = epoch
                 counts[hit] -= 1
                 left = counts[hit]
-                return hit[left == copies - 1], hit[left == 0].tolist()
+                return hit[left == copies - 1], hit[left == need - 1].tolist()
 
             def admit(damaged, fresh, pruned: bool):
                 # A block is fresh only on its k -> k-1 kill, so it is
                 # never already in the index.
                 damaged = np.sort(np.concatenate([damaged, *fresh]))
-                return damaged[counts[damaged] > 0] if pruned else damaged
+                return damaged[counts[damaged] >= need] if pruned else damaged
 
             def sweep(damaged, budget: int, run):
                 level = counts[damaged]
@@ -453,13 +465,13 @@ class FleetSimulator:
                         counts[block] -= 1
                         if counts[block] == copies - 1:
                             fresh.append(block)
-                        if counts[block] == 0:
+                        if counts[block] == need - 1:
                             gone.append(block)
                 return fresh, gone
 
             def admit(damaged, fresh, pruned: bool):
                 damaged = sorted(damaged + [b for part in fresh for b in part])
-                return [b for b in damaged if counts[b]] if pruned else damaged
+                return [b for b in damaged if not pruned or counts[b] >= need]
 
             def sweep(damaged, budget: int, run):
                 taken = sorted(damaged, key=counts.__getitem__)[:budget]
@@ -490,7 +502,7 @@ class FleetSimulator:
             return class_histogram(levels, copies + 1)
 
         def record_sample(epoch: int) -> None:
-            # Classes 1 .. k-1 are the damaged index, class 0 the lost.
+            # Classes m .. k-1 are the damaged index, class 0 the lost.
             damaged_total = len(damaged)
             class_counts = damaged_classes()
             class_counts[0] = len(lost)
@@ -600,6 +612,7 @@ class FleetSimulator:
                 failure_probability=p_fail,
                 repair_fraction=opts.repair_rate / blocks,
                 sample_epochs=[sample.epoch for sample in steady_window],
+                data_shares=need,
             )
         )
         if repairs:
@@ -609,18 +622,13 @@ class FleetSimulator:
         else:
             mean_repair_epochs = 0.0
 
-        durability = None
-        if device_failures and mean_repair_epochs > 0:
-            try:
-                durability = observed_model(
-                    devices=devices,
-                    tolerance=copies - 1,
-                    failures=device_failures,
-                    horizon=opts.horizon_years,
-                    mean_repair_time=mean_repair_epochs * opts.dt,
-                )
-            except ValueError:
-                durability = None
+        durability = observed_model(
+            devices=devices,
+            tolerance=self._code.tolerance,
+            failures=device_failures,
+            horizon=opts.horizon_years,
+            mean_repair_time=mean_repair_epochs * opts.dt,
+        )
 
         report = FleetReport(
             devices=devices,
@@ -755,11 +763,13 @@ def durability_phase_diagram(
     """Sweep ``repair_rate`` and record where durability collapses.
 
     Below the critical repair rate the fleet cannot keep up with the
-    failure flux: steady-state mass drains from class ``k`` toward the
-    absorbing class 0 and the lost fraction takes off.  Above it, the
-    distribution concentrates at full redundancy.  The sweep reuses the
-    same seed per point, so two rates differ only in repair capacity, and
-    builds the strategy once for all of them.
+    failure flux: steady-state mass drains from class ``k`` to below ``m``
+    shares, where a block is lost, and the lost fraction takes off.  Above
+    it, the distribution concentrates at full redundancy.  Every point is
+    a :class:`FleetSimulator` on ``options``, so the loss rule is the
+    simulator's own default code.  The sweep reuses the same seed per
+    point, so two rates differ only in repair capacity, and builds the
+    strategy once for all of them.
     """
     strategy = FleetSimulator(options)._strategy
     points = []

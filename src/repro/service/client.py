@@ -100,12 +100,7 @@ class ServiceClient:
     """A storage frontend speaking to one metastore and its blockstores."""
 
     def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        read_policy: str = "primary",
-        read_seed: int = 0,
+        self, *, read_policy: str = "primary", read_seed: int = 0
     ) -> None:
         entry = sched_registry.lookup(read_policy)
         if not entry.online:
@@ -133,7 +128,7 @@ class ServiceClient:
         read_seed: int = 0,
     ) -> "ServiceClient":
         """Connect to the metastore and bootstrap from its config."""
-        client = cls(host, port, read_policy=read_policy, read_seed=read_seed)
+        client = cls(read_policy=read_policy, read_seed=read_seed)
         client._metastore = await RpcConnection.open(host, port)
         await client.refresh_config()
         return client

@@ -6,9 +6,11 @@ bit-identical copy-count columns, loss lists and samples for any
 configuration.  Six fixed reports are pinned by digest on both legs, so
 the two cannot drift together.  Both legs step from event to event; a
 per-epoch reference on plain lists (:func:`reference_fingerprint`) is the
-oracle for that, repair order included.  On top of that we pin
+oracle for that, repair order included; both properties draw the
+erasure code, whose ``data_shares`` decide a loss.  On top of that we pin
 determinism, the zero-divergence cross-check against the event-driven
-controller, the mean-field fit and the repair priority order.
+controller (mirroring, RS and RDP), the mean-field fit and the repair
+priority order.
 """
 
 import dataclasses
@@ -36,12 +38,24 @@ from repro.chaos import (
 )
 from repro.chaos import fleet
 from repro.cluster import Cluster
+from repro.erasure import MirrorCode, ReedSolomonCode, RowDiagonalParityCode
 from repro import obs
 from repro.exceptions import ConfigurationError
 from repro.hashing.primitives import derive_base
 from repro.placement.kernels import bernoulli_indices
 from repro.placement.registry import create
 from repro.types import bins_from_capacities
+
+
+#: Codes the properties draw: mirroring at k = 1 .. 4, and codes whose
+#: m runs from 2 up to k (RS(2+0) loses a block on any kill).
+CODES = [MirrorCode(k) for k in range(1, 5)] + [
+    ReedSolomonCode(2, 0),
+    ReedSolomonCode(2, 1),
+    ReedSolomonCode(3, 1),
+    ReedSolomonCode(4, 2),
+    RowDiagonalParityCode(5),
+]
 
 
 def small_options(**overrides):
@@ -79,31 +93,32 @@ def report_fingerprint(report):
     )
 
 
-def run_pure(options, crash_schedule=None):
+def run_pure(options, crash_schedule=None, code=None):
     saved = compat.np
     compat.np = None
     try:
-        return FleetSimulator(options).run(crash_schedule)
+        return FleetSimulator(options, code=code).run(crash_schedule)
     finally:
         compat.np = saved
 
 
-def run_leg(leg, options, crash_schedule=None):
+def run_leg(leg, options, crash_schedule=None, code=None):
     if leg == "pure":
-        return run_pure(options, crash_schedule)
+        return run_pure(options, crash_schedule, code)
     if compat.np is None:
         pytest.skip("NumPy unavailable")
-    return FleetSimulator(options).run(crash_schedule)
+    return FleetSimulator(options, code=code).run(crash_schedule)
 
 
-def reference_fingerprint(options, crash_schedule=None):
+def reference_fingerprint(options, crash_schedule=None, data_shares=1):
     """:func:`report_fingerprint` of a run, computed one epoch at a time on
-    plain lists: each epoch kills its failed devices in device order, then
-    repairs the first ``budget`` damaged blocks in ``(copies, address)``
-    order (a stable sort by copy count of the address-ordered index, here
-    rebuilt by a scan of all counts where the engine merges), each
-    regaining its first dead share."""
-    blocks, copies = options.blocks, options.copies
+    plain lists: each epoch kills its failed devices in device order (a
+    block is lost when it falls below ``data_shares``), then repairs the
+    first ``budget`` damaged blocks in ``(copies, address)`` order (a
+    stable sort by copy count of the address-ordered index, here rebuilt
+    by a scan of all counts where the engine merges), each regaining its
+    first dead share."""
+    blocks, copies, need = options.blocks, options.copies, data_shares
     strategy = create(
         options.strategy,
         bins_from_capacities(
@@ -138,9 +153,9 @@ def reference_fingerprint(options, crash_schedule=None):
                     alive[block][slot] = False
                     dead_since[block][slot] = epoch
                     counts[block] -= 1
-                    if counts[block] == 0:
+                    if counts[block] == need - 1:
                         lost.append(block)
-        damaged = [b for b in range(blocks) if 0 < counts[b] < copies]
+        damaged = [b for b in range(blocks) if need <= counts[b] < copies]
         carry += options.repair_rate
         budget = int(carry)
         carry -= budget
@@ -152,12 +167,16 @@ def reference_fingerprint(options, crash_schedule=None):
             same_epoch += dead_since[block][slot] == epoch
             order.append((epoch, block))
         if epoch % options.resolved_sample_every == 0 or epoch == epochs:
+            # Every lost block counts in class 0.
+            classes = [len(lost)] + [0] * (need - 1) + [
+                counts.count(c) for c in range(need, copies + 1)
+            ]
             samples.append((
                 epoch,
                 epoch * options.dt,
-                sum(0 < count < copies for count in counts),
+                sum(need <= count < copies for count in counts),
                 len(lost),
-                tuple(counts.count(c) / blocks for c in range(copies + 1)),
+                tuple(count / blocks for count in classes),
             ))
     window = [s for s in samples if s[0] > epochs // 2] or samples[-1:]
     steady = tuple(
@@ -169,6 +188,7 @@ def reference_fingerprint(options, crash_schedule=None):
             failure_probability=options.failure_probability,
             repair_fraction=options.repair_rate / blocks,
             sample_epochs=[s[0] for s in window],
+            data_shares=need,
         )
     )
     repairs = len(order)
@@ -272,7 +292,7 @@ class TestLegEquivalence:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         devices=st.integers(min_value=3, max_value=12),
         blocks=st.integers(min_value=1, max_value=400),
-        copies=st.integers(min_value=1, max_value=4),
+        code=st.sampled_from(CODES),
         epochs=st.integers(min_value=1, max_value=15),
         failure_rate=st.floats(min_value=0.0, max_value=8.0),
         repair_rate=st.floats(min_value=0.0, max_value=20.0),
@@ -286,12 +306,12 @@ class TestLegEquivalence:
         ),
     )
     def test_numpy_and_pure_legs_are_bit_identical(
-        self, seed, devices, blocks, copies, epochs, failure_rate,
+        self, seed, devices, blocks, code, epochs, failure_rate,
         repair_rate, strategy, crash_schedule,
     ):
         if compat.np is None:
             pytest.skip("NumPy unavailable; nothing to compare against")
-        copies = min(copies, devices)
+        devices = max(devices, code.total_shares)
         if crash_schedule is not None:
             crash_schedule = {
                 epoch: [device % devices for device in crashed]
@@ -300,7 +320,7 @@ class TestLegEquivalence:
         options = FleetOptions(
             devices=devices,
             blocks=blocks,
-            copies=copies,
+            copies=code.total_shares,
             epochs=epochs,
             epochs_per_year=12,
             failure_rate=failure_rate,
@@ -310,8 +330,8 @@ class TestLegEquivalence:
             device_capacity=64,
             record_repairs=True,
         )
-        numpy_report = FleetSimulator(options).run(crash_schedule)
-        pure_report = run_pure(options, crash_schedule)
+        numpy_report = FleetSimulator(options, code=code).run(crash_schedule)
+        pure_report = run_pure(options, crash_schedule, code)
         assert report_fingerprint(numpy_report) == report_fingerprint(
             pure_report
         )
@@ -350,7 +370,7 @@ class TestPerEpochReference:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         devices=st.integers(min_value=3, max_value=12),
         blocks=st.integers(min_value=1, max_value=300),
-        copies=st.integers(min_value=1, max_value=4),
+        code=st.sampled_from(CODES),
         epochs=st.integers(min_value=1, max_value=40),
         failure_rate=st.floats(min_value=0.0, max_value=8.0),
         repair_rate=st.sampled_from([0.0, 0.3, 2.5, 1e4])
@@ -365,11 +385,11 @@ class TestPerEpochReference:
         ),
     )
     def test_event_loop_equals_per_epoch_reference(
-        self, leg, seed, devices, blocks, copies, epochs, failure_rate,
+        self, leg, seed, devices, blocks, code, epochs, failure_rate,
         repair_rate, sample_every, strategy, crash_schedule,
     ):
         # Scheduled crashes repeat devices and fall outside the horizon.
-        copies = min(copies, devices)
+        devices = max(devices, code.total_shares)
         if crash_schedule is not None:
             crash_schedule = {
                 epoch: [device % devices for device in crashed]
@@ -378,7 +398,7 @@ class TestPerEpochReference:
         options = FleetOptions(
             devices=devices,
             blocks=blocks,
-            copies=copies,
+            copies=code.total_shares,
             epochs=epochs,
             epochs_per_year=12,
             failure_rate=failure_rate,
@@ -389,9 +409,9 @@ class TestPerEpochReference:
             sample_every=sample_every,
             record_repairs=True,
         )
-        report = run_leg(leg, options, crash_schedule)
+        report = run_leg(leg, options, crash_schedule, code)
         assert report_fingerprint(report) == reference_fingerprint(
-            options, crash_schedule
+            options, crash_schedule, code.data_shares
         )
 
     @staticmethod
@@ -473,23 +493,36 @@ class TestDeterminism:
 
 
 class TestControllerCrossCheck:
-    def test_zero_divergence_on_shared_schedule(self):
-        # Same bins, same strategy, same crash times: the fleet engine and
+    @pytest.mark.parametrize(
+        "code",
+        [MirrorCode(2), ReedSolomonCode(4, 2), RowDiagonalParityCode(5)],
+        ids=["mirror", "rs", "rdp"],
+    )
+    def test_zero_divergence_on_shared_schedule(self, code):
+        # Same bins, strategy, code and crash times: the fleet engine and
         # the event-driven controller must agree exactly on which blocks
-        # were lost and how many devices failed.
-        devices, blocks, copies = 8, 120, 2
-        bins = bins_from_capacities([60] * devices, prefix="dev")
+        # were lost, how many devices failed and the tolerance of their
+        # MTTDL fits.  The victim's first tolerance + 1 devices crash
+        # together, which loses it under any code.
+        devices, blocks, copies = 8, 120, code.total_shares
+        bins = bins_from_capacities([blocks * copies // 4] * devices,
+                                    prefix="dev")
         device_ids = [spec.bin_id for spec in bins]
         strategy = create("striping", bins, copies=copies)
         victim = 17
-        pair = strategy.place(victim)
-        single = next(d for d in device_ids if d not in pair)
+        placement = strategy.place(victim)
+        single = next(d for d in device_ids if d not in placement)
         schedule = FaultSchedule(
-            [FaultEvent(2.0, FaultKind.CRASH, device) for device in pair]
+            [
+                FaultEvent(2.0, FaultKind.CRASH, device)
+                for device in placement[: code.tolerance + 1]
+            ]
             + [FaultEvent(10.0, FaultKind.CRASH, single)]
         )
 
-        cluster = Cluster(bins, lambda b: create("striping", b, copies=copies))
+        cluster = Cluster(
+            bins, lambda b: create("striping", b, copies=copies), code=code
+        )
         for address in range(blocks):
             cluster.write(address, b"x")
         controller = run_chaos(
@@ -506,11 +539,13 @@ class TestControllerCrossCheck:
             small_options(
                 devices=devices,
                 blocks=blocks,
+                copies=copies,
                 epochs=16,
                 failure_rate=0.0,
                 repair_rate=float(blocks),
             ),
             bins=bins,
+            code=code,
         )
         fleet = simulator.run(crash_epochs(schedule, simulator.device_ids))
 
@@ -519,6 +554,14 @@ class TestControllerCrossCheck:
         )
         assert victim in set(fleet.lost_addresses)
         assert controller.faults.get("crash", 0) == fleet.device_failures
+        assert controller.durability.tolerance == code.tolerance
+        assert fleet.durability.tolerance == code.tolerance
+
+    def test_code_must_match_copies(self):
+        with pytest.raises(ConfigurationError):
+            FleetSimulator(small_options(copies=2), code=ReedSolomonCode(4, 2))
+        with pytest.raises(ConfigurationError):
+            FleetSimulator(small_options(copies=3), code=MirrorCode(2))
 
     def test_scheduled_crash_hits_the_named_device(self):
         # Twelve equal devices: a capacity-ordered strategy ranks dev-10

@@ -1,5 +1,6 @@
 """Tests for the durability models (MTTDL against an exact rational solve)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -132,27 +133,24 @@ class TestSimulationCrossCheck:
 
 
 class TestObservedModel:
-    """Edge cases for fitting a durability model to a chaos run."""
+    """Edge cases for fitting a durability model to a chaos run: with
+    nothing to fit, the fit is None."""
 
     def test_rejects_zero_failures(self):
         from repro.analysis import observed_model
 
-        with pytest.raises(ValueError):
-            observed_model(10, 1, 0, 5.0, 0.5)
+        assert observed_model(10, 1, 0, 5.0, 0.5) is None
 
     def test_rejects_non_positive_horizon(self):
         from repro.analysis import observed_model
 
-        with pytest.raises(ValueError):
-            observed_model(10, 1, 3, 0.0, 0.5)
+        assert observed_model(10, 1, 3, 0.0, 0.5) is None
 
     def test_rejects_non_positive_repair_time(self):
         from repro.analysis import observed_model
 
-        with pytest.raises(ValueError):
-            observed_model(10, 1, 3, 5.0, 0.0)
-        with pytest.raises(ValueError):
-            observed_model(10, 1, 3, 5.0, -1.0)
+        assert observed_model(10, 1, 3, 5.0, 0.0) is None
+        assert observed_model(10, 1, 3, 5.0, -1.0) is None
 
     def test_single_failure_fit(self):
         # One failure over the horizon: the per-device MTTF estimate is
@@ -228,6 +226,80 @@ class TestMeanField:
         for cls in range(4):
             expected = sum(traj[cls] for traj in per_mark) / len(per_mark)
             assert averaged[cls] == pytest.approx(expected)
+
+    #: Outputs of the mirroring recursion (``data_shares=1``), pinned as
+    #: float hex: a code-aware step must not move a single bit of them.
+    PINNED_MIRROR = {
+        (3, 0.05, 0.02, tuple(range(10, 40))): (
+            "0x1.12a1e9c32141fp-2", "0x1.323e69a1b9126p-2",
+            "0x1.8765b82255b0bp-2", "0x1.9dcfa3c67fccap-5",
+        ),
+        (2, 0.3, 0.1, (1, 7, 50)): (
+            "0x1.360d896f0a52fp-1", "0x1.088d9456f7f3fp-3",
+            "0x1.0f9e22f66f601p-2",
+        ),
+    }
+
+    def test_one_data_share_is_bit_identical(self):
+        from repro.analysis import mean_field_distribution
+
+        for args, pinned in self.PINNED_MIRROR.items():
+            for result in (
+                mean_field_distribution(*args),
+                mean_field_distribution(*args, data_shares=1),
+            ):
+                assert tuple(x.hex() for x in result) == pinned
+
+    @pytest.mark.parametrize("copies,data_shares", [(6, 4), (3, 2), (4, 4)])
+    def test_data_shares_conserve_mass_below_m_is_lost(
+        self, copies, data_shares
+    ):
+        from repro.analysis import mean_field_distribution
+
+        for repair in (0.0, 0.01, 0.3):
+            for marks in ([1], [3, 9], list(range(20, 60))):
+                result = mean_field_distribution(
+                    copies, 0.08, repair, marks, data_shares=data_shares
+                )
+                assert sum(result) == pytest.approx(1.0)
+                assert all(x >= 0 for x in result)
+                assert result[1:data_shares] == [0.0] * (data_shares - 1)
+
+    def test_data_shares_without_repair_is_binomial(self):
+        # No repair: each share survives t epochs with q = (1-p)^t, so a
+        # block keeps c >= m shares with the binomial chance and is lost
+        # with the rest.
+        from repro.analysis import mean_field_distribution
+
+        copies, data_shares, p, epochs = 6, 4, 0.05, 12
+        q = (1 - p) ** epochs
+        kept = [
+            math.comb(copies, c) * q**c * (1 - q) ** (copies - c)
+            for c in range(copies + 1)
+        ]
+        expected = [sum(kept[:data_shares])] + [0.0] * (data_shares - 1)
+        expected += kept[data_shares:]
+        result = mean_field_distribution(
+            copies, p, 0.0, [epochs], data_shares=data_shares
+        )
+        assert result == pytest.approx(expected, abs=1e-12)
+
+    def test_repair_starts_at_data_shares(self):
+        # Class 1 is below m = 2: it joins class 0 and is not repaired;
+        # the whole budget lifts class 2.
+        from repro.analysis import mean_field_distribution
+
+        result = mean_field_distribution(
+            3, 0.0, 0.25, [1], initial=(0.0, 0.2, 0.3, 0.5), data_shares=2
+        )
+        assert result == pytest.approx([0.2, 0.0, 0.05, 0.75])
+
+    @pytest.mark.parametrize("data_shares", [0, 4])
+    def test_data_shares_out_of_range_rejected(self, data_shares):
+        from repro.analysis import mean_field_distribution
+
+        with pytest.raises(ValueError):
+            mean_field_distribution(3, 0.1, 0.1, [1], data_shares=data_shares)
 
     def test_validation_rejects_bad_inputs(self):
         from repro.analysis import mean_field_step
