@@ -8,9 +8,9 @@ the paper leaves open and the scheduling subsystem addresses:
 
 * uniform reads over a mirrored pool — per-device request shares must
   track capacity shares;
-* a zipf-skewed read trace through the trace player, sweeping the read
-  policies registered in ``repro.scheduling.registry`` (the ablation
-  that used to be a two-value ``rotate``/``primary`` knob);
+* zipf-skewed reads, sweeping the read policies registered in
+  ``repro.scheduling.registry`` (the ablation that used to be a
+  two-value ``rotate``/``primary`` knob);
 * **the skew curve** — peak device load vs. Zipf α for every scheduling
   policy × several placement strategies at ``REPRO_BENCH_REQUESTS``
   requests (default one million) through the columnar batch engine,
@@ -29,13 +29,11 @@ import pytest
 
 from _tables import emit
 from repro._compat import HAVE_NUMPY
-from repro.cluster import Cluster
 from repro.core import RedundantShare
 from repro.placement.registry import create as create_strategy
 from repro.scheduling import create as create_scheduler, run_reads, scheduler_names
-from repro.simulation import TracePlayer
 from repro.types import bins_from_capacities
-from repro.workloads import ZipfGenerator, mixed, write_population, zipf_reads
+from repro.workloads import ZipfGenerator, uniform_sample
 
 CAPACITIES = [4000, 3000, 2000, 1000]
 BLOCKS = 2_000
@@ -70,18 +68,17 @@ OUTPUT = ROOT / "BENCH_sched.json"
 
 
 def run_uniform_balance():
-    cluster = Cluster(
-        bins_from_capacities(CAPACITIES),
-        lambda bins: RedundantShare(bins, copies=2),
+    bins = bins_from_capacities(CAPACITIES)
+    scheduler = create_scheduler("round-robin", [spec.bin_id for spec in bins])
+    outcome = run_reads(
+        RedundantShare(bins, copies=2),
+        scheduler,
+        uniform_sample(READS, BLOCKS, seed=11),
     )
-    player = TracePlayer(cluster)
-    player.play(write_population(BLOCKS))
-    report = player.play(mixed(READS, BLOCKS, read_fraction=1.0, seed=11))
-    shares = report.operation_shares()
+    shares = outcome.shares()
     total = sum(CAPACITIES)
     return {
-        spec.bin_id: (spec.capacity / total, shares.get(spec.bin_id, 0.0))
-        for spec in cluster.strategy.bins
+        spec.bin_id: (spec.capacity / total, shares[spec.bin_id]) for spec in bins
     }
 
 
@@ -100,21 +97,18 @@ def test_request_shares_track_capacity(benchmark):
         assert requests == pytest.approx(capacity, abs=0.04), device
 
 
-#: The trace-player ablation sweeps the registry instead of a hard-coded
-#: rotate-vs-primary knob.
+#: The read policies the hotspot ablation compares, by registry name.
 ABLATION_POLICIES = ("primary", "rotate", "random", "least-loaded", "power-of-two")
 
 
 def run_hotspot_ablation():
+    bins = bins_from_capacities([2500] * 4)
+    strategy = RedundantShare(bins, copies=2)
+    addresses = ZipfGenerator(40, alpha=1.4, seed=5).sample(6000)
+
     def peak_share(policy):
-        cluster = Cluster(
-            bins_from_capacities([2500] * 4),
-            lambda bins: RedundantShare(bins, copies=2),
-        )
-        player = TracePlayer(cluster, read_policy=policy)
-        player.play(write_population(400))
-        report = player.play(zipf_reads(6000, 40, alpha=1.4, seed=5))
-        return max(report.operation_shares().values())
+        scheduler = create_scheduler(policy, [spec.bin_id for spec in bins])
+        return run_reads(strategy, scheduler, addresses).peak_share()
 
     return {policy: peak_share(policy) for policy in ABLATION_POLICIES}
 

@@ -16,7 +16,6 @@ from .balanced_rendezvous import BalancedRendezvous
 from .classic import ClassicLinMirror, boundary_boost
 from .fast_variant import FastRedundantShare
 from .hierarchical import HierarchicalRedundantShare
-from .objectstore import ObjectExtent, ObjectNotFoundError, ObjectStore
 from .preprocess import HazardTable, compute_hazards
 from .redundant_share import LinMirror, RedundantShare
 from .sequential_checking import SequentialChecking
@@ -29,9 +28,6 @@ __all__ = [
     "HazardTable",
     "HierarchicalRedundantShare",
     "LinMirror",
-    "ObjectExtent",
-    "ObjectNotFoundError",
-    "ObjectStore",
     "RedundantShare",
     "SequentialChecking",
     "VirtualVolume",

@@ -1,9 +1,9 @@
 """Name → read-scheduler factory, mirroring ``placement.registry``.
 
-Everything that takes a read policy by name — the CLI, the trace
-player, the service client, the benches — resolves it here, so policy
-names stay consistent across layers and ablations can sweep
-``scheduler_names()`` without hard-coding a list.
+Everything that takes a read policy by name — the CLI, the service
+client, the benches — resolves it here, so policy names stay consistent
+across layers and ablations can sweep ``scheduler_names()`` without
+hard-coding a list.
 
 Like the placement registry this is an instance of
 :class:`repro.options.Registry`, so the surface matches: ``lookup``

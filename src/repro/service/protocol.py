@@ -256,10 +256,15 @@ def _decode_columnar(body: bytes) -> Any:
             values = _unpack_u64
         else:
             return value
+        (inner,) = value.values()
+        if type(inner) is array:
+            # The column itself, under a payload key spelled like its
+            # placeholder: the payload's own member, not a second column.
+            return value
         if unpacked:
             raise BadFrameError("columnar frame names a second column")
         unpacked.append(True)
-        return values(*value.values(), column)
+        return values(inner, column)
 
     payload = _loads(body[start:end], unpack)
     if not unpacked:

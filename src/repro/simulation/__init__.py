@@ -1,7 +1,6 @@
 """Scenario builders, experiment runners and the event engine."""
 
 from .engine import Simulator
-from .traceplayer import DeviceLoad, PlaybackReport, TracePlayer
 from .runner import (
     AdaptivityResult,
     FairnessResult,
@@ -22,12 +21,9 @@ from .scenarios import (
 __all__ = [
     "AdaptivityResult",
     "AddRemoveCase",
-    "DeviceLoad",
     "FairnessResult",
     "GrowthStep",
-    "PlaybackReport",
     "Simulator",
-    "TracePlayer",
     "add_remove_cases",
     "capacity_change_cases",
     "heterogeneous_bins",

@@ -1,7 +1,7 @@
 """Ball-address generators for experiments and benches.
 
-The paper's evaluation uses synthetic block populations (consecutive
-virtual addresses); real systems see skew, so zipf and flash-crowd
+The paper's evaluation places consecutive virtual addresses
+(``range(n)``); real systems see skew, so uniform, zipf and flash-crowd
 generators are provided for the extended benches.  All generators are
 deterministic given their parameters.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from .._compat import get_numpy
 from ..hashing.primitives import (
@@ -27,13 +27,6 @@ from ..hashing.primitives import (
     unit_from_base,
     units_from_base,
 )
-
-
-def sequential(count: int, start: int = 0) -> Iterator[int]:
-    """Consecutive virtual addresses — the paper's population."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return iter(range(start, start + count))
 
 
 def uniform_sample(count: int, universe: int, seed: int = 0, start: int = 0):

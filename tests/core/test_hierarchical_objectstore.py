@@ -1,17 +1,10 @@
-"""Tests for hierarchical placement and the object store."""
+"""Tests for hierarchical (rack-aware) placement."""
 
 import collections
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.core import (
-    HierarchicalRedundantShare,
-    ObjectNotFoundError,
-    ObjectStore,
-    RedundantShare,
-    VirtualVolume,
-)
+from repro.core import HierarchicalRedundantShare
 from repro.exceptions import ConfigurationError
 from repro.placement import ChooseleafCrush
 from repro.types import bins_from_capacities
@@ -105,71 +98,3 @@ class TestChooseleafCrush:
     def test_deterministic(self):
         strategy = ChooseleafCrush(make_racks(), copies=2)
         assert strategy.place(4) == strategy.place(4)
-
-
-class TestObjectStore:
-    def make_store(self, block_size=64):
-        cluster = Cluster(
-            bins_from_capacities([4000, 3000, 2000]),
-            lambda bins: RedundantShare(bins, copies=2),
-        )
-        return ObjectStore(VirtualVolume(cluster, block_size=block_size))
-
-    def test_put_get_round_trip(self):
-        store = self.make_store()
-        payload = bytes(range(256)) * 3
-        store.put("docs/readme", payload)
-        assert store.get("docs/readme") == payload
-        assert store.size("docs/readme") == len(payload)
-        assert store.exists("docs/readme")
-
-    def test_get_unknown_raises(self):
-        with pytest.raises(ObjectNotFoundError):
-            self.make_store().get("ghost")
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            self.make_store().put("", b"x")
-
-    def test_replace_object(self):
-        store = self.make_store()
-        store.put("key", b"old-value")
-        store.put("key", b"new" * 100)
-        assert store.get("key") == b"new" * 100
-        assert store.list_objects() == ["key"]
-
-    def test_delete(self):
-        store = self.make_store()
-        store.put("a", b"1")
-        store.delete("a")
-        assert not store.exists("a")
-        with pytest.raises(ObjectNotFoundError):
-            store.delete("a")
-
-    def test_empty_object(self):
-        store = self.make_store()
-        store.put("empty", b"")
-        assert store.get("empty") == b""
-
-    def test_many_objects_independent(self):
-        store = self.make_store(block_size=32)
-        blobs = {f"obj-{i}": bytes([i]) * (10 + i * 7) for i in range(40)}
-        for name, blob in blobs.items():
-            store.put(name, blob)
-        store.delete("obj-7")
-        del blobs["obj-7"]
-        for name, blob in blobs.items():
-            assert store.get(name) == blob
-        assert store.list_objects() == sorted(blobs)
-
-    def test_survives_device_failure(self):
-        store = self.make_store()
-        store.put("precious", b"do-not-lose" * 10)
-        store.volume.cluster.fail_device("bin-0")
-        assert store.get("precious") == b"do-not-lose" * 10
-
-    def test_manifest(self):
-        store = self.make_store()
-        store.put("a", b"xyz")
-        manifest = store.manifest()
-        assert manifest["a"].size == 3

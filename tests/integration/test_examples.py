@@ -20,8 +20,7 @@ CASES = {
     "failure_recovery_simulation.py": "no data lost",
     "strategy_comparison.py": "max deviation from fair share",
     "durability_and_scrubbing.py": "read back correct after repair",
-    "object_store_scale_out.py": "all objects verified",
-    "trace_replay.py": "flattens the hotspot",
+    "volume_scale_out.py": "every byte range verified",
 }
 
 

@@ -3,10 +3,10 @@
 Everything here is deterministic (fixed seeds, derived randomness), so
 these are acceptance *pins*, not flake-prone samples:
 
-* under uniform traffic on a mirrored homogeneous pool, per-device
-  request shares pass the chi-square fairness test against capacity
-  shares — the paper's fairness definition extended from data to
-  requests;
+* under uniform traffic on a mirrored pool, homogeneous or not,
+  per-device request shares pass the chi-square fairness test against
+  the strategy's expected shares — the paper's fairness definition
+  extended from data to requests;
 * under Zipf ``alpha = 1.1``, the load-feedback policies (least-loaded,
   power-of-two) never lose to blind random on peak device load, and no
   online policy beats the water-filling fractional optimum (a theorem,
@@ -24,6 +24,7 @@ from repro.types import bins_from_capacities
 from repro.workloads import ZipfGenerator, flash_crowd_sample, uniform_sample
 
 MIRROR_CAPACITIES = [1000] * 8
+HETERO_CAPACITIES = [4000, 3000, 2000, 1000]
 SKEW_CAPACITIES = [1500, 1500, 1000, 1000, 800, 800]
 REQUESTS = 20_000
 UNIVERSE = 2_000
@@ -44,15 +45,33 @@ class TestUniformFairness:
     """Chi-square: request shares track capacity shares (Section 1)."""
 
     @pytest.mark.parametrize(
-        "policy", ["random", "round-robin", "least-loaded", "power-of-two"]
+        "capacities, policy",
+        [
+            pytest.param(MIRROR_CAPACITIES, policy, id=policy)
+            for policy in ("random", "round-robin", "least-loaded", "power-of-two")
+        ]
+        + [
+            pytest.param(HETERO_CAPACITIES, policy, id=f"heterogeneous-{policy}")
+            for policy in ("random", "round-robin")
+        ],
     )
-    def test_request_shares_accepted_on_mirrored_pool(self, policy):
-        strategy, device_ids = make_pool(MIRROR_CAPACITIES, copies=2)
+    def test_request_shares_accepted_on_mirrored_pool(self, capacities, policy):
+        """Each device serves its ``expected_shares()`` share of the reads.
+
+        On the heterogeneous pool only the load-blind policies run: they
+        spread each block's reads over its copies, so a device's request
+        share follows its share of the copies.  ``least-loaded`` and
+        ``power-of-two`` equalise request counts instead (26.9 / 26.9 /
+        26.9 / 19.2 % on this pool), which is their purpose, so they are
+        checked on the homogeneous pool, where equal counts are fair.
+        """
+        strategy, device_ids = make_pool(capacities, copies=2)
         addresses = uniform_sample(6_000, 3_000, seed=11)
         scheduler = create(policy, device_ids, seed=5)
         outcome = run_reads(strategy, scheduler, addresses)
-        expected = {device: 1 / len(device_ids) for device in device_ids}
-        verdict = chi_square_fairness(outcome.device_counts, expected)
+        verdict = chi_square_fairness(
+            outcome.device_counts, strategy.expected_shares()
+        )
         assert verdict.accepted, verdict.summary()
 
     def test_chi_square_has_power_to_reject_hotspots(self):

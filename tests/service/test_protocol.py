@@ -25,7 +25,7 @@ import json
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import (
@@ -116,6 +116,9 @@ def same_value(left, right) -> bool:
 
 class TestRoundTrip:
     @given(payload=payloads)
+    # A packed list under a key spelled like a placeholder stays a member.
+    @example(payload={RANKS_KEY: [0]})
+    @example(payload={U64_KEY: [7, 2 ** 64 - 1]})
     @settings(max_examples=200, deadline=None)
     def test_round_trip_identity(self, payload):
         frame = encode_frame(payload)

@@ -1,35 +1,11 @@
-"""Tests for address generators and request traces."""
+"""Tests for the address generators and batch samplers."""
 
 import collections
 import hashlib
-import re
 
 import pytest
 
-from repro.workloads import (
-    Op,
-    Request,
-    ZipfGenerator,
-    flash_crowd_sample,
-    materialize,
-    mixed,
-    sequential,
-    uniform_sample,
-    write_population,
-    zipf_reads,
-)
-
-
-class TestSequential:
-    def test_basic(self):
-        assert list(sequential(3)) == [0, 1, 2]
-
-    def test_offset(self):
-        assert list(sequential(2, start=10)) == [10, 11]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            list(sequential(-1))
+from repro.workloads import ZipfGenerator, flash_crowd_sample, uniform_sample
 
 
 class TestUniform:
@@ -81,113 +57,6 @@ class TestZipf:
     def test_range(self):
         generator = ZipfGenerator(16, seed=2)
         assert all(0 <= value < 16 for value in generator.sample(500))
-
-
-class TestTraces:
-    def test_write_population(self):
-        trace = materialize(write_population(5))
-        assert len(trace) == 5
-        assert all(request.op is Op.WRITE for request in trace)
-        assert [request.address for request in trace] == [0, 1, 2, 3, 4]
-
-    def test_payload_deterministic_and_sized(self):
-        request = Request(Op.WRITE, 42, payload_seed=1)
-        assert request.payload(32) == Request(Op.WRITE, 42, payload_seed=1).payload(32)
-        assert len(request.payload(100)) == 100
-
-    def test_payload_varies_by_address(self):
-        a = Request(Op.WRITE, 1, payload_seed=1).payload()
-        b = Request(Op.WRITE, 2, payload_seed=1).payload()
-        assert a != b
-
-    def test_mixed_fraction(self):
-        trace = materialize(mixed(5000, 100, read_fraction=0.7, seed=1))
-        reads = sum(1 for request in trace if request.op is Op.READ)
-        assert reads / len(trace) == pytest.approx(0.7, abs=0.03)
-
-    def test_mixed_validation(self):
-        with pytest.raises(ValueError):
-            materialize(mixed(1, 10, read_fraction=2.0))
-
-    @pytest.mark.parametrize(
-        "count, universe",
-        [(1, 0), (3, -5), (-2, 10)],
-        ids=["empty-universe", "negative-universe", "negative-count"],
-    )
-    def test_mixed_rejects_bad_shape(self, count, universe):
-        with pytest.raises(ValueError):
-            materialize(mixed(count, universe))
-
-    def test_zipf_reads(self):
-        trace = materialize(zipf_reads(200, 50, seed=1))
-        assert all(request.op is Op.READ for request in trace)
-        assert all(0 <= request.address < 50 for request in trace)
-        assert all(type(request.address) is int for request in trace)
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        from repro.workloads import dump_trace, load_trace
-
-        original = materialize(mixed(200, 50, read_fraction=0.5, seed=4))
-        path = tmp_path / "trace.jsonl"
-        written = dump_trace(original, path)
-        assert written == 200
-        loaded = list(load_trace(path))
-        assert loaded == original
-
-    def test_write_seeds_preserved(self, tmp_path):
-        from repro.workloads import dump_trace, load_trace
-
-        original = materialize(write_population(5))
-        path = tmp_path / "w.jsonl"
-        dump_trace(original, path)
-        loaded = list(load_trace(path))
-        assert all(request.payload_seed == 1 for request in loaded)
-        assert loaded[3].payload() == original[3].payload()
-
-    def test_blank_lines_skipped(self, tmp_path):
-        from repro.workloads import load_trace
-
-        path = tmp_path / "t.jsonl"
-        path.write_text('{"op": "read", "address": 3}\n\n')
-        assert len(list(load_trace(path))) == 1
-
-    def test_malformed_line_raises(self, tmp_path):
-        from repro.workloads import load_trace
-
-        path = tmp_path / "bad.jsonl"
-        path.write_text("not-json\n")
-        with pytest.raises(ValueError):
-            list(load_trace(path))
-
-    def test_missing_field_raises(self, tmp_path):
-        from repro.workloads import load_trace
-
-        path = tmp_path / "bad2.jsonl"
-        path.write_text('{"op": "read"}\n')
-        with pytest.raises(ValueError):
-            list(load_trace(path))
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            '{"op": "read", "address": 3.7}',
-            '{"op": "read", "address": true}',
-            '{"op": "read", "address": "12"}',
-            '{"op": "read", "address": -4}',
-            '{"op": "write", "address": 5, "seed": "x"}',
-            '["read", 3]',
-        ],
-        ids=["float", "bool", "string", "negative", "seed", "list"],
-    )
-    def test_invalid_line_names_path_and_line(self, tmp_path, line):
-        from repro.workloads import load_trace
-
-        path = tmp_path / "bad3.jsonl"
-        path.write_text('{"op": "read", "address": 3}\n' + line + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
-            list(load_trace(path))
 
 
 class TestBatchSamplers:
