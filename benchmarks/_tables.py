@@ -1,5 +1,5 @@
-"""Shared helpers for the benchmark harness: table formatting and the
-exact distance from fair.
+"""Shared helpers for the benchmark harness: table formatting, the
+exact distance from fair and the Figure 5 scaling sweep.
 
 ``emit`` is a thin wrapper over :mod:`repro.reporting` so benches and the
 library render identically.  Every bench prints the rows/series of the
@@ -11,12 +11,13 @@ well.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Dict, Iterable, Sequence
 
 from repro.core.balanced_rendezvous import fit_weights
 from repro.metrics import fair_copy_shares, max_share_deviation
 from repro.placement.crush import CrushStrategy
 from repro.reporting import render_table
+from repro.simulation import run_adaptivity, scaling_cases
 from repro.types import BinSpec
 
 
@@ -55,3 +56,20 @@ def fitted_crush(bins: Sequence[BinSpec], copies: int) -> CrushStrategy:
         [BinSpec(spec.bin_id, weight) for spec, weight in zip(bins, weights)],
         copies=copies,
     )
+
+
+def scaling_factors(
+    sizes: Sequence[int],
+    factory: Callable[[Sequence[BinSpec]], object],
+    balls: int,
+) -> Dict[int, Dict[str, float]]:
+    """``factor_positional`` of adding one bin as the ``"biggest"`` or the
+    ``"smallest"`` to ``n`` homogeneous bins of 5 000, for each ``n`` in
+    ``sizes``, over the balls ``range(balls)`` (Figure 5 and Section
+    3.1's sweep)."""
+    reports = run_adaptivity(scaling_cases(sizes, capacity=5_000), factory, balls)
+    table: Dict[int, Dict[str, float]] = {}
+    for label, report in reports.items():
+        size, _, kind = label.split()  # e.g. "n=16 add biggest"
+        table.setdefault(int(size[2:]), {})[kind] = report.factor_positional
+    return table

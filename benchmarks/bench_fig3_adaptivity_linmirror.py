@@ -24,7 +24,7 @@ STEP = 1_000
 
 def run_figure3():
     cases = add_remove_cases(count=DISKS, base=BASE, step=STEP)
-    return run_adaptivity(cases, lambda bins: LinMirror(bins), balls=BALLS)
+    return run_adaptivity(cases, LinMirror, balls=BALLS)
 
 
 def test_fig3_adaptivity_linmirror(benchmark):
@@ -37,22 +37,26 @@ def test_fig3_adaptivity_linmirror(benchmark):
         "small, bound 4",
         ["case", "used", "replaced", "factor"],
         [
-            (r.label, r.used, r.replaced, f"{r.factor:.2f}")
-            for r in results
+            (label, r.used_on_affected, r.moved_positional,
+             f"{r.factor_positional:.2f}")
+            for label, r in results.items()
         ],
     )
-    for result in results:
-        benchmark.extra_info[result.label] = round(result.factor, 3)
+    factor = {
+        label: report.factor_positional for label, report in results.items()
+    }
+    benchmark.extra_info.update(
+        {label: round(value, 3) for label, value in factor.items()}
+    )
 
-    by_label = {result.label: result for result in results}
     for flavor in ("het", "hom"):
         for change in ("add", "rem."):
-            big = by_label[f"{flavor}. {change} big"].factor
-            small = by_label[f"{flavor}. {change} small"].factor
+            big = factor[f"{flavor}. {change} big"]
+            small = factor[f"{flavor}. {change} small"]
             # Paper shape: changing at the big end is markedly cheaper.
             assert big < small, f"{flavor} {change}: big {big} !< small {small}"
             assert 1.0 <= big < 2.1, f"{flavor} {change} big factor {big}"
             assert 1.6 <= small < 3.6, f"{flavor} {change} small factor {small}"
     # Lemma 3.2: 4-competitive in expectation.
-    for result in results:
-        assert result.factor < 4.5, f"{result.label}: {result.factor}"
+    for label, value in factor.items():
+        assert value < 4.5, f"{label}: {value}"

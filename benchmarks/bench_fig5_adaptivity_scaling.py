@@ -13,10 +13,9 @@ that there is a much lower bound").
 
 import pytest
 
-from _tables import emit
+from _tables import emit, scaling_factors
 from repro._compat import HAVE_NUMPY
 from repro.core import RedundantShare
-from repro.simulation import run_adaptivity, scaling_cases
 
 BALLS = 4_000
 COPIES = 4
@@ -24,20 +23,9 @@ SIZES = (4, 8, 16, 24, 36, 48, 60)
 
 
 def run_figure5():
-    cases = scaling_cases(SIZES, capacity=5_000)
-    results = run_adaptivity(
-        cases,
-        lambda bins: RedundantShare(bins, copies=COPIES),
-        balls=BALLS,
+    return scaling_factors(
+        SIZES, lambda bins: RedundantShare(bins, copies=COPIES), BALLS
     )
-    table = {}
-    for case_result in results:
-        # labels look like "n=16 add biggest"
-        parts = case_result.label.split()
-        n = int(parts[0][2:])
-        kind = parts[2]
-        table.setdefault(n, {})[kind] = case_result.factor
-    return table
 
 
 def test_fig5_adaptivity_scaling_k4(benchmark):

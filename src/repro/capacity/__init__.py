@@ -11,14 +11,11 @@ from .clipping import (
     is_capacity_efficient,
     max_balls,
     optimal_weights,
-    wasted_capacity,
     water_fill_limit,
 )
 from .weights import (
     first_saturated_index,
     is_sorted_descending,
-    normalize,
-    primary_probabilities,
     reach_probabilities,
     round_probabilities,
     suffix_sums,
@@ -31,12 +28,9 @@ __all__ = [
     "is_capacity_efficient",
     "is_sorted_descending",
     "max_balls",
-    "normalize",
     "optimal_weights",
-    "primary_probabilities",
     "reach_probabilities",
     "round_probabilities",
     "suffix_sums",
-    "wasted_capacity",
     "water_fill_limit",
 ]

@@ -21,7 +21,7 @@ Their agreement is property-tested in ``tests/capacity``.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..exceptions import ConfigurationError
 from .weights import is_sorted_descending
@@ -129,19 +129,6 @@ def clipped_shares(capacities: Sequence[float], k: int) -> List[float]:
     clipped = clip_capacities(capacities, k)
     total = sum(clipped)
     return [value / total for value in clipped]
-
-
-def wasted_capacity(capacities: Sequence[float], k: int) -> Tuple[float, float]:
-    """Capacity that redundancy makes unusable.
-
-    Returns:
-        ``(absolute, fraction)`` — total clipped-away capacity and its share
-        of the raw total.
-    """
-    clipped = clip_capacities(capacities, k)
-    raw_total = float(sum(capacities))
-    lost = raw_total - sum(clipped)
-    return lost, lost / raw_total
 
 
 def _validate(capacities: Sequence[float], k: int) -> None:

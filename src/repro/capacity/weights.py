@@ -67,20 +67,6 @@ def reach_probabilities(round_probs: Sequence[float]) -> List[float]:
     return reach
 
 
-def primary_probabilities(capacities: Sequence[float], k: int) -> List[float]:
-    """Probability that bin ``i`` is chosen as the *primary* copy.
-
-    ``p_i = min(č_i, 1) * P_i`` — the Section 3.3 formula.  The probabilities
-    sum to 1 whenever some ``č_i >= 1`` exists (guaranteed for sorted vectors
-    with ``k >= 2`` and ``n >= 2``, since ``č_{n-1} = k >= 1``).
-    """
-    rounds = round_probabilities(capacities, k)
-    reach = reach_probabilities(rounds)
-    return [
-        min(prob, 1.0) * reach[index] for index, prob in enumerate(rounds)
-    ]
-
-
 def first_saturated_index(round_probs: Sequence[float]) -> int:
     """Index ``T`` of the first round with ``č_T >= 1`` (deterministic stop).
 
@@ -91,15 +77,3 @@ def first_saturated_index(round_probs: Sequence[float]) -> int:
         if prob >= 1.0:
             return index
     raise ValueError("no saturated round: selection would not terminate")
-
-
-def normalize(weights: Sequence[float]) -> List[float]:
-    """Scale weights to sum to 1.
-
-    Raises:
-        ValueError: if the sum is not positive.
-    """
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must have a positive sum")
-    return [weight / total for weight in weights]

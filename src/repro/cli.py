@@ -805,16 +805,16 @@ def cmd_adaptivity(args: argparse.Namespace) -> int:
     """The Figure 3 add/remove experiment."""
     _at_least_one("--balls", args.balls)
     _at_least_one("--disks", args.disks)
-    results = run_adaptivity(
+    reports = run_adaptivity(
         add_remove_cases(count=args.disks, base=args.base, step=args.step),
         lambda bins: RedundantShare(bins, copies=args.copies),
         balls=args.balls,
     )
     print(f"{'case':<16}{'used':>10}{'replaced':>10}{'factor':>9}")
-    for result in results:
+    for label, report in reports.items():
         print(
-            f"{result.label:<16}{result.used:>10}{result.replaced:>10}"
-            f"{result.factor:>9.2f}"
+            f"{label:<16}{report.used_on_affected:>10}"
+            f"{report.moved_positional:>10}{report.factor_positional:>9.2f}"
         )
     print(f"\npaper bound for k={args.copies}: {args.copies ** 2}")
     return 0

@@ -35,6 +35,7 @@ from ..exceptions import (
     DeviceNotFoundError,
     DeviceUnavailableError,
 )
+from ..metrics.fairness import fill_percentages
 from ..placement.base import ReplicationStrategy
 from ..types import BinSpec
 from .blockmap import BlockMap
@@ -84,10 +85,7 @@ class ClusterStats:
     @property
     def fill_percentages(self) -> Dict[str, float]:
         """Percent full per device."""
-        return {
-            device_id: 100.0 * self.devices[device_id] / capacity
-            for device_id, capacity in self.capacities.items()
-        }
+        return fill_percentages(self.devices, self.capacities)
 
 
 class Cluster:

@@ -102,13 +102,6 @@ class RedundantShare(ReplicationStrategy):
         """Bins in scan order (descending capacity, ties by id)."""
         return list(self._ordered)
 
-    def effective_capacities(self) -> Dict[str, float]:
-        """Clipped capacity ``b̂_i`` per bin id."""
-        return {
-            spec.bin_id: capacity
-            for spec, capacity in zip(self._ordered, self._table.capacities)
-        }
-
     def expected_shares(self) -> Dict[str, float]:
         """Exact expected share of all stored copies per bin (sums to 1)."""
         return {

@@ -4,17 +4,11 @@ from .adaptivity import (
     MovementReport,
     compare_scale_out,
     compare_strategies,
-    movement_series,
-    optimal_moved_copies,
 )
 from .fairness import (
     chi_square_statistic,
-    count_copies,
     count_violations,
     fill_percentages,
-    gini_coefficient,
-    jain_index,
-    max_fill_spread,
     max_share_deviation,
 )
 from .stats import (
@@ -38,18 +32,12 @@ __all__ = [
     "chi_square_statistic",
     "compare_scale_out",
     "compare_strategies",
-    "count_copies",
     "count_violations",
     "fair_copy_shares",
     "fill_percentages",
-    "gini_coefficient",
-    "jain_index",
     "max_deviation_fairness",
-    "max_fill_spread",
     "max_share_deviation",
-    "movement_series",
     "normal_quantile",
     "normal_sf",
-    "optimal_moved_copies",
     "sample_copy_counts",
 ]

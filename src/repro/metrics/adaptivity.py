@@ -1,13 +1,17 @@
 """Adaptivity metrics — how much data a reconfiguration moves.
 
 The paper's Figure 3/5 experiments measure, for a configuration change
-(one bin added or removed):
+(one bin added or removed), the fields of :class:`MovementReport`:
 
-* ``used``      — copies residing on the affected bin (after an insertion,
-  in the new configuration; before a removal, in the old one);
-* ``replaced``  — copies whose device changed between the configurations;
-* ``factor``    — ``replaced / used``, the empirical competitive ratio,
-  bounded by 4 for LinMirror (Lemma 3.2) and ``k²`` in general (Lemma 3.5).
+* ``used_on_affected`` — copies residing on the affected bin (after an
+  insertion, in the new configuration; before a removal, in the old one).
+  Every one of them must move under *any* strategy and nothing else has
+  to, so it is the optimum the competitive ratio divides by;
+* ``moved_positional`` — copies whose device changed between the
+  configurations;
+* ``factor_positional`` — their ratio, the empirical competitive ratio
+  the paper bounds by 4 for LinMirror (Lemma 3.2) and ``k²`` in general
+  (Lemma 3.5).
 
 Two notions of "changed" are provided: *positional* (copy ``i`` of a ball
 sits on a different device — what an erasure-coded system must physically
@@ -19,7 +23,7 @@ mirroring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from .._compat import get_numpy
 from ..placement.base import BatchPlacement, ReplicationStrategy
@@ -197,40 +201,3 @@ def compare_scale_out(
         **{**options, **(after_options or {})},
     )
     return compare_strategies(before, after, addresses, added)
-
-
-def optimal_moved_copies(report: MovementReport) -> int:
-    """Lower bound on copies *any* strategy must move for this change.
-
-    Every copy the affected bin holds (gains or loses) necessarily moves;
-    nothing else has to.  The competitive ratio in the paper compares
-    against exactly this bound.
-    """
-    return report.used_on_affected
-
-
-def movement_series(
-    strategies: Sequence[ReplicationStrategy],
-    addresses: Sequence[int],
-    affected: Sequence[Sequence[str]],
-) -> List[MovementReport]:
-    """Compare consecutive snapshots of an evolving system.
-
-    Args:
-        strategies: Configuration snapshots in order.
-        addresses: Ball population.
-        affected: For each transition, the bins added/removed.
-    """
-    if len(affected) != len(strategies) - 1:
-        raise ValueError("need one affected-bin list per transition")
-    reports = []
-    for index in range(len(strategies) - 1):
-        reports.append(
-            compare_strategies(
-                strategies[index],
-                strategies[index + 1],
-                addresses,
-                affected[index],
-            )
-        )
-    return reports

@@ -2,14 +2,15 @@
 
 The paper's headline fairness claim (Figures 2 and 4) is phrased as *fill
 percentage*: after placing ``m`` balls, every bin should be filled to the
-same percentage of its (usable) capacity.  This module provides that view
-plus the standard statistical summaries used in the comparison benches.
+same percentage of its (usable) capacity.  This module provides that view,
+the share distance and chi-square statistic the acceptance tests and
+benches read, and the redundancy-violation count.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping
 
 from ..placement.base import ReplicationStrategy
 
@@ -24,14 +25,6 @@ def fill_percentages(
             raise ValueError(f"bin {bin_id!r} has non-positive capacity")
         result[bin_id] = 100.0 * copy_counts.get(bin_id, 0) / capacity
     return result
-
-
-def max_fill_spread(
-    copy_counts: Mapping[str, int], capacities: Mapping[str, float]
-) -> float:
-    """Largest minus smallest fill percentage — 0 for perfect fairness."""
-    fills = fill_percentages(copy_counts, capacities)
-    return max(fills.values()) - min(fills.values())
 
 
 def max_share_deviation(
@@ -65,53 +58,6 @@ def chi_square_statistic(
         delta = copy_counts.get(bin_id, 0) - expected
         statistic += delta * delta / expected
     return statistic
-
-
-def jain_index(values: Sequence[float]) -> float:
-    """Jain's fairness index: 1 for perfectly equal values, 1/n for one hot
-    spot.  Applied to *fill fractions*, equality is exactly the paper's
-    fairness notion."""
-    if not values:
-        raise ValueError("need at least one value")
-    total = sum(values)
-    squares = sum(value * value for value in values)
-    if squares == 0:
-        return 1.0
-    return (total * total) / (len(values) * squares)
-
-
-def gini_coefficient(values: Sequence[float]) -> float:
-    """Gini coefficient of a non-negative sample (0 = perfectly even)."""
-    if not values:
-        raise ValueError("need at least one value")
-    if any(value < 0 for value in values):
-        raise ValueError("values must be non-negative")
-    ordered = sorted(values)
-    total = sum(ordered)
-    if total == 0:
-        return 0.0
-    n = len(ordered)
-    weighted = sum((index + 1) * value for index, value in enumerate(ordered))
-    return (2.0 * weighted) / (n * total) - (n + 1.0) / n
-
-
-def count_copies(placements: Iterable[Sequence[str]]) -> Dict[str, int]:
-    """Tally copies per bin over an iterable of placements.
-
-    Also accepts a column-oriented
-    :class:`~repro.placement.base.BatchPlacement` (the result of
-    ``strategy.place_many``), in which case the histogram is collected
-    with a bincount over the rank columns instead of a Python loop over
-    per-ball tuples — the fast path of the fairness experiments.
-    """
-    counter = getattr(placements, "counts", None)
-    if callable(counter):
-        return counter()
-    counts: Dict[str, int] = {}
-    for placement in placements:
-        for bin_id in placement:
-            counts[bin_id] = counts.get(bin_id, 0) + 1
-    return counts
 
 
 def count_violations(

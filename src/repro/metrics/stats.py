@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
-from ..capacity.clipping import clip_capacities
+from ..capacity.clipping import clipped_shares
 from ..hashing.primitives import stable_u64
 from .fairness import chi_square_statistic
 
@@ -343,17 +343,10 @@ def fair_copy_shares(
     what the trivial strategy provably misses on heterogeneous vectors
     (Lemma 2.4).
     """
-    # Clip in descending-capacity order (ties by id, matching
-    # sort_bins_by_capacity) and map the result back to ids.
+    # Descending capacity, ties by id (sort_bins_by_capacity's order).
     ordered = sorted(capacities.items(), key=lambda item: (-item[1], item[0]))
-    clipped = clip_capacities([value for _, value in ordered], copies)
-    total = sum(clipped)
-    if total <= 0:
-        raise ValueError("total capacity must be positive")
-    return {
-        bin_id: value / total
-        for (bin_id, _), value in zip(ordered, clipped)
-    }
+    shares = clipped_shares([value for _, value in ordered], copies)
+    return {bin_id: share for (bin_id, _), share in zip(ordered, shares)}
 
 
 def sample_copy_counts(

@@ -128,8 +128,8 @@ class BatchPlacement:
         return iter(self.tuples())
 
     def counts(self) -> Dict[str, int]:
-        """Per-bin copy histogram, matching
-        :func:`repro.metrics.fairness.count_copies` over :meth:`tuples`."""
+        """Per-bin copy histogram: how many of :meth:`tuples`' entries name
+        each bin."""
         np = get_numpy()
         size = len(self.rank_ids)
         if np is not None and self.columns and isinstance(

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from .._compat import get_numpy
-from ..exceptions import DeviceUnavailableError
 from ..hashing.primitives import int64_column
 from ..placement.base import BatchPlacement, ReplicationStrategy
 from .base import ReadScheduler
@@ -168,30 +167,14 @@ def fractional_lower_bound(
         DeviceUnavailableError: when some block's copies are all in
             ``offline``.
     """
-    stream = [int(address) for address in addresses]
     demands: Dict[int, int] = {}
-    for address in stream:
-        demands[address] = demands.get(address, 0) + 1
-    live = [
-        spec.bin_id for spec in strategy.bins if spec.bin_id not in set(offline)
-    ]
-    bit_of = {device: bit for bit, device in enumerate(live)}
+    for address in addresses:
+        block = int(address)
+        demands[block] = demands.get(block, 0) + 1
     if not demands:
         return 0.0
     blocks = sorted(demands)
-    batch = strategy.place_many(blocks)
-    masks: List[int] = []
-    for block, row in zip(blocks, batch.tuples()):
-        mask = 0
-        for device in row:
-            bit = bit_of.get(device)
-            if bit is not None:
-                mask |= 1 << bit
-        if not mask:
-            raise DeviceUnavailableError(
-                f"block {block}: all {len(row)} copy devices are offline"
-            )
-        masks.append(mask)
-    return fractional_peak_bound(
-        [demands[block] for block in blocks], masks, len(live)
-    )
+    copysets = dict(zip(blocks, strategy.place_many(blocks).tuples()))
+    down = set(offline)
+    live = [spec.bin_id for spec in strategy.bins if spec.bin_id not in down]
+    return fractional_peak_bound(demands, copysets, live)

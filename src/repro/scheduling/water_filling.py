@@ -30,7 +30,7 @@ theorem, not a tendency — the assertion can never flake.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError, DeviceUnavailableError
 from .base import ReadScheduler
@@ -40,31 +40,51 @@ MAX_EXACT_DEVICES = 16
 
 
 def fractional_peak_bound(
-    demands: Sequence[int],
-    copyset_masks: Sequence[int],
-    device_count: int,
+    demands: Mapping[int, int],
+    copysets: Mapping[int, Sequence[Hashable]],
+    live: Sequence[Hashable],
 ) -> Optional[float]:
     """Exact fractional lower bound on the peak load of any schedule.
 
+    Each live device gets one bit, in any order: the bound does not
+    depend on it.
+
     Args:
         demands: Requests per distinct block.
-        copyset_masks: Bitmask (over ``device_count`` bits) of the
-            devices allowed to serve each block, aligned with
-            ``demands``.
-        device_count: Devices in the pool (bit width of the masks).
+        copysets: The devices holding each block's copies; only those in
+            ``live`` can serve it.
+        live: The devices that can serve.
 
     Returns:
-        ``max over masks S of demand(blocks with copyset ⊆ S) / |S|``,
-        or ``None`` when ``device_count`` exceeds
-        :data:`MAX_EXACT_DEVICES`.
+        ``max over sets S of live devices of demand(blocks whose live
+        copies all lie in S) / |S|``, or ``None`` when ``live`` has more
+        than :data:`MAX_EXACT_DEVICES` devices.
+
+    Raises:
+        DeviceUnavailableError: when some block has no live copy.
     """
+    bit_of = {device: bit for bit, device in enumerate(live)}
+    masks: List[int] = []
+    for block in demands:
+        mask = 0
+        devices = copysets[block]
+        for device in devices:
+            bit = bit_of.get(device)
+            if bit is not None:
+                mask |= 1 << bit
+        if not mask:
+            raise DeviceUnavailableError(
+                f"block {block}: all {len(devices)} copy devices are offline"
+            )
+        masks.append(mask)
+    device_count = len(live)
     if device_count > MAX_EXACT_DEVICES:
         return None
     if device_count == 0 or not demands:
         return 0.0
     size = 1 << device_count
     contained = [0] * size
-    for demand, mask in zip(demands, copyset_masks):
+    for demand, mask in zip(demands.values(), masks):
         contained[mask] += demand
     # Subset-sum (SOS) DP: after processing bit b, contained[S] holds the
     # demand of all copysets that are subsets of S w.r.t. bits <= b.
@@ -136,8 +156,13 @@ class WaterFillingScheduler(ReadScheduler):
                     f"offline"
                 )
             available_positions[block] = positions
-        self._last_bound = self._fractional_bound(
-            demands, copy_ranks, available_positions
+        live = [rank for rank in range(len(self._ids)) if self._available[rank]]
+        # Every block has a live copy (checked above), so above the exact
+        # DP's limit the bound is None without building its masks.
+        self._last_bound = (
+            fractional_peak_bound(demands, copy_ranks, live)
+            if len(live) <= MAX_EXACT_DEVICES
+            else None
         )
         # Water-filling realization: highest-demand blocks first (ties on
         # the lower address), each request poured onto the least-loaded
@@ -165,27 +190,3 @@ class WaterFillingScheduler(ReadScheduler):
             self._commit(block, copy_ranks[block][position])
             positions_out.append(position)
         return positions_out
-
-    def _fractional_bound(
-        self,
-        demands: Dict[int, int],
-        copy_ranks: Dict[int, Tuple[int, ...]],
-        available_positions: Dict[int, List[int]],
-    ) -> Optional[float]:
-        live_ranks = [
-            rank for rank in range(len(self._ids)) if self._available[rank]
-        ]
-        if len(live_ranks) > MAX_EXACT_DEVICES:
-            return None
-        bit_of = {rank: bit for bit, rank in enumerate(live_ranks)}
-        blocks = sorted(demands)
-        masks = []
-        for block in blocks:
-            ranks = copy_ranks[block]
-            mask = 0
-            for position in available_positions[block]:
-                mask |= 1 << bit_of[ranks[position]]
-            masks.append(mask)
-        return fractional_peak_bound(
-            [demands[block] for block in blocks], masks, len(live_ranks)
-        )

@@ -34,9 +34,13 @@ dict payload (sorted-key order) that is a non-empty list of ``int`` (no
 ``bool``) in ``[0, 2**64)`` and for a non-empty ``array('Q')`` anywhere,
 decoded to an ``array('Q')``; every other list is a JSON array.  A frame
 has one column and a payload's content alone decides its form, so there
-is nothing to negotiate: ``decode_frame(encode_frame(x)) == x`` except
-that the packed list returns as that array of the same integers, and
-``encode_frame`` of what a JSON or ``$u64`` frame decoded to is it again.
+is nothing to negotiate.  For every payload ``encode_frame`` accepts,
+``decode_frame(encode_frame(x)) == x`` except that the packed list
+returns as that array of the same integers, and ``encode_frame`` of what
+a JSON or ``$u64`` frame decoded to is it again.  A payload with a column
+*and* a member of its own spelled like a placeholder (a dict whose one
+key is ``$ranks`` or ``$u64``) would not decode, so ``encode_frame``
+refuses it.
 
 JSON is rendered compactly with sorted keys and each column has one
 layout, so equal payloads encode to byte-equal frames on any machine,
@@ -69,7 +73,7 @@ import json
 import struct
 import sys
 from array import array
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._compat import get_numpy
 from ..exceptions import (
@@ -110,7 +114,8 @@ def encode_frame(payload: Any) -> bytes:
             is then columnar, as it is for a top-level u64 list.
 
     Raises:
-        BadFrameError: when the payload is not JSON-serialisable.
+        BadFrameError: when the payload is not JSON-serialisable, or has
+            a column beside a member spelled like its placeholder.
         OversizedFrameError: when the encoded body exceeds the maximum.
     """
     columns: List[bytes] = []
@@ -139,6 +144,20 @@ def encode_frame(payload: Any) -> bytes:
     except (TypeError, ValueError) as error:
         raise BadFrameError(f"payload is not JSON-serialisable: {error}") from None
     if columns:
+        # Every dict spelled like a placeholder renders as one of these
+        # (a string cannot hold an unescaped quote), and one is the
+        # column's own: parse the header only when it may hold two.
+        if body.count(b'{"$u64":') + body.count(b'{"$ranks":') > 1:
+            try:
+                # Of an unpacked column, the parse reads only its type.
+                _parse_header(
+                    body, lambda key, _: array("Q") if key == U64_KEY else []
+                )
+            except BadFrameError:
+                raise BadFrameError(
+                    "payload holds a member spelled like the column "
+                    "placeholder ($ranks or $u64); it would not decode"
+                ) from None
         body = b"".join((COLUMNAR, HEADER.pack(len(body)), body, columns[0]))
     if len(body) > MAX_FRAME_BYTES:
         raise OversizedFrameError(
@@ -247,26 +266,36 @@ def _decode_columnar(body: bytes) -> Any:
             f"{len(body) - start} bytes follow"
         )
     column = memoryview(body)[end:]
+    return _parse_header(
+        body[start:end],
+        lambda key, inner: _unpack_columns[key](inner, column),
+    )
+
+
+def _parse_header(header: bytes, unpack: Callable[[str, Any], Any]) -> Any:
+    """A columnar header's payload with its one placeholder ``{key:
+    inner}`` replaced by ``unpack(key, inner)``.
+
+    Raises:
+        BadFrameError: the header is not JSON or names no column, or a
+            second one.
+    """
     unpacked: List[bool] = []
 
-    def unpack(value: Dict[str, Any]) -> Any:
-        if value.keys() == {RANKS_KEY}:
-            values = _unpack_ranks
-        elif value.keys() == {U64_KEY}:
-            values = _unpack_u64
-        else:
+    def hook(value: Dict[str, Any]) -> Any:
+        if len(value) != 1:
             return value
-        (inner,) = value.values()
-        if type(inner) is array:
-            # The column itself, under a payload key spelled like its
-            # placeholder: the payload's own member, not a second column.
+        ((key, inner),) = value.items()
+        if key not in _unpack_columns or type(inner) is array:
+            # Not a placeholder; or the column itself, under a payload key
+            # spelled like its placeholder: a member, not a second column.
             return value
         if unpacked:
             raise BadFrameError("columnar frame names a second column")
         unpacked.append(True)
-        return values(inner, column)
+        return unpack(key, inner)
 
-    payload = _loads(body[start:end], unpack)
+    payload = _loads(header, hook)
     if not unpacked:
         raise BadFrameError("columnar frame names no column")
     return payload
@@ -328,6 +357,10 @@ def _unpack_ranks(meta: Any, matrix: memoryview) -> List[List[str]]:
             f"a rank is outside the {len(rank_ids)}-entry rank_ids table"
         ) from None
     return [ids[row * copies : (row + 1) * copies] for row in range(count)]
+
+
+#: Each placeholder key's column reader.
+_unpack_columns = {RANKS_KEY: _unpack_ranks, U64_KEY: _unpack_u64}
 
 
 def decode_frame(data: bytes) -> Any:

@@ -1,12 +1,7 @@
 """Scenario builders, experiment runners and the event engine."""
 
 from .engine import Simulator
-from .runner import (
-    AdaptivityResult,
-    FairnessResult,
-    run_adaptivity,
-    run_fairness,
-)
+from .runner import FairnessResult, run_adaptivity, run_fairness
 from .scenarios import (
     AddRemoveCase,
     GrowthStep,
@@ -19,7 +14,6 @@ from .scenarios import (
 )
 
 __all__ = [
-    "AdaptivityResult",
     "AddRemoveCase",
     "FairnessResult",
     "GrowthStep",

@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
+from ..capacity.clipping import clip_capacities
 from ..metrics.adaptivity import MovementReport, compare_strategies
-from ..metrics.fairness import count_copies, fill_percentages
+from ..metrics.fairness import fill_percentages
 from ..placement.base import ReplicationStrategy
-from ..types import BinSpec
+from ..types import BinSpec, sort_bins_by_capacity
 from .scenarios import AddRemoveCase, GrowthStep
 
 StrategyFactory = Callable[[Sequence[BinSpec]], ReplicationStrategy]
@@ -47,71 +48,49 @@ def run_fairness(
 ) -> List[FairnessResult]:
     """Place ``balls`` balls under each step and report fill percentages.
 
+    Fill is judged against each bin's *usable* capacity: the Lemma 2.2
+    clipped capacity at the strategy's degree, which is the raw capacity
+    wherever Lemma 2.1 holds.
+
     Args:
         steps: Configurations to evaluate (e.g. ``paper_growth_steps()``).
         factory: Strategy builder.
         balls: Ball population size (the same addresses for every step).
     """
     results: List[FairnessResult] = []
-    addresses = range(balls)
     for step in steps:
         strategy = factory(list(step.bins))
-        # One vectorized batch per configuration (count_copies consumes the
-        # rank columns directly); strategies without a batch engine fall
-        # back to the scalar loop inside place_many.
-        counts = count_copies(strategy.place_many(addresses))
-        capacities = {spec.bin_id: float(spec.capacity) for spec in step.bins}
-        # Fairness is judged against *usable* (clipped) capacity where the
-        # strategy exposes it; raw capacity otherwise.
-        effective = getattr(strategy, "effective_capacities", None)
-        if callable(effective):
-            capacities = effective()
-        fills = fill_percentages(counts, capacities)
+        counts = strategy.place_many(range(balls)).counts()
+        ordered = sort_bins_by_capacity(step.bins)
+        clipped = clip_capacities(
+            [float(spec.capacity) for spec in ordered], strategy.copies
+        )
+        capacities = {
+            spec.bin_id: capacity for spec, capacity in zip(ordered, clipped)
+        }
         results.append(
-            FairnessResult(label=step.label, fills=fills, copies_per_bin=counts)
+            FairnessResult(
+                label=step.label,
+                fills=fill_percentages(counts, capacities),
+                copies_per_bin=counts,
+            )
         )
     return results
-
-
-@dataclass(frozen=True)
-class AdaptivityResult:
-    """Movement measurement for one add/remove case.
-
-    Attributes:
-        label: Case label (e.g. ``"het. add big"``).
-        report: The underlying movement numbers.
-    """
-
-    label: str
-    report: MovementReport
-
-    @property
-    def used(self) -> int:
-        """Copies on the affected bin."""
-        return self.report.used_on_affected
-
-    @property
-    def replaced(self) -> int:
-        """Copies that changed device."""
-        return self.report.moved_positional
-
-    @property
-    def factor(self) -> float:
-        """``replaced / used`` — the Figure 3/5 competitive factor."""
-        return self.report.factor_positional
 
 
 def run_adaptivity(
     cases: Sequence[AddRemoveCase],
     factory: StrategyFactory,
     balls: int,
-) -> List[AdaptivityResult]:
-    """Measure movement for each add/remove case."""
-    results: List[AdaptivityResult] = []
-    addresses = list(range(balls))
-    for case in cases:
-        before = factory(list(case.before))
-        after = factory(list(case.after))
-        report = compare_strategies(before, after, addresses, [case.affected])
-        results.append(AdaptivityResult(label=case.label, report=report))
-    return results
+) -> Dict[str, MovementReport]:
+    """Movement of the balls ``range(balls)`` for each add/remove case,
+    keyed by the case's label (in the order of ``cases``)."""
+    return {
+        case.label: compare_strategies(
+            factory(list(case.before)),
+            factory(list(case.after)),
+            range(balls),
+            [case.affected],
+        )
+        for case in cases
+    }

@@ -122,12 +122,11 @@ class TestClippedShares:
 
 
 class TestWastedCapacity:
+    """What clipping discards: the capacity redundancy makes unusable."""
+
     def test_no_waste_when_efficient(self):
-        lost, fraction = clipping.wasted_capacity([4, 4, 4], k=2)
-        assert lost == 0.0
-        assert fraction == 0.0
+        assert sum(clipping.clip_capacities([4, 4, 4], k=2)) == 12.0
 
     def test_waste_of_oversized_bin(self):
-        lost, fraction = clipping.wasted_capacity([10, 6, 1], k=2)
+        lost = 17.0 - sum(clipping.clip_capacities([10, 6, 1], k=2))
         assert lost == pytest.approx(3.0)
-        assert fraction == pytest.approx(3.0 / 17.0)

@@ -65,22 +65,6 @@ class TestReachProbabilities:
         assert all(a >= b for a, b in zip(reach, reach[1:]))
 
 
-class TestPrimaryProbabilities:
-    def test_sum_to_one_when_saturated(self):
-        probs = weights.primary_probabilities([5, 4, 3, 2, 1], k=2)
-        assert sum(probs) == pytest.approx(1.0)
-
-    def test_biggest_bin_gets_its_demand(self):
-        # č_0 = k*b_0/B is exactly the required primary probability for bin 0.
-        capacities = [5.0, 4.0, 3.0, 2.0, 1.0]
-        probs = weights.primary_probabilities(capacities, k=2)
-        assert probs[0] == pytest.approx(2 * 5 / 15)
-
-    def test_all_nonnegative(self):
-        probs = weights.primary_probabilities([9, 7, 5, 3, 1], k=3)
-        assert all(p >= 0 for p in probs)
-
-
 class TestFirstSaturatedIndex:
     def test_finds_stop(self):
         probs = [0.4, 0.9, 1.0, 2.0]
@@ -89,12 +73,3 @@ class TestFirstSaturatedIndex:
     def test_no_stop_raises(self):
         with pytest.raises(ValueError):
             weights.first_saturated_index([0.1, 0.2])
-
-
-class TestNormalize:
-    def test_sums_to_one(self):
-        assert sum(weights.normalize([3, 1])) == pytest.approx(1.0)
-
-    def test_zero_sum_raises(self):
-        with pytest.raises(ValueError):
-            weights.normalize([0.0, 0.0])

@@ -31,8 +31,8 @@ class TestConstruction:
 
     def test_clipping_enabled_by_default(self):
         strategy = RedundantShare(bins_from_capacities([100, 1, 1]), copies=2)
-        effective = strategy.effective_capacities()
-        assert effective["bin-0"] == pytest.approx(2.0)
+        assert strategy.ordered_bins[0].bin_id == "bin-0"
+        assert strategy.table.capacities[0] == pytest.approx(2.0)
 
     def test_ordered_bins_descending(self):
         strategy = RedundantShare(bins_from_capacities([3, 9, 6]), copies=2)

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.metrics import fairness
+from repro.placement.base import BatchPlacement
+from repro.simulation import FairnessResult
 
 
 class TestFillPercentages:
@@ -18,10 +20,10 @@ class TestFillPercentages:
             fairness.fill_percentages({"a": 1}, {"a": 0.0})
 
     def test_spread(self):
-        spread = fairness.max_fill_spread(
-            {"a": 5, "b": 10}, {"a": 10.0, "b": 10.0}
-        )
-        assert spread == pytest.approx(50.0)
+        counts = {"a": 5, "b": 10}
+        fills = fairness.fill_percentages(counts, {"a": 10.0, "b": 10.0})
+        result = FairnessResult(label="step", fills=fills, copies_per_bin=counts)
+        assert result.spread == pytest.approx(50.0)
 
 
 class TestDeviation:
@@ -54,44 +56,10 @@ class TestChiSquare:
             fairness.chi_square_statistic({}, {"a": 1.0})
 
 
-class TestJain:
-    def test_equal_is_one(self):
-        assert fairness.jain_index([3.0, 3.0, 3.0]) == pytest.approx(1.0)
-
-    def test_single_hot_spot(self):
-        assert fairness.jain_index([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
-
-    def test_all_zero(self):
-        assert fairness.jain_index([0.0, 0.0]) == pytest.approx(1.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            fairness.jain_index([])
-
-
-class TestGini:
-    def test_even_is_zero(self):
-        assert fairness.gini_coefficient([2.0, 2.0, 2.0]) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_concentration_increases(self):
-        even = fairness.gini_coefficient([1, 1, 1, 1])
-        skewed = fairness.gini_coefficient([4, 0, 0, 0])
-        assert skewed > even
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            fairness.gini_coefficient([-1.0, 2.0])
-
-    def test_all_zero_is_zero(self):
-        assert fairness.gini_coefficient([0.0, 0.0]) == 0.0
-
-
 class TestCountCopies:
     def test_tallies(self):
-        counts = fairness.count_copies([("a", "b"), ("a", "c")])
-        assert counts == {"a": 2, "b": 1, "c": 1}
+        batch = BatchPlacement(["a", "b", "c"], [[0, 0], [1, 2]])
+        assert batch.counts() == {"a": 2, "b": 1, "c": 1}
 
     def test_empty(self):
-        assert fairness.count_copies([]) == {}
+        assert BatchPlacement(["a", "b"], [[], []]).counts() == {}

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.stats import (
     FairnessVerdict,
@@ -120,19 +122,42 @@ class TestMaxDeviationFairness:
             max_deviation_fairness({}, {"a": 0.5, "b": 0.5})
 
 
+@st.composite
+def fair_share_fleets(draw):
+    """A degree ``k`` in 1..4 and a capacity vector for it.  For ``k >= 2``
+    up to ``k - 1`` giant bins may join, each bigger than all the others
+    together, so that ``k * b_0 > B`` and Lemma 2.2 clips them."""
+    copies = draw(st.integers(min_value=1, max_value=4))
+    capacities = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=1_000),
+            min_size=copies,
+            max_size=10,
+        )
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=copies - 1))):
+        capacities.append(sum(capacities) + draw(st.integers(1, 10_000)))
+    return capacities, copies
+
+
 class TestFairShares:
-    def test_matches_redundant_share_expected_shares(self):
+    @given(fleet=fair_share_fleets())
+    @example(fleet=([100, 6, 1, 1], 2))  # the big bin is clipped
+    @settings(max_examples=150, deadline=None)
+    def test_matches_redundant_share_expected_shares(self, fleet):
         from repro.core import RedundantShare
         from repro.types import bins_from_capacities
 
-        # An inefficient vector: the big bin must be clipped (Lemma 2.2).
-        bins = bins_from_capacities([100, 6, 1, 1], prefix="bin")
-        strategy = RedundantShare(bins, copies=2)
+        capacities, copies = fleet
+        bins = bins_from_capacities(capacities, prefix="bin")
+        strategy = RedundantShare(bins, copies=copies)
         fair = fair_copy_shares(
-            {spec.bin_id: float(spec.capacity) for spec in bins}, 2
+            {spec.bin_id: float(spec.capacity) for spec in bins}, copies
         )
-        for bin_id, share in strategy.expected_shares().items():
-            assert fair[bin_id] == pytest.approx(share)
+        expected = strategy.expected_shares()
+        assert fair.keys() == expected.keys()
+        for bin_id, share in expected.items():
+            assert fair[bin_id] == pytest.approx(share, rel=1e-12, abs=1e-15)
 
     def test_figure1_example(self):
         fair = fair_copy_shares({"big": 2.0, "s1": 1.0, "s2": 1.0}, 2)

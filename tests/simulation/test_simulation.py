@@ -83,10 +83,11 @@ class TestRunners:
             cases, lambda bins: RedundantShare(bins, copies=2), balls=2000
         )
         assert len(results) == 8
-        for result in results:
-            assert result.used > 0
-            assert result.factor >= 0.9  # must at least fill the new bin
-            assert result.factor < 6.0  # Lemma 3.2 ballpark
+        for result in results.values():
+            assert result.used_on_affected > 0
+            # must at least fill the new bin
+            assert result.factor_positional >= 0.9
+            assert result.factor_positional < 6.0  # Lemma 3.2 ballpark
 
 
 class TestSimulator:
