@@ -6,8 +6,7 @@ storage RS implementations).  Multiplication uses exp/log tables built once
 at import; addition is XOR.
 
 Also provides the small amount of linear algebra Reed-Solomon needs:
-matrix multiply, Gaussian inversion, and (systematic) Vandermonde
-construction.
+Gaussian inversion and (systematic) Vandermonde construction.
 """
 
 from __future__ import annotations
@@ -77,26 +76,6 @@ Matrix = List[List[int]]
 def identity(size: int) -> Matrix:
     """The size x size identity matrix."""
     return [[1 if row == col else 0 for col in range(size)] for row in range(size)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product over GF(256)."""
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != inner:
-        raise ValueError("matrix shapes do not align")
-    result = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        row = a[i]
-        out = result[i]
-        for t in range(inner):
-            coefficient = row[t]
-            if coefficient == 0:
-                continue
-            b_row = b[t]
-            for j in range(cols):
-                if b_row[j]:
-                    out[j] ^= mul(coefficient, b_row[j])
-    return result
 
 
 def mat_invert(matrix: Matrix) -> Matrix:

@@ -46,6 +46,16 @@ JSON is rendered compactly with sorted keys and each column has one
 layout, so equal payloads encode to byte-equal frames on any machine,
 with or without NumPy — the property the protocol tests pin.
 
+Decoding a rank matrix builds one list per row, each an object the
+cyclic collector tracks, so a 16 384-row answer would run 23
+collections that cannot free a row.  A matrix of more rows than the
+young-generation threshold (``gc.get_threshold()[0]``) is therefore
+decoded with the collector paused, if it was enabled, and enabled again
+when the rows are built or the decode fails; a smaller one, or one
+decoded with the collector already off, leaves it alone.  The collector
+is process-wide: another thread that allocates during such a decode is
+not collected until the decode ends.
+
 Three failure modes get typed errors (all subclasses of
 :class:`~repro.exceptions.BadFrameError`), for both kinds alike:
 
@@ -69,6 +79,7 @@ to :mod:`asyncio` streams; a clean EOF *between* frames reads as
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import struct
 import sys
@@ -344,6 +355,11 @@ def _unpack_ranks(meta: Any, matrix: memoryview) -> List[List[str]]:
     if not count:
         return []
     np = get_numpy()
+    # The rows are tracked lists of str, which no collection can free;
+    # below the threshold a pause could only move a collection.
+    pause = count > gc.get_threshold()[0] and gc.isenabled()
+    if pause:
+        gc.disable()
     try:
         if np is not None:
             ranks = np.frombuffer(matrix, dtype="<" + code)
@@ -352,11 +368,14 @@ def _unpack_ranks(meta: Any, matrix: memoryview) -> List[List[str]]:
         ranks = array(typecode)
         ranks.frombytes(matrix)
         ids = [rank_ids[rank] for rank in _little_endian(ranks)]
+        return [ids[row * copies : (row + 1) * copies] for row in range(count)]
     except IndexError:
         raise BadFrameError(
             f"a rank is outside the {len(rank_ids)}-entry rank_ids table"
         ) from None
-    return [ids[row * copies : (row + 1) * copies] for row in range(count)]
+    finally:
+        if pause:
+            gc.enable()
 
 
 #: Each placeholder key's column reader.

@@ -1,5 +1,7 @@
 """Tests for GF(256) arithmetic and linear algebra."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,17 @@ from repro.erasure import gf256
 
 ELEMENTS = st.integers(min_value=0, max_value=255)
 NONZERO = st.integers(min_value=1, max_value=255)
+
+
+def mat_mul(a, b):
+    """Matrix product over GF(256): the oracle for ``mat_invert``."""
+    return [
+        [
+            reduce(gf256.add, (gf256.mul(x, y) for x, y in zip(row, col)), 0)
+            for col in zip(*b)
+        ]
+        for row in a
+    ]
 
 
 class TestFieldAxioms:
@@ -53,12 +66,12 @@ class TestFieldAxioms:
 class TestMatrices:
     def test_identity_mul(self):
         matrix = [[3, 7], [1, 9]]
-        assert gf256.mat_mul(matrix, gf256.identity(2)) == matrix
+        assert mat_mul(matrix, gf256.identity(2)) == matrix
 
     def test_invert_round_trip(self):
         matrix = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
         inverse = gf256.mat_invert(matrix)
-        assert gf256.mat_mul(matrix, inverse) == gf256.identity(3)
+        assert mat_mul(matrix, inverse) == gf256.identity(3)
 
     def test_singular_raises(self):
         with pytest.raises(ValueError):
@@ -67,10 +80,6 @@ class TestMatrices:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             gf256.mat_invert([[1, 2, 3], [4, 5, 6]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            gf256.mat_mul([[1, 2]], [[1, 2]])
 
 
 class TestVandermonde:

@@ -21,6 +21,7 @@ u64 vector:
 """
 
 import asyncio
+import gc
 import json
 from array import array
 
@@ -33,6 +34,7 @@ from repro.exceptions import (
     OversizedFrameError,
     TruncatedFrameError,
 )
+from repro import _compat
 from repro._compat import get_numpy
 from repro.placement.base import BatchPlacement
 from repro.service import protocol
@@ -741,3 +743,83 @@ class TestColumnarFuzz:
         frame[position] ^= data.draw(st.integers(min_value=1, max_value=255))
         decoded = decode_or_bad_frame(bytes(frame))
         assert decoded == read_or_bad_frame(bytes(frame))
+
+
+class TestCollectorPause:
+    """Decoding a matrix of more rows than the young-generation threshold
+    pauses the cyclic collector, on both legs, and restores it."""
+
+    RANK_IDS = [f"dev-{rank}" for rank in range(8)]
+
+    @pytest.fixture(params=["numpy", "pure"])
+    def leg(self, request, monkeypatch):
+        if request.param == "numpy" and get_numpy() is None:
+            pytest.skip("NumPy leg needs NumPy")
+        if request.param == "pure":
+            monkeypatch.setattr(_compat, "np", None)
+        return request.param
+
+    @pytest.fixture
+    def disables(self, monkeypatch):
+        """The number of ``gc.disable()`` calls so far, as a one-item list."""
+        calls = [0]
+        disable = gc.disable
+
+        def counting():
+            calls[0] += 1
+            disable()
+
+        monkeypatch.setattr(gc, "disable", counting)
+        return calls
+
+    def batch(self, count):
+        columns = [
+            [(row * 5 + copy) % len(self.RANK_IDS) for row in range(count)]
+            for copy in range(3)
+        ]
+        return BatchPlacement(self.RANK_IDS, columns)
+
+    def test_a_bulk_answer_runs_at_most_one_collection(self, leg):
+        batch = self.batch(16384)
+        frame = encode_frame(envelope(batch))
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            payload = decode_frame(frame)
+        finally:
+            gc.callbacks.remove(count)
+        # Without the pause the 16 384 row lists run 23 collections.
+        assert len(started) <= 1
+        assert payload == envelope([list(row) for row in batch.tuples()])
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, leg, disables):
+        frame = encode_frame(envelope(self.batch(16384)))
+        gc.disable()
+        try:
+            decode_frame(frame)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert disables == [1]  # the test's own call
+
+    def test_the_collector_is_restored_after_a_bad_rank(self, leg, disables):
+        count = 16384
+        matrix = bytes([0, 1, 2]) * (count - 1) + bytes([0, 1, len(self.RANK_IDS)])
+        frame = columnar_frame(ranks_header([count, 3], "u1", self.RANK_IDS), matrix)
+        with pytest.raises(BadFrameError):
+            decode_frame(frame)
+        assert disables == [1]
+        assert gc.isenabled()
+
+    def test_a_small_answer_leaves_the_collector_alone(self, leg, disables):
+        batch = self.batch(256)
+        payload = decode_frame(encode_frame(envelope(batch)))
+        assert payload == envelope([list(row) for row in batch.tuples()])
+        assert disables == [0]
