@@ -203,7 +203,6 @@ class ChaosController:
         self._queue = RepairQueue()
         self._report = ChaosReport()
         self._worker_busy = False
-        self._open_windows = 0  # outage/flaky windows + pending replacements
         self._attempt_seq = 0  # global counter feeding the flaky error draws
         self._task_attempts: Dict[Tuple[int, int, str], int] = {}
         self._given_up: Set[Tuple[int, int, str]] = set()  # abandoned keys
@@ -226,7 +225,6 @@ class ChaosController:
                 and ``allow_degraded`` is off.
         """
         for event in self._schedule:
-            self._open_windows += 1
             self._sim.schedule_at(
                 event.time, lambda event=event: self._inject(event)
             )
@@ -260,7 +258,6 @@ class ChaosController:
             self._sim.schedule(
                 event.duration, lambda: self._window_closes(event.device_id)
             )
-            return  # window still open
         elif event.kind is FaultKind.FLAKY:
             self._cluster.device(event.device_id).mark_flaky(
                 FlakyProfile(event.error_rate, event.latency)
@@ -268,13 +265,10 @@ class ChaosController:
             self._sim.schedule(
                 event.duration, lambda: self._window_closes(event.device_id)
             )
-            return  # window still open
         elif event.kind is FaultKind.SHRINK:
             self._shrink(event.device_id)
-            self._open_windows -= 1
 
     def _window_closes(self, device_id: str) -> None:
-        self._open_windows -= 1
         sink = obs.sink()
         if sink.enabled:
             sink.emit(
@@ -347,7 +341,6 @@ class ChaosController:
         if not pending and repair_time is not None:
             # Empty device: the "repair" is instant.
             self._repair_durations.append(self._sim.now - repair_time)
-        self._open_windows -= 1
         sink = obs.sink()
         if sink.enabled:
             obs.metrics().counter("chaos.replacements").add(1)
@@ -480,10 +473,8 @@ class ChaosController:
         if obs.sink().enabled:
             obs.metrics().counter("chaos.repair.retries").add(1)
         delay = policy.backoff(attempt)
-        self._open_windows += 1  # keep the sampler alive until the retry
 
         def requeue() -> None:
-            self._open_windows -= 1
             self._queue.push(task)
             self._kick_worker()
 
@@ -593,10 +584,10 @@ class ChaosController:
 
     def _sample(self) -> None:
         self._record_sample()
-        # Keep sampling while anything can still change: open fault
-        # windows / pending replacements, queued repairs, or a busy
-        # worker.  Otherwise let the simulation drain and stop.
-        if self._open_windows > 0 or self._queue or self._worker_busy:
+        # Keep sampling while anything can still change: a fault to
+        # inject, a window to close, a replacement, a retry or a repair
+        # step is still on the clock.  Otherwise let the run drain.
+        if self._sim.pending:
             self._sim.schedule(self._options.sample_interval, self._sample)
 
     def _finish(self) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import os
 import sys
 from typing import List, Sequence
 
@@ -120,21 +119,21 @@ def _capture(jsonl: str):
             sink.close()
 
 
-def _written_cluster(args: argparse.Namespace, capacities, strategy, blocks):
-    """A cluster holding ``blocks`` written blocks, as ``(cluster, scale)``.
+def _written_cluster(args: argparse.Namespace, capacities):
+    """A cluster holding ``--blocks`` written blocks, as ``(cluster, scale)``.
 
     The capacity vector is scaled so the devices hold the blocks with
     headroom for a post-failure rebuild; the relative proportions (what
     placement cares about) are kept.
     """
-    scale = max(1, -(-4 * blocks * args.copies // sum(capacities)))
+    scale = max(1, -(-4 * args.blocks * args.copies // sum(capacities)))
     cluster = Cluster(
         bins_from_capacities(
             [capacity * scale for capacity in capacities], prefix=args.prefix
         ),
-        lambda b: _strategy_for(strategy, b, args.copies, args.strategy_opt),
+        lambda b: _strategy_for(args.strategy, b, args.copies, args.strategy_opt),
     )
-    for address in range(blocks):
+    for address in range(args.blocks):
         cluster.write(address, b"x" * 16)
     return cluster, scale
 
@@ -269,9 +268,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             max_deviation_fairness(counts, expected, alpha=args.alpha),
         ]
         if args.exercise:
-            cluster, scale = _written_cluster(
-                args, capacities, args.strategy, args.blocks
-            )
+            cluster, scale = _written_cluster(args, capacities)
             spec = BinSpec(f"{args.prefix}-new", max(capacities) * scale)
             cluster.add_device(spec, rebalance=False)
             Rebalancer(cluster).run_to_completion(step_size=64)
@@ -286,16 +283,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
-
-
-def _add_flags(container, given_only=False, **flags) -> None:
+def _add_flags(container, **flags) -> None:
     """Declare ``dest=(default, help)`` flags on a parser or group.
 
     A flag's type is its default's; a ``False`` default makes a switch.
-    With ``given_only`` the parsed namespace carries the attribute only
-    when the flag was on the command line (see :func:`_chaos_mode`).
     """
     for dest, (default, text) in flags.items():
         kind = (
@@ -303,9 +294,9 @@ def _add_flags(container, given_only=False, **flags) -> None:
             if default is False
             else {"type": type(default)}
         )
-        if given_only:
-            default = argparse.SUPPRESS
-        container.add_argument(_flag(dest), default=default, help=text, **kind)
+        container.add_argument(
+            "--" + dest.replace("_", "-"), default=default, help=text, **kind
+        )
 
 
 def _field_flags(cls, **helps):
@@ -316,8 +307,9 @@ def _field_flags(cls, **helps):
     return {cls: {dest: (defaults[dest], text) for dest, text in helps.items()}}
 
 
-#: The ``repro chaos`` flags generated from dataclass fields;
-#: :func:`_from_flags` builds the instance back from the parsed values.
+#: The ``repro chaos`` / ``repro fleet`` flags generated from dataclass
+#: fields; :func:`_from_flags` builds the instance back from the parsed
+#: values.
 _FIELD_FLAGS = {
     **_field_flags(
         chaos.RepairPolicy,
@@ -330,6 +322,7 @@ _FIELD_FLAGS = {
     ),
     **_field_flags(
         chaos.ChaosOptions,
+        seed="chaos seed (fault schedule and flaky-error draws)",
         replacement_delay="time until a crashed device's blank replacement "
         "arrives",
         allow_degraded="accept Lemma-2.1-infeasible shrinks instead of "
@@ -339,67 +332,17 @@ _FIELD_FLAGS = {
     **_field_flags(
         chaos.FleetOptions,
         devices="fleet size (uniform)",
+        blocks="block population",
+        copies="replication k",
         years="simulated horizon",
         epochs_per_year="epoch resolution (dt = 1/epochs-per-year years)",
         failure_rate="device failures per device-year",
         repair_rate="fleet-wide share rebuilds per epoch",
+        seed=None,
         device_capacity="uniform per-device capacity (relative units)",
         sample_every="epochs between samples (0 = auto, ~120 samples)",
     ),
 }
-
-#: Every ``repro chaos`` flag that only one of its two modes reads.
-_CHAOS_MODE_FLAGS = {
-    "controller": dict(
-        schedule=(
-            "",
-            'JSON fault-schedule file ({"faults": [...]}); overrides the '
-            "generated schedule",
-        ),
-        duration=(20.0, None),
-        crashes=(1, None),
-        outages=(1, None),
-        flaky=(1, None),
-        error_rate=(0.3, "per-attempt failure probability of flaky devices"),
-        latency=(0.25, "extra time units per attempt touching a flaky device"),
-        **_FIELD_FLAGS[chaos.RepairPolicy],
-        **_FIELD_FLAGS[chaos.ChaosOptions],
-    ),
-    "fleet": dict(
-        **_FIELD_FLAGS[chaos.FleetOptions],
-        phase=(
-            "",
-            "comma-separated repair rates for a durability-vs-repair phase "
-            "diagram",
-        ),
-        tv_tolerance=(
-            0.05,
-            "--strict gate on the steady-state vs mean-field total-variation "
-            "distance",
-        ),
-    ),
-}
-
-
-def _chaos_mode(args: argparse.Namespace) -> None:
-    """Settle the mode flags of a parsed ``repro chaos`` command line.
-
-    A flag given for the mode that is not selected would be ignored, so it
-    is an error naming it; the selected mode's flags that were not given
-    take their defaults.
-    """
-    selected, other = "controller", "fleet"
-    if args.fleet:
-        selected, other = other, selected
-    for dest in _CHAOS_MODE_FLAGS[other]:
-        if hasattr(args, dest):
-            raise SystemExit(
-                f"{_flag(dest)} applies to {other} mode only "
-                f"({'without' if args.fleet else 'with'} --fleet)"
-            )
-    for dest, (default, _) in _CHAOS_MODE_FLAGS[selected].items():
-        if not hasattr(args, dest):
-            setattr(args, dest, default)
 
 
 def _from_flags(cls, args: argparse.Namespace, **rest):
@@ -418,26 +361,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     and prints blocks-at-risk over time, data-loss events, repair
     throughput and the post-repair fairness verdict.
     """
-    _chaos_mode(args)
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("REPRO_CHAOS_SEED", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise SystemExit(
-                f"REPRO_CHAOS_SEED must be an integer, got {raw!r}"
-            )
-
-    if args.fleet:
-        return _cmd_chaos_fleet(args, seed)
-
-    cluster, _ = _written_cluster(
-        args,
-        _parse_capacities(args.capacities),
-        args.strategy or "redundant-share",
-        120 if args.blocks is None else args.blocks,
-    )
+    cluster, _ = _written_cluster(args, _parse_capacities(args.capacities))
 
     if args.schedule:
         try:
@@ -448,7 +372,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     else:
         schedule = chaos.generate_schedule(
             cluster.device_ids(),
-            seed=seed,
+            seed=args.seed,
             duration=args.duration,
             crashes=args.crashes,
             outages=args.outages,
@@ -458,10 +382,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
 
     options = _from_flags(
-        chaos.ChaosOptions,
-        args,
-        seed=seed,
-        policy=_from_flags(chaos.RepairPolicy, args),
+        chaos.ChaosOptions, args, policy=_from_flags(chaos.RepairPolicy, args)
     )
 
     with _capture(args.jsonl) as memory:
@@ -471,7 +392,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"chaos run aborted: {error}")
             return 1
 
-    print(f"schedule ({len(schedule)} faults, seed={seed}):")
+    print(f"schedule ({len(schedule)} faults, seed={args.seed}):")
     for event in schedule:
         extras = ""
         if event.duration:
@@ -505,8 +426,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos_fleet(args: argparse.Namespace, seed: int) -> int:
-    """Columnar fleet-scale campaign: ``repro chaos --fleet``.
+def cmd_fleet(args: argparse.Namespace) -> int:
+    """Columnar fleet-scale durability campaign against the mean-field model.
 
     Simulates ``--devices`` x ``--blocks`` over ``--years`` in fixed
     epochs, prints the copy-count timeline, the steady-state histogram
@@ -514,14 +435,11 @@ def _cmd_chaos_fleet(args: argparse.Namespace, seed: int) -> int:
     ``--phase``) a durability-vs-repair-rate phase diagram.
     """
     fleet_strategy, strategy_options = _strategy_options(
-        args.strategy or "striping", args.strategy_opt
+        args.strategy, args.strategy_opt
     )
     options = _from_flags(
         chaos.FleetOptions,
         args,
-        blocks=1_000_000 if args.blocks is None else args.blocks,
-        copies=args.copies,
-        seed=seed,
         strategy=fleet_strategy,
         strategy_options=strategy_options,
     )
@@ -914,45 +832,49 @@ def build_parser() -> argparse.ArgumentParser:
         copies=3,
         help="comma-separated device capacities (relative; auto-scaled)",
     )
-    strategy(
-        p_chaos,
-        default=None,
-        help="placement strategy (default: redundant-share; striping "
-        "with --fleet)",
-    )
-    p_chaos.add_argument(
-        "--blocks", type=int, default=None,
-        help="block population (default: 120; 1000000 with --fleet)",
-    )
-    p_chaos.add_argument(
-        "--seed", type=int, default=None,
-        help="chaos seed (default: $REPRO_CHAOS_SEED or 0)",
-    )
+    strategy(p_chaos)
     _add_flags(
         p_chaos,
+        blocks=(120, "block population"),
+        jsonl=("", "also stream trace events to this file"),
+        strict=(False, "exit non-zero on data loss or fairness rejection"),
+        schedule=(
+            "",
+            'JSON fault-schedule file ({"faults": [...]}); overrides the '
+            "generated schedule",
+        ),
+        duration=(20.0, None),
+        crashes=(1, None),
+        outages=(1, None),
+        flaky=(1, None),
+        error_rate=(0.3, "per-attempt failure probability of flaky devices"),
+        latency=(0.25, "extra time units per attempt touching a flaky device"),
+        **_FIELD_FLAGS[chaos.RepairPolicy],
+        **_FIELD_FLAGS[chaos.ChaosOptions],
+    )
+
+    p_fleet = command("fleet", cmd_fleet)
+    strategy(p_fleet, default=chaos.FleetOptions.strategy)
+    _add_flags(
+        p_fleet,
         jsonl=("", "also stream trace events to this file"),
         strict=(
             False,
-            "exit non-zero on data loss or fairness rejection (with --fleet: "
-            "data loss or a mean-field fit beyond --tv-tolerance)",
+            "exit non-zero on data loss or a mean-field fit beyond "
+            "--tv-tolerance",
         ),
-    )
-    fleet = p_chaos.add_argument_group(
-        "fleet mode",
-        "columnar fleet-scale simulator (--fleet): thousands of devices "
-        "x millions of blocks over simulated years, validated against "
-        "the mean-field replication model",
-    )
-    _add_flags(
-        fleet,
-        fleet=(
-            False,
-            "run the columnar fleet simulator instead of the event-driven "
-            "controller",
+        phase=(
+            "",
+            "comma-separated repair rates for a durability-vs-repair phase "
+            "diagram",
         ),
+        tv_tolerance=(
+            0.05,
+            "--strict gate on the steady-state vs mean-field total-variation "
+            "distance",
+        ),
+        **_FIELD_FLAGS[chaos.FleetOptions],
     )
-    _add_flags(p_chaos, given_only=True, **_CHAOS_MODE_FLAGS["controller"])
-    _add_flags(fleet, given_only=True, **_CHAOS_MODE_FLAGS["fleet"])
 
     p_serve = command("serve", cmd_serve)
     common(

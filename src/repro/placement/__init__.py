@@ -41,7 +41,7 @@ from .registry import (
 from .rendezvous import WeightedRendezvous
 from .rpdp import ResidualPerformancePlacement, utilization
 from .share_weighted import ShareWeightedPlacer, default_stretch
-from .striping import StripingStrategy, WeightedStripingStrategy
+from .striping import WeightedStripingStrategy
 from .trivial import (
     TrivialReplication,
     trivial_miss_probability,
@@ -57,7 +57,6 @@ __all__ = [
     "ResidualPerformancePlacement",
     "StrategyEntry",
     "Straw2Bucket",
-    "StripingStrategy",
     "TrivialReplication",
     "WeightedStripingStrategy",
     "ReplicationStrategy",

@@ -5,10 +5,10 @@ rotating pattern.  On *homogeneous* disks this is perfectly fair with zero
 metadata, which is why small arrays use it; the paper's two criticisms,
 both reproduced here, are
 
-* **heterogeneity** — a fixed pattern cannot give a larger disk a larger
-  share (``StripingStrategy`` over unequal disks is measurably unfair
-  unless the AdaptRaid-style weighted pattern of
-  :class:`WeightedStripingStrategy` is used, cf. [4]), and
+* **heterogeneity** — a fixed rotating pattern cannot give a larger disk
+  a larger share; :class:`WeightedStripingStrategy` answers with the
+  AdaptRaid-style weighted pattern (cf. [4]), fair only up to its
+  pattern resolution, and
 * **adaptivity** — the pattern depends on the disk count, so adding one
   disk relocates nearly *all* blocks (the benches show movement close to
   100%, against < 2 b_i for Redundant Share).
@@ -25,30 +25,6 @@ from ..exceptions import ConfigurationError
 from ..hashing.primitives import int64_column
 from ..types import BinSpec, Placement
 from .base import ReplicationStrategy
-
-
-class StripingStrategy(ReplicationStrategy):
-    """Classic rotating stripe: copy ``i`` of block ``a`` on disk
-    ``(a * k + i) mod n``.
-
-    Consecutive placement guarantees the k copies are distinct whenever
-    ``k <= n``; the rotation balances load perfectly on homogeneous disks.
-    """
-
-    name = "striping"
-
-    def place(self, address: int) -> Placement:
-        count = len(self._bins)
-        start = (address * self._copies) % count
-        return tuple(
-            self._bins[(start + offset) % count].bin_id
-            for offset in range(self._copies)
-        )
-
-    def expected_shares(self) -> Dict[str, float]:
-        """Uniform — the fixed pattern ignores capacities entirely."""
-        share = 1.0 / len(self._bins)
-        return {spec.bin_id: share for spec in self._bins}
 
 
 class WeightedStripingStrategy(ReplicationStrategy):

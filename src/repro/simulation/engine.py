@@ -32,6 +32,11 @@ class Simulator:
         """Current simulation time."""
         return self._now
 
+    @property
+    def pending(self) -> int:
+        """Events scheduled and not yet run."""
+        return len(self._queue)
+
     def schedule(self, delay: float, action: Action) -> None:
         """Run ``action`` ``delay`` time units from now.
 
@@ -77,5 +82,5 @@ class Simulator:
                 "sim.run",
                 processed=self._processed - processed_before,
                 now=self._now,
-                pending=len(self._queue),
+                pending=self.pending,
             )

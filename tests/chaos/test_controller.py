@@ -229,7 +229,6 @@ class TestOverlappingWindows:
             time=2.0, kind=FaultKind.OUTAGE, device_id="dev-0", duration=1.0
         )
         states = []
-        controller._open_windows += 1
         controller._sim.schedule_at(2.0, lambda: controller._inject(outage))
         for time in (2.5, 3.5):
             controller._sim.schedule_at(

@@ -4,7 +4,7 @@ Per bin, the number of addresses whose placement includes it is
 Binomial(addresses, k · share): a G-test of the two cells (in, out) per
 bin at family-wise level ``ALPHA``, Bonferroni over the bins, on a fixed
 seeded sample of 64-bit addresses, so each verdict is deterministic.
-Every registry entry and plain striping run on three fleets, and the two
+Every registry entry runs on three fleets, and the two
 rack-aware strategies on one rack layout at k = 2 and 3; both legs run,
 the pure one on a smaller sample.  The shares must also cover every bin
 and sum to 1.
@@ -20,7 +20,6 @@ from repro.core import HierarchicalRedundantShare
 from repro.placement import (
     ChooseleafCrush,
     ReplicationStrategy,
-    StripingStrategy,
     WeightedStripingStrategy,
     create,
     strategy_names,
@@ -63,10 +62,6 @@ CASES = {
     for name in strategy_names()
     for fleet in FLEETS
 }
-CASES.update(
-    (f"striping-{fleet}", partial(on_fleet, StripingStrategy, fleet))
-    for fleet in FLEETS
-)
 CASES.update(
     (f"{cls.name}-racks-k{copies}", partial(cls, RACKS, copies=copies))
     for cls in (ChooseleafCrush, HierarchicalRedundantShare)

@@ -1,4 +1,4 @@
-"""Tests for RAID pattern striping (plain and weighted)."""
+"""Tests for weighted RAID pattern striping."""
 
 import collections
 import hashlib
@@ -7,41 +7,8 @@ import pytest
 
 import repro._compat as compat
 from repro.exceptions import ConfigurationError
-from repro.placement import StripingStrategy, WeightedStripingStrategy
+from repro.placement import WeightedStripingStrategy
 from repro.types import bins_from_capacities
-
-
-class TestStriping:
-    def test_redundancy(self):
-        strategy = StripingStrategy(bins_from_capacities([5] * 5), copies=3)
-        for address in range(500):
-            assert len(set(strategy.place(address))) == 3
-
-    def test_homogeneous_perfectly_balanced(self):
-        strategy = StripingStrategy(bins_from_capacities([5] * 4), copies=2)
-        counts = collections.Counter()
-        balls = 4000  # multiple of the pattern period
-        for address in range(balls):
-            for bin_id in strategy.place(address):
-                counts[bin_id] += 1
-        shares = {bin_id: count / (2 * balls) for bin_id, count in counts.items()}
-        for share in shares.values():
-            assert share == pytest.approx(0.25, abs=1e-9)
-
-    def test_ignores_capacities(self):
-        strategy = StripingStrategy(bins_from_capacities([100, 1, 1, 1]), copies=2)
-        shares = strategy.expected_shares()
-        assert all(share == pytest.approx(0.25) for share in shares.values())
-
-    def test_full_reshuffle_on_growth(self):
-        """The paper's adaptivity criticism: adding a disk moves ~everything."""
-        before = StripingStrategy(bins_from_capacities([5] * 6), copies=2)
-        after = StripingStrategy(bins_from_capacities([5] * 7), copies=2)
-        balls = 2000
-        moved = sum(
-            1 for address in range(balls) if before.place(address) != after.place(address)
-        )
-        assert moved / balls > 0.8
 
 
 class TestWeightedStriping:
@@ -84,6 +51,27 @@ class TestWeightedStriping:
             bins_from_capacities([5, 5]), copies=2, resolution=16
         )
         assert strategy.pattern_length == 32
+
+    def test_homogeneous_perfectly_balanced(self):
+        strategy = WeightedStripingStrategy(bins_from_capacities([5] * 4), copies=2)
+        counts = collections.Counter()
+        balls = 4096  # multiple of the pattern period
+        for address in range(balls):
+            for bin_id in strategy.place(address):
+                counts[bin_id] += 1
+        shares = {bin_id: count / (2 * balls) for bin_id, count in counts.items()}
+        for share in shares.values():
+            assert share == pytest.approx(0.25, abs=1e-9)
+
+    def test_full_reshuffle_on_growth(self):
+        """The paper's adaptivity criticism: adding a disk moves ~everything."""
+        before = WeightedStripingStrategy(bins_from_capacities([5] * 6), copies=2)
+        after = WeightedStripingStrategy(bins_from_capacities([5] * 7), copies=2)
+        balls = 2000
+        moved = sum(
+            1 for address in range(balls) if before.place(address) != after.place(address)
+        )
+        assert moved / balls > 0.8
 
 
 #: fleet -> sha256 of ``repr`` of the weighted pattern, computed with the

@@ -113,9 +113,11 @@ class TestSimulator:
         seen = []
         simulator.schedule(10.0, lambda: seen.append("late"))
         simulator.schedule(1.0, lambda: seen.append("early"))
+        assert simulator.pending == 2
         assert simulator.step() is True
         assert seen == ["early"]
         assert simulator.now == 1.0
+        assert simulator.pending == 1
 
     def test_cascading_events(self):
         simulator = Simulator()

@@ -91,13 +91,6 @@ class TestCli:
             (["place", "--capacities", "5,-1"], "capacities must be positive"),
             (["serve", "--capacities", "0,5"], "capacities must be positive"),
             (["chaos", "--capacities", "0,0,0"], "capacities must be positive"),
-            # A flag of the chaos mode that is not selected would be ignored.
-            (
-                ["chaos", "--fleet", "--schedule", "/nonexistent.json",
-                 "--crashes", "99"],
-                "--schedule applies to controller mode only",
-            ),
-            (["chaos", "--devices", "5"], "--devices applies to fleet mode only"),
             (["sched", "--policy", "nope"], "unknown scheduling policy 'nope'"),
             (["growth", "--balls", "0"], "--balls must be >= 1, got 0"),
             (["adaptivity", "--balls", "0"], "--balls must be >= 1, got 0"),
@@ -111,7 +104,6 @@ class TestCli:
             "crush-cannot-place", "copies-zero", "balls-zero", "mttf-zero",
             "universe-zero", "alpha-two", "capacity-zero",
             "capacity-negative", "serve-capacity-zero", "chaos-all-zero",
-            "controller-flag-with-fleet", "fleet-flag-without-fleet",
             "unknown-policy", "growth-balls-zero", "adaptivity-balls-zero",
             "growth-balls-negative", "adaptivity-disks-zero",
         ],
@@ -129,6 +121,28 @@ class TestCli:
         # Nothing half-printed: an unknown policy used to leave half a
         # table on stdout before the error.
         assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--capacities", "1,2,3"],
+            ["fleet", "--prefix", "x"],
+            ["chaos", "--devices", "5"],
+            ["chaos", "--phase", "1"],
+            ["chaos", "--fleet"],
+        ],
+        ids=[
+            "fleet-capacities", "fleet-prefix", "chaos-devices",
+            "chaos-phase", "chaos-fleet",
+        ],
+    )
+    def test_flags_of_the_other_engine_are_usage_errors(self, argv, capsys):
+        # Each failure engine declares only the flags it reads, so a flag
+        # of the other one is refused instead of silently ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
     def test_adaptivity(self, capsys):
         assert main(
@@ -267,20 +281,6 @@ class TestChaosCli:
                  str(schedule)]
             )
 
-    def test_chaos_seed_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "23")
-        assert main(
-            ["chaos", "--capacities", "60,60,60,60,60,60", "--blocks", "30"]
-        ) == 0
-        assert "seed=23" in capsys.readouterr().out
-
-    def test_chaos_rejects_non_integer_seed_in_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "abc")
-        with pytest.raises(
-            SystemExit, match="REPRO_CHAOS_SEED must be an integer, got 'abc'"
-        ):
-            main(["chaos"])
-
     def test_chaos_infeasible_shrink_aborts(self, capsys, tmp_path):
         schedule = tmp_path / "shrink.json"
         schedule.write_text(
@@ -297,14 +297,13 @@ class TestChaosCli:
         from repro.chaos import ChaosOptions, FleetOptions, RepairPolicy
 
         generated = cli._FIELD_FLAGS
-        assert sum(len(flags) for flags in generated.values()) == 16
+        assert sum(len(flags) for flags in generated.values()) == 20
         parser = cli.build_parser()
         for argv, classes in (
             (["chaos"], (RepairPolicy, ChaosOptions)),
-            (["chaos", "--fleet"], (FleetOptions,)),
+            (["fleet"], (FleetOptions,)),
         ):
             args = parser.parse_args(argv)
-            cli._chaos_mode(args)
             for cls in classes:
                 built = cli._from_flags(cls, args)
                 for dest in generated[cls]:
@@ -313,7 +312,6 @@ class TestChaosCli:
         args = parser.parse_args(
             ["chaos", "--rate", "3", "--max-attempts", "2", "--allow-degraded"]
         )
-        cli._chaos_mode(args)
         policy = cli._from_flags(RepairPolicy, args)
         assert (policy.rate, policy.max_attempts) == (3.0, 2)
         assert isinstance(policy.rate, float)
@@ -484,7 +482,7 @@ async def _where(cluster, address):
 
 class TestChaosFleetCli:
     FAST = [
-        "chaos", "--fleet", "--devices", "8", "--blocks", "200",
+        "fleet", "--devices", "8", "--blocks", "200",
         "--copies", "2", "--years", "1", "--epochs-per-year", "12",
         "--failure-rate", "2.0", "--repair-rate", "20.0", "--seed", "3",
     ]
@@ -508,7 +506,7 @@ class TestChaosFleetCli:
 
     def test_fleet_rejects_bad_options(self):
         with pytest.raises(SystemExit):
-            main(["chaos", "--fleet", "--devices", "0"])
+            main(["fleet", "--devices", "0"])
 
     def test_fleet_jsonl_export(self, tmp_path, capsys):
         from repro.obs import read_jsonl
@@ -522,7 +520,7 @@ class TestChaosFleetCli:
     def test_fleet_strict_fails_on_data_loss(self, capsys):
         # k=2, brutal failure rate, no repair: loss is certain.
         assert main(
-            ["chaos", "--fleet", "--devices", "6", "--blocks", "60",
+            ["fleet", "--devices", "6", "--blocks", "60",
              "--copies", "2", "--years", "1", "--epochs-per-year", "12",
              "--failure-rate", "12.0", "--repair-rate", "0", "--seed", "1",
              "--strict", "--tv-tolerance", "1.0"]
@@ -531,7 +529,7 @@ class TestChaosFleetCli:
 
     def test_fleet_strict_passes_when_calm(self, capsys):
         assert main(
-            ["chaos", "--fleet", "--devices", "8", "--blocks", "200",
+            ["fleet", "--devices", "8", "--blocks", "200",
              "--copies", "3", "--years", "1", "--epochs-per-year", "12",
              "--failure-rate", "0.0", "--repair-rate", "20.0",
              "--strict"]
