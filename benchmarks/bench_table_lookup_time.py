@@ -16,7 +16,6 @@ from repro.core import FastRedundantShare, RedundantShare
 from repro.placement import (
     ConsistentHashingPlacer,
     CrushStrategy,
-    ShareWeightedPlacer,
     TrivialReplication,
     WeightedRendezvous,
 )
@@ -73,7 +72,7 @@ def test_batch_lookup_scan_redundant_share(benchmark, size):
 
 @pytest.mark.parametrize(
     "name",
-    ["trivial", "crush", "consistent-hashing", "rendezvous", "share"],
+    ["trivial", "crush", "consistent-hashing", "rendezvous"],
 )
 def test_lookup_baselines_at_64_bins(benchmark, name):
     bins = heterogeneous(64)
@@ -88,12 +87,9 @@ def test_lookup_baselines_at_64_bins(benchmark, name):
     elif name == "consistent-hashing":
         placer = ConsistentHashingPlacer(bins)
         call = lambda address: placer.place_successors(address, COPIES)
-    elif name == "rendezvous":
+    else:
         placer = WeightedRendezvous(ids, capacities, "rendezvous")
         call = lambda address: placer.top(address, COPIES)
-    else:
-        placer = ShareWeightedPlacer(ids, capacities, "share")
-        call = placer.place
     counter = iter(range(10**9))
     benchmark(lambda: call(next(counter)))
 

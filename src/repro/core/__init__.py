@@ -6,7 +6,7 @@
 * :class:`~repro.core.fast_variant.FastRedundantShare` — the Section 3.3
   precomputed variant, O(k) lookups.
 * :class:`~repro.core.classic.ClassicLinMirror` — the verbatim Algorithm 2
-  with a pluggable ``placeonecopy`` and the b̃ boundary boost (eqs. 2–5).
+  with rendezvous as ``placeonecopy`` and the b̃ boundary boost (eqs. 2–5).
 * :class:`~repro.core.sequential_checking.SequentialChecking` — the
   reallocation-free contender (zero movement on scale-out).
 * :mod:`repro.core.preprocess` — the hazard-table solver.

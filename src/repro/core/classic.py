@@ -2,12 +2,13 @@
 
 :class:`~repro.core.redundant_share.RedundantShare` realises the paper's
 strategy through one exact hazard table.  This module keeps the *literal*
-formulation of Section 3.1 alongside it, for fidelity and for the
-``placeonecopy``-backend ablation:
+formulation of Section 3.1 alongside it, for fidelity and for the b̃
+ablation:
 
 * the primary copy is chosen by the while loop over ``č_i = 2 b_i / B_i``;
-* the secondary copy is delegated to a pluggable fair single-copy strategy
-  (``placeonecopy``) over the remaining bins with natural capacity weights;
+* the secondary copy is delegated to a fair single-copy strategy
+  (``placeonecopy``, :class:`~repro.placement.rendezvous.WeightedRendezvous`)
+  over the remaining bins with natural capacity weights;
 * at the inhomogeneity boundary — the first bin ``T`` with ``č_T >= 1`` —
   the weight bin ``T`` gets inside the distribution used for primaries on
   bin ``T - 1`` is boosted to ``b̃`` (equations 2–5 of the paper) so that
@@ -15,19 +16,16 @@ formulation of Section 3.1 alongside it, for fidelity and for the
 
 Both classes are perfectly fair with identical marginals; they differ in
 the joint distribution (which bin pairs co-occur) and in how much data
-moves under reconfiguration, which is precisely what the ablation bench
-measures for the different ``placeonecopy`` backends.
+moves under reconfiguration.
 
-``place_many`` has a batch engine for the default rendezvous backend
-(:meth:`ClassicLinMirror._fill_ranks`, assembled from
-:mod:`repro.placement.kernels`); :meth:`ClassicLinMirror.place` is its
-oracle.  The generic per-address loop is what runs without NumPy and for
-the ring/alias backends.
+``place_many`` has a batch engine (:meth:`ClassicLinMirror._fill_ranks`,
+assembled from :mod:`repro.placement.kernels`);
+:meth:`ClassicLinMirror.place` is its oracle and what runs without NumPy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence
 
 from ..capacity.clipping import clip_capacities
 from ..capacity.weights import (
@@ -39,7 +37,7 @@ from ..capacity.weights import (
 from ..exceptions import PlacementError
 from ..hashing.primitives import derive_base, unit_from_base
 from ..placement import kernels
-from ..placement.base import ReplicationStrategy, WeightedPlacer
+from ..placement.base import ReplicationStrategy
 from ..placement.rendezvous import WeightedRendezvous
 from ..types import BinSpec, Placement, sort_bins_by_capacity
 
@@ -93,7 +91,7 @@ def boundary_boost(capacities: Sequence[float]) -> Optional[float]:
 
 
 class ClassicLinMirror(ReplicationStrategy):
-    """The verbatim Algorithm 2, parameterised by ``placeonecopy``."""
+    """The verbatim Algorithm 2, rendezvous as ``placeonecopy``."""
 
     name = "classic-lin-mirror"
     kernel = "scan-hrw"
@@ -103,7 +101,6 @@ class ClassicLinMirror(ReplicationStrategy):
         self,
         bins: Sequence[BinSpec],
         namespace: str = "",
-        placer_factory: Type[WeightedPlacer] = WeightedRendezvous,
         apply_boost: bool = True,
     ) -> None:
         """Build the strategy.
@@ -111,12 +108,6 @@ class ClassicLinMirror(ReplicationStrategy):
         Args:
             bins: The participating storage devices.
             namespace: Hash salt prefix.
-            placer_factory: The ``placeonecopy`` class used for the
-                secondary copy: :class:`WeightedRendezvous` (default),
-                ``AliasWeightedPlacer``, ``ShareWeightedPlacer`` or
-                ``RingWeightedPlacer`` from :mod:`repro.placement`.  The
-                batch engine reproduces the rendezvous race only; any
-                other backend keeps ``place()`` per address.
             apply_boost: Apply the ``b̃`` boundary adjustment (default).
                 Disabling it reproduces the small unfairness the paper
                 describes in Section 3.1 — used by the ablation bench.
@@ -132,12 +123,7 @@ class ClassicLinMirror(ReplicationStrategy):
         ]
         self._saturated = first_saturated_index(self._rounds)
         self._boost = boundary_boost(self._capacities) if apply_boost else None
-        self._placer_factory = placer_factory
-        # The engine reproduces the rendezvous race; every other backend
-        # selects through structures the scalar path owns and keeps the
-        # generic loop.
-        self._has_engine = placer_factory is WeightedRendezvous
-        self._placers: Dict[int, Optional[WeightedPlacer]] = {}
+        self._placers: Dict[int, Optional[WeightedRendezvous]] = {}
         # Per primary rank, the secondary race as vectors (batch engine).
         self._race_vectors: Dict[int, tuple] = {}
         self._primary_bases = [
@@ -155,7 +141,9 @@ class ClassicLinMirror(ReplicationStrategy):
         """The ``b̃`` weight in effect (None when no boost applies)."""
         return self._boost
 
-    def _secondary_placer(self, primary_rank: int) -> Optional[WeightedPlacer]:
+    def _secondary_placer(
+        self, primary_rank: int
+    ) -> Optional[WeightedRendezvous]:
         """placeonecopy instance for primaries at ``primary_rank`` (cached).
 
         Returns None when the secondary is forced (one remaining bin or an
@@ -165,22 +153,15 @@ class ClassicLinMirror(ReplicationStrategy):
             return self._placers[primary_rank]
         ids = self._scan_ids[primary_rank + 1 :]
         weights = list(self._capacities[primary_rank + 1 :])
-        placer: Optional[WeightedPlacer]
-        if len(ids) == 1:
-            placer = None
-        elif (
-            self._boost is not None
-            and primary_rank == self._saturated - 1
-        ):
-            if self._boost == float("inf"):
-                placer = None  # secondary deterministically at rank T
-            else:
+        boosted = (
+            self._boost is not None and primary_rank == self._saturated - 1
+        )
+        placer: Optional[WeightedRendezvous] = None
+        # An infinite boost puts every secondary deterministically at rank T.
+        if len(ids) > 1 and not (boosted and self._boost == float("inf")):
+            if boosted:
                 weights[0] = self._boost  # rank T is first in the tail
-                placer = self._placer_factory(
-                    ids, weights, f"{self._namespace}/sec/{primary_rank}"
-                )
-        else:
-            placer = self._placer_factory(
+            placer = WeightedRendezvous(
                 ids, weights, f"{self._namespace}/sec/{primary_rank}"
             )
         self._placers[primary_rank] = placer
@@ -273,8 +254,7 @@ class ClassicLinMirror(ReplicationStrategy):
         return refused
 
     def expected_shares(self) -> Dict[str, float]:
-        """Fair target shares (b̂-proportional); exact for the rendezvous
-        backend, approximate for ring/alias backends."""
+        """Fair target shares (b̂-proportional), exact."""
         total = sum(self._capacities)
         return {
             bin_id: capacity / total

@@ -21,15 +21,10 @@ differ because randomness is consumed differently.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..hashing.alias import CumulativeTable
-from ..hashing.primitives import (
-    derive_base,
-    unit_from_base,
-    unit_from_base_open,
-)
+from ..hashing.primitives import derive_base, unit_from_base
 from ..placement import kernels
 from ..placement.base import ReplicationStrategy
 from ..types import BinSpec, Placement
@@ -39,25 +34,22 @@ from .redundant_share import RedundantShare
 class FastRedundantShare(ReplicationStrategy):
     """Precomputed-state Redundant Share with O(k) lookups.
 
-    Note on adaptivity: the per-state sampler decides how much data moves
-    when the configuration changes.  The default inverse CDF is fastest
-    but its boundary shifts *cascade*; ``state_selector="rendezvous"``
-    or ``"share"`` confine movement to roughly the total-variation
-    distance between old and new state distributions, at O(n) resp.
-    near-O(1) per copy — the memory/time/adaptivity triangle the paper's
-    Section 3.3 alludes to (measured in
-    ``benchmarks/bench_table_state_selector.py``).
+    Note on adaptivity: each state is drawn through an inverse CDF
+    (:class:`~repro.hashing.alias.CumulativeTable`), whose boundary shifts
+    *cascade* when the configuration changes, so a reconfiguration moves
+    more data than the scan variant does (TAB-TRADE) — the price of the
+    O(k) lookup the paper's Section 3.3 alludes to.
     """
 
     name = "fast-redundant-share"
     kernel = "cdf-gather"
+    _has_engine = True
 
     def __init__(
         self,
         bins: Sequence[BinSpec],
         copies: int = 2,
         namespace: str = "",
-        state_selector: str = "cdf",
     ) -> None:
         """Build the state tables.
 
@@ -65,28 +57,8 @@ class FastRedundantShare(ReplicationStrategy):
             bins: The participating storage devices.
             copies: Replication degree ``k``.
             namespace: Hash salt prefix.
-            state_selector: Per-state sampling backend.  ``"cdf"`` (default)
-                draws through an inverse CDF — O(log n) per copy but
-                boundary shifts cascade, so reconfigurations move more data
-                than the scan variant.  ``"rendezvous"`` scores the
-                outcomes with weighted rendezvous hashing — adaptivity as
-                good as the scan variant, at O(n) per copy (the paper's
-                "more memory and additional hash functions" trade-off).
-                ``"share"`` uses a per-state Share instance — near-O(1)
-                per copy *and* adaptive, at the cost of (1+eps)-approximate
-                rather than exact per-state fairness.
         """
-        if state_selector not in ("cdf", "rendezvous", "share"):
-            raise ValueError(
-                f"unknown state_selector {state_selector!r}; "
-                "use 'cdf', 'rendezvous' or 'share'"
-            )
         super().__init__(bins, copies, namespace)
-        self._state_selector = state_selector
-        # The "rendezvous" and "share" selectors score candidates through
-        # per-state hash races that the scalar path owns; they keep the
-        # generic loop.
-        self._has_engine = state_selector == "cdf"
         # Lazy per-(copy, previous rank) state, built as lookups visit it:
         # the conditional tables and salt bases ``place`` consults, and
         # the batch engine's NumPy mirrors ``(forced_rank, base,
@@ -96,12 +68,10 @@ class FastRedundantShare(ReplicationStrategy):
         self._tables: Dict[Tuple[int, int], Union[CumulativeTable, int]] = {}
         self._bases: Dict[Tuple[int, int], int] = {}
         self._np_states: Dict[Tuple[int, int], tuple] = {}
-        self._share_states: Dict[Tuple[int, int], object] = {}
         # Reuse the scan variant's preprocessing (ordering, clipping,
         # hazard solve); this also guarantees both variants agree.
         self._scan = RedundantShare(bins, copies=copies, namespace=namespace)
         self.rank_ids = self._scan.rank_ids
-        self._rendezvous_bases: Dict[Tuple[int, int], list] = {}
 
     @property
     def scan_equivalent(self) -> RedundantShare:
@@ -132,11 +102,6 @@ class FastRedundantShare(ReplicationStrategy):
         return self._tables[key]
 
     def _select(self, copy: int, previous_rank: int, address: int) -> int:
-        anchor = "root" if previous_rank < 0 else self._rank_ids[previous_rank]
-        if self._state_selector == "rendezvous":
-            return self._select_rendezvous(copy, previous_rank, anchor, address)
-        if self._state_selector == "share":
-            return self._select_share(copy, previous_rank, anchor, address)
         table = self._state_table(copy, previous_rank)
         if isinstance(table, int):
             return table
@@ -152,82 +117,6 @@ class FastRedundantShare(ReplicationStrategy):
                 self._namespace, "state", copy, anchor
             )
         return self._bases[key]
-
-    def _select_rendezvous(
-        self, copy: int, previous_rank: int, anchor: str, address: int
-    ) -> int:
-        """Adaptive per-state draw: weighted rendezvous over the outcomes.
-
-        Exactly fair for any weight vector, and stable: a small shift of the
-        conditional distribution only moves a ~total-variation fraction of
-        the balls in this state.
-        """
-        entries = self._rendezvous_bases.get((copy, previous_rank))
-        if entries is None:
-            distribution = self._scan.table.conditional_distribution(
-                copy + 1, previous_rank
-            )
-            entries = [
-                (
-                    rank,
-                    distribution[rank],
-                    derive_base(
-                        self._namespace, "state", copy, anchor,
-                        self._rank_ids[rank],
-                    ),
-                )
-                for rank in range(previous_rank + 1, len(distribution))
-                if distribution[rank] > 0.0
-            ]
-            self._rendezvous_bases[(copy, previous_rank)] = entries
-        best_rank = -1
-        best_score = -math.inf
-        for rank, weight, base in entries:
-            uniform = unit_from_base_open(base, address)
-            score = -weight / math.log(uniform)
-            if score > best_score:
-                best_score = score
-                best_rank = rank
-        if best_rank < 0:
-            raise AssertionError("state has no positive outcome")
-        return best_rank
-
-    def _select_share(
-        self, copy: int, previous_rank: int, anchor: str, address: int
-    ) -> int:
-        """Adaptive near-O(1) per-state draw via a cached Share instance."""
-        from ..placement.share_weighted import ShareWeightedPlacer
-
-        key = (copy, previous_rank)
-        placer = self._share_states.get(key)
-        if placer is None:
-            distribution = self._scan.table.conditional_distribution(
-                copy + 1, previous_rank
-            )
-            ids = []
-            weights = []
-            for rank in range(previous_rank + 1, len(distribution)):
-                if distribution[rank] > 0.0:
-                    ids.append(self._rank_ids[rank])
-                    weights.append(distribution[rank])
-            if len(ids) == 1:
-                placer = ids[0]  # forced outcome, no placer needed
-            else:
-                # A generous stretch keeps the per-state (1+eps) fairness
-                # error well below the Monte-Carlo noise of the benches;
-                # candidate sets stay ~stretch-sized, preserving near-O(1).
-                placer = ShareWeightedPlacer(
-                    ids,
-                    weights,
-                    f"{self._namespace}/state/{copy}/{anchor}",
-                    stretch=16.0,
-                )
-            self._share_states[key] = placer
-        if isinstance(placer, str):
-            chosen = placer
-        else:
-            chosen = placer.place(address)
-        return self._rank_index[chosen]
 
     def place(self, address: int) -> Placement:
         """O(k) lookup: one precomputed draw per copy."""

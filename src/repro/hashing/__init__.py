@@ -3,10 +3,10 @@
 Everything random in this library is derived from the stable hash functions
 in :mod:`repro.hashing.primitives`; :mod:`repro.hashing.rings` and
 :mod:`repro.hashing.alias` build the two lookup structures (hash rings,
-alias tables) the placement strategies are made of.
+inverse-CDF tables) the placement strategies are made of.
 """
 
-from .alias import AliasTable, CumulativeTable, build_selector
+from .alias import CumulativeTable
 from .primitives import (
     as_u64_array,
     splitmix64,
@@ -20,11 +20,9 @@ from .primitives import (
 from .rings import HashRing
 
 __all__ = [
-    "AliasTable",
     "CumulativeTable",
     "HashRing",
     "as_u64_array",
-    "build_selector",
     "splitmix64",
     "splitmix64_array",
     "stable_u64",

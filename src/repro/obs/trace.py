@@ -129,11 +129,12 @@ class JsonlSink(TraceSink):
         """Open the stream.
 
         Args:
-            target: A filesystem path (opened for append) or an already
-                open text handle (not closed by :meth:`close`).
+            target: A filesystem path (truncated: the file holds this
+                run's events only, numbered from 0) or an already open
+                text handle (not closed by :meth:`close`).
         """
         if isinstance(target, str):
-            self._handle: IO[str] = open(target, "a", encoding="utf-8")
+            self._handle: IO[str] = open(target, "w", encoding="utf-8")
             self._owns_handle = True
         else:
             self._handle = target

@@ -1,20 +1,13 @@
 """Placement strategies: the paper's baselines and building blocks.
 
-Single-copy selectors (the ``placeonecopy`` role), each a
-:class:`~repro.placement.base.WeightedPlacer` built as
-``cls(ids, weights, namespace)``:
+The single-copy selector (the paper's ``placeonecopy``) is
+:class:`~repro.placement.rendezvous.WeightedRendezvous`, built as
+``WeightedRendezvous(ids, weights, namespace)``: exactly fair, adaptive,
+O(n) per lookup.
 
-* :class:`~repro.placement.rendezvous.WeightedRendezvous` — exactly fair,
-  O(n); the default backend.
-* :class:`~repro.placement.alias_placer.AliasWeightedPlacer` — exactly
-  fair, O(1), non-adaptive.
-* :class:`~repro.placement.share_weighted.ShareWeightedPlacer` — Share
-  (SPAA 2002), (1 + eps)-fair, near-O(1), adaptive.
-* :class:`~repro.placement.consistent_hashing.RingWeightedPlacer` —
-  Karger et al., approximately fair, O(log n).
-
-:class:`~repro.placement.consistent_hashing.ConsistentHashingPlacer` is the
-ring over a bin configuration, kept for its ring-successor replica chain.
+:class:`~repro.placement.consistent_hashing.ConsistentHashingPlacer`
+(Karger et al., approximately fair) is the ring over a bin configuration,
+kept for its ring-successor replica chain.
 
 Replication strategies are populated by :mod:`repro.placement.trivial`,
 :mod:`repro.placement.crush`, :mod:`repro.placement.striping` and
@@ -22,14 +15,8 @@ Replication strategies are populated by :mod:`repro.placement.trivial`,
 reallocation-free Sequential Checking) lives in :mod:`repro.core`.
 """
 
-from .alias_placer import AliasWeightedPlacer
-from .base import (
-    BatchPlacement,
-    ReplicationStrategy,
-    WeightedPlacer,
-    check_placement,
-)
-from .consistent_hashing import ConsistentHashingPlacer, RingWeightedPlacer
+from .base import BatchPlacement, ReplicationStrategy, check_placement
+from .consistent_hashing import ConsistentHashingPlacer
 from .crush import ChooseleafCrush, CrushStrategy, Straw2Bucket
 from .registry import (
     StrategyEntry,
@@ -40,7 +27,6 @@ from .registry import (
 )
 from .rendezvous import WeightedRendezvous
 from .rpdp import ResidualPerformancePlacement, utilization
-from .share_weighted import ShareWeightedPlacer, default_stretch
 from .striping import WeightedStripingStrategy
 from .trivial import (
     TrivialReplication,
@@ -49,7 +35,6 @@ from .trivial import (
 )
 
 __all__ = [
-    "AliasWeightedPlacer",
     "BatchPlacement",
     "ChooseleafCrush",
     "ConsistentHashingPlacer",
@@ -60,13 +45,9 @@ __all__ = [
     "TrivialReplication",
     "WeightedStripingStrategy",
     "ReplicationStrategy",
-    "RingWeightedPlacer",
-    "ShareWeightedPlacer",
-    "WeightedPlacer",
     "WeightedRendezvous",
     "check_placement",
     "create",
-    "default_stretch",
     "lookup",
     "registered_strategies",
     "strategy_names",

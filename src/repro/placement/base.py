@@ -1,19 +1,12 @@
 """Interfaces of the placement layer.
 
-Two abstractions:
+:class:`ReplicationStrategy` maps a ball address to an *ordered* tuple of
+``k`` distinct bins (position ``i`` holds the i-th copy).  Implementations
+include the paper's Redundant Share, the trivial baseline, CRUSH and RAID
+striping; the paper's ``placeonecopy`` primitive is
+:class:`~repro.placement.rendezvous.WeightedRendezvous`.
 
-* :class:`WeightedPlacer` — the paper's ``placeonecopy`` primitive: map a
-  ball address to *one* of a list of ids, fairly with respect to a weight
-  vector.  Algorithm 2 calls it over a tail of the bins with clipped and
-  possibly b̃-boosted weights; the four implementations (rendezvous,
-  alias table, Share, consistent-hashing ring) are their own factories.
-
-* :class:`ReplicationStrategy` — map a ball address to an *ordered* tuple of
-  ``k`` distinct bins (position ``i`` holds the i-th copy).  Implementations
-  include the paper's Redundant Share, the trivial baseline, CRUSH and RAID
-  striping.
-
-Both are *pure functions of the configuration*: instances are immutable
+Strategies are *pure functions of the configuration*: instances are immutable
 snapshots, and dynamics (adding/removing devices) are modelled by building a
 new instance and diffing placements — which is also how the adaptivity
 metrics are defined.
@@ -22,7 +15,6 @@ metrics are defined.
 from __future__ import annotations
 
 import abc
-import math
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .. import obs
@@ -154,42 +146,6 @@ class BatchPlacement:
         }
 
 
-class WeightedPlacer(abc.ABC):
-    """``placeonecopy``: a fair single-copy selector over (ids, weights).
-
-    The class is its own factory — ``cls(ids, weights, namespace)`` — so
-    a composite such as :class:`~repro.core.classic.ClassicLinMirror`
-    takes the class itself as its backend.  Zero weights are allowed (the
-    id never wins); every implementation refuses the same bad inputs.
-    """
-
-    def __init__(
-        self, ids: Sequence[str], weights: Sequence[float], namespace: str
-    ) -> None:
-        """Validate and keep the selector's inputs.
-
-        Raises:
-            ValueError: on empty or unequal-length ``ids``/``weights``, a
-                duplicate id, a negative or non-finite weight, or weights
-                that are all zero.
-        """
-        if not ids or len(ids) != len(weights):
-            raise ValueError("ids and weights must be equal-length, non-empty")
-        if len(set(ids)) != len(ids):
-            raise ValueError("ids must be distinct")
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise ValueError("weights must be finite and non-negative")
-        if not any(weights):
-            raise ValueError("at least one weight must be positive")
-        self._ids: List[str] = list(ids)
-        self._weights: List[float] = [float(weight) for weight in weights]
-        self._namespace = namespace
-
-    @abc.abstractmethod
-    def place(self, address: int) -> str:
-        """Return the selected id for ball ``address``."""
-
-
 class ReplicationStrategy(abc.ABC):
     """Maps ball addresses to ordered tuples of ``k`` distinct bins."""
 
@@ -203,11 +159,8 @@ class ReplicationStrategy(abc.ABC):
     #: *logical* engine, so it stays set even when the scalar loop runs.
     kernel: Optional[str] = None
 
-    #: Whether :meth:`_fill_ranks` handles this configuration.  Engine
-    #: classes set it True; an instance whose configuration the engine
-    #: does not cover (a non-``cdf`` state selector, a non-rendezvous
-    #: ``placeonecopy`` backend) sets it back to False and keeps the
-    #: scalar loop.
+    #: Whether the class implements :meth:`_fill_ranks`; engine classes
+    #: set it True, and without it every batch is the scalar loop.
     _has_engine: bool = False
 
     def __init__(
@@ -270,8 +223,8 @@ class ReplicationStrategy(abc.ABC):
         per address, so a caller that wants parallelism splits the
         address vector and calls it from its own pool.
 
-        Without NumPy, or when the strategy has no engine for this
-        configuration, the batch is ``place()`` per address.  Otherwise
+        Without NumPy, or when the strategy has no engine, the batch is
+        ``place()`` per address.  Otherwise
         the strategy's :meth:`_fill_ranks` fills a ``(k, n)`` rank matrix
         and names the rows it refuses to decide; exactly those rows are
         settled by ``place()``, so the scalar loop stays the authority

@@ -11,27 +11,21 @@ comparable precision, cf. Section 1.2).
 Adaptivity is the strategy's strength: adding a bin steals only the arcs the
 new points cover (1-competitive); removing a bin reassigns only its own arcs.
 
-Two classes, which hash balls differently and so never share a placement:
-:class:`ConsistentHashingPlacer` is the ring over a bin configuration whose
+:class:`ConsistentHashingPlacer` is the ring over a bin configuration; its
 :meth:`~ConsistentHashingPlacer.place_successors` is the ring-successor
-replication baseline; :class:`RingWeightedPlacer` is the ring as a
-``placeonecopy`` backend.
+replication baseline.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..hashing.primitives import derive_base, unit_from_base, unit_interval
+from ..hashing.primitives import derive_base, unit_from_base
 from ..hashing.rings import HashRing
 from ..types import BinSpec, validate_bins
-from .base import WeightedPlacer
 
 #: Virtual points of a bin of average capacity.
 POINTS_PER_BIN = 128
-
-#: Virtual points of an id of average weight in :class:`RingWeightedPlacer`.
-POINTS_PER_UNIT = 64
 
 
 class ConsistentHashingPlacer:
@@ -65,32 +59,3 @@ class ConsistentHashingPlacer:
     def expected_shares(self) -> Dict[str, float]:
         """Exact arc shares of the concrete ring (not the ideal weights)."""
         return dict(self._ring.arc_length())  # type: ignore[arg-type]
-
-
-class RingWeightedPlacer(WeightedPlacer):
-    """(ids, weights) consistent-hashing selector for use as placeonecopy.
-
-    Provided for the ablation benches: compared with rendezvous it trades
-    exactness of fairness for O(log n) lookups.
-    """
-
-    def __init__(
-        self, ids: Sequence[str], weights: Sequence[float], namespace: str
-    ) -> None:
-        super().__init__(ids, weights, namespace)
-        positive = [
-            (bin_id, weight)
-            for bin_id, weight in zip(self._ids, self._weights)
-            if weight > 0
-        ]
-        self._ring = HashRing(namespace)
-        average = sum(weight for _, weight in positive) / len(positive)
-        for bin_id, weight in positive:
-            self._ring.add_owner(
-                bin_id, max(1, round(POINTS_PER_UNIT * weight / average))
-            )
-
-    def place(self, address: int) -> str:
-        return self._ring.successor(
-            unit_interval(self._namespace, "ball", address)
-        )

@@ -1,7 +1,7 @@
 """Weighted rendezvous hashing (highest random weight).
 
 The cleanest *perfectly fair* single-copy strategy for heterogeneous bins,
-used as the default ``placeonecopy`` backend of Redundant Share:
+used as the ``placeonecopy`` of Algorithm 2:
 
     score(bin) = - weight(bin) / ln(u)        u = hash(bin, address) in (0,1)
 
@@ -16,8 +16,9 @@ balls the new bin wins (a ``w_new/W`` fraction), removing a bin moves exactly
 its own balls, and no other assignment changes — each bin's score is
 independent of the others.
 
-Lookup is O(n); the O(1) alternative (at the cost of adaptivity) is
-:mod:`repro.placement.alias_placer`.
+Lookup is O(n).  The Section 3.3 variant
+(:class:`~repro.core.fast_variant.FastRedundantShare`) trades this
+adaptivity for O(k) lookups through precomputed inverse-CDF state tables.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from typing import List, Sequence, Tuple
 
 from ..hashing.primitives import derive_base, unit_from_base_open
-from .base import WeightedPlacer
 
 
 def rendezvous_score(weight: float, uniform: float) -> float:
@@ -34,17 +34,36 @@ def rendezvous_score(weight: float, uniform: float) -> float:
     return -weight / math.log(uniform)
 
 
-class WeightedRendezvous(WeightedPlacer):
-    """(ids, weights) rendezvous selector: the default ``placeonecopy``."""
+class WeightedRendezvous:
+    """``placeonecopy``: a fair single-copy selector over (ids, weights).
+
+    :class:`~repro.core.classic.ClassicLinMirror` runs one over a tail of
+    the bins with clipped and possibly b̃-boosted weights.  Zero weights
+    are allowed (the id never wins).
+    """
 
     def __init__(
         self, ids: Sequence[str], weights: Sequence[float], namespace: str
     ) -> None:
-        super().__init__(ids, weights, namespace)
+        """Validate the selector's inputs and salt one base per id.
+
+        Raises:
+            ValueError: on empty or unequal-length ``ids``/``weights``, a
+                duplicate id, a negative or non-finite weight, or weights
+                that are all zero.
+        """
+        if not ids or len(ids) != len(weights):
+            raise ValueError("ids and weights must be equal-length, non-empty")
+        if len(set(ids)) != len(ids):
+            raise ValueError("ids must be distinct")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("weights must be finite and non-negative")
+        if not any(weights):
+            raise ValueError("at least one weight must be positive")
         # Per-id salt bases: the hot loop then only mixes integers.
         self._entries = [
-            (bin_id, weight, derive_base(namespace, bin_id))
-            for bin_id, weight in zip(self._ids, self._weights)
+            (bin_id, float(weight), derive_base(namespace, bin_id))
+            for bin_id, weight in zip(ids, weights)
             if weight > 0
         ]
 
@@ -60,6 +79,7 @@ class WeightedRendezvous(WeightedPlacer):
         return tuple(zip(*self._entries))
 
     def place(self, address: int) -> str:
+        """Return the selected id for ball ``address``."""
         best_id = None
         best_score = -math.inf
         for bin_id, weight, base in self._entries:

@@ -12,7 +12,6 @@ from repro.capacity.weights import (
     suffix_sums,
 )
 from repro.core import ClassicLinMirror, boundary_boost
-from repro.placement import AliasWeightedPlacer, RingWeightedPlacer
 from repro.types import bins_from_capacities
 
 
@@ -120,14 +119,6 @@ class TestClassicLinMirror:
         target = with_boost.expected_shares()["bin-1"]
         assert share_of(with_boost, "bin-1") == pytest.approx(target, abs=0.012)
         assert share_of(without, "bin-1") < target - 0.01
-
-    def test_alternative_backends_work(self):
-        bins = bins_from_capacities([5, 4, 3, 2])
-        for factory in (RingWeightedPlacer, AliasWeightedPlacer):
-            strategy = ClassicLinMirror(bins, placer_factory=factory)
-            for address in range(500):
-                placement = strategy.place(address)
-                assert placement[0] != placement[1]
 
     def test_boundary_index_exposed(self):
         strategy = ClassicLinMirror(bins_from_capacities([4, 4, 3]))

@@ -15,7 +15,7 @@ import pytest
 from repro._compat import HAVE_NUMPY
 from repro.core import ClassicLinMirror
 from repro.hashing.primitives import derive_base
-from repro.placement import AliasWeightedPlacer, RingWeightedPlacer, kernels
+from repro.placement import kernels
 from repro.types import bins_from_capacities, sort_bins_by_capacity
 
 from ..splitmix_inverse import address_for_word
@@ -114,15 +114,6 @@ def test_array_inputs(dtype, low, high):
     values = [low, high - 1] + [rng.randrange(low, high) for _ in range(5_000)]
     strategy = ClassicLinMirror(bins_from_capacities(BENCH_FLEET))
     assert_batch_is_scalar_loop(strategy, numpy.asarray(values, dtype=dtype))
-
-
-@pytest.mark.parametrize("factory", [RingWeightedPlacer, AliasWeightedPlacer])
-def test_other_backends_keep_the_scalar_loop(factory):
-    strategy = ClassicLinMirror(
-        bins_from_capacities([5, 4, 3, 2, 2]), placer_factory=factory
-    )
-    assert strategy._has_engine is False
-    assert_batch_is_scalar_loop(strategy, addresses_with_duplicates(500))
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the engine is NumPy-only")

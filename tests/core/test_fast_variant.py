@@ -84,40 +84,19 @@ class TestDistributionEquivalence:
 
 
 class TestAdaptivity:
-    def _movement(self, selector):
-        before = FastRedundantShare(
-            bins_from_capacities([1000] * 8), copies=2, state_selector=selector
-        )
+    def _movement(self, cls):
+        before = cls(bins_from_capacities([1000] * 8), copies=2)
         grown = bins_from_capacities([1000] * 8) + [BinSpec("bin-new", 1000)]
-        after = FastRedundantShare(grown, copies=2, state_selector=selector)
+        after = cls(grown, copies=2)
         balls = 5000
         return (
             sum(1 for a in range(balls) if before.place(a) != after.place(a))
             / balls
         )
 
-    def test_rendezvous_selector_limits_movement(self):
-        """The adaptive backend keeps reconfiguration movement modest."""
-        assert self._movement("rendezvous") < 0.55
-
     def test_cdf_selector_cascades_more(self):
-        """Documented trade-off: inverse-CDF boundary shifts cascade, so the
-        fast-but-less-adaptive backend moves strictly more data."""
-        assert self._movement("cdf") > self._movement("rendezvous")
-
-    def test_unknown_selector_rejected(self):
-        with pytest.raises(ValueError):
-            FastRedundantShare(
-                bins_from_capacities([2, 2]), copies=2, state_selector="bogus"
-            )
-
-    def test_rendezvous_selector_is_fair(self):
-        capacities = [500, 800, 1100]
-        strategy = FastRedundantShare(
-            bins_from_capacities(capacities),
-            copies=2,
-            state_selector="rendezvous",
+        """Documented trade-off: inverse-CDF boundary shifts cascade, so
+        the O(k) variant moves strictly more data than the scan variant."""
+        assert self._movement(FastRedundantShare) > self._movement(
+            RedundantShare
         )
-        observed = empirical_shares(strategy, 30_000)
-        for bin_id, share in strategy.expected_shares().items():
-            assert observed.get(bin_id, 0.0) == pytest.approx(share, abs=0.012)

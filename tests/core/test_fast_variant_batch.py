@@ -87,20 +87,6 @@ class TestBatchEquivalence:
             compat.np = saved
         assert numpy_rows == pure_rows
 
-    def test_non_cdf_selectors_still_match_scalar(self):
-        # "rendezvous"/"share" selectors keep the generic loop; the batch
-        # result must still agree with place().
-        bins = bins_from_capacities([100, 250, 60, 400, 90])
-        addresses = list(range(-7, 150))
-        for selector in ("rendezvous", "share"):
-            strategy = FastRedundantShare(
-                bins, copies=3, state_selector=selector
-            )
-            batch = strategy.place_many(addresses)
-            assert [tuple(row) for row in batch.tuples()] == scalar_rows(
-                strategy, addresses
-            )
-
     @pytest.mark.skipif(compat.np is None, reason="thresholds need NumPy")
     @pytest.mark.parametrize(
         "capacities, copies",

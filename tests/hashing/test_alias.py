@@ -1,68 +1,24 @@
-"""Unit and property tests for alias / cumulative sampling tables."""
+"""Unit and property tests for the inverse-CDF sampling table."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.alias import AliasTable, CumulativeTable, build_selector
-from repro.hashing.primitives import unit_interval
+from repro.hashing.alias import CumulativeTable
 
 
+#: Weight lists with zeros among them (at either end and in between).
 WEIGHTS = st.lists(
-    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    ),
     min_size=1,
     max_size=20,
 ).filter(lambda values: sum(values) > 0)
-
-
-class TestAliasTable:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            AliasTable([])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            AliasTable([1.0, -0.5])
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            AliasTable([0.0, 0.0])
-
-    def test_rejects_out_of_range_draw(self):
-        table = AliasTable([1.0, 1.0])
-        with pytest.raises(ValueError):
-            table.select(1.0)
-        with pytest.raises(ValueError):
-            table.select(-0.1)
-
-    def test_single_outcome(self):
-        table = AliasTable([3.0])
-        assert table.select(0.0) == 0
-        assert table.select(0.999) == 0
-
-    def test_zero_weight_outcome_never_selected(self):
-        table = AliasTable([1.0, 0.0, 1.0])
-        for i in range(2000):
-            assert table.select(unit_interval("z", i)) != 1
-
-    @given(WEIGHTS)
-    @settings(max_examples=50, deadline=None)
-    def test_probabilities_reconstruct_weights(self, weights):
-        table = AliasTable(weights)
-        probs = table.probabilities()
-        total = sum(weights)
-        for weight, prob in zip(weights, probs):
-            assert abs(prob - weight / total) < 1e-9
-
-    def test_empirical_frequencies_match(self):
-        weights = [5.0, 3.0, 2.0]
-        table = AliasTable(weights)
-        counts = [0, 0, 0]
-        n = 30000
-        for i in range(n):
-            counts[table.select(unit_interval("freq", i))] += 1
-        for weight, count in zip(weights, counts):
-            assert abs(count / n - weight / 10.0) < 0.02
+DRAWS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
 
 class TestCumulativeTable:
@@ -86,23 +42,31 @@ class TestCumulativeTable:
         with pytest.raises(ValueError):
             table.select(1.0)
 
-    @given(WEIGHTS, st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=100, deadline=None)
-    def test_agrees_with_alias_in_distribution(self, weights, seed):
-        """Alias and cumulative tables encode the same distribution."""
-        alias = AliasTable(weights)
-        probs = alias.probabilities()
+    @given(WEIGHTS, st.lists(DRAWS, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_boundaries_partition_the_unit_interval(self, weights, draws):
+        """Outcome ``i`` owns ``[b_{i-1}, b_i)``, of length ``w_i / W``.
+
+        ``select`` returns ``i`` at both ends of its interval and only
+        inside it, and a zero-weight outcome owns an empty interval, so
+        no draw — not even one exactly on a boundary — returns it.
+        """
+        table = CumulativeTable(weights)
+        bounds = table.boundaries()
         total = sum(weights)
-        for index, weight in enumerate(weights):
-            assert abs(probs[index] - weight / total) < 1e-9
-
-
-class TestBuildSelector:
-    def test_single_positive_weight_is_constant(self):
-        selector = build_selector([0.0, 4.0, 0.0])
-        for i in range(100):
-            assert selector.select(unit_interval("c", i)) == 1
-
-    def test_default_is_alias(self):
-        selector = build_selector([1.0, 2.0])
-        assert isinstance(selector, AliasTable)
+        assert len(bounds) == len(table) == len(weights)
+        assert bounds[-1] == 1.0
+        lower = 0.0
+        for index, (weight, upper) in enumerate(zip(weights, bounds)):
+            assert upper - lower == pytest.approx(weight / total, abs=1e-12)
+            if weight == 0.0:
+                assert upper == lower
+            elif lower < upper:
+                assert table.select(lower) == index
+                assert table.select(math.nextafter(upper, 0.0)) == index
+            lower = upper
+        edges = [0.0] + [b for b in bounds if b < 1.0]
+        for draw in edges + [math.nextafter(b, 0.0) for b in edges] + draws:
+            index = table.select(draw)
+            assert weights[index] > 0.0
+            assert (bounds[index - 1] if index else 0.0) <= draw < bounds[index]

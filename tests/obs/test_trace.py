@@ -59,6 +59,15 @@ class TestSinkBackends:
         records = read_jsonl(path)
         assert [record["kind"] for record in records] == ["a", "b"]
 
+    def test_jsonl_sink_on_a_used_path_keeps_only_the_new_run(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        with JsonlSink(path) as sink:
+            sink.emit("first", n=1)
+            sink.emit("first", n=2)
+        with JsonlSink(path) as sink:
+            sink.emit("second", n=3)
+        assert read_jsonl(path) == [{"seq": 0, "kind": "second", "n": 3}]
+
     def test_tee_sink_fans_out(self):
         first, second = MemorySink(), MemorySink()
         tee = TeeSink([first, second])

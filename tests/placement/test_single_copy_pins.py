@@ -1,11 +1,11 @@
-"""Placement pins for the ``placeonecopy`` selectors and what composes them.
+"""Placement pins for the ``placeonecopy`` selector and what composes it.
 
-Every selector, and every strategy that takes one as a backend, is a pure
-function of its ids, weights, namespace and the ball address.  The SHA-256
-digests below were computed before the ``BinSpec``-faced single-copy
-classes were folded into the ``(ids, weights, namespace)`` interface, on
-both legs; a moved salt, weight conversion, tie rule or namespace fails
-here.
+The selector, the ring and the strategies built on them are pure
+functions of their ids, weights, namespace and the ball address.  The
+SHA-256 digests below were computed before the ``BinSpec``-faced
+single-copy classes were folded into the ``(ids, weights, namespace)``
+interface, on both legs; a moved salt, weight conversion, tie rule or
+namespace fails here.
 """
 
 import hashlib
@@ -14,16 +14,10 @@ import pytest
 
 import repro._compat as compat
 from repro.core import ClassicLinMirror, FastRedundantShare
-from repro.placement import (
-    AliasWeightedPlacer,
-    ConsistentHashingPlacer,
-    RingWeightedPlacer,
-    ShareWeightedPlacer,
-    WeightedRendezvous,
-)
+from repro.placement import ConsistentHashingPlacer, WeightedRendezvous
 from repro.types import bins_from_capacities
 
-#: Weight vectors for the bare selectors: heterogeneous, a zero weight,
+#: Weight vectors for the bare selector: heterogeneous, a zero weight,
 #: homogeneous, one dominant id.
 WEIGHTS = [
     [5, 4, 3, 2, 1],
@@ -49,25 +43,23 @@ def _ids(weights):
     return [f"bin-{index}" for index in range(len(weights))]
 
 
-def _selectors(cls):
+def _selectors():
     return [
-        cls(_ids(weights), [float(w) for w in weights], namespace)
+        WeightedRendezvous(
+            _ids(weights), [float(w) for w in weights], namespace
+        )
         for weights in WEIGHTS
         for namespace in NAMESPACES
     ]
 
 
-def _selector_rows(cls):
-    return [
-        placer.place(a) for placer in _selectors(cls) for a in ADDRESSES
-    ]
+def _selector_rows():
+    return [placer.place(a) for placer in _selectors() for a in ADDRESSES]
 
 
 def _top_rows():
     return [
-        tuple(placer.top(a, 3))
-        for placer in _selectors(WeightedRendezvous)
-        for a in ADDRESSES
+        tuple(placer.top(a, 3)) for placer in _selectors() for a in ADDRESSES
     ]
 
 
@@ -85,25 +77,22 @@ def _successor_rows():
     return rows
 
 
-def _classic_rows(backend):
+def _classic_rows():
     return [
         ClassicLinMirror(
-            bins_from_capacities(capacities),
-            namespace=namespace,
-            placer_factory=backend,
+            bins_from_capacities(capacities), namespace=namespace
         ).place_many(ADDRESSES).tuples()
         for capacities in FLEETS
         for namespace in NAMESPACES
     ]
 
 
-def _fast_rows(selector):
+def _fast_rows():
     return [
         FastRedundantShare(
             bins_from_capacities(capacities),
             copies=copies,
             namespace=namespace,
-            state_selector=selector,
         ).place_many(ADDRESSES).tuples()
         for capacities in FLEETS
         for copies in (2, 3)
@@ -114,24 +103,9 @@ def _fast_rows(selector):
 #: case -> (rows builder, sha256 of ``repr(rows)``)
 CASES = {
     "rendezvous": (
-        lambda: _selector_rows(WeightedRendezvous),
+        _selector_rows,
         "720472169dd9799d7a008a78b3275b9e"
         "a73afd7d3c9e7f78c975ed1ae153ead3",
-    ),
-    "alias": (
-        lambda: _selector_rows(AliasWeightedPlacer),
-        "2a50938cb7895d30a11316d21049a9c0"
-        "0b4457bcd9f8a986fd397f3714a44dc8",
-    ),
-    "share": (
-        lambda: _selector_rows(ShareWeightedPlacer),
-        "0b3aa7389dfe0d111f360772becfd0ca"
-        "70f305ab93be949ef4b0732c9779e23d",
-    ),
-    "ring": (
-        lambda: _selector_rows(RingWeightedPlacer),
-        "67466554b2fba4fa254244dbb5890496"
-        "2f7d48714d30a3b7499b113e58dfef6d",
     ),
     "rendezvous-top": (
         _top_rows,
@@ -144,34 +118,14 @@ CASES = {
         "da9b04e580819b90366e91019e64b8b5",
     ),
     "classic-rendezvous": (
-        lambda: _classic_rows(WeightedRendezvous),
+        _classic_rows,
         "8905b8bed6f7f31c5284736dccf80f00"
         "adf768013a4427a4fb0b646bfba12953",
     ),
-    "classic-alias": (
-        lambda: _classic_rows(AliasWeightedPlacer),
-        "cae52b5a7796041bc0455b946bffee59"
-        "37fd1deff599c95d04c4e1e1e9f45d01",
-    ),
-    "classic-ring": (
-        lambda: _classic_rows(RingWeightedPlacer),
-        "dacdc7c79a507189645a7fcad74b73e1"
-        "db66534b200c0307271d9325c9445b7f",
-    ),
     "fast-cdf": (
-        lambda: _fast_rows("cdf"),
+        _fast_rows,
         "37da033abbdf6cf08574caf735e9d839"
         "bf8c85e115a2a65cee2e79e18c25bef8",
-    ),
-    "fast-rendezvous": (
-        lambda: _fast_rows("rendezvous"),
-        "1611ca251ee4109f2f4a62e77f0db759"
-        "957a15fb780c0aedcc8d953f1ba61932",
-    ),
-    "fast-share": (
-        lambda: _fast_rows("share"),
-        "f67b8bd68403546cd773a2201be14bd7"
-        "ce88fdfd1021cc285f61be355ad74135",
     ),
 }
 

@@ -6,9 +6,9 @@ unit mappings promise.  A log of it is 0 (a division by zero in every
 rendezvous score) and a table lookup of it is out of range.  These
 words map to ``1 - 2**-53`` instead.  Each address below is *crafted*
 to draw such a word where a strategy consults it (SplitMix64 inverted,
-or for the alias placer's string-keyed draw a fold found once by a
-lattice search); every strategy must place it, in batch exactly as in
-the scalar loop, with no exception and no warning.
+or for a string-keyed draw a fold found once by a lattice search); every
+strategy must place it, in batch exactly as in the scalar loop, with no
+exception and no warning.
 """
 
 import warnings
@@ -20,7 +20,7 @@ from repro.core import FastRedundantShare
 from repro.core.classic import ClassicLinMirror
 from repro.hashing import primitives
 from repro.hashing.primitives import derive_base, stable_u64
-from repro.placement import AliasWeightedPlacer, WeightedRendezvous
+from repro.placement import WeightedRendezvous
 from repro.placement.trivial import TrivialReplication
 from repro.types import bins_from_capacities
 
@@ -36,9 +36,9 @@ TOP_WORDS = [2**64 - 1025, 2**64 - 1024, 2**64 - 513, 2**64 - 1]
 #: under the namespace ``classic-lin-mirror/sec/0``.
 OVERSIZED = bins_from_capacities([1000, 1, 1])
 
-#: ``stable_u64("classic-lin-mirror/sec/0", "ball", ALIAS_ADDRESS)`` is
-#: ``2**64 - 481``: the alias placer's draw of this address is a top word.
-ALIAS_ADDRESS = 13883458474726122446
+#: ``stable_u64("classic-lin-mirror/sec/0", "ball", STRING_KEYED_ADDRESS)``
+#: is ``2**64 - 481``: the string-keyed draw of this address is a top word.
+STRING_KEYED_ADDRESS = 13883458474726122446
 
 
 def settled(strategy, addresses):
@@ -64,7 +64,7 @@ def test_unit_mappings_stay_below_one(word):
 
 
 def test_string_keyed_draws_stay_below_one():
-    parts = ("classic-lin-mirror/sec/0", "ball", ALIAS_ADDRESS)
+    parts = ("classic-lin-mirror/sec/0", "ball", STRING_KEYED_ADDRESS)
     assert stable_u64(*parts) == 2**64 - 481
     assert primitives.unit_interval(*parts) == BELOW_ONE
     assert primitives.unit_interval_open(*parts) == BELOW_ONE
@@ -96,15 +96,6 @@ def test_weighted_rendezvous_places_a_top_word():
     # The same race inside the classic LinMirror batch engine.
     strategy = ClassicLinMirror(OVERSIZED)
     assert settled(strategy, addresses) == [("bin-0", "bin-2")] * 4
-
-
-def test_alias_placer_places_a_top_word():
-    placer = AliasWeightedPlacer(
-        ["bin-1", "bin-2"], [1.0, 1.0], "classic-lin-mirror/sec/0"
-    )
-    assert placer.place(ALIAS_ADDRESS) in ("bin-1", "bin-2")
-    strategy = ClassicLinMirror(OVERSIZED, placer_factory=AliasWeightedPlacer)
-    assert settled(strategy, [ALIAS_ADDRESS])[0][0] == "bin-0"
 
 
 def test_fast_redundant_share_places_a_top_word():
