@@ -38,10 +38,10 @@ from .preprocess import HazardTable, compute_hazards
 #: ranks longer costs less than compacting that often.
 _COMPACT_FRACTION = 0.25
 
-#: A batch of at most ``_DENSE_PAIRS`` (copy, address) pairs whose ``(k,
-#: n, B)`` word cube holds at most ``_DENSE_WORDS`` words (8 MB) skips the
-#: rank scan for one dense pass: that small, the scan's per-rank call
-#: overhead costs more than hashing every cell (DESIGN.md §5).
+#: A batch of at most ``_DENSE_PAIRS`` (copy, address) pairs whose hashed
+#: ``(k, n - k, B)`` window cube holds at most ``_DENSE_WORDS`` words (8
+#: MB) skips the rank scan for one dense pass: that small, the scan's
+#: per-rank call overhead costs more than hashing every cell (DESIGN.md §5).
 _DENSE_PAIRS, _DENSE_WORDS = 1024, 2**20
 
 
@@ -82,9 +82,7 @@ class RedundantShare(ReplicationStrategy):
         ]
         # Deadline rank for each copy: the scan must select at this rank at
         # the latest so that enough bins remain for the following copies.
-        self._deadlines = [
-            len(self._ordered) - copies + c for c in range(copies)
-        ]
+        self._deadlines = [len(self._bins) - copies + c for c in range(copies)]
         # The batch engine's tables, built on first use.
         self._scan_tables = None
 
@@ -114,16 +112,12 @@ class RedundantShare(ReplicationStrategy):
     # ------------------------------------------------------------------
 
     def place(self, address: int) -> Placement:
-        """Return the ordered bin ids of all ``k`` copies of ``address``."""
-        ranks = self._walk_ranks(address, self._copies)
-        return tuple(self._rank_ids[rank] for rank in ranks)
-
-    def _walk_ranks(self, address: int, copies_wanted: int) -> List[int]:
-        """The Algorithm 2/4 scan over rank indices — the scalar reference
-        the vectorized engine is pinned to."""
-        result: List[int] = []
+        """Return the ordered bin ids of all ``k`` copies of ``address``:
+        the Algorithm 2/4 scan over rank indices, the scalar reference the
+        vectorized engine is pinned to."""
+        result: List[str] = []
         rank = 0
-        for copy in range(copies_wanted):
+        for copy in range(self._copies):
             hazards = self._table.hazards[copy]
             deadline = self._deadlines[copy]
             bases = self._draw_bases[copy]
@@ -133,25 +127,27 @@ class RedundantShare(ReplicationStrategy):
                     or hazards[rank] >= 1.0
                     or unit_from_base(bases[rank], address) < hazards[rank]
                 ):
-                    result.append(rank)
+                    result.append(self._rank_ids[rank])
                     rank += 1
                     break
                 rank += 1
-        return result
+        return tuple(result)
 
     # ------------------------------------------------------------------
     # Batch placement
     # ------------------------------------------------------------------
 
     def _engine_tables(self, np):
-        """The batch engine's rank-major ``(n, k + 1)`` tables of salt
-        bases and last taking words, built once: a cell takes when its
-        word is at most ``word_thresholds(h) - 1``, a forced one (deadline
-        rank, ``h >= 1``) always.  Column ``k`` never takes: base 0 and
-        last word 0 against the word ``sm64(sm64(0))``, nonzero, of the
-        premix 0 finished addresses get.  A word compare cannot also say
-        "never", so no unforced cell may have ``h <= 0``; the hazard solve
-        keeps a positive natural hazard at every unreachable cell.
+        """The batch engine's tables, built once: the scan's rank-major
+        ``(n, k + 1)`` salt bases and last taking words, and the dense
+        pass's ``(k, n - k, 1)`` windows of them (copy ``c`` at ranks ``c``
+        to ``n - k + c - 1``).  A cell takes when its word is at most
+        ``word_thresholds(h) - 1``, a forced one (deadline rank, ``h >=
+        1``) always.  Column ``k`` never takes: base 0 and last word 0
+        against the word ``sm64(sm64(0))``, nonzero, of the premix 0
+        finished addresses get.  A word compare cannot also say "never",
+        so no unforced cell may have ``h <= 0``; the hazard solve keeps a
+        positive natural hazard at every unreachable cell.
         """
         if self._scan_tables is None:
             hazards = np.array(self._table.hazards, dtype=np.float64).T
@@ -166,7 +162,9 @@ class RedundantShare(ReplicationStrategy):
             tables[1, :, :-1] = kernels.word_thresholds(
                 np.where(forced, 0, hazards)
             ) - 1
-            self._scan_tables = tables
+            copy = np.arange(self._copies)[:, None]
+            window = copy + np.arange(self._deadlines[0])
+            self._scan_tables = tables, tables[:, window, copy, None]
         return self._scan_tables
 
     def _fill_ranks(self, np, keys, columns):
@@ -186,11 +184,11 @@ class RedundantShare(ReplicationStrategy):
         this), so no row is ever refused.  A small batch takes
         :meth:`_fill_dense` instead.
         """
-        bases, lasts = self._engine_tables(np)
+        (bases, lasts), windows = self._engine_tables(np)
         mixed = kernels.premix(keys)
-        pairs = self._copies * keys.shape[0]
-        if pairs <= _DENSE_PAIRS and pairs * len(bases) <= _DENSE_WORDS:
-            return self._fill_dense(np, bases, lasts, mixed, columns)
+        cube = windows[0].size * len(keys)  # the dense pass's hashed words
+        if self._copies * len(keys) <= _DENSE_PAIRS and cube <= _DENSE_WORDS:
+            return self._fill_dense(np, *windows, mixed, columns)
         live = np.arange(keys.shape[0])
         copy = np.zeros(keys.shape[0], dtype=np.intp)
         words, scratch = np.empty_like(mixed), np.empty_like(mixed)
@@ -220,22 +218,24 @@ class RedundantShare(ReplicationStrategy):
         return ()
 
     def _fill_dense(self, np, bases, lasts, mixed, columns):
-        """The scan of a small batch in one pass: hash the word of every
-        (copy, rank, address) cell in one kernel call, compare the cube
-        with the last taking words once, then place each copy at the
-        first taking rank after the previous copy's.  The deadline cells
-        take every word, so each copy finds one; element-wise identical
-        to :meth:`place`, like the scan."""
-        copies = self._copies
+        """The scan of a small batch in one pass over each copy's window
+        (:meth:`_engine_tables`): hash every (copy, window rank, address)
+        cell in one kernel call and compare the cube with the last taking
+        words once; the deadline row below takes every word unhashed.  In
+        window coordinates copy ``c`` stands at the first taking index no
+        lower than copy ``c - 1``'s: element-wise identical to
+        :meth:`place`, like the scan."""
+        takes = np.ones((len(bases), len(bases[0]) + 1, len(mixed)), bool)
         # Addresses innermost: each (copy, rank) row hashes and compares
         # one contiguous vector against a single base and last word.
-        words = kernels.words_from_premixed(bases.T[:copies, :, None], mixed)
-        takes = words <= lasts.T[:copies, :, None]
-        ranks = np.arange(len(bases))[:, None]
-        previous = -1
-        for copy in range(copies):
-            previous = np.argmax(takes[copy] & (ranks > previous), axis=0)
-            columns[copy] = previous
+        words = kernels.words_from_premixed(bases, mixed)
+        np.less_equal(words, lasts, out=takes[:, :-1])
+        index = np.arange(takes.shape[1])[:, None]
+        for copy, rows in enumerate(takes):
+            if copy:
+                rows &= index >= columns[copy - 1]
+            np.argmax(rows, axis=0, out=columns[copy])
+        columns += np.arange(len(takes))[:, None]  # window -> rank
         return ()
 
     def _record_engine_events(self, sink, columns) -> None:

@@ -6,8 +6,9 @@ duplicates) through the shapes that stress the engine — the benchmark
 fleet, a wide fleet, forced ranks, one copy, clipping — and count the
 engine's work exactly, so a per-copy pass over the bins cannot creep
 back unnoticed.  The engine has two paths, the rank scan and, for a
-small batch, one dense pass over the whole word cube: the threshold pins
-and a property over random fleets run both against ``place``.
+small batch, one dense pass over each copy's window of ranks: the
+threshold pins and a property over random fleets run both against
+``place``, and the window's edges have a case each.
 """
 
 import collections
@@ -75,13 +76,33 @@ def scalar_rows(strategy, addresses):
     return [memo[address] for address in addresses]
 
 
+def window_words(strategy):
+    """The words the dense pass hashes per address: copy ``c`` can stand
+    only at ranks ``c`` to ``n - k + c``, and the last of them, its
+    deadline, takes every word unhashed."""
+    copies, bins = strategy.copies, len(strategy.rank_ids)
+    return copies * (bins - copies)
+
+
 def dense_limit(strategy):
     """The largest batch ``place_many`` places in one dense pass."""
-    copies, bins = strategy.copies, len(strategy.rank_ids)
     return min(
-        redundant_share._DENSE_PAIRS // copies,
-        redundant_share._DENSE_WORDS // (copies * bins),
+        redundant_share._DENSE_PAIRS // strategy.copies,
+        redundant_share._DENSE_WORDS // max(window_words(strategy), 1),
     )
+
+
+def count_words(monkeypatch):
+    """Record the size of every word-kernel call into a list."""
+    calls = []
+    words = kernels.words_from_premixed
+
+    def counting(base, mixed, *args, **kwargs):
+        calls.append(numpy.broadcast(numpy.asarray(base), mixed).size)
+        return words(base, mixed, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "words_from_premixed", counting)
+    return calls
 
 
 def engine_rows(strategy, addresses, path):
@@ -212,15 +233,8 @@ def test_one_pass_over_the_bins_whatever_k(copies, capacities, monkeypatch):
     until the live set is compacted, which happens once a quarter of it
     has finished, so fewer than a quarter of any hashed vector are
     finished addresses.  A small batch calls it exactly once, over its
-    whole ``k * n * B`` cube, within the cube's memory cap."""
-    calls = []
-    words = kernels.words_from_premixed
-
-    def counting(base, mixed, *args, **kwargs):
-        calls.append(numpy.broadcast(numpy.asarray(base), mixed).size)
-        return words(base, mixed, *args, **kwargs)
-
-    monkeypatch.setattr(kernels, "words_from_premixed", counting)
+    ``k * (n - k) * B`` window cube, within the cube's memory cap."""
+    calls = count_words(monkeypatch)
     strategy = RedundantShare(bins_from_capacities(capacities), copies=copies)
     batch = strategy.place_many(batch_addresses(count=5_000))
     # The scan of an address visits every rank up to its last copy's.
@@ -231,5 +245,30 @@ def test_one_pass_over_the_bins_whatever_k(copies, capacities, monkeypatch):
     calls.clear()
     small = dense_limit(strategy)
     strategy.place_many(batch_addresses(count=small))
-    assert calls == [copies * len(capacities) * small]
+    assert calls == [window_words(strategy) * small]
     assert calls[0] <= redundant_share._DENSE_WORDS
+
+
+@pytest.mark.skipif(not compat.HAVE_NUMPY, reason="counts the NumPy engine")
+@pytest.mark.parametrize(
+    "case", ["rs-k-equals-n", "lm-k-equals-n", "rs-single-copy", "rs-clipped"]
+)
+@pytest.mark.parametrize("size", ["one", "limit"])
+def test_window_edges_equal_place(case, size, monkeypatch):
+    """The window's edges: ``k = n`` (width 1, every cell forced, no
+    word hashed), ``k = 1`` (the whole fleet) and a clipped fleet whose
+    forced ``h >= 1`` cell lies inside copy 0's window, each with one
+    address and with a batch exactly at the dense limit: one kernel call
+    over the window cube, and every row as ``place`` has it."""
+    strategy = build(case)
+    copies, bins = strategy.copies, len(strategy.rank_ids)
+    hazards = strategy.table.hazards
+    inside = [h >= 1.0 for h in hazards[0][: bins - copies]]
+    assert any(inside) == (case == "rs-clipped")
+    count = 1 if size == "one" else dense_limit(strategy)
+    addresses = batch_addresses(count=count, distinct=min(count, 2_500))
+    calls = count_words(monkeypatch)
+    assert strategy.place_many(addresses).tuples() == scalar_rows(
+        strategy, addresses
+    )
+    assert calls == [window_words(strategy) * count]

@@ -90,8 +90,10 @@ class TestPlacementInstrumentation:
             bins_from_capacities([5, 4, 3, 2, 1]), copies=2
         )
         population = range(300)
+        ranks = strategy.rank_ids
         expected_depths = [
-            strategy._walk_ranks(address, 2)[-1] + 1 for address in population
+            ranks.index(strategy.place(address)[-1]) + 1
+            for address in population
         ]
         with obs.capture() as trace:
             strategy.place_many(population)
