@@ -98,10 +98,12 @@ def _loss_weights(copies: int, p: float) -> List[List[float]]:
 def _step(
     distribution, weights, repair_fraction: float, data_shares: int = 1
 ) -> List[float]:
-    """One epoch (a zero contribution leaves a sum as it is, so neither an
-    empty class nor ``p == 0`` needs a branch of its own)."""
+    """One epoch.  Skipping an empty class is bit-identical, only faster:
+    its terms are zeros, and a zero added leaves a sum as it is."""
     thinned = [0.0] * len(distribution)
     for c, mass in enumerate(distribution):
+        if mass == 0.0:
+            continue
         for lost, weight in enumerate(weights[c]):
             thinned[c - lost] += mass * weight
     thinned[0] += sum(thinned[1:data_shares])  # below m shares: lost

@@ -289,12 +289,6 @@ class FleetReport:
             return 0.0
         return total_variation(self.steady_state, self.mean_field)
 
-    def counts_list(self) -> List[int]:
-        """Final copy counts as a plain list (leg-comparison helper)."""
-        if self.counts is None:
-            return []
-        return [int(count) for count in self.counts]
-
     def summary(self) -> str:
         """Multi-line human-readable digest."""
 
@@ -396,18 +390,18 @@ class FleetSimulator:
         # --- columnar state -------------------------------------------
         if np is not None:
             alive = np.ones((copies, blocks), dtype=bool)
+            cells = alive.reshape(-1)  # by cell, ``slot * blocks + block``
             counts = np.full(blocks, copies, dtype=np.int16)
-            dead_since = np.zeros((copies, blocks), dtype=np.int64)
-            # Inverted CSR index: which (slot, block) shares live on each
-            # device.  Assignment is static (replacements take the failed
-            # device's slot), so this is built once for the whole run.
-            # A stable sort has one result; on 16-bit keys it is a radix sort.
+            dead_since = np.zeros(copies * blocks, dtype=np.int64)
+            # Inverted CSR index: the cells (positions in the slot-major
+            # column concatenation) on each device, built once: assignment
+            # is static (replacements take the failed device's slot).  A
+            # stable sort has one result; on 16-bit keys it is a radix sort.
             keys = np.uint16 if devices <= 1 << 16 else np.int64
             device_concat = np.concatenate(
                 [np.asarray(column, dtype=keys) for column in columns]
             )
             order = np.argsort(device_concat, kind="stable")
-            holds_slot, holds_block = np.divmod(order, blocks)
             pointers = np.searchsorted(
                 device_concat[order], np.arange(devices + 1)
             )
@@ -415,12 +409,11 @@ class FleetSimulator:
             damaged = np.zeros(0, dtype=np.int64)
 
             def kill_device(device: int, epoch: int):
-                low, high = pointers[device], pointers[device + 1]
-                slots, hit = holds_slot[low:high], holds_block[low:high]
-                live = alive[slots, hit]
-                slots, hit = slots[live], hit[live]
-                alive[slots, hit] = False
-                dead_since[slots, hit] = epoch
+                held = order[pointers[device]:pointers[device + 1]]
+                held = held[cells[held]]
+                cells[held] = False
+                dead_since[held] = epoch
+                hit = held % blocks
                 counts[hit] -= 1
                 left = counts[hit]
                 return hit[left == copies - 1], hit[left == need - 1].tolist()
@@ -435,15 +428,16 @@ class FleetSimulator:
                 level = counts[damaged]
                 order = np.argsort(level, kind="stable")[:budget]
                 taken = damaged[order]
-                slots = alive[:, taken].argmin(0)  # first dead share
-                if alive[slots, taken].any():
+                first_dead = alive.take(taken, axis=1).argmin(0)
+                rebuilt = first_dead * blocks + taken
+                if cells[rebuilt].any():
                     raise AssertionError("repair target has no dead share")
-                alive[slots, taken] = True
+                cells[rebuilt] = True
                 level[order] += 1
                 counts[taken] = level[order]
                 # Each block is stamped with the epoch its budget came from.
                 when = run[0][0] if len(run) == 1 else np.repeat(*zip(*run))
-                waits = when - dead_since[slots, taken]
+                waits = when - dead_since[rebuilt]
                 return damaged[level < copies], taken, waits.tolist()
 
         else:

@@ -182,7 +182,10 @@ class RedundantShare(ReplicationStrategy):
         the live set once :data:`_COMPACT_FRACTION` of it has finished.
         Element-wise identical to :meth:`place` (the property tests pin
         this), so no row is ever refused.  A small batch takes
-        :meth:`_fill_dense` instead.
+        :meth:`_fill_dense` instead.  Gathers pass ``mode="clip"`` (as
+        ``crush`` does), since ``mode="raise"`` buffers ``out`` and every
+        index is in range: ``copy`` stays in ``[0, k]``, a rank's ``k + 1``
+        table columns, and ``taken`` / ``unfinished`` come from ``nonzero``.
         """
         (bases, lasts), windows = self._engine_tables(np)
         mixed = kernels.premix(keys)
@@ -194,12 +197,12 @@ class RedundantShare(ReplicationStrategy):
         words, scratch = np.empty_like(mixed), np.empty_like(mixed)
         last, finished = self._copies - 1, 0
         for rank in range(len(bases)):
-            bases[rank].take(copy, out=words)
+            bases[rank].take(copy, out=words, mode="clip")
             kernels.words_from_premixed(words, mixed, words, scratch)
-            lasts[rank].take(copy, out=scratch)
+            lasts[rank].take(copy, out=scratch, mode="clip")
             taken = (words <= scratch).nonzero()[0]
-            taken_copy = copy.take(taken)
-            columns[taken_copy, live.take(taken)] = rank
+            taken_copy = copy.take(taken, mode="clip")
+            columns[taken_copy, live.take(taken, mode="clip")] = rank
             copy[taken] = taken_copy + 1
             done = taken[taken_copy == last]
             if done.size:
@@ -209,9 +212,9 @@ class RedundantShare(ReplicationStrategy):
                     unfinished = (copy <= last).nonzero()[0]
                     if unfinished.size == 0:
                         break
-                    live = live.take(unfinished)
-                    copy = copy.take(unfinished)
-                    mixed = mixed.take(unfinished)
+                    live = live.take(unfinished, mode="clip")
+                    copy = copy.take(unfinished, mode="clip")
+                    mixed = mixed.take(unfinished, mode="clip")
                     words = words[: unfinished.size]
                     scratch = scratch[: unfinished.size]
                     finished = 0

@@ -77,7 +77,7 @@ def small_options(**overrides):
 def report_fingerprint(report):
     """Everything that must match between the two legs, as plain data."""
     return (
-        report.counts_list(),
+        [int(count) for count in report.counts],
         list(report.lost_addresses),
         [
             (s.epoch, s.year, s.damaged, s.lost, s.distribution)
@@ -727,7 +727,7 @@ class TestReportShape:
 
     def test_counts_match_final_distribution(self):
         report = run_fleet(small_options())
-        counts = report.counts_list()
+        counts = [int(count) for count in report.counts]
         histogram = [0] * (report.copies + 1)
         for count in counts:
             histogram[count] += 1
