@@ -15,6 +15,8 @@ metrics are defined.
 from __future__ import annotations
 
 import abc
+from collections import Counter, deque
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .. import obs
@@ -79,9 +81,9 @@ class BatchPlacement:
 
     Stores one *rank column* per copy position: ``columns[c][j]`` is the
     index into :attr:`rank_ids` of the bin holding copy ``c`` of the j-th
-    address.  With NumPy installed the columns are ``int64`` arrays (and
-    histograms use ``bincount``); without it they are plain lists — the
-    row-oriented accessors behave identically either way.
+    address: NumPy integer arrays, lists or :mod:`array` slices, and the
+    row-oriented accessors behave identically either way.  A batch equals
+    another with the same rows, and the ``k``-id lists the codec renders.
     """
 
     __slots__ = ("rank_ids", "columns")
@@ -102,48 +104,62 @@ class BatchPlacement:
 
     def ids_at(self, position: int) -> List[str]:
         """Bin ids of copy ``position`` for every address (one column)."""
-        rank_ids = self.rank_ids
-        return [rank_ids[int(rank)] for rank in self.columns[position]]
+        np, column = self._numpy(), self.columns[position]
+        if np is not None:
+            return np.array(self.rank_ids, dtype=object)[column].tolist()
+        return list(map(self.rank_ids.__getitem__, column))
+
+    def _numpy(self):
+        """NumPy when the columns are its arrays, else None."""
+        np, first = get_numpy(), self.columns[0] if self.columns else None
+        return np if np is not None and isinstance(first, np.ndarray) else None
 
     def tuples(self) -> List[Placement]:
         """Row view: the list ``[place(a) for a in addresses]`` would give."""
-        np = get_numpy()
-        if np is not None and self.columns and isinstance(
-            self.columns[0], np.ndarray
-        ):
-            table = np.array(self.rank_ids, dtype=object)
-            return list(zip(*(table[column] for column in self.columns)))
-        return list(zip(*(self.ids_at(c) for c in range(self.copies))))
+        return list(zip(*map(self.ids_at, range(self.copies))))
 
     def __iter__(self) -> Iterator[Placement]:
         """Iterate the row view (per-address placements)."""
         return iter(self.tuples())
 
+    def __getitem__(self, index: int) -> Placement:
+        """Row ``index`` of the row view: one address's placement."""
+        index = range(len(self))[index]
+        return tuple(self.rank_ids[column[index]] for column in self.columns)
+
+    __hash__ = None  # type: ignore[assignment]  # equal by rows, mutable
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to a batch with the same rows, or to a list of ``k``-id
+        lists holding them."""
+        if isinstance(other, BatchPlacement):
+            return self.tuples() == other.tuples()
+        if type(other) is not list:
+            return NotImplemented
+        count, copies = len(self), self.copies
+        # The row shapes in C, then one flat compare: no row objects.
+        if [list] * count != list(map(type, other)) or (
+            [copies] * count != list(map(len, other))
+        ):
+            return False
+        flat: List[str] = []
+        deque(map(flat.extend, other), maxlen=0)
+        ids = [""] * len(flat)
+        for position in range(copies):
+            ids[position::copies] = self.ids_at(position)
+        return flat == ids
+
     def counts(self) -> Dict[str, int]:
         """Per-bin copy histogram: how many of :meth:`tuples`' entries name
         each bin."""
-        np = get_numpy()
-        size = len(self.rank_ids)
-        if np is not None and self.columns and isinstance(
-            self.columns[0], np.ndarray
-        ):
-            total = np.zeros(size, dtype=np.int64)
-            for column in self.columns:
-                total += np.bincount(column, minlength=size)
-            return {
-                self.rank_ids[rank]: int(count)
-                for rank, count in enumerate(total)
-                if count
-            }
-        total = [0] * size
-        for column in self.columns:
-            for rank in column:
-                total[rank] += 1
-        return {
-            self.rank_ids[rank]: count
-            for rank, count in enumerate(total)
-            if count
-        }
+        np = self._numpy()
+        if np is not None:
+            size = len(self.rank_ids)
+            total = sum(np.bincount(rank, minlength=size) for rank in self.columns)
+            tally = {rank: n for rank, n in enumerate(total.tolist()) if n}
+        else:
+            tally = Counter(chain.from_iterable(self.columns))
+        return {self.rank_ids[rank]: tally[rank] for rank in sorted(tally)}
 
 
 class ReplicationStrategy(abc.ABC):

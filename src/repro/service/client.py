@@ -47,6 +47,7 @@ from ..exceptions import (
     ServiceError,
     ServiceUnavailableError,
 )
+from ..placement.base import BatchPlacement
 from ..scheduling import registry as sched_registry
 from .blockstore import checksum, decode_payload, encode_payload
 from .rpc import RpcConnection
@@ -201,8 +202,8 @@ class ServiceClient:
         result = await self._call_metastore("where_is", address=address)
         return list(result["devices"])
 
-    async def where_are(self, addresses: Sequence[int]) -> List[List[str]]:
-        """Batch placement lookup (one ``place_many`` server-side)."""
+    async def where_are(self, addresses: Sequence[int]) -> BatchPlacement:
+        """Batch placement lookup: the batch ``place_many`` gave the server."""
         if not (isinstance(addresses, (list, array)) and addresses):
             addresses = list(addresses)  # those two the codec takes as given
         result = await self._call_metastore("where_are", addresses=addresses)

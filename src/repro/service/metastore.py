@@ -12,7 +12,7 @@ registered strategy.
 Ops::
 
     where_is  {address}    -> {devices: [id, ...]}             # k ids
-    where_are {addresses}  -> {placements: [[id, ...], ...]}   # columnar frames
+    where_are {addresses}  -> {placements: BatchPlacement}     # columnar frames
     config    {}           -> {strategy, strategy_options, copies, bins,
                                epoch, blockstores}
 
@@ -20,7 +20,7 @@ plus the base ``ping``/``metrics``.  ``where_are`` is columnar both ways
 (see :mod:`~repro.service.protocol`): u64 ``addresses`` arrive as an
 ``array('Q')`` that ``place_many`` takes as it is, and the codec is
 handed the :class:`~repro.placement.base.BatchPlacement` itself, so the
-answer crosses the wire as a rank matrix and reads as the rows above.
+answer crosses the wire as a rank matrix and decodes to that batch.
 ``config`` is how a client bootstraps: it learns the replication degree
 and each device's blockstore endpoint in one round trip.
 

@@ -27,7 +27,8 @@ header is the payload itself with ``{"$ranks": {"dtype": code,
 "rank_ids": [id, ...], "shape": [n, k]}}`` standing where the matrix
 goes; the matrix follows as ``n`` rows of ``k`` little-endian unsigned
 ranks into ``rank_ids``, in the smallest of ``u1``/``u2``/``u4`` that
-indexes the table, and decodes to ``n`` lists of ``k`` id strings.  Or
+indexes the table, and decodes to a ``BatchPlacement`` whose columns
+read those bytes (NumPy views, or :mod:`array` slices without it).  Or
 with ``{"$u64": n}`` where ``n > 0`` integers go, followed by that many
 little-endian 8-byte words: written for the first top-level member of a
 dict payload (sorted-key order) that is a non-empty list of ``int`` (no
@@ -37,24 +38,14 @@ has one column and a payload's content alone decides its form, so there
 is nothing to negotiate.  For every payload ``encode_frame`` accepts,
 ``decode_frame(encode_frame(x)) == x`` except that the packed list
 returns as that array of the same integers, and ``encode_frame`` of what
-a JSON or ``$u64`` frame decoded to is it again.  A payload with a column
-*and* a member of its own spelled like a placeholder (a dict whose one
-key is ``$ranks`` or ``$u64``) would not decode, so ``encode_frame``
-refuses it.
+a frame decoded to is it again; a decoded batch also equals the ``k``-id
+lists it stands for.  A payload with a column *and* a member of its own
+spelled like a placeholder (a dict whose one key is ``$ranks`` or
+``$u64``) would not decode, so ``encode_frame`` refuses it.
 
 JSON is rendered compactly with sorted keys and each column has one
 layout, so equal payloads encode to byte-equal frames on any machine,
 with or without NumPy — the property the protocol tests pin.
-
-Decoding a rank matrix builds one list per row, each an object the
-cyclic collector tracks, so a 16 384-row answer would run 23
-collections that cannot free a row.  A matrix of more rows than the
-young-generation threshold (``gc.get_threshold()[0]``) is therefore
-decoded with the collector paused, if it was enabled, and enabled again
-when the rows are built or the decode fails; a smaller one, or one
-decoded with the collector already off, leaves it alone.  The collector
-is process-wide: another thread that allocates during such a decode is
-not collected until the decode ends.
 
 Three failure modes get typed errors (all subclasses of
 :class:`~repro.exceptions.BadFrameError`), for both kinds alike:
@@ -69,7 +60,8 @@ Three failure modes get typed errors (all subclasses of
   complete frame; and in a columnar body a header length that overruns
   the body, a header that is not JSON or names no (or a second, or a
   malformed) column, a column segment that is not exactly
-  ``n*k*itemsize`` (``8*n``) bytes, or a rank outside the table.
+  ``n*k*itemsize`` (``8*n``) bytes, a matrix of no rows wider than its
+  table, or a rank outside the table.
 
 The async helpers :func:`read_frame`/:func:`write_frame` adapt the codec
 to :mod:`asyncio` streams; a clean EOF *between* frames reads as
@@ -79,11 +71,11 @@ to :mod:`asyncio` streams; a clean EOF *between* frames reads as
 from __future__ import annotations
 
 import asyncio
-import gc
 import json
 import struct
 import sys
 from array import array
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._compat import get_numpy
@@ -205,8 +197,9 @@ def _little_endian(words: array) -> array:
 
 def _pack_ranks(batch: BatchPlacement) -> Tuple[Dict[str, Any], bytes]:
     """A batch's header object and its ``(n, k)`` row-major rank bytes."""
-    count, copies = len(batch), batch.copies
-    table = len(batch.rank_ids)
+    count, copies, table = len(batch), batch.copies, len(batch.rank_ids)
+    if copies > table and not count:  # a width no byte would pay for
+        raise TypeError("a batch of no rows is wider than its rank table")
     code = "u1" if table <= 1 << 8 else "u2" if table <= 1 << 16 else "u4"
     np = get_numpy()
     if np is not None:
@@ -214,10 +207,8 @@ def _pack_ranks(batch: BatchPlacement) -> Tuple[Dict[str, Any], bytes]:
         for position, column in enumerate(batch.columns):
             matrix[:, position] = column
     else:
-        flat = [0] * (count * copies)
-        for position, column in enumerate(batch.columns):
-            flat[position::copies] = column
-        matrix = _little_endian(array(RANK_DTYPES[code], flat))
+        rows = chain.from_iterable(zip(*batch.columns))
+        matrix = _little_endian(array(RANK_DTYPES[code], rows))
     meta = {"dtype": code, "rank_ids": batch.rank_ids, "shape": [count, copies]}
     return {RANKS_KEY: meta}, matrix.tobytes()
 
@@ -323,8 +314,8 @@ def _unpack_u64(count: Any, column: memoryview) -> array:
     return _little_endian(words)
 
 
-def _unpack_ranks(meta: Any, matrix: memoryview) -> List[List[str]]:
-    """The rows of one rank matrix: ``n`` lists of ``k`` id strings."""
+def _unpack_ranks(meta: Any, matrix: memoryview) -> BatchPlacement:
+    """One rank matrix as a batch whose ``k`` columns read its bytes."""
     try:
         (count, copies), code, rank_ids = (
             meta["shape"], meta["dtype"], meta["rank_ids"]
@@ -335,47 +326,35 @@ def _unpack_ranks(meta: Any, matrix: memoryview) -> List[List[str]]:
             "rank matrix header needs shape [n, k], a dtype of "
             f"{sorted(RANK_DTYPES)} and rank_ids"
         ) from None
-    # n rows of no copies would cost memory the frame ceiling never saw.
+    if type(rank_ids) is not list or not set(map(type, rank_ids)) <= {str}:
+        raise BadFrameError("rank_ids must be a list of strings")
+    # Columns no byte paid for (n rows of no copies, or a width beyond the
+    # table with no rows) would cost memory the frame ceiling never saw.
     if not (
-        type(count) is int and type(copies) is int
-        and count >= 0 and copies >= 0 and (copies or not count)
+        type(count) is type(copies) is int and count >= 0
+        and (0 < copies if count else 0 <= copies <= len(rank_ids))
     ):
         raise BadFrameError(f"rank matrix shape [{count!r}, {copies!r}] is invalid")
-    if not (
-        isinstance(rank_ids, list)
-        and all(type(bin_id) is str for bin_id in rank_ids)
-    ):
-        raise BadFrameError("rank_ids must be a list of strings")
     size = count * copies * int(code[1])
     if len(matrix) != size:
         raise BadFrameError(
             f"a [{count}, {copies}] {code} rank matrix is {size} bytes, "
             f"{len(matrix)} follow the header"
         )
-    if not count:
-        return []
     np = get_numpy()
-    # The rows are tracked lists of str, which no collection can free;
-    # below the threshold a pause could only move a collection.
-    pause = count > gc.get_threshold()[0] and gc.isenabled()
-    if pause:
-        gc.disable()
-    try:
-        if np is not None:
-            ranks = np.frombuffer(matrix, dtype="<" + code)
-            table = np.array(rank_ids, dtype=object)
-            return table[ranks.reshape(count, copies)].tolist()
-        ranks = array(typecode)
-        ranks.frombytes(matrix)
-        ids = [rank_ids[rank] for rank in _little_endian(ranks)]
-        return [ids[row * copies : (row + 1) * copies] for row in range(count)]
-    except IndexError:
+    if np is not None:
+        ranks = np.frombuffer(matrix, dtype="<" + code)
+        top = ranks.max(initial=0)
+        columns = list(ranks.reshape(count, copies).T)
+    else:
+        ranks = _little_endian(array(typecode, bytes(matrix)))
+        top = max(ranks, default=0)
+        columns = [ranks[position::copies] for position in range(copies)]
+    if count and top >= len(rank_ids):
         raise BadFrameError(
             f"a rank is outside the {len(rank_ids)}-entry rank_ids table"
-        ) from None
-    finally:
-        if pause:
-            gc.enable()
+        )
+    return BatchPlacement(rank_ids, columns)
 
 
 #: Each placeholder key's column reader.

@@ -150,7 +150,7 @@ def run_chaos_workload(seed: int, transport: str, monkeypatch):
                 "after_kill_skipped": 0,
             }
             for index, receipt in enumerate(receipts):
-                devices = placements[index]
+                devices = list(placements[index])
                 assert devices == receipt.devices
                 assert len(set(devices)) == COPIES  # distinct devices
                 if victim in devices:

@@ -19,6 +19,7 @@ from repro.exceptions import (
     OversizedFrameError,
     ServiceUnavailableError,
 )
+from repro.placement.base import BatchPlacement
 from repro.placement.registry import create
 from repro.service import (
     BlockstoreServer,
@@ -268,11 +269,12 @@ class TestWireErrors:
                 await connection.close()
                 await server.stop()
 
-        rows = run(scenario())["placements"]
+        placements = run(scenario())["placements"]
         local = create("redundant-share", bins, copies=3)
-        assert len(rows) == len(addresses)
+        assert type(placements) is BatchPlacement
+        assert len(placements) == len(addresses)
         for address in (0, 1, 131_072, 259_999):
-            assert tuple(rows[address]) == local.place(address)
+            assert placements[address] == local.place(address)
 
     def test_connection_refused_is_service_unavailable(self):
         async def scenario():

@@ -21,9 +21,9 @@ u64 vector:
 """
 
 import asyncio
-import gc
 import json
 from array import array
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +36,7 @@ from repro.exceptions import (
 )
 from repro import _compat
 from repro._compat import get_numpy
+from repro.placement import create
 from repro.placement.base import BatchPlacement
 from repro.service import protocol
 from repro.service.protocol import (
@@ -50,6 +51,7 @@ from repro.service.protocol import (
     read_frame,
     write_frame,
 )
+from repro.types import bins_from_capacities
 
 # Arbitrary JSON values: scalars (including > 2**32 integers, which the
 # placement service relies on for addresses) nested under lists/dicts.
@@ -124,6 +126,21 @@ def same_value(left, right) -> bool:
     if isinstance(left, list):
         return len(left) == len(right) and all(map(same_value, left, right))
     return left == right
+
+
+#: The codec's two legs: with NumPy (when installed) and without it.
+LEGS = ("numpy", "pure") if get_numpy() is not None else ("pure",)
+
+
+@contextmanager
+def on_leg(leg):
+    """Run the codec with NumPy, or as if it were not installed."""
+    saved = _compat.np
+    _compat.np = saved if leg == "numpy" else None
+    try:
+        yield
+    finally:
+        _compat.np = saved
 
 
 class TestRoundTrip:
@@ -328,8 +345,9 @@ def batches(draw):
     """A BatchPlacement with plain-list columns, and its rows."""
     size = draw(st.sampled_from(TABLE_SIZES))
     rank_ids = [f"dev-{rank}" for rank in range(size)]
-    copies = draw(st.integers(min_value=1, max_value=4))
     count = draw(st.integers(min_value=0, max_value=12))
+    # No rows wider than the table: no byte would pay for the width.
+    copies = draw(st.integers(min_value=1, max_value=4 if count else min(4, size)))
     # The top rank is drawn often: it is the one the dtype choice is about.
     ranks = st.integers(min_value=0, max_value=size - 1) | st.just(size - 1)
     columns = [
@@ -407,15 +425,18 @@ class TestColumnarRoundTrip:
     @given(batch_rows=batches(), extra=json_values)
     @settings(max_examples=100, deadline=None)
     def test_round_trip_gives_the_rows(self, batch_rows, extra):
+        """The decoded answer is the batch that was sent, and equals the
+        rows it stands for; encoding it again gives the same frame."""
         batch, rows = batch_rows
-        frame = encode_frame(envelope(batch, extra))
-        assert frame[HEADER.size : HEADER.size + 1] == COLUMNAR
-        decoded = decode_frame(frame)
-        assert decoded == envelope(rows, extra)
-        placements = decoded["result"]["placements"]
-        assert type(placements) is list
-        assert all(type(row) is list for row in placements)
-        assert all(type(bin_id) is str for row in placements for bin_id in row)
+        for leg in LEGS:
+            with on_leg(leg):
+                frame = encode_frame(envelope(batch, extra))
+                assert frame[HEADER.size : HEADER.size + 1] == COLUMNAR
+                decoded = decode_frame(frame)
+                assert type(decoded["result"]["placements"]) is BatchPlacement
+                assert decoded == envelope(batch, extra)
+                assert decoded == envelope(rows, extra)
+                assert encode_frame(decoded) == frame
 
     @given(batch_rows=batches())
     @settings(max_examples=50, deadline=None)
@@ -469,6 +490,12 @@ class TestColumnarRoundTrip:
         assert decode_frame(frame) == envelope([])
         # No words, no column: an empty list is the JSON array it was.
         assert decode_frame(encode_frame({"addresses": []})) == {"addresses": []}
+
+    def test_no_rows_are_no_wider_than_the_table(self):
+        frame = encode_frame(envelope(BatchPlacement(["a"], [[]])))
+        assert decode_frame(frame) == envelope([])
+        with pytest.raises(BadFrameError):
+            encode_frame(envelope(BatchPlacement(["a"], [[], []])))
 
     def test_one_matrix_per_frame(self):
         batch = BatchPlacement(["a"], [[0]])
@@ -562,10 +589,16 @@ class TestColumnarGarbage:
             [["a", "b"], ["c", "c"], ["b", "a"]]
         )
 
-    @pytest.mark.parametrize("copies", [0, 3, 10 ** 30])
+    @pytest.mark.parametrize("copies", [0, 3, 4, 10 ** 30])
     def test_no_rows_whatever_their_width(self, copies):
+        """No rows decode to an empty batch while the table bounds their
+        width; a wider matrix, which no byte pays for, is refused."""
         frame = self.frame(shape=(0, copies), matrix=b"")
-        assert decode_frame(frame) == envelope([])
+        if copies <= len(self.RANK_IDS):
+            assert decode_frame(frame) == envelope([])
+        else:
+            with pytest.raises(BadFrameError):
+                decode_frame(frame)
 
     @pytest.mark.parametrize("length", [0, 1, 2 ** 16, 2 ** 32 - 1])
     def test_header_length_wrong(self, length):
@@ -745,81 +778,93 @@ class TestColumnarFuzz:
         assert decoded == read_or_bad_frame(bytes(frame))
 
 
-class TestCollectorPause:
-    """Decoding a matrix of more rows than the young-generation threshold
-    pauses the cyclic collector, on both legs, and restores it."""
+@pytest.mark.parametrize("leg", LEGS)
+class TestDecodedBatch:
+    """A ``$ranks`` column decodes to a BatchPlacement over its bytes."""
 
-    RANK_IDS = [f"dev-{rank}" for rank in range(8)]
+    BINS = bins_from_capacities([500, 400, 300, 200, 150, 100, 80, 50])
+    ADDRESSES = list(range(0, 3000, 7)) + [2 ** 64 - 1]
 
-    @pytest.fixture(params=["numpy", "pure"])
-    def leg(self, request, monkeypatch):
-        if request.param == "numpy" and get_numpy() is None:
-            pytest.skip("NumPy leg needs NumPy")
-        if request.param == "pure":
-            monkeypatch.setattr(_compat, "np", None)
-        return request.param
+    def served(self, bins=BINS):
+        """A local batch and what its frame decodes to."""
+        batch = create("redundant-share", bins, copies=3).place_many(
+            self.ADDRESSES
+        )
+        return batch, decode_frame(encode_frame({"placements": batch}))
 
-    @pytest.fixture
-    def disables(self, monkeypatch):
-        """The number of ``gc.disable()`` calls so far, as a one-item list."""
-        calls = [0]
-        disable = gc.disable
+    @pytest.mark.parametrize("size, code", [(3, "u1"), (300, "u2"), (70000, "u4")])
+    def test_round_trip_is_exact_at_every_rank_width(self, leg, size, code):
+        rank_ids = [f"dev-{rank}" for rank in range(size)]
+        columns = [[0, size - 1, 1], [size - 1, 0, 2]]
+        with on_leg(leg):
+            payload = envelope(BatchPlacement(rank_ids, columns), extra=[1])
+            frame = encode_frame(payload)
+            assert f'"dtype":"{code}"'.encode() in frame
+            decoded = decode_frame(frame)
+            assert decoded == payload
+            assert encode_frame(decoded) == frame
+            assert decoded["result"]["placements"].tuples() == [
+                ("dev-0", f"dev-{size - 1}"), (f"dev-{size - 1}", "dev-0"),
+                ("dev-1", "dev-2"),
+            ]
 
-        def counting():
-            calls[0] += 1
-            disable()
+    def test_columns_read_the_frame(self, leg):
+        with on_leg(leg):
+            _, decoded = self.served()
+            for column in decoded["placements"].columns:
+                if leg == "numpy":
+                    assert column.dtype == get_numpy().uint8
+                    assert not column.flags.writeable
+                else:
+                    assert type(column) is array and column.typecode == "B"
 
-        monkeypatch.setattr(gc, "disable", counting)
-        return calls
+    def test_equality(self, leg):
+        rank_ids = ["a", "b", "c"]
+        with on_leg(leg):
+            batch = decode_frame(
+                encode_frame(BatchPlacement(rank_ids, [[0, 2], [1, 0]]))
+            )
+            # Another batch: equal by rows, whatever the rank table.
+            assert batch == BatchPlacement(["c", "b", "a"], [[2, 0], [1, 2]])
+            assert batch != BatchPlacement(rank_ids, [[0, 2], [2, 0]])
+            assert batch != BatchPlacement(rank_ids, [[0, 2]])
+            assert batch != BatchPlacement(rank_ids, [[0], [1]])
+            # The JSON value it stands for: a list of k-id lists.
+            assert batch == [["a", "b"], ["c", "a"]]
+            assert [["a", "b"], ["c", "a"]] == batch
+            for other in (
+                [["a", "b"], ["c", "b"]], [["a", "b"]], [["a", "b", "c"], ["a"]],
+                [("a", "b"), ("c", "a")], ["ab", "ca"], [["a", "b"], "ca"],
+                [["a", "b"], None], [], 3, "abca", None, {"a": "b"},
+                (["a", "b"], ["c", "a"]),
+            ):
+                assert batch != other
+                assert not batch == other
+            empty = BatchPlacement(rank_ids, [[], []])
+            assert empty == [] and empty == BatchPlacement([], [])
+            assert empty != [[]]
+            with pytest.raises(TypeError):
+                hash(batch)
 
-    def batch(self, count):
-        columns = [
-            [(row * 5 + copy) % len(self.RANK_IDS) for row in range(count)]
-            for copy in range(3)
-        ]
-        return BatchPlacement(self.RANK_IDS, columns)
+    def test_a_row_is_place(self, leg):
+        strategy = create("redundant-share", self.BINS, copies=3)
+        with on_leg(leg):
+            _, decoded = self.served()
+            placements = decoded["placements"]
+            for index, address in enumerate(self.ADDRESSES):
+                assert placements[index] == strategy.place(address)
+            assert placements[-1] == strategy.place(self.ADDRESSES[-1])
+            for index in (len(self.ADDRESSES), -len(self.ADDRESSES) - 1):
+                with pytest.raises(IndexError):
+                    placements[index]
 
-    def test_a_bulk_answer_runs_at_most_one_collection(self, leg):
-        batch = self.batch(16384)
-        frame = encode_frame(envelope(batch))
-        started = []
-
-        def count(phase, info):
-            if phase == "start":
-                started.append(info["generation"])
-
-        gc.collect()
-        gc.callbacks.append(count)
-        try:
-            payload = decode_frame(frame)
-        finally:
-            gc.callbacks.remove(count)
-        # Without the pause the 16 384 row lists run 23 collections.
-        assert len(started) <= 1
-        assert payload == envelope([list(row) for row in batch.tuples()])
-        assert gc.isenabled()
-
-    def test_a_disabled_collector_stays_disabled(self, leg, disables):
-        frame = encode_frame(envelope(self.batch(16384)))
-        gc.disable()
-        try:
-            decode_frame(frame)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-        assert disables == [1]  # the test's own call
-
-    def test_the_collector_is_restored_after_a_bad_rank(self, leg, disables):
-        count = 16384
-        matrix = bytes([0, 1, 2]) * (count - 1) + bytes([0, 1, len(self.RANK_IDS)])
-        frame = columnar_frame(ranks_header([count, 3], "u1", self.RANK_IDS), matrix)
-        with pytest.raises(BadFrameError):
-            decode_frame(frame)
-        assert disables == [1]
-        assert gc.isenabled()
-
-    def test_a_small_answer_leaves_the_collector_alone(self, leg, disables):
-        batch = self.batch(256)
-        payload = decode_frame(encode_frame(envelope(batch)))
-        assert payload == envelope([list(row) for row in batch.tuples()])
-        assert disables == [0]
+    def test_counts_and_tuples_read_the_decoded_columns(self, leg):
+        wide = bins_from_capacities([100 + i % 7 for i in range(300)], prefix="w")
+        with on_leg(leg):
+            for bins in (self.BINS, wide):
+                batch, decoded = self.served(bins)
+                placements = decoded["placements"]
+                assert placements.counts() == batch.counts()
+                assert placements.tuples() == batch.tuples()
+                assert list(placements) == batch.tuples()
+                assert decoded == {"placements": batch}
