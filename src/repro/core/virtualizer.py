@@ -89,13 +89,6 @@ class VirtualVolume:
             self._cluster.write(block, payload)
             position += take
 
-    def truncate_block(self, block: int) -> None:
-        """Drop one block (it reads back as zeros)."""
-        try:
-            self._cluster.delete(block)
-        except BlockNotFoundError:
-            pass
-
     def written_bytes(self) -> int:
         """Bytes held in written blocks (block-granular)."""
         return self._cluster.block_count * self._block_size

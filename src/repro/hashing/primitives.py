@@ -30,11 +30,13 @@ loop instead.
 A word ``u`` maps to ``float(u) * 2**-64``, except the top 1 024 words,
 which ``float`` rounds up to ``2**64``: they map to ``1 - 2**-53``, so
 every draw is below 1 (:func:`_unit` / :func:`_units` on both legs).
+:func:`u64_words` packs via ``array("L")``: ``"Q"`` reads wide ints bytewise.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from typing import List, Sequence, Union
 
 from .._compat import get_numpy
@@ -46,6 +48,8 @@ _INV_2_64 = 1.0 / float(1 << 64)
 
 #: The first word ``float`` rounds to 2**64, and its draw instead of 1.0.
 _ROUNDS_TO_ONE, _BELOW_ONE = (1 << 64) - 1024, 1.0 - 2.0**-53
+
+_U64_TYPECODE = "L" if array("L").itemsize == 8 else "Q"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -155,6 +159,12 @@ def unit_from_base_open(base: int, *values: int) -> float:
     return _unit(u64_from_base(base, *values) | 1)
 
 
+def u64_words(values) -> array:
+    """``values``, ints in ``[0, 2**64)``, as 8-byte native words in one C
+    pass (``"L"`` where that is 8 bytes), raising as ``array`` does."""
+    return array(_U64_TYPECODE, values)
+
+
 # ----------------------------------------------------------------------
 # Vectorized pipeline (NumPy only)
 # ----------------------------------------------------------------------
@@ -178,11 +188,17 @@ if np is not None:
 
 
 def int64_column(values):
-    """A list, tuple or range as an ``int64`` column in one ``np.fromiter``
-    pass (``int(v)`` each), where ``np.asarray`` spends most of its time
-    discovering the dtype.  Any other input, or one holding a value that
-    is not an int64, comes back as it is for the caller's exact path."""
+    """A list, tuple or range as an ``int64`` column, faster than
+    ``np.asarray``: its :func:`u64_words` if none reaches 2**63, else
+    ``np.fromiter`` (``int(v)`` each).  Any other input, or one holding a
+    value that is not an int64, comes back as it is for the exact path."""
     if isinstance(values, (list, tuple, range)):
+        try:
+            column = np.frombuffer(u64_words(values), np.int64)
+            if column.min(initial=0) >= 0:  # an empty column passes too
+                return column
+        except (OverflowError, TypeError, ValueError):
+            pass
         try:
             return np.fromiter(values, np.int64, count=len(values))
         except (OverflowError, TypeError, ValueError):

@@ -15,7 +15,7 @@ Replication strategies are populated by :mod:`repro.placement.trivial`,
 reallocation-free Sequential Checking) lives in :mod:`repro.core`.
 """
 
-from .base import BatchPlacement, ReplicationStrategy, check_placement
+from .base import BatchPlacement, ReplicationStrategy
 from .consistent_hashing import ConsistentHashingPlacer
 from .crush import ChooseleafCrush, CrushStrategy, Straw2Bucket
 from .registry import (
@@ -46,7 +46,6 @@ __all__ = [
     "WeightedStripingStrategy",
     "ReplicationStrategy",
     "WeightedRendezvous",
-    "check_placement",
     "create",
     "lookup",
     "registered_strategies",

@@ -322,16 +322,3 @@ class ReplicationStrategy(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.describe()}>"
 
-
-def check_placement(placement: Placement, copies: int) -> None:
-    """Assert the paper's redundancy invariant on a placement result.
-
-    Raises:
-        ValueError: if the placement has the wrong arity or repeats a bin.
-    """
-    if len(placement) != copies:
-        raise ValueError(
-            f"expected {copies} copies, placement has {len(placement)}"
-        )
-    if len(set(placement)) != len(placement):
-        raise ValueError(f"redundancy violated: duplicate bins in {placement}")

@@ -33,15 +33,16 @@ with ``{"$u64": n}`` where ``n > 0`` integers go, followed by that many
 little-endian 8-byte words: written for the first top-level member of a
 dict payload (sorted-key order) that is a non-empty list of ``int`` (no
 ``bool``) in ``[0, 2**64)`` and for a non-empty ``array('Q')`` anywhere,
-decoded to an ``array('Q')``; every other list is a JSON array.  A frame
-has one column and a payload's content alone decides its form, so there
-is nothing to negotiate.  For every payload ``encode_frame`` accepts,
-``decode_frame(encode_frame(x)) == x`` except that the packed list
-returns as that array of the same integers, and ``encode_frame`` of what
-a frame decoded to is it again; a decoded batch also equals the ``k``-id
-lists it stands for.  A payload with a column *and* a member of its own
-spelled like a placeholder (a dict whose one key is ``$ranks`` or
-``$u64``) would not decode, so ``encode_frame`` refuses it.
+decoded to an ``array('Q')`` (a list packs via ``array('L')``, faster on
+wide ints); every other list is a JSON array.  A frame has one column and
+a payload's content alone decides its form, so there is nothing to
+negotiate.  For every payload ``encode_frame`` accepts,
+``decode_frame(encode_frame(x)) == x`` except that the packed list returns
+as that array of the same integers, and ``encode_frame`` of what a frame
+decoded to is it again; a decoded batch also equals the ``k``-id lists it
+stands for.  A payload with a column *and* a member of its own spelled
+like a placeholder (a dict whose one key is ``$ranks`` or ``$u64``) would
+not decode, so ``encode_frame`` refuses it.
 
 JSON is rendered compactly with sorted keys and each column has one
 layout, so equal payloads encode to byte-equal frames on any machine,
@@ -84,6 +85,7 @@ from ..exceptions import (
     OversizedFrameError,
     TruncatedFrameError,
 )
+from ..hashing.primitives import u64_words
 from ..placement.base import BatchPlacement
 
 #: Frame header: one unsigned 32-bit big-endian body length.
@@ -179,11 +181,14 @@ def _with_u64_column(payload: Any) -> Any:
         for key, value in sorted(payload.items()):
             if type(value) is array:
                 break
-            if type(value) is list and set(map(type, value)) == {int}:
+            types = type(value) is list and list(map(type, value))
+            if types and types.count(int) == len(types):
+                column = array("Q")
                 try:
-                    return {**payload, key: array("Q", value)}
+                    column.frombytes(memoryview(u64_words(value)).cast("B"))
                 except OverflowError:
-                    pass  # a member < 0 or >= 2**64: it stays a JSON array
+                    continue  # a member < 0 or >= 2**64: a JSON array
+                return {**payload, key: column}
     return payload
 
 

@@ -66,13 +66,6 @@ class TestReadWrite:
         assert data[20:22] == b"YY"
         assert data[22:] == b"x" * 26
 
-    def test_truncate_block(self):
-        volume = make_volume(block_size=8)
-        volume.write(0, b"z" * 8)
-        volume.truncate_block(0)
-        volume.truncate_block(0)  # idempotent
-        assert volume.read(0, 8) == bytes(8)
-
     def test_written_bytes(self):
         volume = make_volume(block_size=8)
         volume.write(0, b"abc")

@@ -232,6 +232,49 @@ def test_as_u64_array_equals_the_legacy_conversion(values):
     assert result.tolist() == expected.tolist()
 
 
+def legacy_int64_column(values):
+    """``int64_column`` before the :func:`u64_words` pass: the oracle."""
+    if isinstance(values, (list, tuple, range)):
+        try:
+            return numpy.fromiter(values, numpy.int64, count=len(values))
+        except (OverflowError, TypeError, ValueError):
+            pass
+    return values
+
+
+#: Where CPython's 30-bit int digits and the int64 / u64 ranges end.
+_DIGIT_EDGES = st.sampled_from(
+    [0, 1, 2**30 - 1, 2**30, 2**32, 2**60, 2**63 - 1, 2**63, 2**64 - 1]
+)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the array pipeline is NumPy-only")
+@pytest.mark.parametrize("typecode", sorted({primitives._U64_TYPECODE, "Q"}))
+@given(
+    values=st.one_of(
+        st.lists(st.integers(0, 2**64 - 1) | _DIGIT_EDGES, max_size=12),
+        st.lists(_INTS | _DIGIT_EDGES, max_size=12),
+        st.lists(_values(), max_size=12),
+        st.lists(_values(), max_size=12).map(tuple),
+        _ranges(),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_int64_column_equals_the_fromiter_pass(typecode, values):
+    """The column is what one ``np.fromiter`` pass gives, in values and
+    dtype, or the input itself where that pass fails, whichever typecode
+    :func:`u64_words` converts with."""
+    expected = legacy_int64_column(values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primitives, "_U64_TYPECODE", typecode)
+        result = primitives.int64_column(values)
+    if expected is values:
+        assert result is values
+    else:
+        assert result.dtype == expected.dtype == numpy.int64
+        assert result.tolist() == expected.tolist()
+
+
 def _tie_words():
     """Words around every half-ulp tie of ``float(u)`` from ``2**53`` to
     ``2**63``: in binade ``[2**e, 2**(e+1))`` the floats are ``g = 2**(e-52)``

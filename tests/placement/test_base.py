@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.placement.base import ReplicationStrategy, check_placement
+from repro.placement.base import ReplicationStrategy
 from repro.types import bins_from_capacities
 
 
@@ -65,15 +65,3 @@ class TestReplicationStrategyBase:
         strategy = RoundRobin(bins_from_capacities([1, 1]), copies=2)
         assert strategy.namespace == "round-robin"
 
-
-class TestCheckPlacement:
-    def test_valid(self):
-        check_placement(("a", "b"), 2)
-
-    def test_wrong_arity(self):
-        with pytest.raises(ValueError):
-            check_placement(("a",), 2)
-
-    def test_duplicate(self):
-        with pytest.raises(ValueError):
-            check_placement(("a", "a"), 2)

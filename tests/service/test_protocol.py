@@ -21,12 +21,14 @@ u64 vector:
 """
 
 import asyncio
+import enum
 import json
+import struct
 from array import array
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import (
@@ -36,6 +38,7 @@ from repro.exceptions import (
 )
 from repro import _compat
 from repro._compat import get_numpy
+from repro.hashing import primitives
 from repro.placement import create
 from repro.placement.base import BatchPlacement
 from repro.service import protocol
@@ -71,11 +74,18 @@ json_values = st.recursive(
     max_leaves=25,
 )
 
-# Lists the encoder packs, the edges of the column drawn often, and lists
-# one element away from packing: each of those stays a JSON array.
+#: Where CPython's 30-bit int digits and the int64 / u64 ranges end.
+CPYTHON_DIGIT_EDGES = [
+    0, 1, 2 ** 30 - 1, 2 ** 30, 2 ** 32, 2 ** 60, 2 ** 63 - 1, 2 ** 63,
+    2 ** 64 - 1,
+]
+
+# Lists the encoder packs, the edges of the column and of CPython's int
+# digits drawn often, and lists one element away from packing: each of
+# those stays a JSON array.
 u64_lists = st.lists(
     st.integers(min_value=0, max_value=2 ** 64 - 1)
-    | st.sampled_from([0, 2 ** 63, 2 ** 64 - 1]),
+    | st.sampled_from(CPYTHON_DIGIT_EDGES),
     min_size=1, max_size=6,
 )
 near_u64_lists = st.builds(
@@ -471,6 +481,8 @@ class TestColumnarRoundTrip:
     @given(words=u64_lists, extra=payloads)
     @settings(max_examples=100, deadline=None)
     def test_round_trip_gives_the_words(self, words, extra):
+        # A member spelled like a placeholder is refused (TestRoundTrip).
+        assume(not spelled_like_placeholder(extra))
         typed = array("Q", words)
         frame = encode_frame({"addresses": words, "extra": extra})
         assert frame[HEADER.size : HEADER.size + 1] == COLUMNAR
@@ -511,6 +523,39 @@ class TestColumnarRoundTrip:
             decode_frame(encode_frame({"a": [2 ** 64], "b": [1], "c": [2]})),
             {"a": [2 ** 64], "b": words, "c": [2]},
         )
+
+    @pytest.mark.parametrize("typecode", sorted({primitives._U64_TYPECODE, "Q"}))
+    @given(words=u64_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_column_is_the_words_at_every_digit_boundary(self, typecode, words):
+        """The column is each int's eight little-endian bytes, whichever
+        typecode converts the list (``"Q"`` where a C long is 4 bytes)."""
+        header = f'{{"addresses":{{"{U64_KEY}":{len(words)}}}}}'.encode()
+        body = COLUMNAR + HEADER.pack(len(header)) + header
+        body += struct.pack(f"<{len(words)}Q", *words)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(primitives, "_U64_TYPECODE", typecode)
+            for leg in LEGS:
+                with on_leg(leg):
+                    frame = encode_frame({"addresses": words})
+                    assert frame == HEADER.pack(len(body)) + body
+
+    def test_only_exact_ints_pack(self):
+        """``array('L')`` takes each of these lists; the codec packs none:
+        an ``IntEnum`` and a ``bool`` stay JSON, a NumPy scalar is refused."""
+        class Colour(enum.IntEnum):
+            RED = 1
+
+        for leg in LEGS:
+            with on_leg(leg):
+                frame = encode_frame({"addresses": [Colour.RED, 2]})
+                assert frame[HEADER.size : HEADER.size + 1] != COLUMNAR
+                assert same_value(decode_frame(frame), {"addresses": [1, 2]})
+                flags = {"addresses": [True, 5]}
+                assert same_value(decode_frame(encode_frame(flags)), flags)
+        numpy = pytest.importorskip("numpy")
+        with pytest.raises(BadFrameError):
+            encode_frame({"addresses": [numpy.int64(3)]})
 
     def test_other_arrays_are_not_columns(self):
         for other in (
